@@ -145,6 +145,9 @@ def cmd_prove(args):
                 print(f"verify: {line}", file=sys.stderr)
             print("verification FAILED")
             return 1
+        if report.skipped >= args.verify:
+            print("verification skipped (unregistered functions)", file=sys.stderr)
+            return status
         note = " (starved)" if report.starved else ""
         print(f"verified on {report.accepted} sample(s){note}")
     return status

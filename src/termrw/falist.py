@@ -155,9 +155,10 @@ def fa_free(fal):
 
 
 def make_linear_get_meta(stats):
-    """Fallback lookup for benchmarking with fast-alists off: parse the term
-    representing the alist and scan it, charging stats.fa_node_visits per
-    node walked."""
+    """Fallback lookup for benchmarking with fast-alists off: decode the
+    term representing the alist and scan it, charging stats.fa_node_visits
+    one visit per entry up to a hit, or every entry plus the terminator on
+    a miss."""
 
     def linear_get(t):
         if not (isinstance(t, App) and t.head == "hons-get" and len(t.args) == 2):
@@ -165,42 +166,14 @@ def make_linear_get_meta(stats):
         key = t.args[0]
         if not isinstance(key, Quote):
             return None
-        visits = 0
-        chain = t.args[1]
-        while True:
-            visits += 1
-            entry = None
-            if isinstance(chain, Quote):
-                value = chain.value
-                while isinstance(value, Cons):
-                    pair = value.car
-                    if not isinstance(pair, Cons):
-                        return None
-                    if values_equal(pair.car, key.value):
-                        stats.fa_node_visits += visits
-                        return App("cons", (Quote(pair.car), Quote(pair.cdr)))
-                    visits += 1
-                    value = value.cdr
-                if not (isinstance(value, str) and value == NIL):
-                    return None
-                stats.fa_node_visits += visits
-                return NIL_TERM
-            if isinstance(chain, App) and chain.head == "cons" and len(chain.args) == 2:
-                pair = chain.args[0]
-                if isinstance(pair, App) and pair.head == "cons" and len(pair.args) == 2 and isinstance(pair.args[0], Quote):
-                    entry = (pair.args[0].value, pair.args[1])
-                elif isinstance(pair, Quote) and isinstance(pair.value, Cons):
-                    entry = (pair.value.car, Quote(pair.value.cdr))
-                else:
-                    return None
-                chain = chain.args[1]
-            elif isinstance(chain, App) and chain.head == "hons-acons" and len(chain.args) == 3 and isinstance(chain.args[0], Quote):
-                entry = (chain.args[0].value, chain.args[1])
-                chain = chain.args[2]
-            else:
-                return None
-            if values_equal(entry[0], key.value):
-                stats.fa_node_visits += visits
-                return App("cons", (Quote(entry[0]), entry[1]))
+        entries = logical_entries(t.args[1])
+        if entries is None:
+            return None
+        for i, (k, v) in enumerate(entries):
+            if values_equal(k, key.value):
+                stats.fa_node_visits += i + 1
+                return App("cons", (Quote(k), v))
+        stats.fa_node_visits += len(entries) + 1
+        return NIL_TERM
 
     return linear_get

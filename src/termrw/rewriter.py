@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 from . import falist as _falist
 from .evaluator import EvalDomainError, UnknownFunctionError, lexorder_le, default_registry
 from .meta import MetaRegistry
-from .rules import RuleSet, Syntaxp, build_ruleset
+from .rules import SYNTAXP_HEADS, RuleSet, Syntaxp, build_ruleset
 from .terms import (
     NIL,
     NIL_TERM,
     T_TERM,
     App,
+    Cons,
     LambdaApp,
     Quote,
     Term,
@@ -74,8 +75,6 @@ OPEN = Leaf(False)
 def dont_rw_from_value(v):
     """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
     elementwise (position 0 tracks the head)."""
-    from .terms import Cons
-
     if isinstance(v, Cons):
         children = []
         while isinstance(v, Cons):
@@ -196,7 +195,6 @@ def negate(t):
 class RewriteConfig:
     step_limit: int = 1 << 20
     backchain_depth: int = 1000
-    iff_top: bool = True
     side_conditions_enabled: bool = True
     fast_alist_enabled: bool = True
     trace: bool = False
@@ -221,13 +219,6 @@ class RewriteStats:
         return dict(self.__dict__)
 
 
-class UnifyFail(Exception):
-    pass
-
-
-_FAIL = UnifyFail()
-
-
 def unify(pattern, t, bindings=None, extracted=None):
     """Match pattern (no rp/falist inside) against t, looking through rp
     wrappers.  Returns (bindings, extracted) or None; bindings keep the
@@ -239,9 +230,7 @@ def unify(pattern, t, bindings=None, extracted=None):
         bindings = {}
     if extracted is None:
         extracted = []
-    try:
-        _unify(pattern, t, bindings, extracted)
-    except UnifyFail:
+    if not _unify(pattern, t, bindings, extracted):
         return None
     return bindings, extracted
 
@@ -251,24 +240,22 @@ def _unify(pattern, t, bindings, extracted):
         old = bindings.get(pattern.name)
         if old is None:
             bindings[pattern.name] = t
-        elif not terms_equal(strip_rp_deep(old), strip_rp_deep(t)):
-            raise _FAIL
-        return
+            return True
+        return terms_equal(strip_rp_deep(old), strip_rp_deep(t))
     while is_rp(t):
         prop = t.args[0].value
         extracted.append((t, prop))
         t = t.args[1]
     if isinstance(pattern, Quote):
-        if not (isinstance(t, Quote) and values_equal(pattern.value, t.value)):
-            raise _FAIL
-        return
+        return isinstance(t, Quote) and values_equal(pattern.value, t.value)
     if isinstance(pattern, App):
         if not (isinstance(t, App) and t.head == pattern.head and len(t.args) == len(pattern.args)):
-            raise _FAIL
+            return False
         for p, a in zip(pattern.args, t.args):
-            _unify(p, a, bindings, extracted)
-        return
-    raise _FAIL
+            if not _unify(p, a, bindings, extracted):
+                return False
+        return True
+    return False
 
 
 def instantiate(template, bindings):
@@ -299,9 +286,6 @@ class SyntaxpError(ValueError):
     pass
 
 
-_SYNTAXP_HEADS = frozenset({"and", "or", "not", "equal", "atom", "consp", "quotep", "lexorder", "car"})
-
-
 def syntaxp_eval(pred, bindings):
     """Evaluate a syntaxp predicate over the terms bound by unification,
     encoded as values; wrappers are stripped first so both plain and
@@ -315,7 +299,7 @@ def syntaxp_eval(pred, bindings):
             return term_to_value(strip_rp_deep(b))
         if isinstance(p, Quote):
             return p.value
-        if not isinstance(p, App) or p.head not in _SYNTAXP_HEADS:
+        if not isinstance(p, App) or p.head not in SYNTAXP_HEADS:
             raise SyntaxpError(f"unsupported syntaxp predicate {p!r}")
         head, args = p.head, p.args
         if head == "and":
@@ -334,23 +318,15 @@ def syntaxp_eval(pred, bindings):
         if head == "equal":
             return "t" if values_equal(ev(args[0]), ev(args[1])) else NIL
         if head == "atom":
-            from .terms import Cons
-
             return NIL if isinstance(ev(args[0]), Cons) else "t"
         if head == "consp":
-            from .terms import Cons
-
             return "t" if isinstance(ev(args[0]), Cons) else NIL
         if head == "quotep":
-            from .terms import Cons
-
             v = ev(args[0])
             return "t" if isinstance(v, Cons) and v.car == "quote" else NIL
         if head == "lexorder":
             return "t" if lexorder_le(ev(args[0]), ev(args[1])) else NIL
         if head == "car":
-            from .terms import Cons
-
             v = ev(args[0])
             return v.car if isinstance(v, Cons) else NIL
         raise SyntaxpError(head)
@@ -382,11 +358,9 @@ class Rewriter:
 
     # -- public entry -------------------------------------------------------
 
-    def rewrite(self, t, dont_rw=OPEN, ctx=(), iff=None):
+    def rewrite(self, t, dont_rw=OPEN, ctx=(), iff=True):
         if not isinstance(ctx, Context):
             ctx = Context.from_terms(ctx)
-        if iff is None:
-            iff = self.cfg.iff_top
         if isinstance(t, LambdaApp):
             t = beta_reduce(t)
         return self._rw(t, dont_rw, ctx, iff, ())

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from .terms import (
     NIL,
     T,
-    NIL_TERM,
     T_TERM,
     SPECIAL_HEADS,
     App,
@@ -25,6 +24,7 @@ from .terms import (
     Var,
     beta_reduce,
     contains_head,
+    expand_boolean_op,
     free_vars,
     list_items,
     mk_rp,
@@ -131,23 +131,8 @@ def expand_boolean_ops(t):
     if isinstance(t, LambdaApp):
         return LambdaApp(t.params, expand_boolean_ops(t.body), [expand_boolean_ops(a) for a in t.args])
     args = [expand_boolean_ops(a) for a in t.args]
-    if t.head == "and":
-        if not args:
-            return T_TERM
-        out = args[-1]
-        for a in reversed(args[:-1]):
-            out = App("if", (a, out, NIL_TERM))
-        return out
-    if t.head == "or":
-        if not args:
-            return NIL_TERM
-        out = args[-1]
-        for a in reversed(args[:-1]):
-            out = App("if", (a, a, out))
-        return out
-    if t.head == "implies" and len(args) == 2:
-        return App("if", (args[0], App("if", (args[1], T_TERM, NIL_TERM)), T_TERM))
-    return App(t.head, args)
+    out = expand_boolean_op(t.head, args)
+    return out if out is not None else App(t.head, args)
 
 
 def _flatten_and(t):
@@ -288,13 +273,14 @@ def parse_rule_file(text):
 # validation
 
 
-_SYNTAXP_PREDS = frozenset({"lexorder", "atom", "consp", "equal", "not", "and", "or", "quotep", "car"})
+# the heads syntaxp predicates may use; rewriter.syntaxp_eval interprets them
+SYNTAXP_HEADS = frozenset({"and", "or", "not", "equal", "atom", "consp", "quotep", "lexorder", "car"})
 
 
 def _check_syntaxp_pred(t, problems):
     if isinstance(t, (Var, Quote)):
         return
-    if not isinstance(t, App) or t.head not in _SYNTAXP_PREDS:
+    if not isinstance(t, App) or t.head not in SYNTAXP_HEADS:
         problems.append(f"syntaxp predicate outside the supported set: {t!r}")
         return
     for a in t.args:

@@ -270,10 +270,6 @@ def rp_prop(t):
     return q.value if isinstance(q, Quote) else None
 
 
-def rp_payload(t):
-    return t.args[1]
-
-
 def is_falist(t):
     return isinstance(t, App) and t.head == "falist" and len(t.args) == 2
 
@@ -520,6 +516,28 @@ def _fold_binary(head, args):
     return out
 
 
+def expand_boolean_op(head, args):
+    """The if-form of (and ...), (or ...) or (implies a b) over the given
+    argument terms; None for any other head or arity."""
+    if head == "and":
+        if not args:
+            return T_TERM
+        out = args[-1]
+        for a in reversed(args[:-1]):
+            out = App("if", (a, out, NIL_TERM))
+        return out
+    if head == "or":
+        if not args:
+            return NIL_TERM
+        out = args[-1]
+        for a in reversed(args[:-1]):
+            out = App("if", (a, a, out))
+        return out
+    if head == "implies" and len(args) == 2:
+        return App("if", (args[0], App("if", (args[1], T_TERM, NIL_TERM)), T_TERM))
+    return None
+
+
 def term_from_value(v, keep_boolean_ops=False):
     """Translate a raw s-expression value into a term.
 
@@ -600,23 +618,10 @@ def term_from_value(v, keep_boolean_ops=False):
             return App("binary-+", (args[0], App("unary--", (args[1],))))
         raise ParseError("- expects 1 or 2 arguments")
     if not keep_boolean_ops and head in ("and", "or", "implies"):
-        if head == "and":
-            if not args:
-                return T_TERM
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = App("if", (a, out, NIL_TERM))
-            return out
-        if head == "or":
-            if not args:
-                return NIL_TERM
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = App("if", (a, a, out))
-            return out
-        if len(args) != 2:
+        out = expand_boolean_op(head, args)
+        if out is None:
             raise ParseError("implies expects 2 arguments")
-        return App("if", (args[0], App("if", (args[1], T_TERM, NIL_TERM)), T_TERM))
+        return out
 
     if head == "falist":
         if len(args) != 2:
@@ -703,9 +708,6 @@ def format_term(t):
             return f"({lam})"
         return f"({lam} " + " ".join(format_term(a) for a in t.args) + ")"
     raise TypeError(t)
-
-
-print_term = format_term
 
 
 # ---------------------------------------------------------------------------

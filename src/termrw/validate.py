@@ -2,9 +2,22 @@
 
 valid_sc checks that every rp wrapper's property actually holds under an
 environment; check_preservation samples environments and compares values
-before and after rewriting; check_run combines both under a context via
-rejection sampling.  These stand in for mechanized proof: rules are trusted
-inputs whose soundness is sampled, not proved.
+before and after rewriting; check_run combines both under a context;
+sample_rule_soundness compares a rule's sides under its hypotheses.  These
+stand in for mechanized proof: rules are trusted inputs whose soundness is
+sampled, not proved.
+
+All three samplers share one rejection-sampling policy.  Environments are
+drawn until n of them are accepted or skipped, or 100·n have been drawn.
+A draw is rejected, and not counted, when a fact or hypothesis is false or
+undefined under it.  It is skipped when the input term is undefined there
+(a partial function applied off its domain).  It fails, and is not
+counted, when the output is undefined where the input is defined, or when
+a wrapper's property does not hold or cannot be evaluated.  A changed
+value (truthiness in iff mode) fails but still counts as accepted.  A
+function without an executable counterpart in a fact, the input or the
+output makes the whole check skipped (skipped = n).  A report is starved
+when fewer than n draws were accepted or skipped.
 """
 
 from __future__ import annotations
@@ -60,25 +73,12 @@ def env_digest(env):
 def valid_sc(t, env, reg):
     """Every rp wrapper's property holds under env, following if branches
     the way evaluation would.  Evaluation errors propagate."""
-    if isinstance(t, (Var, Quote)):
-        return True
-    if isinstance(t, LambdaApp):
-        return valid_sc(beta_reduce(t), env, reg)
-    if t.head == "if" and len(t.args) == 3:
-        if not valid_sc(t.args[0], env, reg):
-            return False
-        branch = t.args[1] if truthy(eval_term(t.args[0], env, reg)) else t.args[2]
-        return valid_sc(branch, env, reg)
-    if t.head == "rp" and len(t.args) == 2 and isinstance(t.args[0], Quote):
-        prop = App(t.args[0].value, (t.args[1],))
-        if not truthy(eval_term(prop, env, reg)):
-            return False
-        return valid_sc(t.args[1], env, reg)
-    return all(valid_sc(a, env, reg) for a in t.args)
+    return valid_sc_failure(t, env, reg) is None
 
 
 def valid_sc_failure(t, env, reg, path=()):
-    """Like valid_sc but returns the failing (path, wrapper term) or None."""
+    """The (path, property term) of the first wrapper whose property fails
+    under env, or None when valid_sc holds."""
     if isinstance(t, (Var, Quote)):
         return None
     if isinstance(t, LambdaApp):
@@ -127,94 +127,94 @@ def sample_env(rng, names):
 
 
 # ---------------------------------------------------------------------------
-# preservation and full-run checks
-
-
-def _eval_or_skip(t, env, reg):
-    """(value, defined) where partial-function domain errors mean undefined."""
-    try:
-        return eval_term(t, env, reg), True
-    except EvalDomainError:
-        return None, False
-
-
-def check_preservation(before, after, mode, env_samples, reg, seed=0, envs=None):
-    """Sample environments; eval both terms; equal mode compares values, iff
-    mode truthiness.  Samples where the input itself is undefined (a partial
-    function applied off-domain) are skipped; an output undefined where the
-    input was defined is a failure."""
-    names = free_vars(before) | free_vars(after)
-    rng = random.Random(seed)
-    report = ValidityReport()
-    for i in range(env_samples):
-        env = envs[i] if envs is not None else sample_env(rng, names)
-        v_before, ok_before = _eval_or_skip(before, env, reg)
-        if not ok_before:
-            report.skipped += 1
-            continue
-        v_after, ok_after = _eval_or_skip(after, env, reg)
-        if not ok_after:
-            report.fail((), "rewritten term undefined where input is defined", env)
-            continue
-        report.accepted += 1
-        if mode == "equal":
-            if not values_equal(v_before, v_after):
-                report.fail((), "value changed by rewriting", env)
-        else:
-            if truthy(v_before) != truthy(v_after):
-                report.fail((), "truthiness changed by rewriting", env)
-    return report
-
+# the sampling loop and the oracles built on it
 
 REJECTION_CAP = 100
 
 
-def check_run(before, after, ctx, env_samples, reg, mode="iff", seed=0):
-    """Rejection-sample envs satisfying every ctx fact; per accepted env,
-    assert valid_sc(after) and preservation.  Starvation (cannot find
-    satisfying envs within 100x the requested count) is reported separately
-    from failures."""
-    names = free_vars(before) | free_vars(after)
-    for f in ctx:
-        names |= free_vars(f)
+def _sample(names, facts, n, reg, seed, judge):
+    """Draw environments over names until n are accepted or skipped, or
+    REJECTION_CAP * n have been drawn, keeping those where every fact holds.
+
+    judge(env, report) rules on each kept environment: None skips it, True
+    accepts it, False counts it as neither (it has recorded a failure).
+    """
     rng = random.Random(seed)
     report = ValidityReport()
-    tries = 0
-    cap = env_samples * REJECTION_CAP
-    while report.accepted + report.skipped < env_samples and tries < cap:
-        tries += 1
-        env = sample_env(rng, names)
-        try:
-            if not all(truthy(eval_term(f, env, reg)) for f in ctx):
+    draws = 0
+    try:
+        while report.accepted + report.skipped < n and draws < n * REJECTION_CAP:
+            draws += 1
+            env = sample_env(rng, names)
+            try:
+                if not all(truthy(eval_term(f, env, reg)) for f in facts):
+                    continue
+            except EvalDomainError:
                 continue
-        except EvalError:
-            continue
-        v_before, ok_before = _eval_or_skip(before, env, reg)
-        if not ok_before:
-            report.skipped += 1
-            continue
-        try:
-            v_after = eval_term(after, env, reg)
-        except EvalDomainError:
-            report.fail((), "rewritten term undefined where input is defined", env)
-            continue
-        if mode == "equal":
-            if not values_equal(v_before, v_after):
-                report.fail((), "value changed by rewriting", env)
-        elif truthy(v_before) != truthy(v_after):
-            report.fail((), "truthiness changed by rewriting", env)
+            verdict = judge(env, report)
+            if verdict is None:
+                report.skipped += 1
+            elif verdict:
+                report.accepted += 1
+    except UnknownFunctionError:
+        report.skipped = n
+    report.starved = report.accepted + report.skipped < n
+    return report
+
+
+def _compare(before, after, mode, env, reg, report, label=""):
+    """Compare the values of before and after under env: None when before
+    is undefined, False (a failure) when only after is, True otherwise.  A
+    changed value, or truthiness in iff mode, is recorded as a failure."""
+    try:
+        v_before = eval_term(before, env, reg)
+    except EvalDomainError:
+        return None
+    try:
+        v_after = eval_term(after, env, reg)
+    except EvalDomainError:
+        report.fail((), f"{label}rewritten term undefined where input is defined", env)
+        return False
+    if mode == "equal":
+        if not values_equal(v_before, v_after):
+            report.fail((), f"{label}value changed by rewriting", env)
+    elif truthy(v_before) != truthy(v_after):
+        report.fail((), f"{label}truthiness changed by rewriting", env)
+    return True
+
+
+def _free_vars_of(terms):
+    return set().union(*map(free_vars, terms))
+
+
+def check_preservation(before, after, mode, env_samples, reg, seed=0):
+    """Sample environments and compare before with after: values in equal
+    mode, truthiness in iff mode."""
+    return _sample(
+        _free_vars_of((before, after)), (), env_samples, reg, seed,
+        lambda env, report: _compare(before, after, mode, env, reg, report),
+    )
+
+
+def check_run(before, after, ctx, env_samples, reg, mode="iff", seed=0):
+    """Sample environments satisfying every ctx fact; under each, after
+    must preserve before's value and satisfy valid_sc."""
+
+    def judge(env, report):
+        verdict = _compare(before, after, mode, env, reg, report)
+        if not verdict:
+            return verdict
         try:
             bad = valid_sc_failure(after, env, reg)
         except EvalError as exc:
             report.fail((), f"side-condition evaluation error: {exc}", env)
-            continue
+            return False
         if bad is not None:
             report.fail(bad[0], bad[1], env)
-            continue
-        report.accepted += 1
-    if report.accepted + report.skipped < env_samples:
-        report.starved = True
-    return report
+            return False
+        return True
+
+    return _sample(_free_vars_of((before, after, *ctx)), ctx, env_samples, reg, seed, judge)
 
 
 def check_syntax_preserved(before, after):
@@ -222,55 +222,16 @@ def check_syntax_preserved(before, after):
     return (not rp_termp(before)) and (not rp_termp(after))
 
 
-# ---------------------------------------------------------------------------
-# rule soundness sampling (strict-mode ingestion check)
-
-
 def sample_rule_soundness(rule, reg, env_samples=1000, seed=0):
-    """For envs satisfying the hyps (rejection sampling), lhs and rhs must
-    agree per the rule's equivalence.  Syntaxp hyps restrict applicability,
-    not truth, so they are ignored here.  Rules mentioning unregistered
-    functions are reported as skipped, not failed."""
+    """Under environments satisfying the hyps, lhs and rhs must agree per
+    the rule's equivalence (the strict-mode ingestion check).  Syntaxp hyps
+    restrict applicability, not truth, so they are ignored here."""
     hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
-    names = free_vars(rule.lhs) | free_vars(rule.rhs)
-    for h in hyps:
-        names |= free_vars(h)
-    rng = random.Random(seed)
-    report = ValidityReport()
-    tries = 0
-    cap = env_samples * REJECTION_CAP
-    while report.accepted + report.skipped < env_samples and tries < cap:
-        tries += 1
-        env = sample_env(rng, names)
-        try:
-            if not all(truthy(eval_term(h, env, reg)) for h in hyps):
-                continue
-        except UnknownFunctionError:
-            report.skipped = env_samples
-            break
-        except EvalDomainError:
-            continue
-        try:
-            v_lhs, ok_lhs = _eval_or_skip(rule.lhs, env, reg)
-            if not ok_lhs:
-                report.skipped += 1
-                continue
-            v_rhs = eval_term(rule.rhs, env, reg)
-        except UnknownFunctionError:
-            report.skipped = env_samples
-            break
-        except EvalDomainError:
-            report.fail((), f"rule {rule.name}: rhs undefined where lhs is defined", env)
-            continue
-        report.accepted += 1
-        if rule.equiv == "equal":
-            if not values_equal(v_lhs, v_rhs):
-                report.fail((), f"rule {rule.name}: lhs and rhs differ", env)
-        elif truthy(v_lhs) != truthy(v_rhs):
-            report.fail((), f"rule {rule.name}: lhs and rhs differ in truthiness", env)
-    if report.accepted == 0 and not report.failures and report.skipped < env_samples:
-        report.starved = True
-    return report
+    label = f"rule {rule.name}: "
+    return _sample(
+        _free_vars_of((rule.lhs, rule.rhs, *hyps)), hyps, env_samples, reg, seed,
+        lambda env, report: _compare(rule.lhs, rule.rhs, rule.equiv, env, reg, report, label),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from termrw.cli import CSV_COLUMNS, main
 from termrw.demo import SHIPPED_CONJECTURES, SHIPPED_RULESETS
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def write(tmp_path, name, text):
@@ -169,6 +173,25 @@ def test_prove_verify(tmp_path, capsys):
     assert "verified on 100 sample(s)" in out
 
 
+def test_prove_verify_skips_unregistered_functions(tmp_path, capsys):
+    conjecture = "(equal (logand (iassoc 'k1 env) (iassoc 'k2 env)) (4vec-bitand (iassoc 'k1 env) (iassoc 'k2 env)))"
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", SHIPPED_RULESETS["tree"]),
+            "--conjecture",
+            write(tmp_path, "c.lsp", conjecture),
+            "--verify",
+            "10",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.strip() == "proved"
+    assert "verification skipped (unregistered functions)" in captured.err
+
+
 def test_prove_trace_goes_to_stderr(tmp_path, capsys):
     from termrw.demo import tree_conjecture
     from termrw.terms import format_term
@@ -274,3 +297,12 @@ def test_demo_rule_files_match_constants():
 def test_demo_conjecture_files_match_constants():
     for name, text in SHIPPED_CONJECTURES.items():
         assert (DEMOS / "conjectures" / f"{name}.lsp").read_text() == text
+
+
+@pytest.mark.parametrize("script", ["fast_alists.py", "side_conditions.py"])
+def test_demo_script_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

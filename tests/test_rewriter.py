@@ -1,5 +1,8 @@
 """The rewriting engine: unification, contexts, dont-rw, the step loop."""
 
+import gc
+import weakref
+
 import pytest
 
 from termrw.meta import MetaRule, demo_metas
@@ -72,6 +75,18 @@ def test_unify_mismatches():
     assert unify(P("(f x)"), P("(g a)")) is None
     assert unify(P("(f '1)"), P("(f '2)")) is None
     assert unify(P("(f x y)"), P("(f a)")) is None
+
+
+def test_failed_unify_keeps_no_frames_alive():
+    class Bindings(dict):
+        pass
+
+    bindings = Bindings()
+    ref = weakref.ref(bindings)
+    assert unify(P("(f x x)"), P("(f '1 '2)"), bindings) is None
+    del bindings
+    gc.collect()
+    assert ref() is None
 
 
 def test_instantiate():

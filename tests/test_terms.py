@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term, rand_value
+from termrw.rules import expand_boolean_ops
 from termrw.terms import (
     NIL_TERM,
     T_TERM,
@@ -115,6 +116,10 @@ def test_boolean_ops_become_if():
     assert parse_term("(or p q)") == parse_term("(if p p q)")
     assert parse_term("(implies p q)") == parse_term("(if p (if q 't 'nil) 't)")
     assert parse_term("(and p q r)") == parse_term("(if p (if q r 'nil) 'nil)")
+    # the reader and the rule-side expander share one expansion
+    for text in ("(and)", "(or)", "(and p)", "(or p q r)", "(implies (and p q) (or q r))", "(f (implies p q))"):
+        v = read_value(text)
+        assert term_from_value(v) == expand_boolean_ops(term_from_value(v, keep_boolean_ops=True))
 
 
 def test_keep_boolean_ops_flag():
