@@ -113,7 +113,7 @@ def cmd_prove(args):
         trace=args.trace,
     )
     rw = Rewriter(ruleset, cfg=cfg)
-    proved, out = run_deep(rw.proved, conjecture)
+    proved, out = rw.proved(conjecture)
 
     if args.trace:
         for path, rule_name, before, after in rw.trace:
@@ -137,9 +137,7 @@ def cmd_prove(args):
         status = 1
 
     if args.verify:
-        report = run_deep(
-            check_run, conjecture, out, [], args.verify, rw.registry, mode="iff", seed=args.seed
-        )
+        report = check_run(conjecture, out, [], args.verify, rw.registry, mode="iff", seed=args.seed)
         if not report.ok:
             for line in report.lines():
                 print(f"verify: {line}", file=sys.stderr)
@@ -201,7 +199,7 @@ def cmd_bench_tree(args):
             for _ in range(args.repetitions):
                 rw = Rewriter(ruleset, cfg=cfg)
                 t0 = time.perf_counter()
-                proved, _out = run_deep(rw.proved, conjecture)
+                proved, _out = rw.proved(conjecture)
                 dt = time.perf_counter() - t0
                 wall = dt if wall is None else min(wall, dt)
             row = {"param": depth, "mode": mode, **_stats_cells(rw.stats, wall)}
@@ -232,10 +230,10 @@ def cmd_bench_falist(args):
                     MetaRule("linear-get", "hons-get", make_linear_get_meta(rw.stats), trusted_syntax=True)
                 )
             t0 = time.perf_counter()
-            fal = run_deep(rw.rewrite, chain_term(n), iff=False)
+            fal = rw.rewrite(chain_term(n), iff=False)
             t_build = time.perf_counter() - t0
             t0 = time.perf_counter()
-            run_deep(rw.rewrite, lookups_term(fal, keys), iff=False)
+            rw.rewrite(lookups_term(fal, keys), iff=False)
             t_look = time.perf_counter() - t0
             print(
                 f"# falist N={n} M={m} mode={mode} build_ms={t_build*1000:.1f} lookups_ms={t_look*1000:.1f}",
@@ -297,7 +295,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # Rewriting, checking and printing recurse on term depth.
+    return run_deep(args.fn, args)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ bindings are not rewritten again.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import falist as _falist
@@ -286,6 +287,10 @@ class SyntaxpError(ValueError):
     pass
 
 
+class RewriteDepthError(RecursionError):
+    """Rewriting nested deeper than the Python stack allows."""
+
+
 def syntaxp_eval(pred, bindings):
     """Evaluate a syntaxp predicate over the terms bound by unification,
     encoded as values; wrappers are stripped first so both plain and
@@ -363,7 +368,10 @@ class Rewriter:
             ctx = Context.from_terms(ctx)
         if isinstance(t, LambdaApp):
             t = beta_reduce(t)
-        return self._rw(t, dont_rw, ctx, iff, ())
+        try:
+            return self._rw(t, dont_rw, ctx, iff, ())
+        except RecursionError:
+            raise RewriteDepthError(f"rewriting nested past the recursion limit ({sys.getrecursionlimit()})") from None
 
     def proved(self, t, ctx=()):
         out = self.rewrite(t, OPEN, ctx, iff=True)
@@ -420,7 +428,9 @@ class Rewriter:
         if core.head == "falist":
             return self._rewrap(props, core)
 
-        out = self._steps_4_to_7(core, dw, ctx, iff, props, path)
+        # a wrapper's property is about its payload's value, so a core
+        # under wrappers must keep its value, not just its truth value
+        out = self._steps_4_to_7(core, dw, ctx, iff and not props, props, path)
         return self._rewrap(props, out)
 
     def _rewrap(self, props, core):
@@ -556,26 +566,27 @@ class Rewriter:
                 continue
             bindings, extracted = m
             if rule.hyps:
-                facts = [App(p, (strip_rp_deep(sub),)) for sub, p in extracted]
-                if outer_props:
-                    stripped_core = strip_rp_deep(core)
-                    facts.extend(App(p, (stripped_core,)) for p in outer_props)
-                hyp_ctx = ctx.extend(facts) if (facts and self.cfg.side_conditions_enabled) else ctx
+                hyp_ctx = ctx
+                if self.cfg.side_conditions_enabled:
+                    known = extracted + [(core, p) for p in outer_props]
+                    hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known])
                 if not self._relieve_hyps(rule, bindings, hyp_ctx, path):
                     stats.hyp_relief_failures += 1
                     continue
             stats.rule_applications += 1
             template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
             result = instantiate(template, bindings)
-            size = self._template_sizes.get(id(template))
-            if size is None:
-                size = _template_size(template)
-                self._template_sizes[id(template)] = size
-            stats.nodes_created += size
+            stats.nodes_created += self._cached_template_size(template)
             if self.cfg.trace:
                 self.trace.append((path, rule.name, node_count(core), node_count(result)))
             return result, dont_rw_from_template(template)
         return None
+
+    def _cached_template_size(self, template):
+        size = self._template_sizes.get(id(template))
+        if size is None:
+            size = self._template_sizes[id(template)] = _template_size(template)
+        return size
 
     def _relieve_hyps(self, rule, bindings, ctx, path):
         if self._backchain >= self.cfg.backchain_depth:
@@ -591,7 +602,7 @@ class Rewriter:
                         return False
                     continue
                 inst = instantiate(hyp, bindings)
-                self.stats.nodes_created += self._template_sizes.setdefault(id(hyp), _template_size(hyp))
+                self.stats.nodes_created += self._cached_template_size(hyp)
                 out = self._rw(inst, dont_rw_from_template(hyp), ctx, True, path)
                 if not (isinstance(out, Quote) and truthy(out.value)):
                     return False

@@ -375,121 +375,77 @@ def contains_head(t, head):
 # reader
 
 
-_WS = " \t\r\n"
-_DELIM = _WS + "()';"
+# One token per match: whitespace and comments (no group), punctuation
+# (group 1; a dot counts only when a delimiter or the end follows it), or an
+# atom (group 2), the longest run of non-delimiters.
+_TOKEN = re.compile(r"[ \t\r\n]+|;[^\n]*|(\.(?=[ \t\r\n()';]|\Z)|[()'])|([^ \t\r\n()';]+)")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-def _line_col(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, col
+def _parse_error(text, pos, message):
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in _WS:
-            i += 1
-        elif c == ";":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif c in "()'":
-            toks.append((c, None, i))
-            i += 1
-        elif c == "." and (i + 1 == n or text[i + 1] in _DELIM):
-            toks.append((".", None, i))
-            i += 1
+def _read(text):
+    """Yield (value, end) for each top-level s-expression in text.
+
+    Open forms wait on an explicit stack as [opener, items]: '(' collects
+    list items, "'" awaits its datum, '.' awaits a dotted tail and then the
+    list's ')'.  Nesting depth costs no recursion.
+    """
+    stack = []
+    for m in _TOKEN.finditer(text):
+        if not m.lastindex:
+            continue
+        tok, word = m.groups()
+        opener, items = stack[-1] if stack else (None, None)
+        if opener == "." and items and tok != ")":
+            raise _parse_error(text, m.start(), "expected ) after dotted tail")
+        if word is not None:
+            value = int(word) if _INT_RE.match(word) else word
+        elif tok == ")":
+            if not (opener == "(" or (opener == "." and items)):
+                raise _parse_error(text, m.start(), "unexpected )")
+            value = stack.pop()[1][0] if opener == "." else NIL
+            for item in reversed(stack.pop()[1]):
+                value = Cons(item, value)
         else:
-            j = i
-            while j < n and text[j] not in _DELIM:
-                j += 1
-            word = text[i:j]
-            if _INT_RE.match(word):
-                toks.append(("atom", int(word), i))
-            else:
-                toks.append(("atom", word, i))
-            i = j
-    return toks
-
-
-class _Reader:
-    def __init__(self, text):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.k = 0
-
-    def error(self, message, pos=None):
-        if pos is None:
-            pos = self.toks[self.k][2] if self.k < len(self.toks) else len(self.text)
-        raise ParseError(message, *_line_col(self.text, pos))
-
-    def peek(self):
-        return self.toks[self.k] if self.k < len(self.toks) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.k += 1
-        return tok
-
-    def read_datum(self):
-        kind, value, pos = self.next()
-        if kind == "atom":
-            return value
-        if kind == "'":
-            return Cons("quote", Cons(self.read_datum(), NIL))
-        if kind == "(":
-            return self.read_list()
-        if kind == ")":
-            self.error("unexpected )", pos)
-        if kind == ".":
-            self.error("unexpected .", pos)
-        self.error("unexpected end of input", pos)
-
-    def read_list(self):
-        items = []
-        tail = NIL
-        while True:
-            kind, _, pos = self.peek()
-            if kind is None:
-                self.error("unterminated list", pos)
-            if kind == ")":
-                self.next()
-                break
-            if kind == ".":
-                self.next()
-                if not items:
-                    self.error("misplaced .", pos)
-                tail = self.read_datum()
-                kind2, _, pos2 = self.next()
-                if kind2 != ")":
-                    self.error("expected ) after dotted tail", pos2)
-                break
-            items.append(self.read_datum())
-        for item in reversed(items):
-            tail = Cons(item, tail)
-        return tail
+            if tok == "." and opener != "(":
+                raise _parse_error(text, m.start(), "unexpected .")
+            if tok == "." and not items:
+                raise _parse_error(text, m.start(), "misplaced .")
+            stack.append([tok, []])
+            continue
+        while stack and stack[-1][0] == "'":
+            stack.pop()
+            value = Cons("quote", Cons(value, NIL))
+        if stack:
+            stack[-1][1].append(value)
+        else:
+            yield value, m.end()
+    if stack:
+        opener, items = stack[-1]
+        if opener == "(":
+            message = "unterminated list"
+        elif items:
+            message = "expected ) after dotted tail"
+        else:
+            message = "unexpected end of input"
+        raise _parse_error(text, len(text), message)
 
 
 def read_value(text):
     """Read exactly one s-expression from text into the value domain."""
-    r = _Reader(text)
-    if r.peek()[0] is None:
-        r.error("empty input")
-    v = r.read_datum()
-    if r.peek()[0] is not None:
-        r.error("trailing input after s-expression")
-    return v
+    for value, end in _read(text):
+        for m in _TOKEN.finditer(text, end):
+            if m.lastindex:
+                raise _parse_error(text, m.start(), "trailing input after s-expression")
+        return value
+    raise _parse_error(text, len(text), "empty input")
 
 
 def read_values(text):
-    r = _Reader(text)
-    out = []
-    while r.peek()[0] is not None:
-        out.append(r.read_datum())
-    return out
+    return [value for value, _end in _read(text)]
 
 
 def list_items(v):
@@ -758,7 +714,7 @@ def rp_termp(t):
 
 
 # ---------------------------------------------------------------------------
-# beta reduction and list translation
+# beta reduction
 
 
 def _fresh_name(base, taken):
@@ -817,21 +773,3 @@ def beta_reduce(t):
         return substitute(body, dict(zip(t.params, args)))
     raise TypeError(t)
 
-
-def trans_list(t):
-    """Translate every (list ...) into its right-nested cons form."""
-    if isinstance(t, (Var, Quote)):
-        return t
-    if isinstance(t, App):
-        args = [trans_list(a) for a in t.args]
-        if t.head == "list":
-            out = NIL_TERM
-            for a in reversed(args):
-                out = App("cons", (a, out))
-            return out
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return App(t.head, args)
-    if isinstance(t, LambdaApp):
-        return LambdaApp(t.params, trans_list(t.body), [trans_list(a) for a in t.args])
-    raise TypeError(t)

@@ -1,10 +1,18 @@
 import random
+import sys
 
 import pytest
 
 from termrw.evaluator import default_registry
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import App, Cons, Quote, Var
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    before = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == before
 
 
 @pytest.fixture

@@ -212,6 +212,22 @@ def test_prove_trace_goes_to_stderr(tmp_path, capsys):
     assert "trace: integerp-of-iassoc" in captured.err
 
 
+def test_prove_deep_conjecture(tmp_path, capsys):
+    n = 600
+    chain = "".join(f"(hons-acons 'k{i} v{i} " for i in range(1, n + 1)) + "'nil" + ")" * n
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", ""),
+            "--conjecture",
+            write(tmp_path, "c.lsp", f"(equal (hons-get 'k1 {chain}) (cons 'k1 v1))"),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "proved"
+
+
 def test_prove_bad_conjecture_file(tmp_path, capsys):
     rc = main(
         [

@@ -13,6 +13,7 @@ from termrw.rewriter import (
     Leaf,
     Node,
     RewriteConfig,
+    RewriteDepthError,
     Rewriter,
     arg_dont_rws,
     conjuncts_of,
@@ -25,6 +26,7 @@ from termrw.rewriter import (
 )
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value
+from termrw.validate import check_run
 
 P = parse_term
 
@@ -306,6 +308,30 @@ def test_iff_only_rule_gated_by_position():
     rw = rewriter(rs)
     assert rw.rewrite(P("(if (p a) x y)"), iff=False) == Var("x")
     assert rewriter(rs).rewrite(P("(f (p a))"), iff=False) == P("(f (p a))")
+
+
+def test_iff_rule_under_a_wrapper_keeps_the_payload_value():
+    # the wrapper's property is about (+ a b)'s value, so the iff-only rule
+    # must not turn the payload into 't
+    rw = rewriter("(def-rp-rule plus-truthy (iff (+ x y) 't))")
+    before = P("(if (rp 'integerp (+ a b)) a b)")
+    out = rw.rewrite(before)
+    assert out == P("(if (rp 'integerp (binary-+ a b)) a b)")
+    assert check_run(before, out, [], 250, rw.registry, mode="iff", seed=7).ok
+
+
+def test_stack_overflow_raises_typed_error_and_leaves_rewriter_usable():
+    # each relief of (q x) rewrites (q x) again; the stack runs out long
+    # before the default backchain_depth
+    rs = """
+    (def-rp-rule loop (implies (q x) (equal (q x) (q2 x))))
+    (def-rp-rule uses-q (implies (q x) (equal (f x) 'fired)))
+    """
+    rw = rewriter(rs)
+    with pytest.raises(RewriteDepthError):
+        rw.rewrite(P("(f a)"), iff=False)
+    assert rw._backchain == 0
+    assert rw.rewrite(P("(binary-+ '1 '2)"), iff=False) == Quote(3)
 
 
 def test_disabled_rule_not_tried():

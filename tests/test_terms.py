@@ -35,7 +35,6 @@ from termrw.terms import (
     term_from_value,
     term_to_value,
     terms_equal,
-    trans_list,
     truthy,
     values_equal,
     vars_in_order,
@@ -74,9 +73,35 @@ def test_read_values_multiple():
 
 
 def test_read_value_errors():
-    for bad in ("", "(a", ")", "(a . )", "(a . b c)", "'"):
-        with pytest.raises(ParseError):
+    cases = [
+        ("", "empty input (line 1, column 1)"),
+        ("(a", "unterminated list (line 1, column 3)"),
+        ("((a . b)", "unterminated list (line 1, column 9)"),
+        (")", "unexpected ) (line 1, column 1)"),
+        ("(a . )", "unexpected ) (line 1, column 6)"),
+        ("(a ')", "unexpected ) (line 1, column 5)"),
+        ("(a . b c)", "expected ) after dotted tail (line 1, column 8)"),
+        ("(a\n . b\n c)", "expected ) after dotted tail (line 3, column 2)"),
+        ("'", "unexpected end of input (line 1, column 2)"),
+        ("(a .", "unexpected end of input (line 1, column 5)"),
+        ("(. a)", "misplaced . (line 1, column 2)"),
+        (".", "unexpected . (line 1, column 1)"),
+        ("(x '.)", "unexpected . (line 1, column 5)"),
+        ("a b", "trailing input after s-expression (line 1, column 3)"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as e:
             read_value(bad)
+        assert str(e.value) == message, bad
+
+
+def test_read_value_deep_nest_needs_no_recursion():
+    depth = 100_000
+    v = read_value("(" * depth + "x" + ")" * depth)
+    for _ in range(depth):
+        assert isinstance(v, Cons) and v.cdr == "nil"
+        v = v.car
+    assert v == "x"
 
 
 def test_reader_error_reports_position():
@@ -296,15 +321,3 @@ def test_beta_reduce_arity_error():
     with pytest.raises(BetaReductionError):
         beta_reduce(LambdaApp(("x", "y"), Var("x"), (Quote(1),)))
 
-
-def test_trans_list():
-    t = parse_term("(f (list a b) (list))")
-    assert trans_list(t) == parse_term("(f (cons a (cons b 'nil)) 'nil)")
-
-
-def test_trans_list_idempotent():
-    rng = rand_rng(11)
-    for _ in range(200):
-        t = App("list", tuple(rand_term(rng, 2) for _ in range(3)))
-        once = trans_list(t)
-        assert trans_list(once) == once
