@@ -14,7 +14,7 @@ import time
 from .demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookup_keys, lookups_term, tree_conjecture
 from .evaluator import default_registry
 from .falist import make_linear_get_meta
-from .meta import MetaRegistry, MetaRule
+from .meta import MetaRule
 from .rewriter import RewriteConfig, Rewriter
 from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, validate_rule
 from .terms import ParseError, format_term, parse_term
@@ -236,7 +236,8 @@ def cmd_bench_falist(args):
             rw.rewrite(lookups_term(fal, keys), iff=False)
             t_look = time.perf_counter() - t0
             print(
-                f"# falist N={n} M={m} mode={mode} build_ms={t_build*1000:.1f} lookups_ms={t_look*1000:.1f}",
+                f"# falist N={n} M={m} mode={mode} build_ms={t_build*1000:.1f}"
+                f" build_us_per_entry={t_build*1e6/n:.1f} lookups_ms={t_look*1000:.1f}",
                 file=sys.stderr,
             )
             row = {"param": n, "mode": mode, **_stats_cells(rw.stats, t_build + t_look)}

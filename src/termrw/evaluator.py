@@ -11,7 +11,7 @@ what a function means).
 
 from __future__ import annotations
 
-from .terms import NIL, T, Cons, FalistShadow, Quote, Var, App, LambdaApp, values_equal
+from .terms import NIL, T, Cons, Quote, Var, App, LambdaApp, values_equal
 
 
 class EvalError(Exception):

@@ -4,8 +4,10 @@ A term ``(falist 'shadow logical)`` evaluates as its logical payload, a
 quoted-key association-list term, while the quoted shadow carries the same
 entries in a lookup table.  hons-acons extends both sides, hons-get answers
 from the shadow in one probe, fast-alist-free drops back to the payload.
-The shadow is persistent: extending never mutates an existing one, so older
-falist terms stay valid.
+Each line of versions shares one append-only binding log, and a shadow is
+a prefix of it: extending the newest version appends in O(1), extending an
+older one forks a fresh log, and every version sees only its own prefix,
+so older falist terms stay valid and fast.
 """
 
 from __future__ import annotations
@@ -101,32 +103,22 @@ def fa_acons(key, val, tail):
     if not isinstance(key, Quote) or isinstance(key.value, FalistShadow):
         return None
     if isinstance(tail, Quote) and isinstance(tail.value, str) and tail.value == NIL:
-        parent_entries = ()
-        parent_index = {}
+        parent = FalistShadow()
         logical_tail = NIL_TERM
     elif is_falist(tail):
-        shadow = falist_shadow(tail)
-        if shadow is None:
+        parent = falist_shadow(tail)
+        if parent is None:
             return None
-        parent_entries = shadow.entries
-        parent_index = shadow.index
         logical_tail = tail.args[1]
     elif isinstance(tail, Quote):
         decoded = _alist_value_entries(tail.value)
         if decoded is None:
             return None
-        parent_entries = tuple(decoded)
-        parent_index = None
+        parent = FalistShadow(decoded)
         logical_tail = tail
     else:
         return None
-    entries = ((key.value, val),) + parent_entries
-    if parent_index is None:
-        shadow = FalistShadow(entries)
-    else:
-        index = dict(parent_index)
-        index[key.value] = val
-        shadow = FalistShadow(entries, index)
+    shadow = parent.extend(key.value, val)
     logical = App("cons", (App("cons", (key, val)), logical_tail))
     return App("falist", (Quote(shadow), logical))
 
@@ -141,7 +133,7 @@ def fa_get(key, fal, stats=None):
         return None
     if stats is not None:
         stats.fa_probes += 1
-    val = shadow.index.get(key.value)
+    val = shadow.get(key.value)
     if val is None:
         return NIL_TERM
     return App("cons", (key, val))

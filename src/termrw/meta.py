@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Quote, Term, is_rp, node_count, rp_termp, strip_rp
+from .terms import App, Quote, node_count, rp_termp, strip_rp
 
 RESERVED_TRIGGERS = frozenset({"rp", "falist", "quote"})
 

@@ -11,12 +11,12 @@ bindings are not rewritten again.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import falist as _falist
 from .evaluator import EvalDomainError, UnknownFunctionError, lexorder_le, default_registry
 from .meta import MetaRegistry
-from .rules import SYNTAXP_HEADS, RuleSet, Syntaxp, build_ruleset
+from .rules import SYNTAXP_HEADS, Syntaxp, build_ruleset
 from .terms import (
     NIL,
     NIL_TERM,
@@ -25,7 +25,6 @@ from .terms import (
     Cons,
     LambdaApp,
     Quote,
-    Term,
     Var,
     beta_reduce,
     is_rp,
@@ -283,6 +282,17 @@ def _template_size(template):
     return n
 
 
+def _flat_path(path):
+    """The argument positions from the root to a node, as a tuple.  The
+    rewriter passes a path as linked pairs (parent path, position) ending
+    in (), so descending costs O(1) whatever the depth."""
+    out = []
+    while path:
+        path, i = path
+        out.append(i)
+    return tuple(reversed(out))
+
+
 class SyntaxpError(ValueError):
     pass
 
@@ -455,7 +465,7 @@ class Rewriter:
             dws = (STOP,) * len(core.args)
         arg_iff = iff if head == "not" and len(core.args) == 1 else False
         args = tuple(
-            self._rw(a, adw, ctx, arg_iff, path + (i + 1,))
+            self._rw(a, adw, ctx, arg_iff, (path, i + 1))
             for i, (a, adw) in enumerate(zip(core.args, dws))
         )
         if any(a is not b for a, b in zip(args, core.args)):
@@ -518,15 +528,17 @@ class Rewriter:
 
     def _rewrite_if(self, core, dw, ctx, iff, path):
         dws = arg_dont_rws(dw, 3)
-        test = self._rw(core.args[0], dws[0], ctx, True, path + (1,))
-        if isinstance(test, Quote):
-            if truthy(test.value):
-                return self._rw(core.args[1], dws[1], ctx, iff, path + (2,))
-            return self._rw(core.args[2], dws[2], ctx, iff, path + (3,))
+        test = self._rw(core.args[0], dws[0], ctx, True, (path, 1))
+        # a wrapper does not change its payload's value, so (rp 'p 'c) decides
+        decided = strip_rp(test)
+        if isinstance(decided, Quote):
+            if truthy(decided.value):
+                return self._rw(core.args[1], dws[1], ctx, iff, (path, 2))
+            return self._rw(core.args[2], dws[2], ctx, iff, (path, 3))
         then_ctx = ctx.extend(conjuncts_of(test))
         else_ctx = ctx.extend([negate(test)])
-        then = self._rw(core.args[1], dws[1], then_ctx, iff, path + (2,))
-        els = self._rw(core.args[2], dws[2], else_ctx, iff, path + (3,))
+        then = self._rw(core.args[1], dws[1], then_ctx, iff, (path, 2))
+        els = self._rw(core.args[2], dws[2], else_ctx, iff, (path, 3))
         if terms_equal(then, els):
             return then
         if test is core.args[0] and then is core.args[1] and els is core.args[2]:
@@ -578,7 +590,7 @@ class Rewriter:
             result = instantiate(template, bindings)
             stats.nodes_created += self._cached_template_size(template)
             if self.cfg.trace:
-                self.trace.append((path, rule.name, node_count(core), node_count(result)))
+                self.trace.append((_flat_path(path), rule.name, node_count(core), node_count(result)))
             return result, dont_rw_from_template(template)
         return None
 

@@ -18,7 +18,6 @@ from .terms import (
     SPECIAL_HEADS,
     App,
     LambdaApp,
-    ParseError,
     Quote,
     Term,
     Var,

@@ -11,6 +11,8 @@ beta-reduced at ingestion; they are not legal rewriter input.
 from __future__ import annotations
 
 import re
+import threading
+from bisect import bisect_left
 
 NIL = "nil"
 T = "t"
@@ -63,38 +65,121 @@ class Cons:
         return format_value(self)
 
 
+_FALIST_HASH_SEED = 0x51AD0
+
+
+class _FalistLog:
+    """Append-only binding log shared by one line of falist versions.
+
+    ``pairs`` holds the (key value, value term) bindings oldest first,
+    ``positions`` maps each key to the ascending positions of its bindings,
+    and ``hashes[i]`` is the hash of the version holding ``pairs[:i + 1]``.
+    Appending never changes what an existing prefix holds.
+    """
+
+    __slots__ = ("pairs", "positions", "hashes", "lock")
+
+    def __init__(self, pairs=()):
+        self.pairs = []
+        self.positions = {}
+        self.hashes = []
+        self.lock = threading.Lock()
+        for key, val in pairs:
+            self.append(key, val)
+
+    def append(self, key, val):
+        n = len(self.pairs)
+        h = self.hashes[-1] if n else _FALIST_HASH_SEED
+        self.pairs.append((key, val))
+        self.hashes.append((h * 2097169 ^ hash(key) ^ hash(val) * 31) & 0x7FFFFFFFFFFFFFFF)
+        positions = self.positions.get(key)
+        if positions is None:
+            # one store, so a concurrent get never finds an empty list
+            self.positions[key] = [n]
+        else:
+            positions.append(n)
+
+    def prefix(self, size):
+        """A fresh log holding this log's first size bindings.  A prefix's
+        running hashes never change, so they are copied, not recomputed."""
+        fork = _FalistLog()
+        fork.pairs = self.pairs[:size]
+        fork.hashes = self.hashes[:size]
+        positions = fork.positions
+        for n, (key, _val) in enumerate(fork.pairs):
+            if key in positions:
+                positions[key].append(n)
+            else:
+                positions[key] = [n]
+        return fork
+
+
 class FalistShadow:
     """Lookup table stored inside the quoted first argument of a falist term.
 
-    Holds (key value, value term) pairs in list order; on duplicate keys the
-    earlier entry wins, mirroring lookup in the cons chain it shadows.  The
-    index dict gives the single-probe lookup path.
+    A version of a fast alist: the first ``size`` bindings of a log shared
+    with every version it was extended from or to.  Built from (key value,
+    value term) pairs in list order, newest first; on duplicate keys the
+    newest binding wins, mirroring lookup in the cons chain it shadows.
     """
 
-    __slots__ = ("entries", "index", "_hash")
+    __slots__ = ("log", "size")
 
-    def __init__(self, entries, index=None):
-        self.entries = tuple(entries)
-        if index is None:
-            index = {}
-            for key, val in self.entries:
-                if key not in index:
-                    index[key] = val
-        self.index = index
-        h = 0x51AD0
-        for key, val in self.entries:
-            h = (h * 2097169 ^ hash(key) ^ hash(val) * 31) & 0x7FFFFFFFFFFFFFFF
-        self._hash = h
+    def __init__(self, entries=()):
+        self.log = _FalistLog(reversed(tuple(entries)))
+        self.size = len(self.log.pairs)
+
+    @classmethod
+    def _version(cls, log, size):
+        self = cls.__new__(cls)
+        self.log = log
+        self.size = size
+        return self
+
+    def extend(self, key, val):
+        """This version with a newest binding of key to val.  O(1) on the
+        newest version of its line; an older version forks a fresh log
+        holding a copy of its own bindings."""
+        log = self.log
+        with log.lock:
+            if len(log.pairs) != self.size:
+                # the fork is private until this returns, so needs no lock
+                log = log.prefix(self.size)
+            log.append(key, val)
+        return FalistShadow._version(log, self.size + 1)
+
+    def get(self, key):
+        """The value term of key's newest binding in this version, or None."""
+        positions = self.log.positions.get(key)
+        if positions is None:
+            return None
+        i = positions[-1]
+        if i >= self.size:
+            k = bisect_left(positions, self.size)
+            if k == 0:
+                return None
+            i = positions[k - 1]
+        return self.log.pairs[i][1]
+
+    @property
+    def entries(self):
+        """The bindings as a tuple, newest first."""
+        return tuple(reversed(self.log.pairs[: self.size]))
+
+    @property
+    def index(self):
+        """A dict from each key to its newest binding's value term."""
+        return dict(self.log.pairs[: self.size])
 
     def __hash__(self):
-        return self._hash
+        return self.log.hashes[self.size - 1] if self.size else _FALIST_HASH_SEED
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, FalistShadow) or other._hash != self._hash:
+        if not isinstance(other, FalistShadow) or other.size != self.size or hash(other) != hash(self):
             return False
-        return self.entries == other.entries
+        return other.log is self.log or other.log.pairs[: other.size] == self.log.pairs[: self.size]
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -621,7 +706,11 @@ def term_to_value(t):
 
 
 def parse_term(text):
-    return term_from_value(read_value(text))
+    value = read_value(text)
+    try:
+        return term_from_value(value)
+    except RecursionError:
+        raise ParseError("term nested deeper than the recursion limit allows") from None
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,7 @@ def test_bench_falist_csv_shape(capsys):
     assert int(off["fa_probes"]) == 0
     assert int(off["fa_node_visits"]) > 20
     assert "# falist N=20 M=20 mode=on" in captured.err
+    assert "build_us_per_entry=" in captured.err
 
 
 def test_bench_falist_lookup_count_override(capsys):

@@ -1,6 +1,11 @@
 """Fast-alist shadow structure: construction, lookup, coherence."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termrw.evaluator import default_registry, eval_term
 from termrw.falist import (
@@ -13,7 +18,7 @@ from termrw.falist import (
     make_linear_get_meta,
 )
 from termrw.rewriter import RewriteStats
-from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term
+from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term, values_equal
 
 
 CHAIN = "(hons-acons 'k1 v1 (hons-acons 'k2 v2 (hons-acons 'k3 v3 'nil)))"
@@ -149,3 +154,141 @@ def test_shadow_agrees_with_ground_evaluation():
     assert eval_term(hit, {}, reg) == eval_term(
         parse_term("(hons-get 'k2 (hons-acons 'k1 '1 (hons-acons 'k2 '2 'nil)))"), {}, reg
     )
+
+
+# ---------------------------------------------------------------------------
+# persistence: every version, old or new, agrees with its logical chain
+
+KEYS = ("a", "b", "c", "d", 1, 2)
+TAILS = (
+    NIL_TERM,
+    parse_term("(falist '((a . x) (b . '1) (a . y)) (cons (cons 'a x) (cons (cons 'b '1) (cons (cons 'a y) 'nil))))"),
+    parse_term("'((b . 3) (c . 4) (b . 5))"),
+)
+
+
+def assert_shadow_matches_chain(fal):
+    assert check_falist_term(fal) == []
+    shadow = falist_shadow(fal)
+    logical = logical_entries(fal.args[1])
+    assert shadow.entries == tuple(logical)
+    rebuilt = FalistShadow(shadow.entries)
+    assert shadow == rebuilt and hash(shadow) == hash(rebuilt)
+    newest = {}
+    for k, v in logical:
+        newest.setdefault(k, v)
+    assert shadow.index == newest
+    for key in KEYS + ("unbound",):
+        linear = next((App("cons", (Quote(key), v)) for k, v in logical if values_equal(k, key)), NIL_TERM)
+        assert fa_get(Quote(key), fal) == linear
+
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("newest", "older", "tail")),
+        st.integers(0, 1000),
+        st.sampled_from(KEYS),
+        st.integers(0, 3),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps)
+def test_every_version_agrees_with_its_logical_chain(steps):
+    versions = [TAILS[1]]
+    for kind, pick, key, val in steps:
+        if kind == "newest":
+            tail = versions[-1]
+        elif kind == "older":
+            tail = versions[pick % len(versions)]
+        else:
+            tail = TAILS[pick % len(TAILS)]
+        versions.append(fa_acons(Quote(key), Var(f"v{val}") if val else Quote(val), tail))
+    for fal in versions:
+        assert_shadow_matches_chain(fal)
+
+
+def test_extending_the_newest_version_shares_its_log_and_a_fork_copies():
+    v1 = fa_acons(Quote("a"), Var("x"), NIL_TERM)
+    v2 = fa_acons(Quote("b"), Var("y"), v1)
+    s1, s2 = falist_shadow(v1), falist_shadow(v2)
+    assert s2.log is s1.log
+    fork = falist_shadow(fa_acons(Quote("b"), Var("z"), v1))
+    assert fork.log is not s1.log
+    assert (s1.get("b"), s2.get("b"), fork.get("b")) == (None, Var("y"), Var("z"))
+    assert s2.entries == (("b", Var("y")), ("a", Var("x")))
+    # the fork left v2 the newest version of the original line
+    assert falist_shadow(fa_acons(Quote("c"), Var("w"), v2)).log is s1.log
+
+
+def test_concurrent_extensions_of_one_version_stay_apart():
+    # every round, four threads extend the same newest version at once;
+    # exactly one may append to its log, the others must fork
+    bases = [falist_shadow(fa_acons(Quote("a"), Quote(r), NIL_TERM)) for r in range(300)]
+    results = [[] for _ in range(4)]
+    barrier = threading.Barrier(4, timeout=60)
+
+    def extend_bases(n):
+        for base in bases:
+            barrier.wait()
+            results[n].append(base.extend(f"t{n}", Var("x")))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend_bases, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for n, done in enumerate(results):
+        assert len(done) == len(bases)
+        for r, shadow in enumerate(done):
+            assert shadow.entries == ((f"t{n}", Var("x")), ("a", Quote(r)))
+
+
+def test_get_answers_while_its_line_is_extended():
+    # a writer binds fresh keys on the newest version while readers ask an
+    # old and a recent version for the key being bound and the one before it
+    base = FalistShadow().extend("a", Var("x"))
+    latest = [base]
+    done = threading.Event()
+    failures = []
+
+    def write():
+        v = base
+        for n in range(5000):
+            v = v.extend(f"k{n}", Quote(n))
+            latest[0] = v
+        done.set()
+
+    def read():
+        try:
+            while not done.is_set():
+                v = latest[0]
+                n = v.size - 1
+                assert base.get(f"k{n}") is None
+                assert v.get(f"k{n}") is None
+                assert v.get(f"k{n - 1}") == (Quote(n - 1) if n else None)
+                assert v.get("a") == Var("x")
+        except Exception as exc:  # reported below, on the test's thread
+            failures.append(exc)
+            done.set()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

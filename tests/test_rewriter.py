@@ -205,6 +205,11 @@ def test_if_quoted_test_selects_branch():
     assert rewriter().rewrite(P("(if '7 x y)"), iff=False) == Var("x")
 
 
+def test_if_wrapped_constant_test_selects_branch():
+    assert rewriter().rewrite(P("(if (rp 'integerp (binary-+ '1 '2)) a b)")) == Var("a")
+    assert rewriter().rewrite(P("(if (rp 'symbolp (car '(nil))) a b)")) == Var("b")
+
+
 def test_if_branches_extend_context():
     rs = "(def-rp-rule r (implies (p x) (equal (f x) 'fired)))"
     out = rewriter(rs).rewrite(P("(if (p a) (f a) (f a))"), iff=False)
@@ -538,3 +543,9 @@ def test_trace_records_applications():
     rw = rewriter("(def-rp-rule r (equal (f x) (g x)))", trace=True)
     rw.rewrite(P("(h (f a))"), iff=False)
     assert any(name == "r" for _path, name, _b, _a in rw.trace)
+
+
+def test_trace_records_the_argument_path_of_each_application():
+    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))", trace=True)
+    rw.rewrite(P("(h (k a (m (f b))) (if c (f d) (n (f e))))"), iff=False)
+    assert [path for path, name, _b, _a in rw.trace if name == "r"] == [(1, 2, 1), (2, 2), (2, 3, 1)]

@@ -1,5 +1,7 @@
 """Term representation, reader/printer, and structural helpers."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,17 @@ def test_read_value_deep_nest_needs_no_recursion():
         assert isinstance(v, Cons) and v.cdr == "nil"
         v = v.car
     assert v == "x"
+
+
+def test_parse_term_too_deep_raises_parse_error():
+    # a hons-acons chain nested as deep as the recursion limit reads fine,
+    # but translating it into a term recurses once per level
+    text = "'nil"
+    for i in range(sys.getrecursionlimit()):
+        text = f"(hons-acons '{i} v{i} {text})"
+    read_value(text)
+    with pytest.raises(ParseError, match="term nested deeper than the recursion limit allows"):
+        parse_term(text)
 
 
 def test_reader_error_reports_position():
