@@ -17,7 +17,7 @@ from .falist import make_linear_get_meta
 from .meta import MetaRule
 from .rewriter import RewriteConfig, Rewriter
 from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, validate_rule
-from .terms import ParseError, format_term, parse_term
+from .terms import ParseError, format_term, node_count, parse_term
 from .util import run_deep
 from .validate import check_run, sample_rule_soundness
 
@@ -187,6 +187,7 @@ def cmd_bench_tree(args):
     rows = []
     for depth in depths:
         conjecture = tree_conjecture(depth)
+        nodes = node_count(conjecture)
         for mode in modes:
             text = TREE_RULES if mode == "enabled" else TREE_RULES_BACKCHAIN
             ruleset = build_ruleset(parse_rule_file(text))
@@ -202,6 +203,11 @@ def cmd_bench_tree(args):
                 proved, _out = rw.proved(conjecture)
                 dt = time.perf_counter() - t0
                 wall = dt if wall is None else min(wall, dt)
+            print(
+                f"# tree depth={depth} mode={mode} nodes={nodes} wall_ms={wall*1000:.1f}"
+                f" us_per_node={wall*1e6/nodes:.2f}",
+                file=sys.stderr,
+            )
             row = {"param": depth, "mode": mode, **_stats_cells(rw.stats, wall)}
             row["status"] = "ok" if proved else ("step-limit" if rw.stats.step_limit_hit else "not-proved")
             rows.append(row)

@@ -369,7 +369,7 @@ class Rewriter:
         self.trace = []
         self.meta_diagnostics = []
         self._backchain = 0
-        self._template_sizes = {}
+        self._templates = {}
 
     # -- public entry -------------------------------------------------------
 
@@ -588,17 +588,21 @@ class Rewriter:
             stats.rule_applications += 1
             template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
             result = instantiate(template, bindings)
-            stats.nodes_created += self._cached_template_size(template)
+            size, dw = self._template_info(template)
+            stats.nodes_created += size
             if self.cfg.trace:
                 self.trace.append((_flat_path(path), rule.name, node_count(core), node_count(result)))
-            return result, dont_rw_from_template(template)
+            return result, dw
         return None
 
-    def _cached_template_size(self, template):
-        size = self._template_sizes.get(id(template))
-        if size is None:
-            size = self._template_sizes[id(template)] = _template_size(template)
-        return size
+    def _template_info(self, template):
+        """(nodes an instantiation constructs, its dont-rw), computed once
+        per template.  Keyed by the template itself, which the dict keeps
+        alive, so a freed template's id can never alias a new one."""
+        info = self._templates.get(template)
+        if info is None:
+            info = self._templates[template] = (_template_size(template), dont_rw_from_template(template))
+        return info
 
     def _relieve_hyps(self, rule, bindings, ctx, path):
         if self._backchain >= self.cfg.backchain_depth:
@@ -614,8 +618,9 @@ class Rewriter:
                         return False
                     continue
                 inst = instantiate(hyp, bindings)
-                self.stats.nodes_created += self._cached_template_size(hyp)
-                out = self._rw(inst, dont_rw_from_template(hyp), ctx, True, path)
+                size, dw = self._template_info(hyp)
+                self.stats.nodes_created += size
+                out = self._rw(inst, dw, ctx, True, path)
                 if not (isinstance(out, Quote) and truthy(out.value)):
                     return False
             return True

@@ -259,8 +259,17 @@ class Quote(Term):
         return isinstance(other, Quote) and other._hash == self._hash and values_equal(other.value, self.value)
 
 
+# App._stripped of a node with no rp wrapper inside: the node itself.  A
+# sentinel, not a self-reference, so that no App is a reference cycle.
+_SAME = object()
+
+
 class App(Term):
-    __slots__ = ("head", "args", "_hash")
+    """A function application.  ``_stripped`` caches the node's wrapper-free
+    form (see strip_rp_deep): None until first asked for, then _SAME or
+    the stripped node."""
+
+    __slots__ = ("head", "args", "_hash", "_stripped")
 
     def __init__(self, head, args):
         self.head = head
@@ -270,6 +279,11 @@ class App(Term):
         for a in args:
             h = (h * 1000003 ^ a._hash) & 0x7FFFFFFFFFFFFFFF
         self._hash = h
+        self._stripped = None
+
+    def __reduce__(self):
+        # copies start with an empty cache: a copied _SAME is not _SAME
+        return App, (self.head, self.args)
 
     def __hash__(self):
         return self._hash
@@ -376,16 +390,27 @@ def wrapper_props(t):
 
 
 def strip_rp_deep(t):
-    """Remove every rp wrapper in t, rebuilding only where needed."""
-    if isinstance(t, (Var, Quote)):
-        return t
-    if isinstance(t, App):
-        if t.head == "rp" and len(t.args) == 2:
-            return strip_rp_deep(t.args[1])
-        args = [strip_rp_deep(a) for a in t.args]
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return App(t.head, args)
+    """Remove every rp wrapper in t, rebuilding only where needed.
+
+    An App keeps its stripped form once computed, so stripping it again is
+    O(1) and returns the same object, and two strips of one shared subterm
+    compare equal by identity.  The cache write is idempotent: threads
+    racing on one node at worst compute equal forms.
+    """
+    if t.__class__ is App:
+        s = t._stripped
+        if s is None:
+            if t.head == "rp" and len(t.args) == 2:
+                s = strip_rp_deep(t.args[1])
+            else:
+                args = [strip_rp_deep(a) for a in t.args]
+                if all(a is b for a, b in zip(args, t.args)):
+                    s = _SAME
+                else:
+                    s = App(t.head, args)
+                    s._stripped = _SAME
+            t._stripped = s
+        return t if s is _SAME else s
     if isinstance(t, LambdaApp):
         return LambdaApp(t.params, strip_rp_deep(t.body), [strip_rp_deep(a) for a in t.args])
     return t

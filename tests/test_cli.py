@@ -247,14 +247,16 @@ def test_prove_bad_conjecture_file(tmp_path, capsys):
 
 def test_bench_tree_csv_shape_and_counts(capsys):
     rc = main(["bench-tree", "--depths", "3", "--modes", "enabled,disabled"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert rc == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
     assert list(rows[0]) == CSV_COLUMNS + ["status"]
     assert [r["mode"] for r in rows] == ["enabled", "disabled"]
     assert int(rows[0]["rule_attempts"]) == 16
     assert int(rows[1]["rule_attempts"]) == 66
     assert all(r["status"] == "ok" for r in rows)
+    assert "# tree depth=3 mode=enabled" in captured.err
+    assert captured.err.count("us_per_node=") == 2
 
 
 def test_bench_tree_rejects_bad_mode(capsys):

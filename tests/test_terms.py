@@ -1,5 +1,6 @@
 """Term representation, reader/printer, and structural helpers."""
 
+import copy
 import sys
 
 import pytest
@@ -261,6 +262,50 @@ def test_rp_helpers():
     assert strip_rp(t) == Var("x")
     assert wrapper_props(t) == ["integerp", "evenp"]
     assert strip_rp_deep(parse_term("(f (rp 'integerp a) b)")) == parse_term("(f a b)")
+
+
+def _reference_strip(t):
+    """strip_rp_deep without the per-node cache: rebuilds every App."""
+    if isinstance(t, App):
+        if is_rp(t):
+            return _reference_strip(t.args[1])
+        return App(t.head, [_reference_strip(a) for a in t.args])
+    return t
+
+
+@st.composite
+def _wrapped_dags(draw):
+    """A term built bottom-up from a pool, so later nodes share earlier ones
+    (a DAG), with rp chains at any depth, the root included."""
+    pool = draw(st.lists(st.builds(Var, _names) | st.builds(Quote, _values), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 14))):
+        if draw(st.booleans()):
+            node = mk_rp(draw(st.sampled_from(("integerp", "bitp", "evenp"))), draw(st.sampled_from(pool)))
+        else:
+            node = App(draw(_names), draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wrapped_dags())
+def test_strip_rp_deep_cached_form_is_shared(root):
+    stripped = strip_rp_deep(root)
+    assert terms_equal(stripped, _reference_strip(root))
+    assert strip_rp_deep(root) is stripped
+    if not contains_head(root, "rp"):
+        assert stripped is root
+
+    def walk(u, v):
+        # v is the node standing for u inside the root's stripped form
+        assert strip_rp_deep(u) is v
+        u = strip_rp(u)
+        if isinstance(u, App):
+            for a, b in zip(u.args, v.args):
+                walk(a, b)
+
+    walk(root, stripped)
+    assert terms_equal(strip_rp_deep(copy.deepcopy(root)), stripped)
 
 
 def test_free_vars_and_order():
