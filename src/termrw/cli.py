@@ -18,7 +18,6 @@ from .meta import MetaRule
 from .rewriter import RewriteConfig, Rewriter
 from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, validate_rule
 from .terms import ParseError, format_term, node_count, parse_term
-from .util import run_deep
 from .validate import check_run, sample_rule_soundness
 
 BENCH_STEP_LIMIT = 1 << 28
@@ -302,8 +301,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # Rewriting, checking and printing recurse on term depth.
-    return run_deep(args.fn, args)
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ what a function means).
 
 from __future__ import annotations
 
-from .terms import NIL, T, Cons, Quote, Var, App, LambdaApp, values_equal
+from .terms import NIL, T, Cons, Quote, Var, App, LambdaApp, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -63,16 +63,17 @@ def _rank(v):
 
 
 def lexorder_cmp(a, b):
-    ra, rb = _rank(a), _rank(b)
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if ra in (2, 3):
-        return (a > b) - (a < b)
-    if ra == 4:
-        c = lexorder_cmp(a.car, b.car)
-        if c:
-            return c
-        return lexorder_cmp(a.cdr, b.cdr)
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        ra, rb = _rank(a), _rank(b)
+        if ra != rb:
+            return -1 if ra < rb else 1
+        if ra in (2, 3) and a != b:
+            return -1 if a < b else 1
+        if ra == 4:
+            stack.append((a.cdr, b.cdr))
+            stack.append((a.car, b.car))
     return 0
 
 
@@ -217,44 +218,115 @@ def default_registry():
 # ---------------------------------------------------------------------------
 # evaluation
 
+# heads evaluation treats itself, with their arities
+_OWN_HEADS = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
 
-def eval_term(t, env, registry):
+
+def eval_term(t, env, registry, wrappers=None):
     """Evaluate t under env.  rp/falist/hide are identities on their payload,
     if is lazy, list builds a cons chain.  Raises UnboundVariableError,
-    UnknownFunctionError, or EvalDomainError."""
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundVariableError(t.name) from None
-    if isinstance(t, Quote):
-        return t.value
-    if isinstance(t, App):
-        head = t.head
-        if head == "if":
-            if len(t.args) != 3:
-                raise EvalDomainError("if expects 3 arguments")
-            test = eval_term(t.args[0], env, registry)
-            branch = t.args[1] if not (isinstance(test, str) and test == NIL) else t.args[2]
-            return eval_term(branch, env, registry)
-        if head == "rp" or head == "falist":
-            if len(t.args) != 2:
-                raise EvalDomainError(f"{head} expects 2 arguments")
-            return eval_term(t.args[1], env, registry)
-        if head == "hide":
-            if len(t.args) != 1:
-                raise EvalDomainError("hide expects 1 argument")
-            return eval_term(t.args[0], env, registry)
-        if head == "list":
-            out = NIL
-            for a in reversed(t.args):
-                out = Cons(eval_term(a, env, registry), out)
-            return out
-        args = [eval_term(a, env, registry) for a in t.args]
-        return registry.call(head, args)
-    if isinstance(t, LambdaApp):
-        args = [eval_term(a, env, registry) for a in t.args]
-        inner = dict(env)
-        inner.update(zip(t.params, args))
-        return eval_term(t.body, inner, registry)
-    raise TypeError(t)
+    UnknownFunctionError, or EvalDomainError.
+
+    Given a list `wrappers`, each rp wrapper that evaluation reaches also
+    applies its property to its payload's value.  The first to fail, in
+    evaluation order (so an inner wrapper before an outer one), is appended
+    as (path, property term, None), or with the EvalError that applying the
+    property raised in place of None; later wrappers go unchecked.  A path
+    holds 1-based argument positions; a lambda's body is position 0.
+
+    Waiting applications sit on an explicit stack, so depth costs no
+    recursion.
+    """
+    frames = []  # (node, its env, the values of its arguments so far)
+    while True:
+        # descend until t has a value
+        cls = t.__class__
+        if cls is Var:
+            try:
+                value = env[t.name]
+            except KeyError:
+                raise UnboundVariableError(t.name) from None
+        elif cls is Quote:
+            value = t.value
+        elif cls is App:
+            head = t.head
+            args = t.args
+            arity = _OWN_HEADS.get(head)
+            if arity is not None and len(args) != arity:
+                raise EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
+            if args:
+                frames.append((t, env, []))
+                t = args[1] if arity == 2 else args[0]
+                continue
+            value = NIL if head == "list" else registry.call(head, [])
+        elif cls is LambdaApp:
+            frames.append((t, env, []))
+            t = t.args[0] if t.args else t.body
+            continue
+        else:
+            raise TypeError(t)
+
+        # hand the value up until a frame has more to evaluate
+        while frames:
+            node, env, vals = frames[-1]
+            if node.__class__ is LambdaApp:
+                vals.append(value)
+                n = len(vals)
+                if n <= len(node.args):
+                    if n < len(node.args):
+                        t = node.args[n]
+                    else:
+                        t = node.body
+                        env = dict(env)
+                        env.update(zip(node.params, vals))
+                    break
+                frames.pop()
+                continue
+            head = node.head
+            arity = _OWN_HEADS.get(head)
+            if arity is None:
+                vals.append(value)
+                n = len(vals)
+                if n < len(node.args):
+                    t = node.args[n]
+                    break
+                frames.pop()
+                if head == "list":
+                    value = NIL
+                    for v in reversed(vals):
+                        value = Cons(v, value)
+                else:
+                    value = registry.call(head, vals)
+                continue
+            if arity == 3 and not vals:
+                # the test's value picks the branch, whose value is the if's
+                vals.append(value)
+                t = node.args[2 if isinstance(value, str) and value == NIL else 1]
+                break
+            frames.pop()
+            if wrappers is not None and not wrappers and head == "rp" and node.args[0].__class__ is Quote:
+                _check_wrapper(node, value, registry, frames, wrappers)
+        else:
+            return value
+
+
+def _check_wrapper(node, value, registry, frames, wrappers):
+    """Apply the property of rp node to its payload's value; on failure,
+    append (path, property term, error or None) to wrappers, the path read
+    off the frames of the applications waiting above the node."""
+    prop = node.args[0].value
+    error = None
+    try:
+        if truthy(registry.call(prop, [value])):
+            return
+    except EvalError as exc:
+        error = exc
+    path = []
+    for parent, _env, vals in frames:
+        if parent.__class__ is LambdaApp:
+            path.append(len(vals) + 1 if len(vals) < len(parent.args) else 0)
+        elif parent.head == "if":
+            path.append(1 if not vals else 3 if isinstance(vals[0], str) and vals[0] == NIL else 2)
+        else:
+            path.append(2 if parent.head in ("rp", "falist") else len(vals) + 1)
+    wrappers.append((tuple(path), App(prop, (node.args[1],)), error))

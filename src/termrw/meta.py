@@ -90,20 +90,17 @@ def _fold_plus_core(t):
     total = 0
     nconst = 0
     rest = []
-
-    def walk(u):
-        nonlocal total, nconst
-        u = strip_rp(u)
+    stack = [t]
+    while stack:
+        u = strip_rp(stack.pop())
         if isinstance(u, App) and u.head == "binary-+" and len(u.args) == 2:
-            walk(u.args[0])
-            walk(u.args[1])
+            stack.append(u.args[1])
+            stack.append(u.args[0])
         elif isinstance(u, Quote) and isinstance(u.value, int):
             total += u.value
             nconst += 1
         else:
             rest.append(u)
-
-    walk(t)
     if nconst < 2:
         return None
     if not rest:

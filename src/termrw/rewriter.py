@@ -10,8 +10,8 @@ bindings are not rewritten again.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from types import GeneratorType
 
 from . import falist as _falist
 from .evaluator import EvalDomainError, UnknownFunctionError, lexorder_le, default_registry
@@ -27,6 +27,7 @@ from .terms import (
     Quote,
     Var,
     beta_reduce,
+    flat_path,
     is_rp,
     mk_rp,
     node_count,
@@ -34,6 +35,7 @@ from .terms import (
     strip_rp_deep,
     term_to_value,
     terms_equal,
+    trampoline,
     truthy,
     values_equal,
     wrapper_props,
@@ -75,10 +77,14 @@ OPEN = Leaf(False)
 def dont_rw_from_value(v):
     """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
     elementwise (position 0 tracks the head)."""
+    return trampoline(_dont_rw_of_value(v))
+
+
+def _dont_rw_of_value(v):
     if isinstance(v, Cons):
         children = []
         while isinstance(v, Cons):
-            children.append(dont_rw_from_value(v.car))
+            children.append((yield _dont_rw_of_value(v.car)))
             v = v.cdr
         return Node(children)
     if isinstance(v, str) and v == NIL:
@@ -89,13 +95,16 @@ def dont_rw_from_value(v):
 def dont_rw_from_template(template):
     """dont-rw for an instantiated rule rhs or hyp: variable positions hold
     already-rewritten bindings (stop), the template structure stays open."""
-    if isinstance(template, Var):
-        return STOP
-    if isinstance(template, Quote):
-        return STOP
+    return trampoline(_dont_rw_of_template(template))
+
+
+def _dont_rw_of_template(template):
     if isinstance(template, App):
-        return Node((STOP,) + tuple(dont_rw_from_template(a) for a in template.args))
-    return OPEN
+        children = [STOP]
+        for a in template.args:
+            children.append((yield _dont_rw_of_template(a)))
+        return Node(children)
+    return STOP if isinstance(template, (Var, Quote)) else OPEN
 
 
 def arg_dont_rws(dw, nargs):
@@ -236,36 +245,64 @@ def unify(pattern, t, bindings=None, extracted=None):
 
 
 def _unify(pattern, t, bindings, extracted):
-    if isinstance(pattern, Var):
-        old = bindings.get(pattern.name)
-        if old is None:
-            bindings[pattern.name] = t
-            return True
-        return terms_equal(strip_rp_deep(old), strip_rp_deep(t))
-    while is_rp(t):
-        prop = t.args[0].value
-        extracted.append((t, prop))
-        t = t.args[1]
-    if isinstance(pattern, Quote):
-        return isinstance(t, Quote) and values_equal(pattern.value, t.value)
-    if isinstance(pattern, App):
-        if not (isinstance(t, App) and t.head == pattern.head and len(t.args) == len(pattern.args)):
-            return False
-        for p, a in zip(pattern.args, t.args):
-            if not _unify(p, a, bindings, extracted):
+    # the (pattern, term) pairs still to match wait on `todo`, the next one
+    # on top, so the match runs in preorder at any pattern depth
+    todo = []
+    while True:
+        cls = pattern.__class__
+        if cls is Var:
+            old = bindings.get(pattern.name)
+            if old is None:
+                bindings[pattern.name] = t
+            elif not terms_equal(strip_rp_deep(old), strip_rp_deep(t)):
                 return False
-        return True
-    return False
+        else:
+            while t.__class__ is App and t.head == "rp" and len(t.args) == 2:
+                extracted.append((t, t.args[0].value))
+                t = t.args[1]
+            if cls is Quote:
+                if not (t.__class__ is Quote and values_equal(pattern.value, t.value)):
+                    return False
+            elif cls is App:
+                if not (t.__class__ is App and t.head == pattern.head and len(t.args) == len(pattern.args)):
+                    return False
+                todo.extend(zip(reversed(pattern.args), reversed(t.args)))
+            else:
+                return False
+        if not todo:
+            return True
+        pattern, t = todo.pop()
 
 
 def instantiate(template, bindings):
-    if isinstance(template, Var):
-        return bindings[template.name]
-    if isinstance(template, Quote):
-        return template
-    if isinstance(template, App):
-        return App(template.head, [instantiate(a, bindings) for a in template.args])
-    raise TypeError(template)
+    """The template with each variable replaced by its binding.  An App
+    waits on `frames` with the arguments it has so far."""
+    frames = []
+    u = template
+    while True:
+        cls = u.__class__
+        if cls is Var:
+            s = bindings[u.name]
+        elif cls is Quote:
+            s = u
+        elif cls is App:
+            if u.args:
+                frames.append((u, []))
+                u = u.args[0]
+                continue
+            s = App(u.head, ())
+        else:
+            raise TypeError(u)
+        while frames:
+            node, done = frames[-1]
+            done.append(s)
+            if len(done) < len(node.args):
+                u = node.args[len(done)]
+                break
+            frames.pop()
+            s = App(node.head, done)
+        else:
+            return s
 
 
 def _template_size(template):
@@ -282,23 +319,8 @@ def _template_size(template):
     return n
 
 
-def _flat_path(path):
-    """The argument positions from the root to a node, as a tuple.  The
-    rewriter passes a path as linked pairs (parent path, position) ending
-    in (), so descending costs O(1) whatever the depth."""
-    out = []
-    while path:
-        path, i = path
-        out.append(i)
-    return tuple(reversed(out))
-
-
 class SyntaxpError(ValueError):
     pass
-
-
-class RewriteDepthError(RecursionError):
-    """Rewriting nested deeper than the Python stack allows."""
 
 
 def syntaxp_eval(pred, bindings):
@@ -307,6 +329,8 @@ def syntaxp_eval(pred, bindings):
     side-condition-carrying occurrences order the same way."""
 
     def ev(p):
+        """p's value, or for an application the generator that computes it
+        (run by terms.trampoline)."""
         if isinstance(p, Var):
             b = bindings.get(p.name)
             if b is None:
@@ -316,37 +340,39 @@ def syntaxp_eval(pred, bindings):
             return p.value
         if not isinstance(p, App) or p.head not in SYNTAXP_HEADS:
             raise SyntaxpError(f"unsupported syntaxp predicate {p!r}")
-        head, args = p.head, p.args
+        return ev_app(p.head, p.args)
+
+    def ev_app(head, args):
         if head == "and":
             for a in args:
-                if not truthy(ev(a)):
+                if not truthy((yield ev(a))):
                     return NIL
             return "t"
         if head == "or":
             for a in args:
-                v = ev(a)
+                v = yield ev(a)
                 if truthy(v):
                     return v
             return NIL
         if head == "not":
-            return NIL if truthy(ev(args[0])) else "t"
+            return NIL if truthy((yield ev(args[0]))) else "t"
         if head == "equal":
-            return "t" if values_equal(ev(args[0]), ev(args[1])) else NIL
+            return "t" if values_equal((yield ev(args[0])), (yield ev(args[1]))) else NIL
         if head == "atom":
-            return NIL if isinstance(ev(args[0]), Cons) else "t"
+            return NIL if isinstance((yield ev(args[0])), Cons) else "t"
         if head == "consp":
-            return "t" if isinstance(ev(args[0]), Cons) else NIL
+            return "t" if isinstance((yield ev(args[0])), Cons) else NIL
         if head == "quotep":
-            v = ev(args[0])
+            v = yield ev(args[0])
             return "t" if isinstance(v, Cons) and v.car == "quote" else NIL
         if head == "lexorder":
-            return "t" if lexorder_le(ev(args[0]), ev(args[1])) else NIL
+            return "t" if lexorder_le((yield ev(args[0])), (yield ev(args[1]))) else NIL
         if head == "car":
-            v = ev(args[0])
+            v = yield ev(args[0])
             return v.car if isinstance(v, Cons) else NIL
         raise SyntaxpError(head)
 
-    return truthy(ev(pred))
+    return truthy(trampoline(ev(pred)))
 
 
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
@@ -378,16 +404,18 @@ class Rewriter:
             ctx = Context.from_terms(ctx)
         if isinstance(t, LambdaApp):
             t = beta_reduce(t)
-        try:
-            return self._rw(t, dont_rw, ctx, iff, ())
-        except RecursionError:
-            raise RewriteDepthError(f"rewriting nested past the recursion limit ({sys.getrecursionlimit()})") from None
+        return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
 
     def proved(self, t, ctx=()):
         out = self.rewrite(t, OPEN, ctx, iff=True)
         return isinstance(out, Quote) and truthy(out.value), out
 
     # -- the step loop ------------------------------------------------------
+    #
+    # The loop runs in trampolined style (see terms.trampoline), so a term's
+    # depth costs no Python stack.  _rw is a plain function that returns the
+    # finished term wherever a call needs no sub-rewrite, and otherwise the
+    # generator of steps 4-7, which yields each sub-rewrite it makes.
 
     def _rw(self, t, dw, ctx, iff, path):
         stats = self.stats
@@ -408,7 +436,7 @@ class Rewriter:
                     return r
             return t
         if isinstance(t, LambdaApp):
-            return self._rw(beta_reduce(t), OPEN, ctx, iff, path)
+            return self._rw_beta_reduced(t, ctx, iff, path)
 
         # (2) iff-context reduction on the whole (possibly wrapped) term
         if iff:
@@ -440,8 +468,17 @@ class Rewriter:
 
         # a wrapper's property is about its payload's value, so a core
         # under wrappers must keep its value, not just its truth value
-        out = self._steps_4_to_7(core, dw, ctx, iff and not props, props, path)
-        return self._rewrap(props, out)
+        if core.head == "if" and len(core.args) == 3:
+            steps = self._rewrite_if(core, dw, ctx, iff and not props, path)
+        else:
+            steps = self._steps_4_to_7(core, dw, ctx, iff and not props, props, path)
+        return self._rewrapped(props, steps) if props else steps
+
+    def _rw_beta_reduced(self, t, ctx, iff, path):
+        return (yield self._rw(beta_reduce(t), OPEN, ctx, iff, path))
+
+    def _rewrapped(self, props, steps):
+        return self._rewrap(props, (yield steps))
 
     def _rewrap(self, props, core):
         existing = wrapper_props(core)
@@ -456,18 +493,15 @@ class Rewriter:
         stats = self.stats
         head = core.head
 
-        # (4) argument rewriting, if-aware
-        if head == "if" and len(core.args) == 3:
-            return self._rewrite_if(core, dw, ctx, iff, path)
-
+        # (4) argument rewriting
         dws = arg_dont_rws(dw, len(core.args))
         if head == "hide":
             dws = (STOP,) * len(core.args)
         arg_iff = iff if head == "not" and len(core.args) == 1 else False
-        args = tuple(
-            self._rw(a, adw, ctx, arg_iff, (path, i + 1))
-            for i, (a, adw) in enumerate(zip(core.args, dws))
-        )
+        args = []
+        for i, (a, adw) in enumerate(zip(core.args, dws), 1):
+            step = self._rw(a, adw, ctx, arg_iff, (path, i))
+            args.append((yield step) if step.__class__ is GeneratorType else step)
         if any(a is not b for a, b in zip(args, core.args)):
             core = App(head, args)
             stats.nodes_created += 1
@@ -501,10 +535,12 @@ class Rewriter:
             return self._rw(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
 
         # (7) rewrite rules
-        r = self._apply_rules(core, ctx, iff, outer_props, path)
-        if r is not None:
-            new_t, new_dw = r
-            return self._rw(new_t, new_dw, ctx, iff, path)
+        candidates = self.ruleset.candidates(head)
+        if candidates:
+            r = yield from self._apply_rules(candidates, core, ctx, iff, outer_props, path)
+            if r is not None:
+                new_t, new_dw = r
+                return self._rw(new_t, new_dw, ctx, iff, path)
         return core
 
     # -- step helpers --------------------------------------------------------
@@ -512,14 +548,15 @@ class Rewriter:
     def _reduce_by_context(self, t, ctx):
         """'t / 'nil when the context or a carried side-condition decides t;
         None otherwise."""
-        stripped = strip_rp_deep(t)
-        if ctx.contains(stripped):
-            return T_TERM
-        if ctx.contains_negation(stripped):
-            return NIL_TERM
-        if isinstance(stripped, App) and stripped.head == "not" and len(stripped.args) == 1:
-            if ctx.contains(stripped.args[0]):
+        if ctx.facts:
+            stripped = strip_rp_deep(t)
+            if ctx.contains(stripped):
+                return T_TERM
+            if ctx.contains_negation(stripped):
                 return NIL_TERM
+            if isinstance(stripped, App) and stripped.head == "not" and len(stripped.args) == 1:
+                if ctx.contains(stripped.args[0]):
+                    return NIL_TERM
         if self.cfg.side_conditions_enabled:
             u = strip_rp(t)
             if isinstance(u, App) and len(u.args) == 1 and u.head in wrapper_props(u.args[0]):
@@ -527,8 +564,10 @@ class Rewriter:
         return None
 
     def _rewrite_if(self, core, dw, ctx, iff, path):
+        """Step (4) for if: rewrite the test, then the branches it leaves
+        open, each under the context the test gives it."""
         dws = arg_dont_rws(dw, 3)
-        test = self._rw(core.args[0], dws[0], ctx, True, (path, 1))
+        test = yield self._rw(core.args[0], dws[0], ctx, True, (path, 1))
         # a wrapper does not change its payload's value, so (rp 'p 'c) decides
         decided = strip_rp(test)
         if isinstance(decided, Quote):
@@ -537,8 +576,8 @@ class Rewriter:
             return self._rw(core.args[2], dws[2], ctx, iff, (path, 3))
         then_ctx = ctx.extend(conjuncts_of(test))
         else_ctx = ctx.extend([negate(test)])
-        then = self._rw(core.args[1], dws[1], then_ctx, iff, (path, 2))
-        els = self._rw(core.args[2], dws[2], else_ctx, iff, (path, 3))
+        then = yield self._rw(core.args[1], dws[1], then_ctx, iff, (path, 2))
+        els = yield self._rw(core.args[2], dws[2], else_ctx, iff, (path, 3))
         if terms_equal(then, els):
             return then
         if test is core.args[0] and then is core.args[1] and els is core.args[2]:
@@ -562,11 +601,8 @@ class Rewriter:
             return _falist.fa_free(core.args[0])
         return None
 
-    def _apply_rules(self, core, ctx, iff, outer_props, path):
+    def _apply_rules(self, candidates, core, ctx, iff, outer_props, path):
         stats = self.stats
-        candidates = self.ruleset.candidates(core.head)
-        if not candidates:
-            return None
         for rule in candidates:
             if not rule.enabled:
                 continue
@@ -582,7 +618,7 @@ class Rewriter:
                 if self.cfg.side_conditions_enabled:
                     known = extracted + [(core, p) for p in outer_props]
                     hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known])
-                if not self._relieve_hyps(rule, bindings, hyp_ctx, path):
+                if not (yield from self._relieve_hyps(rule, bindings, hyp_ctx, path)):
                     stats.hyp_relief_failures += 1
                     continue
             stats.rule_applications += 1
@@ -591,7 +627,7 @@ class Rewriter:
             size, dw = self._template_info(template)
             stats.nodes_created += size
             if self.cfg.trace:
-                self.trace.append((_flat_path(path), rule.name, node_count(core), node_count(result)))
+                self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
             return result, dw
         return None
 
@@ -621,6 +657,8 @@ class Rewriter:
                 size, dw = self._template_info(hyp)
                 self.stats.nodes_created += size
                 out = self._rw(inst, dw, ctx, True, path)
+                if out.__class__ is GeneratorType:
+                    out = yield out
                 if not (isinstance(out, Quote) and truthy(out.value)):
                     return False
             return True

@@ -32,6 +32,7 @@ from .terms import (
     strip_rp_deep,
     term_from_value,
     terms_equal,
+    trampoline,
     vars_in_order,
 )
 
@@ -125,22 +126,35 @@ class RuleSet:
 
 
 def expand_boolean_ops(t):
+    return trampoline(_expand_boolean_ops(t))
+
+
+def _expand_boolean_ops(t):
     if isinstance(t, (Var, Quote)):
         return t
     if isinstance(t, LambdaApp):
-        return LambdaApp(t.params, expand_boolean_ops(t.body), [expand_boolean_ops(a) for a in t.args])
-    args = [expand_boolean_ops(a) for a in t.args]
+        body = yield _expand_boolean_ops(t.body)
+        args = []
+        for a in t.args:
+            args.append((yield _expand_boolean_ops(a)))
+        return LambdaApp(t.params, body, args)
+    args = []
+    for a in t.args:
+        args.append((yield _expand_boolean_ops(a)))
     out = expand_boolean_op(t.head, args)
     return out if out is not None else App(t.head, args)
 
 
 def _flatten_and(t):
-    if isinstance(t, App) and t.head == "and":
-        out = []
-        for a in t.args:
-            out.extend(_flatten_and(a))
-        return out
-    return [t]
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and u.head == "and":
+            stack.extend(reversed(u.args))
+        else:
+            out.append(u)
+    return out
 
 
 def _split_formula(name, formula):
@@ -277,13 +291,15 @@ SYNTAXP_HEADS = frozenset({"and", "or", "not", "equal", "atom", "consp", "quotep
 
 
 def _check_syntaxp_pred(t, problems):
-    if isinstance(t, (Var, Quote)):
-        return
-    if not isinstance(t, App) or t.head not in SYNTAXP_HEADS:
-        problems.append(f"syntaxp predicate outside the supported set: {t!r}")
-        return
-    for a in t.args:
-        _check_syntaxp_pred(a, problems)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, (Var, Quote)):
+            continue
+        if not isinstance(u, App) or u.head not in SYNTAXP_HEADS:
+            problems.append(f"syntaxp predicate outside the supported set: {u!r}")
+            continue
+        stack.extend(reversed(u.args))
 
 
 def validate_rule(rule):
@@ -343,10 +359,13 @@ def attach_sc(rule, lemma):
             found = True
             return mk_rp(lemma.prop, t)
         if isinstance(t, App):
-            return App(t.head, [wrap(a) for a in t.args])
+            args = []
+            for a in t.args:
+                args.append((yield wrap(a)))
+            return App(t.head, args)
         return t
 
-    wrapped = wrap(rule.sc_wrapped_rhs)
+    wrapped = trampoline(wrap(rule.sc_wrapped_rhs))
     if not found:
         raise AttachError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
     return replace(rule, sc_wrapped_rhs=wrapped)

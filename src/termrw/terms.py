@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from types import GeneratorType
 
 NIL = "nil"
 T = "t"
@@ -34,6 +35,53 @@ class BetaReductionError(ValueError):
     pass
 
 
+def trampoline(step):
+    """Run a computation written in trampolined style (Ganz, Friedman and
+    Wand, ICFP 1999) and return its value.
+
+    A step is a finished value or a generator.  A generator yields the step
+    of each call it makes and is sent back that call's value, or has its
+    exception thrown in.  What it returns is its own value, unless that is
+    a generator: then it is a tail call, run in the returning one's place.
+    Generators waiting on a call sit on a list, so a walk's depth costs
+    heap, not Python stack.
+    """
+    if step.__class__ is not GeneratorType:
+        return step
+    waiting = []
+    gen = step
+    value = error = None
+    while True:
+        try:
+            if error is None:
+                step = gen.send(value)
+            else:
+                thrown, error = error, None
+                step = gen.throw(thrown)
+        except StopIteration as stop:
+            value = stop.value
+            if value.__class__ is GeneratorType:
+                gen = value
+                value = None
+            elif waiting:
+                gen = waiting.pop()
+            else:
+                return value
+            continue
+        except BaseException as exc:
+            if not waiting:
+                raise
+            error = exc
+            gen = waiting.pop()
+            continue
+        if step.__class__ is GeneratorType:
+            waiting.append(gen)
+            gen = step
+            value = None
+        else:
+            value = step
+
+
 # ---------------------------------------------------------------------------
 # values
 
@@ -47,6 +95,10 @@ class Cons:
         self.car = car
         self.cdr = cdr
         self._hash = (hash(car) * 1000003 ^ hash(cdr) * 8191 ^ 0x436F) & 0x7FFFFFFFFFFFFFFF
+
+    def __reduce__(self):
+        # str hashes are salted per process, so a copy recomputes its hash
+        return Cons, (self.car, self.cdr)
 
     def __hash__(self):
         return self._hash
@@ -128,6 +180,11 @@ class FalistShadow:
     def __init__(self, entries=()):
         self.log = _FalistLog(reversed(tuple(entries)))
         self.size = len(self.log.pairs)
+
+    def __reduce__(self):
+        # a copy gets a log of its own: hashes are salted per process, and
+        # the log's lock cannot be pickled
+        return FalistShadow, (self.entries,)
 
     @classmethod
     def _version(cls, log, size):
@@ -236,6 +293,9 @@ class Var(Term):
         self.name = name
         self._hash = hash(name) ^ 0x564152
 
+    def __reduce__(self):
+        return Var, (self.name,)
+
     def __hash__(self):
         return self._hash
 
@@ -249,6 +309,9 @@ class Quote(Term):
     def __init__(self, value):
         self.value = value
         self._hash = hash(value) ^ 0x51554F
+
+    def __reduce__(self):
+        return Quote, (self.value,)
 
     def __hash__(self):
         return self._hash
@@ -282,7 +345,8 @@ class App(Term):
         self._stripped = None
 
     def __reduce__(self):
-        # copies start with an empty cache: a copied _SAME is not _SAME
+        # copies start with an empty cache, as a copied _SAME is not _SAME,
+        # and recompute the hash, as str hashes are salted per process
         return App, (self.head, self.args)
 
     def __hash__(self):
@@ -311,6 +375,9 @@ class LambdaApp(Term):
         for a in args:
             h = (h * 1000003 ^ a._hash) & 0x7FFFFFFFFFFFFFFF
         self._hash = h
+
+    def __reduce__(self):
+        return LambdaApp, (self.params, self.body, self.args)
 
     def __hash__(self):
         return self._hash
@@ -397,23 +464,63 @@ def strip_rp_deep(t):
     compare equal by identity.  The cache write is idempotent: threads
     racing on one node at worst compute equal forms.
     """
-    if t.__class__ is App:
+    cls = t.__class__
+    if cls is App:
         s = t._stripped
-        if s is None:
-            if t.head == "rp" and len(t.args) == 2:
-                s = strip_rp_deep(t.args[1])
+        if s is not None:
+            return t if s is _SAME else s
+    elif cls is not LambdaApp:
+        return t
+    # A node waits on `frames` with the parts it strips, (body, *args) for
+    # a lambda, else its args, and their forms so far; an rp waits with
+    # None, as its form is its payload's.
+    frames = []
+    u = t
+    while True:
+        if u.__class__ is App:
+            s = u._stripped
+            if s is None:
+                if u.head == "rp" and len(u.args) == 2:
+                    frames.append((u, None, None))
+                    u = u.args[1]
+                    continue
+                if u.args:
+                    frames.append((u, u.args, []))
+                    u = u.args[0]
+                    continue
+                s = u._stripped = _SAME
+            if s is _SAME:
+                s = u
+        elif u.__class__ is LambdaApp:
+            parts = (u.body,) + u.args
+            frames.append((u, parts, []))
+            u = u.body
+            continue
+        else:
+            s = u
+        # s is u's form: hand it up until a frame has a part left
+        while frames:
+            node, parts, done = frames[-1]
+            if parts is None:
+                frames.pop()
+                node._stripped = s
+                continue
+            done.append(s)
+            if len(done) < len(parts):
+                u = parts[len(done)]
+                break
+            frames.pop()
+            if node.__class__ is LambdaApp:
+                s = LambdaApp(node.params, done[0], done[1:])
+            elif all(a is b for a, b in zip(done, parts)):
+                node._stripped = _SAME
+                s = node
             else:
-                args = [strip_rp_deep(a) for a in t.args]
-                if all(a is b for a, b in zip(args, t.args)):
-                    s = _SAME
-                else:
-                    s = App(t.head, args)
-                    s._stripped = _SAME
-            t._stripped = s
-        return t if s is _SAME else s
-    if isinstance(t, LambdaApp):
-        return LambdaApp(t.params, strip_rp_deep(t.body), [strip_rp_deep(a) for a in t.args])
-    return t
+                s = App(node.head, done)
+                s._stripped = _SAME
+                node._stripped = s
+        else:
+            return s
 
 
 def free_vars(t):
@@ -435,20 +542,18 @@ def free_vars(t):
 
 def vars_in_order(t):
     """Variable names in depth-first, left-to-right first-appearance order."""
-    seen = []
-    def go(u):
+    seen = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            if u.name not in seen:
-                seen.append(u.name)
+            seen.setdefault(u.name)
         elif isinstance(u, App):
-            for a in u.args:
-                go(a)
+            stack.extend(reversed(u.args))
         elif isinstance(u, LambdaApp):
-            for a in u.args:
-                go(a)
-            go(u.body)
-    go(t)
-    return seen
+            stack.append(u.body)
+            stack.extend(reversed(u.args))
+    return list(seen)
 
 
 def node_count(t):
@@ -613,17 +718,31 @@ def term_from_value(v, keep_boolean_ops=False):
     keep_boolean_ops true, and/or are kept as plain applications; the syntaxp
     evaluator interprets them directly.
     """
+    return trampoline(_term_step(v, keep_boolean_ops))
+
+
+def _term_step(v, keep):
+    """term_from_value's step for v: the term of an atom or a quotation,
+    else the generator that translates the form."""
     if isinstance(v, int):
         return Quote(v)
     if isinstance(v, str):
         if v in (NIL, T):
             return Quote(v)
         return Var(v)
+    if isinstance(v, Cons):
+        if v.car != "quote":
+            return _term_of_form(v, keep)
+        items = list_items(v.cdr)
+        if len(items) != 1:
+            raise ParseError("quote expects exactly one argument")
+        return Quote(items[0])
     if isinstance(v, FalistShadow):
         raise ParseError("lookup-table constant cannot appear as a term")
-    if not isinstance(v, Cons):
-        raise ParseError(f"cannot read term from {v!r}")
+    raise ParseError(f"cannot read term from {v!r}")
 
+
+def _term_of_form(v, keep):
     head = v.car
     if isinstance(head, Cons):
         if head.car != "lambda":
@@ -634,20 +753,16 @@ def term_from_value(v, keep_boolean_ops=False):
         params = list_items(parts[0])
         if not all(isinstance(p, str) and p not in (NIL, T) for p in params):
             raise ParseError("lambda parameters must be plain symbols")
-        body = term_from_value(parts[1], keep_boolean_ops)
-        args = [term_from_value(a, keep_boolean_ops) for a in list_items(v.cdr)]
+        body = yield _term_step(parts[1], keep)
+        args = []
+        for a in list_items(v.cdr):
+            args.append((yield _term_step(a, keep)))
         if len(args) != len(params):
             raise ParseError("lambda applied to the wrong number of arguments")
         return LambdaApp(params, body, args)
 
     if not isinstance(head, str) or head == NIL:
         raise ParseError("application head must be a symbol")
-
-    if head == "quote":
-        items = list_items(v.cdr)
-        if len(items) != 1:
-            raise ParseError("quote expects exactly one argument")
-        return Quote(items[0])
 
     if head in ("let", "let*"):
         parts = list_items(v.cdr)
@@ -658,8 +773,8 @@ def term_from_value(v, keep_boolean_ops=False):
             pair = list_items(b)
             if len(pair) != 2 or not isinstance(pair[0], str):
                 raise ParseError(f"bad {head} binding")
-            bindings.append((pair[0], term_from_value(pair[1], keep_boolean_ops)))
-        body = term_from_value(parts[1], keep_boolean_ops)
+            bindings.append((pair[0], (yield _term_step(pair[1], keep))))
+        body = yield _term_step(parts[1], keep)
         if head == "let":
             if not bindings:
                 return body
@@ -670,8 +785,10 @@ def term_from_value(v, keep_boolean_ops=False):
             out = LambdaApp((name,), out, (expr,))
         return out
 
-    raw_args = list_items(v.cdr)
-    args = [term_from_value(a, keep_boolean_ops) for a in raw_args]
+    args = []
+    for a in list_items(v.cdr):
+        step = _term_step(a, keep)
+        args.append((yield step) if step.__class__ is GeneratorType else step)
 
     if head in _EXPANSIONS:
         if len(args) < 2:
@@ -683,7 +800,7 @@ def term_from_value(v, keep_boolean_ops=False):
         if len(args) == 2:
             return App("binary-+", (args[0], App("unary--", (args[1],))))
         raise ParseError("- expects 1 or 2 arguments")
-    if not keep_boolean_ops and head in ("and", "or", "implies"):
+    if not keep and head in ("and", "or", "implies"):
         out = expand_boolean_op(head, args)
         if out is None:
             raise ParseError("implies expects 2 arguments")
@@ -700,7 +817,7 @@ def term_from_value(v, keep_boolean_ops=False):
             for pair in list_items(shadow_q.value):
                 if not isinstance(pair, Cons):
                     raise ParseError("falist shadow entries must be pairs")
-                entries.append((pair.car, term_from_value(pair.cdr)))
+                entries.append((pair.car, (yield _term_step(pair.cdr, False))))
             shadow_q = Quote(FalistShadow(entries))
         return App("falist", (shadow_q, args[1]))
 
@@ -709,33 +826,31 @@ def term_from_value(v, keep_boolean_ops=False):
 
 def term_to_value(t):
     """Encode a term as a value, the usual terms-as-lists embedding."""
+    return trampoline(_value_of_term(t))
+
+
+def _value_of_term(t):
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Quote):
         return Cons("quote", Cons(t.value, NIL))
     if isinstance(t, App):
-        out = NIL
-        for a in reversed(t.args):
-            out = Cons(term_to_value(a), out)
-        return Cons(t.head, out)
-    if isinstance(t, LambdaApp):
+        head = t.head
+    elif isinstance(t, LambdaApp):
         params = NIL
         for p in reversed(t.params):
             params = Cons(p, params)
-        lam = Cons("lambda", Cons(params, Cons(term_to_value(t.body), NIL)))
-        out = NIL
-        for a in reversed(t.args):
-            out = Cons(term_to_value(a), out)
-        return Cons(lam, out)
-    raise TypeError(t)
+        head = Cons("lambda", Cons(params, Cons((yield _value_of_term(t.body)), NIL)))
+    else:
+        raise TypeError(t)
+    out = NIL
+    for a in reversed(t.args):
+        out = Cons((yield _value_of_term(a)), out)
+    return Cons(head, out)
 
 
 def parse_term(text):
-    value = read_value(text)
-    try:
-        return term_from_value(value)
-    except RecursionError:
-        raise ParseError("term nested deeper than the recursion limit allows") from None
+    return term_from_value(read_value(text))
 
 
 # ---------------------------------------------------------------------------
@@ -743,41 +858,77 @@ def parse_term(text):
 
 
 def format_value(v):
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, FalistShadow):
-        inner = " ".join(f"({format_value(k)} . {format_term(t)})" for k, t in v.entries)
-        return f"({inner})"
-    if isinstance(v, Cons):
-        if v.car == "quote" and isinstance(v.cdr, Cons) and v.cdr.cdr == NIL:
-            return "'" + format_value(v.cdr.car)
-        parts = []
-        while isinstance(v, Cons):
-            parts.append(format_value(v.car))
-            v = v.cdr
-        if v == NIL:
-            return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + format_value(v) + ")"
-    raise TypeError(v)
+    out = []
+    trampoline(_write_value(v, out))
+    return "".join(out)
 
 
 def format_term(t):
+    out = []
+    trampoline(_write_term(t, out))
+    return "".join(out)
+
+
+# The writers append their text to `out` in order, so printing a term
+# costs time linear in its text, whatever its depth.
+
+
+def _write_value(v, out):
+    if isinstance(v, int):
+        out.append(str(v))
+    elif isinstance(v, str):
+        out.append(v)
+    elif isinstance(v, FalistShadow):
+        sep = "("
+        for k, t in v.entries:
+            out.append(sep + "(")
+            yield _write_value(k, out)
+            out.append(" . ")
+            yield _write_term(t, out)
+            out.append(")")
+            sep = " "
+        out.append(")" if v.size else "()")
+    elif isinstance(v, Cons):
+        if v.car == "quote" and isinstance(v.cdr, Cons) and v.cdr.cdr == NIL:
+            out.append("'")
+            yield _write_value(v.cdr.car, out)
+            return
+        sep = "("
+        while isinstance(v, Cons):
+            out.append(sep)
+            yield _write_value(v.car, out)
+            v = v.cdr
+            sep = " "
+        if v != NIL:
+            out.append(" . ")
+            yield _write_value(v, out)
+        out.append(")")
+    else:
+        raise TypeError(v)
+
+
+def _write_term(t, out):
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Quote):
-        return "'" + format_value(t.value)
-    if isinstance(t, App):
-        if not t.args:
-            return f"({t.head})"
-        return f"({t.head} " + " ".join(format_term(a) for a in t.args) + ")"
-    if isinstance(t, LambdaApp):
-        lam = f"(lambda ({' '.join(t.params)}) {format_term(t.body)})"
-        if not t.args:
-            return f"({lam})"
-        return f"({lam} " + " ".join(format_term(a) for a in t.args) + ")"
-    raise TypeError(t)
+        out.append(t.name)
+    elif isinstance(t, Quote):
+        out.append("'")
+        yield _write_value(t.value, out)
+    elif isinstance(t, App):
+        out.append("(" + t.head)
+        for a in t.args:
+            out.append(" ")
+            yield _write_term(a, out)
+        out.append(")")
+    elif isinstance(t, LambdaApp):
+        out.append(f"((lambda ({' '.join(t.params)}) ")
+        yield _write_term(t.body, out)
+        out.append(")")
+        for a in t.args:
+            out.append(" ")
+            yield _write_term(a, out)
+        out.append(")")
+    else:
+        raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
@@ -793,38 +944,47 @@ def rp_termp(t):
     is a plain symbol (no lambdas).
     """
     violations = []
-
-    def go(u, path):
+    stack = [(t, ())]
+    while stack:
+        u, path = stack.pop()
         if isinstance(u, Var):
             if u.name == NIL:
-                violations.append((path, "nil cannot be a variable"))
+                violations.append((flat_path(path), "nil cannot be a variable"))
         elif isinstance(u, Quote):
             pass
         elif isinstance(u, LambdaApp):
-            violations.append((path, "lambda heads not allowed"))
+            violations.append((flat_path(path), "lambda heads not allowed"))
         elif isinstance(u, App):
             if u.head == "rp":
                 if len(u.args) != 2:
-                    violations.append((path, "rp must have exactly 2 arguments"))
-                    return
+                    violations.append((flat_path(path), "rp must have exactly 2 arguments"))
+                    continue
                 prop = u.args[0]
                 if not (isinstance(prop, Quote) and isinstance(prop.value, str) and prop.value != NIL):
-                    violations.append((path, "rp first argument must be a quoted non-nil symbol"))
-                go(u.args[1], path + (1,))
+                    violations.append((flat_path(path), "rp first argument must be a quoted non-nil symbol"))
+                stack.append((u.args[1], (path, 1)))
             elif u.head == "falist":
                 from . import falist as _falist
 
-                violations.extend(_falist.check_falist_term(u, path))
+                violations.extend(_falist.check_falist_term(u, flat_path(path)))
                 if len(u.args) == 2:
-                    go(u.args[1], path + (1,))
+                    stack.append((u.args[1], (path, 1)))
             else:
-                for i, a in enumerate(u.args):
-                    go(a, path + (i,))
+                stack += [(u.args[i], (path, i)) for i in range(len(u.args) - 1, -1, -1)]
         else:
-            violations.append((path, f"not a term: {u!r}"))
-
-    go(t, ())
+            violations.append((flat_path(path), f"not a term: {u!r}"))
     return violations
+
+
+def flat_path(path):
+    """The argument positions from the root to a node, as a tuple.  A walk
+    passes a path as linked pairs (parent path, position) ending in (), so
+    descending costs O(1) whatever the depth."""
+    out = []
+    while path:
+        path, i = path
+        out.append(i)
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -840,50 +1000,66 @@ def _fresh_name(base, taken):
 
 def substitute(t, sub):
     """Capture-free substitution of terms for variable names."""
+    return trampoline(_substitute(t, sub))
+
+
+def _substitute(t, sub):
+    """substitute's step: the finished term of a leaf, else a generator."""
     if isinstance(t, Var):
         return sub.get(t.name, t)
     if isinstance(t, Quote):
         return t
-    if isinstance(t, App):
-        return App(t.head, [substitute(a, sub) for a in t.args])
-    if isinstance(t, LambdaApp):
-        args = [substitute(a, sub) for a in t.args]
-        inner = {k: v for k, v in sub.items() if k not in t.params}
-        if not inner:
-            return LambdaApp(t.params, t.body, args)
-        incoming = set()
-        for v in inner.values():
-            incoming |= free_vars(v)
-        params = list(t.params)
-        body = t.body
-        clashes = [p for p in params if p in incoming]
-        if clashes:
-            taken = incoming | free_vars(body) | set(params)
-            renames = {}
-            for p in clashes:
-                fresh = _fresh_name(p, taken)
-                taken.add(fresh)
-                renames[p] = Var(fresh)
-            body = substitute(body, renames)
-            params = [renames[p].name if p in renames else p for p in params]
-        return LambdaApp(params, substitute(body, inner), args)
+    if isinstance(t, (App, LambdaApp)):
+        return _substitute_node(t, sub)
     raise TypeError(t)
+
+
+def _substitute_node(t, sub):
+    args = []
+    for a in t.args:
+        step = _substitute(a, sub)
+        args.append((yield step) if step.__class__ is GeneratorType else step)
+    if isinstance(t, App):
+        return App(t.head, args)
+    inner = {k: v for k, v in sub.items() if k not in t.params}
+    if not inner:
+        return LambdaApp(t.params, t.body, args)
+    incoming = set()
+    for v in inner.values():
+        incoming |= free_vars(v)
+    params = list(t.params)
+    body = t.body
+    clashes = [p for p in params if p in incoming]
+    if clashes:
+        taken = incoming | free_vars(body) | set(params)
+        renames = {}
+        for p in clashes:
+            fresh = _fresh_name(p, taken)
+            taken.add(fresh)
+            renames[p] = Var(fresh)
+        body = yield _substitute(body, renames)
+        params = [renames[p].name if p in renames else p for p in params]
+    return LambdaApp(params, (yield _substitute(body, inner)), args)
 
 
 def beta_reduce(t):
     """Remove lambda applications, innermost first."""
+    return trampoline(_beta_reduce(t))
+
+
+def _beta_reduce(t):
     if isinstance(t, (Var, Quote)):
         return t
+    if not isinstance(t, (App, LambdaApp)):
+        raise TypeError(t)
+    args = []
+    for a in t.args:
+        args.append((yield _beta_reduce(a)))
     if isinstance(t, App):
-        args = [beta_reduce(a) for a in t.args]
         if all(a is b for a, b in zip(args, t.args)):
             return t
         return App(t.head, args)
-    if isinstance(t, LambdaApp):
-        args = [beta_reduce(a) for a in t.args]
-        body = beta_reduce(t.body)
-        if len(args) != len(t.params):
-            raise BetaReductionError("lambda applied to the wrong number of arguments")
-        return substitute(body, dict(zip(t.params, args)))
-    raise TypeError(t)
-
+    body = yield _beta_reduce(t.body)
+    if len(args) != len(t.params):
+        raise BetaReductionError("lambda applied to the wrong number of arguments")
+    return (yield _substitute(body, dict(zip(t.params, args))))

@@ -30,10 +30,8 @@ from .rules import Syntaxp
 from .terms import (
     App,
     Cons,
-    LambdaApp,
     Quote,
     Var,
-    beta_reduce,
     free_vars,
     rp_termp,
     truthy,
@@ -71,35 +69,30 @@ def env_digest(env):
 
 
 def valid_sc(t, env, reg):
-    """Every rp wrapper's property holds under env, following if branches
-    the way evaluation would.  Evaluation errors propagate."""
+    """Every rp wrapper that evaluating t under env reaches has a property
+    that holds, if branches followed the way evaluation takes them.  t is
+    evaluated whole, so an evaluation error anywhere in it propagates,
+    outside every wrapper too, unless a failing wrapper came first."""
     return valid_sc_failure(t, env, reg) is None
 
 
-def valid_sc_failure(t, env, reg, path=()):
+def valid_sc_failure(t, env, reg):
     """The (path, property term) of the first wrapper whose property fails
-    under env, or None when valid_sc holds."""
-    if isinstance(t, (Var, Quote)):
+    as t is evaluated under env (see eval_term), or None when valid_sc
+    holds.  An evaluation error propagates unless a failing wrapper came
+    first."""
+    wrappers = []
+    try:
+        eval_term(t, env, reg, wrappers)
+    except EvalError:
+        if not wrappers:
+            raise
+    if not wrappers:
         return None
-    if isinstance(t, LambdaApp):
-        return valid_sc_failure(beta_reduce(t), env, reg, path)
-    if t.head == "if" and len(t.args) == 3:
-        bad = valid_sc_failure(t.args[0], env, reg, path + (1,))
-        if bad:
-            return bad
-        if truthy(eval_term(t.args[0], env, reg)):
-            return valid_sc_failure(t.args[1], env, reg, path + (2,))
-        return valid_sc_failure(t.args[2], env, reg, path + (3,))
-    if t.head == "rp" and len(t.args) == 2 and isinstance(t.args[0], Quote):
-        prop = App(t.args[0].value, (t.args[1],))
-        if not truthy(eval_term(prop, env, reg)):
-            return (path, prop)
-        return valid_sc_failure(t.args[1], env, reg, path + (2,))
-    for i, a in enumerate(t.args):
-        bad = valid_sc_failure(a, env, reg, path + (i + 1,))
-        if bad:
-            return bad
-    return None
+    path, prop, error = wrappers[0]
+    if error is not None:
+        raise error
+    return path, prop
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +155,17 @@ def _sample(names, facts, n, reg, seed, judge):
     return report
 
 
-def _compare(before, after, mode, env, reg, report, label=""):
+def _compare(before, after, mode, env, reg, report, label="", wrappers=None):
     """Compare the values of before and after under env: None when before
     is undefined, False (a failure) when only after is, True otherwise.  A
-    changed value, or truthiness in iff mode, is recorded as a failure."""
+    changed value, or truthiness in iff mode, is recorded as a failure.
+    wrappers is handed to eval_term for after."""
     try:
         v_before = eval_term(before, env, reg)
     except EvalDomainError:
         return None
     try:
-        v_after = eval_term(after, env, reg)
+        v_after = eval_term(after, env, reg, wrappers)
     except EvalDomainError:
         report.fail((), f"{label}rewritten term undefined where input is defined", env)
         return False
@@ -201,18 +195,13 @@ def check_run(before, after, ctx, env_samples, reg, mode="iff", seed=0):
     must preserve before's value and satisfy valid_sc."""
 
     def judge(env, report):
-        verdict = _compare(before, after, mode, env, reg, report)
-        if not verdict:
-            return verdict
-        try:
-            bad = valid_sc_failure(after, env, reg)
-        except EvalError as exc:
-            report.fail((), f"side-condition evaluation error: {exc}", env)
+        wrappers = []
+        verdict = _compare(before, after, mode, env, reg, report, wrappers=wrappers)
+        if verdict and wrappers:
+            path, prop, error = wrappers[0]
+            report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
             return False
-        if bad is not None:
-            report.fail(bad[0], bad[1], env)
-            return False
-        return True
+        return verdict
 
     return _sample(_free_vars_of((before, after, *ctx)), ctx, env_samples, reg, seed, judge)
 
@@ -267,7 +256,3 @@ def random_term(rng, depth, var_names=("a", "b", "c")):
         rng.choice(_GEN_BINARY),
         (random_term(rng, depth - 1, var_names), random_term(rng, depth - 1, var_names)),
     )
-
-
-def random_conjecture(rng, depth=4):
-    return random_term(rng, depth)

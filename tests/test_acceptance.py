@@ -6,6 +6,7 @@ lines alongside the pytest verdicts.
 """
 
 import random
+import threading
 import time
 
 import pytest
@@ -23,11 +24,29 @@ from termrw.demo import (
     tree_conjecture,
 )
 from termrw.evaluator import EvalDomainError, default_registry, eval_term
+from termrw.falist import check_falist_term, falist_shadow
+from termrw.meta import fold_plus
 from termrw.rewriter import OPEN, STOP, Leaf, Node, RewriteConfig, Rewriter
 from termrw.rules import build_ruleset, parse_rule_file
-from termrw.terms import App, Quote, Var, format_term, free_vars, node_count, parse_term, values_equal
-from termrw.util import run_deep
-from termrw.validate import check_run, check_syntax_preserved, random_term, sample_env
+from termrw.terms import (
+    App,
+    LambdaApp,
+    Quote,
+    Var,
+    beta_reduce,
+    contains_head,
+    format_term,
+    free_vars,
+    mk_rp,
+    node_count,
+    parse_term,
+    rp_termp,
+    strip_rp_deep,
+    substitute,
+    term_to_value,
+    values_equal,
+)
+from termrw.validate import check_run, check_syntax_preserved, random_term, sample_env, valid_sc_failure
 
 P = parse_term
 
@@ -107,10 +126,10 @@ def test_criterion_4_tree_attempts_linear_with_conditions_superlinear_without():
             conjecture = tree_conjecture(depth)
             cfg_on = RewriteConfig(step_limit=BENCH_STEP_LIMIT)
             rw_on = Rewriter(enabled_rs, cfg=cfg_on)
-            proved_on, _ = run_deep(rw_on.proved, conjecture)
+            proved_on, _ = rw_on.proved(conjecture)
             cfg_off = RewriteConfig(step_limit=BENCH_STEP_LIMIT, side_conditions_enabled=False)
             rw_off = Rewriter(disabled_rs, cfg=cfg_off)
-            proved_off, _ = run_deep(rw_off.proved, conjecture)
+            proved_off, _ = rw_off.proved(conjecture)
             assert proved_on and proved_off, f"depth {depth} must prove in both modes"
             per_node.append(rw_on.stats.rule_attempts / node_count(conjecture))
             mode_ratios.append(rw_off.stats.rule_attempts / rw_on.stats.rule_attempts)
@@ -145,9 +164,9 @@ def test_criterion_5_lookup_cost_flat_with_shadow_linear_without():
                     rw.metas.register(
                         MetaRule("linear-get", "hons-get", make_linear_get_meta(rw.stats), trusted_syntax=True)
                     )
-                fal = run_deep(rw.rewrite, chain_term(n), iff=False)
+                fal = rw.rewrite(chain_term(n), iff=False)
                 t0 = time.perf_counter()
-                run_deep(rw.rewrite, lookups_term(fal, keys), iff=False)
+                rw.rewrite(lookups_term(fal, keys), iff=False)
                 lookups_wall[mode] = time.perf_counter() - t0
                 visits[n, mode] = rw.stats.fa_node_visits
                 probes[n, mode] = rw.stats.fa_probes
@@ -264,3 +283,43 @@ def test_criterion_8_guarded_rewrites_agree_with_full_rewrites():
                 checked_envs += 1
         assert checked_envs > 10000  # partial heads may skip some envs, not most
     report(8, f"200 guarded/full rewrite pairs agree on {checked_envs} sampled envs", b)
+
+
+def test_criterion_9_deep_terms_need_no_python_stack():
+    # the main thread at the default recursion limit: every walk over a term
+    # runs on the heap, so depth is bounded only by memory and step_limit
+    assert threading.current_thread() is threading.main_thread()
+    n = 100_000
+    with Budget(60.0) as b:
+        chain = parse_term(format_term(chain_term(n)))
+        out = Rewriter(build_ruleset([])).rewrite(chain, iff=True)
+        assert len(falist_shadow(out).entries) == n and check_falist_term(out) == []
+        assert format_term(out).startswith("(falist '((k1 . v1) (k2 . v2) ")
+
+        # (binary-+ '1 (binary-+ '1 ... a)), wrapped at every level, and
+        # with a wrapper on a only
+        spine, wrapped, bad = Var("a"), Var("a"), mk_rp("evenp", Var("a"))
+        for _ in range(n):
+            spine = App("binary-+", (Quote(1), spine))
+            wrapped = mk_rp("integerp", App("binary-+", (Quote(1), wrapped)))
+            bad = App("binary-+", (Quote(1), bad))
+        assert strip_rp_deep(wrapped) == spine and strip_rp_deep(bad) == spine
+        v = term_to_value(spine)
+        for _ in range(n):
+            v = v.cdr.cdr.car
+        assert v == "a"
+        assert rp_termp(wrapped) == []
+        assert rp_termp(substitute(bad, {"a": Var("nil")})) == [((1,) * (n + 1), "nil cannot be a variable")]
+
+        nested = Quote(0)
+        for _ in range(n):
+            nested = LambdaApp(("x",), App("f", (Var("x"),)), (nested,))
+        reduced = beta_reduce(nested)
+        assert node_count(reduced) == n + 1 and not contains_head(reduced, "lambda")
+
+        folded, _guard = fold_plus(spine)
+        assert folded == App("binary-+", (Quote(n), Var("a")))
+        reg = default_registry()
+        assert check_run(spine, wrapped, [], 2, reg, mode="equal").ok
+        assert valid_sc_failure(bad, {"a": 3}, reg) == ((2,) * n, App("evenp", (Var("a"),)))
+    report(9, f"{n:,}-deep terms parse, rewrite, print, strip, reduce and check on the main thread", b)

@@ -213,7 +213,8 @@ def test_prove_trace_goes_to_stderr(tmp_path, capsys):
 
 
 def test_prove_deep_conjecture(tmp_path, capsys):
-    n = 600
+    # reading, rewriting and checking run on the caller's thread at any depth
+    n = 10_000
     chain = "".join(f"(hons-acons 'k{i} v{i} " for i in range(1, n + 1)) + "'nil" + ")" * n
     rc = main(
         [
@@ -222,9 +223,59 @@ def test_prove_deep_conjecture(tmp_path, capsys):
             write(tmp_path, "r.lsp", ""),
             "--conjecture",
             write(tmp_path, "c.lsp", f"(equal (hons-get 'k1 {chain}) (cons 'k1 v1))"),
+            "--verify",
+            "5",
         ]
     )
     assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["proved", "verified on 5 sample(s)"]
+
+
+def _nest(head, n, leaf):
+    return f"({head} {leaf} " * (n - 1) + leaf + ")" * (n - 1)
+
+
+DEEP_RULES = {
+    # the rhs folds to a 5,000-deep binary-+ chain, each x wrapped on attach
+    "rhs-5000-arg-plus": (
+        f"(def-rp-rule sum-flat (implies (integerp x) (equal (sum-all x) (+ {' x' * 5000}))))\n"
+        "(defthmd int-x (implies (integerp x) (integerp x)))\n"
+        "(rp-attach-sc sum-flat int-x)",
+        f"(implies (integerp a) (equal (sum-all a) (+ {' a' * 5000})))",
+        1,
+    ),
+    "hyp-3000-deep-and": (
+        f"(def-rp-rule deep-hyp (implies {_nest('and', 3000, '(integerp x)')} (equal (h x) x)))",
+        "(equal (h '5) '5)",
+        1,
+    ),
+    "lhs-3000-arg-plus": (
+        f"(def-rp-rule deep-lhs (equal (g (+ {' x' * 3000})) (k x)))",
+        f"(equal (g (+ {' a' * 3000})) (k a))",
+        1,
+    ),
+    "syntaxp-3000-deep": (
+        f"(def-rp-rule deep-synp (implies (syntaxp {_nest('and', 3000, '(atom x)')}) (equal (s x) x)))",
+        "(equal (s a) a)",
+        1,
+    ),
+    "let-body-5000-arg-plus": (
+        f"(defthm-lambda deep-let (equal (m x) (let ((y (+ x x))) (+ {' y' * 5000}))))",
+        "(equal (m '1) '10000)",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_RULES))
+def test_deep_rule_formulas_check_and_prove(tmp_path, capsys, case):
+    # rule formulas are input too: ingestion and rewriting walk them on
+    # the caller's thread at any depth
+    rules, conjecture, count = DEEP_RULES[case]
+    rules_file = write(tmp_path, "r.lsp", rules)
+    assert main(["check-rules", rules_file]) == 0
+    assert capsys.readouterr().out.strip() == f"checked {count} rule(s): ok"
+    assert main(["prove", "--rules", rules_file, "--conjecture", write(tmp_path, "c.lsp", conjecture)]) == 0
     assert capsys.readouterr().out.strip() == "proved"
 
 

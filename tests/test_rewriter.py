@@ -13,7 +13,6 @@ from termrw.rewriter import (
     Leaf,
     Node,
     RewriteConfig,
-    RewriteDepthError,
     Rewriter,
     arg_dont_rws,
     conjuncts_of,
@@ -325,16 +324,33 @@ def test_iff_rule_under_a_wrapper_keeps_the_payload_value():
     assert check_run(before, out, [], 250, rw.registry, mode="iff", seed=7).ok
 
 
-def test_stack_overflow_raises_typed_error_and_leaves_rewriter_usable():
-    # each relief of (q x) rewrites (q x) again; the stack runs out long
-    # before the default backchain_depth
+def test_loop_rule_set_ends_at_backchain_depth():
+    # each relief of (q x) rewrites (q x) again; the loop runs on the heap,
+    # so backchain_depth, not the Python stack, ends it on the main thread
     rs = """
     (def-rp-rule loop (implies (q x) (equal (q x) (q2 x))))
     (def-rp-rule uses-q (implies (q x) (equal (f x) 'fired)))
     """
     rw = rewriter(rs)
-    with pytest.raises(RewriteDepthError):
-        rw.rewrite(P("(f a)"), iff=False)
+    assert rw.rewrite(P("(f a)"), iff=False) == P("(f a)")
+    assert rw.stats.hyp_relief_failures == RewriteConfig.backchain_depth + 1
+    assert rw._backchain == 0
+    assert rw.rewrite(P("(binary-+ '1 '2)"), iff=False) == Quote(3)
+
+
+class MetaFailure(Exception):
+    pass
+
+
+def test_meta_error_in_backchain_propagates_and_leaves_rewriter_usable():
+    # the error leaves through every generator waiting on the hypothesis
+    def explode(t):
+        raise MetaFailure(format_term(t))
+
+    rw = rewriter("(def-rp-rule r (implies (p x) (equal (f x) 'fired)))")
+    rw.metas.register(MetaRule("explode", "p", explode, trusted_syntax=True))
+    with pytest.raises(MetaFailure, match=r"\(p a\)"):
+        rw.rewrite(P("(g (f a))"), iff=False)
     assert rw._backchain == 0
     assert rw.rewrite(P("(binary-+ '1 '2)"), iff=False) == Quote(3)
 

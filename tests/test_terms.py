@@ -1,6 +1,9 @@
 """Term representation, reader/printer, and structural helpers."""
 
 import copy
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -107,15 +110,18 @@ def test_read_value_deep_nest_needs_no_recursion():
     assert v == "x"
 
 
-def test_parse_term_too_deep_raises_parse_error():
-    # a hons-acons chain nested as deep as the recursion limit reads fine,
-    # but translating it into a term recurses once per level
+def test_parse_term_deep_chain_needs_no_recursion():
+    # a hons-acons chain nested as deep as the recursion limit translates
+    # into a term on the heap, not the Python stack
+    depth = sys.getrecursionlimit()
     text = "'nil"
-    for i in range(sys.getrecursionlimit()):
+    for i in range(depth):
         text = f"(hons-acons '{i} v{i} {text})"
-    read_value(text)
-    with pytest.raises(ParseError, match="term nested deeper than the recursion limit allows"):
-        parse_term(text)
+    t = parse_term(text)
+    for i in reversed(range(depth)):
+        assert t.head == "hons-acons" and t.args[:2] == (Quote(i), Var(f"v{i}"))
+        t = t.args[2]
+    assert t == NIL_TERM
 
 
 def test_reader_error_reports_position():
@@ -379,3 +385,34 @@ def test_beta_reduce_arity_error():
     with pytest.raises(BetaReductionError):
         beta_reduce(LambdaApp(("x", "y"), Var("x"), (Quote(1),)))
 
+
+# ---------------------------------------------------------------------------
+# pickling
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+_PICKLED_TERMS = """
+from termrw.terms import App, Cons, FalistShadow, LambdaApp, Quote, Var
+x, k = Var("x"), Quote("k")
+TERMS = (x, k, App("f", (x, k)), Cons("a", "b"), LambdaApp(("y",), App("g", (Var("y"),)), (x,)),
+         FalistShadow([("k", x)]))
+"""
+
+
+def test_terms_pickled_under_one_hash_seed_load_under_another(tmp_path):
+    # str hashes are salted per process, so a loaded term must rehash
+    path = tmp_path / "terms.pickle"
+    dump = _PICKLED_TERMS + f"import pickle; open({str(path)!r}, 'wb').write(pickle.dumps(TERMS))"
+    load = _PICKLED_TERMS + f"""
+import pickle
+loaded = pickle.loads(open({str(path)!r}, 'rb').read())
+for fresh, old in zip(TERMS, loaded, strict=True):
+    if not (old == fresh and old in {{fresh}}):
+        raise SystemExit(f"{{fresh!r}} does not survive pickling")
+if loaded[-1].get("k") != x:
+    raise SystemExit("the loaded shadow lost its binding")
+"""
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from termrw.evaluator import UnknownFunctionError
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import Cons, Quote, Var, parse_term
 from termrw.validate import (
@@ -11,7 +12,7 @@ from termrw.validate import (
     check_run,
     check_syntax_preserved,
     env_digest,
-    random_conjecture,
+    random_term,
     sample_env,
     sample_rule_soundness,
     sample_value,
@@ -61,6 +62,17 @@ def test_valid_sc_failure_reports_position(reg):
     path, prop = bad
     assert path == (1,)
     assert prop == P("(evenp a)")
+
+
+def test_valid_sc_evaluates_the_whole_term(reg):
+    # an error outside every wrapper propagates, even next to a valid one
+    t = P("(cons (rp 'integerp a) (mystery a))")
+    with pytest.raises(UnknownFunctionError):
+        valid_sc(t, {"a": 4}, reg)
+    with pytest.raises(UnknownFunctionError):
+        valid_sc_failure(t, {"a": 4}, reg)
+    # a failing wrapper evaluated before the error is reported instead
+    assert valid_sc_failure(P("(cons (rp 'evenp a) (mystery a))"), {"a": 3}, reg) == ((1,), P("(evenp a)"))
 
 
 def test_valid_sc_wrapper_prop_is_evaluated(reg):
@@ -217,7 +229,7 @@ def test_random_conjectures_always_evaluable(reg):
     rng = random.Random(42)
     defined = 0
     for i in range(300):
-        c = random_conjecture(rng)
+        c = random_term(rng, 4)
         env = sample_env(random.Random(i), ("a", "b", "c"))
         try:
             eval_term(c, env, reg)
@@ -228,6 +240,6 @@ def test_random_conjectures_always_evaluable(reg):
 
 
 def test_random_conjectures_deterministic():
-    a = [random_conjecture(random.Random(5)) for _ in range(10)]
-    b = [random_conjecture(random.Random(5)) for _ in range(10)]
+    a = [random_term(random.Random(5), 4) for _ in range(10)]
+    b = [random_term(random.Random(5), 4) for _ in range(10)]
     assert a == b
