@@ -7,11 +7,19 @@ value.  Function meanings live in an ExecRegistry; the same registry backs
 the rewriter's executable-counterpart step, where per-function enable flags
 apply (eval_term itself ignores them, disabling execution must not change
 what a function means).
+
+Evaluation is batched: eval_terms walks a term once for a whole list of
+environments, so the interpretive work of a node (its dispatch, its frame,
+its registry lookup) is paid once per node per batch, and only the
+registered functions run once per environment.  eval_term is a batch of
+one.
 """
 
 from __future__ import annotations
 
-from .terms import NIL, T, Cons, Quote, Var, App, LambdaApp, truthy, values_equal
+from itertools import compress
+
+from .terms import NIL, T, App, Cons, LambdaApp, Quote, Var, flat_path, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -121,13 +129,18 @@ class ExecRegistry:
         return name in self._fns and name not in self._disabled
 
     def call(self, name, args):
+        return self.fn(name, len(args))(*args)
+
+    def fn(self, name, nargs):
+        """The function registered for name, to be applied to nargs
+        arguments."""
         entry = self._fns.get(name)
         if entry is None:
             raise UnknownFunctionError(name)
         arity, fn = entry
-        if len(args) != arity:
-            raise EvalDomainError(f"{name} expects {arity} arguments, got {len(args)}")
-        return fn(*args)
+        if nargs != arity:
+            raise EvalDomainError(f"{name} expects {arity} arguments, got {nargs}")
+        return fn
 
     def copy(self):
         other = ExecRegistry()
@@ -234,99 +247,244 @@ def eval_term(t, env, registry, wrappers=None):
     property raised in place of None; later wrappers go unchecked.  A path
     holds 1-based argument positions; a lambda's body is position 0.
 
-    Waiting applications sit on an explicit stack, so depth costs no
-    recursion.
+    A batch of one environment: see eval_terms.
     """
-    frames = []  # (node, its env, the values of its arguments so far)
+    failures = {} if wrappers is not None and not wrappers else None
+    values, errors = eval_terms(t, (env,), registry, failures)
+    if failures:
+        wrappers.append(failures[0])
+    if errors:
+        raise errors[0]
+    return values[0]
+
+
+def eval_terms(t, envs, registry, wrappers=None):
+    """Evaluate t under every environment of envs in one walk over t.
+
+    Returns (values, errors).  errors maps the position in envs of each
+    environment whose evaluation raised an EvalError to the first one it
+    raised, and values[i] is t's value under envs[i], or None where it
+    raised.
+
+    Each node is visited once per batch.  It computes a column: its values
+    over the environments still live at it, in order.  An environment that
+    raises drops out of every later node, and an if splits its live
+    environments by their test's values, so each takes only its own
+    branch.  Every environment thus meets the nodes, in the order, that
+    evaluating t under it alone would, and raises the same first error.
+
+    Given a dict `wrappers`, each rp wrapper that an environment's
+    evaluation reaches applies its property to its payload's value, as in
+    eval_term; wrappers[i] holds environment i's first failure, and an
+    environment already in it is not checked.  A node's path is passed as
+    linked pairs and flattened only when a wrapper fails.
+
+    Waiting nodes sit on an explicit stack, so depth costs no recursion.
+    """
+    errors = {}
+    # [node, its envs, its path, the envs live at it, its argument columns so far]
+    frames = []
+    size = len(envs)
+    live = list(range(size))
+    path = ()
     while True:
-        # descend until t has a value
+        # descend until t has a column
         cls = t.__class__
-        if cls is Var:
+        if not live:
+            col = []
+        elif cls is Var:
+            name = t.name
             try:
-                value = env[t.name]
+                col = [envs[i][name] for i in live]
             except KeyError:
-                raise UnboundVariableError(t.name) from None
+                live, col = _each(_lookup, live, ([envs[i] for i in live], [name] * len(live)), errors)
         elif cls is Quote:
-            value = t.value
+            col = [t.value] * len(live)
         elif cls is App:
             head = t.head
             args = t.args
             arity = _OWN_HEADS.get(head)
             if arity is not None and len(args) != arity:
-                raise EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
-            if args:
-                frames.append((t, env, []))
-                t = args[1] if arity == 2 else args[0]
+                exc = EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
+                errors.update(dict.fromkeys(live, exc))
+                live = col = []
+            elif args:
+                frames.append([t, envs, path, live, []])
+                k = 1 if arity == 2 else 0
+                t = args[k]
+                path = (path, k + 1)
                 continue
-            value = NIL if head == "list" else registry.call(head, [])
+            elif head == "list":
+                col = [NIL] * len(live)
+            else:
+                live, col = _call(registry, head, live, [], errors)
         elif cls is LambdaApp:
-            frames.append((t, env, []))
-            t = t.args[0] if t.args else t.body
+            if t.args:
+                frames.append([t, envs, path, live, []])
+                t = t.args[0]
+                path = (path, 1)
+            else:
+                frames.append([t, envs, path, live, [None]])  # the body is under way
+                envs = _bind(t, envs, live, [])
+                t = t.body
+                path = (path, 0)
             continue
         else:
             raise TypeError(t)
 
-        # hand the value up until a frame has more to evaluate
+        # hand the column up until a frame has more to evaluate
         while frames:
-            node, env, vals = frames[-1]
-            if node.__class__ is LambdaApp:
-                vals.append(value)
-                n = len(vals)
-                if n <= len(node.args):
-                    if n < len(node.args):
-                        t = node.args[n]
-                    else:
-                        t = node.body
-                        env = dict(env)
-                        env.update(zip(node.params, vals))
-                    break
-                frames.pop()
-                continue
-            head = node.head
+            frame = frames[-1]
+            node, node_envs, node_path, node_live, cols = frame
+            lam = node.__class__ is LambdaApp
+            head = None if lam else node.head
             arity = _OWN_HEADS.get(head)
             if arity is None:
-                vals.append(value)
-                n = len(vals)
-                if n < len(node.args):
-                    t = node.args[n]
+                n = len(node.args)
+                if len(cols) > n:
+                    frames.pop()  # a lambda's body: its column is the application's
+                    continue
+                if len(live) < len(node_live):
+                    cols[:] = _keep(node_live, live, cols)
+                    frame[3] = live
+                cols.append(col)
+                if len(cols) < n:
+                    t = node.args[len(cols)]
+                    path = (node_path, len(cols) + 1)
+                    envs = node_envs
+                    break
+                if lam:
+                    envs = _bind(node, node_envs, live, cols)
+                    cols.append(None)
+                    t = node.body
+                    path = (node_path, 0)
                     break
                 frames.pop()
                 if head == "list":
-                    value = NIL
-                    for v in reversed(vals):
-                        value = Cons(v, value)
-                else:
-                    value = registry.call(head, vals)
+                    col = [NIL] * len(live)
+                    for c in reversed(cols):
+                        col = list(map(Cons, c, col))
+                    continue
+                try:
+                    col = list(map(registry.fn(head, n), *cols))
+                except EvalError:
+                    # some env failed: find which, one env at a time
+                    live, col = _call(registry, head, live, cols, errors)
                 continue
-            if arity == 3 and not vals:
-                # the test's value picks the branch, whose value is the if's
-                vals.append(value)
-                t = node.args[2 if isinstance(value, str) and value == NIL else 1]
-                break
+            if arity == 3:
+                if not cols:
+                    # the test's column splits the live envs between the branches
+                    then_live = [i for i, v in zip(live, col) if not (isinstance(v, str) and v == NIL)]
+                    else_live = [i for i, v in zip(live, col) if isinstance(v, str) and v == NIL]
+                    envs = node_envs
+                    if then_live and else_live:
+                        cols += [live, {}, else_live]
+                        live = then_live
+                        t = node.args[1]
+                        path = (node_path, 2)
+                    else:
+                        # one branch takes every env: its column is the if's
+                        frames.pop()
+                        live = then_live or else_live
+                        k = 2 if then_live else 3
+                        t = node.args[k - 1]
+                        path = (node_path, k)
+                    break
+                test_live, merged, else_live = cols
+                merged.update(zip(live, col))
+                if else_live is not None:
+                    cols[2] = None
+                    live = else_live
+                    t = node.args[2]
+                    path = (node_path, 3)
+                    envs = node_envs
+                    break
+                frames.pop()
+                live = [i for i in test_live if i in merged]
+                col = [merged[i] for i in live]
+                continue
             frames.pop()
-            if wrappers is not None and not wrappers and head == "rp" and node.args[0].__class__ is Quote:
-                _check_wrapper(node, value, registry, frames, wrappers)
+            if wrappers is not None and head == "rp" and node.args[0].__class__ is Quote:
+                _check_wrappers(node, node_path, live, col, registry, wrappers)
         else:
-            return value
+            if len(live) == size:
+                return col, errors
+            values = [None] * size
+            for i, v in zip(live, col):
+                values[i] = v
+            return values, errors
 
 
-def _check_wrapper(node, value, registry, frames, wrappers):
-    """Apply the property of rp node to its payload's value; on failure,
-    append (path, property term, error or None) to wrappers, the path read
-    off the frames of the applications waiting above the node."""
-    prop = node.args[0].value
-    error = None
+def _lookup(env, name):
     try:
-        if truthy(registry.call(prop, [value])):
-            return
-    except EvalError as exc:
-        error = exc
-    path = []
-    for parent, _env, vals in frames:
-        if parent.__class__ is LambdaApp:
-            path.append(len(vals) + 1 if len(vals) < len(parent.args) else 0)
-        elif parent.head == "if":
-            path.append(1 if not vals else 3 if isinstance(vals[0], str) and vals[0] == NIL else 2)
+        return env[name]
+    except KeyError:
+        raise UnboundVariableError(name) from None
+
+
+def _each(fn, live, cols, errors):
+    """fn applied across cols, columns of argument values over the envs of
+    live: (live, column), without the envs where fn raised an EvalError,
+    which errors records."""
+    try:
+        return live, list(map(fn, *cols))
+    except EvalError:
+        pass
+    kept, out = [], []
+    for i, row in zip(live, zip(*cols)):
+        try:
+            out.append(fn(*row))
+        except EvalError as exc:
+            errors[i] = exc
         else:
-            path.append(2 if parent.head in ("rp", "falist") else len(vals) + 1)
-    wrappers.append((tuple(path), App(prop, (node.args[1],)), error))
+            kept.append(i)
+    return kept, out
+
+
+def _call(registry, head, live, cols, errors):
+    """head's registered function applied across cols, as in _each."""
+    try:
+        fn = registry.fn(head, len(cols))
+    except EvalError as exc:
+        errors.update(dict.fromkeys(live, exc))
+        return [], []
+    if not cols:
+        return _each(lambda _i: fn(), live, [live], errors)
+    return _each(fn, live, cols, errors)
+
+
+def _keep(live, kept, cols):
+    """cols, columns over the envs of live, cut down to those of kept."""
+    kept = set(kept)
+    mask = [i in kept for i in live]
+    return [list(compress(c, mask)) for c in cols]
+
+
+def _bind(node, envs, live, cols):
+    """The env of each live index extended by lambda node's parameters bound
+    to its argument values, keyed by index."""
+    rows = zip(*cols) if cols else [()] * len(live)
+    return {i: {**envs[i], **dict(zip(node.params, row))} for i, row in zip(live, rows)}
+
+
+def _check_wrappers(node, path, live, col, registry, wrappers):
+    """Apply the property of rp node to each payload value of col; record
+    (path, property term, error or None) for each env that fails it and
+    has no failure in wrappers yet."""
+    if wrappers:
+        pairs = [(i, v) for i, v in zip(live, col) if i not in wrappers]
+        live = [i for i, _v in pairs]
+        col = [v for _i, v in pairs]
+    prop = node.args[0].value
+    failed = {}
+    try:
+        fn = registry.fn(prop, 1)
+    except EvalError as exc:
+        failed = dict.fromkeys(live, exc)
+    else:
+        kept, holds = _each(fn, live, [col], failed)
+        failed.update((i, None) for i, h in zip(kept, holds) if not truthy(h))
+    if failed:
+        where = flat_path(path), App(prop, (node.args[1],))
+        for i, error in failed.items():
+            wrappers[i] = (*where, error)

@@ -97,8 +97,10 @@ class Cons:
         self._hash = (hash(car) * 1000003 ^ hash(cdr) * 8191 ^ 0x436F) & 0x7FFFFFFFFFFFFFFF
 
     def __reduce__(self):
-        # str hashes are salted per process, so a copy recomputes its hash
-        return Cons, (self.car, self.cdr)
+        return _unflatten, (_flatten(self),)
+
+    def __deepcopy__(self, memo):
+        return self  # immutable
 
     def __hash__(self):
         return self._hash
@@ -282,6 +284,9 @@ class Term:
     def __repr__(self):
         return format_term(self)
 
+    def __deepcopy__(self, memo):
+        return self  # immutable
+
     def __ne__(self, other):
         return not self.__eq__(other)
 
@@ -345,9 +350,8 @@ class App(Term):
         self._stripped = None
 
     def __reduce__(self):
-        # copies start with an empty cache, as a copied _SAME is not _SAME,
-        # and recompute the hash, as str hashes are salted per process
-        return App, (self.head, self.args)
+        # a copy starts with an empty cache, as a copied _SAME is not _SAME
+        return _unflatten, (_flatten(self),)
 
     def __hash__(self):
         return self._hash
@@ -377,7 +381,7 @@ class LambdaApp(Term):
         self._hash = h
 
     def __reduce__(self):
-        return LambdaApp, (self.params, self.body, self.args)
+        return _unflatten, (_flatten(self),)
 
     def __hash__(self):
         return self._hash
@@ -417,6 +421,63 @@ def terms_equal(a, b):
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# pickling and copying
+
+
+def _flatten(root):
+    """root as a flat table, so pickle and copy never recurse on its
+    depth: its distinct nodes in postorder, each Cons, App or LambdaApp as
+    (class, head or params, positions of its parts in the table) and any
+    other node as itself.  A shared node is listed once."""
+    index = {}
+    table = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in index:
+            stack.pop()
+            continue
+        cls = node.__class__
+        if cls is App:
+            extra, parts = node.head, node.args
+        elif cls is Cons:
+            extra, parts = None, (node.car, node.cdr)
+        elif cls is LambdaApp:
+            extra, parts = node.params, (node.body, *node.args)
+        else:
+            extra, parts = None, None
+        entry = node
+        if parts is not None:
+            todo = [p for p in parts if id(p) not in index]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            entry = (cls, extra, tuple(index[id(p)] for p in parts))
+        stack.pop()
+        index[id(node)] = len(table)
+        table.append(entry)
+    return table
+
+
+def _unflatten(table):
+    """The node a _flatten table lists last, rebuilt by its constructors,
+    so every salted str hash is recomputed in the loading process."""
+    nodes = []
+    for entry in table:
+        if entry.__class__ is tuple:
+            cls, extra, positions = entry
+            parts = [nodes[i] for i in positions]
+            if cls is App:
+                entry = App(extra, parts)
+            elif cls is Cons:
+                entry = Cons(*parts)
+            else:
+                entry = LambdaApp(extra, parts[0], parts[1:])
+        nodes.append(entry)
+    return nodes[-1]
 
 
 NIL_TERM = Quote(NIL)

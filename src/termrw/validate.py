@@ -18,6 +18,11 @@ value (truthiness in iff mode) fails but still counts as accepted.  A
 function without an executable counterpart in a fact, the input or the
 output makes the whole check skipped (skipped = n).  A report is starved
 when fewer than n draws were accepted or skipped.
+
+Draws are evaluated in chunks: each term is evaluated once per node per
+chunk of environments (evaluator.eval_terms), not once per node per
+environment, and the chunk's draws are then judged one by one in draw
+order, so every report is the one single draws would give.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term
+from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms
 from .rules import Syntaxp
 from .terms import (
     App,
@@ -124,86 +129,100 @@ def sample_env(rng, names):
 
 REJECTION_CAP = 100
 
+# outcomes of a draw besides rejection, a comparison, or an error
+_SKIP = "skip"  # the input term is undefined
+_UNDEFINED = "undefined"  # only the output term is undefined
 
-def _sample(names, facts, n, reg, seed, judge):
-    """Draw environments over names until n are accepted or skipped, or
-    REJECTION_CAP * n have been drawn, keeping those where every fact holds.
 
-    judge(env, report) rules on each kept environment: None skips it, True
-    accepts it, False counts it as neither (it has recorded a failure).
+def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=False):
+    """Draw environments over the free variables of before, after and the
+    facts until n are accepted or skipped, or REJECTION_CAP * n have been
+    drawn, keeping those where every fact holds, and compare before with
+    after under each kept one (see the module docstring).  With
+    check_wrappers, a wrapper in after whose property fails also fails the
+    draw.
+
+    Draws come in chunks of exactly the draws still needed, so a chunk
+    never draws past the point where taking one draw at a time would stop.
+    A chunk is evaluated one term at a time over all its environments
+    (eval_terms): the facts, each only where the earlier ones hold, then
+    before, then after where before is defined.  Its draws are then judged
+    one by one in draw order, so the report is the one a loop over single
+    environments would give.
     """
+    names = set().union(*map(free_vars, (before, after, *facts)))
     rng = random.Random(seed)
     report = ValidityReport()
     draws = 0
-    try:
-        while report.accepted + report.skipped < n and draws < n * REJECTION_CAP:
-            draws += 1
-            env = sample_env(rng, names)
-            try:
-                if not all(truthy(eval_term(f, env, reg)) for f in facts):
-                    continue
-            except EvalDomainError:
+    while True:
+        size = min(n - report.accepted - report.skipped, n * REJECTION_CAP - draws)
+        if size <= 0:
+            break
+        draws += size
+        envs = [sample_env(rng, names) for _ in range(size)]
+        outcomes = [None] * size  # None: rejected by a fact
+        live = list(range(size))
+        for fact in facts:
+            live = [i for i, v in _evaluate(fact, envs, live, reg, outcomes, None) if truthy(v)]
+        befores = _evaluate(before, envs, live, reg, outcomes, _SKIP)
+        failures = {} if check_wrappers else None
+        afters = dict(_evaluate(after, envs, [i for i, _v in befores], reg, outcomes, _UNDEFINED, failures))
+        for i, v_before in befores:
+            if i in afters:
+                outcomes[i] = (v_before, afters[i])
+        for i, outcome in enumerate(outcomes):
+            env = envs[i]
+            if outcome is None:
                 continue
-            verdict = judge(env, report)
-            if verdict is None:
+            elif outcome is _SKIP:
                 report.skipped += 1
-            elif verdict:
-                report.accepted += 1
-    except UnknownFunctionError:
-        report.skipped = n
+            elif outcome is _UNDEFINED:
+                report.fail((), f"{label}rewritten term undefined where input is defined", env)
+            elif isinstance(outcome, UnknownFunctionError):
+                report.skipped = n
+                break
+            elif isinstance(outcome, EvalError):
+                raise outcome
+            else:
+                v_before, v_after = outcome
+                if mode == "equal":
+                    if not values_equal(v_before, v_after):
+                        report.fail((), f"{label}value changed by rewriting", env)
+                elif truthy(v_before) != truthy(v_after):
+                    report.fail((), f"{label}truthiness changed by rewriting", env)
+                if failures and i in failures:
+                    path, prop, error = failures[i]
+                    report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
+                else:
+                    report.accepted += 1
     report.starved = report.accepted + report.skipped < n
     return report
 
 
-def _compare(before, after, mode, env, reg, report, label="", wrappers=None):
-    """Compare the values of before and after under env: None when before
-    is undefined, False (a failure) when only after is, True otherwise.  A
-    changed value, or truthiness in iff mode, is recorded as a failure.
-    wrappers is handed to eval_term for after."""
-    try:
-        v_before = eval_term(before, env, reg)
-    except EvalDomainError:
-        return None
-    try:
-        v_after = eval_term(after, env, reg, wrappers)
-    except EvalDomainError:
-        report.fail((), f"{label}rewritten term undefined where input is defined", env)
-        return False
-    if mode == "equal":
-        if not values_equal(v_before, v_after):
-            report.fail((), f"{label}value changed by rewriting", env)
-    elif truthy(v_before) != truthy(v_after):
-        report.fail((), f"{label}truthiness changed by rewriting", env)
-    return True
-
-
-def _free_vars_of(terms):
-    return set().union(*map(free_vars, terms))
+def _evaluate(t, envs, live, reg, outcomes, undefined, wrappers=None):
+    """(i, value) pairs of t under envs[i] for each i in live whose
+    evaluation succeeds, all evaluated as one batch.  The outcome of an i
+    whose evaluation raised becomes `undefined` for an EvalDomainError,
+    else the error.  Wrapper failures are recorded by i, as in eval_terms."""
+    found = None if wrappers is None else {}
+    values, errors = eval_terms(t, [envs[i] for i in live], reg, found)
+    for j, exc in errors.items():
+        outcomes[live[j]] = undefined if isinstance(exc, EvalDomainError) else exc
+    if found:
+        wrappers.update((live[j], failure) for j, failure in found.items())
+    return [(i, v) for j, (i, v) in enumerate(zip(live, values)) if j not in errors]
 
 
 def check_preservation(before, after, mode, env_samples, reg, seed=0):
     """Sample environments and compare before with after: values in equal
     mode, truthiness in iff mode."""
-    return _sample(
-        _free_vars_of((before, after)), (), env_samples, reg, seed,
-        lambda env, report: _compare(before, after, mode, env, reg, report),
-    )
+    return _sample((), before, after, mode, env_samples, reg, seed)
 
 
 def check_run(before, after, ctx, env_samples, reg, mode="iff", seed=0):
     """Sample environments satisfying every ctx fact; under each, after
     must preserve before's value and satisfy valid_sc."""
-
-    def judge(env, report):
-        wrappers = []
-        verdict = _compare(before, after, mode, env, reg, report, wrappers=wrappers)
-        if verdict and wrappers:
-            path, prop, error = wrappers[0]
-            report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
-            return False
-        return verdict
-
-    return _sample(_free_vars_of((before, after, *ctx)), ctx, env_samples, reg, seed, judge)
+    return _sample(ctx, before, after, mode, env_samples, reg, seed, check_wrappers=True)
 
 
 def check_syntax_preserved(before, after):
@@ -216,11 +235,7 @@ def sample_rule_soundness(rule, reg, env_samples=1000, seed=0):
     the rule's equivalence (the strict-mode ingestion check).  Syntaxp hyps
     restrict applicability, not truth, so they are ignored here."""
     hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
-    label = f"rule {rule.name}: "
-    return _sample(
-        _free_vars_of((rule.lhs, rule.rhs, *hyps)), hyps, env_samples, reg, seed,
-        lambda env, report: _compare(rule.lhs, rule.rhs, rule.equiv, env, reg, report, label),
-    )
+    return _sample(hyps, rule.lhs, rule.rhs, rule.equiv, env_samples, reg, seed, label=f"rule {rule.name}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,25 @@ computed by hand from those clauses, then asserted against the code.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term
 from termrw.evaluator import (
     EvalDomainError,
+    EvalError,
     ExecRegistry,
     UnboundVariableError,
     UnknownFunctionError,
     default_registry,
     eval_term,
+    eval_terms,
     ifix,
     lexorder_le,
     nfix,
     to_boolean,
 )
-from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term
+from termrw.terms import App, Cons, LambdaApp, Quote, Var, mk_rp, parse_term, truthy, values_equal
 
 
 @pytest.fixture
@@ -197,3 +201,144 @@ def test_registry_register_and_arity():
     assert reg.has("twice")
     assert reg.arity("twice") == 1
     assert reg.call("twice", [21]) == 42
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation against one environment at a time
+
+_OWN_ARITY = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
+
+
+def _reference(t, env, reg, failures=None, path=()):
+    """t's value under env, straight from the evaluation clauses.  With a
+    list `failures`, the first rp wrapper whose property fails or raises is
+    appended as (path, property term, error or None)."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise UnboundVariableError(t.name)
+        return env[t.name]
+    if isinstance(t, Quote):
+        return t.value
+    if isinstance(t, LambdaApp):
+        vals = [_reference(a, env, reg, failures, path + (k + 1,)) for k, a in enumerate(t.args)]
+        return _reference(t.body, {**env, **dict(zip(t.params, vals))}, reg, failures, path + (0,))
+    head, args = t.head, t.args
+    arity = _OWN_ARITY.get(head)
+    if arity is not None and len(args) != arity:
+        raise EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
+    if head == "if":
+        k = 2 if truthy(_reference(args[0], env, reg, failures, path + (1,))) else 3
+        return _reference(args[k - 1], env, reg, failures, path + (k,))
+    if head == "hide":
+        return _reference(args[0], env, reg, failures, path + (1,))
+    if head in ("rp", "falist"):
+        value = _reference(args[1], env, reg, failures, path + (2,))
+        if head == "rp" and failures == [] and isinstance(args[0], Quote):
+            error = None
+            try:
+                holds = truthy(reg.call(args[0].value, [value]))
+            except EvalError as exc:
+                holds, error = False, exc
+            if not holds:
+                failures.append((path, App(args[0].value, (args[1],)), error))
+        return value
+    vals = [_reference(a, env, reg, failures, path + (k + 1,)) for k, a in enumerate(args)]
+    if head == "list":
+        out = "nil"
+        for v in reversed(vals):
+            out = Cons(v, out)
+        return out
+    return reg.call(head, vals)
+
+
+def _error_key(exc):
+    return None if exc is None else (type(exc), str(exc))
+
+
+def _failure_key(failure):
+    return None if failure is None else (failure[0], failure[1], _error_key(failure[2]))
+
+
+_leaf_terms = st.one_of(
+    st.sampled_from((Var("a"), Var("b"), Var("c"))),
+    st.integers(-5, 5).map(Quote),
+    st.sampled_from(("t", "nil", "foo")).map(Quote),
+)
+
+
+def _wrap(props, t):
+    for prop in props:
+        t = App("rp", (Quote(prop), t))
+    return t
+
+
+def _compound_terms(sub):
+    return st.one_of(
+        st.tuples(sub, sub, sub).map(lambda p: App("if", p)),
+        # an unregistered head on one branch only
+        st.tuples(sub, sub).map(lambda p: App("if", (p[0], p[1], App("mystery", (p[1],))))),
+        st.tuples(sub, sub).map(lambda p: LambdaApp(("a",), p[0], (p[1],))),
+        st.lists(sub, max_size=3).map(lambda xs: App("list", tuple(xs))),
+        sub.map(lambda x: App("hide", (x,))),
+        sub.map(lambda x: App("falist", (Quote("nil"), x))),
+        # d2 is partial: odd integers have no half
+        sub.map(lambda x: App("d2", (x,))),
+        st.tuples(st.sampled_from(("unary--", "evenp", "consp", "car", "f2")), sub).map(lambda p: App(p[0], (p[1],))),
+        st.tuples(st.sampled_from(("binary-+", "cons", "equal", "lexorder")), sub, sub).map(
+            lambda p: App(p[0], p[1:])
+        ),
+        # properties that hold, fail, or raise (d2, and mystery, which is
+        # unregistered), often nested so that an inner and an outer one fail
+        st.tuples(st.lists(st.sampled_from(("integerp", "evenp", "consp", "d2", "mystery")), min_size=1, max_size=3),
+                  sub).map(lambda p: _wrap(p[0], p[1])),
+        sub.map(lambda x: App("hide", (x, x))),
+    )
+
+
+_batch_terms = st.recursive(_leaf_terms, _compound_terms, max_leaves=16)
+_env_values = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from(("nil", "t", "foo")),
+    st.tuples(st.integers(-2, 2), st.sampled_from(("nil", 3))).map(lambda p: Cons(*p)),
+)
+# c is sometimes unbound
+_envs = st.lists(st.fixed_dictionaries({"a": _env_values, "b": _env_values}, optional={"c": _env_values}),
+                 min_size=1, max_size=8)
+_REG = default_registry()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch_terms, _envs, st.booleans())
+def test_eval_terms_matches_each_environment_alone(t, envs, check):
+    wrappers = {} if check else None
+    values, errors = eval_terms(t, envs, _REG, wrappers)
+    assert len(values) == len(envs) and set(errors) <= set(range(len(envs)))
+    for i, env in enumerate(envs):
+        failures = [] if check else None
+        try:
+            want, error = _reference(t, env, _REG, failures), None
+        except EvalError as exc:
+            want, error = None, exc
+        assert _error_key(errors.get(i)) == _error_key(error)
+        if error is None:
+            assert values_equal(values[i], want)
+        else:
+            assert values[i] is None
+        if check:
+            assert _failure_key(wrappers.get(i)) == _failure_key(failures[0] if failures else None)
+
+
+def test_eval_terms_keeps_each_environments_first_wrapper_failure():
+    # inner before outer, and a wrapper that only some environments reach
+    t = parse_term("(cons (rp 'consp (rp 'evenp a)) (if (consp b) (rp 'd2 (car b)) b))")
+    pair = Cons(5, 1)
+    envs = [{"a": pair, "b": 1}, {"a": 3, "b": 1}, {"a": 4, "b": 1}, {"a": pair, "b": pair}, {"a": 3, "b": pair}]
+    wrappers = {}
+    values, errors = eval_terms(t, envs, _REG, wrappers)
+    assert errors == {} and values[0] == Cons(pair, 1)
+    assert 0 not in wrappers
+    inner = ((1, 2), parse_term("(evenp a)"), None)
+    assert wrappers[1] == wrappers[4] == inner
+    assert wrappers[2] == ((1,), parse_term("(consp (rp 'evenp a))"), None)
+    path, prop, error = wrappers[3]
+    assert (path, prop) == ((2, 2), parse_term("(d2 (car b))")) and isinstance(error, EvalDomainError)

@@ -3,14 +3,17 @@
 import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term, rand_value
+from termrw.demo import chain_term
 from termrw.rules import expand_boolean_ops
 from termrw.terms import (
     NIL_TERM,
@@ -311,7 +314,7 @@ def test_strip_rp_deep_cached_form_is_shared(root):
                 walk(a, b)
 
     walk(root, stripped)
-    assert terms_equal(strip_rp_deep(copy.deepcopy(root)), stripped)
+    assert terms_equal(strip_rp_deep(pickle.loads(pickle.dumps(root))), stripped)
 
 
 def test_free_vars_and_order():
@@ -395,7 +398,7 @@ _PICKLED_TERMS = """
 from termrw.terms import App, Cons, FalistShadow, LambdaApp, Quote, Var
 x, k = Var("x"), Quote("k")
 TERMS = (x, k, App("f", (x, k)), Cons("a", "b"), LambdaApp(("y",), App("g", (Var("y"),)), (x,)),
-         FalistShadow([("k", x)]))
+         App("h", (App("f", (x, k)), App("g", ()), Quote(Cons(Cons("a", 1), "b")))), FalistShadow([("k", x)]))
 """
 
 
@@ -416,3 +419,27 @@ if loaded[-1].get("k") != x:
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_deep_terms_pickle_and_copy_on_the_main_thread():
+    # pickle and deepcopy see one flat table per term, never its depth,
+    # which is far past the default recursion limit
+    assert threading.current_thread() is threading.main_thread()
+    pairs = "nil"
+    lam = Quote(0)
+    for i in range(5_000):
+        pairs = Cons(Cons(i, "v"), pairs)
+        lam = LambdaApp(("x",), App("f", (Var("x"),)), (lam,))
+    for t in (chain_term(100_000), Quote(pairs), lam):
+        twin = pickle.loads(pickle.dumps(t))
+        assert twin is not t and twin == t and hash(twin) == hash(t)
+        # terms and values are immutable, so a deep copy is the original
+        assert copy.deepcopy(t) is t and copy.deepcopy(pairs) is pairs
+
+
+def test_pickled_terms_keep_shared_nodes_shared():
+    shared = App("f", (Var("x"), Quote(Cons(1, 2))))
+    dag = App("g", (shared, App("h", (shared,)), shared))
+    twin = pickle.loads(pickle.dumps(dag))
+    assert twin == dag and twin.args[0] is not shared
+    assert twin.args[0] is twin.args[1].args[0] is twin.args[2]

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from termrw.evaluator import UnknownFunctionError
-from termrw.rules import build_ruleset, parse_rule_file
-from termrw.terms import Cons, Quote, Var, parse_term
+from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term
+from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
+from termrw.terms import App, Cons, Quote, Var, free_vars, parse_term, truthy, values_equal
 from termrw.validate import (
+    REJECTION_CAP,
+    ValidityReport,
     check_preservation,
     check_run,
     check_syntax_preserved,
@@ -243,3 +245,145 @@ def test_random_conjectures_deterministic():
     a = [random_term(random.Random(5), 4) for _ in range(10)]
     b = [random_term(random.Random(5), 4) for _ in range(10)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the batched sampling loop against one environment at a time
+
+
+def _reference_sample(terms, facts, n, reg, seed, judge):
+    """Draw one environment at a time, as the module docstring states the
+    policy; judge(env, report) is None to skip, True to accept."""
+    rng = random.Random(seed)
+    names = set().union(*map(free_vars, (*terms, *facts)))
+    report = ValidityReport()
+    draws = 0
+    try:
+        while report.accepted + report.skipped < n and draws < n * REJECTION_CAP:
+            draws += 1
+            env = sample_env(rng, names)
+            try:
+                if not all(truthy(eval_term(f, env, reg)) for f in facts):
+                    continue
+            except EvalDomainError:
+                continue
+            verdict = judge(env, report)
+            if verdict is None:
+                report.skipped += 1
+            elif verdict:
+                report.accepted += 1
+    except UnknownFunctionError:
+        report.skipped = n
+    report.starved = report.accepted + report.skipped < n
+    return report
+
+
+def _reference_judge(before, after, mode, reg, label="", check_wrappers=False):
+    def judge(env, report):
+        try:
+            v_before = eval_term(before, env, reg)
+        except EvalDomainError:
+            return None
+        wrappers = [] if check_wrappers else None
+        try:
+            v_after = eval_term(after, env, reg, wrappers)
+        except EvalDomainError:
+            report.fail((), f"{label}rewritten term undefined where input is defined", env)
+            return False
+        if mode == "equal":
+            if not values_equal(v_before, v_after):
+                report.fail((), f"{label}value changed by rewriting", env)
+        elif truthy(v_before) != truthy(v_after):
+            report.fail((), f"{label}truthiness changed by rewriting", env)
+        if wrappers:
+            path, prop, error = wrappers[0]
+            report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
+            return False
+        return True
+
+    return judge
+
+
+def _reference_check_run(before, after, ctx, n, reg, mode, seed):
+    return _reference_sample((before, after), ctx, n, reg, seed, _reference_judge(before, after, mode, reg, check_wrappers=True))
+
+
+# (before, after, ctx, mode, samples), each with the trait it is here for
+SAMPLING_CASES = {
+    "ctx rejects most draws": ("(binary-+ a '0)", "a", ["(integerp a)", "(evenp a)"], "equal", 60),
+    "unsatisfiable ctx starves": ("a", "a", ["(equal a (binary-+ '1 a))"], "iff", 20),
+    "ctx fact undefined on odd integers": ("a", "(rp 'integerp a)", ["(evenp (d2 a))"], "equal", 60),
+    "input undefined on odd integers is skipped": ("(d2 a)", "(f2 a)", [], "equal", 80),
+    "output undefined where input is defined": ("(f2 a)", "(d2 a)", [], "equal", 80),
+    # an after evaluated where before is undefined would reach mystery
+    "after only where before is defined": ("(d2 a)", "(if (evenp a) (f2 a) (mystery a))", [], "iff", 80),
+    "wrapper fails or raises": ("(cons a b)", "(cons (rp 'evenp a) (rp 'd2 b))", [], "equal", 80),
+    "value change and wrapper failure on one draw": ("a", "(rp 'consp (binary-+ a '0))", [], "equal", 40),
+    # earlier draws fail a wrapper; a later one reaches mystery and skips all
+    "unknown function after earlier failures": (
+        "a", "(if (equal a '5) (mystery a) (rp 'evenp a))", ["(integerp a)"], "iff", 200),
+    "unknown function in a fact": ("a", "a", ["(if (equal a '3) (mystery a) 't)"], "iff", 200),
+    "unknown function everywhere": ("(iassoc a b)", "a", [], "iff", 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+def test_sampling_oracles_match_one_environment_at_a_time(reg, case):
+    before, after, ctx, mode, n = SAMPLING_CASES[case]
+    before, after, ctx = P(before), P(after), [P(f) for f in ctx]
+    for seed in range(3):
+        want = _reference_check_run(before, after, ctx, n, reg, mode, seed)
+        assert check_run(before, after, ctx, n, reg, mode=mode, seed=seed) == want
+        judge = _reference_judge(before, after, mode, reg)
+        assert check_preservation(before, after, mode, n, reg, seed=seed) == _reference_sample(
+            (before, after), (), n, reg, seed, judge)
+
+
+def test_sampling_cases_show_their_traits(reg):
+    def run(case, seed=0):
+        before, after, ctx, mode, n = SAMPLING_CASES[case]
+        return check_run(P(before), P(after), [P(f) for f in ctx], n, reg, mode=mode, seed=seed)
+
+    assert run("unsatisfiable ctx starves").starved
+    skipped = run("input undefined on odd integers is skipped")
+    assert 0 < skipped.skipped < 80 and skipped.ok
+    ordered = run("after only where before is defined")
+    assert 0 < ordered.skipped < 80 and ordered.ok
+    late = run("unknown function after earlier failures")
+    assert late.skipped == 200 and late.failures and not late.ok
+    assert run("unknown function everywhere").skipped == 20
+
+
+RULE_TEXTS = [
+    "(def-rp-rule comm (equal (binary-+ x y) (binary-+ y x)))",
+    "(def-rp-rule wrong (equal (binary-+ x y) (binary-+ x x)))",
+    "(def-rp-rule halves (implies (and (evenp x) (integerp x)) (equal (d2 x) (f2 x))))",
+    "(def-rp-rule unguarded (equal (f2 x) (d2 x)))",
+    "(def-rp-rule unknown (equal (iassoc x y) (iassoc x y)))",
+    "(def-rp-rule truthy (iff (consp (cons x y)) 't))",
+    "(def-rp-rule ordered (implies (syntaxp (not (lexorder y x))) (equal (binary-+ y x) (binary-+ x y))))",
+]
+
+
+@pytest.mark.parametrize("text", RULE_TEXTS)
+def test_rule_soundness_matches_one_environment_at_a_time(reg, text):
+    rule = next(iter(build_ruleset(parse_rule_file(text)).rules.values()))
+    hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
+    label = f"rule {rule.name}: "
+    judge = _reference_judge(rule.lhs, rule.rhs, rule.equiv, reg, label)
+    for seed in range(3):
+        want = _reference_sample((rule.lhs, rule.rhs), hyps, 150, reg, seed, judge)
+        assert sample_rule_soundness(rule, reg, 150, seed=seed) == want
+
+
+def test_check_run_matches_one_environment_at_a_time_on_random_terms(reg):
+    rng = random.Random(7)
+    for i in range(30):
+        before = random_term(rng, 3)
+        after = random_term(rng, 3)
+        if rng.random() < 0.5:
+            after = App("rp", (Quote(rng.choice(("integerp", "evenp", "consp", "d2"))), after))
+        ctx = [random_term(rng, 2)] if rng.random() < 0.3 else []
+        mode = rng.choice(("iff", "equal"))
+        want = _reference_check_run(before, after, ctx, 30, reg, mode, i)
+        assert check_run(before, after, ctx, 30, reg, mode=mode, seed=i) == want
