@@ -651,56 +651,132 @@ def contains_head(t, head):
 # reader
 
 
-# One token per match: whitespace and comments (no group), punctuation
-# (group 1; a dot counts only when a delimiter or the end follows it), or an
-# atom (group 2), the longest run of non-delimiters.
-_TOKEN = re.compile(r"[ \t\r\n]+|;[^\n]*|(\.(?=[ \t\r\n()';]|\Z)|[()'])|([^ \t\r\n()';]+)")
+# One token per match, after any whitespace and comments: punctuation
+# (group 1; a dot counts only when a delimiter or the end follows it), an
+# atom (group 2), the longest run of non-delimiters, or the end of the text
+# (no group).  The skipped run cannot end where neither a token nor the end
+# starts, so a match never backtracks into it.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(?:(\.(?=[ \t\r\n()';]|\Z)|[()'])|([^ \t\r\n()';]+)|\Z)")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_INT_START = frozenset("+-0123456789")
 
 
 def _parse_error(text, pos, message):
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _read(text):
-    """Yield (value, end) for each top-level s-expression in text.
+# The mode of an open '(' form on the reader's stack (see _read).
+_VALUE = 0  # a list value, read where a value is wanted
+_HEAD = 1  # a term whose head is yet to come
+_ARGS = 2  # a plain application: a symbol head, then argument terms
+_FORM = 3  # any other term, read whole as a value for term_from_value
+# A "'" frame read where a term is wanted; any other "'" or "." frame is _VALUE.
+_QUOTE_TERM = 4
 
-    Open forms wait on an explicit stack as [opener, items]: '(' collects
-    list items, "'" awaits its datum, '.' awaits a dotted tail and then the
-    list's ')'.  Nesting depth costs no recursion.
+# Heads whose forms term_from_value converts, so that it alone checks them:
+# its special forms, and heads that are not plain symbols.
+_FORM_HEADS = frozenset({NIL, T, "lambda", "quote", "let", "let*", "falist"})
+
+
+def _read(text, terms):
+    """Yield (x, end) for each top-level s-expression in text: its value, or
+    its term when terms is true.
+
+    Open forms wait on an explicit stack as [opener, items, mode, start]:
+    '(' collects list items, "'" awaits its datum, '.' awaits a dotted tail
+    and then the list's ')'.  Nesting depth costs no recursion.
+
+    Where a term is wanted, a '(' form starts in _HEAD mode and its head,
+    read as a value, decides the rest.  A plain symbol head makes it _ARGS:
+    its items are read as terms and its ')' builds its term at once, with
+    the surface forms expanded.  Any other head makes it _FORM: it is read
+    as a value and term_from_value converts it at its ')'.  A quotation's
+    datum is always a value.  Equal atoms read as terms share one node.  A
+    term-shape error is reported at its form's '('.
     """
     stack = []
+    atoms = {}
     for m in _TOKEN.finditer(text):
         if not m.lastindex:
-            continue
+            break  # the end of the text
         tok, word = m.groups()
-        opener, items = stack[-1] if stack else (None, None)
-        if opener == "." and items and tok != ")":
-            raise _parse_error(text, m.start(), "expected ) after dotted tail")
-        if word is not None:
-            value = int(word) if _INT_RE.match(word) else word
-        elif tok == ")":
-            if not (opener == "(" or (opener == "." and items)):
-                raise _parse_error(text, m.start(), "unexpected )")
-            value = stack.pop()[1][0] if opener == "." else NIL
-            for item in reversed(stack.pop()[1]):
-                value = Cons(item, value)
-        else:
-            if tok == "." and opener != "(":
-                raise _parse_error(text, m.start(), "unexpected .")
-            if tok == "." and not items:
-                raise _parse_error(text, m.start(), "misplaced .")
-            stack.append([tok, []])
-            continue
-        while stack and stack[-1][0] == "'":
-            stack.pop()
-            value = Cons("quote", Cons(value, NIL))
         if stack:
-            stack[-1][1].append(value)
+            frame = stack[-1]
+            opener = frame[0]
+            want = frame[2] == _ARGS
+            if opener == "." and frame[1] and tok != ")":
+                raise _parse_error(text, m.start(m.lastindex), "expected ) after dotted tail")
         else:
-            yield value, m.end()
+            opener = None
+            want = terms
+        if word is not None:
+            if want:
+                x = atoms.get(word)
+                if x is None:
+                    if _INT_RE.match(word):
+                        x = Quote(int(word))
+                    elif word == NIL:
+                        x = NIL_TERM
+                    elif word == T:
+                        x = T_TERM
+                    else:
+                        x = Var(word)
+                    atoms[word] = x
+            elif word[0] in _INT_START and _INT_RE.match(word):
+                x = int(word)
+            else:
+                x = word
+        elif tok == ")":
+            if opener == "(":
+                tail = NIL
+            elif opener == "." and frame[1]:
+                tail = stack.pop()[1][0]
+            else:
+                raise _parse_error(text, m.start(1), "unexpected )")
+            _, items, mode, start = stack.pop()
+            try:
+                if mode == _ARGS:
+                    if tail != NIL:
+                        items.extend(term_from_value(v) for v in list_items(tail))
+                    x = _plain_term(items[0], items[1:], False)
+                elif mode == _HEAD:
+                    x = NIL_TERM
+                else:
+                    x = tail
+                    for item in reversed(items):
+                        x = Cons(item, x)
+                    if mode == _FORM:
+                        x = term_from_value(x)
+            except ParseError as e:
+                raise _parse_error(text, start, e.args[0]) from None
+        else:
+            if tok == "(":
+                mode = _HEAD if want else _VALUE
+            elif tok == "'":
+                mode = _QUOTE_TERM if want else _VALUE
+            elif opener != "(":
+                raise _parse_error(text, m.start(1), "unexpected .")
+            elif not frame[1]:
+                raise _parse_error(text, m.start(1), "misplaced .")
+            else:
+                mode = _VALUE
+            stack.append([tok, [], mode, m.start(1)])
+            continue
+        # x is finished: hand it to the form awaiting it
+        while stack:
+            frame = stack[-1]
+            if frame[0] == "'":
+                stack.pop()
+                x = Quote(x) if frame[2] == _QUOTE_TERM else Cons("quote", Cons(x, NIL))
+                continue
+            if frame[2] == _HEAD:
+                frame[2] = _ARGS if x.__class__ is str and x not in _FORM_HEADS else _FORM
+            frame[1].append(x)
+            break
+        else:
+            yield x, m.end()
     if stack:
-        opener, items = stack[-1]
+        opener, items = stack[-1][:2]
         if opener == "(":
             message = "unterminated list"
         elif items:
@@ -710,18 +786,22 @@ def _read(text):
         raise _parse_error(text, len(text), message)
 
 
-def read_value(text):
-    """Read exactly one s-expression from text into the value domain."""
-    for value, end in _read(text):
-        for m in _TOKEN.finditer(text, end):
-            if m.lastindex:
-                raise _parse_error(text, m.start(), "trailing input after s-expression")
-        return value
+def _read_one(text, terms):
+    for x, end in _read(text, terms):
+        m = _TOKEN.match(text, end)
+        if m.lastindex:
+            raise _parse_error(text, m.start(m.lastindex), "trailing input after s-expression")
+        return x
     raise _parse_error(text, len(text), "empty input")
 
 
+def read_value(text):
+    """Read exactly one s-expression from text into the value domain."""
+    return _read_one(text, False)
+
+
 def read_values(text):
-    return [value for value, _end in _read(text)]
+    return [value for value, _end in _read(text, False)]
 
 
 def list_items(v):
@@ -739,6 +819,7 @@ def list_items(v):
 # value -> term
 
 _EXPANSIONS = {"+": "binary-+", "logand": "binary-logand"}
+_SURFACE_HEADS = frozenset({*_EXPANSIONS, "-", "and", "or", "implies"})
 
 
 def _fold_binary(head, args):
@@ -822,8 +903,10 @@ def _term_of_form(v, keep):
             raise ParseError("lambda applied to the wrong number of arguments")
         return LambdaApp(params, body, args)
 
-    if not isinstance(head, str) or head == NIL:
+    if not isinstance(head, str) or head in (NIL, T):
         raise ParseError("application head must be a symbol")
+    if head == "lambda":
+        raise ParseError("lambda must be applied, as in ((lambda (x) body) arg)")
 
     if head in ("let", "let*"):
         parts = list_items(v.cdr)
@@ -851,22 +934,6 @@ def _term_of_form(v, keep):
         step = _term_step(a, keep)
         args.append((yield step) if step.__class__ is GeneratorType else step)
 
-    if head in _EXPANSIONS:
-        if len(args) < 2:
-            raise ParseError(f"{head} expects at least 2 arguments")
-        return _fold_binary(_EXPANSIONS[head], args)
-    if head == "-":
-        if len(args) == 1:
-            return App("unary--", args)
-        if len(args) == 2:
-            return App("binary-+", (args[0], App("unary--", (args[1],))))
-        raise ParseError("- expects 1 or 2 arguments")
-    if not keep and head in ("and", "or", "implies"):
-        out = expand_boolean_op(head, args)
-        if out is None:
-            raise ParseError("implies expects 2 arguments")
-        return out
-
     if head == "falist":
         if len(args) != 2:
             raise ParseError("falist expects 2 arguments")
@@ -882,7 +949,31 @@ def _term_of_form(v, keep):
             shadow_q = Quote(FalistShadow(entries))
         return App("falist", (shadow_q, args[1]))
 
-    return App(head, args)
+    return _plain_term(head, args, keep)
+
+
+def _plain_term(head, args, keep):
+    """The term of the application of a symbol head to a list of argument
+    terms, with the surface forms +, -, logand, and, or, implies expanded
+    (and, or and implies only when keep is false)."""
+    if head not in _SURFACE_HEADS:
+        return App(head, args)
+    if head in _EXPANSIONS:
+        if len(args) < 2:
+            raise ParseError(f"{head} expects at least 2 arguments")
+        return _fold_binary(_EXPANSIONS[head], args)
+    if head == "-":
+        if len(args) == 1:
+            return App("unary--", args)
+        if len(args) == 2:
+            return App("binary-+", (args[0], App("unary--", (args[1],))))
+        raise ParseError("- expects 1 or 2 arguments")
+    if keep:
+        return App(head, args)
+    out = expand_boolean_op(head, args)
+    if out is None:
+        raise ParseError("implies expects 2 arguments")
+    return out
 
 
 def term_to_value(t):
@@ -911,7 +1002,10 @@ def _value_of_term(t):
 
 
 def parse_term(text):
-    return term_from_value(read_value(text))
+    """Read exactly one term from text, in one pass: a plain application's
+    term is built as its ')' is read, with no value in between.  It equals
+    term_from_value(read_value(text))."""
+    return _read_one(text, True)
 
 
 # ---------------------------------------------------------------------------

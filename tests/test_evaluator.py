@@ -6,6 +6,8 @@ term-order predicate ranks atoms before pairs.  Frozen cases below were
 computed by hand from those clauses, then asserted against the code.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,25 @@ def test_halving_heads(ev):
         ev("(d2 '7)")
     # round-to-even composes as addition with neg-m2
     assert ev("(binary-+ '7 (neg-m2 '7))") == ev("(round-to-even '7)")
+
+
+def test_inlined_coercions_act_as_ifix(reg):
+    # the hot arithmetic entries inline ifix; each must equal its ifix form
+    # on integers of both signs, big ones, and every kind of non-integer
+    reference = {
+        "evenp": lambda v: to_boolean(ifix(v) % 2 == 0),
+        "binary-+": lambda a, b: ifix(a) + ifix(b),
+        "unary--": lambda a: -ifix(a),
+        "binary-logand": lambda a, b: ifix(a) & ifix(b),
+        "4vec-bitand": lambda a, b: ifix(a) & ifix(b),
+        "f2": lambda x: ifix(x) // 2,
+        "neg-m2": lambda x: -(ifix(x) % 2),
+        "round-to-even": lambda x: ifix(x) - (ifix(x) % 2),
+    }
+    values = [-7, -2, -1, 0, 1, 6, 2**70 + 1, -(2**70) - 1, "nil", "t", "foo", Cons(3, "nil"), Cons(1, 2)]
+    for name, ref in reference.items():
+        for args in itertools.product(values, repeat=reg.arity(name)):
+            assert reg.call(name, list(args)) == ref(*args), (name, args)
 
 
 def test_structural_heads(ev):

@@ -4,6 +4,7 @@ import copy
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -193,6 +194,190 @@ def test_falist_literal_builds_shadow():
     assert isinstance(shadow, FalistShadow)
     assert shadow.index["k1"] == Var("v1")
     assert shadow.index["k2"] == Quote(3)
+
+
+def test_bare_lambda_and_t_heads_are_rejected():
+    for text, message in (
+        ("(lambda (x) x)", "lambda must be applied, as in ((lambda (x) body) arg) (line 1, column 1)"),
+        ("(f (lambda (x) x))", "lambda must be applied, as in ((lambda (x) body) arg) (line 1, column 4)"),
+        ("(t x)", "application head must be a symbol (line 1, column 1)"),
+        ("(nil x)", "application head must be a symbol (line 1, column 1)"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert str(e.value) == message, text
+        with pytest.raises(ParseError):
+            term_from_value(read_value(text))
+    assert parse_term("((lambda (x) x) a)") == LambdaApp(("x",), Var("x"), (Var("a"),))
+
+
+def test_term_shape_errors_report_their_forms_position():
+    cases = [
+        ("(f\n  (+ a))", "+ expects at least 2 arguments (line 2, column 3)"),
+        ("(f a\n (g (- a b c)))", "- expects 1 or 2 arguments (line 2, column 5)"),
+        ("(f (quote a b))", "quote expects exactly one argument (line 1, column 4)"),
+        ("(f (1 a))", "application head must be a symbol (line 1, column 4)"),
+        ("(f ((g) a))", "application head must be a symbol or lambda (line 1, column 4)"),
+        ("\n(f a . b)", "expected a proper list (line 2, column 1)"),
+        ("(f (let ((x (implies a))) x))", "implies expects 2 arguments (line 1, column 4)"),
+        ("((lambda (x) x))", "lambda applied to the wrong number of arguments (line 1, column 1)"),
+        ("(falist 'nil)", "falist expects 2 arguments (line 1, column 1)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert str(e.value) == message, text
+
+
+def test_plain_applications_read_without_values(monkeypatch):
+    # a plain application's term is built as its ')' is read: no Cons, no
+    # read_value, no term_from_value
+    import termrw.terms as terms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the one-pass reader fell back to values")
+
+    for name in ("Cons", "read_value", "term_from_value", "trampoline"):
+        monkeypatch.setattr(terms, name, forbidden)
+    t = parse_term("(f (+ a 1 -2) (- b) (and p (or q r) (implies p q)) 'k nil t)")
+    monkeypatch.undo()
+    assert format_term(t) == (
+        "(f (binary-+ a (binary-+ '1 '-2)) (unary-- b) (if p (if (if q q r) (if p (if q 't 'nil) 't) 'nil) 'nil)"
+        " 'k 'nil 't)"
+    )
+
+
+# Texts for the one-pass reader's property test, built from text pieces so
+# that the reader sees signed integers, comments and newlines between tokens.
+_gaps = st.sampled_from((" ", "  ", "\n", " ; note (x '.\n", "\t"))
+_syms = st.sampled_from(("a", "b", "x1", "foo-bar", "k"))
+_ints = st.integers(-40, 40).map(str) | st.integers(0, 9).map(lambda n: f"+{n}")
+
+
+def _form(gap, items):
+    return "(" + gap.join(items) + gap + ")"
+
+
+_data = st.recursive(
+    _ints | _syms | st.sampled_from(("nil", "t", "quote", "lambda", "()")),
+    lambda kids: st.one_of(
+        st.builds(_form, _gaps, st.lists(kids, max_size=3)),
+        st.builds(lambda gap, a, d: _form(gap, [a, ".", d]), _gaps, kids, kids),
+        kids.map(lambda d: "'" + d),
+    ),
+    max_leaves=6,
+)
+
+
+def _lambda_app(gap, params, body, args):
+    return _form(gap, [_form(gap, ["lambda", _form(gap, params), body]), *args[: len(params)]])
+
+
+def _let(gap, head, names, exprs, body):
+    return _form(gap, [head, _form(gap, [_form(gap, [n, e]) for n, e in zip(names, exprs)]), body])
+
+
+def _term_forms(kids):
+    args = st.lists(kids, max_size=3)
+    return st.one_of(
+        st.builds(lambda gap, h, xs: _form(gap, [h, *xs]), _gaps, st.sampled_from(("f", "g", "if", "rp", "hons-acons")), args),
+        st.builds(lambda gap, h, xs: _form(gap, [h, *xs]), _gaps, st.sampled_from(("+", "logand")),
+                  st.lists(kids, min_size=2, max_size=4)),
+        st.builds(lambda gap, xs: _form(gap, ["-", *xs]), _gaps, st.lists(kids, min_size=1, max_size=2)),
+        st.builds(lambda gap, h, xs: _form(gap, [h, *xs]), _gaps, st.sampled_from(("and", "or")), args),
+        st.builds(lambda gap, xs: _form(gap, ["implies", *xs]), _gaps, st.lists(kids, min_size=2, max_size=2)),
+        st.builds(_let, _gaps, st.sampled_from(("let", "let*")), st.lists(_syms, max_size=2), st.lists(kids, min_size=2, max_size=2), kids),
+        st.builds(_lambda_app, _gaps, st.lists(_syms, max_size=2, unique=True), kids, st.lists(kids, min_size=2, max_size=2)),
+        st.builds(lambda gap, ks, vs, e: _form(gap, ["falist", "'" + _form(gap, [_form(gap, [k, ".", v]) for k, v in zip(ks, vs)]), e]),
+                  _gaps, st.lists(_ints | _syms, max_size=2), st.lists(kids, min_size=2, max_size=2), kids),
+        st.builds(lambda gap, d: _form(gap, ["quote", d]), _gaps, _data),
+        # a dotted tail continues the argument list
+        st.builds(lambda gap, x, xs: _form(gap, ["f", x, ".", _form(gap, xs)]), _gaps, kids, args),
+    )
+
+
+_valid_texts = st.recursive(_ints | _syms | st.sampled_from(("nil", "t")) | _data.map(lambda d: "'" + d), _term_forms, max_leaves=10)
+
+# Forms with exactly one term-shape fault, over valid parts.
+_faulty_forms = st.one_of(
+    st.builds(lambda h, x: f"({h} {x})", st.sampled_from(("nil", "t", "7", "-1", "'f", "(g a)")), _valid_texts),
+    st.builds(lambda x: f"(lambda (a) {x})", _valid_texts),
+    st.builds(lambda h, xs: _form(" ", [h, *xs]), st.sampled_from(("+", "logand")), st.lists(_valid_texts, max_size=1)),
+    st.builds(lambda xs: _form(" ", ["-", *xs]), st.lists(_valid_texts, min_size=3, max_size=4) | st.just([])),
+    st.builds(lambda xs: _form(" ", ["implies", *xs]), st.lists(_valid_texts, max_size=1) | st.lists(_valid_texts, min_size=3, max_size=3)),
+    st.builds(lambda xs: _form(" ", ["quote", *xs]), st.lists(_data, max_size=0) | st.lists(_data, min_size=2, max_size=2)),
+    st.builds(lambda x: f"(let ((a {x})))", _valid_texts),
+    st.builds(lambda b, x: f"(let* {b} {x})", st.sampled_from(("(a)", "((a))", "((1 b))", "((a b c))", "a")), _valid_texts),
+    st.builds(lambda x: f"((lambda (a) {x}))", _valid_texts),
+    st.builds(lambda p, x: f"((lambda {p} {x}) b)", st.sampled_from(("(nil)", "(1)", "a", "(a . b)")), _valid_texts),
+    st.builds(lambda x: f"((lambda (a)) {x})", _valid_texts),
+    st.builds(lambda s, x: f"(falist {s} {x})", st.sampled_from(("a", "'(k)", "'((k . a) . b)")), _valid_texts),
+    st.builds(lambda x: f"(falist {x})", _valid_texts),
+    st.builds(lambda x: f"(f {x} . b)", _valid_texts),
+)
+
+
+def _in_context(kids):
+    # a faulty part inside a valid term, in argument, binding, body or tail position
+    return st.one_of(
+        st.builds(lambda a, bad, b: f"(f {a} {bad} {b})", _valid_texts, kids, _valid_texts),
+        st.builds(lambda bad, b: f"(+ {bad} {b})", kids, _valid_texts),
+        st.builds(lambda bad, b: f"(let ((a {bad})) {b})", kids, _valid_texts),
+        st.builds(lambda a, bad: f"(let* ((a {a})) {bad})", _valid_texts, kids),
+        st.builds(lambda bad, b: f"((lambda (a) {bad}) {b})", kids, _valid_texts),
+        st.builds(lambda a, bad: f"((lambda (a) {a}) {bad})", _valid_texts, kids),
+        st.builds(lambda bad: f"(falist '((k . {bad})) 'nil)", kids),
+        st.builds(lambda a, bad: f"(g {a} . ({bad}))", _valid_texts, kids),
+    )
+
+
+_one_term_fault = st.recursive(_faulty_forms, _in_context, max_leaves=3)
+
+
+@st.composite
+def _one_syntax_fault(draw):
+    """A valid text with one fault of syntax: cut short, given trailing
+    input, or with a dot inserted at a gap between tokens."""
+    text = draw(_valid_texts)
+    how = draw(st.sampled_from(("cut", "trail", "dot")))
+    if how == "cut":
+        return text[: draw(st.integers(0, len(text)))]
+    if how == "trail":
+        return text + draw(st.sampled_from((" )", " x", " (", " '", " .")))
+    gaps = [i for i, c in enumerate(text) if c in " \n"] + [1] * (text[:1] == "(")
+    i = draw(st.sampled_from(gaps)) if gaps else 0
+    return text[:i] + " . " + text[i:]
+
+
+def _reading(read, text):
+    """The term read from text, or the message of the ParseError raised,
+    without its position."""
+    try:
+        return read(text)
+    except ParseError as e:
+        return re.sub(r" \(line \d+, column \d+\)\Z", "", str(e))
+
+
+def _two_pass(text):
+    return term_from_value(read_value(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_texts)
+def test_one_pass_reader_agrees_on_valid_texts(text):
+    t = parse_term(text)
+    assert t == _two_pass(text) and isinstance(t, (Var, Quote, App, LambdaApp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_term_fault | _one_syntax_fault())
+def test_one_pass_reader_reports_a_single_fault_as_the_two_pass_reader(text):
+    one = _reading(parse_term, text)
+    assert one == _reading(_two_pass, text)
+    if isinstance(one, str):
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert e.value.line is not None
 
 
 def test_term_to_value_round_trip():
