@@ -204,7 +204,7 @@ def cmd_bench_tree(args):
                 wall = dt if wall is None else min(wall, dt)
             print(
                 f"# tree depth={depth} mode={mode} nodes={nodes} wall_ms={wall*1000:.1f}"
-                f" us_per_node={wall*1e6/nodes:.2f}",
+                f" us_per_node={wall*1e6/nodes:.2f} us_per_call={wall*1e6/max(rw.stats.rewrite_calls, 1):.2f}",
                 file=sys.stderr,
             )
             row = {"param": depth, "mode": mode, **_stats_cells(rw.stats, wall)}

@@ -6,6 +6,14 @@ the context through if), try the executable counterpart, fast-alist
 interception, meta rules, then rewrite rules; rule and meta hits recurse
 with a dont-rw derived from the produced template so freshly substituted
 bindings are not rewritten again.
+
+Steps are plain calls wherever no sub-rewrite waits.  An argument the loop
+would return unchanged (stopped by dont-rw, quoted, or a variable outside
+an iff position) is counted as the rewrite call it stands for and not made,
+so only a node with an argument to rewrite, an if, the hypotheses of a
+matched rule, and a meta or rule result to rewrite take a generator.  A
+hypothesis (p x) whose binding for x carries an rp 'p wrapper is relieved
+at the binding, with no instance built or rewritten.
 """
 
 from __future__ import annotations
@@ -28,13 +36,13 @@ from .terms import (
     Var,
     beta_reduce,
     flat_path,
-    is_rp,
     mk_rp,
     node_count,
     strip_rp,
     strip_rp_deep,
     term_to_value,
     terms_equal,
+    terms_equal_mod_rp,
     trampoline,
     truthy,
     values_equal,
@@ -254,7 +262,7 @@ def _unify(pattern, t, bindings, extracted):
             old = bindings.get(pattern.name)
             if old is None:
                 bindings[pattern.name] = t
-            elif not terms_equal(strip_rp_deep(old), strip_rp_deep(t)):
+            elif not terms_equal_mod_rp(old, t):
                 return False
         else:
             while t.__class__ is App and t.head == "rp" and len(t.args) == 2:
@@ -375,6 +383,12 @@ def syntaxp_eval(pred, bindings):
     return truthy(trampoline(ev(pred)))
 
 
+def _unchanged_by_rw(t, dw, iff):
+    """Whether _rw returns t itself, whatever the context: t is stopped by
+    dw, a quote, or a variable outside an iff position."""
+    return (dw.__class__ is Leaf and dw.stop) or t.__class__ is Quote or (t.__class__ is Var and not iff)
+
+
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
 
 
@@ -413,9 +427,9 @@ class Rewriter:
     # -- the step loop ------------------------------------------------------
     #
     # The loop runs in trampolined style (see terms.trampoline), so a term's
-    # depth costs no Python stack.  _rw is a plain function that returns the
-    # finished term wherever a call needs no sub-rewrite, and otherwise the
-    # generator of steps 4-7, which yields each sub-rewrite it makes.
+    # depth costs no Python stack.  _rw and its steps return the finished
+    # term wherever no sub-rewrite waits, and otherwise a generator that
+    # yields each sub-rewrite it makes.
 
     def _rw(self, t, dw, ctx, iff, path):
         stats = self.stats
@@ -425,18 +439,19 @@ class Rewriter:
         stats.rewrite_calls += 1
 
         # (1) dont-rw stop
-        if isinstance(dw, Leaf) and dw.stop:
+        if dw.__class__ is Leaf and dw.stop:
             return t
-        if isinstance(t, Quote):
+        cls = t.__class__
+        if cls is Quote:
             return t
-        if isinstance(t, Var):
+        if cls is Var:
             if iff:
                 r = self._reduce_by_context(t, ctx)
                 if r is not None:
                     return r
             return t
-        if isinstance(t, LambdaApp):
-            return self._rw_beta_reduced(t, ctx, iff, path)
+        if cls is LambdaApp:
+            return self._rw_step(beta_reduce(t), OPEN, ctx, iff, path)
 
         # (2) iff-context reduction on the whole (possibly wrapped) term
         if iff:
@@ -447,14 +462,13 @@ class Rewriter:
         # peel rp wrappers; the core is processed and the props re-applied
         props = []
         core = t
-        while is_rp(core):
+        while core.__class__ is App and core.head == "rp" and len(core.args) == 2:
             props.append(core.args[0].value)
             dw = arg_dont_rws(dw, 2)[1] if isinstance(dw, Node) else dw
             core = core.args[1]
-        if isinstance(core, Quote):
+        if core.__class__ is Quote or core.__class__ is Var:
             return t
-        if isinstance(core, Var):
-            return t
+        peeled = len(props)
 
         # (3) strengthen from context facts about this very term
         if self.cfg.side_conditions_enabled and ctx._props and core.head not in ("if", "falist"):
@@ -463,24 +477,46 @@ class Rewriter:
                 if p not in props:
                     props.append(p)
 
-        if core.head == "falist":
-            return self._rewrap(props, core)
-
         # a wrapper's property is about its payload's value, so a core
         # under wrappers must keep its value, not just its truth value
-        if core.head == "if" and len(core.args) == 3:
+        if core.head == "falist":
+            steps = core
+        elif core.head == "if" and len(core.args) == 3:
             steps = self._rewrite_if(core, dw, ctx, iff and not props, path)
         else:
             steps = self._steps_4_to_7(core, dw, ctx, iff and not props, props, path)
-        return self._rewrapped(props, steps) if props else steps
+        if not props:
+            return steps
+        # t is the rewrapped term itself when the core comes back unchanged,
+        # unless step (3) added a property or t names one twice
+        keep = t if len(props) == peeled == len(set(props)) else None
+        if steps.__class__ is GeneratorType:
+            return self._rewrapped(props, steps, keep)
+        return self._rewrap(props, steps, keep)
 
-    def _rw_beta_reduced(self, t, ctx, iff, path):
-        return (yield self._rw(beta_reduce(t), OPEN, ctx, iff, path))
+    def _rw_step(self, t, dw, ctx, iff, path):
+        """What _rw(t, dw, ctx, iff, path) gives, for a caller that is not a
+        generator: t itself, counted, when _rw would return it unchanged,
+        else a generator that makes the call."""
+        if _unchanged_by_rw(t, dw, iff):
+            self._count_calls(1)
+            return t
+        return self._rw_hop(t, dw, ctx, iff, path)
 
-    def _rewrapped(self, props, steps):
-        return self._rewrap(props, (yield steps))
+    def _rw_hop(self, t, dw, ctx, iff, path):
+        # the trampoline, not the caller's stack, makes this call, as a tail
+        # call: the unreachable yield makes this a generator
+        return self._rw(t, dw, ctx, iff, path)
+        yield
 
-    def _rewrap(self, props, core):
+    def _rewrapped(self, props, steps, keep):
+        return self._rewrap(props, (yield steps), keep)
+
+    def _rewrap(self, props, core, keep):
+        """core under the wrappers props names, outermost first: keep itself
+        when it is that term already."""
+        if keep is not None and strip_rp(keep) is core:
+            return keep
         existing = wrapper_props(core)
         for p in reversed(props):
             if p not in existing:
@@ -489,29 +525,50 @@ class Rewriter:
                 self.stats.nodes_created += 2
         return core
 
-    def _steps_4_to_7(self, core, dw, ctx, iff, outer_props, path):
+    def _count_calls(self, n):
+        """Count n rewrite calls that would return their term unchanged, as
+        _rw would count them; False when the step limit stops one."""
         stats = self.stats
-        head = core.head
+        room = self.cfg.step_limit - stats.rewrite_calls
+        if n <= room:
+            stats.rewrite_calls += n
+            return True
+        stats.step_limit_hit = True
+        stats.rewrite_calls += max(room, 0)
+        return False
 
-        # (4) argument rewriting
-        dws = arg_dont_rws(dw, len(core.args))
-        if head == "hide":
-            dws = (STOP,) * len(core.args)
-        arg_iff = iff if head == "not" and len(core.args) == 1 else False
+    def _steps_4_to_7(self, core, dw, ctx, iff, outer_props, path):
+        """(4) argument rewriting, then steps 5-7.  An argument that _rw
+        would return unchanged is only counted, so only a node with an
+        argument to rewrite takes a generator."""
+        dws = (STOP,) * len(core.args) if core.head == "hide" else arg_dont_rws(dw, len(core.args))
+        arg_iff = iff if core.head == "not" and len(core.args) == 1 else False
+        for a, adw in zip(core.args, dws):
+            if not _unchanged_by_rw(a, adw, arg_iff):
+                return self._args_then_5_to_7(core, dws, ctx, iff, arg_iff, outer_props, path)
+        self._count_calls(len(core.args))
+        return self._steps_5_to_7(core, ctx, iff, outer_props, path)
+
+    def _args_then_5_to_7(self, core, dws, ctx, iff, arg_iff, outer_props, path):
         args = []
         for i, (a, adw) in enumerate(zip(core.args, dws), 1):
             step = self._rw(a, adw, ctx, arg_iff, (path, i))
             args.append((yield step) if step.__class__ is GeneratorType else step)
         if any(a is not b for a, b in zip(args, core.args)):
-            core = App(head, args)
-            stats.nodes_created += 1
+            core = App(core.head, args)
+            self.stats.nodes_created += 1
             if iff:
                 r = self._reduce_by_context(core, ctx)
                 if r is not None:
                     return r
+        return self._steps_5_to_7(core, ctx, iff, outer_props, path)
+
+    def _steps_5_to_7(self, core, ctx, iff, outer_props, path):
+        stats = self.stats
+        head = core.head
 
         # (5) executable counterpart
-        if core.args and all(isinstance(a, Quote) for a in core.args) and self.registry.is_enabled(head):
+        if self.registry.is_enabled(head) and core.args and all(a.__class__ is Quote for a in core.args):
             try:
                 value = self.registry.call(head, [a.value for a in core.args])
                 stats.exec_evals += 1
@@ -529,18 +586,16 @@ class Rewriter:
                 return fa
 
         # (6) meta rules
-        m = self.metas.apply(core, stats, self.meta_diagnostics)
-        if m is not None:
-            new_t, new_dw = m
-            return self._rw(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
+        if self.metas.candidates(head):
+            m = self.metas.apply(core, stats, self.meta_diagnostics)
+            if m is not None:
+                new_t, new_dw = m
+                return self._rw_step(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
 
         # (7) rewrite rules
         candidates = self.ruleset.candidates(head)
         if candidates:
-            r = yield from self._apply_rules(candidates, core, ctx, iff, outer_props, path)
-            if r is not None:
-                new_t, new_dw = r
-                return self._rw(new_t, new_dw, ctx, iff, path)
+            return self._apply_rules(candidates, 0, core, ctx, iff, outer_props, path)
         return core
 
     # -- step helpers --------------------------------------------------------
@@ -601,9 +656,13 @@ class Rewriter:
             return _falist.fa_free(core.args[0])
         return None
 
-    def _apply_rules(self, candidates, core, ctx, iff, outer_props, path):
+    def _apply_rules(self, candidates, start, core, ctx, iff, outer_props, path):
+        """Step (7) from candidates[start]: the rewritten result of the first
+        rule that applies, or core.  A generator takes over once a rule with
+        hypotheses matches."""
         stats = self.stats
-        for rule in candidates:
+        for i in range(start, len(candidates)):
+            rule = candidates[i]
             if not rule.enabled:
                 continue
             if rule.equiv == "iff" and not iff:
@@ -614,22 +673,31 @@ class Rewriter:
                 continue
             bindings, extracted = m
             if rule.hyps:
-                hyp_ctx = ctx
-                if self.cfg.side_conditions_enabled:
-                    known = extracted + [(core, p) for p in outer_props]
-                    hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known])
-                if not (yield from self._relieve_hyps(rule, bindings, hyp_ctx, path)):
-                    stats.hyp_relief_failures += 1
-                    continue
-            stats.rule_applications += 1
-            template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
-            result = instantiate(template, bindings)
-            size, dw = self._template_info(template)
-            stats.nodes_created += size
-            if self.cfg.trace:
-                self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
-            return result, dw
-        return None
+                return self._apply_if_relieved(candidates, i, core, bindings, extracted, ctx, iff, outer_props, path)
+            return self._rw_step(*self._rule_result(rule, core, bindings, path), ctx, iff, path)
+        return core
+
+    def _apply_if_relieved(self, candidates, i, core, bindings, extracted, ctx, iff, outer_props, path):
+        """_apply_rules once candidates[i], a rule with hypotheses, matched."""
+        known = None
+        if self.cfg.side_conditions_enabled:
+            known = extracted + [(core, p) for p in outer_props]
+        if (yield from self._relieve_hyps(candidates[i], bindings, known, ctx, path)):
+            return self._rw(*self._rule_result(candidates[i], core, bindings, path), ctx, iff, path)
+        self.stats.hyp_relief_failures += 1
+        return self._apply_rules(candidates, i + 1, core, ctx, iff, outer_props, path)
+
+    def _rule_result(self, rule, core, bindings, path):
+        """The instantiated rhs of a rule that applies, and its dont-rw."""
+        stats = self.stats
+        stats.rule_applications += 1
+        template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
+        result = instantiate(template, bindings)
+        size, dw = self._template_info(template)
+        stats.nodes_created += size
+        if self.cfg.trace:
+            self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
+        return result, dw
 
     def _template_info(self, template):
         """(nodes an instantiation constructs, its dont-rw), computed once
@@ -640,9 +708,17 @@ class Rewriter:
             info = self._templates[template] = (_template_size(template), dont_rw_from_template(template))
         return info
 
-    def _relieve_hyps(self, rule, bindings, ctx, path):
+    def _relieve_hyps(self, rule, bindings, known, ctx, path):
+        """Whether rule's hypotheses hold.  known lists (term, prop) for the
+        wrappers around and inside the matched term, or is None with side
+        conditions off; the context gets them as facts only once a hyp is
+        rewritten."""
         if self._backchain >= self.cfg.backchain_depth:
             return False
+        # the rewrite of (p x) reduces it to 't by a wrapper 'p on x's
+        # binding, unless the context holds its negation: then to 'nil
+        by_wrapper = known is not None and not ctx._negs and all(p != "not" for _, p in known)
+        hyp_ctx = None
         self._backchain += 1
         try:
             for hyp in rule.hyps:
@@ -653,10 +729,23 @@ class Rewriter:
                     except SyntaxpError:
                         return False
                     continue
+                if (
+                    by_wrapper
+                    and hyp.__class__ is App
+                    and len(hyp.args) == 1
+                    and hyp.head != "not"
+                    and hyp.args[0].__class__ is Var
+                    and hyp.head in wrapper_props(bindings[hyp.args[0].name])
+                ):
+                    if not self._count_calls(1):
+                        return False
+                    continue
+                if hyp_ctx is None:
+                    hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
                 inst = instantiate(hyp, bindings)
                 size, dw = self._template_info(hyp)
                 self.stats.nodes_created += size
-                out = self._rw(inst, dw, ctx, True, path)
+                out = self._rw(inst, dw, hyp_ctx, True, path)
                 if out.__class__ is GeneratorType:
                     out = yield out
                 if not (isinstance(out, Quote) and truthy(out.value)):

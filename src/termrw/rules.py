@@ -18,6 +18,7 @@ from .terms import (
     SPECIAL_HEADS,
     App,
     LambdaApp,
+    ParseError,
     Quote,
     Term,
     Var,
@@ -220,6 +221,15 @@ def _as_name(v, form):
     return v
 
 
+def _formula(op, name, v):
+    """The term of a declaration's formula; a term-shape error in it names
+    the declaration."""
+    try:
+        return term_from_value(v, keep_boolean_ops=True)
+    except ParseError as exc:
+        raise ParseError(f"{op} {name}: {exc}") from exc
+
+
 def parse_rule_file(text):
     """Parse declarations in file order.
 
@@ -239,12 +249,12 @@ def parse_rule_file(text):
             if len(rest) != 2:
                 raise RuleFileError(f"{op} expects a name and a formula")
             name = _as_name(rest[0], op)
-            decls.extend(_rules_from_formula(name, term_from_value(rest[1], keep_boolean_ops=True)))
+            decls.extend(_rules_from_formula(name, _formula(op, name, rest[1])))
         elif op == "defthmd":
             if len(rest) != 2:
                 raise RuleFileError("defthmd expects a name and a formula")
             name = _as_name(rest[0], op)
-            formula = term_from_value(rest[1], keep_boolean_ops=True)
+            formula = _formula(op, name, rest[1])
             decl = LemmaDecl(name, _lemma_from_formula(name, formula), _rules_from_formula(name, formula))
             parked[name] = decl
             decls.append(decl)
@@ -256,14 +266,14 @@ def parse_rule_file(text):
                 decls.extend(parked[name].rules)
             elif len(rest) == 2:
                 name = _as_name(rest[0], op)
-                decls.extend(_rules_from_formula(name, term_from_value(rest[1], keep_boolean_ops=True)))
+                decls.extend(_rules_from_formula(name, _formula(op, name, rest[1])))
             else:
                 raise RuleFileError("add-rp-rule expects a name and optionally a formula")
         elif op == "defthm-lambda":
             if len(rest) != 2:
                 raise RuleFileError("defthm-lambda expects a name and a formula")
             name = _as_name(rest[0], op)
-            rules, _ = defthm_lambda(name, term_from_value(rest[1], keep_boolean_ops=True))
+            rules, _ = defthm_lambda(name, _formula(op, name, rest[1]))
             decls.extend(rules)
         elif op == "rp-attach-sc":
             if len(rest) != 2:

@@ -423,6 +423,41 @@ def terms_equal(a, b):
     return True
 
 
+def terms_equal_mod_rp(a, b):
+    """terms_equal(strip_rp_deep(a), strip_rp_deep(b)), in one walk that
+    looks through rp wrappers and builds neither stripped form."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        while x.__class__ is App and x.head == "rp" and len(x.args) == 2:
+            x = x.args[1]
+        while y.__class__ is App and y.head == "rp" and len(y.args) == 2:
+            y = y.args[1]
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is App:
+            if x.head != y.head or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif cls is Var:
+            if x.name != y.name:
+                return False
+        elif cls is Quote:
+            if not values_equal(x.value, y.value):
+                return False
+        elif cls is LambdaApp:
+            if x.params != y.params or len(x.args) != len(y.args):
+                return False
+            stack.append((x.body, y.body))
+            stack.extend(zip(x.args, y.args))
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # pickling and copying
 

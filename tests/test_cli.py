@@ -308,6 +308,12 @@ def test_bench_tree_csv_shape_and_counts(capsys):
     assert all(r["status"] == "ok" for r in rows)
     assert "# tree depth=3 mode=enabled" in captured.err
     assert captured.err.count("us_per_node=") == 2
+    # us_per_call is the same wall time as us_per_node, over the row's rewrite calls
+    notes = [dict(f.split("=") for f in line.split()[2:]) for line in captured.err.splitlines() if line.startswith("# tree")]
+    assert len(notes) == 2
+    for note, row in zip(notes, rows):
+        per_call = float(note["us_per_node"]) * int(note["nodes"]) / int(row["rewrite_calls"])
+        assert float(note["us_per_call"]) == pytest.approx(per_call, rel=0.01, abs=0.01)
 
 
 def test_bench_tree_rejects_bad_mode(capsys):

@@ -1,11 +1,14 @@
 """The rewriting engine: unification, contexts, dont-rw, the step loop."""
 
 import gc
+import hashlib
+import pathlib
 import weakref
 
 import pytest
 
-from termrw.meta import MetaRule, demo_metas
+from termrw.demo import TREE_RULES, TREE_RULES_BACKCHAIN, tree_conjecture
+from termrw.meta import MetaRegistry, MetaRule, demo_metas
 from termrw.rewriter import (
     OPEN,
     STOP,
@@ -305,6 +308,107 @@ def test_step_limit_flag():
     rw = rewriter("", step_limit=3)
     rw.rewrite(P("(f (g (h (k a))))"), iff=False)
     assert rw.stats.step_limit_hit
+
+
+# The work each shipped conjecture takes: (rewrite_calls, rule_attempts,
+# rule_applications, hyp_relief_failures, step_limit_hit).  How the loop
+# runs its steps (generators, wrapper relief at the binding, reused
+# wrappers) must not change any of them; only nodes_created may move.
+TREE_WORK = {
+    (6, True): (955, 128, 128, 0, False),
+    (6, False): (2627, 1090, 706, 0, False),
+    (8, True): (3835, 512, 512, 0, False),
+    (8, False): (13571, 5890, 3842, 0, False),
+}
+ROUND_TO_EVEN_WORK = {
+    "three-round-to-evens": (113, 146, 19, 50, False),
+    "four-round-to-evens": (182, 248, 31, 89, False),
+}
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+def _work(rw):
+    s = rw.stats
+    return (s.rewrite_calls, s.rule_attempts, s.rule_applications, s.hyp_relief_failures, s.step_limit_hit)
+
+
+def _tree_rewriter(side_conditions, **cfg):
+    rs = ruleset(TREE_RULES if side_conditions else TREE_RULES_BACKCHAIN)
+    return Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=side_conditions, **cfg))
+
+
+@pytest.mark.parametrize("depth,side_conditions", sorted(TREE_WORK))
+def test_tree_conjecture_work_is_pinned(depth, side_conditions):
+    rw = _tree_rewriter(side_conditions)
+    assert rw.proved(tree_conjecture(depth))[0]
+    assert _work(rw) == TREE_WORK[depth, side_conditions]
+
+
+def test_round_to_even_work_is_pinned():
+    rs = ruleset((DEMOS / "rules" / "arith.lsp").read_text())
+    paths = sorted((DEMOS / "conjectures").glob("*-round-to-evens.lsp"))
+    assert [p.name[: -len(".lsp")] for p in paths] == sorted(ROUND_TO_EVEN_WORK)
+    for path in paths:
+        rw = Rewriter(rs)
+        assert rw.proved(P(path.read_text()))[0]
+        assert _work(rw) == ROUND_TO_EVEN_WORK[path.name[: -len(".lsp")]]
+
+
+# Every step limit from 1 to the full call count on the depth-3 tree: the
+# limits where the output changes, and a digest of the distinct outputs in
+# order.  The sweep stops the loop at every kind of call, an argument only
+# counted and a hypothesis relieved by a wrapper at the binding included.
+STEP_LIMIT_SWEEP = {
+    True: (115, [1, 14, 30, 37, 52, 68, 75, 80], "5cf02bc485796086"),
+    False: (187, [1, 14, 30, 50, 68, 84, 104, 148], "207a82ad4924f562"),
+}
+
+
+@pytest.mark.parametrize("side_conditions", [True, False])
+def test_every_step_limit_stops_the_tree_where_it_did(side_conditions):
+    full, changes, digest = STEP_LIMIT_SWEEP[side_conditions]
+    conjecture = tree_conjecture(3)
+    outputs = []
+    for limit in range(1, full + 1):
+        rw = _tree_rewriter(side_conditions, step_limit=limit)
+        outputs.append(format_term(rw.proved(conjecture)[1]))
+        assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (limit, limit < full)
+    assert outputs[0] == format_term(conjecture)
+    assert outputs[-1] == "'t"
+    at = [i + 1 for i, out in enumerate(outputs) if i == 0 or out != outputs[i - 1]]
+    assert at == changes
+    distinct = "\n".join(outputs[i - 1] for i in at)
+    assert hashlib.sha256(distinct.encode()).hexdigest()[:16] == digest
+
+
+def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():
+    # (integerp x) is relieved by x's wrapper, unless the context holds its
+    # negation: the hyp's rewrite reduces it to 'nil first
+    rs = "(def-rp-rule r (implies (integerp x) (equal (f x) (g x))))"
+    t = P("(f (rp 'integerp a))")
+    assert rewriter(rs).rewrite(t, iff=False) == P("(g (rp 'integerp a))")
+    rw = rewriter(rs)
+    assert rw.rewrite(t, ctx=[P("(not (integerp a))")], iff=False) == t
+    assert rw.stats.hyp_relief_failures == 1
+    assert rewriter(rs, side_conditions_enabled=False).rewrite(t, iff=False) == t
+
+
+def test_variable_result_in_an_iff_position_is_still_reduced_by_the_context():
+    # a meta or beta-reduction result that is a variable is rewritten, not
+    # passed through, when it stands in an iff position
+    metas = MetaRegistry([MetaRule("first-arg", "p", lambda t: t.args[0])])
+    rw = Rewriter(metas=metas)
+    assert rw.rewrite(P("(p a)"), ctx=[Var("a")], iff=True) == Quote("t")
+    assert rw.rewrite(P("(p a)"), ctx=[Var("a")], iff=False) == Var("a")
+    assert rewriter().rewrite(P("((lambda (x) x) a)"), ctx=[Var("a")], iff=True) == Quote("t")
+
+
+def test_unchanged_wrapped_term_is_returned_as_is():
+    t = P("(rp 'integerp (f a 'k))")
+    assert rewriter().rewrite(t, iff=False) is t
+    # a wrapper named twice is rewrapped once, as before
+    twice = P("(rp 'integerp (rp 'integerp (f a)))")
+    assert rewriter().rewrite(twice, iff=False) == P("(rp 'integerp (f a))")
 
 
 def test_iff_only_rule_gated_by_position():

@@ -15,7 +15,7 @@ from termrw.rules import (
     parse_rule_file,
     validate_rule,
 )
-from termrw.terms import App, Quote, Var, beta_reduce, format_term, parse_term, read_value, term_from_value
+from termrw.terms import App, ParseError, Quote, Var, beta_reduce, format_term, parse_term, read_value, term_from_value
 
 
 def ruleset(text):
@@ -123,6 +123,22 @@ def test_unknown_declaration_rejected():
     with pytest.raises(RuleFileError) as e:
         parse_rule_file("(defrule r (equal (f x) x))")
     assert "rewrite rules" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(defthm a (equal x x))\n(defthm b (equal (+ x) x))", "defthm b: + expects at least 2 arguments"),
+        ("(def-rp-rule c (equal (f (lambda (x) x)) y))", "def-rp-rule c: lambda must be applied"),
+        ("(defthmd d (integerp (+ x)))", "defthmd d: + expects at least 2 arguments"),
+        ("(add-rp-rule e (equal (nil 1) x))", "add-rp-rule e: application head must be a symbol"),
+        ("(defthm-lambda g (equal (f x) (let ((y)) y)))", "defthm-lambda g: bad let binding"),
+    ],
+)
+def test_term_shape_errors_name_their_declaration(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_rule_file(text)
+    assert str(e.value).startswith(message)
 
 
 def test_disable_exec():

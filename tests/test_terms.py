@@ -45,6 +45,7 @@ from termrw.terms import (
     term_from_value,
     term_to_value,
     terms_equal,
+    terms_equal_mod_rp,
     truthy,
     values_equal,
     vars_in_order,
@@ -500,6 +501,71 @@ def test_strip_rp_deep_cached_form_is_shared(root):
 
     walk(root, stripped)
     assert terms_equal(strip_rp_deep(pickle.loads(pickle.dumps(root))), stripped)
+
+
+@st.composite
+def _pairs_mod_rp(draw):
+    """(a, b): a wrapped DAG, and b rebuilt from a with rp chains, nested
+    ones included, added and dropped at random and a leaf sometimes
+    changed; b shares where a shares.  Or an independent b."""
+    a = draw(_wrapped_dags())
+    if draw(st.integers(0, 4)) == 0:
+        return a, draw(_wrapped_dags())
+    built = {}
+
+    def rebuild(u):
+        if id(u) not in built:
+            core = strip_rp(u)
+            if isinstance(core, App):
+                v = App(core.head, [rebuild(x) for x in core.args])
+            elif draw(st.integers(0, 19)) == 0:
+                v = Var("zzz")
+            else:
+                v = core
+            for _ in range(draw(st.integers(0, 2))):
+                v = mk_rp(draw(st.sampled_from(("integerp", "bitp"))), v)
+            built[id(u)] = v
+        return built[id(u)]
+
+    return a, rebuild(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs_mod_rp())
+def test_terms_equal_mod_rp_agrees_with_stripping_both(pair):
+    a, b = pair
+    expected = terms_equal(strip_rp_deep(a), strip_rp_deep(b))
+    assert terms_equal_mod_rp(a, b) == expected
+    assert terms_equal_mod_rp(b, a) == expected
+    assert terms_equal_mod_rp(a, strip_rp_deep(a))
+
+
+def test_terms_equal_mod_rp_sees_through_nested_wrappers_and_lambdas():
+    a = parse_term("(f (rp 'integerp (rp 'bitp (g x (rp 'evenp 'k)))) y)")
+    assert terms_equal_mod_rp(a, parse_term("(f (g x 'k) y)"))
+    assert not terms_equal_mod_rp(a, parse_term("(f (g x 'j) y)"))
+    lam = LambdaApp(("x",), mk_rp("integerp", Var("x")), (Var("y"),))
+    assert terms_equal_mod_rp(lam, LambdaApp(("x",), Var("x"), (mk_rp("bitp", Var("y")),)))
+    assert not terms_equal_mod_rp(lam, LambdaApp(("z",), Var("x"), (Var("y"),)))
+
+
+def _wrapped_chain(n, innermost):
+    """chain_term(n) over innermost in place of 'nil, every third node wrapped."""
+    out = innermost
+    for i in range(n, 0, -1):
+        out = App("hons-acons", (Quote(f"k{i}"), Var(f"v{i}"), out))
+        if i % 3 == 0:
+            out = mk_rp("consp", out)
+    return out
+
+
+def test_terms_equal_mod_rp_on_a_deep_chain_needs_no_recursion():
+    wrapped = _wrapped_chain(100_000, T_TERM)
+    stripped = strip_rp_deep(wrapped)
+    plain = chain_term(100_000)
+    assert terms_equal_mod_rp(wrapped, stripped)
+    assert not terms_equal_mod_rp(wrapped, plain)
+    assert not terms_equal(stripped, strip_rp_deep(plain))
 
 
 def test_free_vars_and_order():
