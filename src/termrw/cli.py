@@ -16,7 +16,7 @@ from .evaluator import default_registry
 from .falist import make_linear_get_meta
 from .meta import MetaRule
 from .rewriter import RewriteConfig, Rewriter
-from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, validate_rule
+from .rules import AttachError, RuleFileError, UnboundRuleVariableError, build_ruleset, parse_rule_file, validate_rule
 from .terms import ParseError, format_term, node_count, parse_term
 from .validate import check_run, sample_rule_soundness
 
@@ -111,7 +111,11 @@ def cmd_prove(args):
         fast_alist_enabled=not args.no_fast_alist,
         trace=args.trace,
     )
-    rw = Rewriter(ruleset, cfg=cfg)
+    try:
+        rw = Rewriter(ruleset, cfg=cfg)
+    except UnboundRuleVariableError as exc:
+        print(f"{args.rules}: {exc}", file=sys.stderr)
+        return 1
     proved, out = rw.proved(conjecture)
 
     if args.trace:

@@ -111,9 +111,6 @@ class ExecRegistry:
     def has(self, name):
         return name in self._fns
 
-    def names(self):
-        return sorted(self._fns)
-
     def arity(self, name):
         return self._fns[name][0]
 

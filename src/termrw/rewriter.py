@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from types import GeneratorType
 
 from . import falist as _falist
-from .evaluator import EvalDomainError, UnknownFunctionError, lexorder_le, default_registry
+from .evaluator import EvalDomainError, UnknownFunctionError, default_registry
 from .meta import MetaRegistry
-from .rules import SYNTAXP_HEADS, Syntaxp, build_ruleset
+from .rules import Syntaxp, SyntaxpError, UnboundRuleVariableError, build_ruleset, syntaxp_eval, unbound_vars
 from .terms import (
     NIL,
     NIL_TERM,
@@ -40,7 +40,6 @@ from .terms import (
     node_count,
     strip_rp,
     strip_rp_deep,
-    term_to_value,
     terms_equal,
     terms_equal_mod_rp,
     trampoline,
@@ -179,9 +178,6 @@ class Context:
 
     def props_of(self, stripped_t):
         return self._props.get(stripped_t, ())
-
-    def __len__(self):
-        return len(self.facts)
 
     def __repr__(self):
         return f"Context({list(self.facts)!r})"
@@ -327,62 +323,6 @@ def _template_size(template):
     return n
 
 
-class SyntaxpError(ValueError):
-    pass
-
-
-def syntaxp_eval(pred, bindings):
-    """Evaluate a syntaxp predicate over the terms bound by unification,
-    encoded as values; wrappers are stripped first so both plain and
-    side-condition-carrying occurrences order the same way."""
-
-    def ev(p):
-        """p's value, or for an application the generator that computes it
-        (run by terms.trampoline)."""
-        if isinstance(p, Var):
-            b = bindings.get(p.name)
-            if b is None:
-                raise SyntaxpError(f"syntaxp variable {p.name} is unbound")
-            return term_to_value(strip_rp_deep(b))
-        if isinstance(p, Quote):
-            return p.value
-        if not isinstance(p, App) or p.head not in SYNTAXP_HEADS:
-            raise SyntaxpError(f"unsupported syntaxp predicate {p!r}")
-        return ev_app(p.head, p.args)
-
-    def ev_app(head, args):
-        if head == "and":
-            for a in args:
-                if not truthy((yield ev(a))):
-                    return NIL
-            return "t"
-        if head == "or":
-            for a in args:
-                v = yield ev(a)
-                if truthy(v):
-                    return v
-            return NIL
-        if head == "not":
-            return NIL if truthy((yield ev(args[0]))) else "t"
-        if head == "equal":
-            return "t" if values_equal((yield ev(args[0])), (yield ev(args[1]))) else NIL
-        if head == "atom":
-            return NIL if isinstance((yield ev(args[0])), Cons) else "t"
-        if head == "consp":
-            return "t" if isinstance((yield ev(args[0])), Cons) else NIL
-        if head == "quotep":
-            v = yield ev(args[0])
-            return "t" if isinstance(v, Cons) and v.car == "quote" else NIL
-        if head == "lexorder":
-            return "t" if lexorder_le((yield ev(args[0])), (yield ev(args[1]))) else NIL
-        if head == "car":
-            v = yield ev(args[0])
-            return v.car if isinstance(v, Cons) else NIL
-        raise SyntaxpError(head)
-
-    return truthy(trampoline(ev(pred)))
-
-
 def _unchanged_by_rw(t, dw, iff):
     """Whether _rw returns t itself, whatever the context: t is stopped by
     dw, a quote, or a variable outside an iff position."""
@@ -396,8 +336,13 @@ class Rewriter:
     """One rewriting engine instance: rule set, executable registry, metas,
     configuration, and accumulated statistics."""
 
-    def __init__(self, ruleset=None, registry=None, metas=None, cfg=None, stats=None):
+    def __init__(self, ruleset=None, registry=None, metas=None, cfg=None):
         self.ruleset = ruleset if ruleset is not None else build_ruleset([])
+        for rule in self.ruleset.rules.values():
+            loose = unbound_vars(rule)
+            if loose:
+                names = ", ".join(sorted(loose))
+                raise UnboundRuleVariableError(f"rule {rule.name} uses variables its lhs does not bind: {names}")
         reg = (registry if registry is not None else default_registry()).copy()
         for fn in self.ruleset.exec_disabled:
             if reg.has(fn):
@@ -405,7 +350,7 @@ class Rewriter:
         self.registry = reg
         self.metas = metas if metas is not None else MetaRegistry()
         self.cfg = cfg if cfg is not None else RewriteConfig()
-        self.stats = stats if stats is not None else RewriteStats()
+        self.stats = RewriteStats()
         self.trace = []
         self.meta_diagnostics = []
         self._backchain = 0
@@ -693,19 +638,20 @@ class Rewriter:
         stats.rule_applications += 1
         template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
         result = instantiate(template, bindings)
-        size, dw = self._template_info(template)
+        size, dw, _ = self._template_info(template)
         stats.nodes_created += size
         if self.cfg.trace:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
         return result, dw
 
     def _template_info(self, template):
-        """(nodes an instantiation constructs, its dont-rw), computed once
-        per template.  Keyed by the template itself, which the dict keeps
-        alive, so a freed template's id can never alias a new one."""
-        info = self._templates.get(template)
+        """(nodes an instantiation constructs, its dont-rw, template),
+        computed once per template.  Looked up by identity, so an equal
+        template of another rule costs no comparison; the entry keeps its
+        template alive, so a freed template's id can never alias a new one."""
+        info = self._templates.get(id(template))
         if info is None:
-            info = self._templates[template] = (_template_size(template), dont_rw_from_template(template))
+            info = self._templates[id(template)] = (_template_size(template), dont_rw_from_template(template), template)
         return info
 
     def _relieve_hyps(self, rule, bindings, known, ctx, path):
@@ -743,7 +689,7 @@ class Rewriter:
                 if hyp_ctx is None:
                     hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
                 inst = instantiate(hyp, bindings)
-                size, dw = self._template_info(hyp)
+                size, dw, _ = self._template_info(hyp)
                 self.stats.nodes_created += size
                 out = self._rw(inst, dw, hyp_ctx, True, path)
                 if out.__class__ is GeneratorType:

@@ -1,22 +1,29 @@
-"""Rule ingestion: parsing rule files, validity checks, side-condition
-attachment, and lambda elimination.
+"""Rule ingestion: parsing rule files, validity checks, syntaxp
+predicates, side-condition attachment, and lambda elimination.
 
 A rewrite rule is (implies hyps (equal lhs rhs)); a side-condition lemma is
 (implies hyps (prop subject)) with prop unary.  Attaching the lemma to a
 rule wraps every rhs occurrence of subject as (rp 'prop subject), which the
 rewriter later extracts instead of re-proving.
+
+A formula is split on its value: its implies chain, and-conjuncts, syntaxp
+hyps and equal/iff conclusions are read as lists, and each piece is then
+read as a term once by term_from_value, which expands and/or/implies to if
+as it does for conjectures.  A syntaxp predicate is such a term too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .evaluator import lexorder_le
 from .terms import (
     NIL,
     T,
     T_TERM,
     SPECIAL_HEADS,
     App,
+    Cons,
     LambdaApp,
     ParseError,
     Quote,
@@ -24,7 +31,6 @@ from .terms import (
     Var,
     beta_reduce,
     contains_head,
-    expand_boolean_op,
     free_vars,
     list_items,
     mk_rp,
@@ -32,8 +38,11 @@ from .terms import (
     rp_termp,
     strip_rp_deep,
     term_from_value,
+    term_to_value,
     terms_equal,
     trampoline,
+    truthy,
+    values_equal,
     vars_in_order,
 )
 
@@ -122,84 +131,73 @@ class RuleSet:
 
 
 # ---------------------------------------------------------------------------
-# boolean-op expansion on terms (rule formulas parse with and/or/implies kept
-# as applications so syntaxp predicates survive; everything else expands)
+# formula splitting
 
 
-def expand_boolean_ops(t):
-    return trampoline(_expand_boolean_ops(t))
+def _args_of(v, *heads):
+    """The argument values of v when it is a form headed by one of heads,
+    else None."""
+    if isinstance(v, Cons) and v.car in heads:
+        return list_items(v.cdr)
+    return None
 
 
-def _expand_boolean_ops(t):
-    if isinstance(t, (Var, Quote)):
-        return t
-    if isinstance(t, LambdaApp):
-        body = yield _expand_boolean_ops(t.body)
-        args = []
-        for a in t.args:
-            args.append((yield _expand_boolean_ops(a)))
-        return LambdaApp(t.params, body, args)
-    args = []
-    for a in t.args:
-        args.append((yield _expand_boolean_ops(a)))
-    out = expand_boolean_op(t.head, args)
-    return out if out is not None else App(t.head, args)
-
-
-def _flatten_and(t):
+def _conjuncts(v):
+    """The conjuncts of a formula value, nested (and ...) forms flattened."""
     out = []
-    stack = [t]
+    stack = [v]
     while stack:
         u = stack.pop()
-        if isinstance(u, App) and u.head == "and":
-            stack.extend(reversed(u.args))
-        else:
+        args = _args_of(u, "and")
+        if args is None:
             out.append(u)
+        else:
+            stack.extend(reversed(args))
     return out
 
 
-def _split_formula(name, formula):
-    """Split a rule formula into (hyps, [(conclusion-name, lhs, rhs, equiv)]).
+def _split_formula(name, v):
+    """Split a rule formula value into (hyps, [(rule name, lhs, rhs, equiv)]).
 
-    hyps come from flattening the antecedent's and-structure; syntaxp
-    conjuncts stay syntactic; an (and e1 e2 ...) conclusion yields one entry
-    per equality, sharing the hyps.
+    The formula is split on its value, so each piece becomes a term once,
+    with and/or/implies expanded as in any other term.  The antecedents of
+    its implies chain give the hyps, one per and-conjunct; a (syntaxp p) or
+    (synp p) conjunct stays syntactic; an (and e1 e2 ...) conclusion yields
+    one entry per conjunct, sharing the hyps.  Hyps are beta-reduced; lhs
+    and rhs are not yet, so defthm-lambda can compile the rhs's let layers.
     """
     hyps = []
-    concl = formula
-    while isinstance(concl, App) and concl.head == "implies" and len(concl.args) == 2:
-        hyps.extend(_flatten_and(concl.args[0]))
-        concl = concl.args[1]
-
-    out_hyps = []
-    for h in hyps:
-        if isinstance(h, App) and h.head in ("syntaxp", "synp") and len(h.args) == 1:
-            out_hyps.append(Syntaxp(h.args[0]))
-        else:
-            out_hyps.append(beta_reduce(expand_boolean_ops(h)))
+    args = _args_of(v, "implies")
+    while args is not None and len(args) == 2:
+        for h in _conjuncts(args[0]):
+            pred = _args_of(h, "syntaxp", "synp")
+            if pred is not None and len(pred) == 1:
+                hyps.append(Syntaxp(term_from_value(pred[0])))
+            else:
+                hyps.append(beta_reduce(term_from_value(h)))
+        v = args[1]
+        args = _args_of(v, "implies")
 
     conclusions = []
-    for i, c in enumerate(_flatten_and(concl)):
+    for i, c in enumerate(_conjuncts(v)):
         rule_name = name if i == 0 else f"{name}_{i + 1}"
-        if isinstance(c, App) and c.head in ("equal", "iff") and len(c.args) == 2:
-            lhs, rhs = c.args
-            equiv = c.head
+        args = _args_of(c, "equal", "iff")
+        if args is not None and len(args) == 2:
+            lhs, rhs, equiv = term_from_value(args[0]), term_from_value(args[1]), c.car
         else:
-            lhs, rhs, equiv = c, T_TERM, "iff"
-        conclusions.append((rule_name, expand_boolean_ops(lhs), expand_boolean_ops(rhs), equiv))
-    return tuple(out_hyps), conclusions
+            lhs, rhs, equiv = term_from_value(c), T_TERM, "iff"
+        conclusions.append((rule_name, lhs, rhs, equiv))
+    return tuple(hyps), conclusions
 
 
-def _rules_from_formula(name, formula):
-    hyps, conclusions = _split_formula(name, formula)
+def _rules_of(name, hyps, conclusions):
     return tuple(
         Rule(rule_name, hyps, beta_reduce(lhs), beta_reduce(rhs), equiv, group=name)
         for rule_name, lhs, rhs, equiv in conclusions
     )
 
 
-def _lemma_from_formula(name, formula):
-    hyps, conclusions = _split_formula(name, formula)
+def _lemma_of(name, hyps, conclusions):
     if len(conclusions) != 1 or any(isinstance(h, Syntaxp) for h in hyps):
         return None
     _, lhs, rhs, equiv = conclusions[0]
@@ -207,7 +205,7 @@ def _lemma_from_formula(name, formula):
         return None
     concl = beta_reduce(lhs)
     if isinstance(concl, App) and len(concl.args) == 1 and concl.head not in SPECIAL_HEADS:
-        return SideConditionLemma(name, tuple(beta_reduce(h) for h in hyps), concl.head, concl.args[0])
+        return SideConditionLemma(name, hyps, concl.head, concl.args[0])
     return None
 
 
@@ -221,11 +219,11 @@ def _as_name(v, form):
     return v
 
 
-def _formula(op, name, v):
-    """The term of a declaration's formula; a term-shape error in it names
-    the declaration."""
+def _named(op, name, read, v):
+    """read(name, v) for the formula v of a declaration; a term-shape error
+    in the formula names the declaration."""
     try:
-        return term_from_value(v, keep_boolean_ops=True)
+        return read(name, v)
     except ParseError as exc:
         raise ParseError(f"{op} {name}: {exc}") from exc
 
@@ -249,13 +247,13 @@ def parse_rule_file(text):
             if len(rest) != 2:
                 raise RuleFileError(f"{op} expects a name and a formula")
             name = _as_name(rest[0], op)
-            decls.extend(_rules_from_formula(name, _formula(op, name, rest[1])))
+            decls.extend(_rules_of(name, *_named(op, name, _split_formula, rest[1])))
         elif op == "defthmd":
             if len(rest) != 2:
                 raise RuleFileError("defthmd expects a name and a formula")
             name = _as_name(rest[0], op)
-            formula = _formula(op, name, rest[1])
-            decl = LemmaDecl(name, _lemma_from_formula(name, formula), _rules_from_formula(name, formula))
+            hyps, conclusions = _named(op, name, _split_formula, rest[1])
+            decl = LemmaDecl(name, _lemma_of(name, hyps, conclusions), _rules_of(name, hyps, conclusions))
             parked[name] = decl
             decls.append(decl)
         elif op == "add-rp-rule":
@@ -266,14 +264,14 @@ def parse_rule_file(text):
                 decls.extend(parked[name].rules)
             elif len(rest) == 2:
                 name = _as_name(rest[0], op)
-                decls.extend(_rules_from_formula(name, _formula(op, name, rest[1])))
+                decls.extend(_rules_of(name, *_named(op, name, _split_formula, rest[1])))
             else:
                 raise RuleFileError("add-rp-rule expects a name and optionally a formula")
         elif op == "defthm-lambda":
             if len(rest) != 2:
                 raise RuleFileError("defthm-lambda expects a name and a formula")
             name = _as_name(rest[0], op)
-            rules, _ = defthm_lambda(name, _formula(op, name, rest[1]))
+            rules, _ = _named(op, name, defthm_lambda, rest[1])
             decls.extend(rules)
         elif op == "rp-attach-sc":
             if len(rest) != 2:
@@ -293,11 +291,62 @@ def parse_rule_file(text):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# syntaxp and validation
 
 
-# the heads syntaxp predicates may use; rewriter.syntaxp_eval interprets them
-SYNTAXP_HEADS = frozenset({"and", "or", "not", "equal", "atom", "consp", "quotep", "lexorder", "car"})
+class SyntaxpError(ValueError):
+    pass
+
+
+# the heads a syntaxp predicate may use, with their arities; syntaxp_eval
+# interprets them (and, or and implies arrive expanded to if)
+SYNTAXP_HEADS = {"if": 3, "not": 1, "equal": 2, "atom": 1, "consp": 1, "quotep": 1, "lexorder": 2, "car": 1}
+
+
+def syntaxp_eval(pred, bindings):
+    """Evaluate a syntaxp predicate over the terms bound by unification,
+    encoded as values; wrappers are stripped first so both plain and
+    side-condition-carrying occurrences order the same way.  Each bound term
+    is encoded at most once per call, as (or a b) reads a twice."""
+    encoded = {}
+
+    def ev(p):
+        """p's value, or for an application the generator that computes it
+        (run by terms.trampoline)."""
+        if isinstance(p, Var):
+            v = encoded.get(p.name)
+            if v is None:
+                b = bindings.get(p.name)
+                if b is None:
+                    raise SyntaxpError(f"syntaxp variable {p.name} is unbound")
+                v = encoded[p.name] = term_to_value(strip_rp_deep(b))
+            return v
+        if isinstance(p, Quote):
+            return p.value
+        if not isinstance(p, App) or SYNTAXP_HEADS.get(p.head) != len(p.args):
+            raise SyntaxpError(f"unsupported syntaxp predicate {p!r}")
+        return ev_app(p.head, p.args)
+
+    def ev_app(head, args):
+        if head == "if":
+            return ev(args[1] if truthy((yield ev(args[0]))) else args[2])
+        if head == "not":
+            return NIL if truthy((yield ev(args[0]))) else T
+        if head == "equal":
+            return T if values_equal((yield ev(args[0])), (yield ev(args[1]))) else NIL
+        if head == "atom":
+            return NIL if isinstance((yield ev(args[0])), Cons) else T
+        if head == "consp":
+            return T if isinstance((yield ev(args[0])), Cons) else NIL
+        if head == "quotep":
+            v = yield ev(args[0])
+            return T if isinstance(v, Cons) and v.car == "quote" else NIL
+        if head == "lexorder":
+            return T if lexorder_le((yield ev(args[0])), (yield ev(args[1]))) else NIL
+        v = yield ev(args[0])  # car
+        return v.car if isinstance(v, Cons) else NIL
+
+    return truthy(trampoline(ev(pred)))
 
 
 def _check_syntaxp_pred(t, problems):
@@ -310,6 +359,17 @@ def _check_syntaxp_pred(t, problems):
             problems.append(f"syntaxp predicate outside the supported set: {u!r}")
             continue
         stack.extend(reversed(u.args))
+
+
+class UnboundRuleVariableError(ValueError):
+    """A rule whose rhs or ordinary hyps use variables its lhs does not bind."""
+
+
+def unbound_vars(rule):
+    """The variables of rule's rhs and ordinary hyps that its lhs does not
+    bind: rewriting with the rule would meet them unbound."""
+    ordinary_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
+    return set().union(free_vars(rule.rhs), *map(free_vars, ordinary_hyps)) - free_vars(rule.lhs)
 
 
 def validate_rule(rule):
@@ -330,7 +390,7 @@ def validate_rule(rule):
         for _path, msg in rp_termp(t):
             problems.append(f"{what}: {msg}")
     lhs_vars = free_vars(lhs)
-    loose = (free_vars(rhs) | set().union(*[free_vars(h) for h in ordinary_hyps] or [set()])) - lhs_vars
+    loose = unbound_vars(rule)
     for h in rule.hyps:
         if isinstance(h, Syntaxp):
             loose |= free_vars(h.pred) - lhs_vars
@@ -350,11 +410,10 @@ class AttachError(ValueError):
 
 def attach_sc(rule, lemma):
     """Merge lemma into rule: wrap rhs occurrences of lemma.subject."""
-    rule_hyps = [beta_reduce(h) for h in rule.hyps if not isinstance(h, Syntaxp)]
+    rule_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
     for h in lemma.hyps:
-        hr = beta_reduce(h)
-        if not any(terms_equal(hr, rh) for rh in rule_hyps):
-            raise AttachError(f"lemma {lemma.name} hypothesis {hr!r} is not among the hypotheses of {rule.name}")
+        if not any(terms_equal(h, rh) for rh in rule_hyps):
+            raise AttachError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
     subject = lemma.subject
     found = False
 
@@ -390,7 +449,8 @@ class LambdaSplitError(ValueError):
 
 
 def defthm_lambda(name, formula):
-    """Split a rule whose rhs is a let/let* chain into lambda-free rules.
+    """Split a rule whose rhs is a let/let* chain into lambda-free rules;
+    formula is the rule's formula as a value.
 
     Generates one function symbol per lambda layer, named
     <name>_lambda-fnc_<k> with the innermost layer getting the highest k,
@@ -419,7 +479,7 @@ def defthm_lambda(name, formula):
             raise LambdaSplitError("lambda in argument position is not supported")
 
     if not chain:
-        return tuple(Rule(rn, hyps, l, beta_reduce(r), e) for rn, l, r, e in conclusions), ()
+        return (Rule(name, hyps, lhs, beta_reduce(rhs), equiv),), ()
 
     count = len(chain)
     fnc_names = [f"{name}_lambda-fnc_{j}" for j in range(count)]
@@ -456,13 +516,13 @@ def base_rules():
     )
 
 
-def build_ruleset(decls, include_base=True):
+def build_ruleset(decls):
     """Index declarations into a RuleSet.
 
     Within a head bucket, later declarations are tried first; conjuncts of
     one declaration keep their source order relative to each other.
     """
-    ordered = list(base_rules()) if include_base else []
+    ordered = list(base_rules())
     lemmas = {}
     names = {}
     exec_disabled = set()

@@ -773,7 +773,7 @@ def _read(text, terms):
                 if mode == _ARGS:
                     if tail != NIL:
                         items.extend(term_from_value(v) for v in list_items(tail))
-                    x = _plain_term(items[0], items[1:], False)
+                    x = _plain_term(items[0], items[1:])
                 elif mode == _HEAD:
                     x = NIL_TERM
                 else:
@@ -864,41 +864,18 @@ def _fold_binary(head, args):
     return out
 
 
-def expand_boolean_op(head, args):
-    """The if-form of (and ...), (or ...) or (implies a b) over the given
-    argument terms; None for any other head or arity."""
-    if head == "and":
-        if not args:
-            return T_TERM
-        out = args[-1]
-        for a in reversed(args[:-1]):
-            out = App("if", (a, out, NIL_TERM))
-        return out
-    if head == "or":
-        if not args:
-            return NIL_TERM
-        out = args[-1]
-        for a in reversed(args[:-1]):
-            out = App("if", (a, a, out))
-        return out
-    if head == "implies" and len(args) == 2:
-        return App("if", (args[0], App("if", (args[1], T_TERM, NIL_TERM)), T_TERM))
-    return None
-
-
-def term_from_value(v, keep_boolean_ops=False):
+def term_from_value(v):
     """Translate a raw s-expression value into a term.
 
     Integers, t and nil self-quote; other symbols are variables.  The n-ary
-    surface forms +, -, logand, and, or, implies expand into their fixed-arity
-    function counterparts, and let/let* into lambda applications.  With
-    keep_boolean_ops true, and/or are kept as plain applications; the syntaxp
-    evaluator interprets them directly.
+    surface forms +, -, logand expand into their fixed-arity function
+    counterparts, and, or, implies into if, and let/let* into lambda
+    applications.
     """
-    return trampoline(_term_step(v, keep_boolean_ops))
+    return trampoline(_term_step(v))
 
 
-def _term_step(v, keep):
+def _term_step(v):
     """term_from_value's step for v: the term of an atom or a quotation,
     else the generator that translates the form."""
     if isinstance(v, int):
@@ -909,7 +886,7 @@ def _term_step(v, keep):
         return Var(v)
     if isinstance(v, Cons):
         if v.car != "quote":
-            return _term_of_form(v, keep)
+            return _term_of_form(v)
         items = list_items(v.cdr)
         if len(items) != 1:
             raise ParseError("quote expects exactly one argument")
@@ -919,7 +896,7 @@ def _term_step(v, keep):
     raise ParseError(f"cannot read term from {v!r}")
 
 
-def _term_of_form(v, keep):
+def _term_of_form(v):
     head = v.car
     if isinstance(head, Cons):
         if head.car != "lambda":
@@ -930,10 +907,10 @@ def _term_of_form(v, keep):
         params = list_items(parts[0])
         if not all(isinstance(p, str) and p not in (NIL, T) for p in params):
             raise ParseError("lambda parameters must be plain symbols")
-        body = yield _term_step(parts[1], keep)
+        body = yield _term_step(parts[1])
         args = []
         for a in list_items(v.cdr):
-            args.append((yield _term_step(a, keep)))
+            args.append((yield _term_step(a)))
         if len(args) != len(params):
             raise ParseError("lambda applied to the wrong number of arguments")
         return LambdaApp(params, body, args)
@@ -952,8 +929,8 @@ def _term_of_form(v, keep):
             pair = list_items(b)
             if len(pair) != 2 or not isinstance(pair[0], str):
                 raise ParseError(f"bad {head} binding")
-            bindings.append((pair[0], (yield _term_step(pair[1], keep))))
-        body = yield _term_step(parts[1], keep)
+            bindings.append((pair[0], (yield _term_step(pair[1]))))
+        body = yield _term_step(parts[1])
         if head == "let":
             if not bindings:
                 return body
@@ -966,7 +943,7 @@ def _term_of_form(v, keep):
 
     args = []
     for a in list_items(v.cdr):
-        step = _term_step(a, keep)
+        step = _term_step(a)
         args.append((yield step) if step.__class__ is GeneratorType else step)
 
     if head == "falist":
@@ -980,17 +957,16 @@ def _term_of_form(v, keep):
             for pair in list_items(shadow_q.value):
                 if not isinstance(pair, Cons):
                     raise ParseError("falist shadow entries must be pairs")
-                entries.append((pair.car, (yield _term_step(pair.cdr, False))))
+                entries.append((pair.car, (yield _term_step(pair.cdr))))
             shadow_q = Quote(FalistShadow(entries))
         return App("falist", (shadow_q, args[1]))
 
-    return _plain_term(head, args, keep)
+    return _plain_term(head, args)
 
 
-def _plain_term(head, args, keep):
+def _plain_term(head, args):
     """The term of the application of a symbol head to a list of argument
-    terms, with the surface forms +, -, logand, and, or, implies expanded
-    (and, or and implies only when keep is false)."""
+    terms, with the surface forms +, -, logand, and, or, implies expanded."""
     if head not in _SURFACE_HEADS:
         return App(head, args)
     if head in _EXPANSIONS:
@@ -1003,11 +979,15 @@ def _plain_term(head, args, keep):
         if len(args) == 2:
             return App("binary-+", (args[0], App("unary--", (args[1],))))
         raise ParseError("- expects 1 or 2 arguments")
-    if keep:
-        return App(head, args)
-    out = expand_boolean_op(head, args)
-    if out is None:
-        raise ParseError("implies expects 2 arguments")
+    if head == "implies":
+        if len(args) != 2:
+            raise ParseError("implies expects 2 arguments")
+        return App("if", (args[0], App("if", (args[1], T_TERM, NIL_TERM)), T_TERM))
+    if not args:
+        return T_TERM if head == "and" else NIL_TERM
+    out = args[-1]
+    for a in reversed(args[:-1]):
+        out = App("if", (a, out, NIL_TERM) if head == "and" else (a, a, out))
     return out
 
 

@@ -279,6 +279,21 @@ def test_deep_rule_formulas_check_and_prove(tmp_path, capsys, case):
     assert capsys.readouterr().out.strip() == "proved"
 
 
+@pytest.mark.parametrize(
+    "rules", ["(def-rp-rule r (equal (f x) (g y)))", "(def-rp-rule r (implies (p y) (equal (f x) (g x))))"]
+)
+def test_prove_refuses_rule_with_unbound_variables(tmp_path, capsys, rules):
+    path = write(tmp_path, "r.lsp", rules)
+    rc = main(["prove", "--rules", path, "--conjecture", write(tmp_path, "c.lsp", "(f a)")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"{path}: rule r uses variables its lhs does not bind: y\n"
+    # check-rules reports the same rule as before
+    assert main(["check-rules", path]) == 1
+    assert capsys.readouterr().out == "r: free variables not bound by lhs: y\n1 violation(s) in 1 rule(s)\n"
+
+
 def test_prove_bad_conjecture_file(tmp_path, capsys):
     rc = main(
         [

@@ -23,10 +23,9 @@ from termrw.rewriter import (
     dont_rw_from_value,
     instantiate,
     negate,
-    syntaxp_eval,
     unify,
 )
-from termrw.rules import build_ruleset, parse_rule_file
+from termrw.rules import UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
 from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value
 from termrw.validate import check_run
 
@@ -152,7 +151,7 @@ def test_context_membership_and_negation():
 
 def test_context_drops_truthy_quotes_and_dedupes():
     c = Context.from_terms([P("'t"), P("(p a)"), P("(p a)")])
-    assert len(c) == 1
+    assert len(c.facts) == 1
 
 
 def test_context_strips_wrappers():
@@ -506,6 +505,57 @@ def test_hide_stops_rewriting_of_contents():
     out = rewriter(rs).rewrite(P("(hide (f a))"), iff=False)
     assert out == P("(f a)")
     assert rewriter(rs).rewrite(P("(g (hide (f a)))"), iff=False) == P("(g (f a))")
+
+
+def test_template_lookups_compare_no_terms(monkeypatch):
+    """Templates are looked up by identity: the equal (integerp x) hyps of
+    two rules do not meet in one dict slot and cost no terms_equal walk."""
+    import termrw.terms
+
+    inside = [False]
+    counts = {"lookups": 0, "terms_equal": 0}
+    real_terms_equal = termrw.terms.terms_equal
+    real_template_info = Rewriter._template_info
+
+    def counting_terms_equal(a, b):
+        counts["terms_equal"] += inside[0]
+        return real_terms_equal(a, b)
+
+    def counting_template_info(self, template):
+        counts["lookups"] += 1
+        inside[0] = True
+        try:
+            return real_template_info(self, template)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(termrw.terms, "terms_equal", counting_terms_equal)
+    monkeypatch.setattr(Rewriter, "_template_info", counting_template_info)
+    rw = Rewriter(ruleset(TREE_RULES_BACKCHAIN), cfg=RewriteConfig(side_conditions_enabled=False))
+    proved, _ = rw.proved(tree_conjecture(6))
+    assert proved
+    assert counts["lookups"] > 500
+    assert counts["terms_equal"] == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(def-rp-rule r (equal (f x) (g y)))",
+        "(def-rp-rule r (implies (p y) (equal (f x) (g x))))",
+        "(def-rp-rule r (implies (and (p y) (q z)) (equal (f x) (g x y))))",
+    ],
+)
+def test_rule_with_unbound_variables_is_refused(text):
+    rs = ruleset(text)  # compiled and validated as before
+    expected = "y, z" if "z" in text else "y"
+    with pytest.raises(UnboundRuleVariableError, match=f"^rule r uses variables its lhs does not bind: {expected}$"):
+        Rewriter(rs)
+
+
+def test_unbound_syntaxp_variable_only_fails_the_hyp():
+    rw = rewriter("(def-rp-rule r (implies (syntaxp (atom z)) (equal (f x) 'fired)))")
+    assert rw.rewrite(P("(f a)"), iff=False) == P("(f a)")
 
 
 # ---------------------------------------------------------------------------

@@ -72,14 +72,17 @@ def test_and_conclusion_splits_with_shared_hyps():
     assert all(r.group == "r" for r in rs)
 
 
-def test_syntaxp_hyp_kept_unexpanded():
+def test_syntaxp_hyp_is_an_expanded_term():
     (r,) = rules_of(
         "(def-rp-rule r (implies (syntaxp (and (atom x) (not (quotep x)))) (equal (f x) x)))"
     )
     (h,) = r.hyps
     assert isinstance(h, Syntaxp)
-    # boolean ops inside the predicate stay as and/or/not
-    assert h.pred == App("and", (App("atom", (Var("x"),)), App("not", (App("quotep", (Var("x"),)),))))
+    # the predicate is read like any term: and/or/implies become if
+    assert h.pred == parse_term("(if (atom x) (not (quotep x)) 'nil)")
+    (r,) = rules_of("(def-rp-rule r (implies (synp (implies (atom x) (quotep x))) (equal (f x) x)))")
+    assert r.hyps[0].pred == parse_term("(if (atom x) (if (quotep x) 't 'nil) 't)")
+    assert validate_rule(r) == []
 
 
 def test_hyps_expand_boolean_ops():
@@ -133,6 +136,9 @@ def test_unknown_declaration_rejected():
         ("(defthmd d (integerp (+ x)))", "defthmd d: + expects at least 2 arguments"),
         ("(add-rp-rule e (equal (nil 1) x))", "add-rp-rule e: application head must be a symbol"),
         ("(defthm-lambda g (equal (f x) (let ((y)) y)))", "defthm-lambda g: bad let binding"),
+        ("(def-rp-rule r (equal (f x) (implies x)))", "def-rp-rule r: implies expects 2 arguments"),
+        ("(defthm r (implies (p x) (implies (q x) (implies))))", "defthm r: implies expects 2 arguments"),
+        ("(defthmd r (implies (syntaxp (implies x)) (p x)))", "defthmd r: implies expects 2 arguments"),
     ],
 )
 def test_term_shape_errors_name_their_declaration(text, message):
@@ -284,7 +290,7 @@ LAMBDA_FORMULA = """
 
 
 def test_defthm_lambda_golden():
-    formula = term_from_value(read_value(LAMBDA_FORMULA), keep_boolean_ops=True)
+    formula = read_value(LAMBDA_FORMULA)
     rules, fncs = defthm_lambda("foo-redef", formula)
     assert fncs == ("foo-redef_lambda-fnc_0", "foo-redef_lambda-fnc_1")
     assert format_term(rules[0].lhs) == "(foo-redef_lambda-fnc_1 b a)"
@@ -300,7 +306,7 @@ def test_defthm_lambda_golden():
 
 
 def test_defthm_lambda_composition_recovers_beta():
-    formula = term_from_value(read_value(LAMBDA_FORMULA), keep_boolean_ops=True)
+    formula = read_value(LAMBDA_FORMULA)
     rules, _fncs = defthm_lambda("foo-redef", formula)
     from termrw.rewriter import Rewriter
 
@@ -322,33 +328,27 @@ def test_defthm_lambda_via_rule_file():
 
 
 def test_defthm_lambda_rejects_shadowing():
-    formula = term_from_value(
-        read_value("(equal (foo x) (let ((x '1)) (let ((x (g x))) x)))"), keep_boolean_ops=True
-    )
+    formula = read_value("(equal (foo x) (let ((x '1)) (let ((x (g x))) x)))")
     with pytest.raises(LambdaSplitError):
         defthm_lambda("r", formula)
 
 
 def test_defthm_lambda_rejects_lambda_in_arg_position():
-    formula = term_from_value(
-        read_value("(equal (foo x) (let ((a (let ((b x)) b))) a))"), keep_boolean_ops=True
-    )
+    formula = read_value("(equal (foo x) (let ((a (let ((b x)) b))) a))")
     with pytest.raises(LambdaSplitError):
         defthm_lambda("r", formula)
 
 
 def test_defthm_lambda_reduces_buried_lambda():
     # a lambda under an ordinary head is not a let chain; it is reduced away
-    formula = term_from_value(
-        read_value("(equal (foo x) (g (let ((a x)) a)))"), keep_boolean_ops=True
-    )
+    formula = read_value("(equal (foo x) (g (let ((a x)) a)))")
     rules, fncs = defthm_lambda("r", formula)
     assert fncs == ()
     assert rules[0].rhs == parse_term("(g x)")
 
 
 def test_defthm_lambda_no_lambdas_passes_through():
-    formula = term_from_value(read_value("(equal (foo x) (g x))"), keep_boolean_ops=True)
+    formula = read_value("(equal (foo x) (g x))")
     rules, fncs = defthm_lambda("r", formula)
     assert fncs == ()
     assert len(rules) == 1

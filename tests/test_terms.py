@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term, rand_value
 from termrw.demo import chain_term
-from termrw.rules import expand_boolean_ops
 from termrw.terms import (
     NIL_TERM,
     T_TERM,
@@ -166,16 +165,20 @@ def test_boolean_ops_become_if():
     assert parse_term("(or p q)") == parse_term("(if p p q)")
     assert parse_term("(implies p q)") == parse_term("(if p (if q 't 'nil) 't)")
     assert parse_term("(and p q r)") == parse_term("(if p (if q r 'nil) 'nil)")
-    # the reader and the rule-side expander share one expansion
+    assert parse_term("(and)") == Quote("t")
+    assert parse_term("(or)") == Quote("nil")
+    assert parse_term("(and p)") == parse_term("(or p)") == Var("p")
+    # the one-pass reader and term_from_value share one expansion
     for text in ("(and)", "(or)", "(and p)", "(or p q r)", "(implies (and p q) (or q r))", "(f (implies p q))"):
-        v = read_value(text)
-        assert term_from_value(v) == expand_boolean_ops(term_from_value(v, keep_boolean_ops=True))
+        assert parse_term(text) == term_from_value(read_value(text))
 
 
-def test_keep_boolean_ops_flag():
-    v = read_value("(and p q)")
-    t = term_from_value(v, keep_boolean_ops=True)
-    assert t == App("and", (Var("p"), Var("q")))
+@pytest.mark.parametrize("text", ["(implies p)", "(implies p q r)", "(f (implies))"])
+def test_implies_needs_two_arguments(text):
+    with pytest.raises(ParseError, match="implies expects 2 arguments"):
+        parse_term(text)
+    with pytest.raises(ParseError, match="implies expects 2 arguments"):
+        term_from_value(read_value(text))
 
 
 def test_let_becomes_lambda():
