@@ -3,8 +3,10 @@
 The evaluator is the semantics oracle for the whole engine: rewriting is
 correct exactly when it preserves eval_term over every environment binding
 the free variables.  An environment is a plain dict from variable name to
-value.  Function meanings live in an ExecRegistry; the same registry backs
-the rewriter's executable-counterpart step, where per-function enable flags
+value; no term binds a name (the reader expands let, let* and lambda
+forms), so every node is evaluated under the environments given.
+Function meanings live in an ExecRegistry; the same registry backs the
+rewriter's executable-counterpart step, where per-function enable flags
 apply (eval_term itself ignores them, disabling execution must not change
 what a function means).
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .terms import NIL, T, App, Cons, LambdaApp, Quote, Var, flat_path, truthy, values_equal
+from .terms import NIL, T, App, Cons, Quote, Var, flat_path, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -243,7 +245,7 @@ def eval_term(t, env, registry, wrappers=None):
     evaluation order (so an inner wrapper before an outer one), is appended
     as (path, property term, None), or with the EvalError that applying the
     property raised in place of None; later wrappers go unchecked.  A path
-    holds 1-based argument positions; a lambda's body is position 0.
+    holds 1-based argument positions.
 
     A batch of one environment: see eval_terms.
     """
@@ -280,7 +282,7 @@ def eval_terms(t, envs, registry, wrappers=None):
     Waiting nodes sit on an explicit stack, so depth costs no recursion.
     """
     errors = {}
-    # [node, its envs, its path, the envs live at it, its argument columns so far]
+    # [node, its path, the envs live at it, its argument columns so far]
     frames = []
     size = len(envs)
     live = list(range(size))
@@ -307,7 +309,7 @@ def eval_terms(t, envs, registry, wrappers=None):
                 errors.update(dict.fromkeys(live, exc))
                 live = col = []
             elif args:
-                frames.append([t, envs, path, live, []])
+                frames.append([t, path, live, []])
                 k = 1 if arity == 2 else 0
                 t = args[k]
                 path = (path, k + 1)
@@ -316,46 +318,24 @@ def eval_terms(t, envs, registry, wrappers=None):
                 col = [NIL] * len(live)
             else:
                 live, col = _call(registry, head, live, [], errors)
-        elif cls is LambdaApp:
-            if t.args:
-                frames.append([t, envs, path, live, []])
-                t = t.args[0]
-                path = (path, 1)
-            else:
-                frames.append([t, envs, path, live, [None]])  # the body is under way
-                envs = _bind(t, envs, live, [])
-                t = t.body
-                path = (path, 0)
-            continue
         else:
             raise TypeError(t)
 
         # hand the column up until a frame has more to evaluate
         while frames:
             frame = frames[-1]
-            node, node_envs, node_path, node_live, cols = frame
-            lam = node.__class__ is LambdaApp
-            head = None if lam else node.head
+            node, node_path, node_live, cols = frame
+            head = node.head
             arity = _OWN_HEADS.get(head)
             if arity is None:
                 n = len(node.args)
-                if len(cols) > n:
-                    frames.pop()  # a lambda's body: its column is the application's
-                    continue
                 if len(live) < len(node_live):
                     cols[:] = _keep(node_live, live, cols)
-                    frame[3] = live
+                    frame[2] = live
                 cols.append(col)
                 if len(cols) < n:
                     t = node.args[len(cols)]
                     path = (node_path, len(cols) + 1)
-                    envs = node_envs
-                    break
-                if lam:
-                    envs = _bind(node, node_envs, live, cols)
-                    cols.append(None)
-                    t = node.body
-                    path = (node_path, 0)
                     break
                 frames.pop()
                 if head == "list":
@@ -374,7 +354,6 @@ def eval_terms(t, envs, registry, wrappers=None):
                     # the test's column splits the live envs between the branches
                     then_live = [i for i, v in zip(live, col) if not (isinstance(v, str) and v == NIL)]
                     else_live = [i for i, v in zip(live, col) if isinstance(v, str) and v == NIL]
-                    envs = node_envs
                     if then_live and else_live:
                         cols += [live, {}, else_live]
                         live = then_live
@@ -395,7 +374,6 @@ def eval_terms(t, envs, registry, wrappers=None):
                     live = else_live
                     t = node.args[2]
                     path = (node_path, 3)
-                    envs = node_envs
                     break
                 frames.pop()
                 live = [i for i in test_live if i in merged]
@@ -456,13 +434,6 @@ def _keep(live, kept, cols):
     kept = set(kept)
     mask = [i in kept for i in live]
     return [list(compress(c, mask)) for c in cols]
-
-
-def _bind(node, envs, live, cols):
-    """The env of each live index extended by lambda node's parameters bound
-    to its argument values, keyed by index."""
-    rows = zip(*cols) if cols else [()] * len(live)
-    return {i: {**envs[i], **dict(zip(node.params, row))} for i, row in zip(live, rows)}
 
 
 def _check_wrappers(node, path, live, col, registry, wrappers):

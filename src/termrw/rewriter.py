@@ -14,6 +14,9 @@ so only a node with an argument to rewrite, an if, the hypotheses of a
 matched rule, and a meta or rule result to rewrite take a generator.  A
 hypothesis (p x) whose binding for x carries an rp 'p wrapper is relieved
 at the binding, with no instance built or rewritten.
+
+Input terms hold no binder, as the reader expands let, let* and lambda
+forms, so a rule instance is a plain substitution.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ from .terms import (
     T_TERM,
     App,
     Cons,
-    LambdaApp,
     Quote,
     Var,
-    beta_reduce,
     flat_path,
     mk_rp,
     node_count,
     strip_rp,
     strip_rp_deep,
+    substitute,
     terms_equal,
     terms_equal_mod_rp,
     trampoline,
@@ -278,35 +280,9 @@ def _unify(pattern, t, bindings, extracted):
         pattern, t = todo.pop()
 
 
-def instantiate(template, bindings):
-    """The template with each variable replaced by its binding.  An App
-    waits on `frames` with the arguments it has so far."""
-    frames = []
-    u = template
-    while True:
-        cls = u.__class__
-        if cls is Var:
-            s = bindings[u.name]
-        elif cls is Quote:
-            s = u
-        elif cls is App:
-            if u.args:
-                frames.append((u, []))
-                u = u.args[0]
-                continue
-            s = App(u.head, ())
-        else:
-            raise TypeError(u)
-        while frames:
-            node, done = frames[-1]
-            done.append(s)
-            if len(done) < len(node.args):
-                u = node.args[len(done)]
-                break
-            frames.pop()
-            s = App(node.head, done)
-        else:
-            return s
+# A rule's rhs or hypothesis is instantiated by substitution.  The loop
+# calls it by this module global, which perfbench's tracer wraps.
+instantiate = substitute
 
 
 def _template_size(template):
@@ -361,8 +337,6 @@ class Rewriter:
     def rewrite(self, t, dont_rw=OPEN, ctx=(), iff=True):
         if not isinstance(ctx, Context):
             ctx = Context.from_terms(ctx)
-        if isinstance(t, LambdaApp):
-            t = beta_reduce(t)
         return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
 
     def proved(self, t, ctx=()):
@@ -395,8 +369,6 @@ class Rewriter:
                 if r is not None:
                     return r
             return t
-        if cls is LambdaApp:
-            return self._rw_step(beta_reduce(t), OPEN, ctx, iff, path)
 
         # (2) iff-context reduction on the whole (possibly wrapped) term
         if iff:

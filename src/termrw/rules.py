@@ -1,5 +1,5 @@
 """Rule ingestion: parsing rule files, validity checks, syntaxp
-predicates, side-condition attachment, and lambda elimination.
+predicates, side-condition attachment, and let-chain splitting.
 
 A rewrite rule is (implies hyps (equal lhs rhs)); a side-condition lemma is
 (implies hyps (prop subject)) with prop unary.  Attaching the lemma to a
@@ -9,7 +9,8 @@ rewriter later extracts instead of re-proving.
 A formula is split on its value: its implies chain, and-conjuncts, syntaxp
 hyps and equal/iff conclusions are read as lists, and each piece is then
 read as a term once by term_from_value, which expands and/or/implies to if
-as it does for conjectures.  A syntaxp predicate is such a term too.
+and let/let*/lambda forms into their bodies, as it does for conjectures.
+A syntaxp predicate is such a term too.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .terms import (
     SPECIAL_HEADS,
     App,
     Cons,
-    LambdaApp,
     ParseError,
     Quote,
     Term,
     Var,
-    beta_reduce,
+    binding_layers,
     contains_head,
     free_vars,
     list_items,
@@ -157,14 +157,16 @@ def _conjuncts(v):
 
 
 def _split_formula(name, v):
-    """Split a rule formula value into (hyps, [(rule name, lhs, rhs, equiv)]).
+    """Split a rule formula value into (hyps, [(rule name, lhs value, rhs
+    value, equiv)]).
 
     The formula is split on its value, so each piece becomes a term once,
-    with and/or/implies expanded as in any other term.  The antecedents of
-    its implies chain give the hyps, one per and-conjunct; a (syntaxp p) or
-    (synp p) conjunct stays syntactic; an (and e1 e2 ...) conclusion yields
-    one entry per conjunct, sharing the hyps.  Hyps are beta-reduced; lhs
-    and rhs are not yet, so defthm-lambda can compile the rhs's let layers.
+    with and/or/implies and let/let*/lambda expanded as in any other term.
+    The antecedents of its implies chain give the hyps, read as terms, one
+    per and-conjunct; a (syntaxp p) or (synp p) conjunct stays syntactic;
+    an (and e1 e2 ...) conclusion yields one entry per conjunct, sharing
+    the hyps.  The sides stay values, so defthm-lambda can split the rhs's
+    let layers.
     """
     hyps = []
     args = _args_of(v, "implies")
@@ -174,7 +176,7 @@ def _split_formula(name, v):
             if pred is not None and len(pred) == 1:
                 hyps.append(Syntaxp(term_from_value(pred[0])))
             else:
-                hyps.append(beta_reduce(term_from_value(h)))
+                hyps.append(term_from_value(h))
         v = args[1]
         args = _args_of(v, "implies")
 
@@ -183,18 +185,20 @@ def _split_formula(name, v):
         rule_name = name if i == 0 else f"{name}_{i + 1}"
         args = _args_of(c, "equal", "iff")
         if args is not None and len(args) == 2:
-            lhs, rhs, equiv = term_from_value(args[0]), term_from_value(args[1]), c.car
+            conclusions.append((rule_name, args[0], args[1], c.car))
         else:
-            lhs, rhs, equiv = term_from_value(c), T_TERM, "iff"
-        conclusions.append((rule_name, lhs, rhs, equiv))
+            conclusions.append((rule_name, c, T, "iff"))
     return tuple(hyps), conclusions
 
 
+def _read_formula(name, v):
+    """_split_formula(name, v) with both sides of each conclusion read as terms."""
+    hyps, conclusions = _split_formula(name, v)
+    return hyps, [(n, term_from_value(lhs), term_from_value(rhs), equiv) for n, lhs, rhs, equiv in conclusions]
+
+
 def _rules_of(name, hyps, conclusions):
-    return tuple(
-        Rule(rule_name, hyps, beta_reduce(lhs), beta_reduce(rhs), equiv, group=name)
-        for rule_name, lhs, rhs, equiv in conclusions
-    )
+    return tuple(Rule(rule_name, hyps, lhs, rhs, equiv, group=name) for rule_name, lhs, rhs, equiv in conclusions)
 
 
 def _lemma_of(name, hyps, conclusions):
@@ -203,9 +207,8 @@ def _lemma_of(name, hyps, conclusions):
     _, lhs, rhs, equiv = conclusions[0]
     if not (equiv == "iff" and terms_equal(rhs, T_TERM)):
         return None
-    concl = beta_reduce(lhs)
-    if isinstance(concl, App) and len(concl.args) == 1 and concl.head not in SPECIAL_HEADS:
-        return SideConditionLemma(name, hyps, concl.head, concl.args[0])
+    if isinstance(lhs, App) and len(lhs.args) == 1 and lhs.head not in SPECIAL_HEADS:
+        return SideConditionLemma(name, hyps, lhs.head, lhs.args[0])
     return None
 
 
@@ -247,12 +250,12 @@ def parse_rule_file(text):
             if len(rest) != 2:
                 raise RuleFileError(f"{op} expects a name and a formula")
             name = _as_name(rest[0], op)
-            decls.extend(_rules_of(name, *_named(op, name, _split_formula, rest[1])))
+            decls.extend(_rules_of(name, *_named(op, name, _read_formula, rest[1])))
         elif op == "defthmd":
             if len(rest) != 2:
                 raise RuleFileError("defthmd expects a name and a formula")
             name = _as_name(rest[0], op)
-            hyps, conclusions = _named(op, name, _split_formula, rest[1])
+            hyps, conclusions = _named(op, name, _read_formula, rest[1])
             decl = LemmaDecl(name, _lemma_of(name, hyps, conclusions), _rules_of(name, hyps, conclusions))
             parked[name] = decl
             decls.append(decl)
@@ -264,7 +267,7 @@ def parse_rule_file(text):
                 decls.extend(parked[name].rules)
             elif len(rest) == 2:
                 name = _as_name(rest[0], op)
-                decls.extend(_rules_of(name, *_named(op, name, _split_formula, rest[1])))
+                decls.extend(_rules_of(name, *_named(op, name, _read_formula, rest[1])))
             else:
                 raise RuleFileError("add-rp-rule expects a name and optionally a formula")
         elif op == "defthm-lambda":
@@ -355,7 +358,7 @@ def _check_syntaxp_pred(t, problems):
         u = stack.pop()
         if isinstance(u, (Var, Quote)):
             continue
-        if not isinstance(u, App) or u.head not in SYNTAXP_HEADS:
+        if not isinstance(u, App) or SYNTAXP_HEADS.get(u.head) != len(u.args):
             problems.append(f"syntaxp predicate outside the supported set: {u!r}")
             continue
         stack.extend(reversed(u.args))
@@ -441,7 +444,7 @@ def attach_sc(rule, lemma):
 
 
 # ---------------------------------------------------------------------------
-# lambda elimination
+# let-chain splitting
 
 
 class LambdaSplitError(ValueError):
@@ -452,48 +455,42 @@ def defthm_lambda(name, formula):
     """Split a rule whose rhs is a let/let* chain into lambda-free rules;
     formula is the rule's formula as a value.
 
-    Generates one function symbol per lambda layer, named
-    <name>_lambda-fnc_<k> with the innermost layer getting the highest k,
-    opener rules (innermost first, grouped under <name>_lambda-opener), and
-    the main rule calling the outermost generated function.  Returns
-    (rules, generated function names).
+    Generates one function symbol per binding layer of the rhs's chain,
+    named <name>_lambda-fnc_<k> with the innermost layer getting the highest
+    k, opener rules (innermost first, grouped under <name>_lambda-opener),
+    and the main rule calling the outermost generated function.  Each
+    layer's arguments and the innermost body are read as terms with the
+    layers' names left as variables.  Returns (rules, generated function
+    names).
     """
     hyps, conclusions = _split_formula(name, formula)
     if len(conclusions) != 1:
         raise LambdaSplitError("defthm-lambda expects a single equality conclusion")
     _, lhs, rhs, equiv = conclusions[0]
-    lhs = beta_reduce(lhs)
+    lhs = term_from_value(lhs)
+    layers, body = binding_layers(rhs)
+    if not layers:
+        return (Rule(name, hyps, lhs, term_from_value(rhs), equiv),), ()
 
-    chain = []
-    node = rhs
     seen_params = set()
-    while isinstance(node, LambdaApp):
-        overlap = seen_params.intersection(node.params)
+    for params, args in layers:
+        overlap = seen_params.intersection(params)
         if overlap:
             raise LambdaSplitError(f"variable shadowing across let layers: {', '.join(sorted(overlap))}")
-        seen_params.update(node.params)
-        chain.append(node)
-        node = node.body
-    for lam in chain:
-        if any(isinstance(a, LambdaApp) for a in lam.args):
-            raise LambdaSplitError("lambda in argument position is not supported")
+        seen_params.update(params)
+    if any(binding_layers(a)[0] for _params, args in layers for a in args):
+        raise LambdaSplitError("lambda in argument position is not supported")
 
-    if not chain:
-        return (Rule(name, hyps, lhs, beta_reduce(rhs), equiv),), ()
-
-    count = len(chain)
+    count = len(layers)
     fnc_names = [f"{name}_lambda-fnc_{j}" for j in range(count)]
     openers = []  # innermost first
-    call = None
+    call = term_from_value(body)
     for j in range(count - 1, -1, -1):
-        lam = chain[j]
-        body = node if j == count - 1 else call
-        own = list(lam.params)
-        extras = [v for v in vars_in_order(body) if v not in own]
-        params = own + extras
-        opener_lhs = App(fnc_names[j], tuple(Var(p) for p in params))
-        openers.append((opener_lhs, body))
-        call = App(fnc_names[j], tuple(lam.args) + tuple(Var(v) for v in extras))
+        own, args = layers[j]
+        extras = [v for v in vars_in_order(call) if v not in own]
+        opener_lhs = App(fnc_names[j], tuple(Var(p) for p in own + extras))
+        openers.append((opener_lhs, call))
+        call = App(fnc_names[j], tuple(map(term_from_value, args)) + tuple(Var(v) for v in extras))
 
     rules = []
     for i, (olhs, orhs) in enumerate(openers):

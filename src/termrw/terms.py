@@ -3,9 +3,9 @@
 Values are the ground s-expression universe: unbounded integers, symbols
 (plain Python strings, with ``nil`` doubling as false and the empty list),
 and pairs.  Terms are the syntax the rewriter works on: variables, quoted
-constants, and function applications.  Lambda applications are accepted by
-the reader so that definitions written with ``let``/``let*`` can be
-beta-reduced at ingestion; they are not legal rewriter input.
+constants, and function applications.  The reader expands each ``let``,
+``let*`` and applied ``lambda`` form into its body as it reads it, so no
+term holds a binder and substitution cannot capture.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-class BetaReductionError(ValueError):
-    pass
 
 
 def trampoline(step):
@@ -364,36 +360,6 @@ class App(Term):
         return terms_equal(self, other)
 
 
-class LambdaApp(Term):
-    """A fully applied lambda, ((lambda (params) body) args). Transient: the
-    reader produces these and beta_reduce removes them."""
-
-    __slots__ = ("params", "body", "args", "_hash")
-
-    def __init__(self, params, body, args):
-        self.params = tuple(params)
-        self.body = body
-        args = tuple(args)
-        self.args = args
-        h = hash(self.params) ^ body._hash ^ 0x4C414D
-        for a in args:
-            h = (h * 1000003 ^ a._hash) & 0x7FFFFFFFFFFFFFFF
-        self._hash = h
-
-    def __reduce__(self):
-        return _unflatten, (_flatten(self),)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LambdaApp) or other._hash != self._hash:
-            return False
-        return terms_equal(self, other)
-
-
 def terms_equal(a, b):
     stack = [(a, b)]
     while stack:
@@ -412,11 +378,6 @@ def terms_equal(a, b):
         elif cls is App:
             if x.head != y.head or len(x.args) != len(y.args) or x._hash != y._hash:
                 return False
-            stack.extend(zip(x.args, y.args))
-        elif cls is LambdaApp:
-            if x.params != y.params or len(x.args) != len(y.args):
-                return False
-            stack.append((x.body, y.body))
             stack.extend(zip(x.args, y.args))
         else:
             return False
@@ -448,11 +409,6 @@ def terms_equal_mod_rp(a, b):
         elif cls is Quote:
             if not values_equal(x.value, y.value):
                 return False
-        elif cls is LambdaApp:
-            if x.params != y.params or len(x.args) != len(y.args):
-                return False
-            stack.append((x.body, y.body))
-            stack.extend(zip(x.args, y.args))
         else:
             return False
     return True
@@ -464,9 +420,9 @@ def terms_equal_mod_rp(a, b):
 
 def _flatten(root):
     """root as a flat table, so pickle and copy never recurse on its
-    depth: its distinct nodes in postorder, each Cons, App or LambdaApp as
-    (class, head or params, positions of its parts in the table) and any
-    other node as itself.  A shared node is listed once."""
+    depth: its distinct nodes in postorder, each Cons or App as (class,
+    head, positions of its parts in the table) and any other node as
+    itself.  A shared node is listed once."""
     index = {}
     table = []
     stack = [root]
@@ -480,8 +436,6 @@ def _flatten(root):
             extra, parts = node.head, node.args
         elif cls is Cons:
             extra, parts = None, (node.car, node.cdr)
-        elif cls is LambdaApp:
-            extra, parts = node.params, (node.body, *node.args)
         else:
             extra, parts = None, None
         entry = node
@@ -505,12 +459,7 @@ def _unflatten(table):
         if entry.__class__ is tuple:
             cls, extra, positions = entry
             parts = [nodes[i] for i in positions]
-            if cls is App:
-                entry = App(extra, parts)
-            elif cls is Cons:
-                entry = Cons(*parts)
-            else:
-                entry = LambdaApp(extra, parts[0], parts[1:])
+            entry = App(extra, parts) if cls is App else Cons(*parts)
         nodes.append(entry)
     return nodes[-1]
 
@@ -560,16 +509,13 @@ def strip_rp_deep(t):
     compare equal by identity.  The cache write is idempotent: threads
     racing on one node at worst compute equal forms.
     """
-    cls = t.__class__
-    if cls is App:
-        s = t._stripped
-        if s is not None:
-            return t if s is _SAME else s
-    elif cls is not LambdaApp:
+    if t.__class__ is not App:
         return t
-    # A node waits on `frames` with the parts it strips, (body, *args) for
-    # a lambda, else its args, and their forms so far; an rp waits with
-    # None, as its form is its payload's.
+    s = t._stripped
+    if s is not None:
+        return t if s is _SAME else s
+    # A node waits on `frames` with its args and their forms so far; an rp
+    # waits with None, as its form is its payload's.
     frames = []
     u = t
     while True:
@@ -587,11 +533,6 @@ def strip_rp_deep(t):
                 s = u._stripped = _SAME
             if s is _SAME:
                 s = u
-        elif u.__class__ is LambdaApp:
-            parts = (u.body,) + u.args
-            frames.append((u, parts, []))
-            u = u.body
-            continue
         else:
             s = u
         # s is u's form: hand it up until a frame has a part left
@@ -606,9 +547,7 @@ def strip_rp_deep(t):
                 u = parts[len(done)]
                 break
             frames.pop()
-            if node.__class__ is LambdaApp:
-                s = LambdaApp(node.params, done[0], done[1:])
-            elif all(a is b for a, b in zip(done, parts)):
+            if all(a is b for a, b in zip(done, parts)):
                 node._stripped = _SAME
                 s = node
             else:
@@ -620,20 +559,8 @@ def strip_rp_deep(t):
 
 
 def free_vars(t):
-    """Free variable names of a term."""
-    out = set()
-    stack = [(t, frozenset())]
-    while stack:
-        u, bound = stack.pop()
-        if isinstance(u, Var):
-            if u.name not in bound:
-                out.add(u.name)
-        elif isinstance(u, App):
-            stack.extend((a, bound) for a in u.args)
-        elif isinstance(u, LambdaApp):
-            stack.extend((a, bound) for a in u.args)
-            stack.append((u.body, bound | set(u.params)))
-    return out
+    """The variable names of a term."""
+    return {u.name for u in subterms(t) if u.__class__ is Var}
 
 
 def vars_in_order(t):
@@ -646,9 +573,6 @@ def vars_in_order(t):
             seen.setdefault(u.name)
         elif isinstance(u, App):
             stack.extend(reversed(u.args))
-        elif isinstance(u, LambdaApp):
-            stack.append(u.body)
-            stack.extend(reversed(u.args))
     return list(seen)
 
 
@@ -660,9 +584,6 @@ def node_count(t):
         n += 1
         if isinstance(u, App):
             stack.extend(u.args)
-        elif isinstance(u, LambdaApp):
-            stack.extend(u.args)
-            stack.append(u.body)
     return n
 
 
@@ -673,9 +594,6 @@ def subterms(t):
         yield u
         if isinstance(u, App):
             stack.extend(u.args)
-        elif isinstance(u, LambdaApp):
-            stack.extend(u.args)
-            stack.append(u.body)
 
 
 def contains_head(t, head):
@@ -869,24 +787,67 @@ def term_from_value(v):
 
     Integers, t and nil self-quote; other symbols are variables.  The n-ary
     surface forms +, -, logand expand into their fixed-arity function
-    counterparts, and, or, implies into if, and let/let* into lambda
-    applications.
+    counterparts, and the forms and, or, implies into if.  A let, let* or
+    applied lambda form reads as its body, read with each of its names
+    standing for the term of the argument bound to it; so every value is
+    read once, and no term holds a binder.
     """
-    return trampoline(_term_step(v))
+    return trampoline(_term_step(v, {}))
 
 
-def _term_step(v):
-    """term_from_value's step for v: the term of an atom or a quotation,
-    else the generator that translates the form."""
+def binding_layers(v):
+    """The binding layers of v, a let, let* or applied lambda form, and of
+    each such form that is its body, its body's body and so on, as
+    ([(names, argument values), ...] outermost first, innermost body
+    value); ([], v) when v is no such form.  A let is one layer, a let*
+    one per binding."""
+    layers = []
+    while isinstance(v, Cons):
+        head = v.car
+        if isinstance(head, Cons) and head.car == "lambda":
+            parts = list_items(head.cdr)
+            if len(parts) != 2:
+                raise ParseError("lambda expects a parameter list and a body")
+            params = list_items(parts[0])
+            if not all(isinstance(p, str) and p not in (NIL, T) for p in params):
+                raise ParseError("lambda parameters must be plain symbols")
+            args = list_items(v.cdr)
+            if len(args) != len(params):
+                raise ParseError("lambda applied to the wrong number of arguments")
+            layers.append((params, args))
+        elif head in ("let", "let*"):
+            parts = list_items(v.cdr)
+            if len(parts) != 2:
+                raise ParseError(f"{head} expects a binding list and a body")
+            pairs = []
+            for b in list_items(parts[0]):
+                pair = list_items(b)
+                if len(pair) != 2 or not isinstance(pair[0], str):
+                    raise ParseError(f"bad {head} binding")
+                pairs.append(pair)
+            if head == "let*":
+                layers += [([name], [arg]) for name, arg in pairs]
+            elif pairs:
+                layers.append(([name for name, _ in pairs], [arg for _, arg in pairs]))
+        else:
+            break
+        v = parts[1]
+    return layers, v
+
+
+def _term_step(v, env):
+    """term_from_value's step for v, where env maps each let-bound name in
+    scope to its term: the term of an atom or a quotation, else the
+    generator that translates the form."""
     if isinstance(v, int):
         return Quote(v)
     if isinstance(v, str):
         if v in (NIL, T):
             return Quote(v)
-        return Var(v)
+        return env.get(v) or Var(v)
     if isinstance(v, Cons):
         if v.car != "quote":
-            return _term_of_form(v)
+            return _term_of_form(v, env)
         items = list_items(v.cdr)
         if len(items) != 1:
             raise ParseError("quote expects exactly one argument")
@@ -896,54 +857,39 @@ def _term_step(v):
     raise ParseError(f"cannot read term from {v!r}")
 
 
-def _term_of_form(v):
+def _term_of_form(v, env):
+    layers, body = binding_layers(v)
+    if body is not v:
+        # v binds names: each layer's arguments are read under the names
+        # bound so far, and the names shadowed are restored once the body
+        # is read
+        shadowed = []
+        for names, arg_values in layers:
+            args = []
+            for a in arg_values:
+                args.append((yield _term_step(a, env)))
+            for name, arg in zip(names, args):
+                shadowed.append((name, env.get(name)))
+                env[name] = arg
+        body = yield _term_step(body, env)
+        for name, old in reversed(shadowed):
+            if old is None:
+                del env[name]
+            else:
+                env[name] = old
+        return body
+
     head = v.car
     if isinstance(head, Cons):
-        if head.car != "lambda":
-            raise ParseError("application head must be a symbol or lambda")
-        parts = list_items(head.cdr)
-        if len(parts) != 2:
-            raise ParseError("lambda expects a parameter list and a body")
-        params = list_items(parts[0])
-        if not all(isinstance(p, str) and p not in (NIL, T) for p in params):
-            raise ParseError("lambda parameters must be plain symbols")
-        body = yield _term_step(parts[1])
-        args = []
-        for a in list_items(v.cdr):
-            args.append((yield _term_step(a)))
-        if len(args) != len(params):
-            raise ParseError("lambda applied to the wrong number of arguments")
-        return LambdaApp(params, body, args)
-
+        raise ParseError("application head must be a symbol or lambda")
     if not isinstance(head, str) or head in (NIL, T):
         raise ParseError("application head must be a symbol")
     if head == "lambda":
         raise ParseError("lambda must be applied, as in ((lambda (x) body) arg)")
 
-    if head in ("let", "let*"):
-        parts = list_items(v.cdr)
-        if len(parts) != 2:
-            raise ParseError(f"{head} expects a binding list and a body")
-        bindings = []
-        for b in list_items(parts[0]):
-            pair = list_items(b)
-            if len(pair) != 2 or not isinstance(pair[0], str):
-                raise ParseError(f"bad {head} binding")
-            bindings.append((pair[0], (yield _term_step(pair[1]))))
-        body = yield _term_step(parts[1])
-        if head == "let":
-            if not bindings:
-                return body
-            names = [n for n, _ in bindings]
-            return LambdaApp(names, body, [e for _, e in bindings])
-        out = body
-        for name, expr in reversed(bindings):
-            out = LambdaApp((name,), out, (expr,))
-        return out
-
     args = []
     for a in list_items(v.cdr):
-        step = _term_step(a)
+        step = _term_step(a, env)
         args.append((yield step) if step.__class__ is GeneratorType else step)
 
     if head == "falist":
@@ -957,7 +903,7 @@ def _term_of_form(v):
             for pair in list_items(shadow_q.value):
                 if not isinstance(pair, Cons):
                     raise ParseError("falist shadow entries must be pairs")
-                entries.append((pair.car, (yield _term_step(pair.cdr))))
+                entries.append((pair.car, (yield _term_step(pair.cdr, env))))
             shadow_q = Quote(FalistShadow(entries))
         return App("falist", (shadow_q, args[1]))
 
@@ -1001,19 +947,12 @@ def _value_of_term(t):
         return t.name
     if isinstance(t, Quote):
         return Cons("quote", Cons(t.value, NIL))
-    if isinstance(t, App):
-        head = t.head
-    elif isinstance(t, LambdaApp):
-        params = NIL
-        for p in reversed(t.params):
-            params = Cons(p, params)
-        head = Cons("lambda", Cons(params, Cons((yield _value_of_term(t.body)), NIL)))
-    else:
+    if not isinstance(t, App):
         raise TypeError(t)
     out = NIL
     for a in reversed(t.args):
         out = Cons((yield _value_of_term(a)), out)
-    return Cons(head, out)
+    return Cons(t.head, out)
 
 
 def parse_term(text):
@@ -1089,14 +1028,6 @@ def _write_term(t, out):
             out.append(" ")
             yield _write_term(a, out)
         out.append(")")
-    elif isinstance(t, LambdaApp):
-        out.append(f"((lambda ({' '.join(t.params)}) ")
-        yield _write_term(t.body, out)
-        out.append(")")
-        for a in t.args:
-            out.append(" ")
-            yield _write_term(a, out)
-        out.append(")")
     else:
         raise TypeError(t)
 
@@ -1110,8 +1041,7 @@ def rp_termp(t):
 
     Checks: leaves are non-nil variable symbols or quoted constants, rp
     wrappers take a quoted non-nil property symbol and exactly one payload,
-    falist shadows agree with their logical alist, and every application head
-    is a plain symbol (no lambdas).
+    and falist shadows agree with their logical alist.
     """
     violations = []
     stack = [(t, ())]
@@ -1122,8 +1052,6 @@ def rp_termp(t):
                 violations.append((flat_path(path), "nil cannot be a variable"))
         elif isinstance(u, Quote):
             pass
-        elif isinstance(u, LambdaApp):
-            violations.append((flat_path(path), "lambda heads not allowed"))
         elif isinstance(u, App):
             if u.head == "rp":
                 if len(u.args) != 2:
@@ -1158,78 +1086,36 @@ def flat_path(path):
 
 
 # ---------------------------------------------------------------------------
-# beta reduction
-
-
-def _fresh_name(base, taken):
-    k = 1
-    while f"{base}~{k}" in taken:
-        k += 1
-    return f"{base}~{k}"
+# substitution
 
 
 def substitute(t, sub):
-    """Capture-free substitution of terms for variable names."""
-    return trampoline(_substitute(t, sub))
-
-
-def _substitute(t, sub):
-    """substitute's step: the finished term of a leaf, else a generator."""
-    if isinstance(t, Var):
-        return sub.get(t.name, t)
-    if isinstance(t, Quote):
-        return t
-    if isinstance(t, (App, LambdaApp)):
-        return _substitute_node(t, sub)
-    raise TypeError(t)
-
-
-def _substitute_node(t, sub):
-    args = []
-    for a in t.args:
-        step = _substitute(a, sub)
-        args.append((yield step) if step.__class__ is GeneratorType else step)
-    if isinstance(t, App):
-        return App(t.head, args)
-    inner = {k: v for k, v in sub.items() if k not in t.params}
-    if not inner:
-        return LambdaApp(t.params, t.body, args)
-    incoming = set()
-    for v in inner.values():
-        incoming |= free_vars(v)
-    params = list(t.params)
-    body = t.body
-    clashes = [p for p in params if p in incoming]
-    if clashes:
-        taken = incoming | free_vars(body) | set(params)
-        renames = {}
-        for p in clashes:
-            fresh = _fresh_name(p, taken)
-            taken.add(fresh)
-            renames[p] = Var(fresh)
-        body = yield _substitute(body, renames)
-        params = [renames[p].name if p in renames else p for p in params]
-    return LambdaApp(params, (yield _substitute(body, inner)), args)
-
-
-def beta_reduce(t):
-    """Remove lambda applications, innermost first."""
-    return trampoline(_beta_reduce(t))
-
-
-def _beta_reduce(t):
-    if isinstance(t, (Var, Quote)):
-        return t
-    if not isinstance(t, (App, LambdaApp)):
-        raise TypeError(t)
-    args = []
-    for a in t.args:
-        args.append((yield _beta_reduce(a)))
-    if isinstance(t, App):
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return App(t.head, args)
-    body = yield _beta_reduce(t.body)
-    if len(args) != len(t.params):
-        raise BetaReductionError("lambda applied to the wrong number of arguments")
-    return (yield _substitute(body, dict(zip(t.params, args))))
+    """t with each variable that sub names replaced by its term.  No term
+    binds a name, so nothing can be captured.  An App waits on `frames`
+    with the arguments it has so far."""
+    frames = []
+    u = t
+    while True:
+        cls = u.__class__
+        if cls is Var:
+            s = sub.get(u.name, u)
+        elif cls is Quote:
+            s = u
+        elif cls is App:
+            if u.args:
+                frames.append((u, []))
+                u = u.args[0]
+                continue
+            s = App(u.head, ())
+        else:
+            raise TypeError(u)
+        while frames:
+            node, done = frames[-1]
+            done.append(s)
+            if len(done) < len(node.args):
+                u = node.args[len(done)]
+                break
+            frames.pop()
+            s = App(node.head, done)
+        else:
+            return s

@@ -30,10 +30,8 @@ from termrw.rewriter import OPEN, STOP, Leaf, Node, RewriteConfig, Rewriter
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import (
     App,
-    LambdaApp,
     Quote,
     Var,
-    beta_reduce,
     contains_head,
     format_term,
     free_vars,
@@ -311,10 +309,8 @@ def test_criterion_9_deep_terms_need_no_python_stack():
         assert rp_termp(wrapped) == []
         assert rp_termp(substitute(bad, {"a": Var("nil")})) == [((1,) * (n + 1), "nil cannot be a variable")]
 
-        nested = Quote(0)
-        for _ in range(n):
-            nested = LambdaApp(("x",), App("f", (Var("x"),)), (nested,))
-        reduced = beta_reduce(nested)
+        # ((lambda (x) (f x)) ((lambda (x) (f x)) ... '0)) reads as (f (f ... '0))
+        reduced = parse_term("((lambda (x) (f x)) " * n + "'0" + ")" * n)
         assert node_count(reduced) == n + 1 and not contains_head(reduced, "lambda")
 
         folded, _guard = fold_plus(spine)

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,30 @@ def test_deep_rule_formulas_check_and_prove(tmp_path, capsys, case):
     assert capsys.readouterr().out.strip() == f"checked {count} rule(s): ok"
     assert main(["prove", "--rules", rules_file, "--conjecture", write(tmp_path, "c.lsp", conjecture)]) == 0
     assert capsys.readouterr().out.strip() == "proved"
+
+
+def test_defthm_lambda_reads_a_let_buried_in_its_body(tmp_path, capsys):
+    # the inner let is no layer of the chain: it reads as its body, (k a)
+    rules = write(tmp_path, "r.lsp", "(defthm-lambda r (equal (m x) (let ((a (g x))) (h (let ((b a)) (k b)) a))))")
+    assert main(["check-rules", rules]) == 0
+    assert capsys.readouterr().out.strip() == "checked 2 rule(s): ok"
+    conjecture = write(tmp_path, "c.lsp", "(equal (m '1) (h (k (g '1)) (g '1)))")
+    assert main(["prove", "--rules", rules, "--conjecture", conjecture]) == 0
+    assert capsys.readouterr().out.strip() == "proved"
+
+
+def test_let_star_chain_reads_and_proves_in_linear_time(tmp_path, capsys):
+    # each binding is read once, under the names bound before it, so a
+    # 20,000-binding chain reads in time linear in its text
+    n = 20_000
+    bindings = " ".join(f"(x{i} (+ x{i - 1} '1))" for i in range(1, n + 1))
+    conjecture = write(tmp_path, "c.lsp", f"(let* ((x0 '0) {bindings}) (equal x{n} '{n}))")
+    rules = write(tmp_path, "r.lsp", "")
+    t0 = time.perf_counter()
+    assert main(["prove", "--rules", rules, "--conjecture", conjecture]) == 0
+    elapsed = time.perf_counter() - t0
+    assert capsys.readouterr().out.strip() == "proved"
+    assert elapsed < 10.0, f"{elapsed:.1f} s"
 
 
 @pytest.mark.parametrize(

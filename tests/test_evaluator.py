@@ -27,7 +27,7 @@ from termrw.evaluator import (
     nfix,
     to_boolean,
 )
-from termrw.terms import App, Cons, LambdaApp, Quote, Var, mk_rp, parse_term, truthy, values_equal
+from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term, truthy, values_equal
 
 
 @pytest.fixture
@@ -240,9 +240,6 @@ def _reference(t, env, reg, failures=None, path=()):
         return env[t.name]
     if isinstance(t, Quote):
         return t.value
-    if isinstance(t, LambdaApp):
-        vals = [_reference(a, env, reg, failures, path + (k + 1,)) for k, a in enumerate(t.args)]
-        return _reference(t.body, {**env, **dict(zip(t.params, vals))}, reg, failures, path + (0,))
     head, args = t.head, t.args
     arity = _OWN_ARITY.get(head)
     if arity is not None and len(args) != arity:
@@ -298,7 +295,6 @@ def _compound_terms(sub):
         st.tuples(sub, sub, sub).map(lambda p: App("if", p)),
         # an unregistered head on one branch only
         st.tuples(sub, sub).map(lambda p: App("if", (p[0], p[1], App("mystery", (p[1],))))),
-        st.tuples(sub, sub).map(lambda p: LambdaApp(("a",), p[0], (p[1],))),
         st.lists(sub, max_size=3).map(lambda xs: App("list", tuple(xs))),
         sub.map(lambda x: App("hide", (x,))),
         sub.map(lambda x: App("falist", (Quote("nil"), x))),

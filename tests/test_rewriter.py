@@ -26,7 +26,7 @@ from termrw.rewriter import (
     unify,
 )
 from termrw.rules import UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
-from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value
+from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value, substitute
 from termrw.validate import check_run
 
 P = parse_term
@@ -95,6 +95,8 @@ def test_failed_unify_keeps_no_frames_alive():
 def test_instantiate():
     bindings, _ = unify(P("(f x)"), P("(f (g a))"))
     assert instantiate(P("(h x x)"), bindings) == P("(h (g a) (g a))")
+    # terms bind no names, so rule instances use the one substitution
+    assert instantiate is substitute
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +395,8 @@ def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():
 
 
 def test_variable_result_in_an_iff_position_is_still_reduced_by_the_context():
-    # a meta or beta-reduction result that is a variable is rewritten, not
-    # passed through, when it stands in an iff position
+    # a meta result, or a lambda form read as its body, that is a variable
+    # is rewritten, not passed through, when it stands in an iff position
     metas = MetaRegistry([MetaRule("first-arg", "p", lambda t: t.args[0])])
     rw = Rewriter(metas=metas)
     assert rw.rewrite(P("(p a)"), ctx=[Var("a")], iff=True) == Quote("t")

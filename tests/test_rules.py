@@ -15,7 +15,7 @@ from termrw.rules import (
     parse_rule_file,
     validate_rule,
 )
-from termrw.terms import App, ParseError, Quote, Var, beta_reduce, format_term, parse_term, read_value, term_from_value
+from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term, read_value
 
 
 def ruleset(text):
@@ -201,6 +201,7 @@ def test_validate_good_rule():
         ("(def-rp-rule r (equal (f x) (g x y)))", "free variables"),
         ("(def-rp-rule r (implies (p y) (equal (f x) x)))", "free variables"),
         ("(def-rp-rule r (implies (syntaxp (weird x)) (equal (f x) x)))", "syntaxp"),
+        ("(def-rp-rule r (implies (syntaxp (not)) (equal (f x) x)))", "syntaxp"),
     ],
 )
 def test_validate_violations(text, fragment):
@@ -230,6 +231,18 @@ def test_attach_wraps_rhs():
     r = rs.rules["r"]
     assert r.rhs == parse_term("(4vec-bitand x y)")
     assert r.sc_wrapped_rhs == parse_term("(rp 'integerp (4vec-bitand x y))")
+
+
+def test_lemma_conclusion_is_read_through_let():
+    rs = ruleset(
+        """
+        (def-rp-rule r (equal (f x) (g x)))
+        (defthmd lem (iff (p x) (let ((a 't)) a)))
+        (rp-attach-sc r lem)
+        """
+    )
+    assert list(rs.lemmas) == ["lem"]
+    assert rs.rules["r"].sc_wrapped_rhs == parse_term("(g (rp 'p x))")
 
 
 def test_attach_requires_hyp_subset():
@@ -313,10 +326,7 @@ def test_defthm_lambda_composition_recovers_beta():
     rs = build_ruleset([r for r in rules if "opener" in r.name])
     rw = Rewriter(rs)
     recovered = rw.rewrite(rules[2].rhs, iff=False)
-    original = beta_reduce(
-        term_from_value(read_value("(let* ((a (f1 x)) (b (f2 x))) (f4 a a b))"))
-    )
-    assert recovered == original
+    assert recovered == parse_term("(let* ((a (f1 x)) (b (f2 x))) (f4 a a b))")
 
 
 def test_defthm_lambda_via_rule_file():

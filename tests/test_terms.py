@@ -19,14 +19,11 @@ from termrw.terms import (
     NIL_TERM,
     T_TERM,
     App,
-    BetaReductionError,
     Cons,
     FalistShadow,
-    LambdaApp,
     ParseError,
     Quote,
     Var,
-    beta_reduce,
     contains_head,
     format_term,
     format_value,
@@ -181,14 +178,19 @@ def test_implies_needs_two_arguments(text):
         term_from_value(read_value(text))
 
 
-def test_let_becomes_lambda():
+def test_let_reads_as_its_body():
     t = parse_term("(let ((x '1) (y a)) (binary-+ x y))")
-    assert t == LambdaApp(("x", "y"), parse_term("(binary-+ x y)"), (Quote(1), Var("a")))
+    assert t == parse_term("(binary-+ '1 a)")
+    assert parse_term("(let () (f x))") == parse_term("(f x)")
+    # a bound name is restored once its form is read
+    assert parse_term("(f (let ((x a)) x) x)") == parse_term("(f a x)")
+    assert parse_term("(let ((y b)) (f (let ((x a) (y x)) y) x y))") == parse_term("(f x x b)")
 
 
 def test_let_star_nests():
     t = parse_term("(let* ((x '1) (y x)) y)")
-    assert t == LambdaApp(("x",), LambdaApp(("y",), Var("y"), (Var("x"),)), (Quote(1),))
+    assert t == Quote(1)
+    assert parse_term("(let* ((x (g x)) (x (h x))) (f x))") == parse_term("(f (h (g x)))")
 
 
 def test_falist_literal_builds_shadow():
@@ -198,6 +200,9 @@ def test_falist_literal_builds_shadow():
     assert isinstance(shadow, FalistShadow)
     assert shadow.index["k1"] == Var("v1")
     assert shadow.index["k2"] == Quote(3)
+    # a let-bound name reads alike in a shadow entry and in the logical part
+    t = parse_term("(let ((v a)) (falist '((k . v)) (cons (cons 'k v) 'nil)))")
+    assert t.args[0].value.index["k"] == Var("a") and rp_termp(t) == []
 
 
 def test_bare_lambda_and_t_heads_are_rejected():
@@ -212,7 +217,7 @@ def test_bare_lambda_and_t_heads_are_rejected():
         assert str(e.value) == message, text
         with pytest.raises(ParseError):
             term_from_value(read_value(text))
-    assert parse_term("((lambda (x) x) a)") == LambdaApp(("x",), Var("x"), (Var("a"),))
+    assert parse_term("((lambda (x) x) a)") == Var("a")
 
 
 def test_term_shape_errors_report_their_forms_position():
@@ -370,7 +375,7 @@ def _two_pass(text):
 @given(_valid_texts)
 def test_one_pass_reader_agrees_on_valid_texts(text):
     t = parse_term(text)
-    assert t == _two_pass(text) and isinstance(t, (Var, Quote, App, LambdaApp))
+    assert t == _two_pass(text) and isinstance(t, (Var, Quote, App))
 
 
 @settings(max_examples=300, deadline=None)
@@ -405,10 +410,11 @@ def test_format_term_goldens():
         "(binary-+ a '1)",
         "(rp 'integerp x)",
         "'(1 . 2)",
-        "((lambda (x) x) 'nil)",
         "(if p q 'nil)",
     ):
         assert format_term(parse_term(s)) == s
+    # a lambda form reads as its body, so no term prints one
+    assert format_term(parse_term("((lambda (x) x) 'nil)")) == "'nil"
 
 
 def test_print_parse_round_trip_bulk():
@@ -547,9 +553,7 @@ def test_terms_equal_mod_rp_sees_through_nested_wrappers_and_lambdas():
     a = parse_term("(f (rp 'integerp (rp 'bitp (g x (rp 'evenp 'k)))) y)")
     assert terms_equal_mod_rp(a, parse_term("(f (g x 'k) y)"))
     assert not terms_equal_mod_rp(a, parse_term("(f (g x 'j) y)"))
-    lam = LambdaApp(("x",), mk_rp("integerp", Var("x")), (Var("y"),))
-    assert terms_equal_mod_rp(lam, LambdaApp(("x",), Var("x"), (mk_rp("bitp", Var("y")),)))
-    assert not terms_equal_mod_rp(lam, LambdaApp(("z",), Var("x"), (Var("y"),)))
+    assert terms_equal_mod_rp(parse_term("((lambda (x) (rp 'integerp x)) (rp 'bitp y))"), Var("y"))
 
 
 def _wrapped_chain(n, innermost):
@@ -611,36 +615,29 @@ def test_rp_termp_checks_falist_coherence():
 
 
 # ---------------------------------------------------------------------------
-# substitution and reduction
+# substitution, and reading let as substitution
 
 
 def test_substitute_basic():
     t = parse_term("(f x (g x y))")
     out = substitute(t, {"x": Quote(1)})
+    # y, which the map does not name, stays a variable
     assert out == parse_term("(f '1 (g '1 y))")
 
 
 def test_substitute_avoids_capture():
-    t = parse_term("((lambda (x) (binary-+ x y)) '1)")
-    out = substitute(t, {"y": Var("x")})
-    reduced = beta_reduce(out)
-    # the outer x must not be captured by the binder
-    assert reduced == parse_term("(binary-+ '1 x)")
+    # the x bound to y is not captured by the inner binding of y
+    assert parse_term("(let ((x y)) (let ((y '1)) (+ x y)))") == parse_term("(binary-+ y '1)")
 
 
 def test_substitute_shadowed_param_untouched():
-    t = parse_term("((lambda (x) x) y)")
-    assert substitute(t, {"x": Quote(5)}) == parse_term("((lambda (x) x) y)")
+    # a let's arguments are read before any of its names is bound
+    assert parse_term("(let ((x y) (y x)) (f x y))") == parse_term("(f y x)")
 
 
-def test_beta_reduce_innermost_first():
+def test_nested_lambdas_read_innermost_first():
     t = parse_term("((lambda (a) ((lambda (b) (f a b)) '2)) '1)")
-    assert beta_reduce(t) == parse_term("(f '1 '2)")
-
-
-def test_beta_reduce_arity_error():
-    with pytest.raises(BetaReductionError):
-        beta_reduce(LambdaApp(("x", "y"), Var("x"), (Quote(1),)))
+    assert t == parse_term("(f '1 '2)")
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +646,9 @@ def test_beta_reduce_arity_error():
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 _PICKLED_TERMS = """
-from termrw.terms import App, Cons, FalistShadow, LambdaApp, Quote, Var
+from termrw.terms import App, Cons, FalistShadow, Quote, Var
 x, k = Var("x"), Quote("k")
-TERMS = (x, k, App("f", (x, k)), Cons("a", "b"), LambdaApp(("y",), App("g", (Var("y"),)), (x,)),
+TERMS = (x, k, App("f", (x, k)), Cons("a", "b"),
          App("h", (App("f", (x, k)), App("g", ()), Quote(Cons(Cons("a", 1), "b")))), FalistShadow([("k", x)]))
 """
 
@@ -680,11 +677,9 @@ def test_deep_terms_pickle_and_copy_on_the_main_thread():
     # which is far past the default recursion limit
     assert threading.current_thread() is threading.main_thread()
     pairs = "nil"
-    lam = Quote(0)
     for i in range(5_000):
         pairs = Cons(Cons(i, "v"), pairs)
-        lam = LambdaApp(("x",), App("f", (Var("x"),)), (lam,))
-    for t in (chain_term(100_000), Quote(pairs), lam):
+    for t in (chain_term(100_000), Quote(pairs)):
         twin = pickle.loads(pickle.dumps(t))
         assert twin is not t and twin == t and hash(twin) == hash(t)
         # terms and values are immutable, so a deep copy is the original
