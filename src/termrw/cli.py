@@ -57,6 +57,9 @@ def _load_ruleset(path):
 
 
 def cmd_check_rules(args):
+    if args.strict and args.samples < 1:
+        print("error: samples must be >= 1", file=sys.stderr)
+        return 2
     ruleset, err = _load_ruleset(args.rule_file)
     if ruleset is None:
         return err
@@ -175,11 +178,19 @@ def _stats_cells(stats, wall_s):
     }
 
 
+def _ints(text):
+    """The comma-separated integers of text, or None if an item is not one."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        return None
+
+
 def cmd_bench_tree(args):
-    depths = [int(d) for d in args.depths.split(",")]
+    depths = _ints(args.depths)
     modes = args.modes.split(",")
-    if any(d < 2 for d in depths):
-        print("error: depths must be >= 2", file=sys.stderr)
+    if depths is None or any(d < 2 for d in depths):
+        print("error: depths must be integers >= 2", file=sys.stderr)
         return 2
     if any(m not in ("enabled", "disabled") for m in modes):
         print("error: modes are enabled,disabled", file=sys.stderr)
@@ -219,10 +230,10 @@ def cmd_bench_tree(args):
 
 
 def cmd_bench_falist(args):
-    sizes = [int(n) for n in args.sizes.split(",")]
+    sizes = _ints(args.sizes)
     modes = args.modes.split(",")
-    if any(n < 1 for n in sizes):
-        print("error: sizes must be >= 1", file=sys.stderr)
+    if sizes is None or any(n < 1 for n in sizes):
+        print("error: sizes must be integers >= 1", file=sys.stderr)
         return 2
     if any(m not in ("on", "off") for m in modes):
         print("error: modes are on,off", file=sys.stderr)

@@ -191,8 +191,7 @@ def _assoc_equal(key, alist):
     return NIL
 
 
-def default_registry():
-    """Registry with the executable suite the shipped rule files rely on."""
+def _build_default_registry():
     reg = ExecRegistry()
     reg.register("cons", 2, Cons)
     reg.register("car", 1, _car)
@@ -226,6 +225,14 @@ def default_registry():
     reg.register("fast-alist-free", 1, lambda l: l)
     # iassoc stays unregistered: benchmark-only constrained function
     return reg
+
+
+_DEFAULT = _build_default_registry()
+
+
+def default_registry():
+    """A fresh copy of the registry of the executable suite the shipped rule files rely on."""
+    return _DEFAULT.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from types import GeneratorType
 
 from . import falist as _falist
-from .evaluator import EvalDomainError, UnknownFunctionError, default_registry
+from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, default_registry
 from .meta import MetaRegistry
-from .rules import Syntaxp, SyntaxpError, UnboundRuleVariableError, build_ruleset, syntaxp_eval, unbound_vars
+from .rules import Syntaxp, UnboundRuleVariableError, build_ruleset, syntaxp_eval, unbound_vars
 from .terms import (
     NIL,
     NIL_TERM,
@@ -644,7 +644,7 @@ class Rewriter:
                     try:
                         if not syntaxp_eval(hyp.pred, bindings):
                             return False
-                    except SyntaxpError:
+                    except EvalError:
                         return False
                     continue
                 if (

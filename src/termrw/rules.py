@@ -10,14 +10,16 @@ A formula is split on its value: its implies chain, and-conjuncts, syntaxp
 hyps and equal/iff conclusions are read as lists, and each piece is then
 read as a term once by term_from_value, which expands and/or/implies to if
 and let/let*/lambda forms into their bodies, as it does for conjectures.
-A syntaxp predicate is such a term too.
+A syntaxp predicate is such a term too, and is evaluated as one: by the
+evaluator, over the few functions of SYNTAXP_REGISTRY, with each variable
+bound to its term encoded as a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .evaluator import lexorder_le
+from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, to_boolean
 from .terms import (
     NIL,
     T,
@@ -42,7 +44,6 @@ from .terms import (
     terms_equal,
     trampoline,
     truthy,
-    values_equal,
     vars_in_order,
 )
 
@@ -54,7 +55,7 @@ class RuleFileError(ValueError):
 @dataclass(frozen=True)
 class Syntaxp:
     """A hyp relieved by inspecting the bound terms themselves, not their
-    values; the predicate comes from a small interpreted set."""
+    values; the predicate calls only SYNTAXP_REGISTRY's functions and if."""
 
     pred: Term
 
@@ -297,71 +298,49 @@ def parse_rule_file(text):
 # syntaxp and validation
 
 
-class SyntaxpError(ValueError):
-    pass
+def _syntaxp_registry():
+    """not, equal, atom, consp, car and lexorder from the default registry,
+    and quotep."""
+    default, reg = default_registry(), ExecRegistry()
+    for name in ("not", "equal", "atom", "consp", "car", "lexorder"):
+        reg.register(name, default.arity(name), default.fn(name, default.arity(name)))
+    return reg.register("quotep", 1, lambda v: to_boolean(isinstance(v, Cons) and v.car == "quote"))
 
 
-# the heads a syntaxp predicate may use, with their arities; syntaxp_eval
-# interprets them (and, or and implies arrive expanded to if)
-SYNTAXP_HEADS = {"if": 3, "not": 1, "equal": 2, "atom": 1, "consp": 1, "quotep": 1, "lexorder": 2, "car": 1}
+# the functions a syntaxp predicate may call; if is the evaluator's own head
+# (and, or and implies arrive expanded to if)
+SYNTAXP_REGISTRY = _syntaxp_registry()
+
+
+def _syntaxp_walk(pred):
+    """(the names of pred's variables, its subterms in preorder outside the
+    accepted set: if with three arguments and SYNTAXP_REGISTRY's functions)."""
+    names, unsupported, stack = set(), [], [pred]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            names.add(u.name)
+        elif isinstance(u, App) and (
+            len(u.args) == 3
+            if u.head == "if"
+            else SYNTAXP_REGISTRY.has(u.head) and SYNTAXP_REGISTRY.arity(u.head) == len(u.args)
+        ):
+            stack.extend(reversed(u.args))
+        elif not isinstance(u, Quote):
+            unsupported.append(u)
+    return names, unsupported
 
 
 def syntaxp_eval(pred, bindings):
-    """Evaluate a syntaxp predicate over the terms bound by unification,
-    encoded as values; wrappers are stripped first so both plain and
-    side-condition-carrying occurrences order the same way.  Each bound term
-    is encoded at most once per call, as (or a b) reads a twice."""
-    encoded = {}
-
-    def ev(p):
-        """p's value, or for an application the generator that computes it
-        (run by terms.trampoline)."""
-        if isinstance(p, Var):
-            v = encoded.get(p.name)
-            if v is None:
-                b = bindings.get(p.name)
-                if b is None:
-                    raise SyntaxpError(f"syntaxp variable {p.name} is unbound")
-                v = encoded[p.name] = term_to_value(strip_rp_deep(b))
-            return v
-        if isinstance(p, Quote):
-            return p.value
-        if not isinstance(p, App) or SYNTAXP_HEADS.get(p.head) != len(p.args):
-            raise SyntaxpError(f"unsupported syntaxp predicate {p!r}")
-        return ev_app(p.head, p.args)
-
-    def ev_app(head, args):
-        if head == "if":
-            return ev(args[1] if truthy((yield ev(args[0]))) else args[2])
-        if head == "not":
-            return NIL if truthy((yield ev(args[0]))) else T
-        if head == "equal":
-            return T if values_equal((yield ev(args[0])), (yield ev(args[1]))) else NIL
-        if head == "atom":
-            return NIL if isinstance((yield ev(args[0])), Cons) else T
-        if head == "consp":
-            return T if isinstance((yield ev(args[0])), Cons) else NIL
-        if head == "quotep":
-            v = yield ev(args[0])
-            return T if isinstance(v, Cons) and v.car == "quote" else NIL
-        if head == "lexorder":
-            return T if lexorder_le((yield ev(args[0])), (yield ev(args[1]))) else NIL
-        v = yield ev(args[0])  # car
-        return v.car if isinstance(v, Cons) else NIL
-
-    return truthy(trampoline(ev(pred)))
-
-
-def _check_syntaxp_pred(t, problems):
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, (Var, Quote)):
-            continue
-        if not isinstance(u, App) or SYNTAXP_HEADS.get(u.head) != len(u.args):
-            problems.append(f"syntaxp predicate outside the supported set: {u!r}")
-            continue
-        stack.extend(reversed(u.args))
+    """Evaluate a syntaxp predicate as ACL2 does: as a term over
+    SYNTAXP_REGISTRY, each variable bound to its term stripped of wrappers and
+    encoded as a value.  Raises EvalError outside the set validate_rule
+    accepts, on an unbound variable, or outside a function's domain."""
+    names, unsupported = _syntaxp_walk(pred)
+    if unsupported:
+        raise EvalError(f"unsupported syntaxp predicate {unsupported[0]!r}")
+    env = {n: term_to_value(strip_rp_deep(bindings[n])) for n in names if n in bindings}
+    return truthy(eval_term(pred, env, SYNTAXP_REGISTRY))
 
 
 class UnboundRuleVariableError(ValueError):
@@ -397,7 +376,7 @@ def validate_rule(rule):
     for h in rule.hyps:
         if isinstance(h, Syntaxp):
             loose |= free_vars(h.pred) - lhs_vars
-            _check_syntaxp_pred(h.pred, problems)
+            problems += [f"syntaxp predicate outside the supported set: {u!r}" for u in _syntaxp_walk(h.pred)[1]]
     if loose:
         problems.append(f"free variables not bound by lhs: {', '.join(sorted(loose))}")
     return problems

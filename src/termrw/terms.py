@@ -824,6 +824,8 @@ def binding_layers(v):
                 pair = list_items(b)
                 if len(pair) != 2 or not isinstance(pair[0], str):
                     raise ParseError(f"bad {head} binding")
+                if pair[0] in (NIL, T):
+                    raise ParseError(f"{head} names must be plain symbols")
                 pairs.append(pair)
             if head == "let*":
                 layers += [([name], [arg]) for name, arg in pairs]

@@ -49,6 +49,13 @@ def test_check_rules_parse_error_is_usage(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_rules_strict_rejects_zero_samples(tmp_path, capsys):
+    rc = main(["check-rules", write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]), "--strict", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert (captured.out, captured.err) == ("", "error: samples must be >= 1\n")
+
+
 def test_check_rules_missing_file(capsys):
     rc = main(["check-rules", "/nonexistent/rules.lsp"])
     assert rc == 2
@@ -117,6 +124,21 @@ def test_prove_failure_prints_residual(tmp_path, capsys):
     assert rc == 1
     assert out.startswith("not proved")
     assert "final term: (equal (d2" in out
+
+
+def test_prove_leaves_fast_alists_it_cannot_order(tmp_path, capsys):
+    a, b = "(hons-acons 'a v 'nil)", "(hons-acons 'b w 'nil)"
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]),
+            "--conjecture",
+            write(tmp_path, "c.lsp", f"(equal (+ {a} {b}) (+ {b} {a}))"),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("not proved")
 
 
 def test_prove_step_limit(tmp_path, capsys):
@@ -362,6 +384,8 @@ def test_bench_tree_rejects_bad_mode(capsys):
 
 def test_bench_tree_rejects_bad_depth(capsys):
     assert main(["bench-tree", "--depths", "1"]) == 2
+    assert main(["bench-tree", "--depths", "6,x"]) == 2
+    assert capsys.readouterr().err == "error: depths must be integers >= 2\n" * 2
 
 
 def test_bench_tree_rejects_bad_repetitions(capsys):
@@ -399,6 +423,11 @@ def test_bench_falist_lookup_count_override(capsys):
 
 def test_bench_falist_rejects_bad_mode(capsys):
     assert main(["bench-falist", "--sizes", "10", "--modes", "fast"]) == 2
+
+
+def test_bench_falist_rejects_non_integer_size(capsys):
+    assert main(["bench-falist", "--sizes", "10,ten"]) == 2
+    assert capsys.readouterr().err == "error: sizes must be integers >= 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,16 @@ def test_syntaxp_eval_predicates():
     assert syntaxp_eval(P("(equal (car y) 'quote)"), {"y": Quote(Quote("quote").value)}) in (True, False)
 
 
+def test_syntaxp_outside_lexorder_domain_only_fails_the_hyp(arith_ruleset):
+    # +-comm's lexorder meets two fast alists, whose shadows it cannot order
+    a, b = "(hons-acons 'a v 'nil)", "(hons-acons 'b w 'nil)"
+    for x, y in ((a, b), (b, a)):
+        rw = Rewriter(arith_ruleset)
+        out = rw.rewrite(P(f"(binary-+ {x} {y})"), iff=False)
+        assert out.head == "binary-+"
+        assert out.args == (rw.rewrite(P(x), iff=False), rw.rewrite(P(y), iff=False))
+
+
 def test_syntaxp_orders_commutative_rule(arith_ruleset):
     rw = Rewriter(arith_ruleset)
     assert rw.rewrite(P("(binary-+ b a)"), iff=False) == P("(binary-+ a b)")

@@ -18,8 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termrw.demo import SHIPPED_RULESETS
-from termrw.evaluator import lexorder_le
-from termrw.rules import Rule, Syntaxp, SyntaxpError, build_ruleset, parse_rule_file, syntaxp_eval
+from termrw.evaluator import EvalError, default_registry, lexorder_le
+from termrw.rules import (
+    SYNTAXP_REGISTRY,
+    Rule,
+    Syntaxp,
+    build_ruleset,
+    parse_rule_file,
+    syntaxp_eval,
+    validate_rule,
+)
 from termrw.terms import (
     NIL,
     NIL_TERM,
@@ -326,10 +334,26 @@ def test_syntaxp_predicates_are_ordinary_terms(pred, value):
     assert syntaxp_eval(parse_term(pred), bindings) is value
 
 
-@pytest.mark.parametrize("pred", ["(if (atom x) 't)", "(not)", "(car x y)", "(binary-+ x y)"])
+@pytest.mark.parametrize(
+    "pred", ["(if (atom x) 't)", "(not)", "(car x y)", "(binary-+ x y)", "(hide x)", "(list x)", "(rp 'p x)"]
+)
 def test_syntaxp_eval_rejects_unsupported_predicates(pred):
-    with pytest.raises(SyntaxpError):
+    # the evaluator alone would evaluate hide, list and rp: one accepted set
+    # decides both the rule check and the evaluation
+    with pytest.raises(EvalError, match="unsupported syntaxp predicate"):
         syntaxp_eval(term_from_value(read_value(pred)), {"x": Var("a"), "y": Var("b")})
+    (rule,) = parse_rule_file(f"(def-rp-rule r (implies (syntaxp {pred}) (equal (f x y) x)))")
+    assert any(p.startswith("syntaxp predicate outside the supported set") for p in validate_rule(rule))
+
+
+def test_syntaxp_registry_shares_the_default_functions():
+    default = default_registry()
+    names = set(SYNTAXP_REGISTRY._fns) - {"quotep"}
+    assert names == {"not", "equal", "atom", "consp", "car", "lexorder"}
+    for name in names:
+        arity = default.arity(name)
+        assert SYNTAXP_REGISTRY.arity(name) == arity
+        assert SYNTAXP_REGISTRY.fn(name, arity) is default.fn(name, arity)
 
 
 # ---------------------------------------------------------------------------

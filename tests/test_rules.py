@@ -136,6 +136,8 @@ def test_unknown_declaration_rejected():
         ("(defthmd d (integerp (+ x)))", "defthmd d: + expects at least 2 arguments"),
         ("(add-rp-rule e (equal (nil 1) x))", "add-rp-rule e: application head must be a symbol"),
         ("(defthm-lambda g (equal (f x) (let ((y)) y)))", "defthm-lambda g: bad let binding"),
+        ("(defthm-lambda r (equal (m x) (let ((nil (g x))) (h nil x))))", "defthm-lambda r: let names must be"),
+        ("(defthm s (equal (f x) (let* ((t x)) (g t))))", "defthm s: let* names must be plain symbols"),
         ("(def-rp-rule r (equal (f x) (implies x)))", "def-rp-rule r: implies expects 2 arguments"),
         ("(defthm r (implies (p x) (implies (q x) (implies))))", "defthm r: implies expects 2 arguments"),
         ("(defthmd r (implies (syntaxp (implies x)) (p x)))", "defthmd r: implies expects 2 arguments"),

@@ -193,6 +193,15 @@ def test_let_star_nests():
     assert parse_term("(let* ((x (g x)) (x (h x))) (f x))") == parse_term("(f (h (g x)))")
 
 
+def test_let_names_must_be_plain_symbols():
+    # nil and t are constants: as let names they would be ignored
+    for text in ("(let ((nil a)) nil)", "(let* ((t a)) (f t))", "(f (let ((x a) (t b)) x))"):
+        with pytest.raises(ParseError, match="names must be plain symbols"):
+            parse_term(text)
+        with pytest.raises(ParseError, match="names must be plain symbols"):
+            term_from_value(read_value(text))
+
+
 def test_falist_literal_builds_shadow():
     t = parse_term("(falist '((k1 . v1) (k2 . '3)) 'nil)")
     assert isinstance(t, App) and t.head == "falist"
