@@ -119,16 +119,14 @@ def cmd_prove(args):
     except UnboundRuleVariableError as exc:
         print(f"{args.rules}: {exc}", file=sys.stderr)
         return 1
+    t0 = time.perf_counter()
     proved, out = rw.proved(conjecture)
+    stats = {**rw.stats.as_dict(), "rewrite_s": time.perf_counter() - t0}
 
     if args.trace:
         for path, rule_name, before, after in rw.trace:
             loc = "/".join(str(i) for i in path) or "top"
             print(f"trace: {rule_name} at {loc} ({before} -> {after} nodes)", file=sys.stderr)
-    if args.stats:
-        with open(args.stats, "w") as f:
-            json.dump(rw.stats.as_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
     status = 0
     if proved:
@@ -143,17 +141,25 @@ def cmd_prove(args):
         status = 1
 
     if args.verify:
+        t0 = time.perf_counter()
         report = check_run(conjecture, out, [], args.verify, rw.registry, mode="iff", seed=args.seed)
+        stats.update(
+            verify_s=time.perf_counter() - t0, samples_accepted=report.accepted, samples_skipped=report.skipped
+        )
         if not report.ok:
             for line in report.lines():
                 print(f"verify: {line}", file=sys.stderr)
             print("verification FAILED")
-            return 1
-        if report.skipped >= args.verify:
+            status = 1
+        elif report.skipped >= args.verify:
             print("verification skipped (unregistered functions)", file=sys.stderr)
-            return status
-        note = " (starved)" if report.starved else ""
-        print(f"verified on {report.accepted} sample(s){note}")
+        else:
+            note = " (starved)" if report.starved else ""
+            print(f"verified on {report.accepted} sample(s){note}")
+    if args.stats:
+        with open(args.stats, "w") as f:
+            json.dump(stats, f, indent=2, sort_keys=True)
+            f.write("\n")
     return status
 
 
@@ -291,7 +297,7 @@ def build_parser():
     c.add_argument("--step-limit", type=int, default=RewriteConfig.step_limit)
     c.add_argument("--backchain-depth", type=int, default=RewriteConfig.backchain_depth)
     c.add_argument("--trace", action="store_true")
-    c.add_argument("--stats", metavar="FILE", help="dump rewrite statistics as JSON")
+    c.add_argument("--stats", metavar="FILE", help="dump rewrite statistics, with seconds spent rewriting and verifying, as JSON")
     c.add_argument("--verify", type=int, metavar="N", help="sample N environments to cross-check the run")
     c.add_argument("--seed", type=int, default=7)
     c.set_defaults(fn=cmd_prove)

@@ -642,7 +642,7 @@ class Rewriter:
             for hyp in rule.hyps:
                 if isinstance(hyp, Syntaxp):
                     try:
-                        if not syntaxp_eval(hyp.pred, bindings):
+                        if not syntaxp_eval(hyp, bindings):
                             return False
                     except EvalError:
                         return False

@@ -55,9 +55,18 @@ class RuleFileError(ValueError):
 @dataclass(frozen=True)
 class Syntaxp:
     """A hyp relieved by inspecting the bound terms themselves, not their
-    values; the predicate calls only SYNTAXP_REGISTRY's functions and if."""
+    values; the predicate calls only SYNTAXP_REGISTRY's functions and if.
+    names and unsupported are pred's variables and its subterms outside
+    that set, found once as the hyp is built."""
 
     pred: Term
+    names: frozenset = field(init=False, repr=False, compare=False)
+    unsupported: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names, unsupported = _syntaxp_walk(self.pred)
+        object.__setattr__(self, "names", frozenset(names))
+        object.__setattr__(self, "unsupported", tuple(unsupported))
 
     def __repr__(self):
         return f"(syntaxp {self.pred!r})"
@@ -331,16 +340,15 @@ def _syntaxp_walk(pred):
     return names, unsupported
 
 
-def syntaxp_eval(pred, bindings):
-    """Evaluate a syntaxp predicate as ACL2 does: as a term over
+def syntaxp_eval(hyp, bindings):
+    """Evaluate a Syntaxp hyp's predicate as ACL2 does: as a term over
     SYNTAXP_REGISTRY, each variable bound to its term stripped of wrappers and
     encoded as a value.  Raises EvalError outside the set validate_rule
     accepts, on an unbound variable, or outside a function's domain."""
-    names, unsupported = _syntaxp_walk(pred)
-    if unsupported:
-        raise EvalError(f"unsupported syntaxp predicate {unsupported[0]!r}")
-    env = {n: term_to_value(strip_rp_deep(bindings[n])) for n in names if n in bindings}
-    return truthy(eval_term(pred, env, SYNTAXP_REGISTRY))
+    if hyp.unsupported:
+        raise EvalError(f"unsupported syntaxp predicate {hyp.unsupported[0]!r}")
+    env = {n: term_to_value(strip_rp_deep(bindings[n])) for n in hyp.names if n in bindings}
+    return truthy(eval_term(hyp.pred, env, SYNTAXP_REGISTRY))
 
 
 class UnboundRuleVariableError(ValueError):
@@ -376,7 +384,7 @@ def validate_rule(rule):
     for h in rule.hyps:
         if isinstance(h, Syntaxp):
             loose |= free_vars(h.pred) - lhs_vars
-            problems += [f"syntaxp predicate outside the supported set: {u!r}" for u in _syntaxp_walk(h.pred)[1]]
+            problems += [f"syntaxp predicate outside the supported set: {u!r}" for u in h.unsupported]
     if loose:
         problems.append(f"free variables not bound by lhs: {', '.join(sorted(loose))}")
     return problems

@@ -940,7 +940,9 @@ def _plain_term(head, args):
 
 
 def term_to_value(t):
-    """Encode a term as a value, the usual terms-as-lists embedding."""
+    """Encode a term as a value, the usual terms-as-lists embedding.  A
+    falist term is encoded as its logical alist, the value it evaluates
+    to: its shadow is a lookup table, not a value."""
     return trampoline(_value_of_term(t))
 
 
@@ -951,6 +953,8 @@ def _value_of_term(t):
         return Cons("quote", Cons(t.value, NIL))
     if not isinstance(t, App):
         raise TypeError(t)
+    if is_falist(t):
+        return (yield _value_of_term(t.args[1]))
     out = NIL
     for a in reversed(t.args):
         out = Cons((yield _value_of_term(a)), out)

@@ -19,10 +19,12 @@ function without an executable counterpart in a fact, the input or the
 output makes the whole check skipped (skipped = n).  A report is starved
 when fewer than n draws were accepted or skipped.
 
-Draws are evaluated in chunks: each term is evaluated once per node per
-chunk of environments (evaluator.eval_terms), not once per node per
-environment, and the chunk's draws are then judged one by one in draw
-order, so every report is the one single draws would give.
+Draws come in chunks.  A chunk's environments are drawn in one loop
+(sample_envs) from the stream that single draws would take.  Each term is
+evaluated once per node per chunk (evaluator.eval_terms), not once per
+node per environment, and each compared draw's verdict is decided as the
+columns of before and after join.  The chunk's outcomes are then tallied
+in draw order, so every report is the one single draws would give.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms
 from .rules import Syntaxp
 from .terms import (
+    NIL,
     App,
     Cons,
     Quote,
@@ -109,19 +112,44 @@ _SYMBOL_POOL = ("nil", "t", "foo", "bar", "k1", "key2")
 def sample_value(rng):
     """Mixed distribution: half small integers, a quarter near ±2^64, a
     quarter structured (symbols and shallow pairs)."""
-    roll = rng.random()
-    if roll < 0.50:
-        return rng.randint(-8, 8)
-    if roll < 0.75:
-        sign = -1 if rng.random() < 0.5 else 1
-        return sign * ((1 << 64) + rng.randint(-8, 8))
-    if roll < 0.875:
-        return rng.choice(_SYMBOL_POOL)
-    return Cons(rng.choice((0, 1, "a", "nil")), rng.choice((2, "t", "b", "nil")))
+    return sample_envs(rng, ("v",), 1)[0]["v"]
 
 
 def sample_env(rng, names):
-    return {name: sample_value(rng) for name in sorted(names)}
+    return sample_envs(rng, names, 1)[0]
+
+
+def sample_envs(rng, names, size):
+    """size environments over names, each a value of sample_value's
+    distribution per name in sorted order.  randint(-8, 8) and choice are
+    drawn as CPython's Random draws them, getrandbits of the range's bit
+    length until below the range, so the stream and rng's final state are
+    those of size calls of sample_env."""
+    random_, bits = rng.random, rng.getrandbits
+
+    def below(n, k):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    names = sorted(names)
+    envs = []
+    for _ in range(size):
+        env = {}
+        for name in names:
+            roll = random_()
+            if roll < 0.50:
+                env[name] = below(17, 5) - 8
+            elif roll < 0.75:
+                sign = -1 if random_() < 0.5 else 1
+                env[name] = sign * ((1 << 64) + below(17, 5) - 8)
+            elif roll < 0.875:
+                env[name] = _SYMBOL_POOL[below(6, 3)]
+            else:
+                env[name] = Cons((0, 1, "a", "nil")[below(4, 3)], (2, "t", "b", "nil")[below(4, 3)])
+        envs.append(env)
+    return envs
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +157,8 @@ def sample_env(rng, names):
 
 REJECTION_CAP = 100
 
-# outcomes of a draw besides rejection, a comparison, or an error
+# outcomes of a draw besides rejection, a failed comparison, or an error
+_ACCEPT = "accept"  # before and after agree, and no wrapper fails
 _SKIP = "skip"  # the input term is undefined
 _UNDEFINED = "undefined"  # only the output term is undefined
 
@@ -146,12 +175,15 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
     never draws past the point where taking one draw at a time would stop.
     A chunk is evaluated one term at a time over all its environments
     (eval_terms): the facts, each only where the earlier ones hold, then
-    before, then after where before is defined.  Its draws are then judged
-    one by one in draw order, so the report is the one a loop over single
+    before, then after where before is defined, and a draw where both are
+    defined is judged as their values are paired.  The outcomes are then
+    tallied in draw order, so the report is the one a loop over single
     environments would give.
     """
     names = set().union(*map(free_vars, (before, after, *facts)))
     rng = random.Random(seed)
+    equal = mode == "equal"
+    changed = f"{label}{'value' if equal else 'truthiness'} changed by rewriting"
     report = ValidityReport()
     draws = 0
     while True:
@@ -159,7 +191,7 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         if size <= 0:
             break
         draws += size
-        envs = [sample_env(rng, names) for _ in range(size)]
+        envs = sample_envs(rng, names, size)
         outcomes = [None] * size  # None: rejected by a fact
         live = list(range(size))
         for fact in facts:
@@ -167,34 +199,37 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         befores = _evaluate(before, envs, live, reg, outcomes, _SKIP)
         failures = {} if check_wrappers else None
         afters = dict(_evaluate(after, envs, [i for i, _v in befores], reg, outcomes, _UNDEFINED, failures))
-        for i, v_before in befores:
+        # a compared draw that fails: (the changed-value message or "", its
+        # first wrapper failure or None)
+        for i, v in befores:
             if i in afters:
-                outcomes[i] = (v_before, afters[i])
+                w = afters[i]
+                same = values_equal(v, w) if equal else (v == NIL) == (w == NIL)
+                failure = failures.get(i) if failures else None
+                outcomes[i] = _ACCEPT if same and failure is None else ("" if same else changed, failure)
         for i, outcome in enumerate(outcomes):
-            env = envs[i]
-            if outcome is None:
+            if outcome is _ACCEPT:
+                report.accepted += 1
+            elif outcome is None:
                 continue
             elif outcome is _SKIP:
                 report.skipped += 1
             elif outcome is _UNDEFINED:
-                report.fail((), f"{label}rewritten term undefined where input is defined", env)
+                report.fail((), f"{label}rewritten term undefined where input is defined", envs[i])
             elif isinstance(outcome, UnknownFunctionError):
                 report.skipped = n
                 break
             elif isinstance(outcome, EvalError):
                 raise outcome
             else:
-                v_before, v_after = outcome
-                if mode == "equal":
-                    if not values_equal(v_before, v_after):
-                        report.fail((), f"{label}value changed by rewriting", env)
-                elif truthy(v_before) != truthy(v_after):
-                    report.fail((), f"{label}truthiness changed by rewriting", env)
-                if failures and i in failures:
-                    path, prop, error = failures[i]
-                    report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
-                else:
+                message, failure = outcome
+                if message:
+                    report.fail((), message, envs[i])
+                if failure is None:
                     report.accepted += 1
+                else:
+                    path, prop, error = failure
+                    report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", envs[i])
     report.starved = report.accepted + report.skipped < n
     return report
 

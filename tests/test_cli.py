@@ -126,7 +126,7 @@ def test_prove_failure_prints_residual(tmp_path, capsys):
     assert "final term: (equal (d2" in out
 
 
-def test_prove_leaves_fast_alists_it_cannot_order(tmp_path, capsys):
+def test_prove_orders_fast_alists(tmp_path, capsys):
     a, b = "(hons-acons 'a v 'nil)", "(hons-acons 'b w 'nil)"
     rc = main(
         [
@@ -137,8 +137,8 @@ def test_prove_leaves_fast_alists_it_cannot_order(tmp_path, capsys):
             write(tmp_path, "c.lsp", f"(equal (+ {a} {b}) (+ {b} {a}))"),
         ]
     )
-    assert rc == 1
-    assert capsys.readouterr().out.startswith("not proved")
+    assert rc == 0
+    assert capsys.readouterr().out == "proved\n"
 
 
 def test_prove_step_limit(tmp_path, capsys):
@@ -176,7 +176,30 @@ def test_prove_stats_json(tmp_path, capsys):
     assert stats["rewrite_calls"] == 113
     assert stats["rule_attempts"] == 146
     assert stats["rule_applications"] == 19
+    assert stats["rewrite_s"] > 0
+    assert "verify_s" not in stats and "samples_accepted" not in stats
     capsys.readouterr()
+    # with --verify the file is written after the samples are drawn
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]),
+            "--conjecture",
+            write(tmp_path, "c.lsp", SHIPPED_CONJECTURES["three-round-to-evens"]),
+            "--stats",
+            str(stats_file),
+            "--verify",
+            "50",
+        ]
+    )
+    assert rc == 0
+    verified = json.loads(stats_file.read_text())
+    assert {k: verified.pop(k) for k in ("samples_accepted", "samples_skipped")} == {
+        "samples_accepted": 50, "samples_skipped": 0}
+    assert verified.pop("verify_s") > 0 and verified.pop("rewrite_s") > 0
+    assert verified == {k: v for k, v in stats.items() if k != "rewrite_s"}
+    assert capsys.readouterr().out == "proved\nverified on 50 sample(s)\n"
 
 
 def test_prove_verify(tmp_path, capsys):

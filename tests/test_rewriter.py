@@ -25,7 +25,7 @@ from termrw.rewriter import (
     negate,
     unify,
 )
-from termrw.rules import UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
+from termrw.rules import Syntaxp, UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
 from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value, substitute
 from termrw.validate import check_run
 
@@ -566,21 +566,22 @@ def test_unbound_syntaxp_variable_only_fails_the_hyp():
 
 def test_syntaxp_eval_predicates():
     bindings = {"x": Var("a"), "y": Quote(1)}
-    assert syntaxp_eval(P("(atom x)"), bindings)
-    assert syntaxp_eval(P("(quotep y)"), bindings)
-    assert not syntaxp_eval(P("(quotep x)"), bindings)
-    assert syntaxp_eval(P("(not (consp x))"), bindings)
-    assert syntaxp_eval(P("(equal (car y) 'quote)"), {"y": Quote(Quote("quote").value)}) in (True, False)
+    assert syntaxp_eval(Syntaxp(P("(atom x)")), bindings)
+    assert syntaxp_eval(Syntaxp(P("(quotep y)")), bindings)
+    assert not syntaxp_eval(Syntaxp(P("(quotep x)")), bindings)
+    assert syntaxp_eval(Syntaxp(P("(not (consp x))")), bindings)
+    assert syntaxp_eval(Syntaxp(P("(equal (car y) 'quote)")), {"y": Quote(Quote("quote").value)}) in (True, False)
 
 
-def test_syntaxp_outside_lexorder_domain_only_fails_the_hyp(arith_ruleset):
-    # +-comm's lexorder meets two fast alists, whose shadows it cannot order
+def test_syntaxp_orders_fast_alists(arith_ruleset):
+    # +-comm's lexorder ranks a fast alist by its logical alist; its shadow
+    # is a lookup table that lexorder cannot rank
     a, b = "(hons-acons 'a v 'nil)", "(hons-acons 'b w 'nil)"
+    rw = Rewriter(arith_ruleset)
+    fa, fb = rw.rewrite(P(a), iff=False), rw.rewrite(P(b), iff=False)
     for x, y in ((a, b), (b, a)):
-        rw = Rewriter(arith_ruleset)
-        out = rw.rewrite(P(f"(binary-+ {x} {y})"), iff=False)
-        assert out.head == "binary-+"
-        assert out.args == (rw.rewrite(P(x), iff=False), rw.rewrite(P(y), iff=False))
+        out = Rewriter(arith_ruleset).rewrite(P(f"(binary-+ {x} {y})"), iff=False)
+        assert out.head == "binary-+" and out.args == (fa, fb)
 
 
 def test_syntaxp_orders_commutative_rule(arith_ruleset):
@@ -589,6 +590,17 @@ def test_syntaxp_orders_commutative_rule(arith_ruleset):
     # already sorted input is left alone
     rw2 = Rewriter(arith_ruleset)
     assert rw2.rewrite(P("(binary-+ a b)"), iff=False) == P("(binary-+ a b)")
+
+
+def test_syntaxp_predicates_are_walked_once_when_read(arith_ruleset, monkeypatch):
+    import termrw.rules
+
+    calls = []
+    real = termrw.rules._syntaxp_walk
+    monkeypatch.setattr(termrw.rules, "_syntaxp_walk", lambda pred: calls.append(pred) or real(pred))
+    rw = Rewriter(arith_ruleset)
+    assert rw.rewrite(P("(binary-+ b a)"), iff=False) == P("(binary-+ a b)")
+    assert calls == []
 
 
 def test_syntaxp_sorts_through_wrappers(arith_ruleset):

@@ -274,7 +274,7 @@ _BINDINGS = st.fixed_dictionaries({"x": _BOUND, "y": _BOUND, "z": _BOUND})
 
 
 def _same_syntaxp(new_pred, old_pred, bindings):
-    return syntaxp_eval(new_pred, bindings) == reference_syntaxp_eval(old_pred, bindings)
+    return syntaxp_eval(Syntaxp(new_pred), bindings) == reference_syntaxp_eval(old_pred, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_or_reads_each_bound_term_once(monkeypatch):
     real = termrw.rules.term_to_value
     monkeypatch.setattr(termrw.rules, "term_to_value", lambda t: calls.append(t) or real(t))
     pred = parse_term("(or (atom x) (atom x) (equal x y) (quotep y))")
-    assert syntaxp_eval(pred, {"x": App("f", (Var("a"),)), "y": mk_rp("integerp", Var("b"))}) is False
+    assert syntaxp_eval(Syntaxp(pred), {"x": App("f", (Var("a"),)), "y": mk_rp("integerp", Var("b"))}) is False
     assert len(calls) == 2
 
 
@@ -331,7 +331,7 @@ def test_or_reads_each_bound_term_once(monkeypatch):
 )
 def test_syntaxp_predicates_are_ordinary_terms(pred, value):
     bindings = {"x": App("f", (Var("a"),)), "y": mk_rp("integerp", Var("b"))}
-    assert syntaxp_eval(parse_term(pred), bindings) is value
+    assert syntaxp_eval(Syntaxp(parse_term(pred)), bindings) is value
 
 
 @pytest.mark.parametrize(
@@ -341,7 +341,7 @@ def test_syntaxp_eval_rejects_unsupported_predicates(pred):
     # the evaluator alone would evaluate hide, list and rp: one accepted set
     # decides both the rule check and the evaluation
     with pytest.raises(EvalError, match="unsupported syntaxp predicate"):
-        syntaxp_eval(term_from_value(read_value(pred)), {"x": Var("a"), "y": Var("b")})
+        syntaxp_eval(Syntaxp(term_from_value(read_value(pred))), {"x": Var("a"), "y": Var("b")})
     (rule,) = parse_rule_file(f"(def-rp-rule r (implies (syntaxp {pred}) (equal (f x y) x)))")
     assert any(p.startswith("syntaxp predicate outside the supported set") for p in validate_rule(rule))
 

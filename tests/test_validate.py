@@ -17,6 +17,7 @@ from termrw.validate import (
     env_digest,
     random_term,
     sample_env,
+    sample_envs,
     sample_rule_soundness,
     sample_value,
     valid_sc,
@@ -121,6 +122,17 @@ def test_sample_env_stream_is_pinned():
             for _ in range(500):
                 h.update(env_digest(sample_env(rng, names)).encode() + b"\n")
     assert h.hexdigest() == DRAW_STREAM_SHA256
+    # one chunk draws the same stream, and leaves the rng where single draws do
+    chunked = hashlib.sha256()
+    for seed in range(5):
+        for names in ({"a", "b", "c"}, {"x"}):
+            rng, single = random.Random(seed), random.Random(seed)
+            for env in sample_envs(rng, names, 500):
+                chunked.update(env_digest(env).encode() + b"\n")
+            for _ in range(500):
+                sample_env(single, names)
+            assert rng.getstate() == single.getstate()
+    assert chunked.hexdigest() == DRAW_STREAM_SHA256
 
 
 def test_env_digest_is_stable():
@@ -342,6 +354,8 @@ SAMPLING_CASES = {
         "a", "(if (equal a '5) (mystery a) (rp 'evenp a))", ["(integerp a)"], "iff", 200),
     "unknown function in a fact": ("a", "a", ["(if (equal a '3) (mystery a) 't)"], "iff", 200),
     "unknown function everywhere": ("(iassoc a b)", "a", [], "iff", 20),
+    "truthiness flips on some draws only": ("(consp a)", "(integerp a)", [], "iff", 60),
+    "values compared as pairs": ("(cons a b)", "(cons b a)", [], "equal", 60),
 }
 
 
