@@ -4,8 +4,6 @@ Run:  python3 demos/fast_alists.py
 """
 
 from termrw import RewriteConfig, Rewriter, build_ruleset, format_term, parse_term
-from termrw.falist import make_linear_get_meta
-from termrw.meta import MetaRule
 from termrw.terms import App, Quote
 
 rw = Rewriter(build_ruleset([]))
@@ -22,7 +20,6 @@ print("freed back to the logical chain:", format_term(freed)[:70], "...")
 
 # With shadowing off, the same lookup walks the chain node by node.
 off = Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=False))
-off.metas.register(MetaRule("linear-get", "hons-get", make_linear_get_meta(off.stats), trusted_syntax=True))
 chain_off = off.rewrite(chain, iff=False)
 looked_off = off.rewrite(App("hons-get", (Quote("key3"), chain_off)), iff=False)
 print("linear scan:", format_term(looked_off), f"(node visits: {off.stats.fa_node_visits})")

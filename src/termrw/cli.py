@@ -13,8 +13,6 @@ import time
 
 from .demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookup_keys, lookups_term, tree_conjecture
 from .evaluator import default_registry
-from .falist import make_linear_get_meta
-from .meta import MetaRule
 from .rewriter import RewriteConfig, Rewriter
 from .rules import AttachError, RuleFileError, UnboundRuleVariableError, build_ruleset, parse_rule_file, validate_rule
 from .terms import ParseError, format_term, node_count, parse_term
@@ -95,6 +93,9 @@ def cmd_check_rules(args):
 
 
 def cmd_prove(args):
+    if args.verify is not None and args.verify < 1:
+        print("error: verify samples must be >= 1", file=sys.stderr)
+        return 2
     ruleset, err = _load_ruleset(args.rules)
     if ruleset is None:
         return err
@@ -157,9 +158,13 @@ def cmd_prove(args):
             note = " (starved)" if report.starved else ""
             print(f"verified on {report.accepted} sample(s){note}")
     if args.stats:
-        with open(args.stats, "w") as f:
-            json.dump(stats, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            with open(args.stats, "w") as f:
+                json.dump(stats, f, indent=2, sort_keys=True)
+                f.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return status
 
 
@@ -251,10 +256,6 @@ def cmd_bench_falist(args):
         for mode in modes:
             cfg = RewriteConfig(step_limit=args.step_limit, fast_alist_enabled=(mode == "on"))
             rw = Rewriter(build_ruleset([]), cfg=cfg)
-            if mode == "off":
-                rw.metas.register(
-                    MetaRule("linear-get", "hons-get", make_linear_get_meta(rw.stats), trusted_syntax=True)
-                )
             t0 = time.perf_counter()
             fal = rw.rewrite(chain_term(n), iff=False)
             t_build = time.perf_counter() - t0

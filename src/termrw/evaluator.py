@@ -6,9 +6,7 @@ the free variables.  An environment is a plain dict from variable name to
 value; no term binds a name (the reader expands let, let* and lambda
 forms), so every node is evaluated under the environments given.
 Function meanings live in an ExecRegistry; the same registry backs the
-rewriter's executable-counterpart step, where per-function enable flags
-apply (eval_term itself ignores them, disabling execution must not change
-what a function means).
+rewriter's executable-counterpart step.
 
 Evaluation is batched: eval_terms walks a term once for a whole list of
 environments, so the interpretive work of a node (its dispatch, its frame,
@@ -96,15 +94,10 @@ def lexorder_le(a, b):
 
 
 class ExecRegistry:
-    """Named ground evaluators, each with a fixed arity and an enable flag.
-
-    The flag gates only the rewriter's executable-counterpart step; see the
-    module docstring.
-    """
+    """Named ground evaluators, each with a fixed arity."""
 
     def __init__(self):
         self._fns = {}
-        self._disabled = set()
 
     def register(self, name, arity, fn):
         self._fns[name] = (arity, fn)
@@ -115,17 +108,6 @@ class ExecRegistry:
 
     def arity(self, name):
         return self._fns[name][0]
-
-    def set_enabled(self, name, flag):
-        if name not in self._fns:
-            raise KeyError(f"no executable counterpart registered for {name}")
-        if flag:
-            self._disabled.discard(name)
-        else:
-            self._disabled.add(name)
-
-    def is_enabled(self, name):
-        return name in self._fns and name not in self._disabled
 
     def call(self, name, args):
         return self.fn(name, len(args))(*args)
@@ -144,7 +126,6 @@ class ExecRegistry:
     def copy(self):
         other = ExecRegistry()
         other._fns = dict(self._fns)
-        other._disabled = set(self._disabled)
         return other
 
 

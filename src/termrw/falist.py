@@ -4,6 +4,8 @@ A term ``(falist 'shadow logical)`` evaluates as its logical payload, a
 quoted-key association-list term, while the quoted shadow carries the same
 entries in a lookup table.  hons-acons extends both sides, hons-get answers
 from the shadow in one probe, fast-alist-free drops back to the payload.
+With fast alists off the rewriter answers hons-get by linear_get instead,
+a scan of the logical chain that charges one node visit per entry.
 Each line of versions shares one append-only binding log, and a shadow is
 a prefix of it: extending the newest version appends in O(1), extending an
 older one forks a fresh log, and every version sees only its own prefix,
@@ -146,26 +148,20 @@ def fa_free(fal):
     return fal.args[1]
 
 
-def make_linear_get_meta(stats):
-    """Fallback lookup for benchmarking with fast-alists off: decode the
-    term representing the alist and scan it, charging stats.fa_node_visits
-    one visit per entry up to a hit, or every entry plus the terminator on
-    a miss."""
-
-    def linear_get(t):
-        if not (isinstance(t, App) and t.head == "hons-get" and len(t.args) == 2):
-            return None
-        key = t.args[0]
-        if not isinstance(key, Quote):
-            return None
-        entries = logical_entries(t.args[1])
-        if entries is None:
-            return None
-        for i, (k, v) in enumerate(entries):
-            if values_equal(k, key.value):
-                stats.fa_node_visits += i + 1
-                return App("cons", (Quote(k), v))
-        stats.fa_node_visits += len(entries) + 1
-        return NIL_TERM
-
-    return linear_get
+def linear_get(key, alist, stats):
+    """Lookup with fast alists off: (hons-get key alist) -> (cons key val)
+    or 'nil by decoding the chain and scanning it, charging
+    stats.fa_node_visits one visit per entry up to a hit, or every entry
+    plus the terminator on a miss.  None, charging nothing, when the key is
+    not quoted or the chain cannot be decoded."""
+    if not isinstance(key, Quote):
+        return None
+    entries = logical_entries(alist)
+    if entries is None:
+        return None
+    for i, (k, v) in enumerate(entries):
+        if values_equal(k, key.value):
+            stats.fa_node_visits += i + 1
+            return App("cons", (Quote(k), v))
+    stats.fa_node_visits += len(entries) + 1
+    return NIL_TERM

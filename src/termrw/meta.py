@@ -1,8 +1,8 @@
 """Meta rules: native term transformers attached to a trigger head.
 
 A meta function takes the term and returns either a new term, a (term,
-dont-rw) pair, or None for "no change".  Unless registered as trusted, its
-output must pass the well-formedness check or the result is discarded.
+dont-rw) pair, or None for "no change".  Its output must pass the
+well-formedness check, rp_termp, or the result is discarded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class MetaRule:
     name: str
     trigger: str
     fn: object  # Term -> Term | (Term, DontRw) | None
-    trusted_syntax: bool = False
 
 
 class MetaRegistry:
@@ -67,13 +66,12 @@ class MetaRegistry:
                 new_t, dont_rw = out, None
             if new_t is core or new_t == core:
                 continue
-            if not meta.trusted_syntax:
-                violations = rp_termp(new_t)
-                if violations:
-                    stats.meta_rejections += 1
-                    if diagnostics is not None:
-                        diagnostics.append((meta.name, violations))
-                    continue
+            violations = rp_termp(new_t)
+            if violations:
+                stats.meta_rejections += 1
+                if diagnostics is not None:
+                    diagnostics.append((meta.name, violations))
+                continue
             stats.meta_applications += 1
             stats.nodes_created += node_count(new_t)
             return new_t, dont_rw

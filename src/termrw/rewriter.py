@@ -3,9 +3,9 @@
 Each call runs the step sequence: stop on dont-rw, try context reduction in
 iff positions, strengthen from context facts, rewrite arguments (expanding
 the context through if), try the executable counterpart, fast-alist
-interception, meta rules, then rewrite rules; rule and meta hits recurse
-with a dont-rw derived from the produced template so freshly substituted
-bindings are not rewritten again.
+interception (a scan of the chain with fast alists off), meta rules, then
+rewrite rules; rule and meta hits recurse with a dont-rw derived from the
+produced template so freshly substituted bindings are not rewritten again.
 
 Steps are plain calls wherever no sub-rewrite waits.  An argument the loop
 would return unchanged (stopped by dont-rw, quoted, or a variable outside
@@ -319,11 +319,7 @@ class Rewriter:
             if loose:
                 names = ", ".join(sorted(loose))
                 raise UnboundRuleVariableError(f"rule {rule.name} uses variables its lhs does not bind: {names}")
-        reg = (registry if registry is not None else default_registry()).copy()
-        for fn in self.ruleset.exec_disabled:
-            if reg.has(fn):
-                reg.set_enabled(fn, False)
-        self.registry = reg
+        self.registry = registry if registry is not None else default_registry()
         self.metas = metas if metas is not None else MetaRegistry()
         self.cfg = cfg if cfg is not None else RewriteConfig()
         self.stats = RewriteStats()
@@ -484,8 +480,13 @@ class Rewriter:
         stats = self.stats
         head = core.head
 
-        # (5) executable counterpart
-        if self.registry.is_enabled(head) and core.args and all(a.__class__ is Quote for a in core.args):
+        # (5) executable counterpart, unless the rule file disables it
+        if (
+            core.args
+            and self.registry.has(head)
+            and head not in self.ruleset.exec_disabled
+            and all(a.__class__ is Quote for a in core.args)
+        ):
             try:
                 value = self.registry.call(head, [a.value for a in core.args])
                 stats.exec_evals += 1
@@ -496,8 +497,8 @@ class Rewriter:
             except UnknownFunctionError:
                 pass
 
-        # (5b) fast-alist interception
-        if self.cfg.fast_alist_enabled and head in _FA_HEADS:
+        # (5b) fast-alist interception, or a linear lookup with it off
+        if head in _FA_HEADS:
             fa = self._apply_falist(core)
             if fa is not None:
                 return fa
@@ -558,16 +559,22 @@ class Rewriter:
         return App("if", (test, then, els))
 
     def _apply_falist(self, core):
+        """Step (5b): the answer of a fast-alist head, not to be rewritten
+        again, or None.  With fast alists off only hons-get is answered, by
+        scanning the logical chain."""
         stats = self.stats
+        if core.head == "hons-get" and len(core.args) == 2:
+            get = _falist.fa_get if self.cfg.fast_alist_enabled else _falist.linear_get
+            out = get(core.args[0], core.args[1], stats)
+            if out is not None:
+                stats.nodes_created += 1
+            return out
+        if not self.cfg.fast_alist_enabled:
+            return None
         if core.head == "hons-acons" and len(core.args) == 3:
             out = _falist.fa_acons(core.args[0], core.args[1], core.args[2])
             if out is not None:
                 stats.nodes_created += 4
-            return out
-        if core.head == "hons-get" and len(core.args) == 2:
-            out = _falist.fa_get(core.args[0], core.args[1], stats)
-            if out is not None:
-                stats.nodes_created += 1
             return out
         if core.head == "fast-alist-free" and len(core.args) == 1:
             return _falist.fa_free(core.args[0])

@@ -155,13 +155,6 @@ def test_criterion_5_lookup_cost_flat_with_shadow_linear_without():
             for mode in ("on", "off"):
                 cfg = RewriteConfig(step_limit=BENCH_STEP_LIMIT, fast_alist_enabled=(mode == "on"))
                 rw = Rewriter(build_ruleset([]), cfg=cfg)
-                if mode == "off":
-                    from termrw.falist import make_linear_get_meta
-                    from termrw.meta import MetaRule
-
-                    rw.metas.register(
-                        MetaRule("linear-get", "hons-get", make_linear_get_meta(rw.stats), trusted_syntax=True)
-                    )
                 fal = rw.rewrite(chain_term(n), iff=False)
                 t0 = time.perf_counter()
                 rw.rewrite(lookups_term(fal, keys), iff=False)

@@ -238,6 +238,54 @@ def test_prove_verify_skips_unregistered_functions(tmp_path, capsys):
     assert "verification skipped (unregistered functions)" in captured.err
 
 
+def test_prove_verify_rejects_fewer_than_one_sample(tmp_path, capsys):
+    for n in ("0", "-5"):
+        rc = main(
+            [
+                "prove",
+                "--rules",
+                write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]),
+                "--conjecture",
+                write(tmp_path, "c.lsp", SHIPPED_CONJECTURES["three-round-to-evens"]),
+                "--verify",
+                n,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: verify samples must be >= 1\n")
+
+
+def test_prove_stats_unwritable_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "s.json"
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]),
+            "--conjecture",
+            write(tmp_path, "c.lsp", SHIPPED_CONJECTURES["three-round-to-evens"]),
+            "--stats",
+            str(missing),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "proved\n"
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_prove_without_fast_alists_scans_the_chain(tmp_path, capsys):
+    conjecture = "(equal (hons-get 'b (hons-acons 'a x (hons-acons 'b y 'nil))) (cons 'b y))"
+    for flags in ([], ["--no-fast-alist"]):
+        rc = main(
+            ["prove", "--rules", write(tmp_path, "r.lsp", ""), "--conjecture", write(tmp_path, "c.lsp", conjecture)]
+            + flags
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == "proved\n"
+
+
 def test_prove_trace_goes_to_stderr(tmp_path, capsys):
     from termrw.demo import tree_conjecture
     from termrw.terms import format_term
@@ -467,6 +515,12 @@ def test_demo_conjecture_files_match_constants():
         assert (DEMOS / "conjectures" / f"{name}.lsp").read_text() == text
 
 
+DEMO_LINES = {
+    "fast_alists.py": "linear scan: (cons 'key3 val3) (node visits: 3)",
+    "side_conditions.py": "with side conditions:   proved = True",
+}
+
+
 @pytest.mark.parametrize("script", ["fast_alists.py", "side_conditions.py"])
 def test_demo_script_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -474,3 +528,4 @@ def test_demo_script_runs(script):
         [sys.executable, str(DEMOS / script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert DEMO_LINES[script] in proc.stdout.splitlines()

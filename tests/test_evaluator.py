@@ -206,16 +206,6 @@ def test_lambda_app_eval(reg):
     assert eval_term(t, {"a": 4}, reg) == 7
 
 
-def test_registry_copy_and_enable():
-    reg = default_registry()
-    cp = reg.copy()
-    cp.set_enabled("binary-+", False)
-    assert not cp.is_enabled("binary-+")
-    assert reg.is_enabled("binary-+")
-    # disabling only gates the rewriter's exec step; eval still works
-    assert eval_term(parse_term("(binary-+ '1 '2)"), {}, cp) == 3
-
-
 def test_registry_register_and_arity():
     reg = ExecRegistry()
     reg.register("twice", 1, lambda v: ifix(v) * 2)

@@ -15,9 +15,9 @@ from termrw.falist import (
     fa_get,
     falist_shadow,
     logical_entries,
-    make_linear_get_meta,
 )
-from termrw.rewriter import RewriteStats
+from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
+from termrw.rules import build_ruleset
 from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term, values_equal
 
 
@@ -115,35 +115,49 @@ def test_coherence_violations():
     assert check_falist_term(bad2)
 
 
-def test_linear_get_meta_charges_by_position():
-    stats = RewriteStats()
-    meta = make_linear_get_meta(stats)
+def off_rewriter():
+    return Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=False))
+
+
+def test_linear_get_charges_by_position():
+    rw = off_rewriter()
     chain = parse_term(CHAIN)
-    out = meta(App("hons-get", (Quote("k3"), chain)))
-    got = out[0] if isinstance(out, tuple) else out
+    got = rw.rewrite(App("hons-get", (Quote("k3"), chain)), iff=False)
     assert format_term(got) == "(cons 'k3 v3)"
-    assert stats.fa_node_visits == 3
+    assert rw.stats.fa_node_visits == 3
+    # the answer is not rewritten again, as a shadow probe's is not
+    assert rw.stats.nodes_created == 1
+    assert rw.stats.meta_applications == 0
 
-    stats2 = RewriteStats()
-    meta2 = make_linear_get_meta(stats2)
-    out2 = meta2(App("hons-get", (Quote("k1"), chain)))
-    got2 = out2[0] if isinstance(out2, tuple) else out2
+    rw2 = off_rewriter()
+    got2 = rw2.rewrite(App("hons-get", (Quote("k1"), chain)), iff=False)
     assert format_term(got2) == "(cons 'k1 v1)"
-    assert stats2.fa_node_visits == 1
+    assert rw2.stats.fa_node_visits == 1
 
 
-def test_linear_get_meta_miss_and_undecodable():
-    stats = RewriteStats()
-    meta = make_linear_get_meta(stats)
-    out = meta(App("hons-get", (Quote("zz"), parse_term(CHAIN))))
-    got = out[0] if isinstance(out, tuple) else out
+def test_linear_get_miss_and_undecodable():
+    rw = off_rewriter()
+    got = rw.rewrite(App("hons-get", (Quote("zz"), parse_term(CHAIN))), iff=False)
     assert got == NIL_TERM
     # a miss walks all 3 entries plus the nil terminator
-    assert stats.fa_node_visits == 4
-    # opaque chain: no answer, no charge
-    before = stats.fa_node_visits
-    assert meta(App("hons-get", (Quote("a"), Var("unknown")))) is None
-    assert stats.fa_node_visits == before
+    assert rw.stats.fa_node_visits == 4
+    # opaque chain or unquoted key: no answer, no charge
+    before = rw.stats.fa_node_visits
+    for t in (App("hons-get", (Quote("a"), Var("unknown"))), App("hons-get", (Var("k"), parse_term(CHAIN)))):
+        assert rw.rewrite(t, iff=False) == t
+    assert rw.stats.fa_node_visits == before
+    assert rw.stats.fa_probes == 0
+
+
+def test_linear_get_charges_the_live_stats():
+    rw = off_rewriter()
+    rw.rewrite(App("hons-get", (Quote("k2"), parse_term(CHAIN))), iff=False)
+    old = rw.stats
+    rw.stats = RewriteStats()
+    got = rw.rewrite(App("hons-get", (Quote("k3"), parse_term(CHAIN))), iff=False)
+    assert format_term(got) == "(cons 'k3 v3)"
+    assert rw.stats.fa_node_visits == 3
+    assert old.fa_node_visits == 2
 
 
 def test_shadow_agrees_with_ground_evaluation():

@@ -12,8 +12,8 @@ P = parse_term
 
 def test_register_and_candidates():
     reg = MetaRegistry()
-    m1 = MetaRule("m1", "f", lambda t: None, trusted_syntax=True)
-    m2 = MetaRule("m2", "f", lambda t: None, trusted_syntax=True)
+    m1 = MetaRule("m1", "f", lambda t: None)
+    m2 = MetaRule("m2", "f", lambda t: None)
     reg.register(m1)
     reg.register(m2)
     assert [m.name for m in reg.candidates("f")] == ["m2", "m1"]
@@ -22,19 +22,19 @@ def test_register_and_candidates():
 def test_register_rejects_reserved_and_duplicates():
     reg = MetaRegistry()
     with pytest.raises(MetaRegistrationError):
-        reg.register(MetaRule("m", "rp", lambda t: None, trusted_syntax=True))
+        reg.register(MetaRule("m", "rp", lambda t: None))
     with pytest.raises(MetaRegistrationError):
-        reg.register(MetaRule("m", "quote", lambda t: None, trusted_syntax=True))
-    reg.register(MetaRule("m", "f", lambda t: None, trusted_syntax=True))
+        reg.register(MetaRule("m", "quote", lambda t: None))
+    reg.register(MetaRule("m", "f", lambda t: None))
     with pytest.raises(MetaRegistrationError):
-        reg.register(MetaRule("m", "g", lambda t: None, trusted_syntax=True))
+        reg.register(MetaRule("m", "g", lambda t: None))
 
 
 def test_apply_first_changing_meta_wins():
     stats = RewriteStats()
     reg = MetaRegistry()
-    reg.register(MetaRule("older", "f", lambda t: Quote("older"), trusted_syntax=True))
-    reg.register(MetaRule("noop", "f", lambda t: None, trusted_syntax=True))
+    reg.register(MetaRule("older", "f", lambda t: Quote("older")))
+    reg.register(MetaRule("noop", "f", lambda t: None))
     out = reg.apply(P("(f a)"), stats)
     assert out is not None and out[0] == Quote("older")
     assert stats.meta_applications == 1
@@ -43,7 +43,7 @@ def test_apply_first_changing_meta_wins():
 def test_apply_unchanged_output_skipped():
     stats = RewriteStats()
     reg = MetaRegistry()
-    reg.register(MetaRule("id", "f", lambda t: t, trusted_syntax=True))
+    reg.register(MetaRule("id", "f", lambda t: t))
     assert reg.apply(P("(f a)"), stats) is None
     assert stats.meta_applications == 0
 
@@ -53,7 +53,7 @@ def test_untrusted_output_checked():
     diags = []
     reg = MetaRegistry()
     bad = App("rp", (Quote("nil"), Var("x")))
-    reg.register(MetaRule("bad", "f", lambda t: bad, trusted_syntax=False))
+    reg.register(MetaRule("bad", "f", lambda t: bad))
     assert reg.apply(P("(f a)"), stats, diags) is None
     assert stats.meta_rejections == 1
     assert diags and diags[0][0] == "bad"

@@ -453,7 +453,7 @@ def test_meta_error_in_backchain_propagates_and_leaves_rewriter_usable():
         raise MetaFailure(format_term(t))
 
     rw = rewriter("(def-rp-rule r (implies (p x) (equal (f x) 'fired)))")
-    rw.metas.register(MetaRule("explode", "p", explode, trusted_syntax=True))
+    rw.metas.register(MetaRule("explode", "p", explode))
     with pytest.raises(MetaFailure, match=r"\(p a\)"):
         rw.rewrite(P("(g (f a))"), iff=False)
     assert rw._backchain == 0
@@ -661,7 +661,7 @@ def test_meta_folds_constants():
 
 
 def test_untrusted_meta_output_rejected():
-    bad = MetaRule("bad", "f", lambda t: App("rp", (Quote("nil"), Var("x"))), trusted_syntax=False)
+    bad = MetaRule("bad", "f", lambda t: App("rp", (Quote("nil"), Var("x"))))
     rw = rewriter()
     rw.metas.register(bad)
     out = rw.rewrite(P("(f a)"), iff=False)
