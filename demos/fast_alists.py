@@ -12,6 +12,11 @@ fal = rw.rewrite(chain, iff=False)
 print("chain:", format_term(chain))
 print("shadowed:", format_term(fal))
 
+# The shadow is a cache of the chain: reading the printed text rebuilds it
+# from the logical part, so the same term comes back.
+back = parse_term(format_term(fal))
+print("read back:", format_term(back), f"(same term: {back == fal})")
+
 looked = rw.rewrite(App("hons-get", (Quote("key2"), fal)), iff=False)
 print("hons-get 'key2 ->", format_term(looked), f"(probes: {rw.stats.fa_probes})")
 

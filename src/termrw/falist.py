@@ -1,11 +1,12 @@
 """Shadowing fast-alist support.
 
-A term ``(falist 'shadow logical)`` evaluates as its logical payload, a
-quoted-key association-list term, while the quoted shadow carries the same
-entries in a lookup table.  hons-acons extends both sides, hons-get answers
-from the shadow in one probe, fast-alist-free drops back to the payload.
-With fast alists off the rewriter answers hons-get by linear_get instead,
-a scan of the logical chain that charges one node visit per entry.
+A term ``(falist 'shadow logical)`` evaluates as its logical payload, an
+alist chain term, while the quoted shadow caches the same bindings in a
+lookup table built from what logical_entries decodes of the chain.
+hons-acons extends both sides, hons-get answers from the shadow in one
+probe, fast-alist-free drops back to the payload.  With fast alists off
+the rewriter answers hons-get by linear_get instead, a scan of the logical
+chain that charges one node visit per entry.
 Each line of versions shares one append-only binding log, and a shadow is
 a prefix of it: extending the newest version appends in O(1), extending an
 older one forks a fresh log, and every version sees only its own prefix,
@@ -27,35 +28,26 @@ from .terms import (
 )
 
 
-def _alist_value_entries(value):
-    """Decode a proper alist value into (key, value-as-Quote) pairs, or None."""
-    entries = []
-    while isinstance(value, Cons):
-        pair = value.car
-        if not isinstance(pair, Cons):
-            return None
-        entries.append((pair.car, Quote(pair.cdr)))
-        value = value.cdr
-    if not (isinstance(value, str) and value == NIL):
-        return None
-    return entries
-
-
 def logical_entries(t):
-    """Decode the logical side of a falist into (key, value-term) pairs.
+    """Decode an alist chain term into its (key, value-term) pairs, newest
+    first, or None when t is not such a chain.
 
-    Accepts cons/hons-acons applications with quoted keys and a quoted-alist
-    or 'nil tail.  Returns None when the term is not such a chain.
+    The one decoder of alist chains: every shadow is built from what it
+    returns.  A falist term reads as its logical part, a cons or hons-acons
+    application with a quoted key adds a binding, and a quoted proper alist
+    ends the chain, each of its pairs a binding to a quoted value.
     """
     entries = []
     while True:
         if isinstance(t, Quote):
-            tail = _alist_value_entries(t.value)
-            if tail is None:
-                return None
-            entries.extend(tail)
-            return entries
-        if isinstance(t, App) and t.head == "cons" and len(t.args) == 2:
+            value = t.value
+            while isinstance(value, Cons) and isinstance(value.car, Cons):
+                entries.append((value.car.car, Quote(value.car.cdr)))
+                value = value.cdr
+            return entries if isinstance(value, str) and value == NIL else None
+        if is_falist(t):
+            t = t.args[1]
+        elif isinstance(t, App) and t.head == "cons" and len(t.args) == 2:
             pair = t.args[0]
             if isinstance(pair, App) and pair.head == "cons" and len(pair.args) == 2 and isinstance(pair.args[0], Quote):
                 entries.append((pair.args[0].value, pair.args[1]))
@@ -101,28 +93,21 @@ def check_falist_term(t, path=()):
 
 def fa_acons(key, val, tail):
     """Extend: (hons-acons key val tail) -> falist term, or None if the shape
-    is outside the fast path (unquoted key, undecodable tail)."""
+    is outside the fast path (unquoted key, undecodable tail).  A falist
+    tail's shadow is extended; any other tail's is first built from its
+    chain."""
     if not isinstance(key, Quote) or isinstance(key.value, FalistShadow):
         return None
-    if isinstance(tail, Quote) and isinstance(tail.value, str) and tail.value == NIL:
-        parent = FalistShadow()
-        logical_tail = NIL_TERM
-    elif is_falist(tail):
-        parent = falist_shadow(tail)
-        if parent is None:
+    parent = falist_shadow(tail)
+    if parent is None:
+        entries = logical_entries(tail)
+        if entries is None:
             return None
-        logical_tail = tail.args[1]
-    elif isinstance(tail, Quote):
-        decoded = _alist_value_entries(tail.value)
-        if decoded is None:
-            return None
-        parent = FalistShadow(decoded)
-        logical_tail = tail
+        parent = FalistShadow(entries)
     else:
-        return None
+        tail = tail.args[1]
     shadow = parent.extend(key.value, val)
-    logical = App("cons", (App("cons", (key, val)), logical_tail))
-    return App("falist", (Quote(shadow), logical))
+    return App("falist", (Quote(shadow), App("cons", (App("cons", (key, val)), tail))))
 
 
 def fa_get(key, fal, stats=None):

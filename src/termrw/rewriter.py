@@ -561,13 +561,16 @@ class Rewriter:
     def _apply_falist(self, core):
         """Step (5b): the answer of a fast-alist head, not to be rewritten
         again, or None.  With fast alists off only hons-get is answered, by
-        scanning the logical chain."""
+        scanning the logical chain.  A hit on a quoted value answers the
+        constant pair."""
         stats = self.stats
         if core.head == "hons-get" and len(core.args) == 2:
             get = _falist.fa_get if self.cfg.fast_alist_enabled else _falist.linear_get
             out = get(core.args[0], core.args[1], stats)
             if out is not None:
                 stats.nodes_created += 1
+                if isinstance(out, App) and isinstance(out.args[1], Quote):
+                    out = Quote(Cons(out.args[0].value, out.args[1].value))
             return out
         if not self.cfg.fast_alist_enabled:
             return None

@@ -169,8 +169,9 @@ class FalistShadow:
 
     A version of a fast alist: the first ``size`` bindings of a log shared
     with every version it was extended from or to.  Built from (key value,
-    value term) pairs in list order, newest first; on duplicate keys the
-    newest binding wins, mirroring lookup in the cons chain it shadows.
+    value term) pairs in list order, newest first, as falist.logical_entries
+    decodes them from the chain it shadows; on duplicate keys the newest
+    binding wins, mirroring lookup in that chain.
     """
 
     __slots__ = ("log", "size")
@@ -790,7 +791,8 @@ def term_from_value(v):
     counterparts, and the forms and, or, implies into if.  A let, let* or
     applied lambda form reads as its body, read with each of its names
     standing for the term of the argument bound to it; so every value is
-    read once, and no term holds a binder.
+    read once, and no term holds a binder.  A falist form's shadow is
+    built from its logical part, its value: the quoted shadow is not read.
     """
     return trampoline(_term_step(v, {}))
 
@@ -895,19 +897,16 @@ def _term_of_form(v, env):
         args.append((yield step) if step.__class__ is GeneratorType else step)
 
     if head == "falist":
+        from . import falist as _falist
+
         if len(args) != 2:
             raise ParseError("falist expects 2 arguments")
-        shadow_q = args[0]
-        if not isinstance(shadow_q, Quote):
-            raise ParseError("falist shadow must be a quoted alist")
-        if not isinstance(shadow_q.value, FalistShadow):
-            entries = []
-            for pair in list_items(shadow_q.value):
-                if not isinstance(pair, Cons):
-                    raise ParseError("falist shadow entries must be pairs")
-                entries.append((pair.car, (yield _term_step(pair.cdr, env))))
-            shadow_q = Quote(FalistShadow(entries))
-        return App("falist", (shadow_q, args[1]))
+        if not isinstance(args[0], Quote):
+            raise ParseError("falist shadow must be a quotation")
+        entries = _falist.logical_entries(args[1])
+        if entries is None:
+            raise ParseError("falist logical part is not a quoted-key alist chain")
+        return App("falist", (Quote(FalistShadow(entries)), args[1]))
 
     return _plain_term(head, args)
 

@@ -30,6 +30,7 @@ in draw order, so every report is the one single draws would give.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms
@@ -60,9 +61,11 @@ class ValidityReport:
         self.failures.append((path, what, env_digest(env)))
 
     def lines(self):
+        """A summary line, then each distinct failure once, first seen
+        first, with the number of draws that met it; at most 50."""
         out = [f"ok={self.ok} accepted={self.accepted} skipped={self.skipped} starved={self.starved}"]
-        for path, what, digest in self.failures[:50]:
-            out.append(f"  FAIL at {list(path)}: {what}  [{digest}]")
+        for (path, what, digest), draws in list(Counter(self.failures).items())[:50]:
+            out.append(f"  FAIL at {list(path)}: {what}  [{digest}]  ({draws} draw{'s' * (draws != 1)})")
         return out
 
 

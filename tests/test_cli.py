@@ -141,6 +141,52 @@ def test_prove_orders_fast_alists(tmp_path, capsys):
     assert capsys.readouterr().out == "proved\n"
 
 
+FALIST_VERDICTS = [
+    # a falist literal's shadow is its chain's, whatever its quoted text says
+    ("(not (hons-get 'k (falist 'nil (cons (cons 'k '1) 'nil))))", 1),
+    ("(equal (hons-get 'a (falist '((a . y)) (cons (cons 'a '2) 'nil))) (cons 'a y))", 1),
+    ("(equal (hons-get 'a (falist '((a . '1)) (cons (cons 'a '2) 'nil))) (cons 'a '1))", 1),
+    # a hit on a quoted value is the constant pair
+    ("(equal (hons-get 'a (hons-acons 'a '5 (hons-acons 'b y 'nil))) '(a . 5))", 0),
+]
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-fast-alist"]], ids=["on", "off"])
+@pytest.mark.parametrize("conjecture, status", FALIST_VERDICTS)
+def test_prove_fast_alist_verdicts(tmp_path, capsys, conjecture, status, mode):
+    c = write(tmp_path, "c.lsp", conjecture)
+    rc = main(["prove", "--rules", write(tmp_path, "r.lsp", ""), "--conjecture", c, *mode])
+    out = capsys.readouterr().out
+    assert rc == status and out.startswith("not proved\n" if status else "proved\n")
+
+
+def test_prove_rejects_undecodable_falist_literal(tmp_path, capsys):
+    c = write(tmp_path, "c.lsp", "(hons-get 'a (falist 'nil (f x)))")
+    rc = main(["prove", "--rules", write(tmp_path, "r.lsp", ""), "--conjecture", c])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {c}: falist logical part is not a quoted-key alist chain (line 1, column 14)\n"
+
+
+def test_prove_verify_prints_each_distinct_failure_once(tmp_path, capsys):
+    rc = main(
+        [
+            "prove",
+            "--rules",
+            write(tmp_path, "r.lsp", "(def-rp-rule bad (equal (integerp x) 't))"),
+            "--conjecture",
+            write(tmp_path, "c.lsp", "(integerp a)"),
+            "--verify",
+            "100",
+        ]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    fails = [line.rsplit("  (", 1) for line in err if "FAIL at" in line]
+    assert fails and len({f for f, _n in fails}) == len(fails)
+    assert any(n != "1 draw)" for _f, n in fails)
+
+
 def test_prove_step_limit(tmp_path, capsys):
     rc = main(
         [
@@ -515,9 +561,16 @@ def test_demo_conjecture_files_match_constants():
         assert (DEMOS / "conjectures" / f"{name}.lsp").read_text() == text
 
 
+FALIST_TEXT = (
+    "(falist '((key1 . val1) (key2 . val2) (key3 . val3))"
+    " (cons (cons 'key1 val1) (cons (cons 'key2 val2) (cons (cons 'key3 val3) 'nil))))"
+)
 DEMO_LINES = {
-    "fast_alists.py": "linear scan: (cons 'key3 val3) (node visits: 3)",
-    "side_conditions.py": "with side conditions:   proved = True",
+    "fast_alists.py": (
+        f"read back: {FALIST_TEXT} (same term: True)",
+        "linear scan: (cons 'key3 val3) (node visits: 3)",
+    ),
+    "side_conditions.py": ("with side conditions:   proved = True",),
 }
 
 
@@ -528,4 +581,5 @@ def test_demo_script_runs(script):
         [sys.executable, str(DEMOS / script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert DEMO_LINES[script] in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert all(line in lines for line in DEMO_LINES[script])

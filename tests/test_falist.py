@@ -39,6 +39,12 @@ def test_logical_entries_quoted_tail():
     assert logical_entries(t) == [("a", Var("x")), ("b", Quote(2))]
 
 
+def test_logical_entries_reads_a_falist_as_its_logical_part():
+    fal = parse_term("(falist 'nil (cons (cons 'a x) '((b . 2))))")
+    t = App("hons-acons", (Quote("c"), Var("z"), fal))
+    assert logical_entries(t) == [("c", Var("z")), ("a", Var("x")), ("b", Quote(2))]
+
+
 def test_logical_entries_undecodable():
     assert logical_entries(parse_term("(f x)")) is None
     assert logical_entries(parse_term("(cons x y)")) is None
@@ -74,7 +80,6 @@ def test_fa_acons_first_wins_on_duplicate():
 
 
 def test_fa_acons_rejects_unshadowable():
-    assert fa_acons(Var("k"), Var("v"), NIL_TERM) is not None or True
     # non-quoted key cannot be indexed
     assert fa_acons(Var("k"), Var("v"), NIL_TERM) is None
     assert fa_acons(Quote("k"), Var("v"), Var("tail")) is None
@@ -107,12 +112,14 @@ def test_falist_shadow_and_coherence():
 
 
 def test_coherence_violations():
-    # shadow disagrees with the logical payload
-    bad = parse_term("(falist '((a . x)) (cons (cons 'a z) 'nil))")
-    assert check_falist_term(bad)
+    # the reader rebuilds a literal's shadow from its chain, so an
+    # incoherent falist can only be built directly
+    shadow = Quote(FalistShadow((("a", Var("x")),)))
+    bad = App("falist", (shadow, parse_term("(cons (cons 'a z) 'nil)")))
+    assert check_falist_term(bad) == [((), "falist shadow entry 0 disagrees with the logical part")]
     # payload not decodable
-    bad2 = App("falist", (bad.args[0], Var("tail")))
-    assert check_falist_term(bad2)
+    bad2 = App("falist", (shadow, Var("tail")))
+    assert check_falist_term(bad2) == [((), "falist logical part is not a quoted-key alist chain")]
 
 
 def off_rewriter():
@@ -149,6 +156,15 @@ def test_linear_get_miss_and_undecodable():
     assert rw.stats.fa_probes == 0
 
 
+def test_linear_get_scans_a_falist_literal():
+    # with fast alists off, a falist literal is read as its chain
+    rw = off_rewriter()
+    fal = parse_term("(falist 'nil (cons (cons 'k1 v1) (cons (cons 'k2 v2) 'nil)))")
+    got = rw.rewrite(App("hons-get", (Quote("k2"), fal)), iff=False)
+    assert format_term(got) == "(cons 'k2 v2)"
+    assert (rw.stats.fa_node_visits, rw.stats.fa_probes) == (2, 0)
+
+
 def test_linear_get_charges_the_live_stats():
     rw = off_rewriter()
     rw.rewrite(App("hons-get", (Quote("k2"), parse_term(CHAIN))), iff=False)
@@ -178,6 +194,7 @@ TAILS = (
     NIL_TERM,
     parse_term("(falist '((a . x) (b . '1) (a . y)) (cons (cons 'a x) (cons (cons 'b '1) (cons (cons 'a y) 'nil))))"),
     parse_term("'((b . 3) (c . 4) (b . 5))"),
+    parse_term("(cons (cons 'c x) (hons-acons 'd '2 '((c . 1))))"),
 )
 
 

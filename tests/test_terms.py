@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term, rand_value
 from termrw.demo import chain_term
+from termrw.falist import check_falist_term
 from termrw.terms import (
     NIL_TERM,
     T_TERM,
@@ -37,6 +38,7 @@ from termrw.terms import (
     rp_termp,
     strip_rp,
     strip_rp_deep,
+    subterms,
     substitute,
     term_from_value,
     term_to_value,
@@ -203,14 +205,17 @@ def test_let_names_must_be_plain_symbols():
 
 
 def test_falist_literal_builds_shadow():
-    t = parse_term("(falist '((k1 . v1) (k2 . '3)) 'nil)")
-    assert isinstance(t, App) and t.head == "falist"
-    shadow = t.args[0].value
-    assert isinstance(shadow, FalistShadow)
-    assert shadow.index["k1"] == Var("v1")
-    assert shadow.index["k2"] == Quote(3)
-    # a let-bound name reads alike in a shadow entry and in the logical part
-    t = parse_term("(let ((v a)) (falist '((k . v)) (cons (cons 'k v) 'nil)))")
+    # the shadow is rebuilt from the logical part; the quoted text is not read
+    chain = "(cons (cons 'k1 v1) (hons-acons 'k2 '3 '((k3 . 4))))"
+    for shadow_text in ("'nil", "'((k1 . wrong))", "'junk", "'((k1 . v1) (k2 . '3) (k3 . '4))"):
+        t = parse_term(f"(falist {shadow_text} {chain})")
+        assert isinstance(t, App) and t.head == "falist"
+        shadow = t.args[0].value
+        assert isinstance(shadow, FalistShadow)
+        assert shadow.entries == (("k1", Var("v1")), ("k2", Quote(3)), ("k3", Quote(4)))
+        assert rp_termp(t) == [] and parse_term(format_term(t)) == t
+    # a let-bound name in the logical part reads alike in the shadow
+    t = parse_term("(let ((v a)) (falist 'nil (cons (cons 'k v) 'nil)))")
     assert t.args[0].value.index["k"] == Var("a") and rp_termp(t) == []
 
 
@@ -240,6 +245,8 @@ def test_term_shape_errors_report_their_forms_position():
         ("(f (let ((x (implies a))) x))", "implies expects 2 arguments (line 1, column 4)"),
         ("((lambda (x) x))", "lambda applied to the wrong number of arguments (line 1, column 1)"),
         ("(falist 'nil)", "falist expects 2 arguments (line 1, column 1)"),
+        ("(falist x 'nil)", "falist shadow must be a quotation (line 1, column 1)"),
+        ("(f\n (falist 'nil (g x)))", "falist logical part is not a quoted-key alist chain (line 2, column 2)"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as e:
@@ -295,6 +302,27 @@ def _let(gap, head, names, exprs, body):
     return _form(gap, [head, _form(gap, [_form(gap, [n, e]) for n, e in zip(names, exprs)]), body])
 
 
+def _chain(gap, bindings, tail):
+    """An alist chain text that falist.logical_entries decodes: bindings of
+    quoted keys, as a cons of a cons, a hons-acons or a cons of a quoted
+    pair, over a quoted alist or a falist."""
+    text = tail
+    for how, k, v in reversed(bindings):
+        if how == "cons":
+            text = _form(gap, ["cons", _form(gap, ["cons", "'" + k, v]), text])
+        elif how == "hons-acons":
+            text = _form(gap, ["hons-acons", "'" + k, v, text])
+        else:
+            text = _form(gap, ["cons", "'" + _form(gap, [k, ".", v]), text])
+    return text
+
+
+def _chains(kids):
+    bindings = st.lists(st.tuples(st.sampled_from(("cons", "hons-acons", "pair")), _data, kids), max_size=3)
+    tails = st.sampled_from(("nil", "'nil", "'()", "'((k . 1) (a . x))", "(falist 'x (cons (cons 'a b) 'nil))"))
+    return st.builds(_chain, _gaps, bindings, tails)
+
+
 def _term_forms(kids):
     args = st.lists(kids, max_size=3)
     return st.one_of(
@@ -306,8 +334,8 @@ def _term_forms(kids):
         st.builds(lambda gap, xs: _form(gap, ["implies", *xs]), _gaps, st.lists(kids, min_size=2, max_size=2)),
         st.builds(_let, _gaps, st.sampled_from(("let", "let*")), st.lists(_syms, max_size=2), st.lists(kids, min_size=2, max_size=2), kids),
         st.builds(_lambda_app, _gaps, st.lists(_syms, max_size=2, unique=True), kids, st.lists(kids, min_size=2, max_size=2)),
-        st.builds(lambda gap, ks, vs, e: _form(gap, ["falist", "'" + _form(gap, [_form(gap, [k, ".", v]) for k, v in zip(ks, vs)]), e]),
-                  _gaps, st.lists(_ints | _syms, max_size=2), st.lists(kids, min_size=2, max_size=2), kids),
+        # a falist's shadow text is any quotation: it is rebuilt from the chain
+        st.builds(lambda gap, s, c: _form(gap, ["falist", "'" + s, c]), _gaps, _data, _chains(kids)),
         st.builds(lambda gap, d: _form(gap, ["quote", d]), _gaps, _data),
         # a dotted tail continues the argument list
         st.builds(lambda gap, x, xs: _form(gap, ["f", x, ".", _form(gap, xs)]), _gaps, kids, args),
@@ -329,7 +357,9 @@ _faulty_forms = st.one_of(
     st.builds(lambda x: f"((lambda (a) {x}))", _valid_texts),
     st.builds(lambda p, x: f"((lambda {p} {x}) b)", st.sampled_from(("(nil)", "(1)", "a", "(a . b)")), _valid_texts),
     st.builds(lambda x: f"((lambda (a)) {x})", _valid_texts),
-    st.builds(lambda s, x: f"(falist {s} {x})", st.sampled_from(("a", "'(k)", "'((k . a) . b)")), _valid_texts),
+    st.builds(lambda s, x: f"(falist {s} {x})", st.sampled_from(("a", "(f a)")), _chains(_valid_texts)),
+    st.builds(lambda s, x: f"(falist '{s} {x})", _data,
+              st.sampled_from(("a", "(f a)", "'(k)", "'((k . a) . b)", "(cons (cons 'k a) b)", "(hons-acons k a 'nil)"))),
     st.builds(lambda x: f"(falist {x})", _valid_texts),
     st.builds(lambda x: f"(f {x} . b)", _valid_texts),
 )
@@ -344,7 +374,7 @@ def _in_context(kids):
         st.builds(lambda a, bad: f"(let* ((a {a})) {bad})", _valid_texts, kids),
         st.builds(lambda bad, b: f"((lambda (a) {bad}) {b})", kids, _valid_texts),
         st.builds(lambda a, bad: f"((lambda (a) {a}) {bad})", _valid_texts, kids),
-        st.builds(lambda bad: f"(falist '((k . {bad})) 'nil)", kids),
+        st.builds(lambda bad: f"(falist 'nil (cons (cons 'k {bad}) 'nil))", kids),
         st.builds(lambda a, bad: f"(g {a} . ({bad}))", _valid_texts, kids),
     )
 
@@ -385,6 +415,15 @@ def _two_pass(text):
 def test_one_pass_reader_agrees_on_valid_texts(text):
     t = parse_term(text)
     assert t == _two_pass(text) and isinstance(t, (Var, Quote, App))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_texts)
+def test_every_falist_read_agrees_with_its_chain(text):
+    for u in subterms(parse_term(text)):
+        if isinstance(u, App) and u.head == "falist":
+            assert check_falist_term(u) == []
+            assert parse_term(format_term(u)) == u
 
 
 @settings(max_examples=300, deadline=None)

@@ -143,6 +143,20 @@ def test_env_digest_is_stable():
 # preservation
 
 
+def test_report_lines_print_each_distinct_failure_once():
+    rep = ValidityReport()
+    changed, prop = ((), "changed"), ((1,), P("(evenp a)"))
+    for (path, what), a in [(changed, 1), (prop, 1), (changed, 1), (changed, 2), (prop, 1), (changed, 1)]:
+        rep.fail(path, what, {"a": a})
+    assert len(rep.failures) == 6
+    assert rep.lines() == [
+        "ok=False accepted=0 skipped=0 starved=False",
+        "  FAIL at []: changed  [a=1]  (3 draws)",
+        "  FAIL at [1]: (evenp a)  [a=1]  (2 draws)",
+        "  FAIL at []: changed  [a=2]  (1 draw)",
+    ]
+
+
 def test_preservation_accepts_sound_rewrite(reg):
     rep = check_preservation(P("(binary-+ a '0)"), P("(binary-+ '0 a)"), "equal", 300, reg, seed=5)
     assert rep.ok and rep.accepted == 300
