@@ -13,13 +13,21 @@ environments, so the interpretive work of a node (its dispatch, its frame,
 its registry lookup) is paid once per node per batch, and only the
 registered functions run once per environment.  eval_term is a batch of
 one.
+
+Terms may share nodes: the reader binds a let name to one node, and the
+rewriter returns a subterm it leaves alone as the same object.  Calls over
+one batch may share a memo keyed by node identity (shared_nodes), so that
+a node reached again, in one term or in another, under the same live
+environments is evaluated once: its column and the errors raised inside it
+are replayed.  Only nodes with no rp wrapper inside are remembered, so
+every wrapper is still checked where evaluation reaches it.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .terms import NIL, T, App, Cons, Quote, Var, flat_path, truthy, values_equal
+from .terms import NIL, T, App, Cons, Quote, Var, flat_path, strip_rp_deep, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -246,13 +254,30 @@ def eval_term(t, env, registry, wrappers=None):
     return values[0]
 
 
-def eval_terms(t, envs, registry, wrappers=None):
-    """Evaluate t under every environment of envs in one walk over t.
+def shared_nodes(terms):
+    """The ids of the App nodes reached more than once from terms, counting
+    each root as reached, that hold no rp wrapper: the nodes an eval_terms
+    memo remembers.  Each distinct node is visited once."""
+    seen, shared = set(), set()
+    stack = list(terms)
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App and u.args:
+            if id(u) not in seen:
+                seen.add(id(u))
+                stack.extend(u.args)
+            elif strip_rp_deep(u) is u:
+                shared.add(id(u))
+    return shared
 
-    Returns (values, errors).  errors maps the position in envs of each
-    environment whose evaluation raised an EvalError to the first one it
-    raised, and values[i] is t's value under envs[i], or None where it
-    raised.
+
+def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
+    """Evaluate t under envs[i] for each position i of live (by default,
+    every environment) in one walk over t.
+
+    Returns (values, errors), two dicts that split live: errors maps each
+    position whose evaluation raised an EvalError to the first one it
+    raised, and values maps every other position to t's value there.
 
     Each node is visited once per batch.  It computes a column: its values
     over the environments still live at it, in order.  An environment that
@@ -267,13 +292,23 @@ def eval_terms(t, envs, registry, wrappers=None):
     environment already in it is not checked.  A node's path is passed as
     linked pairs and flattened only when a wrapper fails.
 
+    Given a dict `memo` keyed by ids from shared_nodes, calls over one
+    envs that pass it evaluate each such node once per live list: a node
+    that finishes stores (node, its starting live list, its final live
+    list, its column, the errors raised inside it) under its id, and a
+    later visit with an equal starting live list, in this call or another,
+    takes that column and those errors instead of walking the node again.
+    The entry holds the node so that its id names no other object while
+    the memo lives.  A remembered node holds no wrapper, so no wrapper
+    check is skipped.
+
     Waiting nodes sit on an explicit stack, so depth costs no recursion.
     """
     errors = {}
-    # [node, its path, the envs live at it, its argument columns so far]
+    # [node, its path, the envs live at it, its argument columns so far],
+    # or [node, None, the envs live at it, None] below a node to remember
     frames = []
-    size = len(envs)
-    live = list(range(size))
+    live = list(range(len(envs)) if live is None else live)
     path = ()
     while True:
         # descend until t has a column
@@ -292,11 +327,17 @@ def eval_terms(t, envs, registry, wrappers=None):
             head = t.head
             args = t.args
             arity = _OWN_HEADS.get(head)
+            entry = memo.get(id(t), _NO_ENTRY) if memo else _NO_ENTRY
             if arity is not None and len(args) != arity:
                 exc = EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
                 errors.update(dict.fromkeys(live, exc))
                 live = col = []
+            elif entry is not _NO_ENTRY and entry is not None and entry[1] == live:
+                _node, _start, live, col, raised = entry
+                errors.update(raised)
             elif args:
+                if entry is not _NO_ENTRY:
+                    frames.append([t, None, live, None])
                 frames.append([t, path, live, []])
                 k = 1 if arity == 2 else 0
                 t = args[k]
@@ -313,6 +354,11 @@ def eval_terms(t, envs, registry, wrappers=None):
         while frames:
             frame = frames[-1]
             node, node_path, node_live, cols = frame
+            if cols is None:
+                frames.pop()
+                raised = {} if len(live) == len(node_live) else {i: errors[i] for i in set(node_live).difference(live)}
+                memo[id(node)] = (node, node_live, live, col, raised)
+                continue
             head = node.head
             arity = _OWN_HEADS.get(head)
             if arity is None:
@@ -371,12 +417,11 @@ def eval_terms(t, envs, registry, wrappers=None):
             if wrappers is not None and head == "rp" and node.args[0].__class__ is Quote:
                 _check_wrappers(node, node_path, live, col, registry, wrappers)
         else:
-            if len(live) == size:
-                return col, errors
-            values = [None] * size
-            for i, v in zip(live, col):
-                values[i] = v
-            return values, errors
+            return dict(zip(live, col)), errors
+
+
+# memo.get's default for a node that is not remembered
+_NO_ENTRY = object()
 
 
 def _lookup(env, name):

@@ -560,8 +560,18 @@ def strip_rp_deep(t):
 
 
 def free_vars(t):
-    """The variable names of a term."""
-    return {u.name for u in subterms(t) if u.__class__ is Var}
+    """The variable names of a term.  Each distinct App is visited once, so
+    a shared (DAG-shaped) term costs its distinct nodes, not its tree."""
+    names, seen = set(), set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            names.add(u.name)
+        elif u.__class__ is App and id(u) not in seen:
+            seen.add(id(u))
+            stack.extend(u.args)
+    return names
 
 
 def vars_in_order(t):
@@ -962,8 +972,12 @@ def _value_of_term(t):
 
 def parse_term(text):
     """Read exactly one term from text, in one pass: a plain application's
-    term is built as its ')' is read, with no value in between.  It equals
-    term_from_value(read_value(text))."""
+    term is built as its ')' is read, with no value in between.  It reports
+    the first fault in text order.  term_from_value(read_value(text)) reads
+    the whole text before any term shape, so it reports a syntax fault,
+    such as trailing input, ahead of an earlier term-shape fault, and gives
+    a term-shape fault no position.  On every text with at most one fault,
+    the two return equal terms or raise errors with one message."""
     return _read_one(text, True)
 
 

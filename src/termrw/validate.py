@@ -22,9 +22,12 @@ when fewer than n draws were accepted or skipped.
 Draws come in chunks.  A chunk's environments are drawn in one loop
 (sample_envs) from the stream that single draws would take.  Each term is
 evaluated once per node per chunk (evaluator.eval_terms), not once per
-node per environment, and each compared draw's verdict is decided as the
-columns of before and after join.  The chunk's outcomes are then tallied
-in draw order, so every report is the one single draws would give.
+node per environment, and the facts, before and after share one memo, so
+a node they share (after is often mostly before) is evaluated once per
+chunk where it meets the same live environments.  Each compared draw's
+verdict is decided as the columns of before and after join.  The chunk's
+outcomes are then tallied in draw order, so every report is the one
+single draws would give.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms
+from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms, shared_nodes
 from .rules import Syntaxp
 from .terms import (
     NIL,
@@ -179,11 +182,16 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
     A chunk is evaluated one term at a time over all its environments
     (eval_terms): the facts, each only where the earlier ones hold, then
     before, then after where before is defined, and a draw where both are
-    defined is judged as their values are paired.  The outcomes are then
-    tallied in draw order, so the report is the one a loop over single
-    environments would give.
+    defined is judged as their values are paired.  The terms are walked
+    once beforehand for the nodes they reach more than once (shared_nodes),
+    and the chunk's calls share a memo of those, so each distinct node is
+    evaluated once per chunk, across facts, before and after, for each
+    list of environments live at it.  The outcomes are then tallied in
+    draw order, so the report is the one a loop over single environments
+    would give.
     """
     names = set().union(*map(free_vars, (before, after, *facts)))
+    shared = shared_nodes((*facts, before, after))
     rng = random.Random(seed)
     equal = mode == "equal"
     changed = f"{label}{'value' if equal else 'truthiness'} changed by rewriting"
@@ -196,15 +204,17 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         draws += size
         envs = sample_envs(rng, names, size)
         outcomes = [None] * size  # None: rejected by a fact
+        memo = dict.fromkeys(shared)
         live = list(range(size))
         for fact in facts:
-            live = [i for i, v in _evaluate(fact, envs, live, reg, outcomes, None) if truthy(v)]
-        befores = _evaluate(before, envs, live, reg, outcomes, _SKIP)
+            values = _evaluate(fact, envs, live, reg, memo, outcomes, None)
+            live = [i for i, v in values.items() if truthy(v)]
+        befores = _evaluate(before, envs, live, reg, memo, outcomes, _SKIP)
         failures = {} if check_wrappers else None
-        afters = dict(_evaluate(after, envs, [i for i, _v in befores], reg, outcomes, _UNDEFINED, failures))
+        afters = _evaluate(after, envs, list(befores), reg, memo, outcomes, _UNDEFINED, failures)
         # a compared draw that fails: (the changed-value message or "", its
         # first wrapper failure or None)
-        for i, v in befores:
+        for i, v in befores.items():
             if i in afters:
                 w = afters[i]
                 same = values_equal(v, w) if equal else (v == NIL) == (w == NIL)
@@ -237,18 +247,16 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
     return report
 
 
-def _evaluate(t, envs, live, reg, outcomes, undefined, wrappers=None):
-    """(i, value) pairs of t under envs[i] for each i in live whose
-    evaluation succeeds, all evaluated as one batch.  The outcome of an i
-    whose evaluation raised becomes `undefined` for an EvalDomainError,
-    else the error.  Wrapper failures are recorded by i, as in eval_terms."""
-    found = None if wrappers is None else {}
-    values, errors = eval_terms(t, [envs[i] for i in live], reg, found)
-    for j, exc in errors.items():
-        outcomes[live[j]] = undefined if isinstance(exc, EvalDomainError) else exc
-    if found:
-        wrappers.update((live[j], failure) for j, failure in found.items())
-    return [(i, v) for j, (i, v) in enumerate(zip(live, values)) if j not in errors]
+def _evaluate(t, envs, live, reg, memo, outcomes, undefined, wrappers=None):
+    """t's values under envs[i], by i, for each i in live whose evaluation
+    succeeds, all evaluated as one batch with the chunk's memo (see
+    eval_terms).  The outcome of an i whose evaluation raised becomes
+    `undefined` for an EvalDomainError, else the error.  Wrapper failures
+    are recorded by i, as in eval_terms."""
+    values, errors = eval_terms(t, envs, reg, wrappers, live=live, memo=memo)
+    for i, exc in errors.items():
+        outcomes[i] = undefined if isinstance(exc, EvalDomainError) else exc
+    return values
 
 
 def check_preservation(before, after, mode, env_samples, reg, seed=0):

@@ -25,6 +25,7 @@ from termrw.evaluator import (
     ifix,
     lexorder_le,
     nfix,
+    shared_nodes,
     to_boolean,
 )
 from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term, truthy, values_equal
@@ -299,7 +300,18 @@ def _compound_terms(sub):
         st.tuples(st.lists(st.sampled_from(("integerp", "evenp", "consp", "d2", "mystery")), min_size=1, max_size=3),
                   sub).map(lambda p: _wrap(p[0], p[1])),
         sub.map(lambda x: App("hide", (x, x))),
+        st.tuples(st.integers(0, 2), sub).map(lambda p: _share(*p)),
     )
+
+
+def _share(k, x):
+    """A term whose arguments are one object x, so x's nodes are shared: met
+    again under the same environments, or under an if's part of them."""
+    if k == 0:
+        return App("binary-+", (x, x))
+    if k == 1:
+        return App("cons", (x, App("d2", (x,))))
+    return App("if", (x, App("cons", (x, x)), x))
 
 
 _batch_terms = st.recursive(_leaf_terms, _compound_terms, max_leaves=16)
@@ -314,25 +326,70 @@ _envs = st.lists(st.fixed_dictionaries({"a": _env_values, "b": _env_values}, opt
 _REG = default_registry()
 
 
-@settings(max_examples=150, deadline=None)
-@given(_batch_terms, _envs, st.booleans())
-def test_eval_terms_matches_each_environment_alone(t, envs, check):
-    wrappers = {} if check else None
-    values, errors = eval_terms(t, envs, _REG, wrappers)
-    assert len(values) == len(envs) and set(errors) <= set(range(len(envs)))
-    for i, env in enumerate(envs):
-        failures = [] if check else None
+def _assert_matches_reference(t, envs, live, values, errors, wrappers):
+    assert values.keys() | errors.keys() == set(live) and not values.keys() & errors.keys()
+    for i in live:
+        failures = [] if wrappers is not None else None
         try:
-            want, error = _reference(t, env, _REG, failures), None
+            want, error = _reference(t, envs[i], _REG, failures), None
         except EvalError as exc:
             want, error = None, exc
         assert _error_key(errors.get(i)) == _error_key(error)
         if error is None:
             assert values_equal(values[i], want)
-        else:
-            assert values[i] is None
-        if check:
+        if wrappers is not None:
             assert _failure_key(wrappers.get(i)) == _failure_key(failures[0] if failures else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch_terms, _envs, st.booleans(), st.sampled_from((None, 1, 2)))
+def test_eval_terms_matches_each_environment_alone(t, envs, check, step):
+    """Without a memo, one call over every environment.  With one, a call
+    over every step-th environment without wrapper checks, as check_run
+    evaluates before, and then one over all, so that the second replays
+    what the first remembered."""
+    calls = [(range(len(envs)), check)]
+    memo = None
+    if step is not None:
+        memo = dict.fromkeys(shared_nodes((t, t)))
+        calls.insert(0, (range(0, len(envs), step), False))
+    for live, checked in calls:
+        wrappers = {} if checked else None
+        values, errors = eval_terms(t, envs, _REG, wrappers, live=list(live), memo=memo)
+        _assert_matches_reference(t, envs, live, values, errors, wrappers)
+
+
+def test_memo_evaluates_each_shared_node_once_per_live_list():
+    calls = []
+    reg = default_registry().register("binary-+", 2, lambda a, b: calls.append(1) or a + b)
+    x = parse_term("(binary-+ a b)")
+    t = App("cons", (x, App("if", (App("consp", (x,)), x, App("cons", (x, x))))))
+    envs = [{"a": i, "b": 1} for i in range(5)]
+    memo = dict.fromkeys(shared_nodes((t, x)))
+    values, errors = eval_terms(t, envs, reg, memo=memo)
+    assert errors == {} and values[4] == Cons(5, Cons(5, 5))
+    # x runs at the cons's first argument; consp's argument and the else
+    # branch meet it under the same live list and replay it
+    assert len(calls) == 5
+    # another live list runs it again, and is remembered in turn
+    values, _errors = eval_terms(x, envs, reg, live=[1, 2, 3, 4], memo=memo)
+    assert values == {1: 2, 2: 3, 3: 4, 4: 5} and len(calls) == 9
+    values, _errors = eval_terms(x, envs, reg, live=[1, 2, 3, 4], memo=memo)
+    assert values == {1: 2, 2: 3, 3: 4, 4: 5} and len(calls) == 9
+
+
+def test_memo_replays_the_errors_raised_inside_a_node():
+    calls = []
+    reg = default_registry()
+    d2 = reg.fn("d2", 1)
+    reg.register("d2", 1, lambda x: calls.append(1) or d2(x))
+    t = parse_term("(cons (d2 a) b)")
+    envs = [{"a": i, "b": 1} for i in range(4)]
+    memo = dict.fromkeys(shared_nodes((t, t)))
+    values, errors = eval_terms(t, envs, reg, memo=memo)
+    assert values == {0: Cons(0, 1), 2: Cons(1, 1)} and sorted(errors) == [1, 3]
+    ran = len(calls)
+    assert eval_terms(t, envs, reg, memo=memo) == (values, errors) and len(calls) == ran
 
 
 def test_eval_terms_keeps_each_environments_first_wrapper_failure():

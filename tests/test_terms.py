@@ -437,6 +437,18 @@ def test_one_pass_reader_reports_a_single_fault_as_the_two_pass_reader(text):
         assert e.value.line is not None
 
 
+def test_two_faults_are_reported_in_text_order_by_the_one_pass_reader():
+    # a term-shape fault, then trailing input: the two-pass reader reads the
+    # whole text first, so it meets the trailing input first
+    text = "(f (+ a)) )"
+    with pytest.raises(ParseError) as one:
+        parse_term(text)
+    assert str(one.value) == "+ expects at least 2 arguments (line 1, column 4)"
+    with pytest.raises(ParseError) as two:
+        _two_pass(text)
+    assert str(two.value) == "trailing input after s-expression (line 1, column 11)"
+
+
 def test_term_to_value_round_trip():
     rng = rand_rng(99)
     for _ in range(300):
@@ -629,6 +641,15 @@ def test_free_vars_and_order():
     assert vars_in_order(t) == ["b", "a"]
     lam = parse_term("((lambda (x) (binary-+ x y)) z)")
     assert free_vars(lam) == {"y", "z"}
+
+
+def test_free_vars_visits_each_shared_node_once():
+    # a 200-deep chain whose nodes mostly pass one object twice: about
+    # 2^200 nodes as a tree
+    t = Var("a")
+    for k in range(200):
+        t = App("binary-+", (t, Var(f"b{k}") if k % 50 == 0 else t))
+    assert free_vars(t) == {"a"} | {f"b{k}" for k in range(0, 200, 50)}
 
 
 def test_node_count_and_contains_head():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -209,6 +210,35 @@ def test_check_run_ctx_filters_envs(reg):
     assert rep.ok and rep.accepted == 200
 
 
+def _doubling_chain(depth):
+    """(equal x<depth> (binary-+ x<depth-1> x<depth-1>)) under a let* that
+    doubles x<k-1> into x<k>: read, each x<k> is one node, shared."""
+    binds = " ".join(f"(x{k} (binary-+ x{k - 1} x{k - 1}))" for k in range(2, depth + 1))
+    return P(f"(let* ((x1 (binary-+ a a)) {binds}) (equal x{depth} (binary-+ x{depth - 1} x{depth - 1})))")
+
+
+def test_sampling_a_shared_term_costs_its_distinct_nodes(reg):
+    # about 2^40 nodes as a tree, 41 distinct applications
+    t = _doubling_chain(40)
+    for check in (lambda: check_preservation(t, t, "equal", 250, reg), lambda: check_run(t, Quote("t"), [], 250, reg)):
+        start = time.perf_counter()
+        rep = check()
+        assert time.perf_counter() - start < 1.0
+        assert rep.ok and rep.accepted == 250
+
+
+def test_a_shared_node_runs_once_per_environment(reg):
+    calls = []
+    plus = reg.fn("binary-+", 2)
+    counting = reg.copy().register("binary-+", 2, lambda a, b: calls.append(1) or plus(a, b))
+    before, after = P("(let* ((s (binary-+ a b))) (list (cons s s) (cons s (rp 'integerp s))))").args
+    # every draw is accepted, so each check is one chunk of 50 draws
+    assert check_preservation(before, before, "equal", 50, counting).accepted == 50
+    assert len(calls) == 50
+    assert check_run(before, after, [], 50, counting, mode="equal").accepted == 50
+    assert len(calls) == 100
+
+
 def test_check_syntax_preserved():
     from termrw.terms import App
 
@@ -373,10 +403,38 @@ SAMPLING_CASES = {
 }
 
 
+def _sharing(text):
+    """(before, after, ctx) read as one list form (before after . ctx), so
+    that they share every node its let* binds."""
+    before, after, *ctx = P(text).args
+    return before, after, ctx
+
+
+# cases whose terms share nodes, given as terms
+SAMPLING_CASES.update({
+    "after is before": (*_sharing("(let* ((x (cons (binary-+ a b) (d2 a)))) (list x x))"), "equal", 60),
+    # y sits under an rp in after; x holds a wrapper, which after must check
+    "shared node under an rp in after": (
+        *_sharing("(let* ((y (binary-+ a b)) (x (cons (rp 'evenp y) b))) (list (cons x y) (cons x (rp 'integerp y))))"),
+        "equal", 60),
+    "shared partial d2 node": (
+        *_sharing("(let* ((h (d2 a))) (list (cons h (f2 a)) (if (evenp b) (cons h (d2 a)) (cons (d2 h) h))))"),
+        "equal", 80),
+    "ctx fact shares a node with before": (
+        *_sharing("(let* ((x (binary-+ a b))) (list (binary-+ x '0) (binary-+ b a) (integerp x) (evenp x)))"),
+        "equal", 60),
+})
+
+
+def _term(t):
+    """A case's term, read if it is given as text."""
+    return P(t) if isinstance(t, str) else t
+
+
 @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
 def test_sampling_oracles_match_one_environment_at_a_time(reg, case):
     before, after, ctx, mode, n = SAMPLING_CASES[case]
-    before, after, ctx = P(before), P(after), [P(f) for f in ctx]
+    before, after, ctx = _term(before), _term(after), [_term(f) for f in ctx]
     for seed in range(3):
         want = _reference_check_run(before, after, ctx, n, reg, mode, seed)
         assert check_run(before, after, ctx, n, reg, mode=mode, seed=seed) == want
@@ -388,7 +446,7 @@ def test_sampling_oracles_match_one_environment_at_a_time(reg, case):
 def test_sampling_cases_show_their_traits(reg):
     def run(case, seed=0):
         before, after, ctx, mode, n = SAMPLING_CASES[case]
-        return check_run(P(before), P(after), [P(f) for f in ctx], n, reg, mode=mode, seed=seed)
+        return check_run(_term(before), _term(after), [_term(f) for f in ctx], n, reg, mode=mode, seed=seed)
 
     assert run("unsatisfiable ctx starves").starved
     skipped = run("input undefined on odd integers is skipped")
@@ -398,6 +456,19 @@ def test_sampling_cases_show_their_traits(reg):
     late = run("unknown function after earlier failures")
     assert late.skipped == 200 and late.failures and not late.ok
     assert run("unknown function everywhere").skipped == 20
+    before, after, ctx, _mode, _n = SAMPLING_CASES["after is before"]
+    assert before is after
+    before, after, ctx, _mode, _n = SAMPLING_CASES["shared node under an rp in after"]
+    assert after.args[0] is before.args[0] and after.args[1].args[1] is before.args[1]
+    wrapped = run("shared node under an rp in after")
+    assert wrapped.failures and all(what == P("(evenp (binary-+ a b))") for _p, what, _e in wrapped.failures)
+    before, after, ctx, _mode, _n = SAMPLING_CASES["shared partial d2 node"]
+    assert after.args[1].args[0] is before.args[0]
+    partial = run("shared partial d2 node")
+    assert 0 < partial.skipped < 80 and not partial.ok
+    before, after, ctx, _mode, _n = SAMPLING_CASES["ctx fact shares a node with before"]
+    assert ctx[0].args[0] is ctx[1].args[0] is before.args[0]
+    assert run("ctx fact shares a node with before").ok
 
 
 RULE_TEXTS = [
