@@ -8,12 +8,13 @@ rewrite rules; rule and meta hits recurse with a dont-rw derived from the
 produced template so freshly substituted bindings are not rewritten again.
 
 Steps are plain calls wherever no sub-rewrite waits.  An argument the loop
-would return unchanged (stopped by dont-rw, quoted, or a variable outside
-an iff position) is counted as the rewrite call it stands for and not made,
-so only a node with an argument to rewrite, an if, the hypotheses of a
-matched rule, and a meta or rule result to rewrite take a generator.  A
-hypothesis (p x) whose binding for x carries an rp 'p wrapper is relieved
-at the binding, with no instance built or rewritten.
+would return unchanged (stopped by dont-rw, quoted, or a variable or a
+falist term outside an iff position) is counted as the rewrite call it
+stands for and not made, so only a node with an argument to rewrite, an
+if, the hypotheses of a matched rule, and a meta or rule result to rewrite
+take a generator.  A hypothesis (p x) whose binding for x carries an
+rp 'p wrapper is relieved at the binding, with no instance built or
+rewritten.
 
 Input terms hold no binder, as the reader expands let, let* and lambda
 forms, so a rule instance is a plain substitution.
@@ -301,8 +302,13 @@ def _template_size(template):
 
 def _unchanged_by_rw(t, dw, iff):
     """Whether _rw returns t itself, whatever the context: t is stopped by
-    dw, a quote, or a variable outside an iff position."""
-    return (dw.__class__ is Leaf and dw.stop) or t.__class__ is Quote or (t.__class__ is Var and not iff)
+    dw, a quote, or a variable or falist term outside an iff position."""
+    cls = t.__class__
+    return (
+        (dw.__class__ is Leaf and dw.stop)
+        or cls is Quote
+        or (not iff and (cls is Var or (cls is App and t.head == "falist")))
+    )
 
 
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from itertools import islice
 from types import GeneratorType
 
 NIL = "nil"
@@ -588,23 +589,41 @@ def vars_in_order(t):
 
 
 def node_count(t):
-    n = 0
+    """The size of t as a tree.  Each distinct App's size is computed once,
+    so a shared (DAG-shaped) term costs its distinct nodes, not its tree."""
+    if t.__class__ is not App:
+        return 1
+    sizes = {}
     stack = [t]
     while stack:
-        u = stack.pop()
-        n += 1
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return n
+        # u's size is known once none of its Apps waits above it
+        u = stack[-1]
+        n = 1
+        for a in u.args:
+            if a.__class__ is not App:
+                n += 1
+            elif id(a) in sizes:
+                n += sizes[id(a)]
+            else:
+                stack.append(a)
+        if stack[-1] is u:
+            sizes[id(u)] = n
+            stack.pop()
+    return sizes[id(t)]
 
 
 def subterms(t):
+    """The nodes of t, each distinct App once."""
+    seen = set()
     stack = [t]
     while stack:
         u = stack.pop()
-        yield u
-        if isinstance(u, App):
+        if u.__class__ is App:
+            if id(u) in seen:
+                continue
+            seen.add(id(u))
             stack.extend(u.args)
+        yield u
 
 
 def contains_head(t, head):
@@ -615,12 +634,14 @@ def contains_head(t, head):
 # reader
 
 
-# One token per match, after any whitespace and comments: punctuation
-# (group 1; a dot counts only when a delimiter or the end follows it), an
-# atom (group 2), the longest run of non-delimiters, or the end of the text
-# (no group).  The skipped run cannot end where neither a token nor the end
-# starts, so a match never backtracks into it.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(?:(\.(?=[ \t\r\n()';]|\Z)|[()'])|([^ \t\r\n()';]+)|\Z)")
+# One token per match, after any whitespace and comments, as its group:
+# punctuation (a dot counts only when a delimiter or the end follows it),
+# an atom, the longest run of non-delimiters, or "" at the end of the text.
+# So a token that is punctuation is never an atom.  The skipped run cannot
+# end where neither a token nor the end starts, so a match never
+# backtracks into it.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*(\.(?=[ \t\r\n()';]|\Z)|[()']|[^ \t\r\n()';]+|\Z)")
+_PUNCT = frozenset("()'.")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _INT_START = frozenset("+-0123456789")
 
@@ -629,7 +650,13 @@ def _parse_error(text, pos, message):
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-# The mode of an open '(' form on the reader's stack (see _read).
+def _token_error(text, index, message):
+    """The ParseError for a fault at the index-th token of text, placed by
+    scanning for that token again; the end of the text counts as a token."""
+    return _parse_error(text, next(islice(_TOKEN.finditer(text), index, None)).start(1), message)
+
+
+# The mode of an open '(' form (see _read).
 _VALUE = 0  # a list value, read where a value is wanted
 _HEAD = 1  # a term whose head is yet to come
 _ARGS = 2  # a plain application: a symbol head, then argument terms
@@ -642,13 +669,18 @@ _QUOTE_TERM = 4
 _FORM_HEADS = frozenset({NIL, T, "lambda", "quote", "let", "let*", "falist"})
 
 
-def _read(text, terms):
-    """Yield (x, end) for each top-level s-expression in text: its value, or
-    its term when terms is true.
+def _read(text, terms, one):
+    """The s-expressions of text, as values, or as terms when terms is true:
+    a list of them, or with one true only the first, and then a fault
+    unless the text ends there.
 
-    Open forms wait on an explicit stack as [opener, items, mode, start]:
+    One findall splits the text into tokens.  The innermost open form is
+    kept in locals (opener, items, mode, start token); the forms around it,
+    down to the top level (no opener, the values read), wait on a stack.
     '(' collects list items, "'" awaits its datum, '.' awaits a dotted tail
-    and then the list's ')'.  Nesting depth costs no recursion.
+    and then the list's ')'.  Nesting depth costs no recursion.  A fault is
+    placed by its token's index, and its line and column are found only
+    when it is raised.
 
     Where a term is wanted, a '(' form starts in _HEAD mode and its head,
     read as a value, decides the rest.  A plain symbol head makes it _ARGS:
@@ -658,46 +690,39 @@ def _read(text, terms):
     datum is always a value.  Equal atoms read as terms share one node.  A
     term-shape error is reported at its form's '('.
     """
+    tokens = _TOKEN.findall(text)
     stack = []
+    opener, items, mode, start = None, [], _ARGS if terms else _VALUE, None
+    want = terms  # whether an atom here is read as a term
     atoms = {}
-    for m in _TOKEN.finditer(text):
-        if not m.lastindex:
-            break  # the end of the text
-        tok, word = m.groups()
-        if stack:
-            frame = stack[-1]
-            opener = frame[0]
-            want = frame[2] == _ARGS
-            if opener == "." and frame[1] and tok != ")":
-                raise _parse_error(text, m.start(m.lastindex), "expected ) after dotted tail")
-        else:
-            opener = None
-            want = terms
-        if word is not None:
+    for i, tok in enumerate(tokens):
+        if tok not in _PUNCT:
+            if not tok:
+                break  # the end of the text
             if want:
-                x = atoms.get(word)
+                x = atoms.get(tok)
                 if x is None:
-                    if _INT_RE.match(word):
-                        x = Quote(int(word))
-                    elif word == NIL:
+                    if _INT_RE.match(tok):
+                        x = Quote(int(tok))
+                    elif tok == NIL:
                         x = NIL_TERM
-                    elif word == T:
+                    elif tok == T:
                         x = T_TERM
                     else:
-                        x = Var(word)
-                    atoms[word] = x
-            elif word[0] in _INT_START and _INT_RE.match(word):
-                x = int(word)
+                        x = Var(tok)
+                    atoms[tok] = x
+            elif tok[0] in _INT_START and _INT_RE.match(tok):
+                x = int(tok)
             else:
-                x = word
+                x = tok
         elif tok == ")":
             if opener == "(":
                 tail = NIL
-            elif opener == "." and frame[1]:
-                tail = stack.pop()[1][0]
+            elif opener == "." and items:
+                tail = items[0]
+                opener, items, mode, start = stack.pop()
             else:
-                raise _parse_error(text, m.start(1), "unexpected )")
-            _, items, mode, start = stack.pop()
+                raise _token_error(text, i, "unexpected )")
             try:
                 if mode == _ARGS:
                     if tail != NIL:
@@ -712,60 +737,53 @@ def _read(text, terms):
                     if mode == _FORM:
                         x = term_from_value(x)
             except ParseError as e:
-                raise _parse_error(text, start, e.args[0]) from None
+                raise _token_error(text, start, e.args[0]) from None
+            opener, items, mode, start = stack.pop()
         else:
             if tok == "(":
-                mode = _HEAD if want else _VALUE
+                new = _HEAD if want else _VALUE
             elif tok == "'":
-                mode = _QUOTE_TERM if want else _VALUE
+                new = _QUOTE_TERM if want else _VALUE
             elif opener != "(":
-                raise _parse_error(text, m.start(1), "unexpected .")
-            elif not frame[1]:
-                raise _parse_error(text, m.start(1), "misplaced .")
+                raise _token_error(text, i, "unexpected .")
+            elif not items:
+                raise _token_error(text, i, "misplaced .")
             else:
-                mode = _VALUE
-            stack.append([tok, [], mode, m.start(1)])
+                new = _VALUE
+            stack.append((opener, items, mode, start))
+            opener, items, mode, start = tok, [], new, i
+            want = False
             continue
         # x is finished: hand it to the form awaiting it
-        while stack:
-            frame = stack[-1]
-            if frame[0] == "'":
-                stack.pop()
-                x = Quote(x) if frame[2] == _QUOTE_TERM else Cons("quote", Cons(x, NIL))
-                continue
-            if frame[2] == _HEAD:
-                frame[2] = _ARGS if x.__class__ is str and x not in _FORM_HEADS else _FORM
-            frame[1].append(x)
-            break
-        else:
-            yield x, m.end()
-    if stack:
-        opener, items = stack[-1][:2]
+        while opener == "'":
+            x = Quote(x) if mode == _QUOTE_TERM else Cons("quote", Cons(x, NIL))
+            opener, items, mode, start = stack.pop()
         if opener == "(":
-            message = "unterminated list"
-        elif items:
-            message = "expected ) after dotted tail"
-        else:
-            message = "unexpected end of input"
-        raise _parse_error(text, len(text), message)
-
-
-def _read_one(text, terms):
-    for x, end in _read(text, terms):
-        m = _TOKEN.match(text, end)
-        if m.lastindex:
-            raise _parse_error(text, m.start(m.lastindex), "trailing input after s-expression")
-        return x
-    raise _parse_error(text, len(text), "empty input")
+            if mode == _HEAD:
+                mode = _ARGS if x.__class__ is str and x not in _FORM_HEADS else _FORM
+        elif opener == ".":
+            if tokens[i + 1] != ")":
+                raise _token_error(text, i + 1, "expected ) after dotted tail")
+        elif one:
+            if tokens[i + 1]:
+                raise _token_error(text, i + 1, "trailing input after s-expression")
+            return x
+        items.append(x)
+        want = mode == _ARGS
+    if opener is not None:
+        raise _parse_error(text, len(text), "unterminated list" if opener == "(" else "unexpected end of input")
+    if one:
+        raise _parse_error(text, len(text), "empty input")
+    return items
 
 
 def read_value(text):
     """Read exactly one s-expression from text into the value domain."""
-    return _read_one(text, False)
+    return _read(text, False, True)
 
 
 def read_values(text):
-    return [value for value, _end in _read(text, False)]
+    return _read(text, False, False)
 
 
 def list_items(v):
@@ -978,7 +996,7 @@ def parse_term(text):
     such as trailing input, ahead of an earlier term-shape fault, and gives
     a term-shape fault no position.  On every text with at most one fault,
     the two return equal terms or raise errors with one message."""
-    return _read_one(text, True)
+    return _read(text, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,6 +1081,7 @@ def rp_termp(t):
     and falist shadows agree with their logical alist.
     """
     violations = []
+    seen = set()  # the Apps checked: a shared node is checked at its first path in preorder
     stack = [(t, ())]
     while stack:
         u, path = stack.pop()
@@ -1072,6 +1091,9 @@ def rp_termp(t):
         elif isinstance(u, Quote):
             pass
         elif isinstance(u, App):
+            if id(u) in seen:
+                continue
+            seen.add(id(u))
             if u.head == "rp":
                 if len(u.args) != 2:
                     violations.append((flat_path(path), "rp must have exactly 2 arguments"))

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from termrw.demo import TREE_RULES, TREE_RULES_BACKCHAIN, tree_conjecture
+from termrw.demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
 from termrw.meta import MetaRegistry, MetaRule, demo_metas
 from termrw.rewriter import (
     OPEN,
@@ -17,6 +17,7 @@ from termrw.rewriter import (
     Node,
     RewriteConfig,
     Rewriter,
+    RewriteStats,
     arg_dont_rws,
     conjuncts_of,
     dont_rw_from_template,
@@ -727,6 +728,95 @@ def test_fast_alist_disabled_mode():
     rw = rewriter("", fast_alist_enabled=False)
     out = rw.rewrite(P("(hons-acons 'k1 v1 'nil)"), iff=False)
     assert out.head == "hons-acons"
+
+
+def _falist60():
+    return rewriter().rewrite(chain_term(60), iff=False)
+
+
+# The work of a 50-lookup read batch and of a 50-binding write onto a
+# 60-entry falist, as RewriteStats.as_dict(): the falist argument of each
+# hons-get, and of the innermost hons-acons, is one rewrite call that
+# returns it as it is.
+FALIST_BATCH_WORK = {
+    "read": dict(rewrite_calls=151, nodes_created=51, fa_probes=50),
+    "write": dict(rewrite_calls=151, nodes_created=249, fa_probes=0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FALIST_BATCH_WORK))
+def test_falist_batches_keep_their_work(kind):
+    fal = _falist60()
+    if kind == "read":
+        t = lookups_term(fal, [f"k{i}" for i in range(1, 101, 2)])  # 30 hits, 20 misses
+    else:
+        t = fal
+        for i in range(50):
+            t = App("hons-acons", (Quote(f"w{i}"), Var(f"x{i}"), t))
+    rw = rewriter()
+    out = rw.rewrite(t, iff=False)
+    work = dict(RewriteStats().as_dict(), **FALIST_BATCH_WORK[kind])
+    assert rw.stats.as_dict() == work
+    if kind == "read":
+        assert format_term(out.args[0]) == "(cons 'k1 v1)" and out.args[-1] == Quote("nil")
+    else:
+        assert out.head == "falist" and len(out.args[0].value.entries) == 110
+
+
+def test_a_falist_argument_is_counted_not_entered(monkeypatch):
+    fal = _falist60()
+
+    def forbidden(*args):
+        raise AssertionError("the falist argument was rewritten in a generator")
+
+    monkeypatch.setattr(Rewriter, "_args_then_5_to_7", forbidden)
+    for text, calls, printed in (
+        ("(hons-get 'k3 fal)", 3, "(cons 'k3 v3)"),
+        ("(hons-acons 'w x fal)", 4, "(falist '((w . x) (k1 . v1)"),
+    ):
+        rw = rewriter()
+        out = rw.rewrite(substitute(P(text), {"fal": fal}), iff=False)
+        assert rw.stats.rewrite_calls == calls and format_term(out).startswith(printed)
+
+
+def test_a_falist_in_an_iff_position_is_decided_by_the_context():
+    fal = _falist60()
+    for text, want in (("fal", "'t"), ("(if fal a b)", "a")):
+        out = rewriter().rewrite(substitute(P(text), {"fal": fal}), ctx=[fal], iff=True)
+        assert format_term(out) == want
+    assert rewriter().rewrite(fal, ctx=[fal], iff=False) is fal
+    # a meta result is rewritten in its call's position, here an iff one
+    metas = MetaRegistry([MetaRule("g-arg", "g", lambda t: t.args[0])])
+    rw = Rewriter(build_ruleset([]), metas=metas)
+    assert format_term(rw.rewrite(App("g", (fal,)), ctx=[fal], iff=True)) == "'t"
+
+
+# (rewrite_calls, step_limit_hit, nodes_created) at each step limit from 1,
+# for a lookup and for a write of two bindings onto a falist.  The falist
+# argument is the last call of each, so a limit of 2 on the lookup and of 6
+# on the write stops that call.
+FALIST_STEP_LIMITS = {
+    "(hons-get 'k3 fal)": [(1, True, 1), (2, True, 1), (3, False, 1), (3, False, 1)],
+    "(hons-acons 'w x (hons-acons 'z y fal))": [
+        (1, True, 4),
+        (2, True, 4),
+        (3, True, 4),
+        (4, True, 9),
+        (5, True, 9),
+        (6, True, 9),
+        (7, False, 9),
+        (7, False, 9),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", sorted(FALIST_STEP_LIMITS))
+def test_a_step_limit_on_a_falist_argument_stops_where_it_did(text):
+    fal = _falist60()
+    for limit, want in enumerate(FALIST_STEP_LIMITS[text], 1):
+        rw = rewriter("", step_limit=limit)
+        rw.rewrite(substitute(P(text), {"fal": fal}), iff=False)
+        assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit, rw.stats.nodes_created) == want, limit
 
 
 # ---------------------------------------------------------------------------

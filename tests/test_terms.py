@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,28 @@ def test_read_value_errors():
         with pytest.raises(ParseError) as e:
             read_value(bad)
         assert str(e.value) == message, bad
+
+
+# The reader places a fault by its token's index and finds its line and
+# column only when it raises: (reader, text, message, line, column).
+PLACED_FAULTS = [
+    (parse_term, "(f (g (+ a)) b)", "+ expects at least 2 arguments", 1, 7),
+    (parse_term, "(f a\n  (g b\n     (- a b c))\n  c)", "- expects 1 or 2 arguments", 3, 6),
+    (read_value, "(a\n  (b . c)\n  (d . e f))", "expected ) after dotted tail", 3, 10),
+    (parse_term, "(f a) (g b)", "trailing input after s-expression", 1, 7),
+    (read_value, "(a b)\n  ;; note\n  c", "trailing input after s-expression", 3, 3),
+    (read_value, "(a . 'b) '", "trailing input after s-expression", 1, 10),
+    (parse_term, "(f '  ", "unexpected end of input", 1, 7),
+    (read_values, "(defthm a (equal x x))\n(defthm b\n  (equal (f . ) x))", "unexpected )", 3, 15),
+    (read_values, "; rules\n(defthm a (equal x x))\n\n(defthm b (equal (g x . y z) x))", "expected ) after dotted tail", 4, 27),
+]
+
+
+@pytest.mark.parametrize("reader,text,message,line,col", PLACED_FAULTS)
+def test_reader_faults_are_placed_at_their_tokens(reader, text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        reader(text)
+    assert (str(e.value), e.value.line, e.value.col) == (f"{message} (line {line}, column {col})", line, col)
 
 
 def test_read_value_deep_nest_needs_no_recursion():
@@ -657,6 +680,20 @@ def test_node_count_and_contains_head():
     assert node_count(t) == 4
     assert contains_head(t, "g")
     assert not contains_head(t, "h")
+
+
+def test_dag_walkers_visit_each_shared_node_once():
+    # a 40-deep chain whose nodes pass one object twice: 3 * 2^40 - 1 nodes
+    # as a tree, with a bad variable 2^40 times on it and 42 distinct nodes
+    t = App("g", (Var("nil"),))
+    for _ in range(40):
+        t = App("f", (t, t))
+    # t stays out of the asserts: printing it would walk the tree
+    start = time.perf_counter()
+    found = (node_count(t), contains_head(t, "g"), contains_head(t, "h"), rp_termp(t))
+    elapsed = time.perf_counter() - start
+    assert found == (3 * 2**40 - 1, True, False, [((0,) * 41, "nil cannot be a variable")])
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
