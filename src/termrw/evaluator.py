@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .terms import NIL, T, App, Cons, Quote, Var, flat_path, strip_rp_deep, truthy, values_equal
+from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, strip_rp_deep, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -414,7 +414,7 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
                 col = [merged[i] for i in live]
                 continue
             frames.pop()
-            if wrappers is not None and head == "rp" and node.args[0].__class__ is Quote:
+            if wrappers is not None and is_rp(node):
                 _check_wrappers(node, node_path, live, col, registry, wrappers)
         else:
             return dict(zip(live, col)), errors

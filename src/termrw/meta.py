@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Quote, node_count, rp_termp, strip_rp
+from .terms import STOP, App, Quote, node_count, rp_termp, strip_rp
 
 RESERVED_TRIGGERS = frozenset({"rp", "falist", "quote"})
 
@@ -22,7 +22,7 @@ class MetaRegistrationError(ValueError):
 class MetaRule:
     name: str
     trigger: str
-    fn: object  # Term -> Term | (Term, DontRw) | None
+    fn: object  # Term -> Term | (Term, guard: STOP, OPEN or a tuple) | None
 
 
 class MetaRegistry:
@@ -114,8 +114,6 @@ def fold_plus(t):
     folded = _fold_plus_core(t)
     if folded is None:
         return None
-    from .rewriter import STOP
-
     return folded, STOP
 
 

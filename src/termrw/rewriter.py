@@ -4,8 +4,11 @@ Each call runs the step sequence: stop on dont-rw, try context reduction in
 iff positions, strengthen from context facts, rewrite arguments (expanding
 the context through if), try the executable counterpart, fast-alist
 interception (a scan of the chain with fast alists off), meta rules, then
-rewrite rules; rule and meta hits recurse with a dont-rw derived from the
-produced template so freshly substituted bindings are not rewritten again.
+rewrite rules.  A dont-rw guard is STOP, OPEN, or a tuple of the head's
+guard and one guard per argument (see terms).  A rule hit recurses under
+the guard its rule built once for the template, which stops at variable
+slots, so freshly substituted bindings are not rewritten again; a meta hit
+recurses under the guard the meta returns.
 
 Steps are plain calls wherever no sub-rewrite waits.  An argument the loop
 would return unchanged (stopped by dont-rw, quoted, or a variable or a
@@ -30,14 +33,17 @@ from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, default
 from .meta import MetaRegistry
 from .rules import Syntaxp, UnboundRuleVariableError, build_ruleset, syntaxp_eval, unbound_vars
 from .terms import (
-    NIL,
     NIL_TERM,
+    OPEN,
+    STOP,
     T_TERM,
     App,
     Cons,
     Quote,
     Var,
+    arg_dont_rws,
     flat_path,
+    is_rp,
     mk_rp,
     node_count,
     strip_rp,
@@ -50,80 +56,6 @@ from .terms import (
     values_equal,
     wrapper_props,
 )
-
-
-# ---------------------------------------------------------------------------
-# dont-rw
-
-
-class DontRw:
-    __slots__ = ()
-
-
-class Leaf(DontRw):
-    __slots__ = ("stop",)
-
-    def __init__(self, stop):
-        self.stop = stop
-
-    def __repr__(self):
-        return "STOP" if self.stop else "OPEN"
-
-
-class Node(DontRw):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def __repr__(self):
-        return f"({' '.join(map(repr, self.children))})"
-
-
-STOP = Leaf(True)
-OPEN = Leaf(False)
-
-
-def dont_rw_from_value(v):
-    """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
-    elementwise (position 0 tracks the head)."""
-    return trampoline(_dont_rw_of_value(v))
-
-
-def _dont_rw_of_value(v):
-    if isinstance(v, Cons):
-        children = []
-        while isinstance(v, Cons):
-            children.append((yield _dont_rw_of_value(v.car)))
-            v = v.cdr
-        return Node(children)
-    if isinstance(v, str) and v == NIL:
-        return OPEN
-    return STOP
-
-
-def dont_rw_from_template(template):
-    """dont-rw for an instantiated rule rhs or hyp: variable positions hold
-    already-rewritten bindings (stop), the template structure stays open."""
-    return trampoline(_dont_rw_of_template(template))
-
-
-def _dont_rw_of_template(template):
-    if isinstance(template, App):
-        children = [STOP]
-        for a in template.args:
-            children.append((yield _dont_rw_of_template(a)))
-        return Node(children)
-    return STOP if isinstance(template, (Var, Quote)) else OPEN
-
-
-def arg_dont_rws(dw, nargs):
-    """Per-argument dont-rw slices; malformed shapes degrade to rewrite-all."""
-    if isinstance(dw, Node):
-        if len(dw.children) == nargs + 1:
-            return dw.children[1:]
-        return (OPEN,) * nargs
-    return (OPEN,) * nargs
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +196,7 @@ def _unify(pattern, t, bindings, extracted):
             elif not terms_equal_mod_rp(old, t):
                 return False
         else:
-            while t.__class__ is App and t.head == "rp" and len(t.args) == 2:
+            while is_rp(t):
                 extracted.append((t, t.args[0].value))
                 t = t.args[1]
             if cls is Quote:
@@ -286,26 +218,12 @@ def _unify(pattern, t, bindings, extracted):
 instantiate = substitute
 
 
-def _template_size(template):
-    """Nodes an instantiation constructs (everything but variable slots)."""
-    n = 0
-    stack = [template]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            continue
-        n += 1
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return n
-
-
 def _unchanged_by_rw(t, dw, iff):
     """Whether _rw returns t itself, whatever the context: t is stopped by
     dw, a quote, or a variable or falist term outside an iff position."""
     cls = t.__class__
     return (
-        (dw.__class__ is Leaf and dw.stop)
+        dw is STOP
         or cls is Quote
         or (not iff and (cls is Var or (cls is App and t.head == "falist")))
     )
@@ -332,7 +250,6 @@ class Rewriter:
         self.trace = []
         self.meta_diagnostics = []
         self._backchain = 0
-        self._templates = {}
 
     # -- public entry -------------------------------------------------------
 
@@ -360,7 +277,7 @@ class Rewriter:
         stats.rewrite_calls += 1
 
         # (1) dont-rw stop
-        if dw.__class__ is Leaf and dw.stop:
+        if dw is STOP:
             return t
         cls = t.__class__
         if cls is Quote:
@@ -381,9 +298,9 @@ class Rewriter:
         # peel rp wrappers; the core is processed and the props re-applied
         props = []
         core = t
-        while core.__class__ is App and core.head == "rp" and len(core.args) == 2:
+        while is_rp(core):
             props.append(core.args[0].value)
-            dw = arg_dont_rws(dw, 2)[1] if isinstance(dw, Node) else dw
+            dw = arg_dont_rws(dw, 2)[1]
             core = core.args[1]
         if core.__class__ is Quote or core.__class__ is Var:
             return t
@@ -624,23 +541,13 @@ class Rewriter:
         """The instantiated rhs of a rule that applies, and its dont-rw."""
         stats = self.stats
         stats.rule_applications += 1
-        template = rule.sc_wrapped_rhs if self.cfg.side_conditions_enabled else rule.rhs
-        result = instantiate(template, bindings)
-        size, dw, _ = self._template_info(template)
+        sc = self.cfg.side_conditions_enabled
+        result = instantiate(rule.sc_wrapped_rhs if sc else rule.rhs, bindings)
+        size, dw = rule.sc_rhs_info if sc else rule.rhs_info
         stats.nodes_created += size
         if self.cfg.trace:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
         return result, dw
-
-    def _template_info(self, template):
-        """(nodes an instantiation constructs, its dont-rw, template),
-        computed once per template.  Looked up by identity, so an equal
-        template of another rule costs no comparison; the entry keeps its
-        template alive, so a freed template's id can never alias a new one."""
-        info = self._templates.get(id(template))
-        if info is None:
-            info = self._templates[id(template)] = (_template_size(template), dont_rw_from_template(template), template)
-        return info
 
     def _relieve_hyps(self, rule, bindings, known, ctx, path):
         """Whether rule's hypotheses hold.  known lists (term, prop) for the
@@ -655,7 +562,7 @@ class Rewriter:
         hyp_ctx = None
         self._backchain += 1
         try:
-            for hyp in rule.hyps:
+            for hyp, info in zip(rule.hyps, rule.hyp_info):
                 if isinstance(hyp, Syntaxp):
                     try:
                         if not syntaxp_eval(hyp, bindings):
@@ -677,7 +584,7 @@ class Rewriter:
                 if hyp_ctx is None:
                     hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
                 inst = instantiate(hyp, bindings)
-                size, dw, _ = self._template_info(hyp)
+                size, dw = info
                 self.stats.nodes_created += size
                 out = self._rw(inst, dw, hyp_ctx, True, path)
                 if out.__class__ is GeneratorType:

@@ -39,6 +39,7 @@ from .terms import (
     read_values,
     rp_termp,
     strip_rp_deep,
+    template_info,
     term_from_value,
     term_to_value,
     terms_equal,
@@ -74,6 +75,11 @@ class Syntaxp:
 
 @dataclass(frozen=True)
 class Rule:
+    """A rewrite rule.  rhs_info, sc_rhs_info and hyp_info give, for rhs,
+    sc_wrapped_rhs and each hyp (None for a syntaxp hyp), the pair (nodes an
+    instantiation builds, its dont-rw guard), found once as the rule is
+    built."""
+
     name: str
     hyps: tuple  # Term or Syntaxp conjuncts
     lhs: Term
@@ -83,12 +89,19 @@ class Rule:
     enabled: bool = True
     internal: bool = False  # engine-shipped, exempt from user-rule checks
     group: str = None  # source declaration; conjunct-splits share one
+    rhs_info: tuple = field(init=False, repr=False, compare=False)
+    sc_rhs_info: tuple = field(init=False, repr=False, compare=False)
+    hyp_info: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sc_wrapped_rhs is None:
             object.__setattr__(self, "sc_wrapped_rhs", self.rhs)
         if self.group is None:
             object.__setattr__(self, "group", self.name)
+        object.__setattr__(self, "rhs_info", template_info(self.rhs))
+        object.__setattr__(self, "sc_rhs_info", template_info(self.sc_wrapped_rhs))
+        hyp_info = tuple(None if isinstance(h, Syntaxp) else template_info(h) for h in self.hyps)
+        object.__setattr__(self, "hyp_info", hyp_info)
 
     @property
     def head(self):

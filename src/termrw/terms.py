@@ -109,9 +109,6 @@ class Cons:
             return False
         return values_equal(self, other)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return format_value(self)
 
@@ -238,9 +235,6 @@ class FalistShadow:
             return False
         return other.log is self.log or other.log.pairs[: other.size] == self.log.pairs[: self.size]
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return format_value(self)
 
@@ -256,14 +250,8 @@ def values_equal(a, b):
                 return False
             stack.append((x.car, y.car))
             stack.append((x.cdr, y.cdr))
-        elif isinstance(x, FalistShadow):
-            if not isinstance(y, FalistShadow):
-                return False
-            if x != y:
-                return False
-        else:
-            if type(x) is not type(y) or x != y:
-                return False
+        elif type(x) is not type(y) or x != y:
+            return False
     return True
 
 
@@ -284,9 +272,6 @@ class Term:
 
     def __deepcopy__(self, memo):
         return self  # immutable
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class Var(Term):
@@ -392,9 +377,9 @@ def terms_equal_mod_rp(a, b):
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        while x.__class__ is App and x.head == "rp" and len(x.args) == 2:
+        while is_rp(x):
             x = x.args[1]
-        while y.__class__ is App and y.head == "rp" and len(y.args) == 2:
+        while is_rp(y):
             y = y.args[1]
         if x is y:
             continue
@@ -475,12 +460,9 @@ def mk_rp(prop, term):
 
 
 def is_rp(t):
-    return isinstance(t, App) and t.head == "rp" and len(t.args) == 2
-
-
-def rp_prop(t):
-    q = t.args[0]
-    return q.value if isinstance(q, Quote) else None
+    """Whether t is an rp wrapper: a 2-argument rp whose first argument is
+    quoted.  Any other rp is an ordinary call."""
+    return t.__class__ is App and t.head == "rp" and len(t.args) == 2 and t.args[0].__class__ is Quote
 
 
 def is_falist(t):
@@ -498,7 +480,7 @@ def wrapper_props(t):
     """Property symbols of the rp wrapper chain on t, outermost first."""
     props = []
     while is_rp(t):
-        props.append(rp_prop(t))
+        props.append(t.args[0].value)
         t = t.args[1]
     return props
 
@@ -524,7 +506,7 @@ def strip_rp_deep(t):
         if u.__class__ is App:
             s = u._stripped
             if s is None:
-                if u.head == "rp" and len(u.args) == 2:
+                if is_rp(u):
                     frames.append((u, None, None))
                     u = u.args[1]
                     continue
@@ -1124,6 +1106,61 @@ def flat_path(path):
         path, i = path
         out.append(i)
     return tuple(reversed(out))
+
+
+# ---------------------------------------------------------------------------
+# dont-rw guards
+#
+# A guard marks the parts of a term the rewriter leaves as they are: STOP
+# leaves the whole term, OPEN rewrites it, and a tuple holds the head's
+# guard and then one guard per argument.  A tuple that does not fit its
+# term's arguments rewrites them all.
+
+STOP = True
+OPEN = False
+
+
+def dont_rw_from_value(v):
+    """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
+    elementwise (position 0 tracks the head)."""
+    return trampoline(_dont_rw_of_value(v))
+
+
+def _dont_rw_of_value(v):
+    if isinstance(v, Cons):
+        guard = []
+        while isinstance(v, Cons):
+            guard.append((yield _dont_rw_of_value(v.car)))
+            v = v.cdr
+        return tuple(guard)
+    if isinstance(v, str) and v == NIL:
+        return OPEN
+    return STOP
+
+
+def arg_dont_rws(dw, nargs):
+    """Per-argument guards; malformed shapes degrade to rewrite-all."""
+    if dw.__class__ is tuple and len(dw) == nargs + 1:
+        return dw[1:]
+    return (OPEN,) * nargs
+
+
+def template_info(template):
+    """(nodes an instantiation of template builds, its guard).  A variable
+    slot holds an already-rewritten binding and a constant needs no
+    rewrite, so both stop; the template's applications stay open."""
+    return trampoline(_info_of_template(template))
+
+
+def _info_of_template(t):
+    if t.__class__ is App:
+        size, guard = 1, [STOP]
+        for a in t.args:
+            n, g = yield _info_of_template(a)
+            size += n
+            guard.append(g)
+        return size, tuple(guard)
+    return int(t.__class__ is not Var), STOP
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ from termrw.demo import (
 from termrw.evaluator import EvalDomainError, default_registry, eval_term
 from termrw.falist import check_falist_term, falist_shadow
 from termrw.meta import fold_plus
-from termrw.rewriter import OPEN, STOP, Leaf, Node, RewriteConfig, Rewriter
+from termrw.rewriter import RewriteConfig, Rewriter
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import (
+    OPEN,
+    STOP,
     App,
     Quote,
     Var,
@@ -240,9 +242,9 @@ def random_dont_rw(rng, t):
         return OPEN
     if isinstance(t, App):
         if rng.random() < 0.10:
-            return Node(tuple(Leaf(rng.random() < 0.5) for _ in range(rng.randint(1, 2))))
+            return tuple(rng.random() < 0.5 for _ in range(rng.randint(1, 2)))
         head = STOP if rng.random() < 0.5 else OPEN
-        return Node((head,) + tuple(random_dont_rw(rng, a) for a in t.args))
+        return (head,) + tuple(random_dont_rw(rng, a) for a in t.args)
     return OPEN
 
 

@@ -168,6 +168,13 @@ def test_prove_rejects_undecodable_falist_literal(tmp_path, capsys):
     assert captured.err == f"error: {c}: falist logical part is not a quoted-key alist chain (line 1, column 14)\n"
 
 
+def test_prove_treats_an_rp_without_a_quoted_property_as_a_call(tmp_path, capsys):
+    rules = write(tmp_path, "r.lsp", "(defthm r (equal (f x) x))")
+    rc = main(["prove", "--rules", rules, "--conjecture", write(tmp_path, "c.lsp", "(equal (f (rp p x)) x)")])
+    assert rc == 1
+    assert capsys.readouterr().out == "not proved\nfinal term: (equal (rp p x) x)\n"
+
+
 def test_prove_verify_prints_each_distinct_failure_once(tmp_path, capsys):
     rc = main(
         [

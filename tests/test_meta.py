@@ -3,9 +3,9 @@
 import pytest
 
 from termrw.meta import MetaRegistrationError, MetaRegistry, MetaRule, demo_metas, fold_plus, fold_plus_hide
-from termrw.rewriter import Leaf, RewriteStats, Rewriter
+from termrw.rewriter import RewriteStats, Rewriter
 from termrw.rules import build_ruleset
-from termrw.terms import App, Quote, Var, format_term, parse_term
+from termrw.terms import STOP, App, Quote, Var, format_term, parse_term
 
 P = parse_term
 
@@ -63,7 +63,7 @@ def test_fold_plus_golden():
     out = fold_plus(P("(binary-+ '1 (binary-+ x (binary-+ '2 y)))"))
     folded, dw = out
     assert format_term(folded) == "(binary-+ '3 (binary-+ x y))"
-    assert isinstance(dw, Leaf) and dw.stop
+    assert dw is STOP
 
 
 def test_fold_plus_needs_two_constants():

@@ -9,25 +9,23 @@ import pytest
 
 from termrw.demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
 from termrw.meta import MetaRegistry, MetaRule, demo_metas
-from termrw.rewriter import (
+from termrw.rewriter import Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
+from termrw.rules import Syntaxp, UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
+from termrw.terms import (
     OPEN,
     STOP,
-    Context,
-    Leaf,
-    Node,
-    RewriteConfig,
-    Rewriter,
-    RewriteStats,
+    App,
+    Quote,
+    Var,
     arg_dont_rws,
-    conjuncts_of,
-    dont_rw_from_template,
     dont_rw_from_value,
-    instantiate,
-    negate,
-    unify,
+    format_term,
+    mk_rp,
+    parse_term,
+    read_value,
+    substitute,
+    template_info,
 )
-from termrw.rules import Syntaxp, UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
-from termrw.terms import App, Quote, Var, format_term, mk_rp, parse_term, read_value, substitute
 from termrw.validate import check_run
 
 P = parse_term
@@ -75,6 +73,13 @@ def test_unify_nonlinear_modulo_wrappers():
     assert unify(P("(f x x)"), P("(f a b)")) is None
 
 
+def test_unify_does_not_look_through_an_rp_call():
+    # only (rp 'prop x) is a wrapper; (rp p x) is an ordinary call
+    assert unify(P("(g (f y))"), P("(g (rp p (f a)))")) is None
+    bindings, extracted = unify(P("(g y)"), P("(g (rp p a))"))
+    assert bindings == {"y": P("(rp p a)")} and extracted == []
+
+
 def test_unify_mismatches():
     assert unify(P("(f x)"), P("(g a)")) is None
     assert unify(P("(f '1)"), P("(f '2)")) is None
@@ -106,28 +111,28 @@ def test_instantiate():
 
 def test_dont_rw_from_value():
     dw = dont_rw_from_value(read_value("(f1 stop (f2 x))"))
-    assert isinstance(dw, Node)
-    assert isinstance(dw.children[1], Leaf) and dw.children[1].stop
-    assert isinstance(dw.children[2], Node)
+    assert dw == (STOP, STOP, (STOP, STOP))
 
 
 def test_dont_rw_nil_is_open():
-    dw = dont_rw_from_value("nil")
-    assert isinstance(dw, Leaf) and not dw.stop
+    assert dont_rw_from_value("nil") is OPEN
+    assert dont_rw_from_value(read_value("(f nil)")) == (STOP, OPEN)
 
 
-def test_dont_rw_from_template():
-    dw = dont_rw_from_template(P("(g x '1)"))
-    assert isinstance(dw, Node)
-    assert dw.children[1].stop  # variable slot: already rewritten
-    assert dw.children[2].stop  # quoted constant
+def test_template_guard_stops_at_variables_and_constants():
+    # variable slots hold already-rewritten bindings and constants need no
+    # rewrite; the template's applications stay open.  An instantiation
+    # builds every node but the variables.
+    size, dw = template_info(P("(g x '1 (h y))"))
+    assert dw == (STOP, STOP, STOP, (STOP, STOP))
+    assert size == 3
 
 
 def test_arg_dont_rws_shape_mismatch_degrades_open():
     dw = dont_rw_from_value(read_value("(f a)"))
-    args = arg_dont_rws(dw, 3)
-    assert len(args) == 3
-    assert all(isinstance(a, Leaf) and not a.stop for a in args)
+    assert arg_dont_rws(dw, 3) == (OPEN, OPEN, OPEN)
+    assert arg_dont_rws(STOP, 2) == (OPEN, OPEN)
+    assert arg_dont_rws(dw, 1) == (STOP,)
 
 
 def test_dont_rw_guards_marked_subterms():
@@ -197,6 +202,21 @@ def test_reduction_after_arg_rewrite():
     rs = "(def-rp-rule r (equal (g x) (p x)))"
     out = rewriter(rs).rewrite(P("(g b)"), ctx=[P("(p b)")], iff=True)
     assert out == Quote("t")
+
+
+def test_context_decides_a_term_once_an_argument_rewrites():
+    # (p (f a)) becomes (p a) after its argument rewrites, and the context
+    # then decides it with no further step
+    rs = ruleset("(defthm r (equal (f x) x))")
+    cases = [
+        ("(p (f a))", ["(p a)"], "'t", 4),
+        ("(p (f a))", ["(not (p a))"], "'nil", 4),
+        ("(if (p a) (p (f a)) (q b))", [], "(if (p a) 't (q b))", 9),
+    ]
+    for t, ctx, out, calls in cases:
+        rw = Rewriter(rs)
+        assert rw.rewrite(P(t), ctx=[P(c) for c in ctx]) == P(out)
+        assert (rw.stats.rewrite_calls, rw.stats.rule_applications) == (calls, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,35 +530,39 @@ def test_hide_stops_rewriting_of_contents():
     assert rewriter(rs).rewrite(P("(g (hide (f a)))"), iff=False) == P("(g (f a))")
 
 
-def test_template_lookups_compare_no_terms(monkeypatch):
-    """Templates are looked up by identity: the equal (integerp x) hyps of
-    two rules do not meet in one dict slot and cost no terms_equal walk."""
+def test_no_guard_is_built_while_rewriting(monkeypatch):
+    """Each rule carries the size and guard of its rhs, wrapped rhs and
+    hyps, built with the rule: rewriters sharing its rule set build none."""
     import termrw.terms
 
-    inside = [False]
-    counts = {"lookups": 0, "terms_equal": 0}
-    real_terms_equal = termrw.terms.terms_equal
-    real_template_info = Rewriter._template_info
+    built = []
+    real_walk = termrw.terms._info_of_template
 
-    def counting_terms_equal(a, b):
-        counts["terms_equal"] += inside[0]
-        return real_terms_equal(a, b)
+    def counting_walk(template):
+        built.append(template)
+        return real_walk(template)
 
-    def counting_template_info(self, template):
-        counts["lookups"] += 1
-        inside[0] = True
-        try:
-            return real_template_info(self, template)
-        finally:
-            inside[0] = False
+    # every caller of terms.template_info, under any name, reaches this walk
+    monkeypatch.setattr(termrw.terms, "_info_of_template", counting_walk)
+    for text, sc in ((TREE_RULES, True), (TREE_RULES_BACKCHAIN, False)):
+        rs = ruleset(text)
+        assert built
+        built.clear()
+        for _ in range(2):
+            rw = Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=sc))
+            proved, _ = rw.proved(tree_conjecture(6))
+            assert proved and rw.stats.rule_applications > 0
+        assert built == []
 
-    monkeypatch.setattr(termrw.terms, "terms_equal", counting_terms_equal)
-    monkeypatch.setattr(Rewriter, "_template_info", counting_template_info)
-    rw = Rewriter(ruleset(TREE_RULES_BACKCHAIN), cfg=RewriteConfig(side_conditions_enabled=False))
-    proved, _ = rw.proved(tree_conjecture(6))
-    assert proved
-    assert counts["lookups"] > 500
-    assert counts["terms_equal"] == 0
+
+def test_an_rp_without_a_quoted_property_is_rewritten_as_a_call():
+    # only (rp 'prop x) is a wrapper: any other rp is an ordinary call, whose
+    # arguments rewrite and which no rule on rp matches
+    t = App("rp", (Var("p"), Var("x")))
+    assert Rewriter().rewrite(t) == t
+    rs = "(defthm r (equal (f x) x))"
+    assert rewriter(rs).rewrite(P("(equal (f (rp p x)) x)")) == P("(equal (rp p x) x)")
+    assert rewriter(rs).rewrite(P("(rp (f p) (f (rp 'integerp x)))"), iff=False) == P("(rp p (rp 'integerp x))")
 
 
 @pytest.mark.parametrize(

@@ -551,6 +551,18 @@ def test_rp_helpers():
     assert strip_rp_deep(parse_term("(f (rp 'integerp a) b)")) == parse_term("(f a b)")
 
 
+def test_an_rp_without_a_quoted_property_is_not_a_wrapper():
+    # a wrapper is a 2-argument rp whose first argument is quoted; every
+    # peel keeps any other rp as an ordinary call
+    for t in (App("rp", (Var("p"), Var("x"))), parse_term("(rp 'p)"), parse_term("(rp 'p x y)")):
+        assert not is_rp(t)
+        assert strip_rp(t) is t and strip_rp_deep(t) is t and wrapper_props(t) == []
+    t = parse_term("(f (rp (g p) (rp 'integerp a)))")
+    assert strip_rp_deep(t) == parse_term("(f (rp (g p) a))")
+    assert terms_equal_mod_rp(t, parse_term("(f (rp 'bitp (rp (g p) a)))"))
+    assert not terms_equal_mod_rp(t, parse_term("(f a)"))
+
+
 def _reference_strip(t):
     """strip_rp_deep without the per-node cache: rebuilds every App."""
     if isinstance(t, App):
@@ -672,7 +684,10 @@ def test_free_vars_visits_each_shared_node_once():
     t = Var("a")
     for k in range(200):
         t = App("binary-+", (t, Var(f"b{k}") if k % 50 == 0 else t))
-    assert free_vars(t) == {"a"} | {f"b{k}" for k in range(0, 200, 50)}
+    # the result is computed outside the assert: a failing assert would
+    # print t, walking it as a tree
+    names = free_vars(t)
+    assert names == {"a"} | {f"b{k}" for k in range(0, 200, 50)}
 
 
 def test_node_count_and_contains_head():
