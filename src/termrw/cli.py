@@ -32,6 +32,16 @@ def _read_file(path):
         return None
 
 
+def _below_least(args, **least):
+    """Report the first numeric flag of args below its least value as a
+    usage error; whether there is one."""
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            print(f"error: {name.replace('_', ' ')} must be >= {low}", file=sys.stderr)
+            return True
+    return False
+
+
 def _load_ruleset(path):
     """(ruleset, exitcode).  Parse errors are usage-level (2); semantic
     problems in otherwise well-formed files are violations (1)."""
@@ -95,6 +105,8 @@ def cmd_check_rules(args):
 def cmd_prove(args):
     if args.verify is not None and args.verify < 1:
         print("error: verify samples must be >= 1", file=sys.stderr)
+        return 2
+    if _below_least(args, step_limit=1, backchain_depth=0):
         return 2
     ruleset, err = _load_ruleset(args.rules)
     if ruleset is None:
@@ -206,8 +218,7 @@ def cmd_bench_tree(args):
     if any(m not in ("enabled", "disabled") for m in modes):
         print("error: modes are enabled,disabled", file=sys.stderr)
         return 2
-    if args.repetitions < 1:
-        print("error: repetitions must be >= 1", file=sys.stderr)
+    if _below_least(args, repetitions=1, step_limit=1, backchain_depth=0):
         return 2
     rows = []
     for depth in depths:
@@ -248,6 +259,8 @@ def cmd_bench_falist(args):
         return 2
     if any(m not in ("on", "off") for m in modes):
         print("error: modes are on,off", file=sys.stderr)
+        return 2
+    if _below_least(args, lookups=0, step_limit=1):
         return 2
     rows = []
     for n in sizes:

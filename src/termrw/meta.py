@@ -26,10 +26,11 @@ class MetaRule:
 
 
 class MetaRegistry:
-    """Triggers map to meta rules; later registrations are tried first."""
+    """by_trigger maps a trigger head to its meta rules, later registrations
+    first, as they are tried."""
 
     def __init__(self, metas=()):
-        self._by_trigger = {}
+        self.by_trigger = {}
         self._names = set()
         for m in metas:
             self.register(m)
@@ -40,14 +41,11 @@ class MetaRegistry:
         if meta.name in self._names:
             raise MetaRegistrationError(f"duplicate meta rule name {meta.name}")
         self._names.add(meta.name)
-        self._by_trigger.setdefault(meta.trigger, []).insert(0, meta)
+        self.by_trigger.setdefault(meta.trigger, []).insert(0, meta)
         return self
 
     def __len__(self):
         return len(self._names)
-
-    def candidates(self, head):
-        return self._by_trigger.get(head, ())
 
     def apply(self, t, stats, diagnostics=None):
         """First meta that changes t wins.  Matching is wrapper-transparent:
@@ -56,7 +54,7 @@ class MetaRegistry:
         core = strip_rp(t)
         if not isinstance(core, App):
             return None
-        for meta in self._by_trigger.get(core.head, ()):
+        for meta in self.by_trigger.get(core.head, ()):
             out = meta.fn(core)
             if out is None:
                 continue

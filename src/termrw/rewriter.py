@@ -10,14 +10,15 @@ the guard its rule built once for the template, which stops at variable
 slots, so freshly substituted bindings are not rewritten again; a meta hit
 recurses under the guard the meta returns.
 
-Steps are plain calls wherever no sub-rewrite waits.  An argument the loop
-would return unchanged (stopped by dont-rw, quoted, or a variable or a
-falist term outside an iff position) is counted as the rewrite call it
-stands for and not made, so only a node with an argument to rewrite, an
-if, the hypotheses of a matched rule, and a meta or rule result to rewrite
-take a generator.  A hypothesis (p x) whose binding for x carries an
-rp 'p wrapper is relieved at the binding, with no instance built or
-rewritten.
+Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
+inside the call.  An argument the loop would return unchanged (stopped by
+dont-rw, quoted, or a variable or a falist term outside an iff position)
+is counted as the rewrite call it stands for and not made.  A matched
+rule's hypotheses are relieved in a plain loop while each holds at the
+binding: a syntaxp test, or (p x) whose binding for x carries an rp 'p
+wrapper, with no instance built or rewritten.  So a generator is taken
+only by a node with an argument to rewrite, an if, a hypothesis whose
+instance must be rewritten, and a meta or rule result to rewrite.
 
 Input terms hold no binder, as the reader expands let, let* and lambda
 forms, so a rule instance is a plain substitution.
@@ -218,17 +219,6 @@ def _unify(pattern, t, bindings, extracted):
 instantiate = substitute
 
 
-def _unchanged_by_rw(t, dw, iff):
-    """Whether _rw returns t itself, whatever the context: t is stopped by
-    dw, a quote, or a variable or falist term outside an iff position."""
-    cls = t.__class__
-    return (
-        dw is STOP
-        or cls is Quote
-        or (not iff and (cls is Var or (cls is App and t.head == "falist")))
-    )
-
-
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
 
 
@@ -256,6 +246,8 @@ class Rewriter:
     def rewrite(self, t, dont_rw=OPEN, ctx=(), iff=True):
         if not isinstance(ctx, Context):
             ctx = Context.from_terms(ctx)
+        # each rewrite gets the whole step limit; stats go on accumulating
+        self._limit = self.stats.rewrite_calls + self.cfg.step_limit
         return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
 
     def proved(self, t, ctx=()):
@@ -271,7 +263,7 @@ class Rewriter:
 
     def _rw(self, t, dw, ctx, iff, path):
         stats = self.stats
-        if stats.rewrite_calls >= self.cfg.step_limit:
+        if stats.rewrite_calls >= self._limit:
             stats.step_limit_hit = True
             return t
         stats.rewrite_calls += 1
@@ -305,9 +297,10 @@ class Rewriter:
         if core.__class__ is Quote or core.__class__ is Var:
             return t
         peeled = len(props)
+        head = core.head
 
         # (3) strengthen from context facts about this very term
-        if self.cfg.side_conditions_enabled and ctx._props and core.head not in ("if", "falist"):
+        if self.cfg.side_conditions_enabled and ctx._props and head not in ("if", "falist"):
             stripped = strip_rp_deep(core)
             for p in ctx.props_of(stripped):
                 if p not in props:
@@ -315,12 +308,28 @@ class Rewriter:
 
         # a wrapper's property is about its payload's value, so a core
         # under wrappers must keep its value, not just its truth value
-        if core.head == "falist":
+        iff = iff and not props
+        if head == "falist":
             steps = core
-        elif core.head == "if" and len(core.args) == 3:
-            steps = self._rewrite_if(core, dw, ctx, iff and not props, path)
+        elif head == "if" and len(core.args) == 3:
+            steps = self._rewrite_if(core, dw, ctx, iff, path)
         else:
-            steps = self._steps_4_to_7(core, dw, ctx, iff and not props, props, path)
+            # (4) an argument that _rw would return unchanged (stopped by
+            # dont-rw, quoted, or a variable or falist term outside an iff
+            # position) is counted as the call it stands for, not made
+            args = core.args
+            dws = (STOP,) * len(args) if head == "hide" else arg_dont_rws(dw, len(args))
+            arg_iff = iff and head == "not" and len(args) == 1
+            todo = []
+            for i, a in enumerate(args):
+                c = a.__class__
+                if not (dws[i] is STOP or c is Quote or (not arg_iff and (c is Var or a.head == "falist"))):
+                    todo.append(i)
+            if todo:
+                steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, props, path)
+            else:
+                self._count_calls(len(args))
+                steps = self._steps_5_to_7(core, ctx, iff, props, path)
         if not props:
             return steps
         # t is the rewrapped term itself when the core comes back unchanged,
@@ -332,9 +341,9 @@ class Rewriter:
 
     def _rw_step(self, t, dw, ctx, iff, path):
         """What _rw(t, dw, ctx, iff, path) gives, for a caller that is not a
-        generator: t itself, counted, when _rw would return it unchanged,
-        else a generator that makes the call."""
-        if _unchanged_by_rw(t, dw, iff):
+        generator: t itself, counted, when dw stops it, else a generator
+        that makes the call."""
+        if dw is STOP:
             self._count_calls(1)
             return t
         return self._rw_hop(t, dw, ctx, iff, path)
@@ -365,7 +374,7 @@ class Rewriter:
         """Count n rewrite calls that would return their term unchanged, as
         _rw would count them; False when the step limit stops one."""
         stats = self.stats
-        room = self.cfg.step_limit - stats.rewrite_calls
+        room = self._limit - stats.rewrite_calls
         if n <= room:
             stats.rewrite_calls += n
             return True
@@ -373,24 +382,26 @@ class Rewriter:
         stats.rewrite_calls += max(room, 0)
         return False
 
-    def _steps_4_to_7(self, core, dw, ctx, iff, outer_props, path):
-        """(4) argument rewriting, then steps 5-7.  An argument that _rw
-        would return unchanged is only counted, so only a node with an
-        argument to rewrite takes a generator."""
-        dws = (STOP,) * len(core.args) if core.head == "hide" else arg_dont_rws(dw, len(core.args))
-        arg_iff = iff if core.head == "not" and len(core.args) == 1 else False
-        for a, adw in zip(core.args, dws):
-            if not _unchanged_by_rw(a, adw, arg_iff):
-                return self._args_then_5_to_7(core, dws, ctx, iff, arg_iff, outer_props, path)
-        self._count_calls(len(core.args))
-        return self._steps_5_to_7(core, ctx, iff, outer_props, path)
-
-    def _args_then_5_to_7(self, core, dws, ctx, iff, arg_iff, outer_props, path):
-        args = []
-        for i, (a, adw) in enumerate(zip(core.args, dws), 1):
-            step = self._rw(a, adw, ctx, arg_iff, (path, i))
-            args.append((yield step) if step.__class__ is GeneratorType else step)
-        if any(a is not b for a, b in zip(args, core.args)):
+    def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, outer_props, path):
+        """Step (4) for a node with arguments to rewrite, at the indices
+        todo, then steps 5-7.  The other arguments are counted in turn."""
+        args = list(core.args)
+        changed = False
+        done = 0
+        for i in todo:
+            if i > done:
+                self._count_calls(i - done)
+            a = args[i]
+            step = self._rw(a, dws[i], ctx, arg_iff, (path, i + 1))
+            if step.__class__ is GeneratorType:
+                step = yield step
+            if step is not a:
+                args[i] = step
+                changed = True
+            done = i + 1
+        if done < len(args):
+            self._count_calls(len(args) - done)
+        if changed:
             core = App(core.head, args)
             self.stats.nodes_created += 1
             if iff:
@@ -403,22 +414,22 @@ class Rewriter:
         stats = self.stats
         head = core.head
 
-        # (5) executable counterpart, unless the rule file disables it
-        if (
-            core.args
-            and self.registry.has(head)
-            and head not in self.ruleset.exec_disabled
-            and all(a.__class__ is Quote for a in core.args)
-        ):
-            try:
-                value = self.registry.call(head, [a.value for a in core.args])
-                stats.exec_evals += 1
-                stats.nodes_created += 1
-                return Quote(value)
-            except EvalDomainError:
-                stats.exec_domain_errors += 1
-            except UnknownFunctionError:
-                pass
+        # (5) executable counterpart on quoted arguments, unless the rule
+        # file disables it
+        for a in core.args:
+            if a.__class__ is not Quote:
+                break
+        else:
+            if core.args and self.registry.has(head) and head not in self.ruleset.exec_disabled:
+                try:
+                    value = self.registry.call(head, [a.value for a in core.args])
+                    stats.exec_evals += 1
+                    stats.nodes_created += 1
+                    return Quote(value)
+                except EvalDomainError:
+                    stats.exec_domain_errors += 1
+                except UnknownFunctionError:
+                    pass
 
         # (5b) fast-alist interception, or a linear lookup with it off
         if head in _FA_HEADS:
@@ -427,14 +438,14 @@ class Rewriter:
                 return fa
 
         # (6) meta rules
-        if self.metas.candidates(head):
+        if head in self.metas.by_trigger:
             m = self.metas.apply(core, stats, self.meta_diagnostics)
             if m is not None:
                 new_t, new_dw = m
                 return self._rw_step(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
 
         # (7) rewrite rules
-        candidates = self.ruleset.candidates(head)
+        candidates = self.ruleset.buckets.get(head)
         if candidates:
             return self._apply_rules(candidates, 0, core, ctx, iff, outer_props, path)
         return core
@@ -508,8 +519,8 @@ class Rewriter:
 
     def _apply_rules(self, candidates, start, core, ctx, iff, outer_props, path):
         """Step (7) from candidates[start]: the rewritten result of the first
-        rule that applies, or core.  A generator takes over once a rule with
-        hypotheses matches."""
+        rule that applies, or core.  A generator takes over only at a
+        hypothesis whose instance must be rewritten."""
         stats = self.stats
         for i in range(start, len(candidates)):
             rule = candidates[i]
@@ -523,18 +534,74 @@ class Rewriter:
                 continue
             bindings, extracted = m
             if rule.hyps:
-                return self._apply_if_relieved(candidates, i, core, bindings, extracted, ctx, iff, outer_props, path)
+                # the rewrite of (p x) reduces it to 't by a wrapper 'p on x's
+                # binding, unless the context holds its negation: then to 'nil
+                by_wrapper = self.cfg.side_conditions_enabled and not ctx._negs and "not" not in outer_props
+                for _, p in extracted:
+                    if p == "not":
+                        by_wrapper = False
+                j = self._relieve_at_binding(rule, 0, bindings, by_wrapper) if self._backchain < self.cfg.backchain_depth else None
+                if j is None:
+                    stats.hyp_relief_failures += 1
+                    continue
+                if j < len(rule.hyps):
+                    return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path)
             return self._rw_step(*self._rule_result(rule, core, bindings, path), ctx, iff, path)
         return core
 
-    def _apply_if_relieved(self, candidates, i, core, bindings, extracted, ctx, iff, outer_props, path):
-        """_apply_rules once candidates[i], a rule with hypotheses, matched."""
-        known = None
-        if self.cfg.side_conditions_enabled:
-            known = extracted + [(core, p) for p in outer_props]
-        if (yield from self._relieve_hyps(candidates[i], bindings, known, ctx, path)):
-            return self._rw(*self._rule_result(candidates[i], core, bindings, path), ctx, iff, path)
-        self.stats.hyp_relief_failures += 1
+    def _relieve_at_binding(self, rule, start, bindings, by_wrapper):
+        """Relieve rule's hypotheses from the start-th on with no instance
+        built: a syntaxp test, or (p x) when by_wrapper and x's binding
+        carries an rp 'p, counted as the call that would reduce it.  The
+        index of the first one to rewrite, len(rule.hyps) when none is
+        left, or None when one fails."""
+        hyps = rule.hyps
+        for j in range(start, len(hyps)):
+            hyp = hyps[j]
+            if isinstance(hyp, Syntaxp):
+                try:
+                    if not syntaxp_eval(hyp, bindings):
+                        return None
+                except EvalError:
+                    return None
+            elif (
+                by_wrapper
+                and hyp.__class__ is App
+                and len(hyp.args) == 1
+                and hyp.head != "not"
+                and hyp.args[0].__class__ is Var
+                and hyp.head in wrapper_props(bindings[hyp.args[0].name])
+            ):
+                if not self._count_calls(1):
+                    return None
+            else:
+                return j
+        return len(hyps)
+
+    def _relieve_hyps(self, candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path):
+        """_apply_rules once candidates[i] matched, from its j-th hypothesis,
+        the first to rewrite: the context gets the wrappers around and
+        inside the matched term as facts when side conditions are on."""
+        stats = self.stats
+        rule = candidates[i]
+        known = extracted + [(core, p) for p in outer_props] if self.cfg.side_conditions_enabled else None
+        hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
+        self._backchain += 1
+        try:
+            while j is not None and j < len(rule.hyps):
+                inst = instantiate(rule.hyps[j], bindings)
+                size, dw = rule.hyp_info[j]
+                stats.nodes_created += size
+                out = self._rw(inst, dw, hyp_ctx, True, path)
+                if out.__class__ is GeneratorType:
+                    out = yield out
+                relieved = isinstance(out, Quote) and truthy(out.value)
+                j = self._relieve_at_binding(rule, j + 1, bindings, by_wrapper) if relieved else None
+        finally:
+            self._backchain -= 1
+        if j is not None:
+            return self._rw(*self._rule_result(rule, core, bindings, path), ctx, iff, path)
+        stats.hyp_relief_failures += 1
         return self._apply_rules(candidates, i + 1, core, ctx, iff, outer_props, path)
 
     def _rule_result(self, rule, core, bindings, path):
@@ -548,49 +615,3 @@ class Rewriter:
         if self.cfg.trace:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
         return result, dw
-
-    def _relieve_hyps(self, rule, bindings, known, ctx, path):
-        """Whether rule's hypotheses hold.  known lists (term, prop) for the
-        wrappers around and inside the matched term, or is None with side
-        conditions off; the context gets them as facts only once a hyp is
-        rewritten."""
-        if self._backchain >= self.cfg.backchain_depth:
-            return False
-        # the rewrite of (p x) reduces it to 't by a wrapper 'p on x's
-        # binding, unless the context holds its negation: then to 'nil
-        by_wrapper = known is not None and not ctx._negs and all(p != "not" for _, p in known)
-        hyp_ctx = None
-        self._backchain += 1
-        try:
-            for hyp, info in zip(rule.hyps, rule.hyp_info):
-                if isinstance(hyp, Syntaxp):
-                    try:
-                        if not syntaxp_eval(hyp, bindings):
-                            return False
-                    except EvalError:
-                        return False
-                    continue
-                if (
-                    by_wrapper
-                    and hyp.__class__ is App
-                    and len(hyp.args) == 1
-                    and hyp.head != "not"
-                    and hyp.args[0].__class__ is Var
-                    and hyp.head in wrapper_props(bindings[hyp.args[0].name])
-                ):
-                    if not self._count_calls(1):
-                        return False
-                    continue
-                if hyp_ctx is None:
-                    hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
-                inst = instantiate(hyp, bindings)
-                size, dw = info
-                self.stats.nodes_created += size
-                out = self._rw(inst, dw, hyp_ctx, True, path)
-                if out.__class__ is GeneratorType:
-                    out = yield out
-                if not (isinstance(out, Quote) and truthy(out.value)):
-                    return False
-            return True
-        finally:
-            self._backchain -= 1

@@ -149,9 +149,6 @@ class RuleSet:
     lemmas: dict = field(default_factory=dict)  # name -> SideConditionLemma
     exec_disabled: frozenset = frozenset()
 
-    def candidates(self, head):
-        return self.buckets.get(head, ())
-
 
 # ---------------------------------------------------------------------------
 # formula splitting

@@ -211,6 +211,29 @@ def test_prove_step_limit(tmp_path, capsys):
     assert "step limit (10) exceeded" in out
 
 
+
+def _prove_args(tmp_path, *flags):
+    return [
+        "prove",
+        "--rules",
+        write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]),
+        "--conjecture",
+        write(tmp_path, "c.lsp", SHIPPED_CONJECTURES["three-round-to-evens"]),
+        *flags,
+    ]
+
+
+def test_prove_rejects_a_step_limit_below_one(tmp_path, capsys):
+    for n in ("0", "-5"):
+        assert main(_prove_args(tmp_path, "--step-limit", n)) == 2
+        assert capsys.readouterr() == ("", "error: step limit must be >= 1\n")
+
+
+def test_prove_rejects_a_negative_backchain_depth(tmp_path, capsys):
+    assert main(_prove_args(tmp_path, "--backchain-depth", "-1")) == 2
+    assert capsys.readouterr() == ("", "error: backchain depth must be >= 0\n")
+    assert main(_prove_args(tmp_path, "--backchain-depth", "0")) == 1
+
 def test_prove_stats_json(tmp_path, capsys):
     stats_file = tmp_path / "stats.json"
     rc = main(
@@ -516,6 +539,11 @@ def test_bench_tree_rejects_bad_repetitions(capsys):
     assert main(["bench-tree", "--depths", "3", "--repetitions", "0"]) == 2
 
 
+def test_bench_tree_rejects_a_step_limit_below_one(capsys):
+    assert main(["bench-tree", "--depths", "3", "--step-limit", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: step limit must be >= 1\n")
+
+
 # ---------------------------------------------------------------------------
 # bench-falist
 
@@ -547,6 +575,11 @@ def test_bench_falist_lookup_count_override(capsys):
 
 def test_bench_falist_rejects_bad_mode(capsys):
     assert main(["bench-falist", "--sizes", "10", "--modes", "fast"]) == 2
+
+
+def test_bench_falist_rejects_negative_lookups(capsys):
+    assert main(["bench-falist", "--sizes", "10", "--lookups", "-2"]) == 2
+    assert capsys.readouterr() == ("", "error: lookups must be >= 0\n")
 
 
 def test_bench_falist_rejects_non_integer_size(capsys):

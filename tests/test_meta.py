@@ -16,7 +16,7 @@ def test_register_and_candidates():
     m2 = MetaRule("m2", "f", lambda t: None)
     reg.register(m1)
     reg.register(m2)
-    assert [m.name for m in reg.candidates("f")] == ["m2", "m1"]
+    assert [m.name for m in reg.by_trigger["f"]] == ["m2", "m1"]
 
 
 def test_register_rejects_reserved_and_duplicates():

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import pathlib
+import sys
 import weakref
 
 import pytest
@@ -25,6 +26,7 @@ from termrw.terms import (
     read_value,
     substitute,
     template_info,
+    wrapper_props,
 )
 from termrw.validate import check_run
 
@@ -401,6 +403,97 @@ def test_every_step_limit_stops_the_tree_where_it_did(side_conditions):
     assert at == changes
     distinct = "\n".join(outputs[i - 1] for i in at)
     assert hashlib.sha256(distinct.encode()).hexdigest()[:16] == digest
+
+
+def test_step_limit_bounds_each_rewrite_not_the_rewriter():
+    # every rewrite gets the whole limit; the stats go on accumulating
+    rw = _tree_rewriter(True, step_limit=5000)
+    for k in range(1, 8):
+        assert rw.proved(tree_conjecture(6))[0], k
+        assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (955 * k, False)
+    rw.cfg.step_limit = 100
+    assert not rw.proved(tree_conjecture(6))[0]
+    assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (955 * 7 + 100, True)
+
+
+def test_wrapper_relief_takes_no_generator(monkeypatch):
+    # a rule whose hypotheses all hold by the wrappers on its bindings is
+    # relieved by plain calls; the generator runs only at the bottom level,
+    # whose bindings are unwrapped (iassoc ...) leaves
+    relieve = Rewriter._relieve_hyps
+    ran = []
+
+    def watched(self, *args):
+        bindings = next(a for a in args if isinstance(a, dict))
+        if all("integerp" in wrapper_props(b) for b in bindings.values()):
+            raise AssertionError("the hypotheses of a wrapped match took a generator")
+        ran.append(bindings)
+        return relieve(self, *args)
+
+    monkeypatch.setattr(Rewriter, "_relieve_hyps", watched)
+    assert _tree_rewriter(True).proved(tree_conjecture(6))[0]
+    assert len(ran) == 32
+
+
+def _python_calls(fn):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_tree_proof_makes_few_python_calls():
+    # "call" events, generator resumptions included, per depth-6 proof;
+    # the bound is two thirds of the 8,348 of a loop with a frame per step
+    rw = _tree_rewriter(True)
+    conjecture = tree_conjecture(6)
+    assert _python_calls(lambda: rw.proved(conjecture)) <= 5565
+    assert _work(rw) == TREE_WORK[6, True]
+
+
+# A rule whose hypotheses mix relief at the binding, a syntaxp test and a
+# rewritten instance, tried before a rule without hypotheses.  For each
+# term: the full call count, hyp_relief_failures at each step limit from 1,
+# the limits where the output changes, and the full output, all read before
+# hypotheses were relieved by plain calls.
+MIXED_HYP_RULES = """\
+(def-rp-rule r2 (equal (f x y z) (h x)))
+(def-rp-rule r (implies (and (integerp x) (syntaxp (not (equal (car y) 'm))) (p y) (integerp z))
+                        (equal (f x y z) (g x y z))))
+(def-rp-rule p-of-n (p (n x)))
+"""
+MIXED_HYP_TERMS = {
+    "(k (f (rp 'integerp a) (n b) (rp 'integerp c)))": (
+        15,
+        "011111111100000",
+        [1, 2, 11],
+        "(k (g (rp 'integerp a) (n b) (rp 'integerp c)))",
+    ),
+    "(k (f (rp 'integerp a) (q b) (rp 'integerp c)))": (11, "01111111111", [1, 2], "(k (h (rp 'integerp a)))"),
+    "(k (f (rp 'integerp a) (m b) (rp 'integerp c)))": (9, "011111111", [1, 2], "(k (h (rp 'integerp a)))"),
+    "(k (f (rp 'integerp a) (n b) c))": (14, "01111111111111", [1, 2], "(k (h (rp 'integerp a)))"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(MIXED_HYP_TERMS))
+def test_mixed_hypotheses_stop_where_they_did(text):
+    full, failures, changes, final = MIXED_HYP_TERMS[text]
+    outputs = []
+    for limit in range(1, full + 1):
+        rw = rewriter(MIXED_HYP_RULES, step_limit=limit)
+        outputs.append(format_term(rw.rewrite(P(text), iff=False)))
+        assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (limit, limit < full)
+        assert rw.stats.hyp_relief_failures == int(failures[limit - 1]), limit
+    assert [i + 1 for i, out in enumerate(outputs) if i == 0 or out != outputs[i - 1]] == changes
+    assert outputs[-1] == final
 
 
 def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():

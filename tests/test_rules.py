@@ -173,12 +173,12 @@ def test_later_declarations_first_conjuncts_in_order():
         (def-rp-rule late (equal (f (k x)) '4))
         """
     )
-    assert [r.name for r in rs.candidates("f")] == ["late", "pair", "pair_2", "early"]
+    assert [r.name for r in rs.buckets["f"]] == ["late", "pair", "pair_2", "early"]
 
 
 def test_base_rules_are_last_candidates():
     rs = ruleset("(def-rp-rule mine (equal (equal (f x) (f x)) 't))")
-    names = [r.name for r in rs.candidates("equal")]
+    names = [r.name for r in rs.buckets["equal"]]
     assert names == ["mine", "equal-self"]
     assert [r.name for r in base_rules()] == ["hide-elim", "equal-self"]
     assert all(r.internal for r in base_rules())
