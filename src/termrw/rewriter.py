@@ -20,8 +20,12 @@ wrapper, with no instance built or rewritten.  So a generator is taken
 only by a node with an argument to rewrite, an if, a hypothesis whose
 instance must be rewritten, and a meta or rule result to rewrite.
 
-Input terms hold no binder, as the reader expands let, let* and lambda
-forms, so a rule instance is a plain substitution.
+A rule is matched and instantiated by flat Python functions that it
+compiles and keeps (Rule.compile) the first time the loop tries it, never
+as a rule set or a Rewriter is built: a matcher for its lhs, and a builder
+for its rhs, its sc-wrapped rhs and each ordinary hypothesis.  Input terms
+hold no binder, as the reader expands let, let* and lambda forms, so a
+builder gives what substitute gives.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from types import GeneratorType
 from . import falist as _falist
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, default_registry
 from .meta import MetaRegistry
-from .rules import Syntaxp, UnboundRuleVariableError, build_ruleset, syntaxp_eval, unbound_vars
+from .rules import Syntaxp, UnboundRuleVariableError, build_ruleset, compile_match, syntaxp_eval, unbound_vars
 from .terms import (
     NIL_TERM,
     OPEN,
@@ -51,10 +55,8 @@ from .terms import (
     strip_rp_deep,
     substitute,
     terms_equal,
-    terms_equal_mod_rp,
     trampoline,
     truthy,
-    values_equal,
     wrapper_props,
 )
 
@@ -168,54 +170,19 @@ class RewriteStats:
         return dict(self.__dict__)
 
 
-def unify(pattern, t, bindings=None, extracted=None):
+def unify(pattern, t):
     """Match pattern (no rp/falist inside) against t, looking through rp
-    wrappers.  Returns (bindings, extracted) or None; bindings keep the
-    wrappers of the matched subterms, extracted lists (wrapped-subterm,
-    prop) for every wrapper looked through.  Repeated pattern variables
-    must match wrapper-stripped-equal subterms.
+    wrappers, with the matcher compile_match makes for it.  Returns
+    (bindings, extracted) or None; bindings keep the wrappers of the matched
+    subterms, extracted lists (wrapped-subterm, prop) for every wrapper
+    looked through.  Repeated pattern variables must match
+    wrapper-stripped-equal subterms.
     """
-    if bindings is None:
-        bindings = {}
-    if extracted is None:
-        extracted = []
-    if not _unify(pattern, t, bindings, extracted):
-        return None
-    return bindings, extracted
+    return compile_match(pattern)(t)
 
 
-def _unify(pattern, t, bindings, extracted):
-    # the (pattern, term) pairs still to match wait on `todo`, the next one
-    # on top, so the match runs in preorder at any pattern depth
-    todo = []
-    while True:
-        cls = pattern.__class__
-        if cls is Var:
-            old = bindings.get(pattern.name)
-            if old is None:
-                bindings[pattern.name] = t
-            elif not terms_equal_mod_rp(old, t):
-                return False
-        else:
-            while is_rp(t):
-                extracted.append((t, t.args[0].value))
-                t = t.args[1]
-            if cls is Quote:
-                if not (t.__class__ is Quote and values_equal(pattern.value, t.value)):
-                    return False
-            elif cls is App:
-                if not (t.__class__ is App and t.head == pattern.head and len(t.args) == len(pattern.args)):
-                    return False
-                todo.extend(zip(reversed(pattern.args), reversed(t.args)))
-            else:
-                return False
-        if not todo:
-            return True
-        pattern, t = todo.pop()
-
-
-# A rule's rhs or hypothesis is instantiated by substitution.  The loop
-# calls it by this module global, which perfbench's tracer wraps.
+# The substitution that a rule's compiled builders agree with; the loop
+# builds instances with the builders.
 instantiate = substitute
 
 
@@ -529,7 +496,7 @@ class Rewriter:
             if rule.equiv == "iff" and not iff:
                 continue
             stats.rule_attempts += 1
-            m = unify(rule.lhs, core)
+            m = (rule.match or rule.compile())(core)
             if m is None:
                 continue
             bindings, extracted = m
@@ -589,7 +556,7 @@ class Rewriter:
         self._backchain += 1
         try:
             while j is not None and j < len(rule.hyps):
-                inst = instantiate(rule.hyps[j], bindings)
+                inst = rule.build_hyps[j](bindings)
                 size, dw = rule.hyp_info[j]
                 stats.nodes_created += size
                 out = self._rw(inst, dw, hyp_ctx, True, path)
@@ -609,7 +576,7 @@ class Rewriter:
         stats = self.stats
         stats.rule_applications += 1
         sc = self.cfg.side_conditions_enabled
-        result = instantiate(rule.sc_wrapped_rhs if sc else rule.rhs, bindings)
+        result = (rule.build_sc_rhs if sc else rule.build_rhs)(bindings)
         size, dw = rule.sc_rhs_info if sc else rule.rhs_info
         stats.nodes_created += size
         if self.cfg.trace:

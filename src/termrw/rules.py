@@ -1,5 +1,6 @@
 """Rule ingestion: parsing rule files, validity checks, syntaxp
-predicates, side-condition attachment, and let-chain splitting.
+predicates, side-condition attachment, let-chain splitting, and the code
+generator that compiles a rule's lhs matcher and template builders.
 
 A rewrite rule is (implies hyps (equal lhs rhs)); a side-condition lemma is
 (implies hyps (prop subject)) with prop unary.  Attaching the lemma to a
@@ -34,6 +35,7 @@ from .terms import (
     binding_layers,
     contains_head,
     free_vars,
+    is_rp,
     list_items,
     mk_rp,
     read_values,
@@ -43,8 +45,10 @@ from .terms import (
     term_from_value,
     term_to_value,
     terms_equal,
+    terms_equal_mod_rp,
     trampoline,
     truthy,
+    values_equal,
     vars_in_order,
 )
 
@@ -78,7 +82,11 @@ class Rule:
     """A rewrite rule.  rhs_info, sc_rhs_info and hyp_info give, for rhs,
     sc_wrapped_rhs and each hyp (None for a syntaxp hyp), the pair (nodes an
     instantiation builds, its dont-rw guard), found once as the rule is
-    built."""
+    built.
+
+    match, build_rhs, build_sc_rhs and build_hyps are the rule's compiled
+    functions (see compile_match and compile_template): None until compile
+    makes them, which the rewriter does the first time it tries the rule."""
 
     name: str
     hyps: tuple  # Term or Syntaxp conjuncts
@@ -92,6 +100,10 @@ class Rule:
     rhs_info: tuple = field(init=False, repr=False, compare=False)
     sc_rhs_info: tuple = field(init=False, repr=False, compare=False)
     hyp_info: tuple = field(init=False, repr=False, compare=False)
+    match: object = field(default=None, init=False, repr=False, compare=False)
+    build_rhs: object = field(default=None, init=False, repr=False, compare=False)
+    build_sc_rhs: object = field(default=None, init=False, repr=False, compare=False)
+    build_hyps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sc_wrapped_rhs is None:
@@ -106,6 +118,24 @@ class Rule:
     @property
     def head(self):
         return self.lhs.head if isinstance(self.lhs, App) else None
+
+    def __getstate__(self):
+        # generated functions do not pickle: a copy compiles its own
+        return {**self.__dict__, "match": None, "build_rhs": None, "build_sc_rhs": None, "build_hyps": None}
+
+    def compile(self):
+        """Make the rule's matcher and builders, keep them on the rule, and
+        return the matcher.  A syntaxp hyp has no builder.  The matcher is
+        kept last, so a rule that has one has its builders too."""
+        build_rhs = compile_template(self.rhs)
+        sc_rhs = self.sc_wrapped_rhs
+        object.__setattr__(self, "build_rhs", build_rhs)
+        object.__setattr__(self, "build_sc_rhs", build_rhs if sc_rhs is self.rhs else compile_template(sc_rhs))
+        hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
+        object.__setattr__(self, "build_hyps", hyps)
+        match = compile_match(self.lhs)
+        object.__setattr__(self, "match", match)
+        return match
 
 
 @dataclass(frozen=True)
@@ -148,6 +178,141 @@ class RuleSet:
     buckets: dict = field(default_factory=dict)  # head -> tuple of candidates
     lemmas: dict = field(default_factory=dict)  # name -> SideConditionLemma
     exec_disabled: frozenset = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# compiled matchers and builders
+#
+# A rule's lhs and templates never change, so each becomes a flat Python
+# function with a statement per pattern or template node, written by a walk
+# on an explicit stack, so that a formula's depth costs no Python stack.
+# The source holds only generated names and integer literals: heads,
+# variable names and quoted values reach it as the constants k0, k1, ... of
+# its globals.
+
+
+def _peel(t, ex):
+    """t under its rp wrappers, each added to ex as (wrapped term, prop)."""
+    while is_rp(t):
+        ex.append((t, t.args[0].value))
+        t = t.args[1]
+    return t
+
+
+def _peel_app(t, ex, head, n):
+    """_peel(t, ex) when it is an application of head to n arguments, else
+    None."""
+    t = _peel(t, ex)
+    if t.__class__ is App and t.head == head and len(t.args) == n:
+        return t
+    return None
+
+
+# the globals of generated code besides its constants
+_RUNTIME = {
+    "App": App,
+    "Quote": Quote,
+    "RP": "rp",
+    "peel": _peel,
+    "peel_app": _peel_app,
+    "equal_mod_rp": terms_equal_mod_rp,
+    "values_equal": values_equal,
+}
+
+
+def _constant(consts, value):
+    """The name of value among consts, {key: (name, value)}, added if new;
+    equal strings share one name."""
+    key = value if value.__class__ is str else id(value)
+    entry = consts.get(key)
+    if entry is None:
+        entry = consts[key] = (f"k{len(consts)}", value)
+    return entry[0]
+
+
+def _define(source, consts):
+    """The function f that source defines, with _RUNTIME and the constants
+    as its globals."""
+    namespace = dict(_RUNTIME)
+    namespace.update(consts.values())
+    exec(compile(source, "<compiled rule>", "exec"), namespace)
+    return namespace["f"]
+
+
+def compile_match(pattern):
+    """A function that matches pattern against a term, looking through rp
+    wrappers: it gives (bindings, extracted) or None.  bindings keep the
+    wrappers of the matched subterms; extracted lists (wrapped subterm,
+    prop) for every wrapper looked through, in preorder.  A repeated
+    variable must match wrapper-stripped-equal subterms."""
+    lines, consts = ["ex = []"], {}
+    first = {}  # variable name -> the local holding its first binding
+    count = 0  # term locals t1 .. t<count> so far, the term itself being t
+    stack = [(pattern, "t")]
+    while stack:
+        p, t = stack.pop()
+        cls = p.__class__
+        if cls is Var:
+            held = first.setdefault(p.name, t)
+            if held != t:
+                lines.append(f"if not equal_mod_rp({held}, {t}): return None")
+        elif cls is Quote:
+            q = _constant(consts, p.value)
+            lines += [
+                f"if {t}.__class__ is not Quote: {t} = peel({t}, ex)",
+                f"if {t}.__class__ is not Quote or not values_equal({q}, {t}.value): return None",
+            ]
+        elif cls is App:
+            h, n = _constant(consts, p.head), len(p.args)
+            peel = [f"{t} = peel_app({t}, ex, {h}, {n})", f"if {t} is None: return None"]
+            if p.head != "rp":
+                # only a wrapper that fails the test is peeled; an rp pattern
+                # meets the term under every wrapper
+                lines += [
+                    f"if {t}.__class__ is not App or {t}.head != {h} or len({t}.args) != {n}:",
+                    f"    if {t}.__class__ is not App or {t}.head != RP: return None",
+                ]
+                peel = [f"    {line}" for line in peel]
+            lines += peel
+            if n:
+                subs = [f"t{count + i}" for i in range(1, n + 1)]
+                count += n
+                lines.append(f"{', '.join(subs)}, = {t}.args")
+                stack.extend(zip(reversed(p.args), reversed(subs)))
+        else:
+            raise TypeError(p)
+    lines.append("return {" + ", ".join([f"{_constant(consts, v)}: {t}" for v, t in first.items()]) + "}, ex")
+    return _define("def f(t):\n    " + "\n    ".join(lines) + "\n", consts)
+
+
+def compile_template(template):
+    """A function that builds template's instance: given bindings that bind
+    each variable of template, what substitute(template, bindings) gives.
+    Each application is built in its own statement, after its arguments."""
+    lines, consts = [], {}
+    done = []  # the expressions of the finished nodes, in postorder
+    stack = [template]  # a node, or (node,) once its arguments are pushed
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is tuple:
+            u = u[0]
+            n = len(u.args)
+            args = ", ".join(done[len(done) - n :]) + ("," if n == 1 else "")
+            del done[len(done) - n :]
+            done.append(f"t{len(lines) + 1}")
+            lines.append(f"{done[-1]} = App({_constant(consts, u.head)}, ({args}))")
+        elif cls is App:
+            stack.append((u,))
+            stack.extend(reversed(u.args))
+        elif cls is Var:
+            done.append(f"b[{_constant(consts, u.name)}]")
+        elif cls is Quote:
+            done.append(_constant(consts, u))
+        else:
+            raise TypeError(u)
+    lines.append(f"return {done[0]}")
+    return _define("def f(b):\n    " + "\n    ".join(lines) + "\n", consts)
 
 
 # ---------------------------------------------------------------------------

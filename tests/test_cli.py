@@ -3,14 +3,18 @@
 import csv
 import io
 import json
+import keyword
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
+import tokenize
 
 import pytest
 
+from termrw import rules
 from termrw.cli import CSV_COLUMNS, main
 from termrw.demo import SHIPPED_CONJECTURES, SHIPPED_RULESETS
 
@@ -447,6 +451,61 @@ def test_deep_rule_formulas_check_and_prove(tmp_path, capsys, case):
     assert capsys.readouterr().out.strip() == f"checked {count} rule(s): ok"
     assert main(["prove", "--rules", rules_file, "--conjecture", write(tmp_path, "c.lsp", conjecture)]) == 0
     assert capsys.readouterr().out.strip() == "proved"
+
+
+# Heads, variable names and quoted values that would break generated code if
+# spliced into its source, or clash with the names the source uses.
+INJECTION_RULES = r"""
+(def-rp-rule p#%-of-k (p#% (k lambda)))
+(def-rp-rule h"ead\{#%
+  (implies (and (p#% t1) (p#% b) (syntaxp (atom None)))
+           (equal (f"\{ t1 b ex App is_rp None def lambda '%{# k0 f peel RP Quote)
+                  (g{}% lambda def None is_rp App ex b t1 '"q\{ Quote RP peel f k0))))
+"""
+INJECTION_CONJECTURE = r"""
+(equal (f"\{ (k x1) (k x2) x3 x4 x5 x6 x7 x8 '%{# x9 x10 x11 x12 x13)
+       (g{}% x8 x7 x6 x5 x4 x3 (k x2) (k x1) '"q\{ x13 x12 x11 x10 x9))
+"""
+# the names generated code may use besides keywords and its own t1, k0, ...
+GENERATED_NAMES = {
+    *("f", "t", "b", "ex", "App", "Quote", "RP", "peel", "peel_app", "equal_mod_rp", "values_equal", "len"),
+    *("__class__", "head", "args", "value"),
+}
+
+
+def test_rule_names_and_constants_stay_out_of_generated_source(tmp_path, capsys, monkeypatch):
+    sources = []
+    real_define = rules._define
+
+    def recording_define(source, consts):
+        sources.append(source)
+        return real_define(source, consts)
+
+    monkeypatch.setattr(rules, "_define", recording_define)
+    rules_file = write(tmp_path, "r.lsp", INJECTION_RULES)
+    conjecture = write(tmp_path, "c.lsp", INJECTION_CONJECTURE)
+    assert main(["check-rules", rules_file]) == 0
+    assert capsys.readouterr().out.strip() == "checked 2 rule(s): ok"
+    for flags in ([], ["--no-side-conditions"]):
+        assert main(["prove", "--rules", rules_file, "--conjecture", conjecture, "--trace", *flags]) == 0
+        out = capsys.readouterr()
+        assert out.out.strip() == "proved"
+        assert out.err.splitlines() == [
+            "trace: p#%-of-k at 1 (3 -> 1 nodes)",
+            "trace: p#%-of-k at 1 (3 -> 1 nodes)",
+            'trace: h"ead\\{#% at 1 (17 -> 17 nodes)',
+            "trace: equal-self at top (35 -> 1 nodes)",
+        ]
+    assert sources
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                name = tok.string
+                assert keyword.iskeyword(name) or name in GENERATED_NAMES or re.fullmatch("[tk][0-9]+", name), tok
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            else:
+                assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER), tok
 
 
 def test_defthm_lambda_reads_a_let_buried_in_its_body(tmp_path, capsys):

@@ -1,31 +1,49 @@
 """The rewriting engine: unification, contexts, dont-rw, the step loop."""
 
-import gc
 import hashlib
 import pathlib
+import pickle
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termrw.demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
+import termrw.rewriter
+import termrw.rules
+import termrw.terms
+from termrw.demo import SHIPPED_RULESETS, TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
 from termrw.meta import MetaRegistry, MetaRule, demo_metas
 from termrw.rewriter import Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
-from termrw.rules import Syntaxp, UnboundRuleVariableError, build_ruleset, parse_rule_file, syntaxp_eval
+from termrw.rules import (
+    Rule,
+    Syntaxp,
+    UnboundRuleVariableError,
+    build_ruleset,
+    compile_template,
+    parse_rule_file,
+    syntaxp_eval,
+)
 from termrw.terms import (
     OPEN,
     STOP,
     App,
+    Cons,
     Quote,
     Var,
     arg_dont_rws,
     dont_rw_from_value,
     format_term,
+    is_rp,
     mk_rp,
     parse_term,
     read_value,
     substitute,
     template_info,
+    terms_equal,
+    terms_equal_mod_rp,
+    values_equal,
     wrapper_props,
 )
 from termrw.validate import check_run
@@ -89,14 +107,15 @@ def test_unify_mismatches():
 
 
 def test_failed_unify_keeps_no_frames_alive():
-    class Bindings(dict):
+    # a subterm bound, and one peeled, before the match fails are freed with
+    # the term, with no collection
+    class Held(Var):
         pass
 
-    bindings = Bindings()
-    ref = weakref.ref(bindings)
-    assert unify(P("(f x x)"), P("(f '1 '2)"), bindings) is None
-    del bindings
-    gc.collect()
+    held = Held("a")
+    ref = weakref.ref(held)
+    assert unify(P("(f x (g y))"), App("f", (held, mk_rp("p", App("h", (held,)))))) is None
+    del held
     assert ref() is None
 
 
@@ -105,6 +124,120 @@ def test_instantiate():
     assert instantiate(P("(h x x)"), bindings) == P("(h (g a) (g a))")
     # terms bind no names, so rule instances use the one substitution
     assert instantiate is substitute
+
+
+def _unify_loop(pattern, t):
+    """The generic matching loop the compiled matchers replaced, kept as
+    their oracle: the (pattern, term) pairs still to match wait on `todo`,
+    the next one on top, so the match runs in preorder."""
+    bindings, extracted, todo = {}, [], []
+    while True:
+        cls = pattern.__class__
+        if cls is Var:
+            old = bindings.get(pattern.name)
+            if old is None:
+                bindings[pattern.name] = t
+            elif not terms_equal_mod_rp(old, t):
+                return None
+        else:
+            while is_rp(t):
+                extracted.append((t, t.args[0].value))
+                t = t.args[1]
+            if cls is Quote:
+                if not (t.__class__ is Quote and values_equal(pattern.value, t.value)):
+                    return None
+            elif cls is App:
+                if not (t.__class__ is App and t.head == pattern.head and len(t.args) == len(pattern.args)):
+                    return None
+                todo.extend(zip(reversed(pattern.args), reversed(t.args)))
+            else:
+                return None
+        if not todo:
+            return bindings, extracted
+        pattern, t = todo.pop()
+
+
+_NAMES = st.sampled_from(["x", "y"])
+_VALUES = st.recursive(
+    st.integers(-2, 2) | st.sampled_from(["a", "nil"]), lambda v: st.builds(Cons, v, v), max_leaves=3
+)
+_ATOMS = st.builds(Var, _NAMES) | st.builds(Quote, _VALUES)
+
+
+def _apps(heads, c):
+    """Applications of heads, and a quarter as many 2-argument rp forms:
+    wrappers when the first argument is quoted.  An rp head in a pattern is
+    compared under every wrapper of the term."""
+    plain = st.builds(App, st.sampled_from(heads), st.lists(c, max_size=3))
+    return st.one_of(plain, plain, plain, st.builds(lambda a, b: App("rp", (a, b)), c, c))
+
+
+_PATTERNS = st.recursive(_ATOMS, lambda c: _apps(["f", "g"], c), max_leaves=8)
+_TERMS = st.recursive(_ATOMS, lambda c: _apps(["f", "g", "h"], c), max_leaves=6)
+# templates as rules have them: rp wrappers only as an attachment puts them
+_TEMPLATES = st.recursive(
+    _ATOMS,
+    lambda c: st.builds(App, st.sampled_from(["f", "g"]), st.lists(c, max_size=3)) | st.builds(mk_rp, _NAMES, c),
+    max_leaves=8,
+)
+
+
+def _term_like(data, pattern, seen):
+    """A term drawn to match pattern often: each node follows the pattern or
+    is drawn at random, a repeated variable may meet its first binding
+    again, and any node may sit under rp wrappers or in an (rp p x) call,
+    which is no wrapper."""
+    cls = pattern.__class__
+    if cls is Var:
+        t = seen[pattern.name] if pattern.name in seen and data.draw(st.integers(0, 3)) else data.draw(_TERMS)
+        seen.setdefault(pattern.name, t)
+    elif data.draw(st.integers(0, 9)) == 0:
+        t = data.draw(_TERMS)
+    elif cls is Quote:
+        t = Quote(pattern.value)
+    else:
+        t = App(pattern.head, [_term_like(data, a, seen) for a in pattern.args])
+    for _ in range(data.draw(st.integers(0, 2))):
+        prop = data.draw(st.sampled_from(["p", "q", "p", None]))
+        t = App("rp", (Var("p"), t)) if prop is None else mk_rp(prop, t)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_matchers_and_builders_agree_with_the_loop(data):
+    pattern = data.draw(_PATTERNS)
+    t = _term_like(data, pattern, {})
+    got, want = unify(pattern, t), _unify_loop(pattern, t)
+    if want is None:
+        assert got is None
+    else:
+        # the same bindings, in the same order, bound to the same objects,
+        # and the same wrappers looked through, in preorder
+        assert [(k, id(v)) for k, v in got[0].items()] == [(k, id(v)) for k, v in want[0].items()]
+        assert [(id(u), p) for u, p in got[1]] == [(id(u), p) for u, p in want[1]]
+    template = data.draw(_TEMPLATES)
+    bindings = {name: data.draw(_TERMS) for name in ("x", "y")}
+    bindings.update(got[0] if got else {})
+    assert terms_equal(compile_template(template)(bindings), substitute(template, bindings))
+
+
+def test_deep_formulas_compile_match_and_instantiate_flat():
+    # a 5,000-deep lhs and rhs each compile to one statement per node, never
+    # a nested expression, and their walks take no Python stack
+    def chain(leaf):
+        for _ in range(5000):
+            leaf = App("+", (Var("x"), leaf))
+        return leaf
+
+    lhs, rhs = App("g", (chain(Var("y")),)), chain(Quote(3))
+    rule = Rule("deep", (), lhs, App("k", (chain(Var("y")),)), "equal")
+    x = mk_rp("integerp", Var("a"))
+    t = App("g", (mk_rp("p", substitute(lhs.args[0], {"x": x, "y": Quote(1)})),))
+    bindings, extracted = rule.compile()(t)
+    assert bindings == {"x": x, "y": Quote(1)} and extracted == [(t.args[0], "p")]
+    assert terms_equal(rule.build_rhs(bindings), substitute(rule.rhs, bindings))
+    assert terms_equal(compile_template(rhs)(bindings), substitute(rhs, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +759,6 @@ def test_hide_stops_rewriting_of_contents():
 def test_no_guard_is_built_while_rewriting(monkeypatch):
     """Each rule carries the size and guard of its rhs, wrapped rhs and
     hyps, built with the rule: rewriters sharing its rule set build none."""
-    import termrw.terms
-
     built = []
     real_walk = termrw.terms._info_of_template
 
@@ -646,6 +777,68 @@ def test_no_guard_is_built_while_rewriting(monkeypatch):
             proved, _ = rw.proved(tree_conjecture(6))
             assert proved and rw.stats.rule_applications > 0
         assert built == []
+
+
+BENCHMARK_RULE_FILES = ("arith", "bitand", "tree", "tree-backchain", "plus-truthy")
+
+
+def _count_compiles(monkeypatch):
+    """The sources the code generator defines from now on."""
+    made = []
+    real_define = termrw.rules._define
+
+    def counting_define(source, consts):
+        made.append(source)
+        return real_define(source, consts)
+
+    monkeypatch.setattr(termrw.rules, "_define", counting_define)
+    return made
+
+
+def test_building_rule_sets_and_rewriters_compiles_nothing(monkeypatch):
+    made = _count_compiles(monkeypatch)
+    inputs = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    texts = list(SHIPPED_RULESETS.values()) + [(inputs / f"{name}.lsp").read_text() for name in BENCHMARK_RULE_FILES]
+    for text in texts:
+        rs = ruleset(text)
+        for sc in (True, False):
+            Rewriter(rs, metas=MetaRegistry(demo_metas()), cfg=RewriteConfig(side_conditions_enabled=sc))
+        assert all(rule.match is None for rule in rs.rules.values())
+    assert made == []
+
+
+def test_a_second_tree_proof_compiles_and_substitutes_nothing(monkeypatch):
+    # a rule compiles the first time it is tried and keeps what it made;
+    # instances come from its builders, never from the substitution
+    made = _count_compiles(monkeypatch)
+    substituted = []
+
+    def counting_substitute(t, sub):
+        substituted.append(t)
+        return substitute(t, sub)
+
+    monkeypatch.setattr(termrw.terms, "substitute", counting_substitute)
+    monkeypatch.setattr(termrw.rewriter, "substitute", counting_substitute)
+    monkeypatch.setattr(termrw.rewriter, "instantiate", counting_substitute)
+    for text, sc in ((TREE_RULES, True), (TREE_RULES_BACKCHAIN, False)):
+        rs = ruleset(text)
+        for proof in range(2):
+            made.clear()
+            rw = Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=sc))
+            proved, _ = rw.proved(tree_conjecture(6))
+            assert proved and rw.stats.rule_applications > 0
+            assert bool(made) == (proof == 0)
+    assert substituted == []
+
+
+def test_a_tried_rule_set_pickles_and_its_copy_compiles_its_own():
+    rs = ruleset(TREE_RULES_BACKCHAIN)
+    first = Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=False))
+    assert first.proved(tree_conjecture(4))[0]
+    twin = pickle.loads(pickle.dumps(rs))
+    assert all(rule.match is None for rule in twin.rules.values())
+    again = Rewriter(twin, cfg=RewriteConfig(side_conditions_enabled=False))
+    assert again.proved(tree_conjecture(4))[0] and _work(again) == _work(first)
 
 
 def test_an_rp_without_a_quoted_property_is_rewritten_as_a_call():
@@ -711,8 +904,6 @@ def test_syntaxp_orders_commutative_rule(arith_ruleset):
 
 
 def test_syntaxp_predicates_are_walked_once_when_read(arith_ruleset, monkeypatch):
-    import termrw.rules
-
     calls = []
     real = termrw.rules._syntaxp_walk
     monkeypatch.setattr(termrw.rules, "_syntaxp_walk", lambda pred: calls.append(pred) or real(pred))
