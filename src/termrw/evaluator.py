@@ -379,9 +379,12 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
                     continue
                 try:
                     col = list(map(registry.fn(head, n), *cols))
+                    continue
                 except EvalError:
-                    # some env failed: find which, one env at a time
-                    live, col = _call(registry, head, live, cols, errors)
+                    pass
+                # some env failed: find which, one env at a time, outside the
+                # handler, so that no recorded error holds this one as context
+                live, col = _call(registry, head, live, cols, errors)
                 continue
             if arity == 3:
                 if not cols:
@@ -434,7 +437,8 @@ def _lookup(env, name):
 def _each(fn, live, cols, errors):
     """fn applied across cols, columns of argument values over the envs of
     live: (live, column), without the envs where fn raised an EvalError,
-    which errors records."""
+    which errors records.  A recorded error drops its traceback, whose
+    frames would hold errors in a reference cycle."""
     try:
         return live, list(map(fn, *cols))
     except EvalError:
@@ -444,7 +448,7 @@ def _each(fn, live, cols, errors):
         try:
             out.append(fn(*row))
         except EvalError as exc:
-            errors[i] = exc
+            errors[i] = exc.with_traceback(None)
         else:
             kept.append(i)
     return kept, out
@@ -455,7 +459,7 @@ def _call(registry, head, live, cols, errors):
     try:
         fn = registry.fn(head, len(cols))
     except EvalError as exc:
-        errors.update(dict.fromkeys(live, exc))
+        errors.update(dict.fromkeys(live, exc.with_traceback(None)))
         return [], []
     if not cols:
         return _each(lambda _i: fn(), live, [live], errors)
@@ -482,7 +486,7 @@ def _check_wrappers(node, path, live, col, registry, wrappers):
     try:
         fn = registry.fn(prop, 1)
     except EvalError as exc:
-        failed = dict.fromkeys(live, exc)
+        failed = dict.fromkeys(live, exc.with_traceback(None))
     else:
         kept, holds = _each(fn, live, [col], failed)
         failed.update((i, None) for i, h in zip(kept, holds) if not truthy(h))

@@ -6,9 +6,9 @@ the context through if), try the executable counterpart, fast-alist
 interception (a scan of the chain with fast alists off), meta rules, then
 rewrite rules.  A dont-rw guard is STOP, OPEN, or a tuple of the head's
 guard and one guard per argument (see terms).  A rule hit recurses under
-the guard its rule built once for the template, which stops at variable
-slots, so freshly substituted bindings are not rewritten again; a meta hit
-recurses under the guard the meta returns.
+the guard its rule built with the template's builder, which stops at
+variable slots, so freshly substituted bindings are not rewritten again; a
+meta hit recurses under the guard the meta returns.
 
 Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
 inside the call.  An argument the loop would return unchanged (stopped by
@@ -23,9 +23,10 @@ instance must be rewritten, and a meta or rule result to rewrite.
 A rule is matched and instantiated by flat Python functions that it
 compiles and keeps (Rule.compile) the first time the loop tries it, never
 as a rule set or a Rewriter is built: a matcher for its lhs, and a builder
-for its rhs, its sc-wrapped rhs and each ordinary hypothesis.  Input terms
-hold no binder, as the reader expands let, let* and lambda forms, so a
-builder gives what substitute gives.
+for its rhs, its sc-wrapped rhs and each ordinary hypothesis, each kept
+with the node count and guard of its instances.  Input terms hold no
+binder, as the reader expands let, let* and lambda forms, so a builder
+gives what substitute gives, sharing what its template shares.
 """
 
 from __future__ import annotations
@@ -556,10 +557,9 @@ class Rewriter:
         self._backchain += 1
         try:
             while j is not None and j < len(rule.hyps):
-                inst = rule.build_hyps[j](bindings)
-                size, dw = rule.hyp_info[j]
+                build, size, dw = rule.build_hyps[j]
                 stats.nodes_created += size
-                out = self._rw(inst, dw, hyp_ctx, True, path)
+                out = self._rw(build(bindings), dw, hyp_ctx, True, path)
                 if out.__class__ is GeneratorType:
                     out = yield out
                 relieved = isinstance(out, Quote) and truthy(out.value)
@@ -575,9 +575,8 @@ class Rewriter:
         """The instantiated rhs of a rule that applies, and its dont-rw."""
         stats = self.stats
         stats.rule_applications += 1
-        sc = self.cfg.side_conditions_enabled
-        result = (rule.build_sc_rhs if sc else rule.build_rhs)(bindings)
-        size, dw = rule.sc_rhs_info if sc else rule.rhs_info
+        build, size, dw = rule.build_sc_rhs if self.cfg.side_conditions_enabled else rule.build_rhs
+        result = build(bindings)
         stats.nodes_created += size
         if self.cfg.trace:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, to_boolean
 from .terms import (
     NIL,
+    STOP,
     T,
     T_TERM,
     SPECIAL_HEADS,
@@ -41,12 +42,10 @@ from .terms import (
     read_values,
     rp_termp,
     strip_rp_deep,
-    template_info,
     term_from_value,
     term_to_value,
     terms_equal,
     terms_equal_mod_rp,
-    trampoline,
     truthy,
     values_equal,
     vars_in_order,
@@ -79,14 +78,14 @@ class Syntaxp:
 
 @dataclass(frozen=True)
 class Rule:
-    """A rewrite rule.  rhs_info, sc_rhs_info and hyp_info give, for rhs,
-    sc_wrapped_rhs and each hyp (None for a syntaxp hyp), the pair (nodes an
-    instantiation builds, its dont-rw guard), found once as the rule is
-    built.
+    """A rewrite rule.
 
-    match, build_rhs, build_sc_rhs and build_hyps are the rule's compiled
-    functions (see compile_match and compile_template): None until compile
-    makes them, which the rewriter does the first time it tries the rule."""
+    match is the rule's compiled matcher (see compile_match); build_rhs,
+    build_sc_rhs and each of build_hyps (None for a syntaxp hyp) are the
+    triples (builder, nodes an instantiation builds, its dont-rw guard) that
+    compile_template gives for rhs, sc_wrapped_rhs and each hyp.  All are
+    None until compile makes them, which the rewriter does the first time
+    it tries the rule."""
 
     name: str
     hyps: tuple  # Term or Syntaxp conjuncts
@@ -97,12 +96,9 @@ class Rule:
     enabled: bool = True
     internal: bool = False  # engine-shipped, exempt from user-rule checks
     group: str = None  # source declaration; conjunct-splits share one
-    rhs_info: tuple = field(init=False, repr=False, compare=False)
-    sc_rhs_info: tuple = field(init=False, repr=False, compare=False)
-    hyp_info: tuple = field(init=False, repr=False, compare=False)
     match: object = field(default=None, init=False, repr=False, compare=False)
-    build_rhs: object = field(default=None, init=False, repr=False, compare=False)
-    build_sc_rhs: object = field(default=None, init=False, repr=False, compare=False)
+    build_rhs: tuple = field(default=None, init=False, repr=False, compare=False)
+    build_sc_rhs: tuple = field(default=None, init=False, repr=False, compare=False)
     build_hyps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,10 +106,6 @@ class Rule:
             object.__setattr__(self, "sc_wrapped_rhs", self.rhs)
         if self.group is None:
             object.__setattr__(self, "group", self.name)
-        object.__setattr__(self, "rhs_info", template_info(self.rhs))
-        object.__setattr__(self, "sc_rhs_info", template_info(self.sc_wrapped_rhs))
-        hyp_info = tuple(None if isinstance(h, Syntaxp) else template_info(h) for h in self.hyps)
-        object.__setattr__(self, "hyp_info", hyp_info)
 
     @property
     def head(self):
@@ -184,8 +176,9 @@ class RuleSet:
 # compiled matchers and builders
 #
 # A rule's lhs and templates never change, so each becomes a flat Python
-# function with a statement per pattern or template node, written by a walk
-# on an explicit stack, so that a formula's depth costs no Python stack.
+# function with a statement per pattern node or distinct template node,
+# written by a walk on an explicit stack, so that a formula's depth costs no
+# Python stack.
 # The source holds only generated names and integer literals: heads,
 # variable names and quoted values reach it as the constants k0, k1, ... of
 # its globals.
@@ -236,7 +229,8 @@ def _define(source, consts):
     namespace = dict(_RUNTIME)
     namespace.update(consts.values())
     exec(compile(source, "<compiled rule>", "exec"), namespace)
-    return namespace["f"]
+    # f's globals are namespace: leaving f in it would make a cycle
+    return namespace.pop("f")
 
 
 def compile_match(pattern):
@@ -286,33 +280,43 @@ def compile_match(pattern):
 
 
 def compile_template(template):
-    """A function that builds template's instance: given bindings that bind
-    each variable of template, what substitute(template, bindings) gives.
-    Each application is built in its own statement, after its arguments."""
+    """(build, size, guard) for template, from one walk over its distinct
+    nodes.  build(bindings), given bindings that bind each variable of
+    template, gives what substitute(template, bindings) gives, sharing what
+    template shares: each distinct application is built once, in its own
+    statement, after its arguments.  size counts each distinct application
+    and its quoted arguments, which on a tree is every node but the
+    variables.  guard is the instance's dont-rw guard: a variable slot holds
+    an already-rewritten binding and a constant needs no rewrite, so both
+    stop, while the applications stay open, a shared one with one tuple."""
     lines, consts = [], {}
-    done = []  # the expressions of the finished nodes, in postorder
+    size = int(template.__class__ is Quote)
+    done = {}  # id of a finished node -> (its expression, its guard)
     stack = [template]  # a node, or (node,) once its arguments are pushed
     while stack:
         u = stack.pop()
         cls = u.__class__
         if cls is tuple:
             u = u[0]
-            n = len(u.args)
-            args = ", ".join(done[len(done) - n :]) + ("," if n == 1 else "")
-            del done[len(done) - n :]
-            done.append(f"t{len(lines) + 1}")
-            lines.append(f"{done[-1]} = App({_constant(consts, u.head)}, ({args}))")
+            args = [done[id(a)] for a in u.args]
+            name = f"t{len(lines) + 1}"
+            lines.append(f"{name} = App({_constant(consts, u.head)}, ({''.join(e + ', ' for e, _ in args)}))")
+            done[id(u)] = name, (STOP, *(g for _, g in args))
+            size += 1 + sum(a.__class__ is Quote for a in u.args)
+        elif id(u) in done:
+            continue
         elif cls is App:
             stack.append((u,))
             stack.extend(reversed(u.args))
         elif cls is Var:
-            done.append(f"b[{_constant(consts, u.name)}]")
+            done[id(u)] = f"b[{_constant(consts, u.name)}]", STOP
         elif cls is Quote:
-            done.append(_constant(consts, u))
+            done[id(u)] = _constant(consts, u), STOP
         else:
             raise TypeError(u)
-    lines.append(f"return {done[0]}")
-    return _define("def f(b):\n    " + "\n    ".join(lines) + "\n", consts)
+    expr, guard = done[id(template)]
+    lines.append(f"return {expr}")
+    return _define("def f(b):\n    " + "\n    ".join(lines) + "\n", consts), size, guard
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +585,24 @@ def attach_sc(rule, lemma):
             raise AttachError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
     subject = lemma.subject
     found = False
-
-    def wrap(t):
-        nonlocal found
-        if isinstance(t, (Var, Quote)):
-            if terms_equal(t, subject):
-                found = True
-                return mk_rp(lemma.prop, t)
-            return t
-        if terms_equal(strip_rp_deep(t), subject):
+    done = {}  # id of a visited rhs node -> its copy, so a shared node stays shared
+    stack = [rule.sc_wrapped_rhs]  # a node, or (node,) once its arguments are pushed
+    while stack:
+        u = stack.pop()
+        if u.__class__ is tuple:
+            u = u[0]
+            done[id(u)] = App(u.head, [done[id(a)] for a in u.args])
+        elif id(u) in done:
+            continue
+        elif terms_equal(strip_rp_deep(u), subject):
             found = True
-            return mk_rp(lemma.prop, t)
-        if isinstance(t, App):
-            args = []
-            for a in t.args:
-                args.append((yield wrap(a)))
-            return App(t.head, args)
-        return t
-
-    wrapped = trampoline(wrap(rule.sc_wrapped_rhs))
+            done[id(u)] = mk_rp(lemma.prop, u)
+        elif u.__class__ is App:
+            stack.append((u,))
+            stack.extend(u.args)
+        else:
+            done[id(u)] = u
+    wrapped = done[id(rule.sc_wrapped_rhs)]
     if not found:
         raise AttachError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
     return replace(rule, sc_wrapped_rhs=wrapped)

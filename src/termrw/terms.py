@@ -558,16 +558,19 @@ def free_vars(t):
 
 
 def vars_in_order(t):
-    """Variable names in depth-first, left-to-right first-appearance order."""
-    seen = {}
+    """Variable names in depth-first, left-to-right first-appearance order.
+    Each distinct App is visited once, as in free_vars: a second visit
+    would find only names its first has already given."""
+    names, seen = {}, set()
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
-            seen.setdefault(u.name)
-        elif isinstance(u, App):
+        if u.__class__ is Var:
+            names.setdefault(u.name)
+        elif u.__class__ is App and id(u) not in seen:
+            seen.add(id(u))
             stack.extend(reversed(u.args))
-    return list(seen)
+    return list(names)
 
 
 def node_count(t):
@@ -1143,24 +1146,6 @@ def arg_dont_rws(dw, nargs):
     if dw.__class__ is tuple and len(dw) == nargs + 1:
         return dw[1:]
     return (OPEN,) * nargs
-
-
-def template_info(template):
-    """(nodes an instantiation of template builds, its guard).  A variable
-    slot holds an already-rewritten binding and a constant needs no
-    rewrite, so both stop; the template's applications stay open."""
-    return trampoline(_info_of_template(template))
-
-
-def _info_of_template(t):
-    if t.__class__ is App:
-        size, guard = 1, [STOP]
-        for a in t.args:
-            n, g = yield _info_of_template(a)
-            size += n
-            guard.append(g)
-        return size, tuple(guard)
-    return int(t.__class__ is not Var), STOP
 
 
 # ---------------------------------------------------------------------------

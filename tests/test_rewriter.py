@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import pickle
 import sys
+import time
 import weakref
 
 import pytest
@@ -40,7 +41,6 @@ from termrw.terms import (
     parse_term,
     read_value,
     substitute,
-    template_info,
     terms_equal,
     terms_equal_mod_rp,
     values_equal,
@@ -182,6 +182,24 @@ _TEMPLATES = st.recursive(
 )
 
 
+@st.composite
+def _dag_template(draw):
+    """Templates whose applications share nodes: each application takes its
+    arguments from the atoms and the applications made before it, and the
+    last one made is the template."""
+    nodes = draw(st.lists(_ATOMS, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 8))):
+        made = st.sampled_from(tuple(nodes))
+        if draw(st.integers(0, 4)):
+            nodes.append(App(draw(st.sampled_from(["f", "g"])), draw(st.lists(made, max_size=3))))
+        else:
+            nodes.append(mk_rp(draw(_NAMES), draw(made)))
+    return nodes[-1]
+
+
+_DAG_TEMPLATES = _dag_template()
+
+
 def _term_like(data, pattern, seen):
     """A term drawn to match pattern often: each node follows the pattern or
     is drawn at random, a repeated variable may meet its first binding
@@ -216,10 +234,39 @@ def test_compiled_matchers_and_builders_agree_with_the_loop(data):
         # and the same wrappers looked through, in preorder
         assert [(k, id(v)) for k, v in got[0].items()] == [(k, id(v)) for k, v in want[0].items()]
         assert [(id(u), p) for u, p in got[1]] == [(id(u), p) for u, p in want[1]]
-    template = data.draw(_TEMPLATES)
     bindings = {name: data.draw(_TERMS) for name in ("x", "y")}
     bindings.update(got[0] if got else {})
-    assert terms_equal(compile_template(template)(bindings), substitute(template, bindings))
+    tree = data.draw(_TEMPLATES)
+    build, size, guard = compile_template(tree)
+    assert terms_equal(build(bindings), substitute(tree, bindings))
+    assert (size, guard) == _tree_info(tree)
+    dag = data.draw(_DAG_TEMPLATES)
+    instance = compile_template(dag)[0](bindings)
+    assert terms_equal(instance, substitute(dag, bindings))
+    # each distinct application of the template is built once
+    assert all(len(built) == 1 for built in _instances_of_apps(dag, instance).values())
+
+
+def _tree_info(t):
+    """compile_template's size and guard, by a walk over t as a tree."""
+    if t.__class__ is not App:
+        return int(t.__class__ is Quote), STOP
+    infos = [_tree_info(a) for a in t.args]
+    return 1 + sum(n for n, _ in infos), (STOP, *(g for _, g in infos))
+
+
+def _instances_of_apps(template, instance):
+    """{id of each application of template: the ids of the instance's nodes
+    at its positions}.  A template node met again is not entered again."""
+    found = {}
+    stack = [(template, instance)]
+    while stack:
+        u, v = stack.pop()
+        if u.__class__ is App:
+            if id(u) not in found:
+                stack.extend(zip(u.args, v.args))
+            found.setdefault(id(u), set()).add(id(v))
+    return found
 
 
 def test_deep_formulas_compile_match_and_instantiate_flat():
@@ -236,8 +283,33 @@ def test_deep_formulas_compile_match_and_instantiate_flat():
     t = App("g", (mk_rp("p", substitute(lhs.args[0], {"x": x, "y": Quote(1)})),))
     bindings, extracted = rule.compile()(t)
     assert bindings == {"x": x, "y": Quote(1)} and extracted == [(t.args[0], "p")]
-    assert terms_equal(rule.build_rhs(bindings), substitute(rule.rhs, bindings))
-    assert terms_equal(compile_template(rhs)(bindings), substitute(rhs, bindings))
+    assert terms_equal(rule.build_rhs[0](bindings), substitute(rule.rhs, bindings))
+    assert terms_equal(compile_template(rhs)[0](bindings), substitute(rhs, bindings))
+
+
+def _doubling_rule(n):
+    """A defthm whose rhs is an n-binding let* doubling chain: n + 2
+    distinct nodes, which a tree walk would meet about 3 * 2^n times."""
+    bindings = " ".join(f"(a{i} (h a{i - 1} a{i - 1}))" for i in range(1, n + 1))
+    return f"(defthm dbl (equal (f x) (let* ((a0 (g x)) {bindings}) a{n})))"
+
+
+def test_a_doubling_let_chain_rule_reads_and_compiles_its_distinct_nodes():
+    start = time.perf_counter()
+    rule = ruleset(_doubling_rule(40)).rules["dbl"]
+    rule.compile()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"reading, building and compiling took {elapsed:.3f} s"
+    build, size, guard = rule.build_rhs
+    instance = build({"x": Var("y")})
+    # outside the assert, whose report would print the terms as trees
+    shared = instance.args[0] is instance.args[1] and guard[1] is guard[2]
+    assert shared and size == 41
+    # one application builds each distinct node once; rewriting still
+    # walks the instance as a tree
+    rw = rewriter(_doubling_rule(14))
+    head = rw.rewrite(P("(f y)"), iff=False).head
+    assert head == "h" and (rw.stats.nodes_created, rw.stats.rewrite_calls) == (15, 49153)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +330,7 @@ def test_template_guard_stops_at_variables_and_constants():
     # variable slots hold already-rewritten bindings and constants need no
     # rewrite; the template's applications stay open.  An instantiation
     # builds every node but the variables.
-    size, dw = template_info(P("(g x '1 (h y))"))
+    _, size, dw = compile_template(P("(g x '1 (h y))"))
     assert dw == (STOP, STOP, STOP, (STOP, STOP))
     assert size == 3
 
@@ -758,18 +830,21 @@ def test_hide_stops_rewriting_of_contents():
 
 def test_no_guard_is_built_while_rewriting(monkeypatch):
     """Each rule carries the size and guard of its rhs, wrapped rhs and
-    hyps, built with the rule: rewriters sharing its rule set build none."""
+    hyps, built with its builders when it compiles: rewriters sharing its
+    rule set build none."""
     built = []
-    real_walk = termrw.terms._info_of_template
+    real_compile_template = termrw.rules.compile_template
 
-    def counting_walk(template):
+    def counting_compile_template(template):
         built.append(template)
-        return real_walk(template)
+        return real_compile_template(template)
 
-    # every caller of terms.template_info, under any name, reaches this walk
-    monkeypatch.setattr(termrw.terms, "_info_of_template", counting_walk)
+    # every size and guard comes from compile_template, called by Rule.compile
+    monkeypatch.setattr(termrw.rules, "compile_template", counting_compile_template)
     for text, sc in ((TREE_RULES, True), (TREE_RULES_BACKCHAIN, False)):
         rs = ruleset(text)
+        for rule in rs.rules.values():
+            rule.compile()
         assert built
         built.clear()
         for _ in range(2):
@@ -808,9 +883,18 @@ def test_building_rule_sets_and_rewriters_compiles_nothing(monkeypatch):
 
 
 def test_a_second_tree_proof_compiles_and_substitutes_nothing(monkeypatch):
-    # a rule compiles the first time it is tried and keeps what it made;
-    # instances come from its builders, never from the substitution
+    # a rule compiles the first time it is tried and keeps what it made, its
+    # builders' sizes and guards too; instances come from its builders,
+    # never from the substitution
     made = _count_compiles(monkeypatch)
+    templates = []
+    real_compile_template = termrw.rules.compile_template
+
+    def counting_compile_template(template):
+        templates.append(template)
+        return real_compile_template(template)
+
+    monkeypatch.setattr(termrw.rules, "compile_template", counting_compile_template)
     substituted = []
 
     def counting_substitute(t, sub):
@@ -824,10 +908,11 @@ def test_a_second_tree_proof_compiles_and_substitutes_nothing(monkeypatch):
         rs = ruleset(text)
         for proof in range(2):
             made.clear()
+            templates.clear()
             rw = Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=sc))
             proved, _ = rw.proved(tree_conjecture(6))
             assert proved and rw.stats.rule_applications > 0
-            assert bool(made) == (proof == 0)
+            assert bool(made) == bool(templates) == (proof == 0)
     assert substituted == []
 
 

@@ -679,15 +679,16 @@ def test_free_vars_and_order():
 
 
 def test_free_vars_visits_each_shared_node_once():
-    # a 200-deep chain whose nodes mostly pass one object twice: about
-    # 2^200 nodes as a tree
+    # free_vars and vars_in_order on a 200-deep chain whose nodes mostly
+    # pass one object twice: about 2^200 nodes as a tree
     t = Var("a")
     for k in range(200):
         t = App("binary-+", (t, Var(f"b{k}") if k % 50 == 0 else t))
     # the result is computed outside the assert: a failing assert would
     # print t, walking it as a tree
-    names = free_vars(t)
+    names, ordered = free_vars(t), vars_in_order(t)
     assert names == {"a"} | {f"b{k}" for k in range(0, 200, 50)}
+    assert ordered == ["a", "b0", "b50", "b100", "b150"]
 
 
 def test_node_count_and_contains_head():
