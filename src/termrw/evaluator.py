@@ -25,9 +25,9 @@ every wrapper is still checked where evaluation reaches it.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 
-from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, strip_rp_deep, truthy, values_equal
+from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, postorder, strip_rp_deep, truthy, values_equal
 
 
 class EvalError(Exception):
@@ -254,21 +254,21 @@ def eval_term(t, env, registry, wrappers=None):
     return values[0]
 
 
-def shared_nodes(terms):
+def shared_nodes(terms, nodes=None):
     """The ids of the App nodes reached more than once from terms, counting
     each root as reached, that hold no rp wrapper: the nodes an eval_terms
-    memo remembers.  Each distinct node is visited once."""
-    seen, shared = set(), set()
-    stack = list(terms)
-    while stack:
-        u = stack.pop()
+    memo remembers.  nodes is postorder(*terms), walked here unless the
+    caller has walked it."""
+    if nodes is None:
+        nodes = postorder(*terms)
+    reached, shared = set(), []
+    for u in chain(terms, *[u.args for u in nodes if u.__class__ is App]):
         if u.__class__ is App and u.args:
-            if id(u) not in seen:
-                seen.add(id(u))
-                stack.extend(u.args)
-            elif strip_rp_deep(u) is u:
-                shared.add(id(u))
-    return shared
+            if id(u) not in reached:
+                reached.add(id(u))
+            else:
+                shared.append(u)
+    return {id(u) for u in shared if strip_rp_deep(u) is u}
 
 
 def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):

@@ -39,6 +39,7 @@ from .terms import (
     is_rp,
     list_items,
     mk_rp,
+    postorder,
     read_values,
     rp_termp,
     strip_rp_deep,
@@ -177,8 +178,8 @@ class RuleSet:
 #
 # A rule's lhs and templates never change, so each becomes a flat Python
 # function with a statement per pattern node or distinct template node,
-# written by a walk on an explicit stack, so that a formula's depth costs no
-# Python stack.
+# written by a walk on an explicit stack or over postorder, so that a
+# formula's depth costs no Python stack.
 # The source holds only generated names and integer literals: heads,
 # variable names and quoted values reach it as the constants k0, k1, ... of
 # its globals.
@@ -291,23 +292,15 @@ def compile_template(template):
     stop, while the applications stay open, a shared one with one tuple."""
     lines, consts = [], {}
     size = int(template.__class__ is Quote)
-    done = {}  # id of a finished node -> (its expression, its guard)
-    stack = [template]  # a node, or (node,) once its arguments are pushed
-    while stack:
-        u = stack.pop()
+    done = {}  # id of a node -> (its expression, its guard)
+    for u in postorder(template):
         cls = u.__class__
-        if cls is tuple:
-            u = u[0]
+        if cls is App:
             args = [done[id(a)] for a in u.args]
             name = f"t{len(lines) + 1}"
             lines.append(f"{name} = App({_constant(consts, u.head)}, ({''.join(e + ', ' for e, _ in args)}))")
             done[id(u)] = name, (STOP, *(g for _, g in args))
             size += 1 + sum(a.__class__ is Quote for a in u.args)
-        elif id(u) in done:
-            continue
-        elif cls is App:
-            stack.append((u,))
-            stack.extend(reversed(u.args))
         elif cls is Var:
             done[id(u)] = f"b[{_constant(consts, u.name)}]", STOP
         elif cls is Quote:
@@ -585,21 +578,13 @@ def attach_sc(rule, lemma):
             raise AttachError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
     subject = lemma.subject
     found = False
-    done = {}  # id of a visited rhs node -> its copy, so a shared node stays shared
-    stack = [rule.sc_wrapped_rhs]  # a node, or (node,) once its arguments are pushed
-    while stack:
-        u = stack.pop()
-        if u.__class__ is tuple:
-            u = u[0]
-            done[id(u)] = App(u.head, [done[id(a)] for a in u.args])
-        elif id(u) in done:
-            continue
-        elif terms_equal(strip_rp_deep(u), subject):
+    done = {}  # id of an rhs node -> its copy, so a shared node stays shared
+    for u in postorder(rule.sc_wrapped_rhs):
+        if terms_equal(strip_rp_deep(u), subject):
             found = True
             done[id(u)] = mk_rp(lemma.prop, u)
         elif u.__class__ is App:
-            stack.append((u,))
-            stack.extend(u.args)
+            done[id(u)] = App(u.head, [done[id(a)] for a in u.args])
         else:
             done[id(u)] = u
     wrapped = done[id(rule.sc_wrapped_rhs)]

@@ -5,7 +5,9 @@ Values are the ground s-expression universe: unbounded integers, symbols
 and pairs.  Terms are the syntax the rewriter works on: variables, quoted
 constants, and function applications.  The reader expands each ``let``,
 ``let*`` and applied ``lambda`` form into its body as it reads it, so no
-term holds a binder and substitution cannot capture.
+term holds a binder and substitution cannot capture.  Terms and values may
+share nodes; the walks that give one result per node go through postorder,
+so they cost a shared term's distinct nodes, not its tree.
 """
 
 from __future__ import annotations
@@ -268,7 +270,11 @@ class Term:
     __slots__ = ()
 
     def __repr__(self):
-        return format_term(self)
+        # format_term prints the tree, so a large shared term gets a summary
+        size = node_count(self)
+        if size <= 10_000:
+            return format_term(self)
+        return f"<({self.head} ...): {len(postorder(self))} distinct nodes, {size} as a tree>"
 
     def __deepcopy__(self, memo):
         return self  # immutable
@@ -402,6 +408,38 @@ def terms_equal_mod_rp(a, b):
 
 
 # ---------------------------------------------------------------------------
+# distinct-node walks
+
+
+def postorder(*roots):
+    """The distinct nodes reachable from roots, each once by identity,
+    leaves included: each App or Cons after its parts (an App's arguments,
+    a Cons's car and cdr), which are walked left to right.  A shared term
+    costs its distinct nodes, not its tree, and its depth costs no Python
+    stack."""
+    order, seen = [], set()
+    parents, waiting = [], []  # the nodes being walked, and the parts each interrupted
+    parts = iter(roots)
+    while True:
+        for u in parts:
+            if id(u) in seen:
+                continue
+            seen.add(id(u))
+            cls = u.__class__
+            if cls is App or cls is Cons:
+                parents.append(u)
+                waiting.append(parts)
+                parts = iter(u.args if cls is App else (u.car, u.cdr))
+                break
+            order.append(u)
+        else:
+            if not parents:
+                return order
+            order.append(parents.pop())
+            parts = waiting.pop()
+
+
+# ---------------------------------------------------------------------------
 # pickling and copying
 
 
@@ -410,31 +448,13 @@ def _flatten(root):
     depth: its distinct nodes in postorder, each Cons or App as (class,
     head, positions of its parts in the table) and any other node as
     itself.  A shared node is listed once."""
-    index = {}
-    table = []
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        cls = node.__class__
-        if cls is App:
-            extra, parts = node.head, node.args
-        elif cls is Cons:
-            extra, parts = None, (node.car, node.cdr)
-        else:
-            extra, parts = None, None
-        entry = node
-        if parts is not None:
-            todo = [p for p in parts if id(p) not in index]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            entry = (cls, extra, tuple(index[id(p)] for p in parts))
-        stack.pop()
-        index[id(node)] = len(table)
-        table.append(entry)
+    table = postorder(root)
+    index = {id(u): i for i, u in enumerate(table)}
+    for i, u in enumerate(table):
+        if u.__class__ is App:
+            table[i] = (App, u.head, tuple([index[id(a)] for a in u.args]))
+        elif u.__class__ is Cons:
+            table[i] = (Cons, None, (index[id(u.car)], index[id(u.cdr)]))
     return table
 
 
@@ -543,76 +563,26 @@ def strip_rp_deep(t):
 
 
 def free_vars(t):
-    """The variable names of a term.  Each distinct App is visited once, so
-    a shared (DAG-shaped) term costs its distinct nodes, not its tree."""
-    names, seen = set(), set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is Var:
-            names.add(u.name)
-        elif u.__class__ is App and id(u) not in seen:
-            seen.add(id(u))
-            stack.extend(u.args)
-    return names
+    """The variable names of a term."""
+    return {u.name for u in postorder(t) if u.__class__ is Var}
 
 
 def vars_in_order(t):
-    """Variable names in depth-first, left-to-right first-appearance order.
-    Each distinct App is visited once, as in free_vars: a second visit
-    would find only names its first has already given."""
-    names, seen = {}, set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is Var:
-            names.setdefault(u.name)
-        elif u.__class__ is App and id(u) not in seen:
-            seen.add(id(u))
-            stack.extend(reversed(u.args))
-    return list(names)
+    """Variable names in depth-first, left-to-right first-appearance order."""
+    return list(dict.fromkeys([u.name for u in postorder(t) if u.__class__ is Var]))
 
 
 def node_count(t):
-    """The size of t as a tree.  Each distinct App's size is computed once,
-    so a shared (DAG-shaped) term costs its distinct nodes, not its tree."""
-    if t.__class__ is not App:
-        return 1
+    """The size of t as a tree, from each distinct node's size computed
+    once."""
     sizes = {}
-    stack = [t]
-    while stack:
-        # u's size is known once none of its Apps waits above it
-        u = stack[-1]
-        n = 1
-        for a in u.args:
-            if a.__class__ is not App:
-                n += 1
-            elif id(a) in sizes:
-                n += sizes[id(a)]
-            else:
-                stack.append(a)
-        if stack[-1] is u:
-            sizes[id(u)] = n
-            stack.pop()
+    for u in postorder(t):
+        sizes[id(u)] = 1 + sum([sizes[id(a)] for a in u.args]) if u.__class__ is App else 1
     return sizes[id(t)]
 
 
-def subterms(t):
-    """The nodes of t, each distinct App once."""
-    seen = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is App:
-            if id(u) in seen:
-                continue
-            seen.add(id(u))
-            stack.extend(u.args)
-        yield u
-
-
 def contains_head(t, head):
-    return any(isinstance(u, App) and u.head == head for u in subterms(t))
+    return any(u.__class__ is App and u.head == head for u in postorder(t))
 
 
 # ---------------------------------------------------------------------------
@@ -954,23 +924,25 @@ def _plain_term(head, args):
 def term_to_value(t):
     """Encode a term as a value, the usual terms-as-lists embedding.  A
     falist term is encoded as its logical alist, the value it evaluates
-    to: its shadow is a lookup table, not a value."""
-    return trampoline(_value_of_term(t))
-
-
-def _value_of_term(t):
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Quote):
-        return Cons("quote", Cons(t.value, NIL))
-    if not isinstance(t, App):
-        raise TypeError(t)
-    if is_falist(t):
-        return (yield _value_of_term(t.args[1]))
-    out = NIL
-    for a in reversed(t.args):
-        out = Cons((yield _value_of_term(a)), out)
-    return Cons(t.head, out)
+    to: its shadow is a lookup table, not a value.  Each distinct node is
+    encoded once, so the value shares what the term shares."""
+    values = {}
+    for u in postorder(t):
+        if isinstance(u, Var):
+            v = u.name
+        elif isinstance(u, Quote):
+            v = Cons("quote", Cons(u.value, NIL))
+        elif u.__class__ is not App:
+            raise TypeError(u)
+        elif is_falist(u):
+            v = values[id(u.args[1])]
+        else:
+            v = NIL
+            for a in reversed(u.args):
+                v = Cons(values[id(a)], v)
+            v = Cons(u.head, v)
+        values[id(u)] = v
+    return values[id(t)]
 
 
 def parse_term(text):

@@ -44,7 +44,8 @@ from .terms import (
     Cons,
     Quote,
     Var,
-    free_vars,
+    format_value,
+    postorder,
     rp_termp,
     truthy,
     values_equal,
@@ -73,8 +74,6 @@ class ValidityReport:
 
 
 def env_digest(env):
-    from .terms import format_value
-
     return " ".join(f"{k}={format_value(v)}" for k, v in sorted(env.items()))
 
 
@@ -183,15 +182,17 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
     (eval_terms): the facts, each only where the earlier ones hold, then
     before, then after where before is defined, and a draw where both are
     defined is judged as their values are paired.  The terms are walked
-    once beforehand for the nodes they reach more than once (shared_nodes),
-    and the chunk's calls share a memo of those, so each distinct node is
-    evaluated once per chunk, across facts, before and after, for each
-    list of environments live at it.  The outcomes are then tallied in
-    draw order, so the report is the one a loop over single environments
-    would give.
+    once beforehand for their variables and for the nodes they reach more
+    than once (shared_nodes), and the chunk's calls share a memo of those,
+    so each distinct node is evaluated once per chunk, across facts, before
+    and after, for each list of environments live at it.  The outcomes are
+    then tallied in draw order, so the report is the one a loop over single
+    environments would give.
     """
-    names = set().union(*map(free_vars, (before, after, *facts)))
-    shared = shared_nodes((*facts, before, after))
+    terms = (*facts, before, after)
+    nodes = postorder(*terms)
+    names = {u.name for u in nodes if u.__class__ is Var}
+    shared = shared_nodes(terms, nodes)
     rng = random.Random(seed)
     equal = mode == "equal"
     changed = f"{label}{'value' if equal else 'truthiness'} changed by rewriting"

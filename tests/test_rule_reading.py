@@ -12,6 +12,7 @@ each piece's by its own substitution, so it does not lean on the reader's.
 import hashlib
 import itertools
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from termrw.terms import (
     mk_rp,
     node_count,
     parse_term,
+    postorder,
     read_value,
     strip_rp_deep,
     term_from_value,
@@ -368,21 +370,10 @@ def _printed(t):
     nodes."""
     if node_count(t) <= 10_000:
         return format_term(t)
-    place, nodes, stack = {}, [], [t]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is tuple:
-            u = u[0]
-            place[id(u)] = len(nodes)
-            nodes.append((u.head, [place[id(a)] for a in u.args]))
-        elif id(u) in place:
-            continue
-        elif u.__class__ is App:
-            stack.append((u,))
-            stack.extend(reversed(u.args))
-        else:
-            place[id(u)] = len(nodes)
-            nodes.append(format_term(u))
+    place, nodes = {}, []
+    for u in postorder(t):
+        place[id(u)] = len(nodes)
+        nodes.append((u.head, [place[id(a)] for a in u.args]) if u.__class__ is App else format_term(u))
     return nodes
 
 
@@ -449,9 +440,7 @@ def test_every_shipped_rule_file_is_pinned():
 def test_compiled_rules_are_unchanged(key):
     digest, preds = PINNED[key]
     ruleset = build_ruleset(parse_rule_file(_rule_text(key)))
-    # outside the assert, whose report would print the rules as trees
-    got = compiled_rules_digest(ruleset)
-    assert got == digest
+    assert compiled_rules_digest(ruleset) == digest
     syntaxp = {r.name: [h.pred for h in r.hyps if isinstance(h, Syntaxp)] for r in ruleset.rules.values()}
     assert {name: len(p) for name, p in syntaxp.items() if p} == {name: 1 for name in preds}
     for name, old_text in preds.items():
@@ -459,3 +448,11 @@ def test_compiled_rules_are_unchanged(key):
         (new,) = syntaxp[name]
         for x, y in itertools.product(_SAMPLE_TERMS, repeat=2):
             assert _same_syntaxp(new, old, {"x": x, "y": y})
+
+
+def test_a_rule_set_with_a_shared_rhs_prints_its_large_terms_as_summaries():
+    ruleset = build_ruleset(parse_rule_file(_rule_text("demos/rules/let-chain.lsp")))
+    start = time.perf_counter()
+    text = repr(ruleset)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0 and "rhs=<(binary-+ ...): 42 distinct nodes, 2199023255551 as a tree>" in text

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import rand_rng, rand_term, rand_value
 from termrw.demo import chain_term
+from termrw.evaluator import shared_nodes
 from termrw.falist import check_falist_term
+from termrw.rules import Syntaxp, syntaxp_eval
 from termrw.terms import (
+    NIL,
     NIL_TERM,
     T_TERM,
     App,
@@ -34,12 +37,12 @@ from termrw.terms import (
     mk_rp,
     node_count,
     parse_term,
+    postorder,
     read_value,
     read_values,
     rp_termp,
     strip_rp,
     strip_rp_deep,
-    subterms,
     substitute,
     term_from_value,
     term_to_value,
@@ -443,7 +446,7 @@ def test_one_pass_reader_agrees_on_valid_texts(text):
 @settings(max_examples=300, deadline=None)
 @given(_valid_texts)
 def test_every_falist_read_agrees_with_its_chain(text):
-    for u in subterms(parse_term(text)):
+    for u in postorder(parse_term(text)):
         if isinstance(u, App) and u.head == "falist":
             assert check_falist_term(u) == []
             assert parse_term(format_term(u)) == u
@@ -573,11 +576,11 @@ def _reference_strip(t):
 
 
 @st.composite
-def _wrapped_dags(draw):
+def _wrapped_dags(draw, nodes=14):
     """A term built bottom-up from a pool, so later nodes share earlier ones
     (a DAG), with rp chains at any depth, the root included."""
     pool = draw(st.lists(st.builds(Var, _names) | st.builds(Quote, _values), min_size=1, max_size=3))
-    for _ in range(draw(st.integers(1, 14))):
+    for _ in range(draw(st.integers(1, nodes))):
         if draw(st.booleans()):
             node = mk_rp(draw(st.sampled_from(("integerp", "bitp", "evenp"))), draw(st.sampled_from(pool)))
         else:
@@ -706,10 +709,140 @@ def test_dag_walkers_visit_each_shared_node_once():
         t = App("f", (t, t))
     # t stays out of the asserts: printing it would walk the tree
     start = time.perf_counter()
-    found = (node_count(t), contains_head(t, "g"), contains_head(t, "h"), rp_termp(t))
+    found = (node_count(t), contains_head(t, "g"), contains_head(t, "h"), rp_termp(t), free_vars(t))
+    shared, value = shared_nodes((t,)), term_to_value(t)
     elapsed = time.perf_counter() - start
-    assert found == (3 * 2**40 - 1, True, False, [((0,) * 41, "nil cannot be a variable")])
+    assert found == (3 * 2**40 - 1, True, False, [((0,) * 41, "nil cannot be a variable")], {"nil"})
+    # a value prints as a tree, so its sharing is checked outside the assert
+    value_shares = value.cdr.car is value.cdr.cdr.car
+    assert len(shared) == 40 and value_shares
     assert elapsed < 0.5
+
+
+def _doubling(n):
+    """The rhs of demos/rules/let-chain.lsp with n bindings: n distinct
+    applications, 2^(n + 1) - 1 nodes as a tree."""
+    binds = " ".join(f"(a{i} (binary-+ a{i - 1} a{i - 1}))" for i in range(1, n))
+    return parse_term(f"(let* ((a0 (binary-+ x x)) {binds}) a{n - 1})")
+
+
+def test_a_shared_term_is_encoded_as_a_shared_value():
+    t = _doubling(20)
+    start = time.perf_counter()
+    v = term_to_value(t)
+    elapsed = time.perf_counter() - start
+    conses = sum(u.__class__ is Cons for u in postorder(v))
+    shares = v.cdr.car is v.cdr.cdr.car  # outside the assert, as v prints as a tree
+    assert shares and conses <= 8 * 20 and elapsed < 0.5
+    start = time.perf_counter()
+    holds = syntaxp_eval(Syntaxp(parse_term("(consp x)")), {"x": t})
+    elapsed = time.perf_counter() - start
+    assert holds and elapsed < 0.5
+
+
+def test_a_large_shared_term_prints_as_a_summary():
+    assert repr(parse_term("(f x '3 (g y))")) == "(f x '3 (g y))"
+    assert repr(_doubling(40)) == "<(binary-+ ...): 42 distinct nodes, 2199023255551 as a tree>"
+
+
+# ---------------------------------------------------------------------------
+# distinct-node walks, against recursive references
+
+
+def _parts(u):
+    if u.__class__ is App:
+        return u.args
+    if u.__class__ is Cons:
+        return (u.car, u.cdr)
+    return ()
+
+
+def _tree_listing(u):
+    """The nodes of u as a tree, each after its parts, parts left to right."""
+    return [x for p in _parts(u) for x in _tree_listing(p)] + [u]
+
+
+def _reference_postorder(roots):
+    """The nodes reachable from roots, each once by identity, in the order
+    a recursive walk that enters each node once finishes them."""
+    order, seen = [], set()
+
+    def visit(u):
+        if id(u) not in seen:
+            seen.add(id(u))
+            for p in _parts(u):
+                visit(p)
+            order.append(u)
+
+    for r in roots:
+        visit(r)
+    return order
+
+
+@st.composite
+def _value_dags(draw):
+    """A value built bottom-up from a pool, so later conses share earlier
+    ones and an atom may recur."""
+    pool = draw(st.lists(st.integers(-3, 3) | _names, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 10))):
+        pool.append(Cons(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_wrapped_dags() | _value_dags() | _values, min_size=1, max_size=3), st.data())
+def test_postorder_lists_each_reachable_node_once_after_its_parts(roots, data):
+    roots.append(data.draw(st.sampled_from(_reference_postorder(roots))))
+    order = postorder(*roots)
+    place = {id(u): i for i, u in enumerate(order)}
+    assert len(place) == len(order)
+    assert all(place[id(p)] < i for i, u in enumerate(order) for p in _parts(u))
+    assert [id(u) for u in order] == [id(u) for u in _reference_postorder(roots)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=3))
+def test_postorder_of_trees_is_their_listing(roots):
+    assert [id(u) for u in postorder(*roots)] == [id(u) for r in roots for u in _tree_listing(r)]
+
+
+def _reference_value(t):
+    if t.__class__ is Var:
+        return t.name
+    if t.__class__ is Quote:
+        return Cons("quote", Cons(t.value, NIL))
+    out = NIL
+    for a in reversed(t.args):
+        out = Cons(_reference_value(a), out)
+    return Cons(t.head, out)
+
+
+def _reference_shared(roots):
+    """shared_nodes(roots), by a recursive walk that enters each node once
+    and counts each root and each argument of an entered node as reached."""
+    reached = {}
+    for u in roots:
+        reached[id(u)] = reached.get(id(u), 0) + 1
+    for u in _reference_postorder(roots):
+        for a in _parts(u):
+            reached[id(a)] = reached.get(id(a), 0) + 1
+    return {
+        id(u)
+        for u in _reference_postorder(roots)
+        if u.__class__ is App and u.args and reached[id(u)] > 1 and terms_equal(_reference_strip(u), u)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wrapped_dags(8), st.data())
+def test_walks_over_distinct_nodes_agree_with_tree_walks(t, data):
+    tree = _tree_listing(t)
+    names = [u.name for u in tree if u.__class__ is Var]
+    assert free_vars(t) == set(names) and vars_in_order(t) == list(dict.fromkeys(names))
+    assert node_count(t) == len(tree)
+    assert values_equal(term_to_value(t), _reference_value(t))
+    roots = (t, *data.draw(st.lists(st.sampled_from(tree), max_size=2)))
+    assert shared_nodes(roots) == _reference_shared(roots)
 
 
 # ---------------------------------------------------------------------------
