@@ -26,7 +26,8 @@ as a rule set or a Rewriter is built: a matcher for its lhs, and a builder
 for its rhs, its sc-wrapped rhs and each ordinary hypothesis, each kept
 with the node count and guard of its instances.  Input terms hold no
 binder, as the reader expands let, let* and lambda forms, so a builder
-gives what substitute gives, sharing what its template shares.
+gives what substitute gives, sharing what its template shares, and the
+loop rewrites each shared node of an instance once per context.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .terms import (
     App,
     Cons,
     Quote,
+    Shared,
     Var,
     arg_dont_rws,
     flat_path,
@@ -216,6 +218,7 @@ class Rewriter:
             ctx = Context.from_terms(ctx)
         # each rewrite gets the whole step limit; stats go on accumulating
         self._limit = self.stats.rewrite_calls + self.cfg.step_limit
+        self._memo = {}  # see _memoized; kept until the next rewrite
         return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
 
     def proved(self, t, ctx=()):
@@ -234,6 +237,8 @@ class Rewriter:
         if stats.rewrite_calls >= self._limit:
             stats.step_limit_hit = True
             return t
+        if dw.__class__ is Shared:
+            return self._memoized(t, dw, ctx, iff, path)
         stats.rewrite_calls += 1
 
         # (1) dont-rw stop
@@ -321,6 +326,21 @@ class Rewriter:
         # call: the unreachable yield makes this a generator
         return self._rw(t, dw, ctx, iff, path)
         yield
+
+    def _memoized(self, t, dw, ctx, iff, path):
+        """_rw for the instance t of a node its rule template shares, once
+        per context, iff position and backchain depth: kept with the objects
+        whose ids key it unless the step limit stopped a rewrite.  A hit
+        counts as one call and records no trace entry."""
+        key = (id(t), id(dw), id(ctx), iff, self._backchain)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.stats.rewrite_calls += 1
+            return hit[3]
+        out = yield self._rw(t, tuple(dw), ctx, iff, path)
+        if not self.stats.step_limit_hit:
+            self._memo[key] = (t, dw, ctx, out)
+        return out
 
     def _rewrapped(self, props, steps, keep):
         return self._rewrap(props, (yield steps), keep)

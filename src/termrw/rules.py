@@ -1,6 +1,6 @@
 """Rule ingestion: parsing rule files, validity checks, syntaxp
-predicates, side-condition attachment, let-chain splitting, and the code
-generator that compiles a rule's lhs matcher and template builders.
+predicates, side-condition attachment, and the code generator that
+compiles a rule's lhs matcher and template builders.
 
 A rewrite rule is (implies hyps (equal lhs rhs)); a side-condition lemma is
 (implies hyps (prop subject)) with prop unary.  Attaching the lemma to a
@@ -11,6 +11,8 @@ A formula is split on its value: its implies chain, and-conjuncts, syntaxp
 hyps and equal/iff conclusions are read as lists, and each piece is then
 read as a term once by term_from_value, which expands and/or/implies to if
 and let/let*/lambda forms into their bodies, as it does for conjectures.
+So a let-bound argument is one node however often its name is used, and
+defthm-lambda, which ACL2 needs as it copies each argument, reads as defthm.
 A syntaxp predicate is such a term too, and is evaluated as one: by the
 evaluator, over the few functions of SYNTAXP_REGISTRY, with each variable
 bound to its term encoded as a value.
@@ -18,6 +20,7 @@ bound to its term encoded as a value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, to_boolean
@@ -31,9 +34,9 @@ from .terms import (
     Cons,
     ParseError,
     Quote,
+    Shared,
     Term,
     Var,
-    binding_layers,
     contains_head,
     free_vars,
     is_rp,
@@ -49,7 +52,6 @@ from .terms import (
     terms_equal_mod_rp,
     truthy,
     values_equal,
-    vars_in_order,
 )
 
 
@@ -281,25 +283,29 @@ def compile_match(pattern):
 
 
 def compile_template(template):
-    """(build, size, guard) for template, from one walk over its distinct
-    nodes.  build(bindings), given bindings that bind each variable of
+    """(build, size, guard) for template, from its distinct nodes in
+    postorder.  build(bindings), given bindings that bind each variable of
     template, gives what substitute(template, bindings) gives, sharing what
     template shares: each distinct application is built once, in its own
     statement, after its arguments.  size counts each distinct application
     and its quoted arguments, which on a tree is every node but the
     variables.  guard is the instance's dont-rw guard: a variable slot holds
     an already-rewritten binding and a constant needs no rewrite, so both
-    stop, while the applications stay open, a shared one with one tuple."""
+    stop, while the applications stay open, a shared one with one Shared
+    tuple, by which the rewriter rewrites its instance once per context."""
     lines, consts = [], {}
     size = int(template.__class__ is Quote)
     done = {}  # id of a node -> (its expression, its guard)
-    for u in postorder(template):
+    nodes = postorder(template)
+    parents = Counter([id(a) for u in nodes if u.__class__ is App for a in u.args])
+    for u in nodes:
         cls = u.__class__
         if cls is App:
             args = [done[id(a)] for a in u.args]
             name = f"t{len(lines) + 1}"
             lines.append(f"{name} = App({_constant(consts, u.head)}, ({''.join(e + ', ' for e, _ in args)}))")
-            done[id(u)] = name, (STOP, *(g for _, g in args))
+            guard = (STOP, *(g for _, g in args))
+            done[id(u)] = name, Shared(guard) if parents[id(u)] > 1 else guard
             size += 1 + sum(a.__class__ is Quote for a in u.args)
         elif cls is Var:
             done[id(u)] = f"b[{_constant(consts, u.name)}]", STOP
@@ -339,16 +345,15 @@ def _conjuncts(v):
 
 
 def _split_formula(name, v):
-    """Split a rule formula value into (hyps, [(rule name, lhs value, rhs
-    value, equiv)]).
+    """Split a rule formula value into (hyps, [(rule name, lhs, rhs,
+    equiv)]), all terms.
 
     The formula is split on its value, so each piece becomes a term once,
     with and/or/implies and let/let*/lambda expanded as in any other term.
-    The antecedents of its implies chain give the hyps, read as terms, one
-    per and-conjunct; a (syntaxp p) or (synp p) conjunct stays syntactic;
-    an (and e1 e2 ...) conclusion yields one entry per conjunct, sharing
-    the hyps.  The sides stay values, so defthm-lambda can split the rhs's
-    let layers.
+    The antecedents of its implies chain give the hyps, one per
+    and-conjunct; a (syntaxp p) or (synp p) conjunct stays syntactic; an
+    (and e1 e2 ...) conclusion yields one entry per conjunct, sharing the
+    hyps.
     """
     hyps = []
     args = _args_of(v, "implies")
@@ -367,16 +372,10 @@ def _split_formula(name, v):
         rule_name = name if i == 0 else f"{name}_{i + 1}"
         args = _args_of(c, "equal", "iff")
         if args is not None and len(args) == 2:
-            conclusions.append((rule_name, args[0], args[1], c.car))
+            conclusions.append((rule_name, term_from_value(args[0]), term_from_value(args[1]), c.car))
         else:
-            conclusions.append((rule_name, c, T, "iff"))
+            conclusions.append((rule_name, term_from_value(c), T_TERM, "iff"))
     return tuple(hyps), conclusions
-
-
-def _read_formula(name, v):
-    """_split_formula(name, v) with both sides of each conclusion read as terms."""
-    hyps, conclusions = _split_formula(name, v)
-    return hyps, [(n, term_from_value(lhs), term_from_value(rhs), equiv) for n, lhs, rhs, equiv in conclusions]
 
 
 def _rules_of(name, hyps, conclusions):
@@ -404,11 +403,11 @@ def _as_name(v, form):
     return v
 
 
-def _named(op, name, read, v):
-    """read(name, v) for the formula v of a declaration; a term-shape error
-    in the formula names the declaration."""
+def _named(op, name, v):
+    """_split_formula(name, v) for the formula v of a declaration; a
+    term-shape error in the formula names the declaration."""
     try:
-        return read(name, v)
+        return _split_formula(name, v)
     except ParseError as exc:
         raise ParseError(f"{op} {name}: {exc}") from exc
 
@@ -416,10 +415,11 @@ def _named(op, name, read, v):
 def parse_rule_file(text):
     """Parse declarations in file order.
 
-    Forms: (def-rp-rule name formula), (defthm name formula) same thing,
-    (defthmd name formula) lemma-only, (add-rp-rule name [formula]) promotes
-    an earlier defthmd or acts as def-rp-rule, (defthm-lambda name formula),
-    (rp-attach-sc rule lemma), (disable-exec fn), (enable-rule name bool).
+    Forms: (def-rp-rule name formula), (defthm name formula) and
+    (defthm-lambda name formula) same thing, (defthmd name formula)
+    lemma-only, (add-rp-rule name [formula]) promotes an earlier defthmd or
+    acts as def-rp-rule, (rp-attach-sc rule lemma), (disable-exec fn),
+    (enable-rule name bool).
     """
     decls = []
     parked = {}  # defthmd name -> LemmaDecl
@@ -428,16 +428,16 @@ def parse_rule_file(text):
         if not items or not isinstance(items[0], str):
             raise RuleFileError(f"not a declaration: {form!r}")
         op, rest = items[0], items[1:]
-        if op in ("def-rp-rule", "defthm"):
+        if op in ("def-rp-rule", "defthm", "defthm-lambda"):
             if len(rest) != 2:
                 raise RuleFileError(f"{op} expects a name and a formula")
             name = _as_name(rest[0], op)
-            decls.extend(_rules_of(name, *_named(op, name, _read_formula, rest[1])))
+            decls.extend(_rules_of(name, *_named(op, name, rest[1])))
         elif op == "defthmd":
             if len(rest) != 2:
                 raise RuleFileError("defthmd expects a name and a formula")
             name = _as_name(rest[0], op)
-            hyps, conclusions = _named(op, name, _read_formula, rest[1])
+            hyps, conclusions = _named(op, name, rest[1])
             decl = LemmaDecl(name, _lemma_of(name, hyps, conclusions), _rules_of(name, hyps, conclusions))
             parked[name] = decl
             decls.append(decl)
@@ -449,15 +449,9 @@ def parse_rule_file(text):
                 decls.extend(parked[name].rules)
             elif len(rest) == 2:
                 name = _as_name(rest[0], op)
-                decls.extend(_rules_of(name, *_named(op, name, _read_formula, rest[1])))
+                decls.extend(_rules_of(name, *_named(op, name, rest[1])))
             else:
                 raise RuleFileError("add-rp-rule expects a name and optionally a formula")
-        elif op == "defthm-lambda":
-            if len(rest) != 2:
-                raise RuleFileError("defthm-lambda expects a name and a formula")
-            name = _as_name(rest[0], op)
-            rules, _ = _named(op, name, defthm_lambda, rest[1])
-            decls.extend(rules)
         elif op == "rp-attach-sc":
             if len(rest) != 2:
                 raise RuleFileError("rp-attach-sc expects a rule name and a lemma name")
@@ -591,63 +585,6 @@ def attach_sc(rule, lemma):
     if not found:
         raise AttachError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
     return replace(rule, sc_wrapped_rhs=wrapped)
-
-
-# ---------------------------------------------------------------------------
-# let-chain splitting
-
-
-class LambdaSplitError(ValueError):
-    pass
-
-
-def defthm_lambda(name, formula):
-    """Split a rule whose rhs is a let/let* chain into lambda-free rules;
-    formula is the rule's formula as a value.
-
-    Generates one function symbol per binding layer of the rhs's chain,
-    named <name>_lambda-fnc_<k> with the innermost layer getting the highest
-    k, opener rules (innermost first, grouped under <name>_lambda-opener),
-    and the main rule calling the outermost generated function.  Each
-    layer's arguments and the innermost body are read as terms with the
-    layers' names left as variables.  Returns (rules, generated function
-    names).
-    """
-    hyps, conclusions = _split_formula(name, formula)
-    if len(conclusions) != 1:
-        raise LambdaSplitError("defthm-lambda expects a single equality conclusion")
-    _, lhs, rhs, equiv = conclusions[0]
-    lhs = term_from_value(lhs)
-    layers, body = binding_layers(rhs)
-    if not layers:
-        return (Rule(name, hyps, lhs, term_from_value(rhs), equiv),), ()
-
-    seen_params = set()
-    for params, args in layers:
-        overlap = seen_params.intersection(params)
-        if overlap:
-            raise LambdaSplitError(f"variable shadowing across let layers: {', '.join(sorted(overlap))}")
-        seen_params.update(params)
-    if any(binding_layers(a)[0] for _params, args in layers for a in args):
-        raise LambdaSplitError("lambda in argument position is not supported")
-
-    count = len(layers)
-    fnc_names = [f"{name}_lambda-fnc_{j}" for j in range(count)]
-    openers = []  # innermost first
-    call = term_from_value(body)
-    for j in range(count - 1, -1, -1):
-        own, args = layers[j]
-        extras = [v for v in vars_in_order(call) if v not in own]
-        opener_lhs = App(fnc_names[j], tuple(Var(p) for p in own + extras))
-        openers.append((opener_lhs, call))
-        call = App(fnc_names[j], tuple(map(term_from_value, args)) + tuple(Var(v) for v in extras))
-
-    rules = []
-    for i, (olhs, orhs) in enumerate(openers):
-        rn = f"{name}_lambda-opener" if i == 0 else f"{name}_lambda-opener_{i + 1}"
-        rules.append(Rule(rn, (), olhs, orhs, "equal", group=f"{name}_lambda-opener"))
-    rules.append(Rule(name, hyps, lhs, call, equiv))
-    return tuple(rules), tuple(fnc_names)
 
 
 # ---------------------------------------------------------------------------

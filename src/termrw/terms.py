@@ -112,7 +112,7 @@ class Cons:
         return values_equal(self, other)
 
     def __repr__(self):
-        return format_value(self)
+        return _bounded_repr(self, format_value)
 
 
 _FALIST_HASH_SEED = 0x51AD0
@@ -270,11 +270,7 @@ class Term:
     __slots__ = ()
 
     def __repr__(self):
-        # format_term prints the tree, so a large shared term gets a summary
-        size = node_count(self)
-        if size <= 10_000:
-            return format_term(self)
-        return f"<({self.head} ...): {len(postorder(self))} distinct nodes, {size} as a tree>"
+        return _bounded_repr(self, format_term)
 
     def __deepcopy__(self, memo):
         return self  # immutable
@@ -567,18 +563,26 @@ def free_vars(t):
     return {u.name for u in postorder(t) if u.__class__ is Var}
 
 
-def vars_in_order(t):
-    """Variable names in depth-first, left-to-right first-appearance order."""
-    return list(dict.fromkeys([u.name for u in postorder(t) if u.__class__ is Var]))
-
-
 def node_count(t):
-    """The size of t as a tree, from each distinct node's size computed
-    once."""
+    """The size of t, a term or a value, as a tree, from each distinct
+    node's size computed once."""
     sizes = {}
     for u in postorder(t):
-        sizes[id(u)] = 1 + sum([sizes[id(a)] for a in u.args]) if u.__class__ is App else 1
+        cls = u.__class__
+        if cls is App:
+            sizes[id(u)] = 1 + sum([sizes[id(a)] for a in u.args])
+        else:
+            sizes[id(u)] = 1 + sizes[id(u.car)] + sizes[id(u.cdr)] if cls is Cons else 1
     return sizes[id(t)]
+
+
+def _bounded_repr(x, write):
+    """write(x), or a summary when the term or value x has over 10,000 tree nodes."""
+    size = node_count(x)
+    if size <= 10_000:
+        return write(x)
+    first = x.head if x.__class__ is App else x.car
+    return f"<({first if first.__class__ is str else '...'} ...): {len(postorder(x))} distinct nodes, {size} as a tree>"
 
 
 def contains_head(t, head):
@@ -774,8 +778,9 @@ def term_from_value(v):
     counterparts, and the forms and, or, implies into if.  A let, let* or
     applied lambda form reads as its body, read with each of its names
     standing for the term of the argument bound to it; so every value is
-    read once, and no term holds a binder.  A falist form's shadow is
-    built from its logical part, its value: the quoted shadow is not read.
+    read once, and no term holds a binder.  Each free name reads as one
+    Var.  A falist form's shadow is built from its logical part, its value:
+    the quoted shadow is not read.
     """
     return trampoline(_term_step(v, {}))
 
@@ -824,14 +829,15 @@ def binding_layers(v):
 
 def _term_step(v, env):
     """term_from_value's step for v, where env maps each let-bound name in
-    scope to its term: the term of an atom or a quotation, else the
-    generator that translates the form."""
+    scope to its term, and each free name met so far to its one Var: the
+    term of an atom or a quotation, else the generator that translates the
+    form."""
     if isinstance(v, int):
         return Quote(v)
     if isinstance(v, str):
         if v in (NIL, T):
             return Quote(v)
-        return env.get(v) or Var(v)
+        return env.get(v) or env.setdefault(v, Var(v))
     if isinstance(v, Cons):
         if v.car != "quote":
             return _term_of_form(v, env)
@@ -1095,6 +1101,13 @@ STOP = True
 OPEN = False
 
 
+class Shared(tuple):
+    """The tuple guard of an application a rule template reaches more than
+    once: the rewriter rewrites its instance once per context."""
+
+    __slots__ = ()
+
+
 def dont_rw_from_value(v):
     """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
     elementwise (position 0 tracks the head)."""
@@ -1115,7 +1128,7 @@ def _dont_rw_of_value(v):
 
 def arg_dont_rws(dw, nargs):
     """Per-argument guards; malformed shapes degrade to rewrite-all."""
-    if dw.__class__ is tuple and len(dw) == nargs + 1:
+    if (dw.__class__ is tuple or dw.__class__ is Shared) and len(dw) == nargs + 1:
         return dw[1:]
     return (OPEN,) * nargs
 

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import pathlib
 import random
 import threading
 import time
@@ -49,6 +50,7 @@ from termrw.terms import (
 from termrw.validate import check_run, check_syntax_preserved, random_term, sample_env, valid_sc_failure
 
 P = parse_term
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 class Budget:
@@ -185,7 +187,7 @@ def test_criterion_5_lookup_cost_flat_with_shadow_linear_without():
     )
 
 
-def test_criterion_6_let_chain_compiles_to_openers_and_main_rule():
+def test_criterion_6_let_chain_rule_costs_its_distinct_nodes():
     with Budget(1.0) as b:
         text = """
         (defthm-lambda foo-redef
@@ -195,19 +197,20 @@ def test_criterion_6_let_chain_compiles_to_openers_and_main_rule():
                                  (b (f2 x)))
                             (f4 a a b)))))
         """
-        rs = build_ruleset(parse_rule_file(text))
-        main_rule = rs.rules["foo-redef"]
-        op1 = rs.rules["foo-redef_lambda-opener"]
-        op2 = rs.rules["foo-redef_lambda-opener_2"]
-        assert main_rule.lhs == P("(foo x)")
-        assert main_rule.rhs == P("(foo-redef_lambda-fnc_0 (f1 x) x)")
-        assert list(main_rule.hyps) == [P("(p x)")]
-        assert op1.lhs == P("(foo-redef_lambda-fnc_1 b a)")
-        assert op1.rhs == P("(f4 a a b)")
-        assert op2.lhs == P("(foo-redef_lambda-fnc_0 a x)")
-        assert op2.rhs == P("(foo-redef_lambda-fnc_1 (f2 x) a)")
-        assert op1.hyps == () and op2.hyps == ()
-    report(6, "foo-redef yields two hypothesis-free openers plus the guarded main rule", b)
+        rw = Rewriter(build_ruleset(parse_rule_file(text)))
+        out = rw.rewrite(P("(foo y)"), ctx=[P("(p y)")], iff=False)
+        assert out == P("(f4 (f1 y) (f1 y) (f2 y))") and out.args[0] is out.args[1]
+        # one application of a 40-binding doubling chain, 2^41 - 1 nodes as
+        # a tree, then a fold of each of its distinct nodes
+        rules = build_ruleset(parse_rule_file((DEMOS / "rules" / "let-chain.lsp").read_text()))
+        conjecture = P((DEMOS / "conjectures" / "let-chain.lsp").read_text())
+        work = []
+        for sc in (True, False):
+            rw = Rewriter(rules, cfg=RewriteConfig(side_conditions_enabled=sc))
+            assert rw.proved(conjecture)[0]
+            work.append((rw.stats.rewrite_calls, rw.stats.rule_applications))
+        assert all(calls <= 448 and applications <= 82 for calls, applications in work)
+    report(6, f"foo-redef shares (f1 y); the 40-binding chain proves with (calls, applications) {work}", b)
 
 
 def test_criterion_7_every_ruleset_preserves_random_conjectures():

@@ -436,7 +436,7 @@ DEEP_RULES = {
     "let-body-5000-arg-plus": (
         f"(defthm-lambda deep-let (equal (m x) (let ((y (+ x x))) (+ {' y' * 5000}))))",
         "(equal (m '1) '10000)",
-        2,
+        1,
     ),
 }
 
@@ -509,13 +509,22 @@ def test_rule_names_and_constants_stay_out_of_generated_source(tmp_path, capsys,
 
 
 def test_defthm_lambda_reads_a_let_buried_in_its_body(tmp_path, capsys):
-    # the inner let is no layer of the chain: it reads as its body, (k a)
+    # read as defthm: each let, the one buried in the body too, reads as its body
     rules = write(tmp_path, "r.lsp", "(defthm-lambda r (equal (m x) (let ((a (g x))) (h (let ((b a)) (k b)) a))))")
     assert main(["check-rules", rules]) == 0
-    assert capsys.readouterr().out.strip() == "checked 2 rule(s): ok"
+    assert capsys.readouterr().out.strip() == "checked 1 rule(s): ok"
     conjecture = write(tmp_path, "c.lsp", "(equal (m '1) (h (k (g '1)) (g '1)))")
     assert main(["prove", "--rules", rules, "--conjecture", conjecture]) == 0
     assert capsys.readouterr().out.strip() == "proved"
+
+
+def test_strict_check_samples_every_let_chain_rule(capsys):
+    # a let chain reads as one rule over registered functions, so sampling
+    # skips none of them
+    assert main(["check-rules", "--strict", str(DEMOS / "rules" / "let-chain.lsp")]) == 0
+    out = capsys.readouterr()
+    assert "soundness sampling skipped" not in out.out + out.err
+    assert out.out.strip() == "checked 3 rule(s): ok"
 
 
 def test_let_star_chain_reads_and_proves_in_linear_time(tmp_path, capsys):

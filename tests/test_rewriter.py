@@ -6,9 +6,10 @@ import pickle
 import sys
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import termrw.rewriter
@@ -32,6 +33,7 @@ from termrw.terms import (
     App,
     Cons,
     Quote,
+    Shared,
     Var,
     arg_dont_rws,
     dont_rw_from_value,
@@ -183,17 +185,19 @@ _TEMPLATES = st.recursive(
 
 
 @st.composite
-def _dag_template(draw):
+def _dag_template(draw, heads=("f", "g"), props=_NAMES):
     """Templates whose applications share nodes: each application takes its
     arguments from the atoms and the applications made before it, and the
-    last one made is the template."""
+    last one made is the template.  An if takes three."""
     nodes = draw(st.lists(_ATOMS, min_size=1, max_size=3))
     for _ in range(draw(st.integers(1, 8))):
         made = st.sampled_from(tuple(nodes))
         if draw(st.integers(0, 4)):
-            nodes.append(App(draw(st.sampled_from(["f", "g"])), draw(st.lists(made, max_size=3))))
+            head = draw(st.sampled_from(heads))
+            args = [draw(made) for _ in range(3)] if head == "if" else draw(st.lists(made, max_size=3))
+            nodes.append(App(head, args))
         else:
-            nodes.append(mk_rp(draw(_NAMES), draw(made)))
+            nodes.append(mk_rp(draw(props), draw(made)))
     return nodes[-1]
 
 
@@ -305,11 +309,115 @@ def test_a_doubling_let_chain_rule_reads_and_compiles_its_distinct_nodes():
     # outside the assert, whose report would print the terms as trees
     shared = instance.args[0] is instance.args[1] and guard[1] is guard[2]
     assert shared and size == 41
-    # one application builds each distinct node once; rewriting still
-    # walks the instance as a tree
-    rw = rewriter(_doubling_rule(14))
-    head = rw.rewrite(P("(f y)"), iff=False).head
-    assert head == "h" and (rw.stats.nodes_created, rw.stats.rewrite_calls) == (15, 49153)
+    # one application builds each distinct node once, and rewrites it once:
+    # a tree walk of the instance would make 49,153 calls at n = 14
+    for n in (14, 40):
+        rw = rewriter(_doubling_rule(n))
+        head = rw.rewrite(P("(f y)"), iff=False).head
+        assert head == "h" and rw.stats.nodes_created == n + 1 and rw.stats.rewrite_calls <= 2 * n + 5
+
+
+# ---------------------------------------------------------------------------
+# the shared-node memo
+
+# rules whose results turn on the context, the iff position, wrappers and
+# backchaining
+MEMO_RULES = """
+(defthm p-of-g (p (g x)))
+(defthm f-when-p (implies (p x) (equal (f x y) (g y x))))
+(defthm f-when-g (implies (g x) (equal (f x) x)))
+(defthm g-of-self (equal (g x x) (f x)))
+(defthm f-of-f (equal (f (f x)) (f x)))
+(defthm g-in-iff (iff (g x 'nil) (f x)))
+"""
+
+
+def _rewrite_both(rules, template, bindings, ctx, iff, sc):
+    """The rewrites of template's instance and of an instance of its
+    unshared tree copy, each by a fresh Rewriter: (result, stats) each."""
+    out = []
+    for t in (template, substitute(template, {})):
+        build, _, guard = compile_template(t)
+        rw = Rewriter(rules, cfg=RewriteConfig(side_conditions_enabled=sc))
+        out.append((rw.rewrite(build(bindings), guard, ctx, iff), rw.stats))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_template(heads=("f", "g", "if"), props=st.sampled_from(["p", "q"])), st.data())
+def test_a_shared_instance_rewrites_as_its_tree_copy(template, data):
+    assume(termrw.terms.node_count(template) <= 2000)
+    rules = ruleset(MEMO_RULES)
+    bindings = {name: data.draw(_TERMS) for name in ("x", "y")}
+    x, y = bindings["x"], bindings["y"]
+    ctx = data.draw(st.lists(st.sampled_from([App("g", (x,)), App("p", (y,)), App("g", (y, x))]), max_size=2))
+    iff = data.draw(st.booleans())
+    for sc in (True, False):
+        (got, shared), (want, tree) = _rewrite_both(rules, template, bindings, ctx, iff, sc)
+        assert not tree.step_limit_hit
+        assert terms_equal(got, want)
+        assert shared.rewrite_calls <= tree.rewrite_calls
+
+
+def test_a_shared_node_under_both_branches_of_an_if_gets_each_context():
+    # (f x) is one node in both branches: (g x) holds in the first only
+    template = P("(let ((s (f x))) (if (g x) (h s) (k s)))")
+    assert isinstance(compile_template(template)[2][2][1], Shared)
+    for sc in (True, False):
+        (got, _), (want, _) = _rewrite_both(ruleset(MEMO_RULES), template, {"x": Var("y")}, (), False, sc)
+        assert got == want == P("(if (g y) (h y) (k (f y)))")
+
+
+def test_a_shared_node_under_a_wrapper_keeps_its_guard():
+    # the wrapper's payload is rewritten in place, under the Shared guard,
+    # whose variable slots must still stop
+    s = P("(f x)")
+    template = App("f", (mk_rp("p", s), App("f", (P("x"), s))))
+    bindings = {"x": P("(f)"), "y": P("x")}
+    for sc in (True, False):
+        (got, _), (want, _) = _rewrite_both(ruleset(MEMO_RULES), template, bindings, [P("(g (f))")], False, sc)
+        assert terms_equal(got, want)
+
+
+def test_a_step_limit_exit_stores_no_cut_rewrite():
+    rules = build_ruleset(parse_rule_file((DEMOS / "rules" / "let-chain.lsp").read_text()))
+    conjecture = P((DEMOS / "conjectures" / "let-chain.lsp").read_text())
+    full = Rewriter(rules)
+    assert full.proved(conjecture)[0]
+    stored, cut = 0, []
+    for limit in range(1, full.stats.rewrite_calls, 5):
+        rw = Rewriter(rules, cfg=RewriteConfig(step_limit=limit))
+        rw.rewrite(conjecture)
+        assert rw.stats.step_limit_hit
+        # every rewrite kept is the one an unlimited rewrite gives; the
+        # entries stay out of the asserts, as a guard prints as a tree
+        for (_, _, _, iff, _), (t, dw, ctx, out) in rw._memo.items():
+            stored += 1
+            if not terms_equal(out, Rewriter(rules).rewrite(t, dw, ctx, iff)):
+                cut.append(limit)
+    assert stored and cut == []
+
+
+def test_a_let_chain_hypothesis_is_relieved_as_its_tree_copy_is():
+    chain = "(let* ((a0 (g x)) (a1 (h a0 a0)) (a2 (h a1 a1)) (a3 (h a2 a2)) (a4 (h a3 a3))) a4)"
+    rules = ruleset(f"""
+        (defthm p-of-g (implies (q x) (p (g x))))
+        (defthm p-of-h (implies (p a) (p (h a b))))
+        (defthm f-when-p (implies (p {chain}) (equal (f x) x)))
+    """)
+    rule = rules.rules["f-when-p"]
+    tree_rule = replace(rule, hyps=(substitute(rule.hyps[0], {}),))
+    tree_rules = build_ruleset([r for r in rules.rules.values() if not r.internal and r is not rule] + [tree_rule])
+    for sc in (True, False):
+        for ctx in ([P("(q y)")], []):
+            runs = []
+            for rs in (rules, tree_rules):
+                rw = Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=sc))
+                out = rw.rewrite(P("(f y)"), ctx=ctx, iff=False)
+                runs.append((out, rw.stats.hyp_relief_failures, rw.stats.rewrite_calls))
+            (got, failures, calls), (want, tree_failures, tree_calls) = runs
+            assert got == want == (P("y") if ctx else P("(f y)")) and failures == tree_failures
+            assert calls < tree_calls
 
 
 # ---------------------------------------------------------------------------

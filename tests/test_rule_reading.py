@@ -402,7 +402,7 @@ PINNED = {
     "demo:arith": _ARITH,
     "demos/rules/arith.lsp": _ARITH,
     "demos/rules/bitand.lsp": ("b98a1bb20d88df9e", {}),
-    "demos/rules/let-chain.lsp": ("b638765aa23121be", {}),
+    "demos/rules/let-chain.lsp": ("abf5c84b0b926be0", {}),
     "demos/rules/tree-backchain.lsp": ("5297ff62f939cf27", {}),
     "demos/rules/tree.lsp": ("68abebc50f525571", {}),
     "perfbench/inputs/arith.lsp": _ARITH,
@@ -455,4 +455,16 @@ def test_a_rule_set_with_a_shared_rhs_prints_its_large_terms_as_summaries():
     start = time.perf_counter()
     text = repr(ruleset)
     elapsed = time.perf_counter() - start
-    assert elapsed < 1.0 and "rhs=<(binary-+ ...): 42 distinct nodes, 2199023255551 as a tree>" in text
+    assert elapsed < 1.0 and "rhs=<(binary-+ ...): 41 distinct nodes, 2199023255551 as a tree>" in text
+
+
+def test_the_let_chain_rhs_reads_its_distinct_nodes_and_its_value_prints_as_a_summary():
+    ruleset = build_ruleset(parse_rule_file(_rule_text("demos/rules/let-chain.lsp")))
+    rhs = ruleset.rules["logapp-40-is-doubling"].rhs
+    # 40 applications and one x, as the file's comment says
+    assert len(postorder(rhs)) == 41
+    value = term_to_value(rhs)
+    start = time.perf_counter()
+    text = repr(value)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0 and text == "<(binary-+ ...): 162 distinct nodes, 6597069766651 as a tree>"

@@ -1,21 +1,19 @@
-"""Rule ingestion: parsing, splitting, attachment, lambda compilation."""
+"""Rule ingestion: parsing, splitting, attachment, defthm-lambda."""
 
 import pytest
 
 from termrw.rules import (
     AttachError,
-    LambdaSplitError,
     Rule,
     RuleFileError,
     Syntaxp,
     attach_sc,
     base_rules,
     build_ruleset,
-    defthm_lambda,
     parse_rule_file,
     validate_rule,
 )
-from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term, read_value
+from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term
 
 
 def ruleset(text):
@@ -292,7 +290,7 @@ def test_attach_subterm_occurrences():
 
 
 # ---------------------------------------------------------------------------
-# lambda compilation (frozen shapes)
+# defthm-lambda, read as defthm
 
 
 LAMBDA_FORMULA = """
@@ -305,63 +303,46 @@ LAMBDA_FORMULA = """
 
 
 def test_defthm_lambda_golden():
-    formula = read_value(LAMBDA_FORMULA)
-    rules, fncs = defthm_lambda("foo-redef", formula)
-    assert fncs == ("foo-redef_lambda-fnc_0", "foo-redef_lambda-fnc_1")
-    assert format_term(rules[0].lhs) == "(foo-redef_lambda-fnc_1 b a)"
-    assert format_term(rules[0].rhs) == "(f4 a a b)"
-    assert format_term(rules[1].lhs) == "(foo-redef_lambda-fnc_0 a x)"
-    assert format_term(rules[1].rhs) == "(foo-redef_lambda-fnc_1 (f2 x) a)"
-    assert format_term(rules[2].lhs) == "(foo x)"
-    assert format_term(rules[2].rhs) == "(foo-redef_lambda-fnc_0 (f1 x) x)"
-    # openers share a group and carry no hyps; the main rule keeps them
-    assert rules[0].group == rules[1].group == "foo-redef_lambda-opener"
-    assert rules[0].hyps == () and rules[1].hyps == ()
-    assert list(rules[2].hyps) == [parse_term("(p x)")]
-
-
-def test_defthm_lambda_composition_recovers_beta():
-    formula = read_value(LAMBDA_FORMULA)
-    rules, _fncs = defthm_lambda("foo-redef", formula)
-    from termrw.rewriter import Rewriter
-
-    rs = build_ruleset([r for r in rules if "opener" in r.name])
-    rw = Rewriter(rs)
-    recovered = rw.rewrite(rules[2].rhs, iff=False)
-    assert recovered == parse_term("(let* ((a (f1 x)) (b (f2 x))) (f4 a a b))")
+    (r,) = rules_of(f"(defthm-lambda foo-redef {LAMBDA_FORMULA})")
+    assert format_term(r.lhs) == "(foo x)"
+    assert format_term(r.rhs) == "(f4 (f1 x) (f1 x) (f2 x))"
+    assert list(r.hyps) == [parse_term("(p x)")]
+    # the let-bound argument is one node wherever its name is used
+    assert r.rhs.args[0] is r.rhs.args[1]
 
 
 def test_defthm_lambda_via_rule_file():
-    decls = parse_rule_file(f"(defthm-lambda foo-redef {LAMBDA_FORMULA})")
-    rs = build_ruleset(decls)
-    assert "foo-redef" in rs.rules
-    assert "foo-redef_lambda-opener" in rs.rules
-    assert "foo-redef_lambda-opener_2" in rs.rules
+    (r,) = rules_of(f"(defthm-lambda foo-redef {LAMBDA_FORMULA})")
+    (plain,) = rules_of(f"(defthm foo-redef {LAMBDA_FORMULA})")
+    assert (r.name, r.group, r.hyps, r.lhs, r.rhs, r.equiv) == (plain.name, plain.group, plain.hyps, plain.lhs, plain.rhs, plain.equiv)
 
 
-def test_defthm_lambda_rejects_shadowing():
-    formula = read_value("(equal (foo x) (let ((x '1)) (let ((x (g x))) x)))")
-    with pytest.raises(LambdaSplitError):
-        defthm_lambda("r", formula)
+def test_defthm_lambda_composition_recovers_beta():
+    # one application of the rule gives the beta-reduced let body
+    from termrw.rewriter import Rewriter
+
+    rw = Rewriter(ruleset(f"(defthm-lambda foo-redef {LAMBDA_FORMULA})"))
+    recovered = rw.rewrite(parse_term("(foo x)"), ctx=[parse_term("(p x)")], iff=False)
+    assert recovered == parse_term("(let* ((a (f1 x)) (b (f2 x))) (f4 a a b))")
 
 
-def test_defthm_lambda_rejects_lambda_in_arg_position():
-    formula = read_value("(equal (foo x) (let ((a (let ((b x)) b))) a))")
-    with pytest.raises(LambdaSplitError):
-        defthm_lambda("r", formula)
+def test_defthm_lambda_reads_shadowed_names():
+    # the reader's scoping, as in any term: the inner x names (g '1)
+    (r,) = rules_of("(defthm-lambda r (equal (foo x) (let ((x '1)) (let ((x (g x))) x))))")
+    assert r.rhs == parse_term("(g '1)")
+
+
+def test_defthm_lambda_reads_lets_in_arguments():
+    (r,) = rules_of("(defthm-lambda r (equal (foo x) (let ((a (let ((b x)) b))) a)))")
+    assert r.rhs == parse_term("x")
 
 
 def test_defthm_lambda_reduces_buried_lambda():
     # a lambda under an ordinary head is not a let chain; it is reduced away
-    formula = read_value("(equal (foo x) (g (let ((a x)) a)))")
-    rules, fncs = defthm_lambda("r", formula)
-    assert fncs == ()
-    assert rules[0].rhs == parse_term("(g x)")
+    (r,) = rules_of("(defthm-lambda r (equal (foo x) (g (let ((a x)) a))))")
+    assert r.rhs == parse_term("(g x)")
 
 
 def test_defthm_lambda_no_lambdas_passes_through():
-    formula = read_value("(equal (foo x) (g x))")
-    rules, fncs = defthm_lambda("r", formula)
-    assert fncs == ()
-    assert len(rules) == 1
-    assert rules[0].rhs == parse_term("(g x)")
+    (r,) = rules_of("(defthm-lambda r (equal (foo x) (g x)))")
+    assert r.rhs == parse_term("(g x)")

@@ -50,7 +50,6 @@ from termrw.terms import (
     terms_equal_mod_rp,
     truthy,
     values_equal,
-    vars_in_order,
     wrapper_props,
 )
 
@@ -676,22 +675,20 @@ def test_terms_equal_mod_rp_on_a_deep_chain_needs_no_recursion():
 def test_free_vars_and_order():
     t = parse_term("(f b (g a b) 'c)")
     assert free_vars(t) == {"a", "b"}
-    assert vars_in_order(t) == ["b", "a"]
     lam = parse_term("((lambda (x) (binary-+ x y)) z)")
     assert free_vars(lam) == {"y", "z"}
 
 
 def test_free_vars_visits_each_shared_node_once():
-    # free_vars and vars_in_order on a 200-deep chain whose nodes mostly
-    # pass one object twice: about 2^200 nodes as a tree
+    # free_vars on a 200-deep chain whose nodes mostly pass one object
+    # twice: about 2^200 nodes as a tree
     t = Var("a")
     for k in range(200):
         t = App("binary-+", (t, Var(f"b{k}") if k % 50 == 0 else t))
     # the result is computed outside the assert: a failing assert would
     # print t, walking it as a tree
-    names, ordered = free_vars(t), vars_in_order(t)
+    names = free_vars(t)
     assert names == {"a"} | {f"b{k}" for k in range(0, 200, 50)}
-    assert ordered == ["a", "b0", "b50", "b100", "b150"]
 
 
 def test_node_count_and_contains_head():
@@ -742,7 +739,21 @@ def test_a_shared_term_is_encoded_as_a_shared_value():
 
 def test_a_large_shared_term_prints_as_a_summary():
     assert repr(parse_term("(f x '3 (g y))")) == "(f x '3 (g y))"
-    assert repr(_doubling(40)) == "<(binary-+ ...): 42 distinct nodes, 2199023255551 as a tree>"
+    assert repr(_doubling(40)) == "<(binary-+ ...): 41 distinct nodes, 2199023255551 as a tree>"
+
+
+def test_a_large_shared_value_prints_as_a_summary():
+    assert repr(read_value("(f x '3 (g y))")) == "(f x '3 (g y))"
+    v = "x"
+    for _ in range(40):
+        v = Cons(v, Cons(v, "nil"))
+    assert repr(v) == "<(... ...): 82 distinct nodes, 4398046511101 as a tree>"
+
+
+def test_a_value_reads_each_free_name_as_one_var():
+    t = term_from_value(read_value("(f x (g x y) (let ((y x)) (h y y)))"))
+    x, (gx, y), (hx, hx2) = t.args[0], t.args[1].args, t.args[2].args
+    assert x is gx is hx is hx2 and y.name == "y" and len(postorder(t)) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +849,7 @@ def _reference_shared(roots):
 def test_walks_over_distinct_nodes_agree_with_tree_walks(t, data):
     tree = _tree_listing(t)
     names = [u.name for u in tree if u.__class__ is Var]
-    assert free_vars(t) == set(names) and vars_in_order(t) == list(dict.fromkeys(names))
+    assert free_vars(t) == set(names)
     assert node_count(t) == len(tree)
     assert values_equal(term_to_value(t), _reference_value(t))
     roots = (t, *data.draw(st.lists(st.sampled_from(tree), max_size=2)))
