@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 import time
@@ -336,7 +337,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # terms make no reference cycles, so the cyclic collector would only
+    # pay for passes over a large term heap: it is off for the command
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.fn(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 
-from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, postorder, strip_rp_deep, truthy, values_equal
+from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, postorder, strip_rp_deep, truthy
 
 
 class EvalError(Exception):
@@ -79,6 +79,10 @@ def _rank(v):
 
 
 def lexorder_cmp(a, b):
+    """-1, 0 or 1 as a is below, equal to or above b.  The walk is depth
+    first and stops at the first difference, so a pair of conses met again
+    has been found equal and is passed over."""
+    paired = {}  # id of a cons entered -> its partner
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -87,7 +91,8 @@ def lexorder_cmp(a, b):
             return -1 if ra < rb else 1
         if ra in (2, 3) and a != b:
             return -1 if a < b else 1
-        if ra == 4:
+        if ra == 4 and paired.get(id(a)) is not b:
+            paired[id(a)] = b
             stack.append((a.cdr, b.cdr))
             stack.append((a.car, b.car))
     return 0
@@ -174,7 +179,7 @@ def _d2(x):
 def _assoc_equal(key, alist):
     while isinstance(alist, Cons):
         pair = alist.car
-        if isinstance(pair, Cons) and values_equal(pair.car, key):
+        if isinstance(pair, Cons) and pair.car == key:
             return pair
         alist = alist.cdr
     return NIL
@@ -187,7 +192,7 @@ def _build_default_registry():
     reg.register("cdr", 1, _cdr)
     reg.register("consp", 1, lambda v: to_boolean(isinstance(v, Cons)))
     reg.register("atom", 1, lambda v: to_boolean(not isinstance(v, Cons)))
-    reg.register("equal", 2, lambda a, b: to_boolean(values_equal(a, b)))
+    reg.register("equal", 2, lambda a, b: to_boolean(a == b))
     reg.register("not", 1, lambda v: to_boolean(isinstance(v, str) and v == NIL))
     reg.register("integerp", 1, lambda v: to_boolean(isinstance(v, int)))
     reg.register("bitp", 1, lambda v: to_boolean(isinstance(v, int) and v in (0, 1)))

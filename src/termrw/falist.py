@@ -23,8 +23,6 @@ from .terms import (
     FalistShadow,
     Quote,
     is_falist,
-    terms_equal,
-    values_equal,
 )
 
 
@@ -86,7 +84,7 @@ def check_falist_term(t, path=()):
     if len(logical) != len(shadow.entries):
         return [(path, "falist shadow and logical part differ in length")]
     for i, ((ks, vs), (kl, vl)) in enumerate(zip(shadow.entries, logical)):
-        if not values_equal(ks, kl) or not terms_equal(vs, vl):
+        if ks != kl or vs != vl:
             violations.append((path, f"falist shadow entry {i} disagrees with the logical part"))
     return violations
 
@@ -145,7 +143,7 @@ def linear_get(key, alist, stats):
     if entries is None:
         return None
     for i, (k, v) in enumerate(entries):
-        if values_equal(k, key.value):
+        if k == key.value:
             stats.fa_node_visits += i + 1
             return App("cons", (Quote(k), v))
     stats.fa_node_visits += len(entries) + 1

@@ -57,7 +57,6 @@ from .terms import (
     strip_rp,
     strip_rp_deep,
     substitute,
-    terms_equal,
     trampoline,
     truthy,
     wrapper_props,
@@ -127,7 +126,7 @@ class Context:
 def conjuncts_of(t):
     """Split an and-shaped term (if a b 'nil) into its conjuncts."""
     out = []
-    while isinstance(t, App) and t.head == "if" and len(t.args) == 3 and terms_equal(t.args[2], NIL_TERM):
+    while isinstance(t, App) and t.head == "if" and len(t.args) == 3 and t.args[2] == NIL_TERM:
         out.append(t.args[0])
         t = t.args[1]
     out.append(t)
@@ -473,7 +472,7 @@ class Rewriter:
         else_ctx = ctx.extend([negate(test)])
         then = yield self._rw(core.args[1], dws[1], then_ctx, iff, (path, 2))
         els = yield self._rw(core.args[2], dws[2], else_ctx, iff, (path, 3))
-        if terms_equal(then, els):
+        if then == els:
             return then
         if test is core.args[0] and then is core.args[1] and els is core.args[2]:
             return core

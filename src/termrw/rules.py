@@ -48,10 +48,8 @@ from .terms import (
     strip_rp_deep,
     term_from_value,
     term_to_value,
-    terms_equal,
     terms_equal_mod_rp,
     truthy,
-    values_equal,
 )
 
 
@@ -212,7 +210,6 @@ _RUNTIME = {
     "peel": _peel,
     "peel_app": _peel_app,
     "equal_mod_rp": terms_equal_mod_rp,
-    "values_equal": values_equal,
 }
 
 
@@ -257,7 +254,7 @@ def compile_match(pattern):
             q = _constant(consts, p.value)
             lines += [
                 f"if {t}.__class__ is not Quote: {t} = peel({t}, ex)",
-                f"if {t}.__class__ is not Quote or not values_equal({q}, {t}.value): return None",
+                f"if {t}.__class__ is not Quote or {q} != {t}.value: return None",
             ]
         elif cls is App:
             h, n = _constant(consts, p.head), len(p.args)
@@ -386,7 +383,7 @@ def _lemma_of(name, hyps, conclusions):
     if len(conclusions) != 1 or any(isinstance(h, Syntaxp) for h in hyps):
         return None
     _, lhs, rhs, equiv = conclusions[0]
-    if not (equiv == "iff" and terms_equal(rhs, T_TERM)):
+    if not (equiv == "iff" and rhs == T_TERM):
         return None
     if isinstance(lhs, App) and len(lhs.args) == 1 and lhs.head not in SPECIAL_HEADS:
         return SideConditionLemma(name, hyps, lhs.head, lhs.args[0])
@@ -568,13 +565,13 @@ def attach_sc(rule, lemma):
     """Merge lemma into rule: wrap rhs occurrences of lemma.subject."""
     rule_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
     for h in lemma.hyps:
-        if not any(terms_equal(h, rh) for rh in rule_hyps):
+        if h not in rule_hyps:
             raise AttachError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
     subject = lemma.subject
     found = False
     done = {}  # id of an rhs node -> its copy, so a shared node stays shared
     for u in postorder(rule.sc_wrapped_rhs):
-        if terms_equal(strip_rp_deep(u), subject):
+        if strip_rp_deep(u) == subject:
             found = True
             done[id(u)] = mk_rp(lemma.prop, u)
         elif u.__class__ is App:

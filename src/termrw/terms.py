@@ -7,7 +7,10 @@ constants, and function applications.  The reader expands each ``let``,
 ``let*`` and applied ``lambda`` form into its body as it reads it, so no
 term holds a binder and substitution cannot capture.  Terms and values may
 share nodes; the walks that give one result per node go through postorder,
-so they cost a shared term's distinct nodes, not its tree.
+so they cost a shared term's distinct nodes, not its tree.  Equality, ==
+on terms and values and terms_equal_mod_rp, which looks through rp
+wrappers, compares each pair of nodes once, so two separately built copies
+of a shared term cost their distinct pairs of nodes.
 """
 
 from __future__ import annotations
@@ -105,43 +108,32 @@ class Cons:
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Cons) or other._hash != self._hash:
-            return False
-        return values_equal(self, other)
+        return self is other or _equal(self, other)
 
     def __repr__(self):
         return _bounded_repr(self, format_value)
 
 
-_FALIST_HASH_SEED = 0x51AD0
-
-
 class _FalistLog:
     """Append-only binding log shared by one line of falist versions.
 
-    ``pairs`` holds the (key value, value term) bindings oldest first,
-    ``positions`` maps each key to the ascending positions of its bindings,
-    and ``hashes[i]`` is the hash of the version holding ``pairs[:i + 1]``.
+    ``pairs`` holds the (key value, value term) bindings oldest first, and
+    ``positions`` maps each key to the ascending positions of its bindings.
     Appending never changes what an existing prefix holds.
     """
 
-    __slots__ = ("pairs", "positions", "hashes", "lock")
+    __slots__ = ("pairs", "positions", "lock")
 
     def __init__(self, pairs=()):
         self.pairs = []
         self.positions = {}
-        self.hashes = []
         self.lock = threading.Lock()
         for key, val in pairs:
             self.append(key, val)
 
     def append(self, key, val):
         n = len(self.pairs)
-        h = self.hashes[-1] if n else _FALIST_HASH_SEED
         self.pairs.append((key, val))
-        self.hashes.append((h * 2097169 ^ hash(key) ^ hash(val) * 31) & 0x7FFFFFFFFFFFFFFF)
         positions = self.positions.get(key)
         if positions is None:
             # one store, so a concurrent get never finds an empty list
@@ -150,11 +142,9 @@ class _FalistLog:
             positions.append(n)
 
     def prefix(self, size):
-        """A fresh log holding this log's first size bindings.  A prefix's
-        running hashes never change, so they are copied, not recomputed."""
+        """A fresh log holding this log's first size bindings."""
         fork = _FalistLog()
         fork.pairs = self.pairs[:size]
-        fork.hashes = self.hashes[:size]
         positions = fork.positions
         for n, (key, _val) in enumerate(fork.pairs):
             if key in positions:
@@ -181,8 +171,7 @@ class FalistShadow:
         self.size = len(self.log.pairs)
 
     def __reduce__(self):
-        # a copy gets a log of its own: hashes are salted per process, and
-        # the log's lock cannot be pickled
+        # a copy gets a log of its own: the log's lock cannot be pickled
         return FalistShadow, (self.entries,)
 
     @classmethod
@@ -228,33 +217,17 @@ class FalistShadow:
         return dict(self.log.pairs[: self.size])
 
     def __hash__(self):
-        return self.log.hashes[self.size - 1] if self.size else _FALIST_HASH_SEED
+        # by size alone: the falist term around a shadow hashes its chain,
+        # which holds the same bindings
+        return self.size ^ 0x51AD0
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FalistShadow) or other.size != self.size or hash(other) != hash(self):
+        if not isinstance(other, FalistShadow) or other.size != self.size:
             return False
         return other.log is self.log or other.log.pairs[: other.size] == self.log.pairs[: self.size]
 
     def __repr__(self):
         return format_value(self)
-
-
-def values_equal(a, b):
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if isinstance(x, Cons):
-            if not isinstance(y, Cons) or x._hash != y._hash:
-                return False
-            stack.append((x.car, y.car))
-            stack.append((x.cdr, y.cdr))
-        elif type(x) is not type(y) or x != y:
-            return False
-    return True
 
 
 def truthy(value):
@@ -271,6 +244,9 @@ class Term:
 
     def __repr__(self):
         return _bounded_repr(self, format_term)
+
+    def __eq__(self, other):
+        return self is other or _equal(self, other)
 
     def __deepcopy__(self, memo):
         return self  # immutable
@@ -306,11 +282,6 @@ class Quote(Term):
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Quote) and other._hash == self._hash and values_equal(other.value, self.value)
-
 
 # App._stripped of a node with no rp wrapper inside: the node itself.  A
 # sentinel, not a self-reference, so that no App is a reference cycle.
@@ -341,15 +312,16 @@ class App(Term):
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, App) or other._hash != self._hash:
-            return False
-        return terms_equal(self, other)
+
+# Both equality walks pass over a pair of nodes met again: each walk is
+# depth first and stops at its first difference, so a pair it entered
+# before has been found equal.
 
 
-def terms_equal(a, b):
+def _equal(a, b):
+    """Whether a and b, two terms or two values, are equal.  App, Quote
+    and Cons compare by hash first; an atom or a FalistShadow by its ==."""
+    paired = {}  # id of an App or Cons entered -> its partner
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -358,30 +330,42 @@ def terms_equal(a, b):
         cls = x.__class__
         if cls is not y.__class__:
             return False
-        if cls is Var:
+        if cls is App:
+            if x._hash != y._hash or x.head != y.head or len(x.args) != len(y.args):
+                return False
+            if paired.get(id(x)) is not y:
+                paired[id(x)] = y
+                stack.extend(zip(x.args, y.args))
+        elif cls is Var:
             if x.name != y.name:
                 return False
+        elif cls is Cons:
+            if x._hash != y._hash:
+                return False
+            if paired.get(id(x)) is not y:
+                paired[id(x)] = y
+                stack.append((x.cdr, y.cdr))
+                stack.append((x.car, y.car))
         elif cls is Quote:
-            if not values_equal(x.value, y.value):
+            if x._hash != y._hash:
                 return False
-        elif cls is App:
-            if x.head != y.head or len(x.args) != len(y.args) or x._hash != y._hash:
-                return False
-            stack.extend(zip(x.args, y.args))
-        else:
+            stack.append((x.value, y.value))
+        elif x != y:
             return False
     return True
 
 
 def terms_equal_mod_rp(a, b):
-    """terms_equal(strip_rp_deep(a), strip_rp_deep(b)), in one walk that
-    looks through rp wrappers and builds neither stripped form."""
+    """strip_rp_deep(a) == strip_rp_deep(b), in one walk that looks through
+    rp wrappers and builds neither stripped form."""
+    paired = {}  # id of an App entered -> its partner
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        while is_rp(x):
+        # is_rp, inlined: this walk runs for every repeated pattern variable
+        while x.__class__ is App and x.head == "rp" and len(x.args) == 2 and x.args[0].__class__ is Quote:
             x = x.args[1]
-        while is_rp(y):
+        while y.__class__ is App and y.head == "rp" and len(y.args) == 2 and y.args[0].__class__ is Quote:
             y = y.args[1]
         if x is y:
             continue
@@ -391,14 +375,13 @@ def terms_equal_mod_rp(a, b):
         if cls is App:
             if x.head != y.head or len(x.args) != len(y.args):
                 return False
-            stack.extend(zip(x.args, y.args))
+            if paired.get(id(x)) is not y:
+                paired[id(x)] = y
+                stack.extend(zip(x.args, y.args))
         elif cls is Var:
             if x.name != y.name:
                 return False
-        elif cls is Quote:
-            if not values_equal(x.value, y.value):
-                return False
-        else:
+        elif cls is not Quote or x._hash != y._hash or x.value != y.value:
             return False
     return True
 
@@ -1106,6 +1089,10 @@ class Shared(tuple):
     once: the rewriter rewrites its instance once per context."""
 
     __slots__ = ()
+
+    def __repr__(self):
+        # one line: a Shared guard may hold itself many times over
+        return f"Shared(<{len(self)} guards>)"
 
 
 def dont_rw_from_value(v):

@@ -48,7 +48,6 @@ from .terms import (
     postorder,
     rp_termp,
     truthy,
-    values_equal,
 )
 
 
@@ -218,7 +217,7 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         for i, v in befores.items():
             if i in afters:
                 w = afters[i]
-                same = values_equal(v, w) if equal else (v == NIL) == (w == NIL)
+                same = v == w if equal else (v == NIL) == (w == NIL)
                 failure = failures.get(i) if failures else None
                 outcomes[i] = _ACCEPT if same and failure is None else ("" if same else changed, failure)
         for i, outcome in enumerate(outcomes):

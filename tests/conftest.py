@@ -2,10 +2,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from termrw.evaluator import default_registry
 from termrw.rules import build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var
+from termrw.terms import App, Cons, Quote, Var, parse_term, postorder
 
 
 @pytest.fixture(autouse=True)
@@ -69,3 +70,57 @@ def rand_term(rng, depth=4):
 
 def rand_rng(seed):
     return random.Random(seed)
+
+
+def doubling(n, leaf="x"):
+    """The rhs of demos/rules/let-chain.lsp with n bindings over leaf: n
+    distinct applications, 2^(n + 1) - 1 nodes as a tree.  Each call reads
+    a copy of its own."""
+    binds = " ".join(f"(a{i} (binary-+ a{i - 1} a{i - 1}))" for i in range(1, n))
+    return parse_term(f"(let* ((a0 (binary-+ {leaf} {leaf})) {binds}) a{n - 1})")
+
+
+def tree_copy(x):
+    """x, a term or a value, rebuilt so that no application or cons in it
+    is reached twice."""
+    if x.__class__ is App:
+        return App(x.head, [tree_copy(a) for a in x.args])
+    if x.__class__ is Quote:
+        return Quote(tree_copy(x.value))
+    if x.__class__ is Cons:
+        return Cons(tree_copy(x.car), tree_copy(x.cdr))
+    return x
+
+
+_ATOMS = (-1, 0, 1, 2, "a", "b", "nil", "t")
+
+
+@st.composite
+def value_dag_pairs(draw):
+    """(a, b): a value built bottom-up from a pool, so later conses share
+    earlier ones, and b rebuilt from a.  b shares where a shares, except
+    that a cons may be copied afresh at each of its occurrences, and one
+    atom that b reaches may be changed: so one node of a may meet several
+    nodes of b, equal to it or not."""
+    pool = draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 10))):
+        pool.append(Cons(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    a = pool[-1]
+    change = draw(st.integers(-1, 9))  # the atom changed, counted as b is built; -1: none
+    other = draw(st.sampled_from(_ATOMS))
+    # per distinct cons of a: whether each occurrence gets its own copy
+    plan = {id(u): draw(st.booleans()) for u in postorder(a) if u.__class__ is Cons}
+    built, atoms = {}, [0]
+
+    def rebuild(u):
+        if u.__class__ is not Cons:
+            atoms[0] += 1
+            return other if atoms[0] - 1 == change else u
+        if id(u) not in built:
+            v = Cons(rebuild(u.car), rebuild(u.cdr))
+            if plan[id(u)]:
+                return v
+            built[id(u)] = v
+        return built[id(u)]
+
+    return a, rebuild(a)

@@ -45,7 +45,6 @@ from termrw.terms import (
     strip_rp_deep,
     substitute,
     term_to_value,
-    values_equal,
 )
 from termrw.validate import check_run, check_syntax_preserved, random_term, sample_env, valid_sc_failure
 
@@ -279,10 +278,10 @@ def test_criterion_8_guarded_rewrites_agree_with_full_rewrites():
                     want = eval_term(t, env, reg)
                 except EvalDomainError:
                     continue
-                assert values_equal(eval_term(guarded, env, reg), want), (
+                assert eval_term(guarded, env, reg) == want, (
                     f"#{i} guarded diverged on {env}: {format_term(t)} / {format_term(guarded)}"
                 )
-                assert values_equal(eval_term(full, env, reg), want), (
+                assert eval_term(full, env, reg) == want, (
                     f"#{i} full rewrite diverged on {env}"
                 )
                 checked_envs += 1

@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line front end via main(argv)."""
 
 import csv
+import gc
 import io
 import json
 import keyword
@@ -14,7 +15,7 @@ import tokenize
 
 import pytest
 
-from termrw import rules
+from termrw import cli, rules
 from termrw.cli import CSV_COLUMNS, main
 from termrw.demo import SHIPPED_CONJECTURES, SHIPPED_RULESETS
 
@@ -468,7 +469,7 @@ INJECTION_CONJECTURE = r"""
 """
 # the names generated code may use besides keywords and its own t1, k0, ...
 GENERATED_NAMES = {
-    *("f", "t", "b", "ex", "App", "Quote", "RP", "peel", "peel_app", "equal_mod_rp", "values_equal", "len"),
+    *("f", "t", "b", "ex", "App", "Quote", "RP", "peel", "peel_app", "equal_mod_rp", "len"),
     *("__class__", "head", "args", "value"),
 }
 
@@ -539,6 +540,53 @@ def test_let_star_chain_reads_and_proves_in_linear_time(tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     assert capsys.readouterr().out.strip() == "proved"
     assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
+def test_two_copies_of_a_let_chain_prove_equal_within_a_step_limit(capsys):
+    # two separately written 40-binding let* chains: equal-self compares
+    # their 41 distinct pairs of nodes, not 2^41 - 1 as trees
+    args = ["--rules", str(DEMOS / "rules" / "bitand.lsp")]
+    args += ["--conjecture", str(DEMOS / "conjectures" / "let-chain-twice.lsp"), "--step-limit", "1000"]
+    t0 = time.perf_counter()
+    assert main(["prove", *args]) == 0
+    elapsed = time.perf_counter() - t0
+    assert capsys.readouterr().out.strip() == "proved"
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_runs_with_the_collector_off_and_restores_it(tmp_path, capsys, monkeypatch, enabled):
+    rules_file = write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"])
+    conjecture = write(tmp_path, "c.lsp", SHIPPED_CONJECTURES["three-round-to-evens"])
+    seen = []
+
+    def recording(decls):
+        seen.append(gc.isenabled())
+        return rules.build_ruleset(decls)
+
+    monkeypatch.setattr(cli, "build_ruleset", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["prove", "--rules", rules_file, "--conjecture", conjecture]) == 0
+        after_proof = gc.isenabled()
+        assert main(["prove", "--rules", rules_file, "--conjecture", conjecture, "--step-limit", "0"]) == 2
+        with pytest.raises(SystemExit):
+            main(["prove", "--rules", rules_file])
+        after_usage_error = gc.isenabled()
+
+        def failing(decls):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_ruleset", failing)
+        with pytest.raises(RuntimeError):
+            main(["prove", "--rules", rules_file, "--conjecture", conjecture])
+        after_exception = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False]
+    assert (after_proof, after_usage_error, after_exception) == (enabled, enabled, enabled)
 
 
 @pytest.mark.parametrize(

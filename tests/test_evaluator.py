@@ -7,12 +7,13 @@ computed by hand from those clauses, then asserted against the code.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_rng, rand_term
+from conftest import doubling, rand_rng, rand_term, tree_copy, value_dag_pairs
 from termrw.evaluator import (
     EvalDomainError,
     EvalError,
@@ -23,12 +24,13 @@ from termrw.evaluator import (
     eval_term,
     eval_terms,
     ifix,
+    lexorder_cmp,
     lexorder_le,
     nfix,
     shared_nodes,
     to_boolean,
 )
-from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term, truthy, values_equal
+from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term, term_to_value, truthy
 
 
 @pytest.fixture
@@ -154,6 +156,35 @@ LEXORDER_CASES = [
 @pytest.mark.parametrize("pair,expected", LEXORDER_CASES)
 def test_lexorder_frozen(pair, expected):
     assert lexorder_le(*pair) is expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_dag_pairs())
+def test_lexorder_of_shared_values_agrees_with_their_tree_copies(pair):
+    a, b = pair
+    trees = tree_copy(a), tree_copy(b)
+    assert lexorder_cmp(a, b) == lexorder_cmp(*trees) == -lexorder_cmp(b, a)
+
+
+def test_lexorder_compares_a_cons_with_each_of_its_partners():
+    # s meets an equal copy and a greater one, in either order
+    s = Cons(1, Cons("a", "nil"))
+    for same, other in ((0, 1), (1, 0)):
+        parts = [None, None]
+        parts[same], parts[other] = Cons(1, Cons("a", "nil")), Cons(1, Cons("b", "nil"))
+        a, b = Cons(s, s), Cons(*parts)
+        assert lexorder_cmp(a, b) == -1 and lexorder_cmp(b, a) == 1
+
+
+def test_lexorder_of_two_copies_of_a_shared_value_costs_their_distinct_pairs():
+    # the values of two 40-binding doubling chains read apart, 2^41 - 1
+    # term nodes as trees, and of a third that differs only in its leaf
+    a, b, c = (term_to_value(doubling(40, leaf)) for leaf in ("x", "x", "y"))
+    start = time.perf_counter()
+    found = (lexorder_le(a, b), lexorder_le(b, a), lexorder_le(a, c), lexorder_le(c, a))
+    elapsed = time.perf_counter() - start
+    assert found == (True, True, True, False)
+    assert elapsed < 0.5
 
 
 def test_hons_heads(ev):
@@ -336,7 +367,7 @@ def _assert_matches_reference(t, envs, live, values, errors, wrappers):
             want, error = None, exc
         assert _error_key(errors.get(i)) == _error_key(error)
         if error is None:
-            assert values_equal(values[i], want)
+            assert values[i] == want
         if wrappers is not None:
             assert _failure_key(wrappers.get(i)) == _failure_key(failures[0] if failures else None)
 

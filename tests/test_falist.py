@@ -18,7 +18,7 @@ from termrw.falist import (
 )
 from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
 from termrw.rules import build_ruleset
-from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term, values_equal
+from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term
 
 
 CHAIN = "(hons-acons 'k1 v1 (hons-acons 'k2 v2 (hons-acons 'k3 v3 'nil)))"
@@ -210,7 +210,7 @@ def assert_shadow_matches_chain(fal):
         newest.setdefault(k, v)
     assert shadow.index == newest
     for key in KEYS + ("unbound",):
-        linear = next((App("cons", (Quote(key), v)) for k, v in logical if values_equal(k, key)), NIL_TERM)
+        linear = next((App("cons", (Quote(key), v)) for k, v in logical if k == key), NIL_TERM)
         assert fa_get(Quote(key), fal) == linear
 
 
@@ -252,6 +252,20 @@ def test_extending_the_newest_version_shares_its_log_and_a_fork_copies():
     assert s2.entries == (("b", Var("y")), ("a", Var("x")))
     # the fork left v2 the newest version of the original line
     assert falist_shadow(fa_acons(Quote("c"), Var("w"), v2)).log is s1.log
+
+
+def test_versions_on_forked_logs_are_equal_and_hash_alike():
+    base = FalistShadow().extend("a", Var("x"))
+    newest = base.extend("b", Var("y"))
+    fork = base.extend("b", Var("y"))
+    assert fork.log is not newest.log
+    assert fork == newest and hash(fork) == hash(newest)
+    assert fork.extend("c", Quote(1)) == newest.extend("c", Quote(1))
+    other = base.extend("b", Var("z"))
+    assert other != newest and other != base
+    # a falist term hashes its chain, so terms over differing shadows of
+    # one size still hash apart
+    assert hash(fa_acons(Quote("b"), Var("z"), NIL_TERM)) != hash(fa_acons(Quote("b"), Var("y"), NIL_TERM))
 
 
 def test_concurrent_extensions_of_one_version_stay_apart():

@@ -43,9 +43,7 @@ from termrw.terms import (
     parse_term,
     read_value,
     substitute,
-    terms_equal,
     terms_equal_mod_rp,
-    values_equal,
     wrapper_props,
 )
 from termrw.validate import check_run
@@ -146,7 +144,7 @@ def _unify_loop(pattern, t):
                 extracted.append((t, t.args[0].value))
                 t = t.args[1]
             if cls is Quote:
-                if not (t.__class__ is Quote and values_equal(pattern.value, t.value)):
+                if not (t.__class__ is Quote and pattern.value == t.value):
                     return None
             elif cls is App:
                 if not (t.__class__ is App and t.head == pattern.head and len(t.args) == len(pattern.args)):
@@ -242,11 +240,11 @@ def test_compiled_matchers_and_builders_agree_with_the_loop(data):
     bindings.update(got[0] if got else {})
     tree = data.draw(_TEMPLATES)
     build, size, guard = compile_template(tree)
-    assert terms_equal(build(bindings), substitute(tree, bindings))
+    assert build(bindings) == substitute(tree, bindings)
     assert (size, guard) == _tree_info(tree)
     dag = data.draw(_DAG_TEMPLATES)
     instance = compile_template(dag)[0](bindings)
-    assert terms_equal(instance, substitute(dag, bindings))
+    assert instance == substitute(dag, bindings)
     # each distinct application of the template is built once
     assert all(len(built) == 1 for built in _instances_of_apps(dag, instance).values())
 
@@ -287,8 +285,8 @@ def test_deep_formulas_compile_match_and_instantiate_flat():
     t = App("g", (mk_rp("p", substitute(lhs.args[0], {"x": x, "y": Quote(1)})),))
     bindings, extracted = rule.compile()(t)
     assert bindings == {"x": x, "y": Quote(1)} and extracted == [(t.args[0], "p")]
-    assert terms_equal(rule.build_rhs[0](bindings), substitute(rule.rhs, bindings))
-    assert terms_equal(compile_template(rhs)[0](bindings), substitute(rhs, bindings))
+    assert rule.build_rhs[0](bindings) == substitute(rule.rhs, bindings)
+    assert compile_template(rhs)[0](bindings) == substitute(rhs, bindings)
 
 
 def _doubling_rule(n):
@@ -315,6 +313,18 @@ def test_a_doubling_let_chain_rule_reads_and_compiles_its_distinct_nodes():
         rw = rewriter(_doubling_rule(n))
         head = rw.rewrite(P("(f y)"), iff=False).head
         assert head == "h" and rw.stats.nodes_created == n + 1 and rw.stats.rewrite_calls <= 2 * n + 5
+
+
+def test_the_guards_of_a_let_chain_rule_print_in_one_line_each():
+    # each Shared guard of the 40-binding rule holds the next one twice, so
+    # printing one as a tuple would walk 2^40 paths
+    rules = ruleset((DEMOS / "rules" / "let-chain.lsp").read_text()).rules.values()
+    builders = [b for rule in rules if rule.compile() for b in (rule.build_rhs, rule.build_sc_rhs, *rule.build_hyps) if b]
+    start = time.perf_counter()
+    texts = [repr(guard) for _, _, guard in builders]
+    elapsed = time.perf_counter() - start
+    assert "(True, Shared(<3 guards>), Shared(<3 guards>))" in texts
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +365,7 @@ def test_a_shared_instance_rewrites_as_its_tree_copy(template, data):
     for sc in (True, False):
         (got, shared), (want, tree) = _rewrite_both(rules, template, bindings, ctx, iff, sc)
         assert not tree.step_limit_hit
-        assert terms_equal(got, want)
+        assert got == want
         assert shared.rewrite_calls <= tree.rewrite_calls
 
 
@@ -376,7 +386,7 @@ def test_a_shared_node_under_a_wrapper_keeps_its_guard():
     bindings = {"x": P("(f)"), "y": P("x")}
     for sc in (True, False):
         (got, _), (want, _) = _rewrite_both(ruleset(MEMO_RULES), template, bindings, [P("(g (f))")], False, sc)
-        assert terms_equal(got, want)
+        assert got == want
 
 
 def test_a_step_limit_exit_stores_no_cut_rewrite():
@@ -393,7 +403,7 @@ def test_a_step_limit_exit_stores_no_cut_rewrite():
         # entries stay out of the asserts, as a guard prints as a tree
         for (_, _, _, iff, _), (t, dw, ctx, out) in rw._memo.items():
             stored += 1
-            if not terms_equal(out, Rewriter(rules).rewrite(t, dw, ctx, iff)):
+            if out != Rewriter(rules).rewrite(t, dw, ctx, iff):
                 cut.append(limit)
     assert stored and cut == []
 

@@ -48,7 +48,6 @@ from termrw.terms import (
     term_from_value,
     term_to_value,
     truthy,
-    values_equal,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -177,7 +176,7 @@ def reference_syntaxp_eval(pred, bindings):
         if head == "not":
             return NIL if truthy(ev(args[0])) else "t"
         if head == "equal":
-            return "t" if values_equal(ev(args[0]), ev(args[1])) else NIL
+            return "t" if ev(args[0]) == ev(args[1]) else NIL
         if head == "atom":
             return NIL if isinstance(ev(args[0]), Cons) else "t"
         if head == "consp":

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_rng, rand_term, rand_value
+from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
 from termrw.demo import chain_term
 from termrw.evaluator import shared_nodes
 from termrw.falist import check_falist_term
@@ -46,10 +46,8 @@ from termrw.terms import (
     substitute,
     term_from_value,
     term_to_value,
-    terms_equal,
     terms_equal_mod_rp,
     truthy,
-    values_equal,
     wrapper_props,
 )
 
@@ -533,8 +531,8 @@ def test_print_parse_round_trip_property(t):
 
 
 def test_values_equal_and_truthy():
-    assert values_equal(Cons(1, "nil"), Cons(1, "nil"))
-    assert not values_equal(Cons(1, "nil"), Cons(1, "t"))
+    assert Cons(1, "nil") == Cons(1, "nil")
+    assert not Cons(1, "nil") == Cons(1, "t")
     assert truthy(0) and truthy("t") and truthy(Cons("nil", "nil"))
     assert not truthy("nil")
 
@@ -542,7 +540,7 @@ def test_values_equal_and_truthy():
 def test_terms_equal_deep():
     rng = rand_rng(3)
     t = rand_term(rng, depth=6)
-    assert terms_equal(t, parse_term(format_term(t)))
+    assert t == parse_term(format_term(t))
 
 
 def test_rp_helpers():
@@ -592,7 +590,7 @@ def _wrapped_dags(draw, nodes=14):
 @given(_wrapped_dags())
 def test_strip_rp_deep_cached_form_is_shared(root):
     stripped = strip_rp_deep(root)
-    assert terms_equal(stripped, _reference_strip(root))
+    assert stripped == _reference_strip(root)
     assert strip_rp_deep(root) is stripped
     if not contains_head(root, "rp"):
         assert stripped is root
@@ -606,32 +604,45 @@ def test_strip_rp_deep_cached_form_is_shared(root):
                 walk(a, b)
 
     walk(root, stripped)
-    assert terms_equal(strip_rp_deep(pickle.loads(pickle.dumps(root))), stripped)
+    assert strip_rp_deep(pickle.loads(pickle.dumps(root))) == stripped
 
 
 @st.composite
 def _pairs_mod_rp(draw):
     """(a, b): a wrapped DAG, and b rebuilt from a with rp chains, nested
-    ones included, added and dropped at random and a leaf sometimes
-    changed; b shares where a shares.  Or an independent b."""
+    ones included, added and dropped at random.  b shares where a shares,
+    except that a node may be copied afresh at each of its occurrences,
+    and one leaf that b reaches may be changed: so one node of a may meet
+    several nodes of b, equal to it or not.  a may be two occurrences of
+    one DAG.  Or an independent b."""
     a = draw(_wrapped_dags())
     if draw(st.integers(0, 4)) == 0:
         return a, draw(_wrapped_dags())
-    built = {}
+    if draw(st.booleans()):
+        a = App("k", (a, a))
+    change = draw(st.integers(-1, 9))  # the leaf changed, counted as b is built; -1: none
+    # per distinct node of a: (whether each occurrence gets its own copy,
+    # the wrappers put on it)
+    wrappers = st.lists(st.sampled_from(("integerp", "bitp")), max_size=2)
+    plan = {id(u): (draw(st.booleans()), draw(wrappers)) for u in postorder(a)}
+    built, leaves = {}, [0]
 
     def rebuild(u):
-        if id(u) not in built:
-            core = strip_rp(u)
-            if isinstance(core, App):
-                v = App(core.head, [rebuild(x) for x in core.args])
-            elif draw(st.integers(0, 19)) == 0:
-                v = Var("zzz")
-            else:
-                v = core
-            for _ in range(draw(st.integers(0, 2))):
-                v = mk_rp(draw(st.sampled_from(("integerp", "bitp"))), v)
+        if id(u) in built:
+            return built[id(u)]
+        fresh, props = plan[id(u)]
+        core = strip_rp(u)
+        if isinstance(core, App):
+            v = App(core.head, [rebuild(x) for x in core.args])
+        else:
+            v = Var("zzz") if leaves[0] == change else core
+            leaves[0] += 1
+            fresh = True  # so each occurrence of a leaf counts
+        for prop in props:
+            v = mk_rp(prop, v)
+        if not fresh:
             built[id(u)] = v
-        return built[id(u)]
+        return v
 
     return a, rebuild(a)
 
@@ -640,10 +651,60 @@ def _pairs_mod_rp(draw):
 @given(_pairs_mod_rp())
 def test_terms_equal_mod_rp_agrees_with_stripping_both(pair):
     a, b = pair
-    expected = terms_equal(strip_rp_deep(a), strip_rp_deep(b))
+    # _reference_strip builds tree copies, where no pair of nodes recurs
+    expected = _reference_strip(a) == _reference_strip(b)
     assert terms_equal_mod_rp(a, b) == expected
     assert terms_equal_mod_rp(b, a) == expected
+    assert (strip_rp_deep(a) == strip_rp_deep(b)) == expected
     assert terms_equal_mod_rp(a, strip_rp_deep(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs_mod_rp())
+def test_equality_of_shared_terms_agrees_with_their_tree_copies(pair):
+    a, b = pair
+    expected = tree_copy(a) == tree_copy(b)
+    assert (a == b) == (b == a) == expected
+    assert (term_to_value(a) == term_to_value(b)) == (tree_copy(term_to_value(a)) == tree_copy(term_to_value(b)))
+    assert a == tree_copy(a) and strip_rp_deep(a) == _reference_strip(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_dag_pairs())
+def test_equality_of_shared_values_agrees_with_their_tree_copies(pair):
+    a, b = pair
+    assert (a == b) == (b == a) == (tree_copy(a) == tree_copy(b))
+    assert a == tree_copy(a)
+
+
+def test_a_node_met_with_two_partners_is_compared_with_each():
+    # s meets an equal copy and a differing one, in either order
+    s = parse_term("(g x (rp 'bitp (h y)))")
+    for same, other in ((0, 1), (1, 0)):
+        parts = [None, None]
+        parts[same], parts[other] = parse_term("(g x (h y))"), parse_term("(g x (h z))")
+        a, b = App("f", (s, s)), App("f", parts)
+        assert not terms_equal_mod_rp(a, b) and not terms_equal_mod_rp(b, a)
+        assert strip_rp_deep(a) != b and b != strip_rp_deep(a)
+
+
+def test_two_copies_of_a_shared_term_compare_in_their_distinct_pairs():
+    # two 40-binding doubling chains read apart: equal as trees of 2^41 - 1
+    # nodes, each 41 distinct nodes; a third differs only in its leaf
+    a, b, c = doubling(40), doubling(40), doubling(40, "y")
+    assert a is not b and a.args[0] is not b.args[0]
+    start = time.perf_counter()
+    found = (
+        a == b,
+        a == c,
+        terms_equal_mod_rp(a, b),
+        terms_equal_mod_rp(mk_rp("integerp", a), c),
+        term_to_value(a) == term_to_value(b),
+        term_to_value(a) == term_to_value(c),
+    )
+    elapsed = time.perf_counter() - start
+    assert found == (True, False, True, False, True, False)
+    assert elapsed < 0.5
 
 
 def test_terms_equal_mod_rp_sees_through_nested_wrappers_and_lambdas():
@@ -669,7 +730,7 @@ def test_terms_equal_mod_rp_on_a_deep_chain_needs_no_recursion():
     plain = chain_term(100_000)
     assert terms_equal_mod_rp(wrapped, stripped)
     assert not terms_equal_mod_rp(wrapped, plain)
-    assert not terms_equal(stripped, strip_rp_deep(plain))
+    assert not stripped == strip_rp_deep(plain)
 
 
 def test_free_vars_and_order():
@@ -716,15 +777,8 @@ def test_dag_walkers_visit_each_shared_node_once():
     assert elapsed < 0.5
 
 
-def _doubling(n):
-    """The rhs of demos/rules/let-chain.lsp with n bindings: n distinct
-    applications, 2^(n + 1) - 1 nodes as a tree."""
-    binds = " ".join(f"(a{i} (binary-+ a{i - 1} a{i - 1}))" for i in range(1, n))
-    return parse_term(f"(let* ((a0 (binary-+ x x)) {binds}) a{n - 1})")
-
-
 def test_a_shared_term_is_encoded_as_a_shared_value():
-    t = _doubling(20)
+    t = doubling(20)
     start = time.perf_counter()
     v = term_to_value(t)
     elapsed = time.perf_counter() - start
@@ -739,7 +793,7 @@ def test_a_shared_term_is_encoded_as_a_shared_value():
 
 def test_a_large_shared_term_prints_as_a_summary():
     assert repr(parse_term("(f x '3 (g y))")) == "(f x '3 (g y))"
-    assert repr(_doubling(40)) == "<(binary-+ ...): 41 distinct nodes, 2199023255551 as a tree>"
+    assert repr(doubling(40)) == "<(binary-+ ...): 41 distinct nodes, 2199023255551 as a tree>"
 
 
 def test_a_large_shared_value_prints_as_a_summary():
@@ -840,7 +894,7 @@ def _reference_shared(roots):
     return {
         id(u)
         for u in _reference_postorder(roots)
-        if u.__class__ is App and u.args and reached[id(u)] > 1 and terms_equal(_reference_strip(u), u)
+        if u.__class__ is App and u.args and reached[id(u)] > 1 and _reference_strip(u) == u
     }
 
 
@@ -851,7 +905,7 @@ def test_walks_over_distinct_nodes_agree_with_tree_walks(t, data):
     names = [u.name for u in tree if u.__class__ is Var]
     assert free_vars(t) == set(names)
     assert node_count(t) == len(tree)
-    assert values_equal(term_to_value(t), _reference_value(t))
+    assert term_to_value(t) == _reference_value(t)
     roots = (t, *data.draw(st.lists(st.sampled_from(tree), max_size=2)))
     assert shared_nodes(roots) == _reference_shared(roots)
 

@@ -8,7 +8,7 @@ import pytest
 
 from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term
 from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var, free_vars, parse_term, truthy, values_equal
+from termrw.terms import App, Cons, Quote, Var, free_vars, parse_term, truthy
 from termrw.validate import (
     REJECTION_CAP,
     ValidityReport,
@@ -365,7 +365,7 @@ def _reference_judge(before, after, mode, reg, label="", check_wrappers=False):
             report.fail((), f"{label}rewritten term undefined where input is defined", env)
             return False
         if mode == "equal":
-            if not values_equal(v_before, v_after):
+            if v_before != v_after:
                 report.fail((), f"{label}value changed by rewriting", env)
         elif truthy(v_before) != truthy(v_after):
             report.fail((), f"{label}truthiness changed by rewriting", env)
