@@ -145,6 +145,8 @@ def cmd_prove(args):
     status = 0
     if proved:
         print("proved")
+        if rw.stats.step_limit_hit:
+            print(f"note: step limit ({cfg.step_limit}) exceeded; proved from an incomplete rewrite", file=sys.stderr)
     elif rw.stats.step_limit_hit:
         print(f"step limit ({cfg.step_limit}) exceeded; rewriting is incomplete")
         print(f"final term: {format_term(out)}")

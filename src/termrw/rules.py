@@ -108,10 +108,6 @@ class Rule:
         if self.group is None:
             object.__setattr__(self, "group", self.name)
 
-    @property
-    def head(self):
-        return self.lhs.head if isinstance(self.lhs, App) else None
-
     def __getstate__(self):
         # generated functions do not pickle: a copy compiles its own
         return {**self.__dict__, "match": None, "build_rhs": None, "build_sc_rhs": None, "build_hyps": None}
@@ -180,26 +176,24 @@ class RuleSet:
 # function with a statement per pattern node or distinct template node,
 # written by a walk on an explicit stack or over postorder, so that a
 # formula's depth costs no Python stack.
+# A quoted or application pattern node is one statement: it tests the term,
+# and only when that fails on an rp application does it call peel, which
+# looks through the wrappers and tests again.
 # The source holds only generated names and integer literals: heads,
 # variable names and quoted values reach it as the constants k0, k1, ... of
 # its globals.
 
 
-def _peel(t, ex):
-    """t under its rp wrappers, each added to ex as (wrapped term, prop)."""
+def _peel(t, ex, k, n):
+    """t under its rp wrappers, each added to ex as (wrapped term, prop),
+    when that is an application of k to n arguments or, with n None, the
+    quotation of k; else None."""
     while is_rp(t):
         ex.append((t, t.args[0].value))
         t = t.args[1]
-    return t
-
-
-def _peel_app(t, ex, head, n):
-    """_peel(t, ex) when it is an application of head to n arguments, else
-    None."""
-    t = _peel(t, ex)
-    if t.__class__ is App and t.head == head and len(t.args) == n:
-        return t
-    return None
+    if n is None:
+        return t if t.__class__ is Quote and k == t.value else None
+    return t if t.__class__ is App and t.head == k and len(t.args) == n else None
 
 
 # the globals of generated code besides its constants
@@ -208,7 +202,6 @@ _RUNTIME = {
     "Quote": Quote,
     "RP": "rp",
     "peel": _peel,
-    "peel_app": _peel_app,
     "equal_mod_rp": terms_equal_mod_rp,
 }
 
@@ -238,7 +231,9 @@ def compile_match(pattern):
     wrappers: it gives (bindings, extracted) or None.  bindings keep the
     wrappers of the matched subterms; extracted lists (wrapped subterm,
     prop) for every wrapper looked through, in preorder.  A repeated
-    variable must match wrapper-stripped-equal subterms."""
+    variable must match wrapper-stripped-equal subterms.  The function has
+    one statement per quoted or application node of pattern, one more that
+    unpacks each application's arguments, and one per repeated variable."""
     lines, consts = ["ex = []"], {}
     first = {}  # variable name -> the local holding its first binding
     count = 0  # term locals t1 .. t<count> so far, the term itself being t
@@ -250,31 +245,23 @@ def compile_match(pattern):
             held = first.setdefault(p.name, t)
             if held != t:
                 lines.append(f"if not equal_mod_rp({held}, {t}): return None")
-        elif cls is Quote:
-            q = _constant(consts, p.value)
-            lines += [
-                f"if {t}.__class__ is not Quote: {t} = peel({t}, ex)",
-                f"if {t}.__class__ is not Quote or {q} != {t}.value: return None",
-            ]
+            continue
+        if cls is Quote:
+            k, n = _constant(consts, p.value), None
+            test = f"{t}.__class__ is not Quote or {k} != {t}.value"
         elif cls is App:
-            h, n = _constant(consts, p.head), len(p.args)
-            peel = [f"{t} = peel_app({t}, ex, {h}, {n})", f"if {t} is None: return None"]
-            if p.head != "rp":
-                # only a wrapper that fails the test is peeled; an rp pattern
-                # meets the term under every wrapper
-                lines += [
-                    f"if {t}.__class__ is not App or {t}.head != {h} or len({t}.args) != {n}:",
-                    f"    if {t}.__class__ is not App or {t}.head != RP: return None",
-                ]
-                peel = [f"    {line}" for line in peel]
-            lines += peel
-            if n:
-                subs = [f"t{count + i}" for i in range(1, n + 1)]
-                count += n
-                lines.append(f"{', '.join(subs)}, = {t}.args")
-                stack.extend(zip(reversed(p.args), reversed(subs)))
+            k, n = _constant(consts, p.head), len(p.args)
+            # an rp pattern has no test, so it meets the term under every wrapper
+            test = None if p.head == "rp" else f"{t}.__class__ is not App or {t}.head != {k} or len({t}.args) != {n}"
         else:
             raise TypeError(p)
+        peel = f"{t}.__class__ is not App or {t}.head != RP or ({t} := peel({t}, ex, {k}, {n})) is None"
+        lines.append(f"if {peel}: return None" if test is None else f"if ({test}) and ({peel}): return None")
+        if n:
+            subs = [f"t{count + i}" for i in range(1, n + 1)]
+            count += n
+            lines.append(f"{', '.join(subs)}, = {t}.args")
+            stack.extend(zip(reversed(p.args), reversed(subs)))
     lines.append("return {" + ", ".join([f"{_constant(consts, v)}: {t}" for v, t in first.items()]) + "}, ex")
     return _define("def f(t):\n    " + "\n    ".join(lines) + "\n", consts)
 

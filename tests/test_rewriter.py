@@ -1,5 +1,6 @@
 """The rewriting engine: unification, contexts, dont-rw, the step loop."""
 
+import ast
 import hashlib
 import pathlib
 import pickle
@@ -271,7 +272,7 @@ def _instances_of_apps(template, instance):
     return found
 
 
-def test_deep_formulas_compile_match_and_instantiate_flat():
+def test_deep_formulas_compile_match_and_instantiate_flat(monkeypatch):
     # a 5,000-deep lhs and rhs each compile to one statement per node, never
     # a nested expression, and their walks take no Python stack
     def chain(leaf):
@@ -279,11 +280,19 @@ def test_deep_formulas_compile_match_and_instantiate_flat():
             leaf = App("+", (Var("x"), leaf))
         return leaf
 
+    sources = []
+    real_define = termrw.rules._define
+    monkeypatch.setattr(termrw.rules, "_define", lambda src, consts: sources.append(src) or real_define(src, consts))
     lhs, rhs = App("g", (chain(Var("y")),)), chain(Quote(3))
     rule = Rule("deep", (), lhs, App("k", (chain(Var("y")),)), "equal")
     x = mk_rp("integerp", Var("a"))
     t = App("g", (mk_rp("p", substitute(lhs.args[0], {"x": x, "y": Quote(1)})),))
     bindings, extracted = rule.compile()(t)
+    # the matcher, compiled last: a test and an unpacking per application,
+    # a check per repeat of x, and ex = [] and return, each on one line
+    matcher = sources[-1]
+    statements = len(ast.parse(matcher).body[0].body)
+    assert statements == len(matcher.splitlines()) - 1 == 5001 * 2 + 4999 + 2
     assert bindings == {"x": x, "y": Quote(1)} and extracted == [(t.args[0], "p")]
     assert rule.build_rhs[0](bindings) == substitute(rule.rhs, bindings)
     assert compile_template(rhs)[0](bindings) == substitute(rhs, bindings)
@@ -829,6 +838,19 @@ def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():
     assert rw.rewrite(t, ctx=[P("(not (integerp a))")], iff=False) == t
     assert rw.stats.hyp_relief_failures == 1
     assert rewriter(rs, side_conditions_enabled=False).rewrite(t, iff=False) == t
+
+
+def test_wrapper_relief_at_the_binding_is_off_under_a_matched_not_wrapper():
+    # x's 'integerp wrapper relieves (integerp x), unless the match looked
+    # through a 'not wrapper: then the hyp is rewritten with (not (integerp
+    # a)) among the wrapper facts and fails, as under that context fact
+    rs = "(def-rp-rule r (implies (integerp x) (equal (f (integerp x)) 'yes)))"
+    core = P("(f (integerp (rp 'integerp a)))")
+    assert rewriter(rs).rewrite(core, iff=False) == Quote("yes")
+    for t, ctx in [(P("(f (rp 'not (integerp (rp 'integerp a))))"), []), (core, [P("(not (integerp a))")])]:
+        rw = rewriter(rs)
+        assert rw.rewrite(t, ctx=ctx, iff=False) == t
+        assert rw.stats.hyp_relief_failures == 1
 
 
 def test_variable_result_in_an_iff_position_is_still_reduced_by_the_context():
