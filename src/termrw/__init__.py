@@ -25,7 +25,6 @@ from .rules import (
     RuleFileError,
     RuleSet,
     Syntaxp,
-    UnboundRuleVariableError,
     attach_sc,
     build_ruleset,
     parse_rule_file,
@@ -89,7 +88,6 @@ __all__ = [
     "STOP",
     "Syntaxp",
     "T_TERM",
-    "UnboundRuleVariableError",
     "UnboundVariableError",
     "UnknownFunctionError",
     "ValidityReport",

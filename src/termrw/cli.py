@@ -15,7 +15,7 @@ import time
 from .demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookup_keys, lookups_term, tree_conjecture
 from .evaluator import default_registry
 from .rewriter import RewriteConfig, Rewriter
-from .rules import AttachError, RuleFileError, UnboundRuleVariableError, build_ruleset, parse_rule_file, validate_rule
+from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, rule_violations
 from .terms import ParseError, format_term, node_count, parse_term
 from .validate import check_run, sample_rule_soundness
 
@@ -72,12 +72,11 @@ def cmd_check_rules(args):
     ruleset, err = _load_ruleset(args.rule_file)
     if ruleset is None:
         return err
-    violations = 0
+    lines = rule_violations(ruleset)
+    for line in lines:
+        print(line)
+    violations = len(lines)
     user_rules = [r for r in ruleset.rules.values() if not r.internal]
-    for rule in user_rules:
-        for msg in validate_rule(rule):
-            violations += 1
-            print(f"{rule.name}: {msg}")
     if args.strict:
         reg = default_registry()
         for rule in user_rules:
@@ -130,8 +129,8 @@ def cmd_prove(args):
     )
     try:
         rw = Rewriter(ruleset, cfg=cfg)
-    except UnboundRuleVariableError as exc:
-        print(f"{args.rules}: {exc}", file=sys.stderr)
+    except RuleFileError as exc:
+        print("\n".join(f"{args.rules}: {line}" for line in str(exc).splitlines()), file=sys.stderr)
         return 1
     t0 = time.perf_counter()
     proved, out = rw.proved(conjecture)

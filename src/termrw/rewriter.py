@@ -38,7 +38,7 @@ from types import GeneratorType
 from . import falist as _falist
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, default_registry
 from .meta import MetaRegistry
-from .rules import Syntaxp, UnboundRuleVariableError, build_ruleset, compile_match, syntaxp_eval, unbound_vars
+from .rules import RuleFileError, Syntaxp, build_ruleset, compile_match, rule_violations, syntaxp_eval
 from .terms import (
     NIL_TERM,
     OPEN,
@@ -173,12 +173,12 @@ class RewriteStats:
 
 
 def unify(pattern, t):
-    """Match pattern (no rp/falist inside) against t, looking through rp
-    wrappers, with the matcher compile_match makes for it.  Returns
-    (bindings, extracted) or None; bindings keep the wrappers of the matched
-    subterms, extracted lists (wrapped-subterm, prop) for every wrapper
-    looked through.  Repeated pattern variables must match
-    wrapper-stripped-equal subterms.
+    """Match pattern (no rp/falist inside, as in an admitted lhs) against
+    t, looking through rp wrappers, with the matcher compile_match makes
+    for it.  Returns (bindings, extracted) or None; bindings keep the
+    wrappers of the matched subterms, extracted lists (wrapped-subterm,
+    prop) for every wrapper looked through.  Repeated pattern variables
+    must match wrapper-stripped-equal subterms.
     """
     return compile_match(pattern)(t)
 
@@ -193,15 +193,14 @@ _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
 
 class Rewriter:
     """One rewriting engine instance: rule set, executable registry, metas,
-    configuration, and accumulated statistics."""
+    configuration, and accumulated statistics.  A rule set with faults
+    check-rules reports raises RuleFileError, with check-rules' lines."""
 
     def __init__(self, ruleset=None, registry=None, metas=None, cfg=None):
         self.ruleset = ruleset if ruleset is not None else build_ruleset([])
-        for rule in self.ruleset.rules.values():
-            loose = unbound_vars(rule)
-            if loose:
-                names = ", ".join(sorted(loose))
-                raise UnboundRuleVariableError(f"rule {rule.name} uses variables its lhs does not bind: {names}")
+        violations = rule_violations(self.ruleset)
+        if violations:
+            raise RuleFileError("\n".join(violations))
         self.registry = registry if registry is not None else default_registry()
         self.metas = metas if metas is not None else MetaRegistry()
         self.cfg = cfg if cfg is not None else RewriteConfig()
@@ -213,6 +212,10 @@ class Rewriter:
     # -- public entry -------------------------------------------------------
 
     def rewrite(self, t, dont_rw=OPEN, ctx=(), iff=True):
+        """t rewritten under dont_rw and ctx.  The wrappers of t and ctx are
+        trusted, as RP-Rewriter's theorem assumes valid-sc of its input; an
+        rp whose first argument is not quoted is no wrapper but the identity
+        on its payload.  check_run, which --verify runs, checks a run."""
         if not isinstance(ctx, Context):
             ctx = Context.from_terms(ctx)
         # each rewrite gets the whole step limit; stats go on accumulating
@@ -285,6 +288,9 @@ class Rewriter:
             steps = core
         elif head == "if" and len(core.args) == 3:
             steps = self._rewrite_if(core, dw, ctx, iff, path)
+        elif head == "rp" and len(core.args) == 2:
+            # no wrapper (see is_rp), so the identity on its payload
+            steps = self._rw_hop(core.args[1], arg_dont_rws(dw, 2)[1], ctx, iff, (path, 2))
         else:
             # (4) an argument that _rw would return unchanged (stopped by
             # dont-rw, quoted, or a variable or falist term outside an iff

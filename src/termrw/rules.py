@@ -227,13 +227,14 @@ def _define(source, consts):
 
 
 def compile_match(pattern):
-    """A function that matches pattern against a term, looking through rp
-    wrappers: it gives (bindings, extracted) or None.  bindings keep the
-    wrappers of the matched subterms; extracted lists (wrapped subterm,
-    prop) for every wrapper looked through, in preorder.  A repeated
-    variable must match wrapper-stripped-equal subterms.  The function has
-    one statement per quoted or application node of pattern, one more that
-    unpacks each application's arguments, and one per repeated variable."""
+    """A function that matches pattern, an lhs and so free of rp, against a
+    term, looking through rp wrappers: it gives (bindings, extracted) or
+    None.  bindings keep the wrappers of the matched subterms; extracted
+    lists (wrapped subterm, prop) for every wrapper looked through, in
+    preorder.  A repeated variable must match wrapper-stripped-equal
+    subterms.  The function has one statement per quoted or application
+    node of pattern, one more that unpacks each application's arguments,
+    and one per repeated variable."""
     lines, consts = ["ex = []"], {}
     first = {}  # variable name -> the local holding its first binding
     count = 0  # term locals t1 .. t<count> so far, the term itself being t
@@ -251,12 +252,11 @@ def compile_match(pattern):
             test = f"{t}.__class__ is not Quote or {k} != {t}.value"
         elif cls is App:
             k, n = _constant(consts, p.head), len(p.args)
-            # an rp pattern has no test, so it meets the term under every wrapper
-            test = None if p.head == "rp" else f"{t}.__class__ is not App or {t}.head != {k} or len({t}.args) != {n}"
+            test = f"{t}.__class__ is not App or {t}.head != {k} or len({t}.args) != {n}"
         else:
             raise TypeError(p)
         peel = f"{t}.__class__ is not App or {t}.head != RP or ({t} := peel({t}, ex, {k}, {n})) is None"
-        lines.append(f"if {peel}: return None" if test is None else f"if ({test}) and ({peel}): return None")
+        lines.append(f"if ({test}) and ({peel}): return None")
         if n:
             subs = [f"t{count + i}" for i in range(1, n + 1)]
             count += n
@@ -493,23 +493,12 @@ def _syntaxp_walk(pred):
 def syntaxp_eval(hyp, bindings):
     """Evaluate a Syntaxp hyp's predicate as ACL2 does: as a term over
     SYNTAXP_REGISTRY, each variable bound to its term stripped of wrappers and
-    encoded as a value.  Raises EvalError outside the set validate_rule
-    accepts, on an unbound variable, or outside a function's domain."""
+    encoded as a value.  Raises EvalError outside a function's domain, and
+    on what validate_rule refuses: an unsupported or unbound predicate."""
     if hyp.unsupported:
         raise EvalError(f"unsupported syntaxp predicate {hyp.unsupported[0]!r}")
     env = {n: term_to_value(strip_rp_deep(bindings[n])) for n in hyp.names if n in bindings}
     return truthy(eval_term(hyp.pred, env, SYNTAXP_REGISTRY))
-
-
-class UnboundRuleVariableError(ValueError):
-    """A rule whose rhs or ordinary hyps use variables its lhs does not bind."""
-
-
-def unbound_vars(rule):
-    """The variables of rule's rhs and ordinary hyps that its lhs does not
-    bind: rewriting with the rule would meet them unbound."""
-    ordinary_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
-    return set().union(free_vars(rule.rhs), *map(free_vars, ordinary_hyps)) - free_vars(rule.lhs)
 
 
 def validate_rule(rule):
@@ -529,15 +518,18 @@ def validate_rule(rule):
             problems.append(f"{what} cannot contain rp or falist")
         for _path, msg in rp_termp(t):
             problems.append(f"{what}: {msg}")
-    lhs_vars = free_vars(lhs)
-    loose = unbound_vars(rule)
-    for h in rule.hyps:
-        if isinstance(h, Syntaxp):
-            loose |= free_vars(h.pred) - lhs_vars
-            problems += [f"syntaxp predicate outside the supported set: {u!r}" for u in h.unsupported]
+    syntaxp_hyps = [h for h in rule.hyps if isinstance(h, Syntaxp)]
+    problems += [f"syntaxp predicate outside the supported set: {u!r}" for h in syntaxp_hyps for u in h.unsupported]
+    loose = set().union(*map(free_vars, [rhs, *ordinary_hyps]), *[h.names for h in syntaxp_hyps]) - free_vars(lhs)
     if loose:
         problems.append(f"free variables not bound by lhs: {', '.join(sorted(loose))}")
     return problems
+
+
+def rule_violations(ruleset):
+    """`<rule>: <violation>` for each fault validate_rule finds in a user
+    rule of ruleset: the one admission check of check-rules and Rewriter."""
+    return [f"{r.name}: {msg}" for r in ruleset.rules.values() if not r.internal for msg in validate_rule(r)]
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,7 @@ def mk_rp(prop, term):
 
 def is_rp(t):
     """Whether t is an rp wrapper: a 2-argument rp whose first argument is
-    quoted.  Any other rp is an ordinary call."""
+    quoted.  Any other rp is no wrapper, only the identity on its payload."""
     return t.__class__ is App and t.head == "rp" and len(t.args) == 2 and t.args[0].__class__ is Quote
 
 

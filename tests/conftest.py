@@ -35,6 +35,38 @@ def bitand_ruleset():
     return build_ruleset(parse_rule_file(BITAND_RULES))
 
 
+# one rule file for each fault validate_rule reports, with the lines that
+# check-rules prints for it: each must keep Rewriter and prove from the rules
+RULE_FAULTS = {
+    # an unbound variable, in the rhs or an ordinary hyp
+    "(def-rp-rule r (equal (f x) (g y)))": ["r: free variables not bound by lhs: y"],
+    "(def-rp-rule r (implies (p y) (equal (f x) (g x))))": ["r: free variables not bound by lhs: y"],
+    "(def-rp-rule r (implies (and (p y) (q z)) (equal (f x) (g x y))))": ["r: free variables not bound by lhs: y, z"],
+    # rp or falist in the rhs, a hyp or the lhs
+    "(defthm f-is-rp (equal (f p x) (rp p x)))": [
+        "f-is-rp: rhs cannot contain rp or falist",
+        "f-is-rp: rhs: rp first argument must be a quoted non-nil symbol",
+    ],
+    "(defthm r (implies (rp 'integerp x) (equal (f x) x)))": ["r: hyp cannot contain rp or falist"],
+    "(defthm r (equal (f (rp 'integerp x)) x))": ["r: lhs cannot contain rp or falist"],
+    "(defthm r (equal (f x) (falist 'nil 'nil)))": ["r: rhs cannot contain rp or falist"],
+    "(defthm r (implies (equal (falist 'nil 'nil) x) (equal (f x) x)))": ["r: hyp cannot contain rp or falist"],
+    "(defthm r (equal (f (falist 'nil 'nil)) 'nil))": ["r: lhs cannot contain rp or falist"],
+    # if in the lhs, and a reserved lhs head
+    "(defthm r (equal (f (if x y z)) x))": ["r: lhs cannot contain if"],
+    "(defthm r (equal (if x y z) x))": ["r: lhs head if is reserved", "r: lhs cannot contain if"],
+    "(defthm r (equal (hide x) x))": ["r: lhs head hide is reserved"],
+    # an lhs that is not an application
+    "(defthm r (equal x (f x)))": ["r: lhs must be a function application"],
+    # a syntaxp predicate outside the supported set, or over a variable the
+    # lhs does not bind
+    "(defthm r (implies (syntaxp (integerp x)) (equal (f x) x)))": [
+        "r: syntaxp predicate outside the supported set: (integerp x)"
+    ],
+    "(defthm r (implies (syntaxp (atom z)) (equal (f x) 'fired)))": ["r: free variables not bound by lhs: z"],
+}
+
+
 # ---------------------------------------------------------------------------
 # seeded structural generators, shared by round-trip and safety suites
 

@@ -15,6 +15,7 @@ import tokenize
 
 import pytest
 
+from conftest import RULE_FAULTS
 from termrw import cli, rules
 from termrw.cli import CSV_COLUMNS, main
 from termrw.demo import SHIPPED_CONJECTURES, SHIPPED_RULESETS
@@ -174,11 +175,26 @@ def test_prove_rejects_undecodable_falist_literal(tmp_path, capsys):
     assert captured.err == f"error: {c}: falist logical part is not a quoted-key alist chain (line 1, column 14)\n"
 
 
-def test_prove_treats_an_rp_without_a_quoted_property_as_a_call(tmp_path, capsys):
+def test_prove_rewrites_an_rp_without_a_quoted_property_to_its_payload(tmp_path, capsys):
     rules = write(tmp_path, "r.lsp", "(defthm r (equal (f x) x))")
     rc = main(["prove", "--rules", rules, "--conjecture", write(tmp_path, "c.lsp", "(equal (f (rp p x)) x)")])
-    assert rc == 1
-    assert capsys.readouterr().out == "not proved\nfinal term: (equal (rp p x) x)\n"
+    assert rc == 0
+    assert capsys.readouterr().out == "proved\n"
+
+
+@pytest.mark.parametrize(
+    "conjecture, out",
+    [
+        ("(integerp (rp (if 't 'integerp 'x) 'k1))", "not proved\nfinal term: 'nil\n"),
+        ("(not (integerp (rp (if 't 'integerp 'x) 'k1)))", "proved\n"),
+    ],
+    ids=["integerp", "its-negation"],
+)
+def test_prove_makes_no_wrapper_from_an_rp_whose_property_rewrites_to_a_quote(tmp_path, capsys, conjecture, out):
+    c = write(tmp_path, "c.lsp", conjecture)
+    rc = main(["prove", "--rules", str(DEMOS / "rules" / "tree.lsp"), "--conjecture", c, "--verify", "50"])
+    assert rc == (out != "proved\n")
+    assert capsys.readouterr().out == out + "verified on 50 sample(s)\n"
 
 
 def test_prove_verify_prints_each_distinct_failure_once(tmp_path, capsys):
@@ -591,19 +607,18 @@ def test_a_command_runs_with_the_collector_off_and_restores_it(tmp_path, capsys,
     assert (after_proof, after_usage_error, after_exception) == (enabled, enabled, enabled)
 
 
-@pytest.mark.parametrize(
-    "rules", ["(def-rp-rule r (equal (f x) (g y)))", "(def-rp-rule r (implies (p y) (equal (f x) (g x))))"]
-)
+@pytest.mark.parametrize("rules", sorted(RULE_FAULTS))
 def test_prove_refuses_rule_with_unbound_variables(tmp_path, capsys, rules):
+    # prove refuses each fault with the lines check-rules prints for it
     path = write(tmp_path, "r.lsp", rules)
-    rc = main(["prove", "--rules", path, "--conjecture", write(tmp_path, "c.lsp", "(f a)")])
+    lines = RULE_FAULTS[rules]
+    rc = main(["prove", "--rules", path, "--conjecture", write(tmp_path, "c.lsp", "(integerp (f 'integerp 'k1))")])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == f"{path}: rule r uses variables its lhs does not bind: y\n"
-    # check-rules reports the same rule as before
+    assert captured.err.splitlines() == [f"{path}: {line}" for line in lines]
     assert main(["check-rules", path]) == 1
-    assert capsys.readouterr().out == "r: free variables not bound by lhs: y\n1 violation(s) in 1 rule(s)\n"
+    assert capsys.readouterr().out.splitlines() == [*lines, f"{len(lines)} violation(s) in 1 rule(s)"]
 
 
 def test_prove_bad_conjecture_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import pathlib
 import pickle
+import random
 import sys
 import time
 import weakref
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import RULE_FAULTS
 import termrw.rewriter
 import termrw.rules
 import termrw.terms
@@ -21,8 +23,8 @@ from termrw.meta import MetaRegistry, MetaRule, demo_metas
 from termrw.rewriter import Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
 from termrw.rules import (
     Rule,
+    RuleFileError,
     Syntaxp,
-    UnboundRuleVariableError,
     build_ruleset,
     compile_template,
     parse_rule_file,
@@ -33,6 +35,7 @@ from termrw.terms import (
     STOP,
     App,
     Cons,
+    ParseError,
     Quote,
     Shared,
     Var,
@@ -167,13 +170,15 @@ _ATOMS = st.builds(Var, _NAMES) | st.builds(Quote, _VALUES)
 
 def _apps(heads, c):
     """Applications of heads, and a quarter as many 2-argument rp forms:
-    wrappers when the first argument is quoted.  An rp head in a pattern is
-    compared under every wrapper of the term."""
+    wrappers when the first argument is quoted."""
     plain = st.builds(App, st.sampled_from(heads), st.lists(c, max_size=3))
     return st.one_of(plain, plain, plain, st.builds(lambda a, b: App("rp", (a, b)), c, c))
 
 
-_PATTERNS = st.recursive(_ATOMS, lambda c: _apps(["f", "g"], c), max_leaves=8)
+# patterns as an admitted lhs has them: no rp
+_PATTERNS = st.recursive(
+    _ATOMS, lambda c: st.builds(App, st.sampled_from(["f", "g"]), st.lists(c, max_size=3)), max_leaves=8
+)
 _TERMS = st.recursive(_ATOMS, lambda c: _apps(["f", "g", "h"], c), max_leaves=6)
 # templates as rules have them: rp wrappers only as an attachment puts them
 _TEMPLATES = st.recursive(
@@ -1066,34 +1071,95 @@ def test_a_tried_rule_set_pickles_and_its_copy_compiles_its_own():
     assert again.proved(tree_conjecture(4))[0] and _work(again) == _work(first)
 
 
-def test_an_rp_without_a_quoted_property_is_rewritten_as_a_call():
-    # only (rp 'prop x) is a wrapper: any other rp is an ordinary call, whose
-    # arguments rewrite and which no rule on rp matches
-    t = App("rp", (Var("p"), Var("x")))
-    assert Rewriter().rewrite(t) == t
+def test_an_rp_without_a_quoted_property_rewrites_to_its_payload():
+    # only (rp 'prop x) is a wrapper: any other rp is the identity on its
+    # payload, which it rewrites to, whatever its first argument
+    assert Rewriter().rewrite(App("rp", (Var("p"), Var("x"))), iff=False) == Var("x")
     rs = "(defthm r (equal (f x) x))"
-    assert rewriter(rs).rewrite(P("(equal (f (rp p x)) x)")) == P("(equal (rp p x) x)")
-    assert rewriter(rs).rewrite(P("(rp (f p) (f (rp 'integerp x)))"), iff=False) == P("(rp p (rp 'integerp x))")
+    assert rewriter(rs).rewrite(P("(equal (f (rp p x)) x)")) == P("'t")
+    assert rewriter(rs).rewrite(P("(rp (f p) (f (rp 'integerp x)))"), iff=False) == P("(rp 'integerp x)")
+    # a wrapper around such an rp stays, around the payload
+    assert Rewriter().rewrite(P("(rp 'integerp (rp p (f x)))"), iff=False) == P("(rp 'integerp (f x))")
+    # under a dont-rw guard that stops it, it stays as it is
+    t = P("(rp (f p) x)")
+    assert Rewriter().rewrite(t, STOP, iff=False) is t
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
-        "(def-rp-rule r (equal (f x) (g y)))",
-        "(def-rp-rule r (implies (p y) (equal (f x) (g x))))",
-        "(def-rp-rule r (implies (and (p y) (q z)) (equal (f x) (g x y))))",
-    ],
+    "conjecture, verdict",
+    [("(integerp (rp (if 't 'integerp 'x) 'k1))", "'nil"), ("(not (integerp (rp (if 't 'integerp 'x) 'k1)))", "'t")],
+    ids=["integerp", "its-negation"],
 )
+def test_an_rp_whose_property_rewrites_to_a_quote_makes_no_wrapper(conjecture, verdict):
+    # rewriting the first argument of a call (rp X 'k1) to 'integerp must
+    # not make a wrapper (rp 'integerp 'k1) that nothing proved
+    for sc in (True, False):
+        rw = rewriter(TREE_RULES, side_conditions_enabled=sc)
+        out = rw.rewrite(P(conjecture))
+        assert out == P(verdict)
+        assert check_run(P(conjecture), out, [], 50, rw.registry, mode="iff").ok
+
+
+_SWEEP_HEADS = (
+    *("rp", "if", "hons-acons", "hons-get", "falist", "hide", "not", "integerp"),
+    *("binary-+", "unary--", "binary-logand", "floor"),
+)
+_SWEEP_LEAVES = ("x", "y", "nil", "t", "'0", "'3", "'-2", "'k1", "'integerp", "'nil", "'t", "'((a . 1))")
+
+
+def _sweep_text(rng, depth):
+    """A random term text over _SWEEP_HEADS, each with 0 to 3 arguments.  No
+    text holds a wrapper: an rp's first argument is a variable or an
+    application, such as (if 't 'integerp 'x), that may rewrite to a
+    quotation, never a quotation or a symbol the reader quotes."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_SWEEP_LEAVES)
+    head = rng.choice(_SWEEP_HEADS)
+    args = [_sweep_text(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    if head == "rp" and args:
+        inner = _sweep_text(rng, depth - 1)
+        apps = ("(if 't 'integerp 'x)", f"(not {inner})", f"({rng.choice(_SWEEP_HEADS)} {inner})")
+        args[0] = rng.choice(("x", "y", *apps))
+    return f"({' '.join([head, *args])})"
+
+
+def test_random_texts_over_the_special_heads_rewrite_soundly():
+    # under every shipped rule set and the empty one, side conditions on and
+    # off, in iff and in value positions, each result keeps the text's value
+    # and holds no wrapper whose property fails
+    rule_files = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos" / "rules").glob("*.lsp"))
+    rulesets = [build_ruleset([])] + [ruleset(f.read_text()) for f in rule_files]
+    rws = [Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=sc)) for rs in rulesets for sc in (True, False)]
+    rng = random.Random(2026)
+    checked = 0
+    for i in range(3000):
+        text = _sweep_text(rng, 4)
+        try:
+            t = P(text)
+        except ParseError:  # a falist the reader refuses
+            continue
+        checked += 1
+        for rw in rws:
+            for iff in (True, False):
+                out = rw.rewrite(t, iff=iff)
+                rep = check_run(t, out, [], 20, rw.registry, mode="iff" if iff else "equal", seed=i)
+                assert rep.ok, f"{text} -> {format_term(out)}: {rep.lines()}"
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("text", sorted(RULE_FAULTS))
 def test_rule_with_unbound_variables_is_refused(text):
-    rs = ruleset(text)  # compiled and validated as before
-    expected = "y, z" if "z" in text else "y"
-    with pytest.raises(UnboundRuleVariableError, match=f"^rule r uses variables its lhs does not bind: {expected}$"):
+    # every fault check-rules reports refuses the rule set, with its lines
+    rs = ruleset(text)
+    with pytest.raises(RuleFileError) as exc:
         Rewriter(rs)
+    assert str(exc.value).splitlines() == RULE_FAULTS[text]
 
 
-def test_unbound_syntaxp_variable_only_fails_the_hyp():
-    rw = rewriter("(def-rp-rule r (implies (syntaxp (atom z)) (equal (f x) 'fired)))")
-    assert rw.rewrite(P("(f a)"), iff=False) == P("(f a)")
+def test_unbound_syntaxp_variable_refuses_the_rule():
+    rs = ruleset("(def-rp-rule r (implies (syntaxp (atom z)) (equal (f x) 'fired)))")
+    with pytest.raises(RuleFileError, match="^r: free variables not bound by lhs: z$"):
+        Rewriter(rs)
 
 
 # ---------------------------------------------------------------------------
