@@ -7,7 +7,7 @@ well-formedness check, rp_termp, or the result is discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .terms import STOP, App, Quote, node_count, rp_termp, strip_rp
 
@@ -18,11 +18,8 @@ class MetaRegistrationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetaRule:
-    name: str
-    trigger: str
-    fn: object  # Term -> Term | (Term, guard: STOP, OPEN or a tuple) | None
+# fn: Term -> Term | (Term, guard: STOP, OPEN or a tuple) | None
+MetaRule = namedtuple("MetaRule", "name trigger fn")
 
 
 class MetaRegistry:

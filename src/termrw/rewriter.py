@@ -32,7 +32,6 @@ loop rewrites each shared node of an instance once per context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import GeneratorType
 
 from . import falist as _falist
@@ -144,29 +143,40 @@ def negate(t):
 # config and stats
 
 
-@dataclass
 class RewriteConfig:
-    step_limit: int = 1 << 20
-    backchain_depth: int = 1000
-    side_conditions_enabled: bool = True
-    fast_alist_enabled: bool = True
-    trace: bool = False
+    """A Rewriter's settings, given by keyword; the class holds the
+    defaults."""
+
+    step_limit = 1 << 20
+    backchain_depth = 1000
+    side_conditions_enabled = True
+    fast_alist_enabled = True
+    trace = False
+
+    def __init__(
+        self,
+        *,
+        step_limit=step_limit,
+        backchain_depth=backchain_depth,
+        side_conditions_enabled=side_conditions_enabled,
+        fast_alist_enabled=fast_alist_enabled,
+        trace=trace,
+    ):
+        self.step_limit = step_limit
+        self.backchain_depth = backchain_depth
+        self.side_conditions_enabled = side_conditions_enabled
+        self.fast_alist_enabled = fast_alist_enabled
+        self.trace = trace
 
 
-@dataclass
 class RewriteStats:
-    rewrite_calls: int = 0
-    rule_attempts: int = 0
-    rule_applications: int = 0
-    hyp_relief_failures: int = 0
-    exec_evals: int = 0
-    exec_domain_errors: int = 0
-    meta_applications: int = 0
-    meta_rejections: int = 0
-    nodes_created: int = 0
-    fa_probes: int = 0
-    fa_node_visits: int = 0
-    step_limit_hit: bool = False
+    """A Rewriter's work counters, accumulated over its rewrites."""
+
+    def __init__(self):
+        self.rewrite_calls = self.rule_attempts = self.rule_applications = self.hyp_relief_failures = 0
+        self.exec_evals = self.exec_domain_errors = self.meta_applications = self.meta_rejections = 0
+        self.nodes_created = self.fa_probes = self.fa_node_visits = 0
+        self.step_limit_hit = False
 
     def as_dict(self):
         return dict(self.__dict__)
@@ -335,7 +345,7 @@ class Rewriter:
     def _memoized(self, t, dw, ctx, iff, path):
         """_rw for the instance t of a node its rule template shares, once
         per context, iff position and backchain depth: kept with the objects
-        whose ids key it unless the step limit stopped a rewrite.  A hit
+        whose ids key it unless this rewrite's step limit stopped it.  A hit
         counts as one call and records no trace entry."""
         key = (id(t), id(dw), id(ctx), iff, self._backchain)
         hit = self._memo.get(key)
@@ -343,7 +353,8 @@ class Rewriter:
             self.stats.rewrite_calls += 1
             return hit[3]
         out = yield self._rw(t, tuple(dw), ctx, iff, path)
-        if not self.stats.step_limit_hit:
+        # a stop leaves the count at or past this rewrite's limit
+        if self.stats.rewrite_calls < self._limit:
             self._memo[key] = (t, dw, ctx, out)
         return out
 

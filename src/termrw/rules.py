@@ -20,8 +20,7 @@ bound to its term encoded as a value.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 
 from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, to_boolean
 from .terms import (
@@ -35,7 +34,6 @@ from .terms import (
     ParseError,
     Quote,
     Shared,
-    Term,
     Var,
     contains_head,
     free_vars,
@@ -57,27 +55,30 @@ class RuleFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Syntaxp:
     """A hyp relieved by inspecting the bound terms themselves, not their
     values; the predicate calls only SYNTAXP_REGISTRY's functions and if.
     names and unsupported are pred's variables and its subterms outside
     that set, found once as the hyp is built."""
 
-    pred: Term
-    names: frozenset = field(init=False, repr=False, compare=False)
-    unsupported: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, pred):
+        self.pred = pred
+        names, unsupported = _syntaxp_walk(pred)
+        self.names, self.unsupported = frozenset(names), tuple(unsupported)
 
-    def __post_init__(self):
-        names, unsupported = _syntaxp_walk(self.pred)
-        object.__setattr__(self, "names", frozenset(names))
-        object.__setattr__(self, "unsupported", tuple(unsupported))
+    def __eq__(self, other):
+        return other.pred == self.pred if other.__class__ is Syntaxp else NotImplemented
+
+    def __hash__(self):
+        return hash(self.pred)
 
     def __repr__(self):
         return f"(syntaxp {self.pred!r})"
 
 
-@dataclass(frozen=True)
+_RULE_FIELDS = ("name", "hyps", "lhs", "rhs", "equiv", "sc_wrapped_rhs", "enabled", "internal", "group")
+
+
 class Rule:
     """A rewrite rule.
 
@@ -86,87 +87,52 @@ class Rule:
     triples (builder, nodes an instantiation builds, its dont-rw guard) that
     compile_template gives for rhs, sc_wrapped_rhs and each hyp.  All are
     None until compile makes them, which the rewriter does the first time
-    it tries the rule."""
+    it tries the rule; a copy, by replace or pickle, compiles its own."""
 
-    name: str
-    hyps: tuple  # Term or Syntaxp conjuncts
-    lhs: Term
-    rhs: Term
-    equiv: str  # "equal" | "iff"
-    sc_wrapped_rhs: Term = None
-    enabled: bool = True
-    internal: bool = False  # engine-shipped, exempt from user-rule checks
-    group: str = None  # source declaration; conjunct-splits share one
-    match: object = field(default=None, init=False, repr=False, compare=False)
-    build_rhs: tuple = field(default=None, init=False, repr=False, compare=False)
-    build_sc_rhs: tuple = field(default=None, init=False, repr=False, compare=False)
-    build_hyps: tuple = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (*_RULE_FIELDS, "match", "build_rhs", "build_sc_rhs", "build_hyps")
 
-    def __post_init__(self):
-        if self.sc_wrapped_rhs is None:
-            object.__setattr__(self, "sc_wrapped_rhs", self.rhs)
-        if self.group is None:
-            object.__setattr__(self, "group", self.name)
+    def __init__(self, name, hyps, lhs, rhs, equiv, sc_wrapped_rhs=None, enabled=True, internal=False, group=None):
+        self.name = name
+        self.hyps = hyps  # Term or Syntaxp conjuncts
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equiv = equiv  # "equal" | "iff"
+        self.sc_wrapped_rhs = rhs if sc_wrapped_rhs is None else sc_wrapped_rhs
+        self.enabled = enabled
+        self.internal = internal  # engine-shipped, exempt from user-rule checks
+        self.group = name if group is None else group  # source declaration; conjunct-splits share one
+        self.match = self.build_rhs = self.build_sc_rhs = self.build_hyps = None
 
-    def __getstate__(self):
+    def replace(self, **changes):
+        """A fresh rule with this one's fields but changes."""
+        return Rule(**{**{f: getattr(self, f) for f in _RULE_FIELDS}, **changes})
+
+    def __reduce__(self):
         # generated functions do not pickle: a copy compiles its own
-        return {**self.__dict__, "match": None, "build_rhs": None, "build_sc_rhs": None, "build_hyps": None}
+        return Rule, tuple(getattr(self, f) for f in _RULE_FIELDS)
+
+    def __repr__(self):
+        return f"Rule({', '.join(f'{f}={getattr(self, f)!r}' for f in _RULE_FIELDS)})"
 
     def compile(self):
         """Make the rule's matcher and builders, keep them on the rule, and
         return the matcher.  A syntaxp hyp has no builder.  The matcher is
         kept last, so a rule that has one has its builders too."""
-        build_rhs = compile_template(self.rhs)
+        self.build_rhs = compile_template(self.rhs)
         sc_rhs = self.sc_wrapped_rhs
-        object.__setattr__(self, "build_rhs", build_rhs)
-        object.__setattr__(self, "build_sc_rhs", build_rhs if sc_rhs is self.rhs else compile_template(sc_rhs))
-        hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
-        object.__setattr__(self, "build_hyps", hyps)
-        match = compile_match(self.lhs)
-        object.__setattr__(self, "match", match)
-        return match
+        self.build_sc_rhs = self.build_rhs if sc_rhs is self.rhs else compile_template(sc_rhs)
+        self.build_hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
+        self.match = compile_match(self.lhs)
+        return self.match
 
 
-@dataclass(frozen=True)
-class SideConditionLemma:
-    name: str
-    hyps: tuple
-    prop: str
-    subject: Term
+SideConditionLemma = namedtuple("SideConditionLemma", "name hyps prop subject")
 
 
-@dataclass(frozen=True)
-class LemmaDecl:
-    """A defthmd: usable for attachment, promotable to rules by name."""
-
-    name: str
-    lemma: SideConditionLemma  # or None when the conclusion is not unary
-    rules: tuple  # the rule reading, used if later promoted
-
-
-@dataclass(frozen=True)
-class AttachDecl:
-    rule_name: str
-    lemma_name: str
-
-
-@dataclass(frozen=True)
-class DisableExecDecl:
-    fn: str
-
-
-@dataclass(frozen=True)
-class EnableRuleDecl:
-    rule_name: str
-    enabled: bool
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    rules: dict = field(default_factory=dict)  # name -> Rule, insertion order
-    buckets: dict = field(default_factory=dict)  # head -> tuple of candidates
-    lemmas: dict = field(default_factory=dict)  # name -> SideConditionLemma
-    exec_disabled: frozenset = frozenset()
+# rules: name -> Rule, in insertion order; buckets: head -> tuple of
+# candidates; lemmas: name -> SideConditionLemma; exec_disabled: a frozenset
+# of function names
+RuleSet = namedtuple("RuleSet", "rules buckets lemmas exec_disabled")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +370,14 @@ def parse_rule_file(text):
     lemma-only, (add-rp-rule name [formula]) promotes an earlier defthmd or
     acts as def-rp-rule, (rp-attach-sc rule lemma), (disable-exec fn),
     (enable-rule name bool).
+
+    A declaration is a Rule, one per conjunct of a rule formula, or a
+    tuple headed by its keyword: ("defthmd", name, its SideConditionLemma
+    or None when the conclusion is not (prop subject)), ("rp-attach-sc",
+    rule, lemma), ("disable-exec", fn) or ("enable-rule", name, flag).
     """
     decls = []
-    parked = {}  # defthmd name -> LemmaDecl
+    parked = {}  # defthmd name -> its rules, used if later promoted
     for form in read_values(text):
         items = list_items(form)
         if not items or not isinstance(items[0], str):
@@ -422,15 +393,14 @@ def parse_rule_file(text):
                 raise RuleFileError("defthmd expects a name and a formula")
             name = _as_name(rest[0], op)
             hyps, conclusions = _named(op, name, rest[1])
-            decl = LemmaDecl(name, _lemma_of(name, hyps, conclusions), _rules_of(name, hyps, conclusions))
-            parked[name] = decl
-            decls.append(decl)
+            parked[name] = _rules_of(name, hyps, conclusions)
+            decls.append(("defthmd", name, _lemma_of(name, hyps, conclusions)))
         elif op == "add-rp-rule":
             if len(rest) == 1:
                 name = _as_name(rest[0], op)
                 if name not in parked:
                     raise RuleFileError(f"add-rp-rule: no earlier defthmd named {name}")
-                decls.extend(parked[name].rules)
+                decls.extend(parked[name])
             elif len(rest) == 2:
                 name = _as_name(rest[0], op)
                 decls.extend(_rules_of(name, *_named(op, name, rest[1])))
@@ -439,15 +409,15 @@ def parse_rule_file(text):
         elif op == "rp-attach-sc":
             if len(rest) != 2:
                 raise RuleFileError("rp-attach-sc expects a rule name and a lemma name")
-            decls.append(AttachDecl(_as_name(rest[0], op), _as_name(rest[1], op)))
+            decls.append((op, _as_name(rest[0], op), _as_name(rest[1], op)))
         elif op == "disable-exec":
             if len(rest) != 1:
                 raise RuleFileError("disable-exec expects a function name")
-            decls.append(DisableExecDecl(_as_name(rest[0], op)))
+            decls.append((op, _as_name(rest[0], op)))
         elif op == "enable-rule":
             if len(rest) != 2 or rest[1] not in (T, NIL):
                 raise RuleFileError("enable-rule expects a rule name and t/nil")
-            decls.append(EnableRuleDecl(_as_name(rest[0], op), rest[1] == T))
+            decls.append((op, _as_name(rest[0], op), rest[1] == T))
         else:
             raise RuleFileError(f"unknown declaration {op}; rule classes other than rewrite rules are not supported")
     return decls
@@ -560,7 +530,7 @@ def attach_sc(rule, lemma):
     wrapped = done[id(rule.sc_wrapped_rhs)]
     if not found:
         raise AttachError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
-    return replace(rule, sc_wrapped_rhs=wrapped)
+    return rule.replace(sc_wrapped_rhs=wrapped)
 
 
 # ---------------------------------------------------------------------------
@@ -577,40 +547,46 @@ def base_rules():
 
 
 def build_ruleset(decls):
-    """Index declarations into a RuleSet.
+    """Index declarations, as parse_rule_file gives them, into a RuleSet:
+    each Rule in order, and each keyword tuple by its keyword.  A rule
+    named as an engine rule or an earlier rule, or a second defthmd of one
+    name, is refused.
 
     Within a head bucket, later declarations are tried first; conjuncts of
     one declaration keep their source order relative to each other.
     """
     ordered = list(base_rules())
-    lemmas = {}
-    names = {}
+    engine = {r.name for r in ordered}
+    names = {}  # user rule name -> its index in ordered
+    defthmds = {}  # defthmd name -> its lemma or None
     exec_disabled = set()
     for d in decls:
-        if isinstance(d, Rule):
-            if d.name in names:
-                raise RuleFileError(f"duplicate rule name {d.name}")
-            names[d.name] = len(ordered)
-            ordered.append(d)
-        elif isinstance(d, LemmaDecl):
-            if d.lemma is not None:
-                lemmas[d.name] = d.lemma
-        elif isinstance(d, AttachDecl):
-            if d.rule_name not in names:
-                raise RuleFileError(f"rp-attach-sc: unknown rule {d.rule_name}")
-            if d.lemma_name not in lemmas:
-                raise RuleFileError(f"rp-attach-sc: unknown lemma {d.lemma_name}")
-            i = names[d.rule_name]
-            ordered[i] = attach_sc(ordered[i], lemmas[d.lemma_name])
-        elif isinstance(d, EnableRuleDecl):
-            if d.rule_name not in names:
-                raise RuleFileError(f"enable-rule: unknown rule {d.rule_name}")
-            i = names[d.rule_name]
-            ordered[i] = replace(ordered[i], enabled=d.enabled)
-        elif isinstance(d, DisableExecDecl):
-            exec_disabled.add(d.fn)
-        else:
-            raise RuleFileError(f"unknown declaration object {d!r}")
+        match d:
+            case Rule():
+                if d.name in names or d.name in engine:
+                    raise RuleFileError(f"duplicate rule name {d.name}")
+                names[d.name] = len(ordered)
+                ordered.append(d)
+            case ("defthmd", name, lemma):
+                if name in defthmds:
+                    raise RuleFileError(f"duplicate defthmd name {name}")
+                defthmds[name] = lemma
+            case ("rp-attach-sc", rule, lemma):
+                if rule not in names:
+                    raise RuleFileError(f"rp-attach-sc: unknown rule {rule}")
+                if lemma not in defthmds:
+                    raise RuleFileError(f"rp-attach-sc: unknown lemma {lemma}")
+                if defthmds[lemma] is None:
+                    raise RuleFileError(f"rp-attach-sc: lemma {lemma} is not of the form (prop subject)")
+                ordered[names[rule]] = attach_sc(ordered[names[rule]], defthmds[lemma])
+            case ("enable-rule", rule, flag):
+                if rule not in names:
+                    raise RuleFileError(f"enable-rule: unknown rule {rule}")
+                ordered[names[rule]] = ordered[names[rule]].replace(enabled=flag)
+            case ("disable-exec", fn):
+                exec_disabled.add(fn)
+            case _:
+                raise RuleFileError(f"unknown declaration object {d!r}")
 
     # group consecutive conjunct-splits of one declaration so reversal keeps
     # their internal order
@@ -627,9 +603,5 @@ def build_ruleset(decls):
         for rule in group:
             if isinstance(rule.lhs, App):
                 buckets.setdefault(rule.lhs.head, []).append(rule)
-    return RuleSet(
-        rules=rules,
-        buckets={h: tuple(b) for h, b in buckets.items()},
-        lemmas=lemmas,
-        exec_disabled=frozenset(exec_disabled),
-    )
+    lemmas = {name: lemma for name, lemma in defthmds.items() if lemma is not None}
+    return RuleSet(rules, {h: tuple(b) for h, b in buckets.items()}, lemmas, frozenset(exec_disabled))

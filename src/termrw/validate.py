@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms, shared_nodes
 from .rules import Syntaxp
@@ -51,13 +50,19 @@ from .terms import (
 )
 
 
-@dataclass
 class ValidityReport:
-    ok: bool = True
-    failures: list = field(default_factory=list)  # (path, term-or-label, env digest)
-    accepted: int = 0
-    skipped: int = 0
-    starved: bool = False
+    def __init__(self):
+        self.ok = True
+        self.failures = []  # (path, term-or-label, env digest)
+        self.accepted = 0
+        self.skipped = 0
+        self.starved = False
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if other.__class__ is ValidityReport else NotImplemented
+
+    def __repr__(self):
+        return f"ValidityReport({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
 
     def fail(self, path, what, env):
         self.ok = False

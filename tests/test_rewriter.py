@@ -8,7 +8,6 @@ import random
 import sys
 import time
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -430,7 +429,7 @@ def test_a_let_chain_hypothesis_is_relieved_as_its_tree_copy_is():
         (defthm f-when-p (implies (p {chain}) (equal (f x) x)))
     """)
     rule = rules.rules["f-when-p"]
-    tree_rule = replace(rule, hyps=(substitute(rule.hyps[0], {}),))
+    tree_rule = rule.replace(hyps=(substitute(rule.hyps[0], {}),))
     tree_rules = build_ruleset([r for r in rules.rules.values() if not r.internal and r is not rule] + [tree_rule])
     for sc in (True, False):
         for ctx in ([P("(q y)")], []):
@@ -751,6 +750,20 @@ def test_step_limit_bounds_each_rewrite_not_the_rewriter():
     rw.cfg.step_limit = 100
     assert not rw.proved(tree_conjecture(6))[0]
     assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (955 * 7 + 100, True)
+
+
+def test_a_step_limit_hit_leaves_later_rewrites_their_memo():
+    # the memo keeps a rewrite unless this rewrite's limit stopped it, so
+    # an earlier hit leaves the template's shared nodes rewritten once
+    rules = build_ruleset(parse_rule_file((DEMOS / "rules" / "let-chain.lsp").read_text()))
+    conjecture = P((DEMOS / "conjectures" / "let-chain.lsp").read_text())
+    rw = Rewriter(rules, cfg=RewriteConfig(step_limit=100_000))
+    doubling = " ".join(f"(a{i} (binary-+ a{i - 1} a{i - 1}))" for i in range(1, 30))
+    rw.rewrite(P(f"(let* ((a0 (binary-+ x x)) {doubling}) a29)"))
+    calls = rw.stats.rewrite_calls
+    assert rw.stats.step_limit_hit and calls == 100_000
+    assert rw.proved(conjecture)[0]
+    assert (rw.stats.rewrite_calls - calls, rw.stats.step_limit_hit) == (368, True)
 
 
 def test_wrapper_relief_takes_no_generator(monkeypatch):

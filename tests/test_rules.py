@@ -120,6 +120,23 @@ def test_duplicate_rule_name_rejected():
         ruleset("(def-rp-rule r (equal (f x) x)) (def-rp-rule r (equal (g x) x))")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(def-rp-rule hide-elim (equal (f x) x))", "duplicate rule name hide-elim"),
+        ("(defthmd lem (integerp (g x))) (defthmd lem (evenp (g x)))", "duplicate defthmd name lem"),
+        (
+            "(def-rp-rule r (equal (f x) (g x))) (defthmd lem (equal (g x) (h x))) (rp-attach-sc r lem)",
+            "rp-attach-sc: lemma lem is not of the form (prop subject)",
+        ),
+    ],
+)
+def test_a_name_taken_or_a_lemma_of_another_form_is_refused(text, message):
+    with pytest.raises(RuleFileError) as e:
+        ruleset(text)
+    assert str(e.value) == message
+
+
 def test_unknown_declaration_rejected():
     with pytest.raises(RuleFileError) as e:
         parse_rule_file("(defrule r (equal (f x) x))")

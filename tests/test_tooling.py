@@ -1,26 +1,49 @@
-"""perfbench's tracer wraps the package's functions by name, so a rename
-inside the package must not leave it wrapping nothing."""
+"""perfbench's tracer wraps the package's functions by name, and its
+engines build rule sets and rewriters through the package's API, so a
+change inside the package must not leave perfbench wrapping nothing or
+failing to set up; and the CLI's imports stay its own."""
 
+import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import termrw
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_wraps_names_that_exist():
-    for layer, (owner, attr, _outermost) in _load_tracer().WRAPPED.items():
+    for layer, (owner, attr, _outermost) in _load_perfbench("tracer").WRAPPED.items():
         assert callable(getattr(owner, attr, None)), f"{layer}: {owner.__name__}.{attr}"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in termrw.__all__ if not hasattr(termrw, name)]
     assert missing == []
+
+
+def test_perfbench_builds_every_workload_engines():
+    engines = _load_perfbench("engines")
+    for workload, names in engines.RULE_FILES.items():
+        built = engines.build(workload)
+        assert built["rules_compiled"] >= 2 and set(names) <= set(built["engines"]), workload
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # only the modules importing the CLI adds count, not those this
+    # interpreter's start-up imported already
+    code = "import sys; before = set(sys.modules); import termrw.cli; print(sorted(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    added = set(ast.literal_eval(out.stdout))
+    assert "termrw.cli" in added and not added & {"dataclasses", "inspect"}
