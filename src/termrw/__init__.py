@@ -41,7 +41,6 @@ from .terms import (
     Quote,
     T_TERM,
     Var,
-    dont_rw_from_value,
     format_term,
     format_value,
     parse_term,
@@ -59,7 +58,6 @@ from .validate import (
     check_preservation,
     check_run,
     sample_rule_soundness,
-    valid_sc,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +95,6 @@ __all__ = [
     "check_preservation",
     "check_run",
     "default_registry",
-    "dont_rw_from_value",
     "eval_term",
     "eval_terms",
     "fa_acons",
@@ -118,6 +115,5 @@ __all__ = [
     "term_from_value",
     "term_to_value",
     "unify",
-    "valid_sc",
     "validate_rule",
 ]

@@ -6,9 +6,7 @@ Exit codes: 0 proved/ok, 1 not-proved/violations, 2 usage and I/O errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import sys
 import time
 
@@ -172,6 +170,7 @@ def cmd_prove(args):
             note = " (starved)" if report.starved else ""
             print(f"verified on {report.accepted} sample(s){note}")
     if args.stats:
+        import json  # here, so that a run without --stats never imports it
         try:
             with open(args.stats, "w") as f:
                 json.dump(stats, f, indent=2, sort_keys=True)
@@ -187,6 +186,7 @@ def cmd_prove(args):
 
 
 def _emit_csv(rows, columns):
+    import csv  # here, so that prove and check-rules never import it
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(columns)
     for row in rows:

@@ -12,7 +12,8 @@ Evaluation is batched: eval_terms walks a term once for a whole list of
 environments, so the interpretive work of a node (its dispatch, its frame,
 its registry lookup) is paid once per node per batch, and only the
 registered functions run once per environment.  eval_term is a batch of
-one.
+one.  Only eval_terms checks rp wrappers: given a dict, it records each
+environment's first failing wrapper, which validate's oracles report.
 
 Terms may share nodes: the reader binds a let name to one node, and the
 rewriter returns a subterm it leaves alone as the same object.  Calls over
@@ -236,24 +237,12 @@ def default_registry():
 _OWN_HEADS = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
 
 
-def eval_term(t, env, registry, wrappers=None):
+def eval_term(t, env, registry):
     """Evaluate t under env.  rp/falist/hide are identities on their payload,
     if is lazy, list builds a cons chain.  Raises UnboundVariableError,
-    UnknownFunctionError, or EvalDomainError.
-
-    Given a list `wrappers`, each rp wrapper that evaluation reaches also
-    applies its property to its payload's value.  The first to fail, in
-    evaluation order (so an inner wrapper before an outer one), is appended
-    as (path, property term, None), or with the EvalError that applying the
-    property raised in place of None; later wrappers go unchecked.  A path
-    holds 1-based argument positions.
-
-    A batch of one environment: see eval_terms.
-    """
-    failures = {} if wrappers is not None and not wrappers else None
-    values, errors = eval_terms(t, (env,), registry, failures)
-    if failures:
-        wrappers.append(failures[0])
+    UnknownFunctionError, or EvalDomainError.  A batch of one environment:
+    see eval_terms."""
+    values, errors = eval_terms(t, (env,), registry)
     if errors:
         raise errors[0]
     return values[0]
@@ -292,9 +281,12 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
     evaluating t under it alone would, and raises the same first error.
 
     Given a dict `wrappers`, each rp wrapper that an environment's
-    evaluation reaches applies its property to its payload's value, as in
-    eval_term; wrappers[i] holds environment i's first failure, and an
-    environment already in it is not checked.  A node's path is passed as
+    evaluation reaches also applies its property to its payload's value.
+    wrappers[i] holds environment i's first failure in evaluation order (so
+    an inner wrapper before an outer one): (path, property term, None), or
+    with the EvalError that applying the property raised in place of None.
+    Later wrappers, and an environment already in wrappers, go unchecked.
+    A path holds 1-based argument positions; a node's path is passed as
     linked pairs and flattened only when a wrapper fails.
 
     Given a dict `memo` keyed by ids from shared_nodes, calls over one

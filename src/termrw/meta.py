@@ -11,7 +11,9 @@ from collections import namedtuple
 
 from .terms import STOP, App, Quote, node_count, rp_termp, strip_rp
 
-RESERVED_TRIGGERS = frozenset({"rp", "falist", "quote"})
+# heads the loop handles before its meta step (6), so a meta on them would
+# never fire: every 3-argument if goes to the if step
+RESERVED_TRIGGERS = frozenset({"rp", "falist", "quote", "if"})
 
 
 class MetaRegistrationError(ValueError):

@@ -67,56 +67,37 @@ from .terms import (
 
 
 class Context:
-    """Facts known true at this point, stored wrapper-stripped.
+    """Facts known true at this point, given and stored wrapper-stripped,
+    each once; 'facts' that are literally 't are dropped.  The loop reads
+    the set `members` of facts, the set `negs` of each x with (not x) a
+    fact, and `props`, each x's heads p with (p x) a fact, p not `not`."""
 
-    Supports membership, negation lookup, and prop-of-subject queries for
-    the strengthening step.  'Facts' that are literally 't are dropped;
-    negatives are held as (not x).
-    """
-
-    __slots__ = ("facts", "_members", "_negs", "_props")
+    __slots__ = ("facts", "members", "negs", "props")
 
     def __init__(self, facts=()):
         seen = []
-        members = set()
+        members, negs, props = set(), set(), {}
         for f in facts:
-            if isinstance(f, Quote) and truthy(f.value):
+            if (isinstance(f, Quote) and truthy(f.value)) or f in members:
                 continue
-            if f not in members:
-                members.add(f)
-                seen.append(f)
-        self.facts = tuple(seen)
-        self._members = members
-        negs = set()
-        props = {}
-        for f in seen:
+            members.add(f)
+            seen.append(f)
             if isinstance(f, App) and len(f.args) == 1:
                 if f.head == "not":
                     negs.add(f.args[0])
                 else:
                     props.setdefault(f.args[0], []).append(f.head)
-        self._negs = negs
-        self._props = props
-
-    @staticmethod
-    def from_terms(terms):
-        return Context([strip_rp_deep(t) for t in terms])
+        self.facts = tuple(seen)
+        self.members = members
+        self.negs = negs
+        self.props = props
 
     def extend(self, new_facts):
         stripped = [strip_rp_deep(t) for t in new_facts]
-        stripped = [t for t in stripped if t not in self._members]
+        stripped = [t for t in stripped if t not in self.members]
         if not stripped:
             return self
         return Context(self.facts + tuple(stripped))
-
-    def contains(self, stripped_t):
-        return stripped_t in self._members
-
-    def contains_negation(self, stripped_t):
-        return stripped_t in self._negs
-
-    def props_of(self, stripped_t):
-        return self._props.get(stripped_t, ())
 
     def __repr__(self):
         return f"Context({list(self.facts)!r})"
@@ -227,7 +208,7 @@ class Rewriter:
         rp whose first argument is not quoted is no wrapper but the identity
         on its payload.  check_run, which --verify runs, checks a run."""
         if not isinstance(ctx, Context):
-            ctx = Context.from_terms(ctx)
+            ctx = Context(map(strip_rp_deep, ctx))
         # each rewrite gets the whole step limit; stats go on accumulating
         self._limit = self.stats.rewrite_calls + self.cfg.step_limit
         self._memo = {}  # see _memoized; kept until the next rewrite
@@ -285,9 +266,8 @@ class Rewriter:
         head = core.head
 
         # (3) strengthen from context facts about this very term
-        if self.cfg.side_conditions_enabled and ctx._props and head not in ("if", "falist"):
-            stripped = strip_rp_deep(core)
-            for p in ctx.props_of(stripped):
+        if self.cfg.side_conditions_enabled and ctx.props and head not in ("if", "falist"):
+            for p in ctx.props.get(strip_rp_deep(core), ()):
                 if p not in props:
                     props.append(p)
 
@@ -461,12 +441,12 @@ class Rewriter:
         None otherwise."""
         if ctx.facts:
             stripped = strip_rp_deep(t)
-            if ctx.contains(stripped):
+            if stripped in ctx.members:
                 return T_TERM
-            if ctx.contains_negation(stripped):
+            if stripped in ctx.negs:
                 return NIL_TERM
             if isinstance(stripped, App) and stripped.head == "not" and len(stripped.args) == 1:
-                if ctx.contains(stripped.args[0]):
+                if stripped.args[0] in ctx.members:
                     return NIL_TERM
         if self.cfg.side_conditions_enabled:
             u = strip_rp(t)
@@ -540,7 +520,7 @@ class Rewriter:
             if rule.hyps:
                 # the rewrite of (p x) reduces it to 't by a wrapper 'p on x's
                 # binding, unless the context holds its negation: then to 'nil
-                by_wrapper = self.cfg.side_conditions_enabled and not ctx._negs and "not" not in outer_props
+                by_wrapper = self.cfg.side_conditions_enabled and not ctx.negs and "not" not in outer_props
                 for _, p in extracted:
                     if p == "not":
                         by_wrapper = False

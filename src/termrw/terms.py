@@ -141,18 +141,6 @@ class _FalistLog:
         else:
             positions.append(n)
 
-    def prefix(self, size):
-        """A fresh log holding this log's first size bindings."""
-        fork = _FalistLog()
-        fork.pairs = self.pairs[:size]
-        positions = fork.positions
-        for n, (key, _val) in enumerate(fork.pairs):
-            if key in positions:
-                positions[key].append(n)
-            else:
-                positions[key] = [n]
-        return fork
-
 
 class FalistShadow:
     """Lookup table stored inside the quoted first argument of a falist term.
@@ -189,7 +177,7 @@ class FalistShadow:
         with log.lock:
             if len(log.pairs) != self.size:
                 # the fork is private until this returns, so needs no lock
-                log = log.prefix(self.size)
+                log = _FalistLog(log.pairs[: self.size])
             log.append(key, val)
         return FalistShadow._version(log, self.size + 1)
 
@@ -210,11 +198,6 @@ class FalistShadow:
     def entries(self):
         """The bindings as a tuple, newest first."""
         return tuple(reversed(self.log.pairs[: self.size]))
-
-    @property
-    def index(self):
-        """A dict from each key to its newest binding's value term."""
-        return dict(self.log.pairs[: self.size])
 
     def __hash__(self):
         # by size alone: the falist term around a shadow hashes its chain,
@@ -1093,24 +1076,6 @@ class Shared(tuple):
     def __repr__(self):
         # one line: a Shared guard may hold itself many times over
         return f"Shared(<{len(self)} guards>)"
-
-
-def dont_rw_from_value(v):
-    """Mirror an s-expression: non-nil atoms stop, nil rewrites, a list maps
-    elementwise (position 0 tracks the head)."""
-    return trampoline(_dont_rw_of_value(v))
-
-
-def _dont_rw_of_value(v):
-    if isinstance(v, Cons):
-        guard = []
-        while isinstance(v, Cons):
-            guard.append((yield _dont_rw_of_value(v.car)))
-            v = v.cdr
-        return tuple(guard)
-    if isinstance(v, str) and v == NIL:
-        return OPEN
-    return STOP
 
 
 def arg_dont_rws(dw, nargs):

@@ -1,6 +1,6 @@
 """Executable oracles for the engine's invariants.
 
-valid_sc checks that every rp wrapper's property actually holds under an
+valid_sc_failure finds the first rp wrapper whose property fails under an
 environment; check_preservation samples environments and compares values
 before and after rewriting; check_run combines both under a context;
 sample_rule_soundness compares a rule's sides under its hypotheses.  These
@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+# nothing here calls eval_term: perfbench's tracer wraps validate.eval_term
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms, shared_nodes
 from .rules import Syntaxp
 from .terms import (
@@ -45,7 +46,6 @@ from .terms import (
     Var,
     format_value,
     postorder,
-    rp_termp,
     truthy,
 )
 
@@ -85,28 +85,20 @@ def env_digest(env):
 # side-condition validity
 
 
-def valid_sc(t, env, reg):
-    """Every rp wrapper that evaluating t under env reaches has a property
-    that holds, if branches followed the way evaluation takes them.  t is
-    evaluated whole, so an evaluation error anywhere in it propagates,
-    outside every wrapper too, unless a failing wrapper came first."""
-    return valid_sc_failure(t, env, reg) is None
-
-
 def valid_sc_failure(t, env, reg):
-    """The (path, property term) of the first wrapper whose property fails
-    as t is evaluated under env (see eval_term), or None when valid_sc
-    holds.  An evaluation error propagates unless a failing wrapper came
-    first."""
-    wrappers = []
-    try:
-        eval_term(t, env, reg, wrappers)
-    except EvalError:
-        if not wrappers:
-            raise
-    if not wrappers:
+    """The (path, property term) of the first rp wrapper whose property
+    fails as t is evaluated under env, if branches followed the way
+    evaluation takes them (see eval_terms), or None when every wrapper
+    reached holds.  t is evaluated whole, so an evaluation error anywhere
+    in it propagates, outside every wrapper too, unless a failing wrapper
+    came first; an error applying that wrapper's property propagates."""
+    failures = {}
+    _values, errors = eval_terms(t, (env,), reg, failures)
+    if not failures:
+        if errors:
+            raise errors[0]
         return None
-    path, prop, error = wrappers[0]
+    path, prop, error = failures[0]
     if error is not None:
         raise error
     return path, prop
@@ -118,22 +110,14 @@ def valid_sc_failure(t, env, reg):
 _SYMBOL_POOL = ("nil", "t", "foo", "bar", "k1", "key2")
 
 
-def sample_value(rng):
-    """Mixed distribution: half small integers, a quarter near ±2^64, a
-    quarter structured (symbols and shallow pairs)."""
-    return sample_envs(rng, ("v",), 1)[0]["v"]
-
-
-def sample_env(rng, names):
-    return sample_envs(rng, names, 1)[0]
-
-
 def sample_envs(rng, names, size):
-    """size environments over names, each a value of sample_value's
-    distribution per name in sorted order.  randint(-8, 8) and choice are
-    drawn as CPython's Random draws them, getrandbits of the range's bit
-    length until below the range, so the stream and rng's final state are
-    those of size calls of sample_env."""
+    """size environments over names, with one value per name in sorted
+    order from a mixed distribution: half small integers, a quarter near
+    ±2^64, a quarter structured (symbols and shallow pairs).  randint(-8, 8)
+    and choice are drawn as CPython's Random draws them, getrandbits of the
+    range's bit length until below the range, so drawing size environments
+    at once gives the stream, and leaves rng in the state, of size draws of
+    one."""
     random_, bits = rng.random, rng.getrandbits
 
     def below(n, k):
@@ -272,13 +256,9 @@ def check_preservation(before, after, mode, env_samples, reg, seed=0):
 
 def check_run(before, after, ctx, env_samples, reg, mode="iff", seed=0):
     """Sample environments satisfying every ctx fact; under each, after
-    must preserve before's value and satisfy valid_sc."""
+    must preserve before's value, and every rp wrapper it reaches must
+    hold (see valid_sc_failure)."""
     return _sample(ctx, before, after, mode, env_samples, reg, seed, check_wrappers=True)
-
-
-def check_syntax_preserved(before, after):
-    """rp_termp must survive rewriting."""
-    return (not rp_termp(before)) and (not rp_termp(after))
 
 
 def sample_rule_soundness(rule, reg, env_samples=1000, seed=0):

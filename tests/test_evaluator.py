@@ -231,6 +231,7 @@ def test_falist_evals_as_payload(reg):
 
 def test_list_head(reg):
     assert eval_term(parse_term("(list '1 '2)"), {}, reg) == Cons(1, Cons(2, "nil"))
+    assert eval_term(parse_term("(list)"), {}, reg) == "nil"
 
 
 def test_lambda_app_eval(reg):

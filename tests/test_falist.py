@@ -55,23 +55,22 @@ def test_fa_acons_builds_falist():
     assert out.head == "falist"
     shadow = out.args[0].value
     assert isinstance(shadow, FalistShadow)
-    assert shadow.index == {"k": Var("v")}
+    assert shadow.entries == (("k", Var("v")),)
     assert format_term(out.args[1]) == "(cons (cons 'k v) 'nil)"
 
 
 def test_fa_acons_extends_persistently():
     base = fa_acons(Quote("k1"), Var("v1"), NIL_TERM)
     ext = fa_acons(Quote("k2"), Var("v2"), base)
-    assert [k for k, _v in ext.args[0].value.entries] == ["k2", "k1"]
-    assert ext.args[0].value.index == {"k1": Var("v1"), "k2": Var("v2")}
+    assert ext.args[0].value.entries == (("k2", Var("v2")), ("k1", Var("v1")))
     # the original shadow is untouched
-    assert base.args[0].value.index == {"k1": Var("v1")}
+    assert base.args[0].value.entries == (("k1", Var("v1")),)
 
 
 def test_fa_acons_first_wins_on_duplicate():
     base = fa_acons(Quote("k"), Var("old"), NIL_TERM)
     ext = fa_acons(Quote("k"), Var("new"), base)
-    assert ext.args[0].value.index["k"] == Var("new")
+    assert ext.args[0].value.get("k") == Var("new")
     entries = ext.args[0].value.entries
     assert [k.value if isinstance(k, Quote) else k for k, _v in entries] == [
         Quote("k").value,
@@ -107,7 +106,7 @@ def test_fa_free_returns_logical_payload():
 
 def test_falist_shadow_and_coherence():
     fal = parse_term("(falist '((a . x) (b . y)) (cons (cons 'a x) (cons (cons 'b y) 'nil)))")
-    assert falist_shadow(fal).index["a"] == Var("x")
+    assert falist_shadow(fal).get("a") == Var("x")
     assert check_falist_term(fal) == []
 
 
@@ -120,6 +119,13 @@ def test_coherence_violations():
     # payload not decodable
     bad2 = App("falist", (shadow, Var("tail")))
     assert check_falist_term(bad2) == [((), "falist logical part is not a quoted-key alist chain")]
+    chain = parse_term("(cons (cons 'a x) (cons (cons 'b y) 'nil))")
+    assert check_falist_term(chain) == [((), "not a falist term")]
+    assert check_falist_term(App("falist", (shadow, chain, chain))) == [((), "falist must have exactly 2 arguments")]
+    assert check_falist_term(App("falist", (Quote("nil"), chain))) == [
+        ((), "falist shadow must be a quoted association-list constant")
+    ]
+    assert check_falist_term(App("falist", (shadow, chain))) == [((), "falist shadow and logical part differ in length")]
 
 
 def off_rewriter():
@@ -208,7 +214,7 @@ def assert_shadow_matches_chain(fal):
     newest = {}
     for k, v in logical:
         newest.setdefault(k, v)
-    assert shadow.index == newest
+    assert {k: shadow.get(k) for k in newest} == newest
     for key in KEYS + ("unbound",):
         linear = next((App("cons", (Quote(key), v)) for k, v in logical if k == key), NIL_TERM)
         assert fa_get(Quote(key), fal) == linear

@@ -25,6 +25,9 @@ def test_register_rejects_reserved_and_duplicates():
         reg.register(MetaRule("m", "rp", lambda t: None))
     with pytest.raises(MetaRegistrationError):
         reg.register(MetaRule("m", "quote", lambda t: None))
+    # the loop sends every 3-argument if to its if step, never to a meta
+    with pytest.raises(MetaRegistrationError):
+        reg.register(MetaRule("m", "if", lambda t: None))
     reg.register(MetaRule("m", "f", lambda t: None))
     with pytest.raises(MetaRegistrationError):
         reg.register(MetaRule("m", "g", lambda t: None))

@@ -39,12 +39,10 @@ from termrw.terms import (
     Shared,
     Var,
     arg_dont_rws,
-    dont_rw_from_value,
     format_term,
     is_rp,
     mk_rp,
     parse_term,
-    read_value,
     substitute,
     terms_equal_mod_rp,
     wrapper_props,
@@ -447,16 +445,6 @@ def test_a_let_chain_hypothesis_is_relieved_as_its_tree_copy_is():
 # dont-rw structures
 
 
-def test_dont_rw_from_value():
-    dw = dont_rw_from_value(read_value("(f1 stop (f2 x))"))
-    assert dw == (STOP, STOP, (STOP, STOP))
-
-
-def test_dont_rw_nil_is_open():
-    assert dont_rw_from_value("nil") is OPEN
-    assert dont_rw_from_value(read_value("(f nil)")) == (STOP, OPEN)
-
-
 def test_template_guard_stops_at_variables_and_constants():
     # variable slots hold already-rewritten bindings and constants need no
     # rewrite; the template's applications stay open.  An instantiation
@@ -467,7 +455,7 @@ def test_template_guard_stops_at_variables_and_constants():
 
 
 def test_arg_dont_rws_shape_mismatch_degrades_open():
-    dw = dont_rw_from_value(read_value("(f a)"))
+    dw = (STOP, STOP)
     assert arg_dont_rws(dw, 3) == (OPEN, OPEN, OPEN)
     assert arg_dont_rws(STOP, 2) == (OPEN, OPEN)
     assert arg_dont_rws(dw, 1) == (STOP,)
@@ -477,7 +465,8 @@ def test_dont_rw_guards_marked_subterms():
     # the marked argument positions survive; open positions rewrite
     rs = "(def-rp-rule f3-gone (equal (f3 u v) 'folded)) (def-rp-rule f4-open (equal (f4 z) (f5 z)))"
     t = P("(f1 (f2 a (f3 b c)) (f4 (f3 b c)))")
-    dw = dont_rw_from_value(read_value("(f1 (f2 x y) (f4 z))"))
+    # the guard of (f1 (f2 x y) (f4 z)) with every head and variable stopped
+    dw = (STOP, (STOP, STOP, STOP), (STOP, STOP))
     guarded = rewriter(rs).rewrite(t, dont_rw=dw, iff=False)
     assert guarded == P("(f1 (f2 a (f3 b c)) (f5 (f3 b c)))")
     open_out = rewriter(rs).rewrite(t, iff=False)
@@ -489,20 +478,22 @@ def test_dont_rw_guards_marked_subterms():
 
 
 def test_context_membership_and_negation():
-    c = Context.from_terms([P("(p a)"), P("(not (q b))")])
-    assert c.contains(P("(p a)"))
-    assert c.contains_negation(P("(q b)"))
-    assert not c.contains(P("(q b)"))
+    c = Context([P("(p a)"), P("(not (q b))")])
+    assert P("(p a)") in c.members
+    assert P("(q b)") in c.negs
+    assert P("(q b)") not in c.members
+    assert c.props == {Var("a"): ["p"]}
 
 
 def test_context_drops_truthy_quotes_and_dedupes():
-    c = Context.from_terms([P("'t"), P("(p a)"), P("(p a)")])
+    c = Context([P("'t"), P("(p a)"), P("(p a)")])
     assert len(c.facts) == 1
 
 
 def test_context_strips_wrappers():
-    c = Context.from_terms([P("(integerp (rp 'evenp x))")])
-    assert c.contains(P("(integerp x)"))
+    assert P("(integerp x)") in Context().extend([P("(integerp (rp 'evenp x))")]).members
+    # rewrite strips the facts it is given
+    assert rewriter().rewrite(P("(integerp x)"), ctx=[P("(integerp (rp 'evenp x))")]) == Quote("t")
 
 
 def test_conjuncts_and_negate():

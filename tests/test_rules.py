@@ -129,6 +129,7 @@ def test_duplicate_rule_name_rejected():
             "(def-rp-rule r (equal (f x) (g x))) (defthmd lem (equal (g x) (h x))) (rp-attach-sc r lem)",
             "rp-attach-sc: lemma lem is not of the form (prop subject)",
         ),
+        ("(enable-rule ghost t)", "enable-rule: unknown rule ghost"),
     ],
 )
 def test_a_name_taken_or_a_lemma_of_another_form_is_refused(text, message):
@@ -141,6 +142,25 @@ def test_unknown_declaration_rejected():
     with pytest.raises(RuleFileError) as e:
         parse_rule_file("(defrule r (equal (f x) x))")
     assert "rewrite rules" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("()", "not a declaration: 'nil'"),
+        ("(defthm a)", "defthm expects a name and a formula"),
+        ("(def-rp-rule a (equal x x) b)", "def-rp-rule expects a name and a formula"),
+        ("(defthmd d)", "defthmd expects a name and a formula"),
+        ("(add-rp-rule)", "add-rp-rule expects a name and optionally a formula"),
+        ("(rp-attach-sc r)", "rp-attach-sc expects a rule name and a lemma name"),
+        ("(disable-exec f g)", "disable-exec expects a function name"),
+        ("(enable-rule r maybe)", "enable-rule expects a rule name and t/nil"),
+    ],
+)
+def test_a_declaration_with_the_wrong_arguments_is_refused(text, message):
+    with pytest.raises(RuleFileError) as e:
+        parse_rule_file(text)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize(
@@ -272,6 +292,13 @@ def test_attach_requires_hyp_subset():
     )
     with pytest.raises(AttachError):
         build_ruleset(decls)
+
+
+def test_attach_requires_the_subject_in_the_rhs():
+    decls = parse_rule_file("(def-rp-rule r (equal (f x) (g x))) (defthmd lem (integerp (h x))) (rp-attach-sc r lem)")
+    with pytest.raises(AttachError) as e:
+        build_ruleset(decls)
+    assert str(e.value) == "lemma lem subject does not occur in the rhs of r"
 
 
 def test_attach_unknown_names():

@@ -239,7 +239,7 @@ def test_falist_literal_builds_shadow():
         assert rp_termp(t) == [] and parse_term(format_term(t)) == t
     # a let-bound name in the logical part reads alike in the shadow
     t = parse_term("(let ((v a)) (falist 'nil (cons (cons 'k v) 'nil)))")
-    assert t.args[0].value.index["k"] == Var("a") and rp_termp(t) == []
+    assert t.args[0].value.get("k") == Var("a") and rp_termp(t) == []
 
 
 def test_bare_lambda_and_t_heads_are_rejected():

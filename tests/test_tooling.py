@@ -40,10 +40,11 @@ def test_perfbench_builds_every_workload_engines():
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    # only the modules importing the CLI adds count, not those this
-    # interpreter's start-up imported already
+    # nor csv and json, which only the bench commands and --stats use.  Only
+    # the modules importing the CLI adds count, not those this interpreter's
+    # start-up imported already
     code = "import sys; before = set(sys.modules); import termrw.cli; print(sorted(set(sys.modules) - before))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     added = set(ast.literal_eval(out.stdout))
-    assert "termrw.cli" in added and not added & {"dataclasses", "inspect"}
+    assert "termrw.cli" in added and not added & {"dataclasses", "inspect", "csv", "json"}

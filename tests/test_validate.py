@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term
+from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term, eval_terms
 from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
 from termrw.terms import App, Cons, Quote, Var, free_vars, parse_term, truthy
 from termrw.validate import (
@@ -14,14 +14,10 @@ from termrw.validate import (
     ValidityReport,
     check_preservation,
     check_run,
-    check_syntax_preserved,
     env_digest,
     random_term,
-    sample_env,
     sample_envs,
     sample_rule_soundness,
-    sample_value,
-    valid_sc,
     valid_sc_failure,
 )
 
@@ -29,37 +25,37 @@ P = parse_term
 
 
 # ---------------------------------------------------------------------------
-# valid_sc
+# valid_sc_failure
 
 
 def test_valid_sc_atoms(reg):
-    assert valid_sc(Var("x"), {"x": 1}, reg)
-    assert valid_sc(Quote("anything"), {}, reg)
+    assert valid_sc_failure(Var("x"), {"x": 1}, reg) is None
+    assert valid_sc_failure(Quote("anything"), {}, reg) is None
 
 
 def test_valid_sc_wrapper_truth(reg):
     t = P("(rp 'evenp a)")
-    assert valid_sc(t, {"a": 4}, reg)
-    assert not valid_sc(t, {"a": 3}, reg)
+    assert valid_sc_failure(t, {"a": 4}, reg) is None
+    assert valid_sc_failure(t, {"a": 3}, reg) is not None
 
 
 def test_valid_sc_nested_wrappers(reg):
     t = P("(rp 'integerp (rp 'evenp a))")
-    assert valid_sc(t, {"a": 4}, reg)
-    assert not valid_sc(t, {"a": 3}, reg)
+    assert valid_sc_failure(t, {"a": 4}, reg) is None
+    assert valid_sc_failure(t, {"a": 3}, reg) is not None
 
 
 def test_valid_sc_follows_taken_branch_only(reg):
     t = P("(if (integerp a) '0 (rp 'evenp a))")
     # integer input takes the then branch; the bad wrapper is never reached
-    assert valid_sc(t, {"a": 3}, reg)
+    assert valid_sc_failure(t, {"a": 3}, reg) is None
     t2 = P("(if (consp a) '0 (rp 'evenp a))")
-    assert not valid_sc(t2, {"a": 3}, reg)
+    assert valid_sc_failure(t2, {"a": 3}, reg) is not None
 
 
 def test_valid_sc_checks_if_test(reg):
     t = P("(if (rp 'evenp a) '0 '1)")
-    assert not valid_sc(t, {"a": 3}, reg)
+    assert valid_sc_failure(t, {"a": 3}, reg) is not None
 
 
 def test_valid_sc_failure_reports_position(reg):
@@ -73,17 +69,20 @@ def test_valid_sc_evaluates_the_whole_term(reg):
     # an error outside every wrapper propagates, even next to a valid one
     t = P("(cons (rp 'integerp a) (mystery a))")
     with pytest.raises(UnknownFunctionError):
-        valid_sc(t, {"a": 4}, reg)
-    with pytest.raises(UnknownFunctionError):
         valid_sc_failure(t, {"a": 4}, reg)
     # a failing wrapper evaluated before the error is reported instead
     assert valid_sc_failure(P("(cons (rp 'evenp a) (mystery a))"), {"a": 3}, reg) == ((1,), P("(evenp a)"))
+    # an error applying the first failing wrapper's property is raised
+    with pytest.raises(EvalDomainError):
+        valid_sc_failure(P("(cons (rp 'd2 a) (mystery a))"), {"a": 3}, reg)
+    with pytest.raises(UnknownFunctionError):
+        valid_sc_failure(P("(rp 'foo a)"), {"a": 3}, reg)
 
 
 def test_valid_sc_wrapper_prop_is_evaluated(reg):
     # the wrapped property is an application of the prop symbol to the payload
     t = P("(rp 'consp (cons a b))")
-    assert valid_sc(t, {"a": 1, "b": 2}, reg)
+    assert valid_sc_failure(t, {"a": 1, "b": 2}, reg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_valid_sc_wrapper_prop_is_evaluated(reg):
 
 def test_sample_value_mixes_scales():
     rng = random.Random(0)
-    values = [sample_value(rng) for _ in range(2000)]
+    values = [env["v"] for env in sample_envs(rng, ("v",), 2000)]
     small = sum(1 for v in values if isinstance(v, int) and -8 <= v <= 8)
     huge = sum(1 for v in values if isinstance(v, int) and abs(v) > 2**60)
     structured = sum(1 for v in values if isinstance(v, (str, Cons)))
@@ -104,14 +103,13 @@ def test_sample_value_mixes_scales():
 
 
 def test_sample_env_covers_names():
-    env = sample_env(random.Random(1), {"b", "a"})
+    env = sample_envs(random.Random(1), {"b", "a"}, 1)[0]
     assert set(env) == {"a", "b"}
 
 
-# sha256 of the env_digest lines of the environments sample_env draws, 500
-# per seed 0-4 over {a, b, c} and over {x}: the one-at-a-time reference
-# tests draw with sample_env themselves, so only this catches a stream that
-# drifts
+# sha256 of the env_digest lines of the environments drawn one at a time,
+# 500 per seed 0-4 over {a, b, c} and over {x}: the one-at-a-time reference
+# tests draw that way themselves, so only this catches a stream that drifts
 DRAW_STREAM_SHA256 = "44328c08662c2782196e8e36559f12d2200a3763fc41f516390f19f2474ba8bb"
 
 
@@ -121,7 +119,7 @@ def test_sample_env_stream_is_pinned():
         for names in ({"a", "b", "c"}, {"x"}):
             rng = random.Random(seed)
             for _ in range(500):
-                h.update(env_digest(sample_env(rng, names)).encode() + b"\n")
+                h.update(env_digest(sample_envs(rng, names, 1)[0]).encode() + b"\n")
     assert h.hexdigest() == DRAW_STREAM_SHA256
     # one chunk draws the same stream, and leaves the rng where single draws do
     chunked = hashlib.sha256()
@@ -131,7 +129,7 @@ def test_sample_env_stream_is_pinned():
             for env in sample_envs(rng, names, 500):
                 chunked.update(env_digest(env).encode() + b"\n")
             for _ in range(500):
-                sample_env(single, names)
+                sample_envs(single, names, 1)
             assert rng.getstate() == single.getstate()
     assert chunked.hexdigest() == DRAW_STREAM_SHA256
 
@@ -239,16 +237,6 @@ def test_a_shared_node_runs_once_per_environment(reg):
     assert len(calls) == 100
 
 
-def test_check_syntax_preserved():
-    from termrw.terms import App
-
-    good = P("(rp 'integerp (f x))")
-    assert check_syntax_preserved(good, good)
-    # the reader refuses this shape, so build it directly
-    bad = App("rp", (Quote("nil"), Var("x")))
-    assert not check_syntax_preserved(good, bad)
-
-
 # ---------------------------------------------------------------------------
 # rule soundness sampling
 
@@ -306,7 +294,7 @@ def test_random_conjectures_always_evaluable(reg):
     defined = 0
     for i in range(300):
         c = random_term(rng, 4)
-        env = sample_env(random.Random(i), ("a", "b", "c"))
+        env = sample_envs(random.Random(i), ("a", "b", "c"), 1)[0]
         try:
             eval_term(c, env, reg)
             defined += 1
@@ -335,7 +323,7 @@ def _reference_sample(terms, facts, n, reg, seed, judge):
     try:
         while report.accepted + report.skipped < n and draws < n * REJECTION_CAP:
             draws += 1
-            env = sample_env(rng, names)
+            env = sample_envs(rng, names, 1)[0]
             try:
                 if not all(truthy(eval_term(f, env, reg)) for f in facts):
                     continue
@@ -358,19 +346,21 @@ def _reference_judge(before, after, mode, reg, label="", check_wrappers=False):
             v_before = eval_term(before, env, reg)
         except EvalDomainError:
             return None
-        wrappers = [] if check_wrappers else None
-        try:
-            v_after = eval_term(after, env, reg, wrappers)
-        except EvalDomainError:
+        failures = {} if check_wrappers else None
+        values, errors = eval_terms(after, (env,), reg, failures)
+        if errors:
+            if not isinstance(errors[0], EvalDomainError):
+                raise errors[0]
             report.fail((), f"{label}rewritten term undefined where input is defined", env)
             return False
+        v_after = values[0]
         if mode == "equal":
             if v_before != v_after:
                 report.fail((), f"{label}value changed by rewriting", env)
         elif truthy(v_before) != truthy(v_after):
             report.fail((), f"{label}truthiness changed by rewriting", env)
-        if wrappers:
-            path, prop, error = wrappers[0]
+        if failures:
+            path, prop, error = failures[0]
             report.fail(path, prop if error is None else f"side-condition evaluation error: {error}", env)
             return False
         return True
@@ -393,6 +383,7 @@ SAMPLING_CASES = {
     "after only where before is defined": ("(d2 a)", "(if (evenp a) (f2 a) (mystery a))", [], "iff", 80),
     "wrapper fails or raises": ("(cons a b)", "(cons (rp 'evenp a) (rp 'd2 b))", [], "equal", 80),
     "value change and wrapper failure on one draw": ("a", "(rp 'consp (binary-+ a '0))", [], "equal", 40),
+    "wrapper property unregistered": ("a", "(rp 'foo a)", [], "equal", 20),
     # earlier draws fail a wrapper; a later one reaches mystery and skips all
     "unknown function after earlier failures": (
         "a", "(if (equal a '5) (mystery a) (rp 'evenp a))", ["(integerp a)"], "iff", 200),
@@ -456,6 +447,10 @@ def test_sampling_cases_show_their_traits(reg):
     late = run("unknown function after earlier failures")
     assert late.skipped == 200 and late.failures and not late.ok
     assert run("unknown function everywhere").skipped == 20
+    unregistered = run("wrapper property unregistered")
+    # a failing draw is not counted, so every draw up to the cap fails
+    assert unregistered.starved and unregistered.accepted == 0
+    assert {what for _p, what, _e in unregistered.failures} == {"side-condition evaluation error: foo"}
     before, after, ctx, _mode, _n = SAMPLING_CASES["after is before"]
     assert before is after
     before, after, ctx, _mode, _n = SAMPLING_CASES["shared node under an rp in after"]
