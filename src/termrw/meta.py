@@ -3,6 +3,11 @@
 A meta function takes the term and returns either a new term, a (term,
 dont-rw) pair, or None for "no change".  Its output must pass the
 well-formedness check, rp_termp, or the result is discarded.
+
+A meta on a fast-alist head (hons-get, hons-acons, fast-alist-free)
+registers, but the loop's fast-alist step (5b) runs before its meta step
+(6): the meta sees only the calls that step declines, such as a hons-get
+whose key is not quoted.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from collections import namedtuple
 from .terms import STOP, App, Quote, node_count, rp_termp, strip_rp
 
 # heads the loop handles before its meta step (6), so a meta on them would
-# never fire: every 3-argument if goes to the if step
+# never fire: every 3-argument if goes to the if step.  The fast-alist heads
+# are not here, as step (5b) declines some of their calls and those reach
+# a meta.
 RESERVED_TRIGGERS = frozenset({"rp", "falist", "quote", "if"})
 
 

@@ -10,7 +10,9 @@ share nodes; the walks that give one result per node go through postorder,
 so they cost a shared term's distinct nodes, not its tree.  Equality, ==
 on terms and values and terms_equal_mod_rp, which looks through rp
 wrappers, compares each pair of nodes once, so two separately built copies
-of a shared term cost their distinct pairs of nodes.
+of a shared term cost their distinct pairs of nodes.  An App or a Cons
+computes its hash when something first asks for it and keeps it, as most
+nodes are built and dropped without ever being hashed.
 """
 
 from __future__ import annotations
@@ -89,14 +91,15 @@ def trampoline(step):
 
 
 class Cons:
-    """A pair of values; proper lists are cons chains ending in nil."""
+    """A pair of values; proper lists are cons chains ending in nil.  Its
+    hash is computed when first asked for and kept (see _node_hash)."""
 
     __slots__ = ("car", "cdr", "_hash")
 
     def __init__(self, car, cdr):
         self.car = car
         self.cdr = cdr
-        self._hash = (hash(car) * 1000003 ^ hash(cdr) * 8191 ^ 0x436F) & 0x7FFFFFFFFFFFFFFF
+        self._hash = None
 
     def __reduce__(self):
         return _unflatten, (_flatten(self),)
@@ -105,7 +108,8 @@ class Cons:
         return self  # immutable
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        return _node_hash(self) if h is None else h
 
     def __eq__(self, other):
         return self is other or _equal(self, other)
@@ -272,28 +276,54 @@ _SAME = object()
 
 
 class App(Term):
-    """A function application.  ``_stripped`` caches the node's wrapper-free
-    form (see strip_rp_deep): None until first asked for, then _SAME or
-    the stripped node."""
+    """A function application.  Two caches start as None and are filled
+    when first asked for: ``_hash``, the node's hash (see _node_hash), and
+    ``_stripped``, its wrapper-free form (see strip_rp_deep), _SAME or the
+    stripped node."""
 
     __slots__ = ("head", "args", "_hash", "_stripped")
 
     def __init__(self, head, args):
         self.head = head
-        args = tuple(args)
-        self.args = args
-        h = hash(head) ^ 0x415050
-        for a in args:
-            h = (h * 1000003 ^ a._hash) & 0x7FFFFFFFFFFFFFFF
-        self._hash = h
+        self.args = tuple(args)
+        self._hash = None
         self._stripped = None
 
     def __reduce__(self):
-        # a copy starts with an empty cache, as a copied _SAME is not _SAME
+        # a copy starts with empty caches, as a copied _SAME is not _SAME
         return _unflatten, (_flatten(self),)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        return _node_hash(self) if h is None else h
+
+
+def _node_hash(t):
+    """The hash of t, an App or a Cons, after computing and keeping the
+    hash of every App and Cons below it that has none yet, parts first,
+    from an explicit stack.  The write is idempotent: threads racing on
+    one node at worst compute equal hashes."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u._hash is not None:
+            stack.pop()
+            continue
+        cls = u.__class__
+        parts = u.args if cls is App else (u.car, u.cdr)
+        pending = [p for p in parts if (p.__class__ is App or p.__class__ is Cons) and p._hash is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if cls is App:
+            h = hash(u.head) ^ 0x415050
+            for a in parts:
+                h = (h * 1000003 ^ a._hash) & 0x7FFFFFFFFFFFFFFF
+        else:
+            h = (hash(u.car) * 1000003 ^ hash(u.cdr) * 8191 ^ 0x436F) & 0x7FFFFFFFFFFFFFFF
+        u._hash = h
+    return t._hash
 
 
 # Both equality walks pass over a pair of nodes met again: each walk is
@@ -303,7 +333,9 @@ class App(Term):
 
 def _equal(a, b):
     """Whether a and b, two terms or two values, are equal.  App, Quote
-    and Cons compare by hash first; an atom or a FalistShadow by its ==."""
+    and Cons compare by hash first, so an App or Cons is hashed at most
+    once and a pair that differs deep down is told apart in O(1) after
+    that; an atom or a FalistShadow compares by its ==."""
     paired = {}  # id of an App or Cons entered -> its partner
     stack = [(a, b)]
     while stack:
@@ -314,7 +346,7 @@ def _equal(a, b):
         if cls is not y.__class__:
             return False
         if cls is App:
-            if x._hash != y._hash or x.head != y.head or len(x.args) != len(y.args):
+            if hash(x) != hash(y) or x.head != y.head or len(x.args) != len(y.args):
                 return False
             if paired.get(id(x)) is not y:
                 paired[id(x)] = y
@@ -323,7 +355,7 @@ def _equal(a, b):
             if x.name != y.name:
                 return False
         elif cls is Cons:
-            if x._hash != y._hash:
+            if hash(x) != hash(y):
                 return False
             if paired.get(id(x)) is not y:
                 paired[id(x)] = y

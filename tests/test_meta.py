@@ -3,7 +3,7 @@
 import pytest
 
 from termrw.meta import MetaRegistrationError, MetaRegistry, MetaRule, demo_metas, fold_plus, fold_plus_hide
-from termrw.rewriter import RewriteStats, Rewriter
+from termrw.rewriter import RewriteConfig, RewriteStats, Rewriter
 from termrw.rules import build_ruleset
 from termrw.terms import STOP, App, Quote, Var, format_term, parse_term
 
@@ -102,3 +102,26 @@ def test_meta_folds_inside_out():
     out = rw.rewrite(P("(binary-+ '1 (binary-+ '2 (binary-+ '3 x)))"), iff=False)
     assert format_term(out) == "(binary-+ '6 x)"
     assert rw.stats.meta_applications == 2
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_fast_alist_step_runs_before_a_meta_on_its_head(fast):
+    # a meta on hons-get registers, but the fast-alist step (5b) answers
+    # the calls it can before the meta step (6); the calls it declines,
+    # here one with a key that is not quoted, reach the meta
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return Quote("meta")
+
+    rw = Rewriter(
+        build_ruleset([]),
+        metas=MetaRegistry([MetaRule("m", "hons-get", f)]),
+        cfg=RewriteConfig(fast_alist_enabled=fast),
+    )
+    out = rw.rewrite(P("(hons-get 'a (hons-acons 'a b 'nil))"), iff=False)
+    assert format_term(out) == "(cons 'a b)"
+    assert calls == []
+    assert rw.rewrite(P("(hons-get k (hons-acons 'a b 'nil))"), iff=False) == Quote("meta")
+    assert len(calls) == 1 and calls[0].head == "hons-get" and calls[0].args[0] == Var("k")

@@ -43,6 +43,7 @@ from termrw.terms import (
     is_rp,
     mk_rp,
     parse_term,
+    postorder,
     substitute,
     terms_equal_mod_rp,
     wrapper_props,
@@ -1380,6 +1381,27 @@ def test_a_falist_argument_is_counted_not_entered(monkeypatch):
         rw = rewriter()
         out = rw.rewrite(substitute(P(text), {"fal": fal}), iff=False)
         assert rw.stats.rewrite_calls == calls and format_term(out).startswith(printed)
+
+
+def _unhashed(*roots):
+    """Whether no App reachable from roots has had its hash computed."""
+    return all(u._hash is None for u in postorder(*roots) if u.__class__ is App)
+
+
+def test_proving_a_tree_and_reading_a_falist_hash_no_application():
+    # an App's hash is computed on first use; the tree and falist workloads
+    # never ask for one, so hashing on their path shows here first
+    rules = (pathlib.Path(__file__).resolve().parent.parent / "demos" / "rules" / "tree.lsp").read_text()
+    t = P(format_term(tree_conjecture(6)))
+    proved, out = rewriter(rules).proved(t)
+    assert proved and _unhashed(t, out)
+
+    write = P(format_term(chain_term(60)))
+    fal = rewriter().rewrite(write, iff=False)
+    read = substitute(P("(list " + " ".join(f"(hons-get 'k{i} fal)" for i in range(1, 101, 2)) + ")"), {"fal": fal})
+    out = rewriter().rewrite(read, iff=False)
+    assert format_term(out.args[0]) == "(cons 'k1 v1)" and len(out.args) == 50
+    assert _unhashed(write, fal, read, out)
 
 
 def test_a_falist_in_an_iff_position_is_decided_by_the_context():

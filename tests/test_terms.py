@@ -1006,6 +1006,67 @@ def test_deep_terms_pickle_and_copy_on_the_main_thread():
         assert copy.deepcopy(t) is t and copy.deepcopy(pairs) is pairs
 
 
+def _app_chain(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = App("f", (t, Var("y")))
+    return t
+
+
+def _cons_chain(n, leaf):
+    v = leaf
+    for i in range(n):
+        v = Cons(i, v)
+    return v
+
+
+def test_deep_fresh_terms_hash_and_compare_without_recursion():
+    # An App or Cons is hashed on first use, with the nodes below it that
+    # have no hash yet, from an explicit stack.  The call-graph test does
+    # not see the implicit __hash__ and __eq__ calls, so this is their guard.
+    n = 100_000
+    assert sys.getrecursionlimit() < n
+    for build, leaf, other in ((_app_chain, Quote(0), Quote(1)), (_cons_chain, NIL, 0)):
+        a, b, c = build(n, leaf), build(n, leaf), build(n, other)
+        twin = pickle.loads(pickle.dumps(a))
+        assert a._hash is b._hash is c._hash is twin._hash is None
+        h = hash(twin)
+        assert a == b and a != c
+        assert hash(a) == hash(b) == h
+
+
+def _built_hash(x):
+    """x's hash by the formulas App and Cons applied when they were built,
+    before hashing moved to first use."""
+    cls = x.__class__
+    if cls is App:
+        h = hash(x.head) ^ 0x415050
+        for a in x.args:
+            h = (h * 1000003 ^ _built_hash(a)) & 0x7FFFFFFFFFFFFFFF
+        return h
+    if cls is Cons:
+        return (_built_hash(x.car) * 1000003 ^ _built_hash(x.cdr) * 8191 ^ 0x436F) & 0x7FFFFFFFFFFFFFFF
+    if cls is Quote:
+        return _built_hash(x.value) ^ 0x51554F
+    if cls is Var:
+        return hash(x.name) ^ 0x564152
+    return hash(x)
+
+
+def test_a_hash_on_first_use_is_the_hash_a_node_got_when_built():
+    hashed = parse_term("(g x '(1 . 2))")
+    hash(hashed)
+    for x in (
+        parse_term("(f x '3 (g y (h)) 'nil)"),
+        parse_term("(f '(a (b . 7) nil) (g '(1 2)))"),
+        App("k", (hashed, App("m", (hashed, Var("z"))))),
+        App("c", ()),
+        Cons(Cons(1, "a"), Cons(NIL, NIL)),
+        Cons(-5, FalistShadow([(1, Var("v"))])),
+    ):
+        assert hash(x) == _built_hash(x)
+
+
 def test_pickled_terms_keep_shared_nodes_shared():
     shared = App("f", (Var("x"), Quote(Cons(1, 2))))
     dag = App("g", (shared, App("h", (shared,)), shared))
