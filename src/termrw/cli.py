@@ -19,6 +19,9 @@ from .validate import check_run, sample_rule_soundness
 
 BENCH_STEP_LIMIT = 1 << 28
 
+# the seed of every sampling run: check-rules --strict, prove --verify
+SEED = 7
+
 CSV_COLUMNS = ["param", "mode", "rewrite_calls", "rule_attempts", "rule_applications", "nodes_created", "wall_ms"]
 
 
@@ -29,16 +32,6 @@ def _read_file(path):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-
-
-def _below_least(args, **least):
-    """Report the first numeric flag of args below its least value as a
-    usage error; whether there is one."""
-    for name, low in least.items():
-        if getattr(args, name) < low:
-            print(f"error: {name.replace('_', ' ')} must be >= {low}", file=sys.stderr)
-            return True
-    return False
 
 
 def _load_ruleset(path):
@@ -80,7 +73,7 @@ def cmd_check_rules(args):
         for rule in user_rules:
             if not rule.enabled:
                 continue
-            report = sample_rule_soundness(rule, reg, env_samples=args.samples, seed=args.seed)
+            report = sample_rule_soundness(rule, reg, env_samples=args.samples, seed=SEED)
             if not report.ok:
                 violations += 1
                 _path, what, digest = report.failures[0]
@@ -104,7 +97,8 @@ def cmd_prove(args):
     if args.verify is not None and args.verify < 1:
         print("error: verify samples must be >= 1", file=sys.stderr)
         return 2
-    if _below_least(args, step_limit=1, backchain_depth=0):
+    if args.step_limit < 1:
+        print("error: step limit must be >= 1", file=sys.stderr)
         return 2
     ruleset, err = _load_ruleset(args.rules)
     if ruleset is None:
@@ -120,7 +114,6 @@ def cmd_prove(args):
 
     cfg = RewriteConfig(
         step_limit=args.step_limit,
-        backchain_depth=args.backchain_depth,
         side_conditions_enabled=not args.no_side_conditions,
         fast_alist_enabled=not args.no_fast_alist,
         trace=args.trace,
@@ -155,7 +148,7 @@ def cmd_prove(args):
 
     if args.verify:
         t0 = time.perf_counter()
-        report = check_run(conjecture, out, [], args.verify, rw.registry, mode="iff", seed=args.seed)
+        report = check_run(conjecture, out, [], args.verify, rw.registry, mode="iff", seed=SEED)
         stats.update(
             verify_s=time.perf_counter() - t0, samples_accepted=report.accepted, samples_skipped=report.skipped
         )
@@ -220,8 +213,6 @@ def cmd_bench_tree(args):
     if any(m not in ("enabled", "disabled") for m in modes):
         print("error: modes are enabled,disabled", file=sys.stderr)
         return 2
-    if _below_least(args, repetitions=1, step_limit=1, backchain_depth=0):
-        return 2
     rows = []
     for depth in depths:
         conjecture = tree_conjecture(depth)
@@ -229,18 +220,11 @@ def cmd_bench_tree(args):
         for mode in modes:
             text = TREE_RULES if mode == "enabled" else TREE_RULES_BACKCHAIN
             ruleset = build_ruleset(parse_rule_file(text))
-            cfg = RewriteConfig(
-                step_limit=args.step_limit,
-                backchain_depth=args.backchain_depth,
-                side_conditions_enabled=(mode == "enabled"),
-            )
-            wall = None
-            for _ in range(args.repetitions):
-                rw = Rewriter(ruleset, cfg=cfg)
-                t0 = time.perf_counter()
-                proved, _out = rw.proved(conjecture)
-                dt = time.perf_counter() - t0
-                wall = dt if wall is None else min(wall, dt)
+            cfg = RewriteConfig(step_limit=BENCH_STEP_LIMIT, side_conditions_enabled=(mode == "enabled"))
+            rw = Rewriter(ruleset, cfg=cfg)
+            t0 = time.perf_counter()
+            proved, _out = rw.proved(conjecture)
+            wall = time.perf_counter() - t0
             print(
                 f"# tree depth={depth} mode={mode} nodes={nodes} wall_ms={wall*1000:.1f}"
                 f" us_per_node={wall*1e6/nodes:.2f} us_per_call={wall*1e6/max(rw.stats.rewrite_calls, 1):.2f}",
@@ -262,14 +246,11 @@ def cmd_bench_falist(args):
     if any(m not in ("on", "off") for m in modes):
         print("error: modes are on,off", file=sys.stderr)
         return 2
-    if _below_least(args, lookups=0, step_limit=1):
-        return 2
     rows = []
     for n in sizes:
-        m = args.lookups if args.lookups else n
-        keys = lookup_keys(n, m, seed=args.seed)
+        keys = lookup_keys(n)
         for mode in modes:
-            cfg = RewriteConfig(step_limit=args.step_limit, fast_alist_enabled=(mode == "on"))
+            cfg = RewriteConfig(step_limit=BENCH_STEP_LIMIT, fast_alist_enabled=(mode == "on"))
             rw = Rewriter(build_ruleset([]), cfg=cfg)
             t0 = time.perf_counter()
             fal = rw.rewrite(chain_term(n), iff=False)
@@ -278,7 +259,7 @@ def cmd_bench_falist(args):
             rw.rewrite(lookups_term(fal, keys), iff=False)
             t_look = time.perf_counter() - t0
             print(
-                f"# falist N={n} M={m} mode={mode} build_ms={t_build*1000:.1f}"
+                f"# falist N={n} M={n} mode={mode} build_ms={t_build*1000:.1f}"
                 f" build_us_per_entry={t_build*1e6/n:.1f} lookups_ms={t_look*1000:.1f}",
                 file=sys.stderr,
             )
@@ -301,8 +282,7 @@ def build_parser():
     c = sub.add_parser("check-rules", help="validate a rule file")
     c.add_argument("rule_file")
     c.add_argument("--strict", action="store_true", help="sample rule soundness on random environments")
-    c.add_argument("--samples", type=int, default=1000)
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--samples", type=int, default=1000, help="environments per rule under --strict, drawn from seed 7")
     c.set_defaults(fn=cmd_check_rules)
 
     c = sub.add_parser("prove", help="rewrite a conjecture to 't")
@@ -311,27 +291,19 @@ def build_parser():
     c.add_argument("--no-side-conditions", action="store_true")
     c.add_argument("--no-fast-alist", action="store_true")
     c.add_argument("--step-limit", type=int, default=RewriteConfig.step_limit)
-    c.add_argument("--backchain-depth", type=int, default=RewriteConfig.backchain_depth)
     c.add_argument("--trace", action="store_true")
     c.add_argument("--stats", metavar="FILE", help="dump rewrite statistics, with seconds spent rewriting and verifying, as JSON")
-    c.add_argument("--verify", type=int, metavar="N", help="sample N environments to cross-check the run")
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--verify", type=int, metavar="N", help="sample N environments, drawn from seed 7, to cross-check the run")
     c.set_defaults(fn=cmd_prove)
 
-    c = sub.add_parser("bench-tree", help="tree-of-bitands benchmark")
+    c = sub.add_parser("bench-tree", help="tree-of-bitands benchmark: one timed proof per depth and mode")
     c.add_argument("--depths", default="6,8,10,12")
     c.add_argument("--modes", default="enabled,disabled")
-    c.add_argument("--repetitions", type=int, default=1)
-    c.add_argument("--step-limit", type=int, default=BENCH_STEP_LIMIT)
-    c.add_argument("--backchain-depth", type=int, default=RewriteConfig.backchain_depth)
     c.set_defaults(fn=cmd_bench_tree)
 
-    c = sub.add_parser("bench-falist", help="fast-alist lookup benchmark")
+    c = sub.add_parser("bench-falist", help="fast-alist lookup benchmark: N lookups in an N-entry alist")
     c.add_argument("--sizes", default="100,300,1000")
-    c.add_argument("--lookups", type=int, default=0, help="lookup count M (default: M = N)")
     c.add_argument("--modes", default="on,off")
-    c.add_argument("--step-limit", type=int, default=BENCH_STEP_LIMIT)
-    c.add_argument("--seed", type=int, default=7)
     c.set_defaults(fn=cmd_bench_falist)
     return p
 

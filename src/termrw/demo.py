@@ -128,9 +128,11 @@ def chain_term(n):
     return out
 
 
-def lookup_keys(n, m, seed=7):
-    rng = random.Random(seed)
-    return [f"k{rng.randint(1, n)}" for _ in range(m)]
+def lookup_keys(n):
+    """n keys of chain_term(n), drawn at random, with repeats, from a
+    fixed seed."""
+    rng = random.Random(7)
+    return [f"k{rng.randint(1, n)}" for _ in range(n)]
 
 
 def lookups_term(fal, keys):

@@ -12,8 +12,9 @@ Evaluation is batched: eval_terms walks a term once for a whole list of
 environments, so the interpretive work of a node (its dispatch, its frame,
 its registry lookup) is paid once per node per batch, and only the
 registered functions run once per environment.  eval_term is a batch of
-one.  Only eval_terms checks rp wrappers: given a dict, it records each
-environment's first failing wrapper, which validate's oracles report.
+one, with a memo of its term's shared nodes.  Only eval_terms checks rp
+wrappers: given a dict, it records each environment's first failing
+wrapper, which validate's oracles report.
 
 Terms may share nodes: the reader binds a let name to one node, and the
 rewriter returns a subterm it leaves alone as the same object.  Calls over
@@ -237,12 +238,15 @@ def default_registry():
 _OWN_HEADS = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
 
 
-def eval_term(t, env, registry):
+def eval_term(t, env, registry, shared=None):
     """Evaluate t under env.  rp/falist/hide are identities on their payload,
     if is lazy, list builds a cons chain.  Raises UnboundVariableError,
-    UnknownFunctionError, or EvalDomainError.  A batch of one environment:
-    see eval_terms."""
-    values, errors = eval_terms(t, (env,), registry)
+    UnknownFunctionError, or EvalDomainError.  A batch of one environment,
+    with a memo of t's shared nodes, so that a shared term costs its
+    distinct nodes: see eval_terms.  shared is shared_nodes((t,)), walked
+    here unless a caller that evaluates t often has kept it."""
+    memo = dict.fromkeys(shared_nodes((t,)) if shared is None else shared)
+    values, errors = eval_terms(t, (env,), registry, memo=memo)
     if errors:
         raise errors[0]
     return values[0]

@@ -50,9 +50,6 @@ class MetaRegistry:
         self.by_trigger.setdefault(meta.trigger, []).insert(0, meta)
         return self
 
-    def __len__(self):
-        return len(self._names)
-
     def apply(self, t, stats, diagnostics=None):
         """First meta that changes t wins.  Matching is wrapper-transparent:
         triggers fire on the stripped head, receiving the stripped term.

@@ -124,12 +124,16 @@ def negate(t):
 # config and stats
 
 
+# how many hypothesis reliefs may wait on one another: a deeper relief
+# fails, so a rule set whose reliefs loop ends
+BACKCHAIN_DEPTH = 1000
+
+
 class RewriteConfig:
     """A Rewriter's settings, given by keyword; the class holds the
-    defaults."""
+    defaults.  The backchain bound is the constant BACKCHAIN_DEPTH."""
 
     step_limit = 1 << 20
-    backchain_depth = 1000
     side_conditions_enabled = True
     fast_alist_enabled = True
     trace = False
@@ -138,13 +142,11 @@ class RewriteConfig:
         self,
         *,
         step_limit=step_limit,
-        backchain_depth=backchain_depth,
         side_conditions_enabled=side_conditions_enabled,
         fast_alist_enabled=fast_alist_enabled,
         trace=trace,
     ):
         self.step_limit = step_limit
-        self.backchain_depth = backchain_depth
         self.side_conditions_enabled = side_conditions_enabled
         self.fast_alist_enabled = fast_alist_enabled
         self.trace = trace
@@ -524,7 +526,7 @@ class Rewriter:
                 for _, p in extracted:
                     if p == "not":
                         by_wrapper = False
-                j = self._relieve_at_binding(rule, 0, bindings, by_wrapper) if self._backchain < self.cfg.backchain_depth else None
+                j = self._relieve_at_binding(rule, 0, bindings, by_wrapper) if self._backchain < BACKCHAIN_DEPTH else None
                 if j is None:
                     stats.hyp_relief_failures += 1
                     continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, to_boolean
+from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, shared_nodes, to_boolean
 from .terms import (
     NIL,
     STOP,
@@ -58,19 +58,15 @@ class RuleFileError(ValueError):
 class Syntaxp:
     """A hyp relieved by inspecting the bound terms themselves, not their
     values; the predicate calls only SYNTAXP_REGISTRY's functions and if.
-    names and unsupported are pred's variables and its subterms outside
-    that set, found once as the hyp is built."""
+    names, unsupported and shared are pred's variables, its subterms
+    outside that set and the ids of its shared nodes (for eval_term),
+    found once as the hyp is built."""
 
     def __init__(self, pred):
         self.pred = pred
         names, unsupported = _syntaxp_walk(pred)
         self.names, self.unsupported = frozenset(names), tuple(unsupported)
-
-    def __eq__(self, other):
-        return other.pred == self.pred if other.__class__ is Syntaxp else NotImplemented
-
-    def __hash__(self):
-        return hash(self.pred)
+        self.shared = shared_nodes((pred,))
 
     def __repr__(self):
         return f"(syntaxp {self.pred!r})"
@@ -144,7 +140,8 @@ RuleSet = namedtuple("RuleSet", "rules buckets lemmas exec_disabled")
 # formula's depth costs no Python stack.
 # A quoted or application pattern node is one statement: it tests the term,
 # and only when that fails on an rp application does it call peel, which
-# looks through the wrappers and tests again.
+# looks through the wrappers and tests again.  An application node met
+# again is one check against its first occurrence.
 # The source holds only generated names and integer literals: heads,
 # variable names and quoted values reach it as the constants k0, k1, ... of
 # its globals.
@@ -198,11 +195,16 @@ def compile_match(pattern):
     None.  bindings keep the wrappers of the matched subterms; extracted
     lists (wrapped subterm, prop) for every wrapper looked through, in
     preorder.  A repeated variable must match wrapper-stripped-equal
-    subterms.  The function has one statement per quoted or application
-    node of pattern, one more that unpacks each application's arguments,
-    and one per repeated variable."""
+    subterms, and so must an application node that pattern shares (one
+    node met again, as a let-bound name gives): its second occurrence is
+    not walked, so no wrapper is extracted from it, and a shared pattern
+    costs its distinct nodes, not its tree.  The function has one
+    statement per quoted node and per first occurrence of an application
+    node of pattern, one more that unpacks each such application's
+    arguments, and one per repeated variable or application."""
     lines, consts = ["ex = []"], {}
     first = {}  # variable name -> the local holding its first binding
+    met = {}  # id of an application node -> the local of its first occurrence
     count = 0  # term locals t1 .. t<count> so far, the term itself being t
     stack = [(pattern, "t")]
     while stack:
@@ -212,6 +214,9 @@ def compile_match(pattern):
             held = first.setdefault(p.name, t)
             if held != t:
                 lines.append(f"if not equal_mod_rp({held}, {t}): return None")
+            continue
+        if cls is App and met.setdefault(id(p), t) != t:
+            lines.append(f"if not equal_mod_rp({met[id(p)]}, {t}): return None")
             continue
         if cls is Quote:
             k, n = _constant(consts, p.value), None
@@ -468,7 +473,7 @@ def syntaxp_eval(hyp, bindings):
     if hyp.unsupported:
         raise EvalError(f"unsupported syntaxp predicate {hyp.unsupported[0]!r}")
     env = {n: term_to_value(strip_rp_deep(bindings[n])) for n in hyp.names if n in bindings}
-    return truthy(eval_term(hyp.pred, env, SYNTAXP_REGISTRY))
+    return truthy(eval_term(hyp.pred, env, SYNTAXP_REGISTRY, hyp.shared))
 
 
 def validate_rule(rule):

@@ -153,7 +153,7 @@ def test_criterion_5_lookup_cost_flat_with_shadow_linear_without():
         visits = {}
         probes = {}
         for n in sizes:
-            keys = lookup_keys(n, n, seed=7)
+            keys = lookup_keys(n)
             lookups_wall = {}
             for mode in ("on", "off"):
                 cfg = RewriteConfig(step_limit=BENCH_STEP_LIMIT, fast_alist_enabled=(mode == "on"))

@@ -251,10 +251,33 @@ def test_prove_rejects_a_step_limit_below_one(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: step limit must be >= 1\n")
 
 
-def test_prove_rejects_a_negative_backchain_depth(tmp_path, capsys):
-    assert main(_prove_args(tmp_path, "--backchain-depth", "-1")) == 2
-    assert capsys.readouterr() == ("", "error: backchain depth must be >= 0\n")
-    assert main(_prove_args(tmp_path, "--backchain-depth", "0")) == 1
+def test_each_subcommand_has_its_options_and_no_more(tmp_path, capsys):
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    dests = {name: [a.dest for a in p._actions if a.dest != "help"] for name, p in subs.items()}
+    assert dests == {
+        "check-rules": ["rule_file", "strict", "samples"],
+        "prove": ["rules", "conjecture", "no_side_conditions", "no_fast_alist", "step_limit", "trace", "stats", "verify"],
+        "bench-tree": ["depths", "modes"],
+        "bench-falist": ["sizes", "modes"],
+    }
+    # any other flag is a usage error, as argparse reports it
+    rules_file = write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"])
+    for argv in (
+        _prove_args(tmp_path, "--backchain-depth", "5"),
+        _prove_args(tmp_path, "--seed", "7"),
+        ["check-rules", rules_file, "--seed", "7"],
+        ["bench-tree", "--depths", "3", "--repetitions", "2"],
+        ["bench-tree", "--depths", "3", "--step-limit", "10"],
+        ["bench-tree", "--depths", "3", "--backchain-depth", "5"],
+        ["bench-falist", "--sizes", "10", "--lookups", "3"],
+        ["bench-falist", "--sizes", "10", "--step-limit", "10"],
+        ["bench-falist", "--sizes", "10", "--seed", "7"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def test_prove_stats_json(tmp_path, capsys):
     stats_file = tmp_path / "stats.json"
@@ -621,6 +644,26 @@ def test_prove_refuses_rule_with_unbound_variables(tmp_path, capsys, rules):
     assert capsys.readouterr().out.splitlines() == [*lines, f"{len(lines)} violation(s) in 1 rule(s)"]
 
 
+def test_prove_rule_file_faults(tmp_path, capsys):
+    conjecture = write(tmp_path, "c.lsp", "(f a)")
+    # a file that does not read is a usage error, one that does not build a violation
+    for text, rc, err in [
+        ("(def-rp-rule r (equal", 2, "error: "),
+        ("(def-rp-rule r (equal (f x) x))\n(rp-attach-sc r no-such-lemma)", 1, "r.lsp: rp-attach-sc: unknown lemma"),
+    ]:
+        path = write(tmp_path, "r.lsp", text)
+        assert main(["prove", "--rules", path, "--conjecture", conjecture]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert err in captured.err
+
+
+def test_prove_unreadable_conjecture_file(tmp_path, capsys):
+    rules_file = write(tmp_path, "r.lsp", SHIPPED_RULESETS["bitand"])
+    assert main(["prove", "--rules", rules_file, "--conjecture", str(tmp_path / "missing.lsp")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_prove_bad_conjecture_file(tmp_path, capsys):
     rc = main(
         [
@@ -668,15 +711,6 @@ def test_bench_tree_rejects_bad_depth(capsys):
     assert capsys.readouterr().err == "error: depths must be integers >= 2\n" * 2
 
 
-def test_bench_tree_rejects_bad_repetitions(capsys):
-    assert main(["bench-tree", "--depths", "3", "--repetitions", "0"]) == 2
-
-
-def test_bench_tree_rejects_a_step_limit_below_one(capsys):
-    assert main(["bench-tree", "--depths", "3", "--step-limit", "0"]) == 2
-    assert capsys.readouterr() == ("", "error: step limit must be >= 1\n")
-
-
 # ---------------------------------------------------------------------------
 # bench-falist
 
@@ -698,21 +732,8 @@ def test_bench_falist_csv_shape(capsys):
     assert "build_us_per_entry=" in captured.err
 
 
-def test_bench_falist_lookup_count_override(capsys):
-    rc = main(["bench-falist", "--sizes", "10", "--lookups", "3", "--modes", "on"])
-    captured = capsys.readouterr()
-    rows = list(csv.DictReader(io.StringIO(captured.out)))
-    assert rc == 0
-    assert int(rows[0]["fa_probes"]) == 3
-
-
 def test_bench_falist_rejects_bad_mode(capsys):
     assert main(["bench-falist", "--sizes", "10", "--modes", "fast"]) == 2
-
-
-def test_bench_falist_rejects_negative_lookups(capsys):
-    assert main(["bench-falist", "--sizes", "10", "--lookups", "-2"]) == 2
-    assert capsys.readouterr() == ("", "error: lookups must be >= 0\n")
 
 
 def test_bench_falist_rejects_non_integer_size(capsys):

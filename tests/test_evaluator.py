@@ -187,6 +187,16 @@ def test_lexorder_of_two_copies_of_a_shared_value_costs_their_distinct_pairs():
     assert elapsed < 0.5
 
 
+def test_eval_term_of_a_shared_term_costs_its_distinct_nodes(reg):
+    # a 40-binding doubling chain, 2^41 - 1 nodes as a tree
+    t = doubling(40)
+    start = time.perf_counter()
+    value = eval_term(t, {"x": 3}, reg)
+    elapsed = time.perf_counter() - start
+    assert value == 3 << 40
+    assert elapsed < 0.5
+
+
 def test_hons_heads(ev):
     al = ev("(hons-acons 'k1 '1 (hons-acons 'k2 '2 'nil))")
     assert al == Cons(Cons("k1", 1), Cons(Cons("k2", 2), "nil"))
@@ -245,6 +255,19 @@ def test_registry_register_and_arity():
     assert reg.has("twice")
     assert reg.arity("twice") == 1
     assert reg.call("twice", [21]) == 42
+
+
+def test_a_nullary_function_runs_once_per_environment_of_a_batch():
+    calls = []
+    reg = default_registry().register("tick", 0, lambda: calls.append(1) or len(calls))
+    envs = [{"a": i} for i in range(3)]
+    values, errors = eval_terms(parse_term("(cons (tick) a)"), envs, reg)
+    assert errors == {} and values == {0: Cons(1, 0), 1: Cons(2, 1), 2: Cons(3, 2)}
+    # one that raises drops each environment with its error
+    reg.register("tick", 0, lambda: reg.fn("d2", 1)(1))
+    values, errors = eval_terms(parse_term("(cons (tick) a)"), envs, reg)
+    assert values == {} and sorted(errors) == [0, 1, 2]
+    assert all(isinstance(e, EvalDomainError) for e in errors.values())
 
 
 # ---------------------------------------------------------------------------

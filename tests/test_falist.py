@@ -1,5 +1,6 @@
 """Fast-alist shadow structure: construction, lookup, coherence."""
 
+import pickle
 import sys
 import threading
 
@@ -102,6 +103,9 @@ def test_fa_get_non_quoted_key_defers():
 def test_fa_free_returns_logical_payload():
     fal = fa_acons(Quote("k1"), Var("v1"), NIL_TERM)
     assert format_term(fa_free(fal)) == "(cons (cons 'k1 v1) 'nil)"
+    # a term that is not a falist is left to the loop's later steps
+    assert fa_free(fal.args[1]) is None
+    assert fa_free(Var("fal")) is None
 
 
 def test_falist_shadow_and_coherence():
@@ -258,6 +262,12 @@ def test_extending_the_newest_version_shares_its_log_and_a_fork_copies():
     assert s2.entries == (("b", Var("y")), ("a", Var("x")))
     # the fork left v2 the newest version of the original line
     assert falist_shadow(fa_acons(Quote("c"), Var("w"), v2)).log is s1.log
+    # a pickled copy is an equal term whose shadow has a log of its own
+    copy = pickle.loads(pickle.dumps(v2))
+    assert copy == v2 and hash(copy) == hash(v2)
+    assert falist_shadow(copy).log is not s1.log
+    assert falist_shadow(copy).entries == s2.entries
+    assert falist_shadow(fa_acons(Quote("c"), Var("w"), copy)).log is falist_shadow(copy).log
 
 
 def test_versions_on_forked_logs_are_equal_and_hash_alike():

@@ -87,7 +87,7 @@ def test_a_falist_build_and_its_lookups_leave_no_cycles(no_cycles):
         rw = Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=enabled))
         fal = rw.rewrite(chain_term(50), iff=False)
         no_cycles("a falist build")
-        rw.rewrite(lookups_term(fal, lookup_keys(50, 50)), iff=False)
+        rw.rewrite(lookups_term(fal, lookup_keys(50)), iff=False)
         del rw, fal
         no_cycles("falist lookups")
 

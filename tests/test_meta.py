@@ -49,6 +49,10 @@ def test_apply_unchanged_output_skipped():
     reg.register(MetaRule("id", "f", lambda t: t))
     assert reg.apply(P("(f a)"), stats) is None
     assert stats.meta_applications == 0
+    # a variable or a constant, wrapped or not, reaches no meta
+    reg.register(MetaRule("any", "f", lambda t: pytest.fail(f"meta called on {t!r}")))
+    for t in (Var("f"), Quote("f"), P("(rp 'integerp f)")):
+        assert reg.apply(t, stats) is None
 
 
 def test_untrusted_output_checked():
@@ -89,7 +93,8 @@ def test_demo_metas_register_cleanly():
     rw = Rewriter(build_ruleset([]))
     for m in demo_metas():
         rw.metas.register(m)
-    assert len(rw.metas) == len(demo_metas())
+    registered = [m.name for metas in rw.metas.by_trigger.values() for m in metas]
+    assert sorted(registered) == sorted(m.name for m in demo_metas())
 
 
 def test_meta_folds_inside_out():

@@ -19,7 +19,7 @@ import termrw.rules
 import termrw.terms
 from termrw.demo import SHIPPED_RULESETS, TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
 from termrw.meta import MetaRegistry, MetaRule, demo_metas
-from termrw.rewriter import Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
+from termrw.rewriter import BACKCHAIN_DEPTH, Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
 from termrw.rules import (
     Rule,
     RuleFileError,
@@ -44,6 +44,7 @@ from termrw.terms import (
     mk_rp,
     parse_term,
     postorder,
+    strip_rp,
     substitute,
     terms_equal_mod_rp,
     wrapper_props,
@@ -206,24 +207,44 @@ def _dag_template(draw, heads=("f", "g"), props=_NAMES):
 _DAG_TEMPLATES = _dag_template()
 
 
-def _term_like(data, pattern, seen):
+@st.composite
+def _dag_pattern(draw):
+    """Patterns whose applications share nodes, as a let-bound name in an
+    lhs makes them: each application takes the one made before it and up
+    to two more arguments from the atoms and the applications made before
+    it, and the last one made is the pattern."""
+    nodes = draw(st.lists(_ATOMS, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(2, 6))):
+        args = draw(st.lists(st.sampled_from(tuple(nodes)), max_size=2))
+        args.insert(draw(st.integers(0, len(args))), nodes[-1])
+        nodes.append(App(draw(st.sampled_from(["f", "g"])), args))
+    return nodes[-1]
+
+
+def _term_like(data, pattern, seen, props=st.sampled_from(["p", "q", "p", None])):
     """A term drawn to match pattern often: each node follows the pattern or
     is drawn at random, a repeated variable may meet its first binding
-    again, and any node may sit under rp wrappers or in an (rp p x) call,
+    again, a repeated application node its first term under wrappers of
+    its own, and any node may sit under rp wrappers, each with a property
+    drawn from props, or, where that draws None, in an (rp p x) call,
     which is no wrapper."""
     cls = pattern.__class__
     if cls is Var:
         t = seen[pattern.name] if pattern.name in seen and data.draw(st.integers(0, 3)) else data.draw(_TERMS)
         seen.setdefault(pattern.name, t)
+    elif cls is App and id(pattern) in seen and data.draw(st.integers(0, 3)):
+        t = strip_rp(seen[id(pattern)])
     elif data.draw(st.integers(0, 9)) == 0:
         t = data.draw(_TERMS)
     elif cls is Quote:
         t = Quote(pattern.value)
     else:
-        t = App(pattern.head, [_term_like(data, a, seen) for a in pattern.args])
+        t = App(pattern.head, [_term_like(data, a, seen, props) for a in pattern.args])
     for _ in range(data.draw(st.integers(0, 2))):
-        prop = data.draw(st.sampled_from(["p", "q", "p", None]))
+        prop = data.draw(props)
         t = App("rp", (Var("p"), t)) if prop is None else mk_rp(prop, t)
+    if cls is App:
+        seen.setdefault(id(pattern), t)
     return t
 
 
@@ -251,6 +272,22 @@ def test_compiled_matchers_and_builders_agree_with_the_loop(data):
     assert instance == substitute(dag, bindings)
     # each distinct application of the template is built once
     assert all(len(built) == 1 for built in _instances_of_apps(dag, instance).values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_shared_pattern_node_matches_as_a_repeated_variable_does(data):
+    pattern = data.draw(_dag_pattern())
+    # wrappers only: an (rp p x) call in place of an application is a miss
+    t = _term_like(data, pattern, {}, st.sampled_from(["p", "q"]))
+    got, want = unify(pattern, t), _unify_loop(pattern, t)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [(k, id(v)) for k, v in got[0].items()] == [(k, id(v)) for k, v in want[0].items()]
+        # a repeat is compared through its wrappers, which it does not add:
+        # the wrappers extracted are the loop's, less those of each repeat
+        extracted = iter([(id(u), p) for u, p in want[1]])
+        assert all(w in extracted for w in [(id(u), p) for u, p in got[1]])
 
 
 def _tree_info(t):
@@ -325,6 +362,25 @@ def test_a_doubling_let_chain_rule_reads_and_compiles_its_distinct_nodes():
         rw = rewriter(_doubling_rule(n))
         head = rw.rewrite(P("(f y)"), iff=False).head
         assert head == "h" and rw.stats.nodes_created == n + 1 and rw.stats.rewrite_calls <= 2 * n + 5
+
+
+def test_a_rule_whose_lhs_shares_subterms_compiles_and_matches_its_distinct_nodes():
+    # a 40-binding doubling chain in an lhs: each repeat of a node is one
+    # check, as a repeated variable is, where a tree walk would write a
+    # statement for each of 2^41 - 1 nodes
+    def binds(name, leaf):
+        return " ".join([f"({name}0 (g x {leaf}))"] + [f"({name}{i} (g {name}{i - 1} {name}{i - 1}))" for i in range(1, 39)])
+
+    start = time.perf_counter()
+    match = ruleset(f"(defthm r (equal (f (let* ({binds('a', 'x')}) (g a38 a38))) x))").rules["r"].compile()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"reading, building and compiling took {elapsed:.3f} s"
+    assert match(P(f"(f (let* ({binds('a', 'x')}) (g a38 a38)))")) == ({"x": Var("x")}, [])
+    # a repeat that differs only at its deepest node is refused
+    assert match(P(f"(f (let* ({binds('a', 'x')} {binds('b', 'y')}) (g a38 b38)))")) is None
+    # the first occurrence's wrappers are extracted, a repeat's looked through
+    t = P(f"(f (let* ({binds('a', 'x')}) (g (rp 'p a38) (rp 'q a38))))")
+    assert match(t) == ({"x": Var("x")}, [(t.args[0].args[0], "p")])
 
 
 def test_the_guards_of_a_let_chain_rule_print_in_one_line_each():
@@ -650,10 +706,18 @@ def test_hyps_relieve_through_rules():
 def test_backchain_depth_bounds_recursion():
     # relieving the hyp spawns the same rule on a bigger argument forever
     rs = "(def-rp-rule loop (implies (p (f (g x))) (equal (p (f x)) 't)))"
-    rw = Rewriter(ruleset(rs), cfg=RewriteConfig(backchain_depth=12))
+    rw = Rewriter(ruleset(rs))
     out = rw.rewrite(P("(p (f a))"), iff=True)
     assert out == P("(p (f a))")
     assert rw.stats.hyp_relief_failures > 0
+
+
+def test_rewrite_config_has_four_settings():
+    cfg = RewriteConfig()
+    assert sorted(vars(cfg)) == ["fast_alist_enabled", "side_conditions_enabled", "step_limit", "trace"]
+    # the backchain bound is the module's constant, not a setting
+    with pytest.raises(TypeError):
+        RewriteConfig(backchain_depth=1)
 
 
 def test_step_limit_flag():
@@ -907,7 +971,7 @@ def test_loop_rule_set_ends_at_backchain_depth():
     """
     rw = rewriter(rs)
     assert rw.rewrite(P("(f a)"), iff=False) == P("(f a)")
-    assert rw.stats.hyp_relief_failures == RewriteConfig.backchain_depth + 1
+    assert rw.stats.hyp_relief_failures == BACKCHAIN_DEPTH + 1
     assert rw._backchain == 0
     assert rw.rewrite(P("(binary-+ '1 '2)"), iff=False) == Quote(3)
 

@@ -164,6 +164,7 @@ def test_self_quoting_atoms():
     assert parse_term("5") == Quote(5)
     assert parse_term("t") == T_TERM
     assert parse_term("nil") == NIL_TERM
+    assert parse_term("()") == NIL_TERM
     assert parse_term("x") == Var("x")
 
 
