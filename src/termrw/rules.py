@@ -384,7 +384,10 @@ def parse_rule_file(text):
     decls = []
     parked = {}  # defthmd name -> its rules, used if later promoted
     for form in read_values(text):
-        items = list_items(form)
+        try:
+            items = list_items(form)
+        except ParseError:
+            items = ()  # an atom or a dotted form
         if not items or not isinstance(items[0], str):
             raise RuleFileError(f"not a declaration: {form!r}")
         op, rest = items[0], items[1:]

@@ -591,26 +591,49 @@ def contains_head(t, head):
 # reader
 
 
-# One token per match, after any whitespace and comments, as its group:
-# punctuation (a dot counts only when a delimiter or the end follows it),
-# an atom, the longest run of non-delimiters, or "" at the end of the text.
-# So a token that is punctuation is never an atom.  The skipped run cannot
-# end where neither a token nor the end starts, so a match never
-# backtracks into it.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*(\.(?=[ \t\r\n()';]|\Z)|[()']|[^ \t\r\n()';]+|\Z)")
+# Whitespace is space, tab, CR, LF and form feed, and ';' starts a comment
+# that runs to the end of its line.  Any other run of characters but
+# '(', ')' and "'" is an atom, so an atom never holds ';' and every ';'
+# starts a comment.
+_COMMENT = re.compile(r";[^\n]*")
+_WHITESPACE = str.maketrans("\t\r\n\f", "    ")
+# One token per match, after any whitespace and comments, as its group: an
+# atom with any "'" right before it, '(', ')' or "'" alone, or "" at the
+# end of the text, as _tokens splits it.  Compiled when a fault is first
+# placed, not at import.
+_TOKEN_AT = r"[ \t\r\n\f]*(?:;[^\n]*[ \t\r\n\f]*)*('?[^ \t\r\n\f()';]+|[()']|\Z)"
 _PUNCT = frozenset("()'.")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _INT_START = frozenset("+-0123456789")
+
+
+def _tokens(text):
+    """The tokens of text, then "" for its end: '(', ')', "'", '.', or an
+    atom, with a "'" just before an atom glued to it, as in 'k123.  A
+    lone '.' is punctuation; a dot inside a longer run is part of an atom.
+    The split is on ' ' only, never bare split(), which would also split on
+    characters such as '\\x0b' and '\\xa0' that are atom characters."""
+    if ";" in text:
+        text = _COMMENT.sub(" ", text)
+    text = text.replace("(", " ( ").replace(")", " ) ").replace("'", " '").translate(_WHITESPACE)
+    tokens = list(filter(None, text.split(" ")))
+    tokens.append("")
+    return tokens
 
 
 def _parse_error(text, pos, message):
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
+def _token_start(text, index):
+    """Where the index-th token of text starts, found by scanning for it
+    again; the end of the text counts as a token."""
+    return next(islice(re.finditer(_TOKEN_AT, text), index, None)).start(1)
+
+
 def _token_error(text, index, message):
-    """The ParseError for a fault at the index-th token of text, placed by
-    scanning for that token again; the end of the text counts as a token."""
-    return _parse_error(text, next(islice(_TOKEN.finditer(text), index, None)).start(1), message)
+    """The ParseError for a fault at the index-th token of text."""
+    return _parse_error(text, _token_start(text, index), message)
 
 
 # The mode of an open '(' form (see _read).
@@ -624,6 +647,9 @@ _QUOTE_TERM = 4
 # Heads whose forms term_from_value converts, so that it alone checks them:
 # its special forms, and heads that are not plain symbols.
 _FORM_HEADS = frozenset({NIL, T, "lambda", "quote", "let", "let*", "falist"})
+# Tokens after a '(' that make no plain application head, besides
+# punctuation, glued quotes and integers: the form heads, a dot and the end.
+_NOT_HEADS = _FORM_HEADS | {".", ""}
 
 
 def _read(text, terms, one):
@@ -631,32 +657,43 @@ def _read(text, terms, one):
     a list of them, or with one true only the first, and then a fault
     unless the text ends there.
 
-    One findall splits the text into tokens.  The innermost open form is
-    kept in locals (opener, items, mode, start token); the forms around it,
-    down to the top level (no opener, the values read), wait on a stack.
-    '(' collects list items, "'" awaits its datum, '.' awaits a dotted tail
-    and then the list's ')'.  Nesting depth costs no recursion.  A fault is
-    placed by its token's index, and its line and column are found only
-    when it is raised.
+    _tokens splits the text with str methods, one C-level split.  The
+    innermost open form is kept in locals (opener, items, mode, start
+    token); the forms around it, down to the top level (no opener, the
+    values read), wait on a stack.  '(' collects list items, "'" awaits its
+    datum, '.' awaits a dotted tail and then the list's ')'.  A quote glued
+    to an atom is read with it in one step, as a quotation of the atom.
+    Nesting depth costs no recursion.  A fault is placed by its token's
+    index: its position, line and column are found only when it is raised,
+    by scanning the text again with _TOKEN_AT.
 
-    Where a term is wanted, a '(' form starts in _HEAD mode and its head,
-    read as a value, decides the rest.  A plain symbol head makes it _ARGS:
-    its items are read as terms and its ')' builds its term at once, with
-    the surface forms expanded.  Any other head makes it _FORM: it is read
-    as a value and term_from_value converts it at its ')'.  A quotation's
-    datum is always a value.  Equal atoms read as terms share one node.  A
-    term-shape error is reported at its form's '('.
+    Where a term is wanted, a '(' whose next token is a plain symbol opens
+    an _ARGS form with that symbol as its head, in the same step: its items
+    are read as terms, an atom among them is added at once, and its ')'
+    builds its term, with the surface forms expanded.  Any other '(' starts
+    in _HEAD mode, and its head, read as a value, makes it _FORM: it is
+    read as a value and term_from_value converts it at its ')'.  A
+    quotation's datum is always a value.  Equal atoms read as terms share
+    one node.  A term-shape error is reported at its form's '('.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     stack = []
     opener, items, mode, start = None, [], _ARGS if terms else _VALUE, None
     want = terms  # whether an atom here is read as a term
     atoms = {}
-    for i, tok in enumerate(tokens):
+    steps = enumerate(tokens)
+    for i, tok in steps:
         if tok not in _PUNCT:
             if not tok:
                 break  # the end of the text
-            if want:
+            if tok[0] == "'":
+                # the list keeps the atom the quotation keeps, not a second string
+                tok = tokens[i] = tok[1:]
+                if tok == ".":
+                    raise _parse_error(text, _token_start(text, i) + 1, "unexpected .")
+                x = int(tok) if tok[0] in _INT_START and _INT_RE.match(tok) else tok
+                x = Quote(x) if want else Cons("quote", Cons(x, NIL))
+            elif want:
                 x = atoms.get(tok)
                 if x is None:
                     if _INT_RE.match(tok):
@@ -684,7 +721,8 @@ def _read(text, terms, one):
                 if mode == _ARGS:
                     if tail != NIL:
                         items.extend(term_from_value(v) for v in list_items(tail))
-                    x = _plain_term(items[0], items[1:])
+                    head = items[0]
+                    x = App(head, items[1:]) if head not in _SURFACE_HEADS else _plain_term(head, items[1:])
                 elif mode == _HEAD:
                     x = NIL_TERM
                 else:
@@ -698,7 +736,16 @@ def _read(text, terms, one):
             opener, items, mode, start = stack.pop()
         else:
             if tok == "(":
-                new = _HEAD if want else _VALUE
+                if want:
+                    head = tokens[i + 1]
+                    if head not in _NOT_HEADS and head[0] not in "()'" and not (head[0] in _INT_START and _INT_RE.match(head)):
+                        stack.append((opener, items, mode, start))
+                        opener, items, mode, start = tok, [head], _ARGS, i
+                        next(steps)
+                        continue
+                    new = _HEAD
+                else:
+                    new = _VALUE
             elif tok == "'":
                 new = _QUOTE_TERM if want else _VALUE
             elif opener != "(":
@@ -712,12 +759,16 @@ def _read(text, terms, one):
             want = False
             continue
         # x is finished: hand it to the form awaiting it
+        if mode == _ARGS and opener is not None:
+            items.append(x)  # an argument of an _ARGS form
+            want = True
+            continue
         while opener == "'":
             x = Quote(x) if mode == _QUOTE_TERM else Cons("quote", Cons(x, NIL))
             opener, items, mode, start = stack.pop()
         if opener == "(":
             if mode == _HEAD:
-                mode = _ARGS if x.__class__ is str and x not in _FORM_HEADS else _FORM
+                mode = _FORM  # a plain symbol head was taken at its '('
         elif opener == ".":
             if tokens[i + 1] != ")":
                 raise _token_error(text, i + 1, "expected ) after dotted tail")
@@ -956,7 +1007,9 @@ def parse_term(text):
     the whole text before any term shape, so it reports a syntax fault,
     such as trailing input, ahead of an earlier term-shape fault, and gives
     a term-shape fault no position.  On every text with at most one fault,
-    the two return equal terms or raise errors with one message."""
+    the two return equal terms or raise errors with one message.
+    Whitespace is space, tab, CR, LF and form feed (^L), and ';' starts a
+    comment that runs to the end of its line."""
     return _read(text, True, True)
 
 
@@ -1123,31 +1176,34 @@ def arg_dont_rws(dw, nargs):
 
 def substitute(t, sub):
     """t with each variable that sub names replaced by its term.  No term
-    binds a name, so nothing can be captured.  An App waits on `frames`
-    with the arguments it has so far."""
-    frames = []
-    u = t
+    binds a name, so nothing can be captured.  The App being rebuilt is
+    kept in locals (node, its new arguments so far, an iterator over the
+    rest), and the Apps around it wait on a stack; t is the one argument of
+    a root with no node.  A leaf argument is added at once.  Each App
+    finished is kept by id, so a shared term costs its distinct nodes and
+    its result shares what it shares."""
+    memo = {}
+    stack = []
+    node, done, rest = None, [], iter((t,))
     while True:
-        cls = u.__class__
-        if cls is Var:
-            s = sub.get(u.name, u)
-        elif cls is Quote:
-            s = u
-        elif cls is App:
-            if u.args:
-                frames.append((u, []))
-                u = u.args[0]
-                continue
-            s = App(u.head, ())
+        for u in rest:
+            cls = u.__class__
+            if cls is Var:
+                done.append(sub.get(u.name, u))
+            elif cls is Quote:
+                done.append(u)
+            elif cls is not App:
+                raise TypeError(u)
+            else:
+                s = memo.get(id(u))
+                if s is None:
+                    stack.append((node, done, rest))
+                    node, done, rest = u, [], iter(u.args)
+                    break
+                done.append(s)
         else:
-            raise TypeError(u)
-        while frames:
-            node, done = frames[-1]
+            if node is None:
+                return done[0]
+            s = memo[id(node)] = App(node.head, done)
+            node, done, rest = stack.pop()
             done.append(s)
-            if len(done) < len(node.args):
-                u = node.args[len(done)]
-                break
-            frames.pop()
-            s = App(node.head, done)
-        else:
-            return s

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import RULE_FAULTS
+from conftest import RULE_FAULTS, tree_copy
 import termrw.rewriter
 import termrw.rules
 import termrw.terms
@@ -414,7 +414,7 @@ def _rewrite_both(rules, template, bindings, ctx, iff, sc):
     """The rewrites of template's instance and of an instance of its
     unshared tree copy, each by a fresh Rewriter: (result, stats) each."""
     out = []
-    for t in (template, substitute(template, {})):
+    for t in (template, tree_copy(template)):
         build, _, guard = compile_template(t)
         rw = Rewriter(rules, cfg=RewriteConfig(side_conditions_enabled=sc))
         out.append((rw.rewrite(build(bindings), guard, ctx, iff), rw.stats))
@@ -484,7 +484,7 @@ def test_a_let_chain_hypothesis_is_relieved_as_its_tree_copy_is():
         (defthm f-when-p (implies (p {chain}) (equal (f x) x)))
     """)
     rule = rules.rules["f-when-p"]
-    tree_rule = rule.replace(hyps=(substitute(rule.hyps[0], {}),))
+    tree_rule = rule.replace(hyps=(tree_copy(rule.hyps[0]),))
     tree_rules = build_ruleset([r for r in rules.rules.values() if not r.internal and r is not rule] + [tree_rule])
     for sc in (True, False):
         for ctx in ([P("(q y)")], []):

@@ -138,6 +138,12 @@ def test_a_name_taken_or_a_lemma_of_another_form_is_refused(text, message):
     assert str(e.value) == message
 
 
+def test_a_page_break_line_between_declarations_is_whitespace():
+    # a form feed (^L) is whitespace, as Page is in Common Lisp
+    rules = rules_of("(defthm a (equal (f x) x))\n\f\n(defthm b (equal (g x) x))\f")
+    assert [r.name for r in rules] == ["a", "b"]
+
+
 def test_unknown_declaration_rejected():
     with pytest.raises(RuleFileError) as e:
         parse_rule_file("(defrule r (equal (f x) x))")
@@ -148,6 +154,10 @@ def test_unknown_declaration_rejected():
     "text,message",
     [
         ("()", "not a declaration: 'nil'"),
+        ("foo", "not a declaration: 'foo'"),
+        ("5", "not a declaration: 5"),
+        ("(5)", "not a declaration: (5)"),
+        ("(defthm a . b)", "not a declaration: (defthm a . b)"),
         ("(defthm a)", "defthm expects a name and a formula"),
         ("(def-rp-rule a (equal x x) b)", "def-rp-rule expects a name and a formula"),
         ("(defthmd d)", "defthmd expects a name and a formula"),

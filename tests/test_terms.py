@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
+from termrw import terms
 from termrw.demo import chain_term
 from termrw.evaluator import shared_nodes
 from termrw.falist import check_falist_term
@@ -75,7 +76,13 @@ def test_read_value_quote_sugar():
 
 
 def test_read_value_comments_and_whitespace():
-    assert read_value("; intro\n ( a ; mid\n b )") == Cons("a", Cons("b", "nil"))
+    ab = Cons("a", Cons("b", "nil"))
+    assert read_value("; intro\n ( a ; mid\n b )") == ab
+    # a form feed (^L) is whitespace, as Page is in Common Lisp
+    assert read_value("\f(a\fb)\f") == ab
+    assert read_values("(a b)\f(c d)") == [ab, Cons("c", Cons("d", "nil"))]
+    # other control and Unicode spaces are atom characters
+    assert read_values("a\x0bb c\xa0d") == ["a\x0bb", "c\xa0d"]
 
 
 def test_read_values_multiple():
@@ -117,6 +124,10 @@ PLACED_FAULTS = [
     (parse_term, "(f '  ", "unexpected end of input", 1, 7),
     (read_values, "(defthm a (equal x x))\n(defthm b\n  (equal (f . ) x))", "unexpected )", 3, 15),
     (read_values, "; rules\n(defthm a (equal x x))\n\n(defthm b (equal (g x . y z) x))", "expected ) after dotted tail", 4, 27),
+    (read_values, "(a b)\f(c . d e)", "expected ) after dotted tail", 1, 14),
+    (parse_term, "(f\n  '. x)", "unexpected .", 2, 4),
+    (parse_term, "(g ('f x))", "application head must be a symbol or lambda", 1, 4),
+    (parse_term, "(g (5 x))", "application head must be a symbol", 1, 4),
 ]
 
 
@@ -125,6 +136,33 @@ def test_reader_faults_are_placed_at_their_tokens(reader, text, message, line, c
     with pytest.raises(ParseError) as e:
         reader(text)
     assert (str(e.value), e.value.line, e.value.col) == (f"{message} (line {line}, column {col})", line, col)
+
+
+# The reader's token grammar as one regex, with a form feed among the
+# whitespace: the reference that terms._tokens keeps to once each quote
+# glued to an atom is split off.
+_REFERENCE_TOKEN = re.compile(r"[ \t\r\n\f]*(?:;[^\n]*[ \t\r\n\f]*)*(\.(?=[ \t\r\n\f()';]|\Z)|[()']|[^ \t\r\n\f()';]+|\Z)")
+
+_TEXT_PARTS = st.one_of(
+    st.sampled_from(["(", ")", "'", ".", ";", "\n", "\t", "\r", "\f", "\x0b", "\xa0", " "]),
+    st.sampled_from(["a.b", ".5", "..", "x.", "nil", "f", "k12", "+", "-", "let*", "1+"]),
+    st.integers(-999, 999).map(str),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TEXT_PARTS, max_size=40).map("".join))
+def test_tokens_are_the_reference_grammar_s_tokens(text):
+    tokens = terms._tokens(text)
+    unglued = []
+    for tok in tokens:
+        unglued += ["'", tok[1:]] if len(tok) > 1 and tok[0] == "'" else [tok]
+    reference = _REFERENCE_TOKEN.findall(text)
+    # findall may match the end twice, after the last skipped run
+    assert unglued == reference[: reference.index("") + 1]
+    # the scan that places a fault finds each token where it starts
+    for i, tok in enumerate(tokens):
+        assert text.startswith(tok, terms._token_start(text, i))
 
 
 def test_read_value_deep_nest_needs_no_recursion():
@@ -944,6 +982,16 @@ def test_substitute_basic():
     out = substitute(t, {"x": Quote(1)})
     # y, which the map does not name, stays a variable
     assert out == parse_term("(f '1 (g '1 y))")
+
+
+def test_substitute_of_a_shared_term_costs_its_distinct_nodes():
+    # 40 distinct applications, 2^41 - 1 nodes as a tree
+    t = doubling(40)
+    start = time.perf_counter()
+    out = substitute(t, {"x": Var("y")})
+    assert time.perf_counter() - start < 1
+    assert sum(u.__class__ is App for u in postorder(out)) == 40
+    assert out == doubling(40, "y")
 
 
 def test_substitute_avoids_capture():
