@@ -13,12 +13,16 @@ meta hit recurses under the guard the meta returns.
 Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
 inside the call.  An argument the loop would return unchanged (stopped by
 dont-rw, quoted, or a variable or a falist term outside an iff position)
-is counted as the rewrite call it stands for and not made.  A matched
-rule's hypotheses are relieved in a plain loop while each holds at the
-binding: a syntaxp test, or (p x) whose binding for x carries an rp 'p
-wrapper, with no instance built or rewritten.  So a generator is taken
-only by a node with an argument to rewrite, an if, a hypothesis whose
-instance must be rewritten, and a meta or rule result to rewrite.
+is counted as the rewrite call it stands for and not made, inline unless
+the step limit is near.  A matched rule's hypotheses are relieved in a
+plain loop while each holds at the binding: a syntaxp test, or (p x) whose
+binding for x carries an rp 'p wrapper, with no instance built or
+rewritten.  So a generator is taken only by a node with an argument to
+rewrite, an if, a hypothesis whose instance must be rewritten, and a meta
+result or a rule result to rewrite; a quoted or stopped rule result is
+counted and returned.  Each rewrite plans steps 5-7 for a head on its
+first use (see _plan), from the rules, metas, executable counterparts and
+settings as they stand then; a head with none of them skips the steps.
 
 A rule is matched and instantiated by flat Python functions that it
 compiles and keeps (Rule.compile) the first time the loop tries it, never
@@ -50,6 +54,7 @@ from .terms import (
     Var,
     arg_dont_rws,
     flat_path,
+    has_wrapper,
     is_rp,
     mk_rp,
     node_count,
@@ -58,7 +63,6 @@ from .terms import (
     substitute,
     trampoline,
     truthy,
-    wrapper_props,
 )
 
 
@@ -214,6 +218,8 @@ class Rewriter:
         # each rewrite gets the whole step limit; stats go on accumulating
         self._limit = self.stats.rewrite_calls + self.cfg.step_limit
         self._memo = {}  # see _memoized; kept until the next rewrite
+        self._plans = {}  # see _plan; per rewrite, as is the flag below
+        self._sc = self.cfg.side_conditions_enabled
         return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
 
     def proved(self, t, ctx=()):
@@ -239,14 +245,7 @@ class Rewriter:
         # (1) dont-rw stop
         if dw is STOP:
             return t
-        cls = t.__class__
-        if cls is Quote:
-            return t
-        if cls is Var:
-            if iff:
-                r = self._reduce_by_context(t, ctx)
-                if r is not None:
-                    return r
+        if t.__class__ is Quote:
             return t
 
         # (2) iff-context reduction on the whole (possibly wrapped) term
@@ -254,21 +253,26 @@ class Rewriter:
             r = self._reduce_by_context(t, ctx)
             if r is not None:
                 return r
+        if t.__class__ is Var:
+            return t
 
         # peel rp wrappers; the core is processed and the props re-applied
         props = []
         core = t
-        while is_rp(core):
-            props.append(core.args[0].value)
-            dw = arg_dont_rws(dw, 2)[1]
-            core = core.args[1]
-        if core.__class__ is Quote or core.__class__ is Var:
-            return t
-        peeled = len(props)
+        peeled = 0
+        if t.head == "rp":
+            while is_rp(core):
+                props.append(core.args[0].value)
+                if dw is not OPEN:
+                    dw = arg_dont_rws(dw, 2)[1]
+                core = core.args[1]
+            if core.__class__ is not App:
+                return t
+            peeled = len(props)
         head = core.head
 
         # (3) strengthen from context facts about this very term
-        if self.cfg.side_conditions_enabled and ctx.props and head not in ("if", "falist"):
+        if ctx.props and self._sc and head not in ("if", "falist"):
             for p in ctx.props.get(strip_rp_deep(core), ()):
                 if p not in props:
                     props.append(p)
@@ -288,35 +292,35 @@ class Rewriter:
             # dont-rw, quoted, or a variable or falist term outside an iff
             # position) is counted as the call it stands for, not made
             args = core.args
-            dws = (STOP,) * len(args) if head == "hide" else arg_dont_rws(dw, len(args))
-            arg_iff = iff and head == "not" and len(args) == 1
+            n = len(args)
+            dws = (STOP,) * n if head == "hide" else (OPEN,) * n if dw is OPEN else arg_dont_rws(dw, n)
+            arg_iff = iff and head == "not" and n == 1
+            plan = self._plans.get(head)
+            if plan is None:
+                plan = self._plan(head)
             todo = []
             for i, a in enumerate(args):
                 c = a.__class__
                 if not (dws[i] is STOP or c is Quote or (not arg_iff and (c is Var or a.head == "falist"))):
                     todo.append(i)
             if todo:
-                steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, props, path)
+                steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, plan, props, path)
             else:
-                self._count_calls(len(args))
-                steps = self._steps_5_to_7(core, ctx, iff, props, path)
+                if stats.rewrite_calls + n <= self._limit:
+                    stats.rewrite_calls += n
+                else:
+                    self._count_calls(n)
+                steps = self._steps_5_to_7(core, plan, ctx, iff, props, path) if plan else core
         if not props:
             return steps
         # t is the rewrapped term itself when the core comes back unchanged,
         # unless step (3) added a property or t names one twice
-        keep = t if len(props) == peeled == len(set(props)) else None
+        keep = t if len(props) == peeled and (peeled == 1 or len(set(props)) == peeled) else None
         if steps.__class__ is GeneratorType:
             return self._rewrapped(props, steps, keep)
-        return self._rewrap(props, steps, keep)
-
-    def _rw_step(self, t, dw, ctx, iff, path):
-        """What _rw(t, dw, ctx, iff, path) gives, for a caller that is not a
-        generator: t itself, counted, when dw stops it, else a generator
-        that makes the call."""
-        if dw is STOP:
-            self._count_calls(1)
+        if steps is core and keep is t:
             return t
-        return self._rw_hop(t, dw, ctx, iff, path)
+        return self._rewrap(props, steps, keep)
 
     def _rw_hop(self, t, dw, ctx, iff, path):
         # the trampoline, not the caller's stack, makes this call, as a tail
@@ -348,11 +352,9 @@ class Rewriter:
         when it is that term already."""
         if keep is not None and strip_rp(keep) is core:
             return keep
-        existing = wrapper_props(core)
         for p in reversed(props):
-            if p not in existing:
+            if not has_wrapper(core, p):
                 core = mk_rp(p, core)
-                existing.append(p)
                 self.stats.nodes_created += 2
         return core
 
@@ -360,15 +362,14 @@ class Rewriter:
         """Count n rewrite calls that would return their term unchanged, as
         _rw would count them; False when the step limit stops one."""
         stats = self.stats
-        room = self._limit - stats.rewrite_calls
-        if n <= room:
-            stats.rewrite_calls += n
+        stats.rewrite_calls += n
+        if stats.rewrite_calls <= self._limit:
             return True
+        stats.rewrite_calls = self._limit
         stats.step_limit_hit = True
-        stats.rewrite_calls += max(room, 0)
         return False
 
-    def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, outer_props, path):
+    def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, plan, outer_props, path):
         """Step (4) for a node with arguments to rewrite, at the indices
         todo, then steps 5-7.  The other arguments are counted in turn."""
         args = list(core.args)
@@ -394,21 +395,22 @@ class Rewriter:
                 r = self._reduce_by_context(core, ctx)
                 if r is not None:
                     return r
-        return self._steps_5_to_7(core, ctx, iff, outer_props, path)
+        return self._steps_5_to_7(core, plan, ctx, iff, outer_props, path) if plan else core
 
-    def _steps_5_to_7(self, core, ctx, iff, outer_props, path):
+    def _steps_5_to_7(self, core, plan, ctx, iff, outer_props, path):
+        """Steps 5-7 at core, whose head's plan is not ()."""
+        exe, fa, meta, rules = plan
         stats = self.stats
-        head = core.head
 
         # (5) executable counterpart on quoted arguments, unless the rule
         # file disables it
-        for a in core.args:
-            if a.__class__ is not Quote:
-                break
-        else:
-            if core.args and self.registry.has(head) and head not in self.ruleset.exec_disabled:
+        if exe and core.args:
+            for a in core.args:
+                if a.__class__ is not Quote:
+                    break
+            else:
                 try:
-                    value = self.registry.call(head, [a.value for a in core.args])
+                    value = self.registry.call(core.head, [a.value for a in core.args])
                     stats.exec_evals += 1
                     stats.nodes_created += 1
                     return Quote(value)
@@ -418,23 +420,34 @@ class Rewriter:
                     pass
 
         # (5b) fast-alist interception, or a linear lookup with it off
-        if head in _FA_HEADS:
-            fa = self._apply_falist(core)
-            if fa is not None:
-                return fa
+        if fa:
+            out = self._apply_falist(core)
+            if out is not None:
+                return out
 
         # (6) meta rules
-        if head in self.metas.by_trigger:
+        if meta:
             m = self.metas.apply(core, stats, self.meta_diagnostics)
             if m is not None:
                 new_t, new_dw = m
-                return self._rw_step(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
+                return self._rw_hop(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
 
         # (7) rewrite rules
-        candidates = self.ruleset.buckets.get(head)
-        if candidates:
-            return self._apply_rules(candidates, 0, core, ctx, iff, outer_props, path)
+        if rules:
+            return self._apply_rules(rules, 0, core, ctx, iff, outer_props, path)
         return core
+
+    def _plan(self, head):
+        """Steps 5-7 at head for this rewrite: whether an executable
+        counterpart may run, whether head is a fast-alist head, whether it
+        has metas, and its rules; () when it has none of these."""
+        rs = self.ruleset
+        exe = self.registry.has(head) and head not in rs.exec_disabled
+        fa = head in _FA_HEADS
+        meta = head in self.metas.by_trigger
+        rules = rs.buckets.get(head)
+        plan = self._plans[head] = (exe, fa, meta, rules) if exe or fa or meta or rules else ()
+        return plan
 
     # -- step helpers --------------------------------------------------------
 
@@ -450,9 +463,9 @@ class Rewriter:
             if isinstance(stripped, App) and stripped.head == "not" and len(stripped.args) == 1:
                 if stripped.args[0] in ctx.members:
                     return NIL_TERM
-        if self.cfg.side_conditions_enabled:
+        if self._sc:
             u = strip_rp(t)
-            if isinstance(u, App) and len(u.args) == 1 and u.head in wrapper_props(u.args[0]):
+            if u.__class__ is App and len(u.args) == 1 and has_wrapper(u.args[0], u.head):
                 return T_TERM
         return None
 
@@ -510,9 +523,7 @@ class Rewriter:
         stats = self.stats
         for i in range(start, len(candidates)):
             rule = candidates[i]
-            if not rule.enabled:
-                continue
-            if rule.equiv == "iff" and not iff:
+            if not rule.enabled or (rule.equiv == "iff" and not iff):
                 continue
             stats.rule_attempts += 1
             m = (rule.match or rule.compile())(core)
@@ -522,7 +533,7 @@ class Rewriter:
             if rule.hyps:
                 # the rewrite of (p x) reduces it to 't by a wrapper 'p on x's
                 # binding, unless the context holds its negation: then to 'nil
-                by_wrapper = self.cfg.side_conditions_enabled and not ctx.negs and "not" not in outer_props
+                by_wrapper = self._sc and not ctx.negs and "not" not in outer_props
                 for _, p in extracted:
                     if p == "not":
                         by_wrapper = False
@@ -532,7 +543,15 @@ class Rewriter:
                     continue
                 if j < len(rule.hyps):
                     return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path)
-            return self._rw_step(*self._rule_result(rule, core, bindings, path), ctx, iff, path)
+            result, dw = self._rule_result(rule, core, bindings, path)
+            if dw is STOP or result.__class__ is Quote:
+                # finished: counted as the call that would return it
+                if stats.rewrite_calls < self._limit:
+                    stats.rewrite_calls += 1
+                else:
+                    stats.step_limit_hit = True
+                return result
+            return self._rw_hop(result, dw, ctx, iff, path)
         return core
 
     def _relieve_at_binding(self, rule, start, bindings, by_wrapper):
@@ -542,9 +561,10 @@ class Rewriter:
         index of the first one to rewrite, len(rule.hyps) when none is
         left, or None when one fails."""
         hyps = rule.hyps
+        stats = self.stats
         for j in range(start, len(hyps)):
             hyp = hyps[j]
-            if isinstance(hyp, Syntaxp):
+            if hyp.__class__ is Syntaxp:
                 try:
                     if not syntaxp_eval(hyp, bindings):
                         return None
@@ -556,10 +576,12 @@ class Rewriter:
                 and len(hyp.args) == 1
                 and hyp.head != "not"
                 and hyp.args[0].__class__ is Var
-                and hyp.head in wrapper_props(bindings[hyp.args[0].name])
+                and has_wrapper(bindings[hyp.args[0].name], hyp.head)
             ):
-                if not self._count_calls(1):
+                if stats.rewrite_calls >= self._limit:
+                    stats.step_limit_hit = True
                     return None
+                stats.rewrite_calls += 1
             else:
                 return j
         return len(hyps)
@@ -570,7 +592,7 @@ class Rewriter:
         inside the matched term as facts when side conditions are on."""
         stats = self.stats
         rule = candidates[i]
-        known = extracted + [(core, p) for p in outer_props] if self.cfg.side_conditions_enabled else None
+        known = extracted + [(core, p) for p in outer_props] if self._sc else None
         hyp_ctx = ctx.extend([App(p, (sub,)) for sub, p in known]) if known else ctx
         self._backchain += 1
         try:
@@ -593,7 +615,7 @@ class Rewriter:
         """The instantiated rhs of a rule that applies, and its dont-rw."""
         stats = self.stats
         stats.rule_applications += 1
-        build, size, dw = rule.build_sc_rhs if self.cfg.side_conditions_enabled else rule.build_rhs
+        build, size, dw = rule.build_sc_rhs if self._sc else rule.build_rhs
         result = build(bindings)
         stats.nodes_created += size
         if self.cfg.trace:

@@ -36,6 +36,7 @@ from .terms import (
     Shared,
     Var,
     contains_head,
+    format_value,
     free_vars,
     is_rp,
     list_items,
@@ -389,7 +390,7 @@ def parse_rule_file(text):
         except ParseError:
             items = ()  # an atom or a dotted form
         if not items or not isinstance(items[0], str):
-            raise RuleFileError(f"not a declaration: {form!r}")
+            raise RuleFileError(f"not a declaration: {format_value(form)}")
         op, rest = items[0], items[1:]
         if op in ("def-rp-rule", "defthm", "defthm-lambda"):
             if len(rest) != 2:

@@ -490,13 +490,13 @@ def strip_rp(t):
     return t
 
 
-def wrapper_props(t):
-    """Property symbols of the rp wrapper chain on t, outermost first."""
-    props = []
+def has_wrapper(t, prop):
+    """Whether prop names a wrapper of the rp wrapper chain on t."""
     while is_rp(t):
-        props.append(t.args[0].value)
+        if t.args[0].value == prop:
+            return True
         t = t.args[1]
-    return props
+    return False
 
 
 def strip_rp_deep(t):

@@ -17,8 +17,17 @@ from conftest import RULE_FAULTS, tree_copy
 import termrw.rewriter
 import termrw.rules
 import termrw.terms
-from termrw.demo import SHIPPED_RULESETS, TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookups_term, tree_conjecture
-from termrw.meta import MetaRegistry, MetaRule, demo_metas
+from termrw.demo import (
+    ARITH_RULES,
+    SHIPPED_RULESETS,
+    TREE_RULES,
+    TREE_RULES_BACKCHAIN,
+    chain_term,
+    lookups_term,
+    three_round_to_evens,
+    tree_conjecture,
+)
+from termrw.meta import MetaRegistry, MetaRule, demo_metas, fold_plus
 from termrw.rewriter import BACKCHAIN_DEPTH, Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
 from termrw.rules import (
     Rule,
@@ -40,6 +49,7 @@ from termrw.terms import (
     Var,
     arg_dont_rws,
     format_term,
+    has_wrapper,
     is_rp,
     mk_rp,
     parse_term,
@@ -47,7 +57,6 @@ from termrw.terms import (
     strip_rp,
     substitute,
     terms_equal_mod_rp,
-    wrapper_props,
 )
 from termrw.validate import check_run
 
@@ -770,6 +779,87 @@ def test_round_to_even_work_is_pinned():
         assert _work(rw) == ROUND_TO_EVEN_WORK[path.name[: -len(".lsp")]]
 
 
+# Every counter of one rewrite down each kind of path through the loop:
+# name -> (rewriter, term, dont-rw, iff), the output, and the nonzero
+# counters.  However the loop runs its steps, none of them may move.
+F_TO_G = "(def-rp-rule f-to-g (equal (f x) (g x)))"
+PINNED_PATHS = {
+    "tree-sc-6": (
+        lambda: (_tree_rewriter(True), tree_conjecture(6), OPEN, True),
+        "'t",
+        dict(rewrite_calls=955, rule_attempts=128, rule_applications=128, nodes_created=350),
+    ),
+    "tree-backchain-6": (
+        lambda: (_tree_rewriter(False), tree_conjecture(6), OPEN, True),
+        "'t",
+        dict(rewrite_calls=2627, rule_attempts=1090, rule_applications=706, nodes_created=1380),
+    ),
+    "three-round-to-evens": (
+        lambda: (rewriter(ARITH_RULES), three_round_to_evens(), OPEN, True),
+        "'t",
+        dict(rewrite_calls=113, rule_attempts=146, rule_applications=19, hyp_relief_failures=50, nodes_created=69),
+    ),
+    "fold-plus": (
+        lambda: (
+            Rewriter(ruleset(F_TO_G), metas=MetaRegistry([MetaRule("fold-plus", "binary-+", fold_plus)])),
+            P("(h (binary-+ '1 (binary-+ (f x) '2)) (binary-+ (f y) '5))"),
+            OPEN,
+            False,
+        ),
+        "(h (binary-+ '3 (g x)) (binary-+ (g y) '5))",
+        dict(rewrite_calls=16, rule_attempts=2, rule_applications=2, meta_applications=1, nodes_created=10),
+    ),
+    "tuple-guard": (
+        lambda: (rewriter(F_TO_G), P("(h (f a) (f b) (k (f c) (f d)))"), (OPEN, STOP, OPEN, (OPEN, OPEN, STOP)), False),
+        "(h (f a) (g b) (k (g c) (f d)))",
+        dict(rewrite_calls=12, rule_attempts=2, rule_applications=2, nodes_created=4),
+    ),
+    "if-from-context": (
+        lambda: (rewriter(F_TO_G), P("(if (p a) (if (p a) (f a) b) (if (not (p a)) c (f b)))"), OPEN, False),
+        "(if (p a) (g a) c)",
+        dict(rewrite_calls=12, rule_attempts=1, rule_applications=1, nodes_created=2),
+    ),
+    # the limit falls among arguments counted, not made, at one node
+    "limit-in-counted-args": (
+        lambda: (rewriter(F_TO_G, step_limit=3), P("(f a b c d e)"), OPEN, False),
+        "(f a b c d e)",
+        dict(rewrite_calls=3, rule_attempts=1, step_limit_hit=True),
+    ),
+    "limit-before-a-made-arg": (
+        lambda: (rewriter(F_TO_G, step_limit=2), P("(f a b (f c) d e)"), OPEN, False),
+        "(f a b (f c) d e)",
+        dict(rewrite_calls=2, rule_attempts=1, step_limit_hit=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PATHS))
+def test_every_counter_of_each_loop_path_is_pinned(name):
+    make, printed, counters = PINNED_PATHS[name]
+    rw, t, dw, iff = make()
+    assert format_term(rw.rewrite(t, dw, iff=iff)) == printed
+    assert rw.stats.as_dict() == dict(RewriteStats().as_dict(), **counters)
+
+
+def test_each_rewrite_follows_changes_made_since_the_last():
+    # one Rewriter, one term, rewritten again after each change to the
+    # rules, metas and executable counterparts it uses
+    rw = rewriter(F_TO_G)
+    t = P("(h (f a) (k '2))")
+    assert format_term(rw.rewrite(t, iff=False)) == "(h (g a) (k '2))"
+    rw.ruleset.rules["f-to-g"].enabled = False
+    assert format_term(rw.rewrite(t, iff=False)) == "(h (f a) (k '2))"
+    rw.metas.register(MetaRule("h-to-m", "h", lambda u: App("m", u.args)))
+    assert format_term(rw.rewrite(t, iff=False)) == "(m (f a) (k '2))"
+    rw.registry.register("k", 1, lambda x: x + 1)
+    assert format_term(rw.rewrite(t, iff=False)) == "(m (f a) '3)"
+    rw = _tree_rewriter(True)
+    t = P("(binary-logand (iassoc 'a e) (iassoc 'b e))")
+    assert format_term(rw.rewrite(t, iff=False)) == "(rp 'integerp (4vec-bitand (iassoc 'a e) (iassoc 'b e)))"
+    rw.cfg.side_conditions_enabled = False
+    assert format_term(rw.rewrite(t, iff=False)) == "(4vec-bitand (iassoc 'a e) (iassoc 'b e))"
+
+
 # Every step limit from 1 to the full call count on the depth-3 tree: the
 # limits where the output changes, and a digest of the distinct outputs in
 # order.  The sweep stops the loop at every kind of call, an argument only
@@ -831,7 +921,7 @@ def test_wrapper_relief_takes_no_generator(monkeypatch):
 
     def watched(self, *args):
         bindings = next(a for a in args if isinstance(a, dict))
-        if all("integerp" in wrapper_props(b) for b in bindings.values()):
+        if all(has_wrapper(b, "integerp") for b in bindings.values()):
             raise AssertionError("the hypotheses of a wrapped match took a generator")
         ran.append(bindings)
         return relieve(self, *args)

@@ -153,8 +153,8 @@ def test_unknown_declaration_rejected():
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("()", "not a declaration: 'nil'"),
-        ("foo", "not a declaration: 'foo'"),
+        ("()", "not a declaration: nil"),
+        ("foo", "not a declaration: foo"),
         ("5", "not a declaration: 5"),
         ("(5)", "not a declaration: (5)"),
         ("(defthm a . b)", "not a declaration: (defthm a . b)"),

@@ -34,6 +34,7 @@ from termrw.terms import (
     format_term,
     format_value,
     free_vars,
+    has_wrapper,
     is_rp,
     mk_rp,
     node_count,
@@ -49,7 +50,6 @@ from termrw.terms import (
     term_to_value,
     terms_equal_mod_rp,
     truthy,
-    wrapper_props,
 )
 
 
@@ -586,7 +586,7 @@ def test_rp_helpers():
     t = mk_rp("integerp", mk_rp("evenp", Var("x")))
     assert is_rp(t)
     assert strip_rp(t) == Var("x")
-    assert wrapper_props(t) == ["integerp", "evenp"]
+    assert has_wrapper(t, "integerp") and has_wrapper(t, "evenp") and not has_wrapper(t, "x")
     assert strip_rp_deep(parse_term("(f (rp 'integerp a) b)")) == parse_term("(f a b)")
 
 
@@ -595,7 +595,7 @@ def test_an_rp_without_a_quoted_property_is_not_a_wrapper():
     # peel keeps any other rp as an ordinary call
     for t in (App("rp", (Var("p"), Var("x"))), parse_term("(rp 'p)"), parse_term("(rp 'p x y)")):
         assert not is_rp(t)
-        assert strip_rp(t) is t and strip_rp_deep(t) is t and wrapper_props(t) == []
+        assert strip_rp(t) is t and strip_rp_deep(t) is t and not has_wrapper(t, "p")
     t = parse_term("(f (rp (g p) (rp 'integerp a)))")
     assert strip_rp_deep(t) == parse_term("(f (rp (g p) a))")
     assert terms_equal_mod_rp(t, parse_term("(f (rp 'bitp (rp (g p) a)))"))
