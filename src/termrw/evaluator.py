@@ -162,12 +162,23 @@ def _mod(a, b):
     return a if b == 0 else a % b
 
 
+# the widest loghead or logapp size evaluated: 1 << size takes size/8 bytes
+MAX_LOG_BITS = 1 << 20
+
+
+def _bits(size):
+    n = nfix(size)
+    if n > MAX_LOG_BITS:
+        raise EvalDomainError(f"a loghead or logapp size above {MAX_LOG_BITS} bits")
+    return n
+
+
 def _loghead(size, i):
-    return ifix(i) % (1 << nfix(size))
+    return ifix(i) % (1 << _bits(size))
 
 
 def _logapp(size, i, j):
-    return _loghead(size, i) + (ifix(j) << nfix(size))
+    return _loghead(size, i) + (ifix(j) << _bits(size))
 
 
 def _d2(x):

@@ -12,17 +12,17 @@ meta hit recurses under the guard the meta returns.
 
 Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
 inside the call.  An argument the loop would return unchanged (stopped by
-dont-rw, quoted, or a variable or a falist term outside an iff position)
-is counted as the rewrite call it stands for and not made, inline unless
-the step limit is near.  A matched rule's hypotheses are relieved in a
-plain loop while each holds at the binding: a syntaxp test, or (p x) whose
-binding for x carries an rp 'p wrapper, with no instance built or
-rewritten.  So a generator is taken only by a node with an argument to
-rewrite, an if, a hypothesis whose instance must be rewritten, and a meta
-result or a rule result to rewrite; a quoted or stopped rule result is
-counted and returned.  Each rewrite plans steps 5-7 for a head on its
-first use (see _plan), from the rules, metas, executable counterparts and
-settings as they stand then; a head with none of them skips the steps.
+dont-rw, quoted, or a variable or a falist term outside an iff position) is
+counted as the rewrite call it stands for and not made, by a plain add, as
+every call is, even past the step limit.  A matched rule's hypotheses are
+relieved in a plain loop while each holds at the binding: a syntaxp test,
+or (p x) whose binding for x carries an rp 'p wrapper, with no instance
+built or rewritten.  So a generator is taken only by a node with an
+argument to rewrite, an if, a hypothesis whose instance must be rewritten,
+and a meta result or a rule result to rewrite; a quoted or stopped rule
+result is counted and returned.  Each rewrite plans steps 5-7 for a head on
+its first use (see _plan), from the rules, metas, executable counterparts
+and settings as they stand then; a head with none of them skips the steps.
 
 A rule is matched and instantiated by flat Python functions that it
 compiles and keeps (Rule.compile) the first time the loop tries it, never
@@ -212,15 +212,22 @@ class Rewriter:
         """t rewritten under dont_rw and ctx.  The wrappers of t and ctx are
         trusted, as RP-Rewriter's theorem assumes valid-sc of its input; an
         rp whose first argument is not quoted is no wrapper but the identity
-        on its payload.  check_run, which --verify runs, checks a run."""
+        on its payload.  check_run, which --verify runs, checks a run.  A
+        call past the step limit returns its term, but a node already
+        entered finishes steps 5-7 on the arguments it has."""
         if not isinstance(ctx, Context):
             ctx = Context(map(strip_rp_deep, ctx))
-        # each rewrite gets the whole step limit; stats go on accumulating
-        self._limit = self.stats.rewrite_calls + self.cfg.step_limit
+        # each rewrite gets the whole step limit, at least 0; stats go on accumulating
+        self._limit = self.stats.rewrite_calls + max(self.cfg.step_limit, 0)
         self._memo = {}  # see _memoized; kept until the next rewrite
         self._plans = {}  # see _plan; per rewrite, as is the flag below
         self._sc = self.cfg.side_conditions_enabled
-        return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
+        try:
+            return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
+        finally:  # refused calls are counted too, so a hit leaves the count past the limit
+            if self.stats.rewrite_calls > self._limit:
+                self.stats.rewrite_calls = self._limit
+                self.stats.step_limit_hit = True
 
     def proved(self, t, ctx=()):
         out = self.rewrite(t, OPEN, ctx, iff=True)
@@ -236,7 +243,7 @@ class Rewriter:
     def _rw(self, t, dw, ctx, iff, path):
         stats = self.stats
         if stats.rewrite_calls >= self._limit:
-            stats.step_limit_hit = True
+            stats.rewrite_calls += 1  # refused, and counted: see rewrite
             return t
         if dw.__class__ is Shared:
             return self._memoized(t, dw, ctx, iff, path)
@@ -306,10 +313,7 @@ class Rewriter:
             if todo:
                 steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, plan, props, path)
             else:
-                if stats.rewrite_calls + n <= self._limit:
-                    stats.rewrite_calls += n
-                else:
-                    self._count_calls(n)
+                stats.rewrite_calls += n
                 steps = self._steps_5_to_7(core, plan, ctx, iff, props, path) if plan else core
         if not props:
             return steps
@@ -358,26 +362,15 @@ class Rewriter:
                 self.stats.nodes_created += 2
         return core
 
-    def _count_calls(self, n):
-        """Count n rewrite calls that would return their term unchanged, as
-        _rw would count them; False when the step limit stops one."""
-        stats = self.stats
-        stats.rewrite_calls += n
-        if stats.rewrite_calls <= self._limit:
-            return True
-        stats.rewrite_calls = self._limit
-        stats.step_limit_hit = True
-        return False
-
     def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, plan, outer_props, path):
         """Step (4) for a node with arguments to rewrite, at the indices
         todo, then steps 5-7.  The other arguments are counted in turn."""
+        stats = self.stats
         args = list(core.args)
         changed = False
         done = 0
         for i in todo:
-            if i > done:
-                self._count_calls(i - done)
+            stats.rewrite_calls += i - done
             a = args[i]
             step = self._rw(a, dws[i], ctx, arg_iff, (path, i + 1))
             if step.__class__ is GeneratorType:
@@ -386,11 +379,10 @@ class Rewriter:
                 args[i] = step
                 changed = True
             done = i + 1
-        if done < len(args):
-            self._count_calls(len(args) - done)
+        stats.rewrite_calls += len(args) - done
         if changed:
             core = App(core.head, args)
-            self.stats.nodes_created += 1
+            stats.nodes_created += 1
             if iff:
                 r = self._reduce_by_context(core, ctx)
                 if r is not None:
@@ -545,11 +537,7 @@ class Rewriter:
                     return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path)
             result, dw = self._rule_result(rule, core, bindings, path)
             if dw is STOP or result.__class__ is Quote:
-                # finished: counted as the call that would return it
-                if stats.rewrite_calls < self._limit:
-                    stats.rewrite_calls += 1
-                else:
-                    stats.step_limit_hit = True
+                stats.rewrite_calls += 1  # finished: counted as the call that would return it
                 return result
             return self._rw_hop(result, dw, ctx, iff, path)
         return core
@@ -578,10 +566,9 @@ class Rewriter:
                 and hyp.args[0].__class__ is Var
                 and has_wrapper(bindings[hyp.args[0].name], hyp.head)
             ):
-                if stats.rewrite_calls >= self._limit:
-                    stats.step_limit_hit = True
-                    return None
                 stats.rewrite_calls += 1
+                if stats.rewrite_calls > self._limit:
+                    return None
             else:
                 return j
         return len(hyps)

@@ -638,7 +638,6 @@ def _token_error(text, index, message):
 
 # The mode of an open '(' form (see _read).
 _VALUE = 0  # a list value, read where a value is wanted
-_HEAD = 1  # a term whose head is yet to come
 _ARGS = 2  # a plain application: a symbol head, then argument terms
 _FORM = 3  # any other term, read whole as a value for term_from_value
 # A "'" frame read where a term is wanted; any other "'" or "." frame is _VALUE.
@@ -670,11 +669,11 @@ def _read(text, terms, one):
     Where a term is wanted, a '(' whose next token is a plain symbol opens
     an _ARGS form with that symbol as its head, in the same step: its items
     are read as terms, an atom among them is added at once, and its ')'
-    builds its term, with the surface forms expanded.  Any other '(' starts
-    in _HEAD mode, and its head, read as a value, makes it _FORM: it is
-    read as a value and term_from_value converts it at its ')'.  A
-    quotation's datum is always a value.  Equal atoms read as terms share
-    one node.  A term-shape error is reported at its form's '('.
+    builds its term, with the surface forms expanded.  Any other '(' opens a
+    _FORM form, read as a value that term_from_value converts at its ')' (so
+    () reads as 'nil).  A quotation's datum is always a value.  Equal atoms
+    read as terms share one node.  A term-shape error is reported at its
+    form's '('.
     """
     tokens = _tokens(text)
     stack = []
@@ -723,8 +722,6 @@ def _read(text, terms, one):
                         items.extend(term_from_value(v) for v in list_items(tail))
                     head = items[0]
                     x = App(head, items[1:]) if head not in _SURFACE_HEADS else _plain_term(head, items[1:])
-                elif mode == _HEAD:
-                    x = NIL_TERM
                 else:
                     x = tail
                     for item in reversed(items):
@@ -743,7 +740,7 @@ def _read(text, terms, one):
                         opener, items, mode, start = tok, [head], _ARGS, i
                         next(steps)
                         continue
-                    new = _HEAD
+                    new = _FORM
                 else:
                     new = _VALUE
             elif tok == "'":
@@ -766,16 +763,12 @@ def _read(text, terms, one):
         while opener == "'":
             x = Quote(x) if mode == _QUOTE_TERM else Cons("quote", Cons(x, NIL))
             opener, items, mode, start = stack.pop()
-        if opener == "(":
-            if mode == _HEAD:
-                mode = _FORM  # a plain symbol head was taken at its '('
-        elif opener == ".":
-            if tokens[i + 1] != ")":
-                raise _token_error(text, i + 1, "expected ) after dotted tail")
-        elif one:
+        if opener is None and one:
             if tokens[i + 1]:
                 raise _token_error(text, i + 1, "trailing input after s-expression")
             return x
+        if opener == "." and tokens[i + 1] != ")":
+            raise _token_error(text, i + 1, "expected ) after dotted tail")
         items.append(x)
         want = mode == _ARGS
     if opener is not None:

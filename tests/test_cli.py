@@ -89,6 +89,13 @@ def test_check_rules_strict_catches_false_rule(tmp_path, capsys):
     assert "soundness sample failed" in out and "witness:" in out
 
 
+def test_check_rules_strict_samples_a_loghead_of_any_size(tmp_path, capsys):
+    # a quarter of the draws lie near +-2^64; a size that large is undefined
+    text = "(def-rp-rule lh (equal (loghead n (binary-+ x '0)) (loghead n x)))"
+    assert main(["check-rules", write(tmp_path, "r.lsp", text), "--strict"]) == 0
+    assert capsys.readouterr().out.strip() == "checked 1 rule(s): ok"
+
+
 def test_check_rules_strict_notes_unregistered(tmp_path, capsys):
     text = "(def-rp-rule r (equal (mystery x) (mystery x)))"
     rc = main(["check-rules", write(tmp_path, "r.lsp", text), "--strict", "--samples", "50"])

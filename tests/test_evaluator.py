@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import doubling, rand_rng, rand_term, tree_copy, value_dag_pairs
 from termrw.evaluator import (
+    MAX_LOG_BITS,
     EvalDomainError,
     EvalError,
     ExecRegistry,
@@ -87,6 +88,18 @@ def test_loghead_logapp(ev):
     assert ev("(loghead '4 '-1)") == 15
     assert ev("(logapp '4 '15 '2)") == 47
     assert ev("(logapp '0 '9 '5)") == 5
+
+
+def test_a_loghead_or_logapp_size_past_the_bound_is_outside_the_domain(ev):
+    # 1 << size would take size/8 bytes, or overflow, so such a size is refused
+    for size in (MAX_LOG_BITS + 1, 10**11, 10**20):
+        for text in (f"(loghead '{size} '5)", f"(logapp '{size} '5 '1)"):
+            with pytest.raises(EvalDomainError):
+                ev(text)
+    # at the bound and below, the values are as they were
+    assert ev(f"(loghead '{MAX_LOG_BITS} '-1)") == (1 << MAX_LOG_BITS) - 1
+    assert ev(f"(logapp '{MAX_LOG_BITS} '-1 '1)") == (1 << (MAX_LOG_BITS + 1)) - 1
+    assert ev("(loghead '-3 '7)") == 0 and ev("(logapp 'x '9 '5)") == 5
 
 
 def test_evenp_uses_coercion(ev):

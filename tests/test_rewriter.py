@@ -58,7 +58,7 @@ from termrw.terms import (
     substitute,
     terms_equal_mod_rp,
 )
-from termrw.validate import check_run
+from termrw.validate import check_run, random_term
 
 P = parse_term
 
@@ -677,6 +677,13 @@ def test_exec_domain_error_leaves_term():
     assert rw.stats.exec_domain_errors == 1
 
 
+def test_a_huge_loghead_size_is_a_domain_error_not_a_crash():
+    rw = rewriter(ARITH_RULES)
+    t = P("(equal x (loghead '100000000000000000000 '5))")
+    assert rw.proved(t) == (False, t)
+    assert rw.stats.exec_domain_errors == 1
+
+
 def test_disable_exec_declaration():
     rw = rewriter("(disable-exec binary-+)")
     assert rw.rewrite(P("(binary-+ '1 '2)"), iff=False) == P("(binary-+ '1 '2)")
@@ -733,6 +740,17 @@ def test_step_limit_flag():
     rw = rewriter("", step_limit=3)
     rw.rewrite(P("(f (g (h (k a))))"), iff=False)
     assert rw.stats.step_limit_hit
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_a_step_limit_below_one_refuses_the_first_call_and_keeps_the_count(limit):
+    rw = rewriter(F_TO_G)
+    t = P("(f a)")
+    assert format_term(rw.rewrite(t, iff=False)) == "(g a)"
+    calls = rw.stats.rewrite_calls
+    rw.cfg.step_limit = limit
+    assert rw.rewrite(t, iff=False) is t
+    assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (calls, True)
 
 
 # The work each shipped conjecture takes: (rewrite_calls, rule_attempts,
@@ -829,6 +847,13 @@ PINNED_PATHS = {
         lambda: (rewriter(F_TO_G, step_limit=2), P("(f a b (f c) d e)"), OPEN, False),
         "(f a b (f c) d e)",
         dict(rewrite_calls=2, rule_attempts=1, step_limit_hit=True),
+    ),
+    # a call past the limit returns its term, but the node entered before
+    # finishes steps 5-7 on the arguments it has: equal-self still fires
+    "limit-then-equal-self": (
+        lambda: (rewriter(F_TO_G, step_limit=2), P("(equal (k a b c) (k a b c))"), OPEN, False),
+        "'t",
+        dict(rewrite_calls=2, rule_attempts=1, rule_applications=1, nodes_created=1, step_limit_hit=True),
     ),
 }
 
@@ -990,6 +1015,33 @@ def test_mixed_hypotheses_stop_where_they_did(text):
         assert rw.stats.hyp_relief_failures == int(failures[limit - 1]), limit
     assert [i + 1 for i, out in enumerate(outputs) if i == 0 or out != outputs[i - 1]] == changes
     assert outputs[-1] == final
+
+
+def test_every_step_limit_on_random_terms_counts_and_flags_the_stop():
+    # random terms in a frame where a meta, an iff rule and a syntaxp
+    # hypothesis fire, which the sweeps above do not reach: at each limit L
+    # the count is min(L, full), the limit is hit when L < full, and from
+    # full on the output is the unlimited one
+    rs = ruleset(ARITH_RULES + "(def-rp-rule integerp-of-+ (iff (integerp (+ x y)) 't))")
+    frame = P("(if (integerp (binary-+ x y)) (binary-+ '1 (binary-+ z '2)) (binary-+ y x))")
+    rng = random.Random(11)
+    fired, rewrites = set(), 0
+    for _ in range(12):
+        t = substitute(frame, {v: random_term(rng, 3) for v in "xyz"})
+        for metas in ((), demo_metas()):
+            for iff in (True, False):
+                rw = Rewriter(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(trace=True))
+                full_out = rw.rewrite(t, iff=iff)
+                full = rw.stats.rewrite_calls
+                fired.update(name for _, name, _, _ in rw.trace)
+                fired.update(["meta"] * rw.stats.meta_applications)
+                for limit in range(1, min(full, 300) + 2):
+                    rw = Rewriter(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(step_limit=limit))
+                    out = rw.rewrite(t, iff=iff)
+                    assert (rw.stats.rewrite_calls, rw.stats.step_limit_hit) == (min(limit, full), limit < full), (t, limit)
+                    assert limit < full or out == full_out, (t, limit)
+                    rewrites += 1
+    assert {"meta", "integerp-of-+", "+-comm"} <= fired and rewrites > 1000
 
 
 def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():
