@@ -14,7 +14,13 @@ Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
 inside the call.  An argument the loop would return unchanged (stopped by
 dont-rw, quoted, or a variable or a falist term outside an iff position) is
 counted as the rewrite call it stands for and not made, by a plain add, as
-every call is, even past the step limit.  A matched rule's hypotheses are
+every call is, even past the step limit.  So is a settled argument, as the
+calls of its tree, counted where the loop reaches it: an application in a
+value position, with no context fact to strengthen it, whose heads have no
+step but an executable counterpart that cannot run, over variables,
+quotations and, SETTLED_HEIGHT levels down at most, such applications
+(see _settled).  Past the step limit the count differs only in how far
+past it is, which nothing reads.  A matched rule's hypotheses are
 relieved in a plain loop while each holds at the binding: a syntaxp test,
 or (p x) whose binding for x carries an rp 'p wrapper, with no instance
 built or rewritten.  So a generator is taken only by a node with an
@@ -187,6 +193,15 @@ instantiate = substitute
 
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
 
+# heads whose _rw is more than step (4) on its arguments, or whose arguments
+# are counted one call each whatever their size: the stepped heads of each
+# rewrite start from these (see _settled)
+_UNSETTLED = frozenset({"rp", "if", "falist", "hide"})
+
+# how many levels of applications below an argument _settled looks through:
+# a node whose arguments do not settle pays up to one failed check per level
+SETTLED_HEIGHT = 3
+
 
 class Rewriter:
     """One rewriting engine instance: rule set, executable registry, metas,
@@ -220,7 +235,8 @@ class Rewriter:
         # each rewrite gets the whole step limit, at least 0; stats go on accumulating
         self._limit = self.stats.rewrite_calls + max(self.cfg.step_limit, 0)
         self._memo = {}  # see _memoized; kept until the next rewrite
-        self._plans = {}  # see _plan; per rewrite, as is the flag below
+        self._plans = {}  # see _plan; per rewrite, as are the set and flag below
+        self._stepped = set(_UNSETTLED)  # see _settled
         self._sc = self.cfg.side_conditions_enabled
         try:
             return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
@@ -297,7 +313,10 @@ class Rewriter:
         else:
             # (4) an argument that _rw would return unchanged (stopped by
             # dont-rw, quoted, or a variable or falist term outside an iff
-            # position) is counted as the call it stands for, not made
+            # position) is counted as the call it stands for, not made; so is
+            # a settled one (see _settled), as the calls of its tree: those
+            # below it are counted now when no argument before it is made,
+            # else as an entry -k in todo, when the loop gets to it
             args = core.args
             n = len(args)
             dws = (STOP,) * n if head == "hide" else (OPEN,) * n if dw is OPEN else arg_dont_rws(dw, n)
@@ -308,8 +327,24 @@ class Rewriter:
             todo = []
             for i, a in enumerate(args):
                 c = a.__class__
-                if not (dws[i] is STOP or c is Quote or (not arg_iff and (c is Var or a.head == "falist"))):
-                    todo.append(i)
+                if dws[i] is STOP or c is Quote:
+                    continue
+                if not arg_iff:
+                    if c is Var or a.head == "falist":
+                        continue
+                    # a head not planned yet is not stepped
+                    if (
+                        a.head not in self._stepped
+                        and dws[i] is OPEN
+                        and not (ctx.props and self._sc)
+                        and (s := self._settled(a, SETTLED_HEIGHT))
+                    ):
+                        if not todo:
+                            stats.rewrite_calls += s - 1
+                        elif s > 1:
+                            todo.append(1 - s)
+                        continue
+                todo.append(i)
             if todo:
                 steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, plan, props, path)
             else:
@@ -364,12 +399,16 @@ class Rewriter:
 
     def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, plan, outer_props, path):
         """Step (4) for a node with arguments to rewrite, at the indices
-        todo, then steps 5-7.  The other arguments are counted in turn."""
+        todo, then steps 5-7.  The other arguments are counted in turn, and
+        an entry -k in todo counts the k calls below a settled argument."""
         stats = self.stats
         args = list(core.args)
         changed = False
         done = 0
         for i in todo:
+            if i < 0:
+                stats.rewrite_calls -= i
+                continue
             stats.rewrite_calls += i - done
             a = args[i]
             step = self._rw(a, dws[i], ctx, arg_iff, (path, i + 1))
@@ -432,14 +471,48 @@ class Rewriter:
     def _plan(self, head):
         """Steps 5-7 at head for this rewrite: whether an executable
         counterpart may run, whether head is a fast-alist head, whether it
-        has metas, and its rules; () when it has none of these."""
+        has metas, and its rules; () when it has none of these.  A head
+        with a fast-alist step, a meta or a rule joins the stepped heads."""
         rs = self.ruleset
         exe = self.registry.has(head) and head not in rs.exec_disabled
         fa = head in _FA_HEADS
         meta = head in self.metas.by_trigger
         rules = rs.buckets.get(head)
+        if fa or meta or rules:
+            self._stepped.add(head)
         plan = self._plans[head] = (exe, fa, meta, rules) if exe or fa or meta or rules else ()
         return plan
+
+    def _settled(self, t, height):
+        """The calls _rw makes on the application t, under OPEN outside an
+        iff position with no facts to strengthen from, when each returns
+        its term unchanged: t's tree size.  So it is when no head in t is
+        a stepped head (rp, if, falist, hide, or one with a fast-alist
+        step, a meta or a rule), one with an executable counterpart has an
+        argument not quoted, and each argument is a variable, a quotation
+        or, height levels down at most, such an application.  0 otherwise."""
+        head = t.head
+        plan = self._plans.get(head)
+        if plan is None:
+            plan = self._plan(head)
+        if head in self._stepped:
+            return 0
+        size = 1
+        quoted = True
+        for a in t.args:
+            c = a.__class__
+            if c is Quote:
+                size += 1
+                continue
+            quoted = False
+            if c is Var:
+                size += 1
+            elif c is App and height and (s := self._settled(a, height - 1)):
+                size += s
+            else:
+                return 0
+        # an executable counterpart runs on quoted arguments
+        return 0 if plan and quoted else size
 
     # -- step helpers --------------------------------------------------------
 

@@ -24,6 +24,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "termrw"
 ALLOWED = {
     "validate.py:random_term": "bounded by its depth argument",
     "demo.py:_tree": "bounded by its depth argument",
+    "rewriter.py:Rewriter._settled": "bounded by its height argument",
 }
 
 

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import random
 import sys
+import threading
 import time
 import weakref
 
@@ -23,6 +24,7 @@ from termrw.demo import (
     TREE_RULES,
     TREE_RULES_BACKCHAIN,
     chain_term,
+    lookup_keys,
     lookups_term,
     three_round_to_evens,
     tree_conjecture,
@@ -797,6 +799,50 @@ def test_round_to_even_work_is_pinned():
         assert _work(rw) == ROUND_TO_EVEN_WORK[path.name[: -len(".lsp")]]
 
 
+# The closed forms of the cost model (ROADMAP item 2), at every size: the
+# depth-d tree conjecture with side conditions on and off, and an N-entry
+# falist built and then read by N lookups on one Rewriter, with fast alists
+# on and off.  With side conditions, rule attempts are linear in the tree's
+# nodes; with fast alists, a lookup is one probe.
+CLOSED_FORMS = {
+    ("tree", True): (
+        range(1, 11),
+        lambda d: dict(
+            rewrite_calls=15 * 2**d - 5,
+            rule_attempts=2 ** (d + 1),
+            rule_applications=2 ** (d + 1),
+            nodes_created=11 * 2 ** (d - 1) - 2,
+        ),
+    ),
+    ("tree", False): (
+        range(1, 11),
+        lambda d: dict(
+            rewrite_calls=(6 * d + 5) * 2**d + 3,
+            rule_attempts=(3 * d - 1) * 2**d + 2,
+            rule_applications=(2 * d - 1) * 2**d + 2,
+        ),
+    ),
+    ("falist", True): ((*range(1, 21), 100, 1000), lambda n: dict(rewrite_calls=6 * n + 2, fa_probes=n)),
+    ("falist", False): ((*range(1, 21), 100), lambda n: dict(rewrite_calls=3 * n * n + 6 * n + 2, fa_probes=0)),
+}
+
+
+@pytest.mark.parametrize("family,on", sorted(CLOSED_FORMS))
+def test_the_cost_model_has_its_closed_forms_at_every_size(family, on):
+    sizes, form = CLOSED_FORMS[family, on]
+    for n in sizes:
+        if family == "tree":
+            rw = _tree_rewriter(on)
+            assert rw.proved(tree_conjecture(n))[0]
+        else:
+            rw = Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=on))
+            fal = rw.rewrite(chain_term(n), iff=False)
+            rw.rewrite(lookups_term(fal, lookup_keys(n)), iff=False)
+        stats = rw.stats.as_dict()
+        assert {k: stats[k] for k in form(n)} == form(n), n
+        assert not stats["step_limit_hit"]
+
+
 # Every counter of one rewrite down each kind of path through the loop:
 # name -> (rewriter, term, dont-rw, iff), the output, and the nonzero
 # counters.  However the loop runs its steps, none of them may move.
@@ -1042,6 +1088,158 @@ def test_every_step_limit_on_random_terms_counts_and_flags_the_stop():
                     assert limit < full or out == full_out, (t, limit)
                     rewrites += 1
     assert {"meta", "integerp-of-+", "+-comm"} <= fired and rewrites > 1000
+
+
+class _Unsettled(Rewriter):
+    """The loop with no argument settled: each is rewritten by a call."""
+
+    def _settled(self, t, height):
+        return 0
+
+
+# Inert heads (f, g, iassoc), heads with only an executable counterpart
+# (4vec-bitand, unary--, binary-+, which folds quoted arguments), heads
+# with rules (binary-logand, h, k, integerp, p by an iff rule), a meta
+# (n) or a fast-alist step (hons-acons), and the heads whose arguments
+# _settled does not enter or whose _rw does more.
+SETTLE_RULES = TREE_RULES + """\
+(def-rp-rule h-to-g (equal (h x) (g x)))
+(def-rp-rule k-when-integerp (implies (integerp x) (equal (k x y) (f y x))))
+(def-rp-rule integerp-of-m (integerp (m x)))
+(def-rp-rule p-is-q (iff (p x) (q x)))
+"""
+# head -> (weight, least and most arguments); an rp is a wrapper
+_SETTLE_HEADS = {
+    "f": (4, 1, 3),
+    "g": (4, 0, 2),
+    "iassoc": (4, 2, 2),
+    "4vec-bitand": (4, 2, 2),
+    "unary--": (4, 1, 1),
+    "binary-+": (4, 2, 2),
+    **dict.fromkeys(["binary-logand", "k"], (1, 2, 2)),
+    "hons-acons": (1, 3, 3),
+    **dict.fromkeys(["h", "integerp", "m", "n", "p", "not", "hide", "rp"], (1, 1, 1)),
+    "if": (1, 3, 3),
+}
+
+
+# one term for each condition _settled checks, each given where it holds
+# and where it fails; fal stands for a falist
+SETTLE_TEXTS = (
+    "(g (f x) (iassoc 'k1 y))",
+    "(g (if '1 x y) (if x y '2))",
+    "(g (hide (f x)) (hide x))",
+    "(g (rp 'integerp (f x)) (rp x (f y)))",
+    "(g (f fal) (iassoc fal x))",
+    "(g (unary-- '2) (unary-- x) (4vec-bitand x '1) (4vec-bitand '1 '2))",
+    "(g (binary-logand x y) (h x) (integerp (f x)))",
+    "(g (h x) (f y (g x)) (h y) (f x))",
+    "(g (n x) (hons-acons 'k1 x 'nil) (hons-acons 'k1 x y))",
+    "(not (f (g x (f y))))",
+    "(g (f (g (f (g x)))) (f (g (f (g (iassoc 'k1 (h x)))))))",
+    "(g (f) (g) (f (f)))",
+)
+
+
+def _settle_term(rng, depth, fal):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((Var("x"), Var("y"), Var("x"), Quote(1), Quote(2), Quote("k1"), fal))
+    head = rng.choices(list(_SETTLE_HEADS), [w for w, _, _ in _SETTLE_HEADS.values()])[0]
+    if head == "rp":
+        return mk_rp(rng.choice(("integerp", "p")), _settle_term(rng, depth - 1, fal))
+    _, lo, hi = _SETTLE_HEADS[head]
+    return App(head, tuple(_settle_term(rng, depth - 1, fal) for _ in range(rng.randint(lo, hi))))
+
+
+def _settle_guard(rng, t, depth):
+    r = rng.random()
+    if depth == 0 or t.__class__ is not App or r < 0.5:
+        return OPEN
+    if r < 0.6:
+        return STOP
+    return (OPEN, *(_settle_guard(rng, a, depth - 1) for a in t.args))
+
+
+def test_a_settled_argument_counts_as_the_calls_it_stands_for(monkeypatch):
+    # the loop against itself with no argument settled, on random terms
+    # under context facts, guards, side conditions on and off, in iff and
+    # value positions: at every step limit the same output and counters
+    settled = Rewriter._settled
+    sizes = []
+
+    def recorded(self, t, height):
+        sizes.append(settled(self, t, height))
+        return sizes[-1]
+
+    monkeypatch.setattr(Rewriter, "_settled", recorded)
+    rs = ruleset(SETTLE_RULES)
+    metas = [MetaRule("n-to-g", "n", lambda u: App("g", u.args))]
+    fal = rewriter().rewrite(chain_term(2), iff=False)
+    contexts = [
+        Context(),
+        Context([P("(integerp x)")]),
+        Context([P("(equal x y)"), P("(not (p y))")]),
+        Context([P("(integerp (f x))"), P("(q (iassoc 'k1 y))"), P("(p (g x))")]),
+    ]
+    rng = random.Random(37)
+    cases = [(substitute(P(text), {"fal": fal}), OPEN) for text in SETTLE_TEXTS]
+    # a guard on a subterm that would settle: a stop inside it, and a shared
+    # node, whose second call is a memo hit
+    sub, shared = P("(f (f x))"), Shared((OPEN, OPEN))
+    cases += [(P("(g (f (f x)) (f (f y)))"), (OPEN, (OPEN, STOP), (OPEN, (OPEN, OPEN)))), (App("g", (sub, sub)), (OPEN, shared, shared))]
+    for _ in range(16):
+        t = _settle_term(rng, 4, fal)
+        cases.append((t, _settle_guard(rng, t, 2)))
+    rewrites = 0
+    for t, dw in cases:
+        for sc in (True, False):
+            for ctx in contexts:
+                for iff in (True, False):
+
+                    def run(cls, limit):
+                        rw = cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit))
+                        return rw.rewrite(t, dw, ctx, iff), rw.stats.as_dict()
+
+                    full = run(Rewriter, 1 << 20)
+                    assert full == run(_Unsettled, 1 << 20), (t, sc, ctx, iff)
+                    for limit in range(1, full[1]["rewrite_calls"] + 2):
+                        assert run(Rewriter, limit) == run(_Unsettled, limit), (t, sc, ctx, iff, limit)
+                        rewrites += 1
+    assert sum(s > 1 for s in sizes) > 1000 and max(sizes) >= 5 and rewrites > 4000
+
+    # a depth-6 tree proof makes half the _rw calls, and counts the same
+    made = 0
+    rw_step = Rewriter._rw
+
+    def counted(self, *args):
+        nonlocal made
+        made += 1
+        return rw_step(self, *args)
+
+    monkeypatch.setattr(Rewriter, "_rw", counted)
+    tree_rules = ruleset((DEMOS / "rules" / "tree.lsp").read_text())
+    for cls, calls in ((Rewriter, 198), (_Unsettled, 382)):
+        made = 0
+        rw = cls(tree_rules)
+        assert rw.proved(tree_conjecture(6))[0]
+        assert (made, _work(rw)) == (calls, TREE_WORK[6, True])
+
+
+def test_deep_settled_chains_rewrite_on_the_main_thread():
+    # (f (f ... x)) and (f (f ... (binary-+ '1 '2))), no rules: each level
+    # looks at most SETTLED_HEIGHT levels below it, with no Python recursion
+    # past that
+    assert threading.current_thread() is threading.main_thread()
+    n = 100_000
+    x = Var("x")
+    for bottom, folded, calls, evals in ((x, x, n + 1, 0), (P("(binary-+ '1 '2)"), Quote(3), n + 3, 1)):
+        t, expected = bottom, folded
+        for _ in range(n):
+            t, expected = App("f", (t,)), App("f", (expected,))
+        rw = rewriter()
+        out = rw.rewrite(t)
+        assert out is t if bottom is folded else out == expected
+        assert (rw.stats.rewrite_calls, rw.stats.exec_evals) == (calls, evals)
 
 
 def test_wrapper_relief_at_the_binding_defers_to_a_negated_fact():
