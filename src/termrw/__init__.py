@@ -16,11 +16,10 @@ from .evaluator import (
     eval_term,
     eval_terms,
 )
-from .falist import fa_acons, fa_free, fa_get, falist_shadow
+from .falist import fa_acons, fa_free, fa_get
 from .meta import MetaRegistry, MetaRule
 from .rewriter import Context, RewriteConfig, Rewriter, RewriteStats, unify
 from .rules import (
-    AttachError,
     Rule,
     RuleFileError,
     RuleSet,
@@ -41,6 +40,7 @@ from .terms import (
     Quote,
     T_TERM,
     Var,
+    falist_shadow,
     format_term,
     format_value,
     parse_term,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "App",
-    "AttachError",
     "Cons",
     "Context",
     "EvalDomainError",

@@ -13,7 +13,7 @@ import time
 from .demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookup_keys, lookups_term, tree_conjecture
 from .evaluator import default_registry
 from .rewriter import RewriteConfig, Rewriter
-from .rules import AttachError, RuleFileError, build_ruleset, parse_rule_file, rule_violations
+from .rules import RuleFileError, build_ruleset, parse_rule_file, rule_violations
 from .terms import ParseError, format_term, node_count, parse_term
 from .validate import check_run, sample_rule_soundness
 
@@ -47,9 +47,16 @@ def _load_ruleset(path):
         return None, 2
     try:
         return build_ruleset(decls), 0
-    except (RuleFileError, AttachError) as exc:
+    except RuleFileError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return None, 1
+
+
+def _skip_reason(report, what):
+    """Why report skipped every draw: an unregistered function, or no draw defining what."""
+    if report.unknown is not None:
+        return f"(unregistered functions): {report.unknown}"
+    return f"(no draw defined the {what})"
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +86,7 @@ def cmd_check_rules(args):
                 _path, what, digest = report.failures[0]
                 print(f"{rule.name}: soundness sample failed: {what}  witness: {digest}")
             elif report.skipped >= args.samples:
-                print(f"{rule.name}: soundness sampling skipped (unregistered functions)", file=sys.stderr)
+                print(f"{rule.name}: soundness sampling skipped {_skip_reason(report, 'lhs')}", file=sys.stderr)
             elif report.starved:
                 print(f"{rule.name}: soundness sampling starved (hypotheses too restrictive)", file=sys.stderr)
     if violations:
@@ -158,7 +165,7 @@ def cmd_prove(args):
             print("verification FAILED")
             status = 1
         elif report.skipped >= args.verify:
-            print("verification skipped (unregistered functions)", file=sys.stderr)
+            print(f"verification skipped {_skip_reason(report, 'conjecture')}", file=sys.stderr)
         else:
             note = " (starved)" if report.starved else ""
             print(f"verified on {report.accepted} sample(s){note}")

@@ -103,20 +103,20 @@ def four_round_to_evens():
     return parse_term(FOUR_ROUND_TO_EVENS)
 
 
-def _tree(head, depth, counter):
-    """Full binary tree of `head` nodes over (iassoc 'k<i> env) leaves."""
-    if depth == 0:
-        k = counter[0]
-        counter[0] += 1
-        return App("iassoc", (Quote(f"k{k}"), Var("env")))
-    return App(head, (_tree(head, depth - 1, counter), _tree(head, depth - 1, counter)))
+def _tree(head, depth):
+    """Full binary tree of `head` nodes over (iassoc 'k<i> env) leaves,
+    numbered from 0 left to right, built level by level."""
+    level = [App("iassoc", (Quote(f"k{k}"), Var("env"))) for k in range(1 << depth)]
+    while len(level) > 1:
+        level = [App(head, (level[i], level[i + 1])) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def tree_conjecture(depth):
     """(equal <logand tree> <4vec-bitand tree>) with matching leaves; proving
     it forces integerp to be established at every left-hand node."""
-    left = _tree("binary-logand", depth, [0])
-    right = _tree("4vec-bitand", depth, [0])
+    left = _tree("binary-logand", depth)
+    right = _tree("4vec-bitand", depth)
     return App("equal", (left, right))
 
 

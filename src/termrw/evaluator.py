@@ -27,9 +27,9 @@ every wrapper is still checked where evaluation reaches it.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 
-from .terms import NIL, T, App, Cons, Quote, Var, flat_path, is_rp, postorder, strip_rp_deep, truthy
+from .terms import NIL, OWN_HEADS, T, App, Cons, Quote, Var, flat_path, is_rp, shared_apps, strip_rp_deep, truthy
 
 
 class EvalError(Exception):
@@ -245,10 +245,6 @@ def default_registry():
 # ---------------------------------------------------------------------------
 # evaluation
 
-# heads evaluation treats itself, with their arities
-_OWN_HEADS = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
-
-
 def eval_term(t, env, registry, shared=None):
     """Evaluate t under env.  rp/falist/hide are identities on their payload,
     if is lazy, list builds a cons chain.  Raises UnboundVariableError,
@@ -264,20 +260,11 @@ def eval_term(t, env, registry, shared=None):
 
 
 def shared_nodes(terms, nodes=None):
-    """The ids of the App nodes reached more than once from terms, counting
-    each root as reached, that hold no rp wrapper: the nodes an eval_terms
-    memo remembers.  nodes is postorder(*terms), walked here unless the
-    caller has walked it."""
-    if nodes is None:
-        nodes = postorder(*terms)
-    reached, shared = set(), []
-    for u in chain(terms, *[u.args for u in nodes if u.__class__ is App]):
-        if u.__class__ is App and u.args:
-            if id(u) not in reached:
-                reached.add(id(u))
-            else:
-                shared.append(u)
-    return {id(u) for u in shared if strip_rp_deep(u) is u}
+    """The ids of the applications reached more than once from terms (see
+    terms.shared_apps) that have arguments and hold no rp wrapper: the
+    nodes an eval_terms memo remembers.  nodes is postorder(*terms), walked
+    here unless the caller has walked it."""
+    return {i for i, u in shared_apps(terms, nodes).items() if u.args and strip_rp_deep(u) is u}
 
 
 def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
@@ -338,7 +325,7 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
         elif cls is App:
             head = t.head
             args = t.args
-            arity = _OWN_HEADS.get(head)
+            arity = OWN_HEADS.get(head)
             entry = memo.get(id(t), _NO_ENTRY) if memo else _NO_ENTRY
             if arity is not None and len(args) != arity:
                 exc = EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
@@ -372,7 +359,7 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
                 memo[id(node)] = (node, node_live, live, col, raised)
                 continue
             head = node.head
-            arity = _OWN_HEADS.get(head)
+            arity = OWN_HEADS.get(head)
             if arity is None:
                 n = len(node.args)
                 if len(live) < len(node_live):

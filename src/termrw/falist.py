@@ -1,8 +1,10 @@
-"""Shadowing fast-alist support.
+"""The rewriter's fast-alist steps.
 
 A term ``(falist 'shadow logical)`` evaluates as its logical payload, an
 alist chain term, while the quoted shadow caches the same bindings in a
-lookup table built from what logical_entries decodes of the chain.
+lookup table built from what logical_entries decodes of the chain; terms
+defines that shape (FalistShadow, logical_entries, falist_shadow and
+check_falist_term), and this module the steps on it.
 hons-acons extends both sides, hons-get answers from the shadow in one
 probe, fast-alist-free drops back to the payload.  With fast alists off
 the rewriter answers hons-get by linear_get instead, a scan of the logical
@@ -15,78 +17,7 @@ so older falist terms stay valid and fast.
 
 from __future__ import annotations
 
-from .terms import (
-    NIL,
-    NIL_TERM,
-    App,
-    Cons,
-    FalistShadow,
-    Quote,
-    is_falist,
-)
-
-
-def logical_entries(t):
-    """Decode an alist chain term into its (key, value-term) pairs, newest
-    first, or None when t is not such a chain.
-
-    The one decoder of alist chains: every shadow is built from what it
-    returns.  A falist term reads as its logical part, a cons or hons-acons
-    application with a quoted key adds a binding, and a quoted proper alist
-    ends the chain, each of its pairs a binding to a quoted value.
-    """
-    entries = []
-    while True:
-        if isinstance(t, Quote):
-            value = t.value
-            while isinstance(value, Cons) and isinstance(value.car, Cons):
-                entries.append((value.car.car, Quote(value.car.cdr)))
-                value = value.cdr
-            return entries if isinstance(value, str) and value == NIL else None
-        if is_falist(t):
-            t = t.args[1]
-        elif isinstance(t, App) and t.head == "cons" and len(t.args) == 2:
-            pair = t.args[0]
-            if isinstance(pair, App) and pair.head == "cons" and len(pair.args) == 2 and isinstance(pair.args[0], Quote):
-                entries.append((pair.args[0].value, pair.args[1]))
-            elif isinstance(pair, Quote) and isinstance(pair.value, Cons):
-                entries.append((pair.value.car, Quote(pair.value.cdr)))
-            else:
-                return None
-            t = t.args[1]
-        elif isinstance(t, App) and t.head == "hons-acons" and len(t.args) == 3 and isinstance(t.args[0], Quote):
-            entries.append((t.args[0].value, t.args[1]))
-            t = t.args[2]
-        else:
-            return None
-
-
-def falist_shadow(t):
-    """The FalistShadow of a falist term, or None."""
-    if is_falist(t) and isinstance(t.args[0], Quote) and isinstance(t.args[0].value, FalistShadow):
-        return t.args[0].value
-    return None
-
-
-def check_falist_term(t, path=()):
-    """Coherence check: shadow entries must mirror the logical chain exactly."""
-    violations = []
-    if not (isinstance(t, App) and t.head == "falist"):
-        return [(path, "not a falist term")]
-    if len(t.args) != 2:
-        return [(path, "falist must have exactly 2 arguments")]
-    shadow = falist_shadow(t)
-    if shadow is None:
-        return [(path, "falist shadow must be a quoted association-list constant")]
-    logical = logical_entries(t.args[1])
-    if logical is None:
-        return [(path, "falist logical part is not a quoted-key alist chain")]
-    if len(logical) != len(shadow.entries):
-        return [(path, "falist shadow and logical part differ in length")]
-    for i, ((ks, vs), (kl, vl)) in enumerate(zip(shadow.entries, logical)):
-        if ks != kl or vs != vl:
-            violations.append((path, f"falist shadow entry {i} disagrees with the logical part"))
-    return violations
+from .terms import NIL_TERM, App, FalistShadow, Quote, falist_shadow, is_falist, logical_entries
 
 
 def fa_acons(key, val, tail):

@@ -2,7 +2,8 @@
 
 A meta function takes the term and returns either a new term, a (term,
 dont-rw) pair, or None for "no change".  Its output must pass the
-well-formedness check, rp_termp, or the result is discarded.
+well-formedness check, rp_termp, or the result is discarded and counted in
+stats.meta_rejections.
 
 A meta on a fast-alist head (hons-get, hons-acons, fast-alist-free)
 registers, but the loop's fast-alist step (5b) runs before its meta step
@@ -50,7 +51,7 @@ class MetaRegistry:
         self.by_trigger.setdefault(meta.trigger, []).insert(0, meta)
         return self
 
-    def apply(self, t, stats, diagnostics=None):
+    def apply(self, t, stats):
         """First meta that changes t wins.  Matching is wrapper-transparent:
         triggers fire on the stripped head, receiving the stripped term.
         Returns (new term, dont-rw or None) or None."""
@@ -67,11 +68,8 @@ class MetaRegistry:
                 new_t, dont_rw = out, None
             if new_t is core or new_t == core:
                 continue
-            violations = rp_termp(new_t)
-            if violations:
+            if rp_termp(new_t):
                 stats.meta_rejections += 1
-                if diagnostics is not None:
-                    diagnostics.append((meta.name, violations))
                 continue
             stats.meta_applications += 1
             stats.nodes_created += node_count(new_t)

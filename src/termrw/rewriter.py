@@ -45,12 +45,13 @@ from __future__ import annotations
 from types import GeneratorType
 
 from . import falist as _falist
-from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, default_registry
+from .evaluator import EvalDomainError, EvalError, default_registry
 from .meta import MetaRegistry
 from .rules import RuleFileError, Syntaxp, build_ruleset, compile_match, rule_violations, syntaxp_eval
 from .terms import (
     NIL_TERM,
     OPEN,
+    OWN_HEADS,
     STOP,
     T_TERM,
     App,
@@ -193,11 +194,6 @@ instantiate = substitute
 
 _FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
 
-# heads whose _rw is more than step (4) on its arguments, or whose arguments
-# are counted one call each whatever their size: the stepped heads of each
-# rewrite start from these (see _settled)
-_UNSETTLED = frozenset({"rp", "if", "falist", "hide"})
-
 # how many levels of applications below an argument _settled looks through:
 # a node whose arguments do not settle pays up to one failed check per level
 SETTLED_HEIGHT = 3
@@ -218,7 +214,6 @@ class Rewriter:
         self.cfg = cfg if cfg is not None else RewriteConfig()
         self.stats = RewriteStats()
         self.trace = []
-        self.meta_diagnostics = []
         self._backchain = 0
 
     # -- public entry -------------------------------------------------------
@@ -236,7 +231,7 @@ class Rewriter:
         self._limit = self.stats.rewrite_calls + max(self.cfg.step_limit, 0)
         self._memo = {}  # see _memoized; kept until the next rewrite
         self._plans = {}  # see _plan; per rewrite, as are the set and flag below
-        self._stepped = set(_UNSETTLED)  # see _settled
+        self._stepped = set(OWN_HEADS)  # see _settled
         self._sc = self.cfg.side_conditions_enabled
         try:
             return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
@@ -447,8 +442,6 @@ class Rewriter:
                     return Quote(value)
                 except EvalDomainError:
                     stats.exec_domain_errors += 1
-                except UnknownFunctionError:
-                    pass
 
         # (5b) fast-alist interception, or a linear lookup with it off
         if fa:
@@ -458,7 +451,7 @@ class Rewriter:
 
         # (6) meta rules
         if meta:
-            m = self.metas.apply(core, stats, self.meta_diagnostics)
+            m = self.metas.apply(core, stats)
             if m is not None:
                 new_t, new_dw = m
                 return self._rw_hop(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
@@ -487,7 +480,8 @@ class Rewriter:
         """The calls _rw makes on the application t, under OPEN outside an
         iff position with no facts to strengthen from, when each returns
         its term unchanged: t's tree size.  So it is when no head in t is
-        a stepped head (rp, if, falist, hide, or one with a fast-alist
+        a stepped head (one of terms.OWN_HEADS, whose _rw is more than step
+        (4) or counts each argument as one call, or one with a fast-alist
         step, a meta or a rule), one with an executable counterpart has an
         argument not quoted, and each argument is a variable, a quotation
         or, height levels down at most, such an application.  0 otherwise."""

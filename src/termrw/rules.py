@@ -20,7 +20,7 @@ bound to its term encoded as a value.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, shared_nodes, to_boolean
 from .terms import (
@@ -43,6 +43,7 @@ from .terms import (
     mk_rp,
     postorder,
     read_values,
+    shared_apps,
     rp_termp,
     strip_rp_deep,
     term_from_value,
@@ -253,7 +254,7 @@ def compile_template(template):
     size = int(template.__class__ is Quote)
     done = {}  # id of a node -> (its expression, its guard)
     nodes = postorder(template)
-    parents = Counter([id(a) for u in nodes if u.__class__ is App for a in u.args])
+    shared = shared_apps((template,), nodes)
     for u in nodes:
         cls = u.__class__
         if cls is App:
@@ -261,7 +262,7 @@ def compile_template(template):
             name = f"t{len(lines) + 1}"
             lines.append(f"{name} = App({_constant(consts, u.head)}, ({''.join(e + ', ' for e, _ in args)}))")
             guard = (STOP, *(g for _, g in args))
-            done[id(u)] = name, Shared(guard) if parents[id(u)] > 1 else guard
+            done[id(u)] = name, Shared(guard) if id(u) in shared else guard
             size += 1 + sum(a.__class__ is Quote for a in u.args)
         elif cls is Var:
             done[id(u)] = f"b[{_constant(consts, u.name)}]", STOP
@@ -355,7 +356,7 @@ def _lemma_of(name, hyps, conclusions):
 
 def _as_name(v, form):
     if not isinstance(v, str) or v in (NIL, T):
-        raise RuleFileError(f"{form} expects a symbol name, got {v!r}")
+        raise RuleFileError(f"{form} expects a symbol name, got {format_value(v)}")
     return v
 
 
@@ -515,16 +516,12 @@ def rule_violations(ruleset):
 # side-condition attachment
 
 
-class AttachError(ValueError):
-    pass
-
-
 def attach_sc(rule, lemma):
     """Merge lemma into rule: wrap rhs occurrences of lemma.subject."""
     rule_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
     for h in lemma.hyps:
         if h not in rule_hyps:
-            raise AttachError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
+            raise RuleFileError(f"lemma {lemma.name} hypothesis {h!r} is not among the hypotheses of {rule.name}")
     subject = lemma.subject
     found = False
     done = {}  # id of an rhs node -> its copy, so a shared node stays shared
@@ -538,7 +535,7 @@ def attach_sc(rule, lemma):
             done[id(u)] = u
     wrapped = done[id(rule.sc_wrapped_rhs)]
     if not found:
-        raise AttachError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
+        raise RuleFileError(f"lemma {lemma.name} subject does not occur in the rhs of {rule.name}")
     return rule.replace(sc_wrapped_rhs=wrapped)
 
 

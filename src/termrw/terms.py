@@ -1,4 +1,5 @@
-"""Term language core: values, terms, reading, printing, and syntax checks.
+"""Term language core: values, terms, the engine's own heads, the shape of
+a falist term, reading, printing, and syntax checks.
 
 Values are the ground s-expression universe: unbounded integers, symbols
 (plain Python strings, with ``nil`` doubling as false and the empty list),
@@ -20,14 +21,17 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 from types import GeneratorType
 
 NIL = "nil"
 T = "t"
 
+# The heads the evaluator and the rewriter interpret themselves, with their arities.
+OWN_HEADS = {"if": 3, "rp": 2, "falist": 2, "hide": 1}
+
 # Heads with fixed engine-level meaning.  Rewrite rules may not target them.
-SPECIAL_HEADS = frozenset({"rp", "falist", "if", "quote", "hide", "list", "synp", "syntaxp"})
+SPECIAL_HEADS = frozenset({*OWN_HEADS, "quote", "list", "synp", "syntaxp"})
 
 
 class ParseError(ValueError):
@@ -151,7 +155,7 @@ class FalistShadow:
 
     A version of a fast alist: the first ``size`` bindings of a log shared
     with every version it was extended from or to.  Built from (key value,
-    value term) pairs in list order, newest first, as falist.logical_entries
+    value term) pairs in list order, newest first, as logical_entries
     decodes them from the chain it shadows; on duplicate keys the newest
     binding wins, mirroring lookup in that chain.
     """
@@ -433,6 +437,23 @@ def postorder(*roots):
             parts = waiting.pop()
 
 
+def shared_apps(roots, nodes=None):
+    """{id: node} of the applications, nullary ones included, reached more
+    than once from roots: each root counts as reached once, and each
+    argument once per position of each distinct application it fills.
+    nodes is postorder(*roots), walked here unless the caller has."""
+    if nodes is None:
+        nodes = postorder(*roots)
+    reached, shared = set(), {}
+    for u in chain(roots, *[u.args for u in nodes if u.__class__ is App]):
+        if u.__class__ is App:
+            if id(u) in reached:
+                shared[id(u)] = u
+            else:
+                reached.add(id(u))
+    return shared
+
+
 # ---------------------------------------------------------------------------
 # pickling and copying
 
@@ -481,6 +502,66 @@ def is_rp(t):
 
 def is_falist(t):
     return isinstance(t, App) and t.head == "falist" and len(t.args) == 2
+
+
+def logical_entries(t):
+    """Decode an alist chain term into its (key, value-term) pairs, newest
+    first, or None when t is not such a chain.
+
+    The one decoder of alist chains: every shadow is built from what it
+    returns.  A falist term reads as its logical part, a cons or hons-acons
+    application with a quoted key adds a binding, and a quoted proper alist
+    ends the chain, each of its pairs a binding to a quoted value.
+    """
+    entries = []
+    while True:
+        if isinstance(t, Quote):
+            value = t.value
+            while isinstance(value, Cons) and isinstance(value.car, Cons):
+                entries.append((value.car.car, Quote(value.car.cdr)))
+                value = value.cdr
+            return entries if isinstance(value, str) and value == NIL else None
+        if is_falist(t):
+            t = t.args[1]
+        elif isinstance(t, App) and t.head == "cons" and len(t.args) == 2:
+            pair = t.args[0]
+            if isinstance(pair, App) and pair.head == "cons" and len(pair.args) == 2 and isinstance(pair.args[0], Quote):
+                entries.append((pair.args[0].value, pair.args[1]))
+            elif isinstance(pair, Quote) and isinstance(pair.value, Cons):
+                entries.append((pair.value.car, Quote(pair.value.cdr)))
+            else:
+                return None
+            t = t.args[1]
+        elif isinstance(t, App) and t.head == "hons-acons" and len(t.args) == 3 and isinstance(t.args[0], Quote):
+            entries.append((t.args[0].value, t.args[1]))
+            t = t.args[2]
+        else:
+            return None
+
+
+def falist_shadow(t):
+    """The FalistShadow of a falist term, or None."""
+    if is_falist(t) and isinstance(t.args[0], Quote) and isinstance(t.args[0].value, FalistShadow):
+        return t.args[0].value
+    return None
+
+
+def check_falist_term(t, path=()):
+    """Coherence check: shadow entries must mirror the logical chain exactly."""
+    if not (isinstance(t, App) and t.head == "falist"):
+        return [(path, "not a falist term")]
+    if len(t.args) != 2:
+        return [(path, "falist must have exactly 2 arguments")]
+    shadow = falist_shadow(t)
+    if shadow is None:
+        return [(path, "falist shadow must be a quoted association-list constant")]
+    logical = logical_entries(t.args[1])
+    if logical is None:
+        return [(path, "falist logical part is not a quoted-key alist chain")]
+    if len(logical) != len(shadow.entries):
+        return [(path, "falist shadow and logical part differ in length")]
+    pairs = enumerate(zip(shadow.entries, logical))
+    return [(path, f"falist shadow entry {i} disagrees with the logical part") for i, (s, l) in pairs if s != l]
 
 
 def strip_rp(t):
@@ -928,13 +1009,11 @@ def _term_of_form(v, env):
         args.append((yield step) if step.__class__ is GeneratorType else step)
 
     if head == "falist":
-        from . import falist as _falist
-
         if len(args) != 2:
             raise ParseError("falist expects 2 arguments")
         if not isinstance(args[0], Quote):
             raise ParseError("falist shadow must be a quotation")
-        entries = _falist.logical_entries(args[1])
+        entries = logical_entries(args[1])
         if entries is None:
             raise ParseError("falist logical part is not a quoted-key alist chain")
         return App("falist", (Quote(FalistShadow(entries)), args[1]))
@@ -1110,9 +1189,7 @@ def rp_termp(t):
                     violations.append((flat_path(path), "rp first argument must be a quoted non-nil symbol"))
                 stack.append((u.args[1], (path, 1)))
             elif u.head == "falist":
-                from . import falist as _falist
-
-                violations.extend(_falist.check_falist_term(u, flat_path(path)))
+                violations.extend(check_falist_term(u, flat_path(path)))
                 if len(u.args) == 2:
                     stack.append((u.args[1], (path, 1)))
             else:

@@ -16,8 +16,9 @@ counted, when the output is undefined where the input is defined, or when
 a wrapper's property does not hold or cannot be evaluated.  A changed
 value (truthiness in iff mode) fails but still counts as accepted.  A
 function without an executable counterpart in a fact, the input or the
-output makes the whole check skipped (skipped = n).  A report is starved
-when fewer than n draws were accepted or skipped.
+output makes the whole check skipped (skipped = n), and the report names
+it (unknown).  A report is starved when fewer than n draws were accepted
+or skipped.
 
 Draws come in chunks.  A chunk's environments are drawn in one loop
 (sample_envs) from the stream that single draws would take.  Each term is
@@ -57,9 +58,12 @@ class ValidityReport:
         self.accepted = 0
         self.skipped = 0
         self.starved = False
+        self.unknown = None  # the unregistered function that skipped the check, not compared by ==
 
     def __eq__(self, other):
-        return self.__dict__ == other.__dict__ if other.__class__ is ValidityReport else NotImplemented
+        if other.__class__ is not ValidityReport:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in ("ok", "failures", "accepted", "skipped", "starved"))
 
     def __repr__(self):
         return f"ValidityReport({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
@@ -220,6 +224,7 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
                 report.fail((), f"{label}rewritten term undefined where input is defined", envs[i])
             elif isinstance(outcome, UnknownFunctionError):
                 report.skipped = n
+                report.unknown = outcome.args[0]
                 break
             elif isinstance(outcome, EvalError):
                 raise outcome

@@ -25,7 +25,6 @@ from termrw.demo import (
     tree_conjecture,
 )
 from termrw.evaluator import EvalDomainError, default_registry, eval_term
-from termrw.falist import check_falist_term, falist_shadow
 from termrw.meta import fold_plus
 from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
 from termrw.rules import build_ruleset, parse_rule_file
@@ -35,7 +34,9 @@ from termrw.terms import (
     App,
     Quote,
     Var,
+    check_falist_term,
     contains_head,
+    falist_shadow,
     format_term,
     free_vars,
     mk_rp,

@@ -104,6 +104,34 @@ def test_check_rules_strict_notes_unregistered(tmp_path, capsys):
     assert "unregistered functions" in captured.err
 
 
+def test_check_rules_strict_does_not_sample_a_disabled_rule(tmp_path, capsys):
+    text = "(def-rp-rule bogus (equal (binary-+ x y) (binary-+ x x))) (enable-rule bogus nil)"
+    rc = main(["check-rules", write(tmp_path, "r.lsp", text), "--strict", "--samples", "50"])
+    assert rc == 0
+    assert capsys.readouterr() == ("checked 1 rule(s): ok\n", "")
+
+
+def test_check_rules_strict_notes_a_starved_rule(tmp_path, capsys):
+    text = "(def-rp-rule r (implies (equal x (binary-+ '1 x)) (equal (unary-- x) x)))"
+    rc = main(["check-rules", write(tmp_path, "r.lsp", text), "--strict", "--samples", "5"])
+    assert rc == 0
+    assert capsys.readouterr() == ("checked 1 rule(s): ok\n", "r: soundness sampling starved (hypotheses too restrictive)\n")
+
+
+@pytest.mark.parametrize(
+    "lhs,why",
+    [
+        ("(mystery x)", "(unregistered functions): mystery"),
+        # d2 of an odd integer is undefined
+        ("(d2 (binary-+ (binary-+ x x) '1))", "(no draw defined the lhs)"),
+    ],
+)
+def test_check_rules_strict_says_why_it_skipped_a_rule(tmp_path, capsys, lhs, why):
+    rc = main(["check-rules", write(tmp_path, "r.lsp", f"(def-rp-rule r (equal {lhs} x))"), "--strict", "--samples", "20"])
+    assert rc == 0
+    assert capsys.readouterr() == ("checked 1 rule(s): ok\n", f"r: soundness sampling skipped {why}\n")
+
+
 # ---------------------------------------------------------------------------
 # prove
 
@@ -364,6 +392,21 @@ def test_prove_verify_skips_unregistered_functions(tmp_path, capsys):
     assert rc == 0
     assert captured.out.strip() == "proved"
     assert "verification skipped (unregistered functions)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rules,conjecture,why",
+    [
+        ("tree", "(integerp (iassoc 'k1 env))", "(unregistered functions): iassoc"),
+        # equal is registered with two arguments, so every draw leaves the input undefined
+        (None, "(equal x)", "(no draw defined the conjecture)"),
+    ],
+)
+def test_prove_verify_says_why_it_skipped(tmp_path, capsys, rules, conjecture, why):
+    rule_text = SHIPPED_RULESETS[rules] if rules else ""
+    argv = ["prove", "--rules", write(tmp_path, "r.lsp", rule_text), "--conjecture", write(tmp_path, "c.lsp", conjecture)]
+    main([*argv, "--verify", "20"])
+    assert capsys.readouterr().err == f"verification skipped {why}\n"
 
 
 def test_prove_verify_rejects_fewer_than_one_sample(tmp_path, capsys):

@@ -31,7 +31,7 @@ from termrw.evaluator import (
     shared_nodes,
     to_boolean,
 )
-from termrw.terms import App, Cons, Quote, Var, mk_rp, parse_term, term_to_value, truthy
+from termrw.terms import App, Cons, FalistShadow, Quote, Var, mk_rp, parse_term, term_to_value, truthy
 
 
 @pytest.fixture
@@ -187,6 +187,12 @@ def test_lexorder_compares_a_cons_with_each_of_its_partners():
         parts[same], parts[other] = Cons(1, Cons("a", "nil")), Cons(1, Cons("b", "nil"))
         a, b = Cons(s, s), Cons(*parts)
         assert lexorder_cmp(a, b) == -1 and lexorder_cmp(b, a) == 1
+
+
+def test_lexorder_of_a_value_it_cannot_rank_is_a_domain_error(reg):
+    # a lookup table is no symbol, integer or pair
+    with pytest.raises(EvalDomainError, match="^lexorder undefined for "):
+        eval_term(parse_term("(lexorder x '1)"), {"x": FalistShadow()}, reg)
 
 
 def test_lexorder_of_two_copies_of_a_shared_value_costs_their_distinct_pairs():

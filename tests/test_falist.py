@@ -9,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termrw.evaluator import default_registry, eval_term
-from termrw.falist import (
-    check_falist_term,
-    fa_acons,
-    fa_free,
-    fa_get,
-    falist_shadow,
-    logical_entries,
-)
+from termrw.falist import fa_acons, fa_free, fa_get
 from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
 from termrw.rules import build_ruleset
-from termrw.terms import NIL_TERM, App, FalistShadow, Quote, Var, format_term, parse_term
+from termrw.terms import (
+    NIL_TERM,
+    App,
+    FalistShadow,
+    Quote,
+    Var,
+    check_falist_term,
+    falist_shadow,
+    format_term,
+    logical_entries,
+    parse_term,
+)
 
 
 CHAIN = "(hons-acons 'k1 v1 (hons-acons 'k2 v2 (hons-acons 'k3 v3 'nil)))"

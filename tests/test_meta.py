@@ -57,13 +57,11 @@ def test_apply_unchanged_output_skipped():
 
 def test_untrusted_output_checked():
     stats = RewriteStats()
-    diags = []
     reg = MetaRegistry()
     bad = App("rp", (Quote("nil"), Var("x")))
     reg.register(MetaRule("bad", "f", lambda t: bad))
-    assert reg.apply(P("(f a)"), stats, diags) is None
+    assert reg.apply(P("(f a)"), stats) is None
     assert stats.meta_rejections == 1
-    assert diags and diags[0][0] == "bad"
 
 
 def test_fold_plus_golden():

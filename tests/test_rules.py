@@ -3,7 +3,6 @@
 import pytest
 
 from termrw.rules import (
-    AttachError,
     Rule,
     RuleFileError,
     Syntaxp,
@@ -300,15 +299,52 @@ def test_attach_requires_hyp_subset():
         (rp-attach-sc r lem)
         """
     )
-    with pytest.raises(AttachError):
+    with pytest.raises(RuleFileError):
         build_ruleset(decls)
 
 
 def test_attach_requires_the_subject_in_the_rhs():
     decls = parse_rule_file("(def-rp-rule r (equal (f x) (g x))) (defthmd lem (integerp (h x))) (rp-attach-sc r lem)")
-    with pytest.raises(AttachError) as e:
+    with pytest.raises(RuleFileError) as e:
         build_ruleset(decls)
     assert str(e.value) == "lemma lem subject does not occur in the rhs of r"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(defthm nil (equal (f x) x))", "defthm expects a symbol name, got nil"),
+        ("(defthm t (equal (f x) x))", "defthm expects a symbol name, got t"),
+        ("(defthm 5 (equal (f x) x))", "defthm expects a symbol name, got 5"),
+        ("(defthm (a b) (equal (f x) x))", "defthm expects a symbol name, got (a b)"),
+        ("(rp-attach-sc nil lem)", "rp-attach-sc expects a symbol name, got nil"),
+    ],
+)
+def test_a_refused_declaration_name_prints_in_rule_file_syntax(text, message):
+    with pytest.raises(RuleFileError) as e:
+        parse_rule_file(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "lemma",
+    [
+        "(implies (syntaxp (atom x)) (integerp (g x)))",
+        "(and (integerp (g x)) (evenp (g x)))",
+        "(integerp (g x) x)",
+        "(hide (g x))",
+    ],
+)
+def test_attach_refuses_a_lemma_with_a_syntaxp_hyp_two_conclusions_or_no_plain_unary_prop(lemma):
+    with pytest.raises(RuleFileError) as e:
+        ruleset(f"(def-rp-rule r (equal (f x) (g x))) (defthmd lem {lemma}) (rp-attach-sc r lem)")
+    assert str(e.value) == "rp-attach-sc: lemma lem is not of the form (prop subject)"
+
+
+def test_build_ruleset_refuses_an_unknown_declaration_object():
+    with pytest.raises(RuleFileError) as e:
+        build_ruleset([("bogus", "r")])
+    assert str(e.value) == "unknown declaration object ('bogus', 'r')"
 
 
 def test_attach_unknown_names():

@@ -18,7 +18,6 @@ from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value
 from termrw import terms
 from termrw.demo import chain_term
 from termrw.evaluator import shared_nodes
-from termrw.falist import check_falist_term
 from termrw.rules import Syntaxp, syntaxp_eval
 from termrw.terms import (
     NIL,
@@ -30,6 +29,7 @@ from termrw.terms import (
     ParseError,
     Quote,
     Var,
+    check_falist_term,
     contains_head,
     format_term,
     format_value,
@@ -365,7 +365,7 @@ def _let(gap, head, names, exprs, body):
 
 
 def _chain(gap, bindings, tail):
-    """An alist chain text that falist.logical_entries decodes: bindings of
+    """An alist chain text that logical_entries decodes: bindings of
     quoted keys, as a cons of a cons, a hons-acons or a cons of a quoted
     pair, over a quoted alist or a falist."""
     text = tail
