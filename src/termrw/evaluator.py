@@ -288,8 +288,8 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
     an inner wrapper before an outer one): (path, property term, None), or
     with the EvalError that applying the property raised in place of None.
     Later wrappers, and an environment already in wrappers, go unchecked.
-    A path holds 1-based argument positions; a node's path is passed as
-    linked pairs and flattened only when a wrapper fails.
+    A path is as flat_path gives it; a node's path is passed as linked
+    pairs and flattened only when a wrapper fails.
 
     Given a dict `memo` keyed by ids from shared_nodes, calls over one
     envs that pass it evaluate each such node once per live list: a node

@@ -38,6 +38,7 @@ from .terms import (
     contains_head,
     format_value,
     free_vars,
+    is_name,
     is_rp,
     list_items,
     mk_rp,
@@ -59,16 +60,18 @@ class RuleFileError(ValueError):
 
 class Syntaxp:
     """A hyp relieved by inspecting the bound terms themselves, not their
-    values; the predicate calls only SYNTAXP_REGISTRY's functions and if.
-    names, unsupported and shared are pred's variables, its subterms
-    outside that set and the ids of its shared nodes (for eval_term),
-    found once as the hyp is built."""
+    values; the predicate applies only the heads of _SYNTAXP_ARITY.  names,
+    unsupported and shared are pred's variables, its distinct applications
+    outside that set and the ids of its shared nodes (for eval_term), read
+    off one postorder walk as the hyp is built: so they cost its distinct
+    nodes, however often a let-bound subterm is used."""
 
     def __init__(self, pred):
         self.pred = pred
-        names, unsupported = _syntaxp_walk(pred)
-        self.names, self.unsupported = frozenset(names), tuple(unsupported)
-        self.shared = shared_nodes((pred,))
+        nodes = postorder(pred)
+        self.names = frozenset(u.name for u in nodes if u.__class__ is Var)
+        self.unsupported = tuple(u for u in nodes if u.__class__ is App and _SYNTAXP_ARITY.get(u.head) != len(u.args))
+        self.shared = shared_nodes((pred,), nodes)
 
     def __repr__(self):
         return f"(syntaxp {self.pred!r})"
@@ -355,7 +358,7 @@ def _lemma_of(name, hyps, conclusions):
 
 
 def _as_name(v, form):
-    if not isinstance(v, str) or v in (NIL, T):
+    if not is_name(v):
         raise RuleFileError(f"{form} expects a symbol name, got {format_value(v)}")
     return v
 
@@ -370,7 +373,8 @@ def _named(op, name, v):
 
 
 def parse_rule_file(text):
-    """Parse declarations in file order.
+    """Parse declarations in file order, each on its own (build_ruleset
+    resolves a name of another declaration).
 
     Forms: (def-rp-rule name formula), (defthm name formula) and
     (defthm-lambda name formula) same thing, (defthmd name formula)
@@ -380,11 +384,11 @@ def parse_rule_file(text):
 
     A declaration is a Rule, one per conjunct of a rule formula, or a
     tuple headed by its keyword: ("defthmd", name, its SideConditionLemma
-    or None when the conclusion is not (prop subject)), ("rp-attach-sc",
-    rule, lemma), ("disable-exec", fn) or ("enable-rule", name, flag).
+    or None when the conclusion is not (prop subject), its rules),
+    ("add-rp-rule", name) for a promotion, ("rp-attach-sc", rule, lemma),
+    ("disable-exec", fn) or ("enable-rule", name, flag).
     """
     decls = []
-    parked = {}  # defthmd name -> its rules, used if later promoted
     for form in read_values(text):
         try:
             items = list_items(form)
@@ -393,29 +397,19 @@ def parse_rule_file(text):
         if not items or not isinstance(items[0], str):
             raise RuleFileError(f"not a declaration: {format_value(form)}")
         op, rest = items[0], items[1:]
-        if op in ("def-rp-rule", "defthm", "defthm-lambda"):
+        if op == "add-rp-rule" and len(rest) == 1:
+            decls.append((op, _as_name(rest[0], op)))
+        elif op in ("def-rp-rule", "defthm", "defthm-lambda", "defthmd", "add-rp-rule"):
             if len(rest) != 2:
-                raise RuleFileError(f"{op} expects a name and a formula")
-            name = _as_name(rest[0], op)
-            decls.extend(_rules_of(name, *_named(op, name, rest[1])))
-        elif op == "defthmd":
-            if len(rest) != 2:
-                raise RuleFileError("defthmd expects a name and a formula")
+                optionally = "optionally " if op == "add-rp-rule" else ""
+                raise RuleFileError(f"{op} expects a name and {optionally}a formula")
             name = _as_name(rest[0], op)
             hyps, conclusions = _named(op, name, rest[1])
-            parked[name] = _rules_of(name, hyps, conclusions)
-            decls.append(("defthmd", name, _lemma_of(name, hyps, conclusions)))
-        elif op == "add-rp-rule":
-            if len(rest) == 1:
-                name = _as_name(rest[0], op)
-                if name not in parked:
-                    raise RuleFileError(f"add-rp-rule: no earlier defthmd named {name}")
-                decls.extend(parked[name])
-            elif len(rest) == 2:
-                name = _as_name(rest[0], op)
-                decls.extend(_rules_of(name, *_named(op, name, rest[1])))
+            rules = _rules_of(name, hyps, conclusions)
+            if op == "defthmd":
+                decls.append((op, name, _lemma_of(name, hyps, conclusions), rules))
             else:
-                raise RuleFileError("add-rp-rule expects a name and optionally a formula")
+                decls.extend(rules)
         elif op == "rp-attach-sc":
             if len(rest) != 2:
                 raise RuleFileError("rp-attach-sc expects a rule name and a lemma name")
@@ -449,25 +443,8 @@ def _syntaxp_registry():
 # the functions a syntaxp predicate may call; if is the evaluator's own head
 # (and, or and implies arrive expanded to if)
 SYNTAXP_REGISTRY = _syntaxp_registry()
-
-
-def _syntaxp_walk(pred):
-    """(the names of pred's variables, its subterms in preorder outside the
-    accepted set: if with three arguments and SYNTAXP_REGISTRY's functions)."""
-    names, unsupported, stack = set(), [], [pred]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            names.add(u.name)
-        elif isinstance(u, App) and (
-            len(u.args) == 3
-            if u.head == "if"
-            else SYNTAXP_REGISTRY.has(u.head) and SYNTAXP_REGISTRY.arity(u.head) == len(u.args)
-        ):
-            stack.extend(reversed(u.args))
-        elif not isinstance(u, Quote):
-            unsupported.append(u)
-    return names, unsupported
+# the heads a syntaxp predicate may apply, each at the one arity it takes
+_SYNTAXP_ARITY = {"if": 3, **{name: arity for name, (arity, _) in SYNTAXP_REGISTRY._fns.items()}}
 
 
 def syntaxp_eval(hyp, bindings):
@@ -554,9 +531,11 @@ def base_rules():
 
 def build_ruleset(decls):
     """Index declarations, as parse_rule_file gives them, into a RuleSet:
-    each Rule in order, and each keyword tuple by its keyword.  A rule
-    named as an engine rule or an earlier rule, or a second defthmd of one
-    name, is refused.
+    each Rule in order, and each keyword tuple by its keyword.  Here alone
+    a name of an earlier declaration is resolved: add-rp-rule promotes a
+    defthmd's rules where it stands, rp-attach-sc and enable-rule change a
+    rule.  A rule named as an engine rule or an earlier rule, a second
+    defthmd of one name, or a name of no earlier declaration is refused.
 
     Within a head bucket, later declarations are tried first; conjuncts of
     one declaration keep their source order relative to each other.
@@ -564,27 +543,33 @@ def build_ruleset(decls):
     ordered = list(base_rules())
     engine = {r.name for r in ordered}
     names = {}  # user rule name -> its index in ordered
-    defthmds = {}  # defthmd name -> its lemma or None
+    defthmds = {}  # defthmd name -> (its lemma or None, its rules)
     exec_disabled = set()
-    for d in decls:
+    pending = [*decls][::-1]  # a promotion pushes its rules, so they are read where it stands
+    while pending:
+        d = pending.pop()
         match d:
             case Rule():
                 if d.name in names or d.name in engine:
                     raise RuleFileError(f"duplicate rule name {d.name}")
                 names[d.name] = len(ordered)
                 ordered.append(d)
-            case ("defthmd", name, lemma):
+            case ("defthmd", name, lemma, rules):
                 if name in defthmds:
                     raise RuleFileError(f"duplicate defthmd name {name}")
-                defthmds[name] = lemma
+                defthmds[name] = lemma, rules
+            case ("add-rp-rule", name):
+                if name not in defthmds:
+                    raise RuleFileError(f"add-rp-rule: no earlier defthmd named {name}")
+                pending += defthmds[name][1][::-1]
             case ("rp-attach-sc", rule, lemma):
                 if rule not in names:
                     raise RuleFileError(f"rp-attach-sc: unknown rule {rule}")
                 if lemma not in defthmds:
                     raise RuleFileError(f"rp-attach-sc: unknown lemma {lemma}")
-                if defthmds[lemma] is None:
+                if defthmds[lemma][0] is None:
                     raise RuleFileError(f"rp-attach-sc: lemma {lemma} is not of the form (prop subject)")
-                ordered[names[rule]] = attach_sc(ordered[names[rule]], defthmds[lemma])
+                ordered[names[rule]] = attach_sc(ordered[names[rule]], defthmds[lemma][0])
             case ("enable-rule", rule, flag):
                 if rule not in names:
                     raise RuleFileError(f"enable-rule: unknown rule {rule}")
@@ -609,5 +594,5 @@ def build_ruleset(decls):
         for rule in group:
             if isinstance(rule.lhs, App):
                 buckets.setdefault(rule.lhs.head, []).append(rule)
-    lemmas = {name: lemma for name, lemma in defthmds.items() if lemma is not None}
+    lemmas = {name: lemma for name, (lemma, _) in defthmds.items() if lemma is not None}
     return RuleSet(rules, {h: tuple(b) for h, b in buckets.items()}, lemmas, frozenset(exec_disabled))

@@ -226,6 +226,12 @@ def truthy(value):
     return not (isinstance(value, str) and value == NIL)
 
 
+def is_name(v):
+    """Whether v is a plain name, of a variable, binder or declaration: a
+    symbol other than the constants nil and t."""
+    return isinstance(v, str) and v not in (NIL, T)
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -922,7 +928,7 @@ def binding_layers(v):
             if len(parts) != 2:
                 raise ParseError("lambda expects a parameter list and a body")
             params = list_items(parts[0])
-            if not all(isinstance(p, str) and p not in (NIL, T) for p in params):
+            if not all(map(is_name, params)):
                 raise ParseError("lambda parameters must be plain symbols")
             args = list_items(v.cdr)
             if len(args) != len(params):
@@ -937,7 +943,7 @@ def binding_layers(v):
                 pair = list_items(b)
                 if len(pair) != 2 or not isinstance(pair[0], str):
                     raise ParseError(f"bad {head} binding")
-                if pair[0] in (NIL, T):
+                if not is_name(pair[0]):
                     raise ParseError(f"{head} names must be plain symbols")
                 pairs.append(pair)
             if head == "let*":
@@ -998,7 +1004,7 @@ def _term_of_form(v, env):
     head = v.car
     if isinstance(head, Cons):
         raise ParseError("application head must be a symbol or lambda")
-    if not isinstance(head, str) or head in (NIL, T):
+    if not is_name(head):
         raise ParseError("application head must be a symbol")
     if head == "lambda":
         raise ParseError("lambda must be applied, as in ((lambda (x) body) arg)")
@@ -1160,11 +1166,12 @@ def _write_term(t, out):
 
 
 def rp_termp(t):
-    """Well-formedness check for rewriter input; returns (path, message) violations.
+    """Well-formedness check for rewriter input; returns (path, message)
+    violations, each path as flat_path gives it.
 
-    Checks: leaves are non-nil variable symbols or quoted constants, rp
-    wrappers take a quoted non-nil property symbol and exactly one payload,
-    and falist shadows agree with their logical alist.
+    Checks: leaves are variables with plain names (is_name) or quoted
+    constants, rp wrappers take a quoted non-nil property symbol and
+    exactly one payload, and falist shadows agree with their logical alist.
     """
     violations = []
     seen = set()  # the Apps checked: a shared node is checked at its first path in preorder
@@ -1172,10 +1179,8 @@ def rp_termp(t):
     while stack:
         u, path = stack.pop()
         if isinstance(u, Var):
-            if u.name == NIL:
-                violations.append((flat_path(path), "nil cannot be a variable"))
-        elif isinstance(u, Quote):
-            pass
+            if not is_name(u.name):
+                violations.append((flat_path(path), f"{u.name} cannot be a variable"))
         elif isinstance(u, App):
             if id(u) in seen:
                 continue
@@ -1187,22 +1192,23 @@ def rp_termp(t):
                 prop = u.args[0]
                 if not (isinstance(prop, Quote) and isinstance(prop.value, str) and prop.value != NIL):
                     violations.append((flat_path(path), "rp first argument must be a quoted non-nil symbol"))
-                stack.append((u.args[1], (path, 1)))
+                stack.append((u.args[1], (path, 2)))
             elif u.head == "falist":
                 violations.extend(check_falist_term(u, flat_path(path)))
                 if len(u.args) == 2:
-                    stack.append((u.args[1], (path, 1)))
+                    stack.append((u.args[1], (path, 2)))
             else:
-                stack += [(u.args[i], (path, i)) for i in range(len(u.args) - 1, -1, -1)]
-        else:
+                stack += [(u.args[i - 1], (path, i)) for i in range(len(u.args), 0, -1)]
+        elif not isinstance(u, Quote):
             violations.append((flat_path(path), f"not a term: {u!r}"))
     return violations
 
 
 def flat_path(path):
-    """The argument positions from the root to a node, as a tuple.  A walk
-    passes a path as linked pairs (parent path, position) ending in (), so
-    descending costs O(1) whatever the depth."""
+    """The argument positions from the root to a node, as a tuple, each
+    numbered from 1: the one convention of every path the package reports.
+    A walk passes a path as linked pairs (parent path, position) ending in
+    (), so descending costs O(1) whatever the depth."""
     out = []
     while path:
         path, i = path

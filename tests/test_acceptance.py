@@ -313,7 +313,7 @@ def test_criterion_9_deep_terms_need_no_python_stack():
             v = v.cdr.cdr.car
         assert v == "a"
         assert rp_termp(wrapped) == []
-        assert rp_termp(substitute(bad, {"a": Var("nil")})) == [((1,) * (n + 1), "nil cannot be a variable")]
+        assert rp_termp(substitute(bad, {"a": Var("nil")})) == [((2,) * (n + 1), "nil cannot be a variable")]
 
         # ((lambda (x) (f x)) ((lambda (x) (f x)) ... '0)) reads as (f (f ... '0))
         reduced = parse_term("((lambda (x) (f x)) " * n + "'0" + ")" * n)

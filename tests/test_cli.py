@@ -73,6 +73,19 @@ def test_check_rules_attach_error_is_semantic(tmp_path, capsys):
     assert rc == 1
 
 
+def test_check_rules_names_of_no_earlier_declaration_are_semantic(tmp_path, capsys):
+    # build_ruleset alone resolves a name that refers to another declaration,
+    # so each such fault prints as <file>: <message> and exits 1
+    for text, message in [
+        ("(add-rp-rule ghost)", "add-rp-rule: no earlier defthmd named ghost"),
+        ("(defthmd lem (integerp (g x))) (rp-attach-sc ghost lem)", "rp-attach-sc: unknown rule ghost"),
+        ("(enable-rule ghost t)", "enable-rule: unknown rule ghost"),
+    ]:
+        path = write(tmp_path, "r.lsp", text)
+        assert main(["check-rules", path]) == 1
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
 def test_check_rules_strict_passes_sound_file(tmp_path, capsys):
     rc = main(
         ["check-rules", write(tmp_path, "r.lsp", SHIPPED_RULESETS["arith"]), "--strict", "--samples", "150"]
@@ -749,6 +762,21 @@ def test_bench_tree_csv_shape_and_counts(capsys):
     for note, row in zip(notes, rows):
         per_call = float(note["us_per_node"]) * int(note["nodes"]) / int(row["rewrite_calls"])
         assert float(note["us_per_call"]) == pytest.approx(per_call, rel=0.01, abs=0.01)
+
+
+def test_bench_tree_compiles_each_rule_once_before_timing(capsys, monkeypatch):
+    # every rule of each mode compiles once, and all before the first rewrite
+    # is timed, so wall_ms holds no rule compilation
+    events = []
+    compile_, proved = rules.Rule.compile, cli.Rewriter.proved
+    monkeypatch.setattr(rules.Rule, "compile", lambda r: events.append(r) or compile_(r))
+    monkeypatch.setattr(cli.Rewriter, "proved", lambda rw, t: events.append("proved") or proved(rw, t))
+    assert main(["bench-tree", "--depths", "3,4", "--modes", "enabled,disabled"]) == 0
+    capsys.readouterr()
+    n = sum(len(rules.build_ruleset(rules.parse_rule_file(text)).rules) for text in (cli.TREE_RULES, cli.TREE_RULES_BACKCHAIN))
+    compiled = events[:n]
+    assert events[n:] == ["proved"] * 4
+    assert len({id(r) for r in compiled}) == n and "proved" not in compiled
 
 
 def test_bench_tree_rejects_bad_mode(capsys):

@@ -1615,11 +1615,26 @@ def test_syntaxp_orders_commutative_rule(arith_ruleset):
 
 def test_syntaxp_predicates_are_walked_once_when_read(arith_ruleset, monkeypatch):
     calls = []
-    real = termrw.rules._syntaxp_walk
-    monkeypatch.setattr(termrw.rules, "_syntaxp_walk", lambda pred: calls.append(pred) or real(pred))
+    preds = {id(h.pred) for r in arith_ruleset.rules.values() for h in r.hyps if isinstance(h, Syntaxp)}
+    real = termrw.rules.postorder
+    monkeypatch.setattr(termrw.rules, "postorder", lambda *roots: calls.extend(u for u in roots if id(u) in preds) or real(*roots))
+    assert preds
     rw = Rewriter(arith_ruleset)
     assert rw.rewrite(P("(binary-+ b a)"), iff=False) == P("(binary-+ a b)")
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [22, 40])
+def test_a_syntaxp_predicate_that_shares_its_subterms_costs_its_distinct_nodes(n):
+    # each binding names the one before twice: 2^(n + 1) - 1 nodes as a tree
+    binds = " ".join(f"(p{i} (equal p{i - 1} p{i - 1}))" for i in range(1, n + 1))
+    text = f"(def-rp-rule r (implies (syntaxp (let* ((p0 (atom x)) {binds}) p{n})) (equal (f x) (g x))))"
+    start = time.perf_counter()
+    rw = Rewriter(build_ruleset(parse_rule_file(text)))
+    (hyp,) = rw.ruleset.rules["r"].hyps
+    assert hyp.names == {"x"} and hyp.unsupported == () and len(hyp.shared) == n
+    assert rw.rewrite(P("(f a)"), iff=False) == P("(g a)")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_syntaxp_sorts_through_wrappers(arith_ruleset):

@@ -12,7 +12,7 @@ from termrw.rules import (
     parse_rule_file,
     validate_rule,
 )
-from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term
+from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term, rp_termp
 
 
 def ruleset(text):
@@ -111,7 +111,17 @@ def test_add_rp_rule_with_formula():
 
 def test_add_rp_rule_unknown_name():
     with pytest.raises(RuleFileError):
-        parse_rule_file("(add-rp-rule ghost)")
+        ruleset("(add-rp-rule ghost)")
+
+
+def test_t_is_no_variable_name_as_nil_is_not():
+    # the reader reads nil and t as constants; a rule built through the API
+    # with either as a variable is refused, at the variable's path
+    for name in ("nil", "t"):
+        lhs = App("f", (Var(name),))
+        assert rp_termp(lhs) == [((1,), f"{name} cannot be a variable")]
+        rule = Rule("r", (), lhs, Var(name), "equal")
+        assert validate_rule(rule) == [f"lhs: {name} cannot be a variable", f"rhs: {name} cannot be a variable"]
 
 
 def test_duplicate_rule_name_rejected():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
 from termrw import terms
 from termrw.demo import chain_term
-from termrw.evaluator import shared_nodes
+from termrw.evaluator import default_registry, eval_terms, shared_nodes
 from termrw.rules import Syntaxp, syntaxp_eval
 from termrw.terms import (
     NIL,
@@ -809,7 +809,7 @@ def test_dag_walkers_visit_each_shared_node_once():
     found = (node_count(t), contains_head(t, "g"), contains_head(t, "h"), rp_termp(t), free_vars(t))
     shared, value = shared_nodes((t,)), term_to_value(t)
     elapsed = time.perf_counter() - start
-    assert found == (3 * 2**40 - 1, True, False, [((0,) * 41, "nil cannot be a variable")], {"nil"})
+    assert found == (3 * 2**40 - 1, True, False, [((1,) * 41, "nil cannot be a variable")], {"nil"})
     # a value prints as a tree, so its sharing is checked outside the assert
     value_shares = value.cdr.car is value.cdr.cdr.car
     assert len(shared) == 40 and value_shares
@@ -963,6 +963,16 @@ def test_rp_termp_violations():
     assert any("quoted non-nil symbol" in m for m in msgs)
     assert rp_termp(App("rp", (Var("p"), Var("x"))))
     assert rp_termp(App("rp", (Quote("integerp"),)))
+
+
+def test_rp_termp_places_a_node_where_eval_terms_does():
+    # an rp with the property nil: rp_termp refuses it and eval_terms, which
+    # applies the property, fails it, both at the path (2, 2)
+    t = parse_term("(f '1 (g '2 (rp 'nil x)))")
+    wrappers = {}
+    eval_terms(t, [{"x": 5}], default_registry(), wrappers)
+    assert [w[0] for w in wrappers.values()] == [(2, 2)]
+    assert rp_termp(t) == [((2, 2), "rp first argument must be a quoted non-nil symbol")]
 
 
 def test_rp_termp_checks_falist_coherence():
