@@ -10,11 +10,16 @@ rewriter's executable-counterpart step.
 
 Evaluation is batched: eval_terms walks a term once for a whole list of
 environments, so the interpretive work of a node (its dispatch, its frame,
-its registry lookup) is paid once per node per batch, and only the
-registered functions run once per environment.  eval_term is a batch of
-one, with a memo of its term's shared nodes.  Only eval_terms checks rp
-wrappers: given a dict, it records each environment's first failing
-wrapper, which validate's oracles report.
+its registry lookup) is paid once per node per batch.  Each node applies
+its function once too, as a column kernel: a function from its argument
+columns, lists over the live environments, to its result column.  Each
+builtin is written once, as one comprehension with its coercions inline;
+a function given to ExecRegistry.register is mapped over the columns,
+once per environment.  Only where a kernel raises does the node run again
+one environment at a time, so each environment meets the error it would
+alone.  eval_term is a batch of one, with a memo of its term's shared
+nodes.  Only eval_terms checks rp wrappers: given a dict, it records each
+environment's first failing wrapper, which validate's oracles report.
 
 Terms may share nodes: the reader binds a let name to one node, and the
 rewriter returns a subterm it leaves alone as the same object.  Calls over
@@ -81,23 +86,29 @@ def _rank(v):
 
 
 def lexorder_cmp(a, b):
-    """-1, 0 or 1 as a is below, equal to or above b.  The walk is depth
-    first and stops at the first difference, so a pair of conses met again
-    has been found equal and is passed over."""
-    paired = {}  # id of a cons entered -> its partner
-    stack = [(a, b)]
-    while stack:
+    """-1, 0 or 1 as a is below, equal to or above b.  Two atoms, or an
+    atom and a pair, are ranked at once.  Two pairs are walked depth first
+    to the first difference, so a pair of conses met again has been found
+    equal and is passed over."""
+    paired = stack = None  # id of a cons entered -> its partner; pairs to come
+    while True:
+        if isinstance(a, Cons) and isinstance(b, Cons):
+            if paired is None:
+                paired, stack = {}, []
+            if paired.get(id(a)) is not b:
+                paired[id(a)] = b
+                stack.append((a.cdr, b.cdr))
+                a, b = a.car, b.car
+                continue
+        else:
+            ra, rb = _rank(a), _rank(b)
+            if ra != rb:
+                return -1 if ra < rb else 1
+            if a != b:
+                return -1 if a < b else 1
+        if not stack:
+            return 0
         a, b = stack.pop()
-        ra, rb = _rank(a), _rank(b)
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if ra in (2, 3) and a != b:
-            return -1 if a < b else 1
-        if ra == 4 and paired.get(id(a)) is not b:
-            paired[id(a)] = b
-            stack.append((a.cdr, b.cdr))
-            stack.append((a.car, b.car))
-    return 0
 
 
 def lexorder_le(a, b):
@@ -108,15 +119,30 @@ def lexorder_le(a, b):
 # registry
 
 
+def _expects(name, arity):
+    return f"{name} expects {arity} argument{'s' * (arity != 1)}"
+
+
 class ExecRegistry:
-    """Named ground evaluators, each with a fixed arity."""
+    """Named ground evaluators, each with a fixed arity.  An entry is
+    (arity, scalar, kernel): the scalar takes one environment's argument
+    values, the kernel takes argument columns, lists over the environments
+    live at a node, and returns the column of results."""
 
     def __init__(self):
         self._fns = {}
 
     def register(self, name, arity, fn):
-        self._fns[name] = (arity, fn)
+        """Register fn, applied to arity argument values, under name, in
+        place of any earlier entry.  Its kernel maps fn over the columns,
+        one call per environment."""
+        self._fns[name] = (arity, fn, lambda *cols: list(map(fn, *cols)))
         return self
+
+    def _builtin(self, name, arity, kernel):
+        # a builtin is written once, as its kernel; its scalar is the
+        # kernel applied to columns of one
+        self._fns[name] = (arity, lambda *row: kernel(*([v] for v in row))[0], kernel)
 
     def has(self, name):
         return name in self._fns
@@ -127,39 +153,28 @@ class ExecRegistry:
     def call(self, name, args):
         return self.fn(name, len(args))(*args)
 
-    def fn(self, name, nargs):
-        """The function registered for name, to be applied to nargs
-        arguments."""
+    def _entry(self, name, nargs):
         entry = self._fns.get(name)
         if entry is None:
             raise UnknownFunctionError(name)
-        arity, fn = entry
-        if nargs != arity:
-            raise EvalDomainError(f"{name} expects {arity} arguments, got {nargs}")
-        return fn
+        if nargs != entry[0]:
+            raise EvalDomainError(f"{_expects(name, entry[0])}, got {nargs}")
+        return entry
 
-    def copy(self):
+    def fn(self, name, nargs):
+        """The function registered for name, to be applied to nargs
+        argument values."""
+        return self._entry(name, nargs)[1]
+
+    def kernel(self, name, nargs):
+        """name's kernel, to be applied to nargs argument columns."""
+        return self._entry(name, nargs)[2]
+
+    def copy(self, names=None):
+        """A registry of the entries of names, by default of all."""
         other = ExecRegistry()
-        other._fns = dict(self._fns)
+        other._fns = dict(self._fns) if names is None else {name: self._fns[name] for name in names}
         return other
-
-
-def _car(v):
-    return v.car if isinstance(v, Cons) else NIL
-
-
-def _cdr(v):
-    return v.cdr if isinstance(v, Cons) else NIL
-
-
-def _floor(a, b):
-    a, b = ifix(a), ifix(b)
-    return 0 if b == 0 else a // b
-
-
-def _mod(a, b):
-    a, b = ifix(a), ifix(b)
-    return a if b == 0 else a % b
 
 
 # the widest loghead or logapp size evaluated: 1 << size takes size/8 bytes
@@ -177,16 +192,12 @@ def _loghead(size, i):
     return ifix(i) % (1 << _bits(size))
 
 
-def _logapp(size, i, j):
-    return _loghead(size, i) + (ifix(j) << _bits(size))
-
-
-def _d2(x):
+def _d2(xs):
     # halving under an evenness guard: odd integers have no representable half
-    x = ifix(x)
-    if x % 2:
+    xs = [x if isinstance(x, int) else 0 for x in xs]
+    if any(x % 2 for x in xs):
         raise EvalDomainError("d2 applied to an odd integer")
-    return x // 2
+    return [x // 2 for x in xs]
 
 
 def _assoc_equal(key, alist):
@@ -198,38 +209,48 @@ def _assoc_equal(key, alist):
     return NIL
 
 
+def _logand(xs, ys):
+    return [a & b if isinstance(a, int) and isinstance(b, int) else 0 for a, b in zip(xs, ys)]
+
+
 def _build_default_registry():
+    # Each kernel inlines its coercions: ifix makes a non-integer 0, and
+    # nil is the one false value.
     reg = ExecRegistry()
-    reg.register("cons", 2, Cons)
-    reg.register("car", 1, _car)
-    reg.register("cdr", 1, _cdr)
-    reg.register("consp", 1, lambda v: to_boolean(isinstance(v, Cons)))
-    reg.register("atom", 1, lambda v: to_boolean(not isinstance(v, Cons)))
-    reg.register("equal", 2, lambda a, b: to_boolean(a == b))
-    reg.register("not", 1, lambda v: to_boolean(isinstance(v, str) and v == NIL))
-    reg.register("integerp", 1, lambda v: to_boolean(isinstance(v, int)))
-    reg.register("bitp", 1, lambda v: to_boolean(isinstance(v, int) and v in (0, 1)))
-    # The hottest entries inline ifix: a non-integer acts as 0.
-    reg.register("evenp", 1, lambda v: NIL if isinstance(v, int) and v % 2 else T)
-    reg.register("binary-+", 2, lambda a, b: (a if isinstance(a, int) else 0) + (b if isinstance(b, int) else 0))
-    reg.register("unary--", 1, lambda a: -a if isinstance(a, int) else 0)
-    reg.register("binary-logand", 2, lambda a, b: a & b if isinstance(a, int) and isinstance(b, int) else 0)
-    reg.register("4vec-bitand", 2, lambda a, b: a & b if isinstance(a, int) and isinstance(b, int) else 0)
-    reg.register("floor", 2, _floor)
-    reg.register("mod", 2, _mod)
-    reg.register("loghead", 2, _loghead)
-    reg.register("logapp", 3, _logapp)
-    reg.register("lexorder", 2, lambda a, b: to_boolean(lexorder_le(a, b)))
+    builtin = reg._builtin
+    builtin("cons", 2, lambda xs, ys: list(map(Cons, xs, ys)))
+    builtin("car", 1, lambda xs: [v.car if isinstance(v, Cons) else NIL for v in xs])
+    builtin("cdr", 1, lambda xs: [v.cdr if isinstance(v, Cons) else NIL for v in xs])
+    builtin("consp", 1, lambda xs: [T if isinstance(v, Cons) else NIL for v in xs])
+    builtin("atom", 1, lambda xs: [NIL if isinstance(v, Cons) else T for v in xs])
+    builtin("equal", 2, lambda xs, ys: [T if a == b else NIL for a, b in zip(xs, ys)])
+    builtin("not", 1, lambda xs: [T if isinstance(v, str) and v == NIL else NIL for v in xs])
+    builtin("integerp", 1, lambda xs: [T if isinstance(v, int) else NIL for v in xs])
+    builtin("bitp", 1, lambda xs: [T if isinstance(v, int) and v in (0, 1) else NIL for v in xs])
+    builtin("evenp", 1, lambda xs: [NIL if isinstance(v, int) and v % 2 else T for v in xs])
+    builtin("binary-+", 2, lambda xs, ys: [
+        (a if isinstance(a, int) else 0) + (b if isinstance(b, int) else 0) for a, b in zip(xs, ys)])
+    builtin("unary--", 1, lambda xs: [-a if isinstance(a, int) else 0 for a in xs])
+    builtin("binary-logand", 2, _logand)
+    builtin("4vec-bitand", 2, _logand)
+    # a zero divisor: floor is 0, mod its dividend
+    builtin("floor", 2, lambda xs, ys: [
+        a // b if isinstance(a, int) and isinstance(b, int) and b else 0 for a, b in zip(xs, ys)])
+    builtin("mod", 2, lambda xs, ys: [
+        (a % b if isinstance(b, int) and b else a) if isinstance(a, int) else 0 for a, b in zip(xs, ys)])
+    builtin("loghead", 2, lambda ss, xs: list(map(_loghead, ss, xs)))
+    builtin("logapp", 3, lambda ss, xs, ys: [_loghead(s, i) + (ifix(j) << _bits(s)) for s, i, j in zip(ss, xs, ys)])
+    builtin("lexorder", 2, lambda xs, ys: [T if lexorder_cmp(a, b) <= 0 else NIL for a, b in zip(xs, ys)])
     # demo arithmetic: halving, flooring-half, negated parity
-    reg.register("d2", 1, _d2)
-    reg.register("f2", 1, lambda x: x // 2 if isinstance(x, int) else 0)
-    reg.register("neg-m2", 1, lambda x: -(x % 2) if isinstance(x, int) else 0)
-    reg.register("round-to-even", 1, lambda x: x - x % 2 if isinstance(x, int) else 0)
+    builtin("d2", 1, _d2)
+    builtin("f2", 1, lambda xs: [x // 2 if isinstance(x, int) else 0 for x in xs])
+    builtin("neg-m2", 1, lambda xs: [-(x % 2) if isinstance(x, int) else 0 for x in xs])
+    builtin("round-to-even", 1, lambda xs: [x - x % 2 if isinstance(x, int) else 0 for x in xs])
     # association-list surface ops; the rewriter intercepts these, evaluation
     # uses the plain logical meanings
-    reg.register("hons-acons", 3, lambda k, v, l: Cons(Cons(k, v), l))
-    reg.register("hons-get", 2, _assoc_equal)
-    reg.register("fast-alist-free", 1, lambda l: l)
+    builtin("hons-acons", 3, lambda ks, vs, ls: [Cons(Cons(k, v), l) for k, v, l in zip(ks, vs, ls)])
+    builtin("hons-get", 2, lambda ks, ls: list(map(_assoc_equal, ks, ls)))
+    builtin("fast-alist-free", 1, list)
     # iassoc stays unregistered: benchmark-only constrained function
     return reg
 
@@ -328,7 +349,7 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
             arity = OWN_HEADS.get(head)
             entry = memo.get(id(t), _NO_ENTRY) if memo else _NO_ENTRY
             if arity is not None and len(args) != arity:
-                exc = EvalDomainError(f"{head} expects {arity} argument{'s' if arity > 1 else ''}")
+                exc = EvalDomainError(_expects(head, arity))
                 errors.update(dict.fromkeys(live, exc))
                 live = col = []
             elif entry is not _NO_ENTRY and entry is not None and entry[1] == live:
@@ -376,13 +397,6 @@ def eval_terms(t, envs, registry, wrappers=None, live=None, memo=None):
                     for c in reversed(cols):
                         col = list(map(Cons, c, col))
                     continue
-                try:
-                    col = list(map(registry.fn(head, n), *cols))
-                    continue
-                except EvalError:
-                    pass
-                # some env failed: find which, one env at a time, outside the
-                # handler, so that no recorded error holds this one as context
                 live, col = _call(registry, head, live, cols, errors)
                 continue
             if arity == 3:
@@ -434,14 +448,10 @@ def _lookup(env, name):
 
 
 def _each(fn, live, cols, errors):
-    """fn applied across cols, columns of argument values over the envs of
-    live: (live, column), without the envs where fn raised an EvalError,
-    which errors records.  A recorded error drops its traceback, whose
-    frames would hold errors in a reference cycle."""
-    try:
-        return live, list(map(fn, *cols))
-    except EvalError:
-        pass
+    """fn applied to each row of cols, columns of argument values over the
+    envs of live, one env at a time: (live, column), without the envs where
+    fn raised an EvalError, which errors records.  A recorded error drops
+    its traceback, whose frames would hold errors in a reference cycle."""
     kept, out = [], []
     for i, row in zip(live, zip(*cols)):
         try:
@@ -454,15 +464,25 @@ def _each(fn, live, cols, errors):
 
 
 def _call(registry, head, live, cols, errors):
-    """head's registered function applied across cols, as in _each."""
+    """head's registered function applied across cols, as in _each: its
+    kernel once over the whole columns, or, where that raises, its scalar
+    one env at a time, so the same envs drop out with the same errors."""
+    n = len(cols)
     try:
-        fn = registry.fn(head, len(cols))
+        kernel = registry.kernel(head, n)
     except EvalError as exc:
         errors.update(dict.fromkeys(live, exc.with_traceback(None)))
         return [], []
-    if not cols:
-        return _each(lambda _i: fn(), live, [live], errors)
-    return _each(fn, live, cols, errors)
+    if n:
+        try:
+            return live, kernel(*cols)
+        except EvalError:
+            pass
+    # a nullary function, which has no column to size its result, or a
+    # kernel that raised: one env at a time, outside the handler, so that
+    # no recorded error holds the kernel's as its context
+    fn = registry.fn(head, n)
+    return _each(fn if n else lambda _i: fn(), live, cols or [live], errors)
 
 
 def _keep(live, kept, cols):
@@ -482,13 +502,8 @@ def _check_wrappers(node, path, live, col, registry, wrappers):
         col = [v for _i, v in pairs]
     prop = node.args[0].value
     failed = {}
-    try:
-        fn = registry.fn(prop, 1)
-    except EvalError as exc:
-        failed = dict.fromkeys(live, exc.with_traceback(None))
-    else:
-        kept, holds = _each(fn, live, [col], failed)
-        failed.update((i, None) for i, h in zip(kept, holds) if not truthy(h))
+    kept, holds = _call(registry, prop, live, [col], failed)
+    failed.update((i, None) for i, h in zip(kept, holds) if not truthy(h))
     if failed:
         where = flat_path(path), App(prop, (node.args[1],))
         for i, error in failed.items():

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .evaluator import EvalError, ExecRegistry, default_registry, eval_term, shared_nodes, to_boolean
+from .evaluator import EvalError, default_registry, eval_term, shared_nodes, to_boolean
 from .terms import (
     NIL,
     STOP,
@@ -431,12 +431,13 @@ def parse_rule_file(text):
 # syntaxp and validation
 
 
+# the default registry's functions a syntaxp predicate may call
+_SYNTAXP_DEFAULTS = ("not", "equal", "atom", "consp", "car", "lexorder")
+
+
 def _syntaxp_registry():
-    """not, equal, atom, consp, car and lexorder from the default registry,
-    and quotep."""
-    default, reg = default_registry(), ExecRegistry()
-    for name in ("not", "equal", "atom", "consp", "car", "lexorder"):
-        reg.register(name, default.arity(name), default.fn(name, default.arity(name)))
+    """The entries of _SYNTAXP_DEFAULTS from the default registry, and quotep."""
+    reg = default_registry().copy(_SYNTAXP_DEFAULTS)
     return reg.register("quotep", 1, lambda v: to_boolean(isinstance(v, Cons) and v.car == "quote"))
 
 
@@ -444,7 +445,7 @@ def _syntaxp_registry():
 # (and, or and implies arrive expanded to if)
 SYNTAXP_REGISTRY = _syntaxp_registry()
 # the heads a syntaxp predicate may apply, each at the one arity it takes
-_SYNTAXP_ARITY = {"if": 3, **{name: arity for name, (arity, _) in SYNTAXP_REGISTRY._fns.items()}}
+_SYNTAXP_ARITY = {"if": 3, **{name: SYNTAXP_REGISTRY.arity(name) for name in (*_SYNTAXP_DEFAULTS, "quotep")}}
 
 
 def syntaxp_eval(hyp, bindings):

@@ -941,7 +941,7 @@ def binding_layers(v):
             pairs = []
             for b in list_items(parts[0]):
                 pair = list_items(b)
-                if len(pair) != 2 or not isinstance(pair[0], str):
+                if len(pair) != 2:
                     raise ParseError(f"bad {head} binding")
                 if not is_name(pair[0]):
                     raise ParseError(f"{head} names must be plain symbols")

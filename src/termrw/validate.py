@@ -23,12 +23,13 @@ or skipped.
 Draws come in chunks.  A chunk's environments are drawn in one loop
 (sample_envs) from the stream that single draws would take.  Each term is
 evaluated once per node per chunk (evaluator.eval_terms), not once per
-node per environment, and the facts, before and after share one memo, so
-a node they share (after is often mostly before) is evaluated once per
-chunk where it meets the same live environments.  Each compared draw's
-verdict is decided as the columns of before and after join.  The chunk's
-outcomes are then tallied in draw order, so every report is the one
-single draws would give.
+node per environment: a node applies its function's column kernel to its
+argument columns over the chunk in one call.  The facts, before and after
+share one memo, so a node they share (after is often mostly before) is
+evaluated once per chunk where it meets the same live environments.  Each
+compared draw's verdict is decided as the columns of before and after
+join.  The chunk's outcomes are then tallied in draw order, so every
+report is the one single draws would give.
 """
 
 from __future__ import annotations

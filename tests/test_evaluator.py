@@ -31,6 +31,7 @@ from termrw.evaluator import (
     shared_nodes,
     to_boolean,
 )
+from termrw.rules import _SYNTAXP_ARITY, SYNTAXP_REGISTRY
 from termrw.terms import App, Cons, FalistShadow, Quote, Var, mk_rp, parse_term, term_to_value, truthy
 
 
@@ -137,6 +138,224 @@ def test_inlined_coercions_act_as_ifix(reg):
     for name, ref in reference.items():
         for args in itertools.product(values, repeat=reg.arity(name)):
             assert reg.call(name, list(args)) == ref(*args), (name, args)
+
+
+# The scalar meanings the default registry's builtins had as one function
+# per value, kept as the reference their column kernels are checked against.
+
+
+def _ref_rank(v):
+    if isinstance(v, Cons):
+        return 4
+    if isinstance(v, int):
+        return 2
+    if isinstance(v, str):
+        if v == "nil":
+            return 0
+        if v == "t":
+            return 1
+        return 3
+    raise EvalDomainError(f"lexorder undefined for {v!r}")
+
+
+def _ref_lexorder_le(a, b):
+    paired = {}
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        ra, rb = _ref_rank(a), _ref_rank(b)
+        if ra != rb:
+            return ra < rb
+        if ra in (2, 3) and a != b:
+            return a < b
+        if ra == 4 and paired.get(id(a)) is not b:
+            paired[id(a)] = b
+            stack.append((a.cdr, b.cdr))
+            stack.append((a.car, b.car))
+    return True
+
+
+def _car(v):
+    return v.car if isinstance(v, Cons) else "nil"
+
+
+def _cdr(v):
+    return v.cdr if isinstance(v, Cons) else "nil"
+
+
+def _floor(a, b):
+    a, b = ifix(a), ifix(b)
+    return 0 if b == 0 else a // b
+
+
+def _mod(a, b):
+    a, b = ifix(a), ifix(b)
+    return a if b == 0 else a % b
+
+
+def _bits(size):
+    n = nfix(size)
+    if n > MAX_LOG_BITS:
+        raise EvalDomainError(f"a loghead or logapp size above {MAX_LOG_BITS} bits")
+    return n
+
+
+def _loghead(size, i):
+    return ifix(i) % (1 << _bits(size))
+
+
+def _logapp(size, i, j):
+    return _loghead(size, i) + (ifix(j) << _bits(size))
+
+
+def _d2(x):
+    x = ifix(x)
+    if x % 2:
+        raise EvalDomainError("d2 applied to an odd integer")
+    return x // 2
+
+
+def _assoc_equal(key, alist):
+    while isinstance(alist, Cons):
+        pair = alist.car
+        if isinstance(pair, Cons) and pair.car == key:
+            return pair
+        alist = alist.cdr
+    return "nil"
+
+
+_SCALARS = {
+    "cons": (2, Cons),
+    "car": (1, _car),
+    "cdr": (1, _cdr),
+    "consp": (1, lambda v: to_boolean(isinstance(v, Cons))),
+    "atom": (1, lambda v: to_boolean(not isinstance(v, Cons))),
+    "equal": (2, lambda a, b: to_boolean(a == b)),
+    "not": (1, lambda v: to_boolean(isinstance(v, str) and v == "nil")),
+    "integerp": (1, lambda v: to_boolean(isinstance(v, int))),
+    "bitp": (1, lambda v: to_boolean(isinstance(v, int) and v in (0, 1))),
+    "evenp": (1, lambda v: "nil" if isinstance(v, int) and v % 2 else "t"),
+    "binary-+": (2, lambda a, b: (a if isinstance(a, int) else 0) + (b if isinstance(b, int) else 0)),
+    "unary--": (1, lambda a: -a if isinstance(a, int) else 0),
+    "binary-logand": (2, lambda a, b: a & b if isinstance(a, int) and isinstance(b, int) else 0),
+    "4vec-bitand": (2, lambda a, b: a & b if isinstance(a, int) and isinstance(b, int) else 0),
+    "floor": (2, _floor),
+    "mod": (2, _mod),
+    "loghead": (2, _loghead),
+    "logapp": (3, _logapp),
+    "lexorder": (2, lambda a, b: to_boolean(_ref_lexorder_le(a, b))),
+    "d2": (1, _d2),
+    "f2": (1, lambda x: x // 2 if isinstance(x, int) else 0),
+    "neg-m2": (1, lambda x: -(x % 2) if isinstance(x, int) else 0),
+    "round-to-even": (1, lambda x: x - x % 2 if isinstance(x, int) else 0),
+    "hons-acons": (3, lambda k, v, l: Cons(Cons(k, v), l)),
+    "hons-get": (2, _assoc_equal),
+    "fast-alist-free": (1, lambda l: l),
+}
+
+# integers of both signs, big ones, every kind of non-integer, and alists
+# for hons-get; the grid's odd numbers are outside d2's domain and its
+# big ones outside loghead's and logapp's
+_GRID = [-7, -2, -1, 0, 1, 6, 2**70 + 1, -(2**70) - 1, "nil", "t", "foo", Cons(3, "nil"),
+         Cons(Cons(1, 2), Cons("foo", "nil"))]
+# rows off a builtin's domain that the grid lacks
+_RAISING = {
+    "d2": [(3,)],
+    "loghead": [(MAX_LOG_BITS + 1, 5)],
+    "logapp": [(MAX_LOG_BITS + 1, 5, 1), (-1, 5, 1)],
+    "lexorder": [(FalistShadow(), 1), (Cons(1, 2), Cons(FalistShadow(), 2)), (1, FalistShadow())],
+}
+
+
+def _outcome(fn, row):
+    """("value", fn(*row)), or ("raised", its EvalError's type and text)."""
+    try:
+        return "value", fn(*row)
+    except EvalError as exc:
+        return "raised", (type(exc), str(exc))
+
+
+def _rows(name):
+    arity = _SCALARS[name][0]
+    return [*itertools.product(_GRID, repeat=arity), *_RAISING.get(name, ())]
+
+
+def test_the_default_registry_holds_the_reference_builtins(reg):
+    assert set(reg._fns) == set(_SCALARS)
+    assert {name: reg.arity(name) for name in _SCALARS} == {name: arity for name, (arity, _) in _SCALARS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALARS))
+def test_each_builtin_agrees_with_its_scalar_reference_row_by_row(reg, name):
+    arity, ref = _SCALARS[name]
+    fn = reg.fn(name, arity)
+    for row in _rows(name):
+        assert _outcome(fn, row) == _outcome(ref, row), (name, row)
+        assert _outcome(reg.kernel(name, arity), [[v] for v in row]) == _outcome(lambda *r: [ref(*r)], row)
+
+
+@pytest.mark.parametrize("name", sorted(_SCALARS))
+def test_each_builtin_kernel_agrees_with_its_scalar_reference_on_one_column(reg, name):
+    arity, ref = _SCALARS[name]
+    kernel = reg.kernel(name, arity)
+    rows = _rows(name)
+    defined = [row for row in rows if _outcome(ref, row)[0] == "value"]
+    assert kernel(*map(list, zip(*defined))) == [ref(*row) for row in defined]
+    if len(defined) < len(rows):
+        # a row off the domain raises for the whole column
+        with pytest.raises(EvalError):
+            kernel(*map(list, zip(*rows)))
+
+
+@pytest.mark.parametrize("name", sorted(_SCALARS))
+def test_rows_off_a_builtins_domain_drop_out_of_its_column_with_their_errors(reg, name):
+    arity, ref = _SCALARS[name]
+    names = ("a", "b", "c")[:arity]
+    t = App(name, tuple(map(Var, names)))
+    rows = _rows(name)
+    # the raising rows first, last and among the others
+    rows = rows[-1:] + rows + rows[:1]
+    envs = [dict(zip(names, row)) for row in rows]
+    values, errors = eval_terms(t, envs, reg)
+    got = [("value", values[i]) if i in values else ("raised", (type(errors[i]), str(errors[i])))
+           for i in range(len(rows))]
+    assert got == [_outcome(ref, row) for row in rows]
+
+
+def test_a_re_registered_builtin_runs_once_per_environment():
+    calls = []
+    reg = default_registry().register("floor", 2, lambda a, b: calls.append((a, b)) or 7)
+    envs = [{"a": i, "b": 2} for i in range(4)]
+    values, errors = eval_terms(parse_term("(floor a b)"), envs, reg)
+    assert errors == {} and values == dict.fromkeys(range(4), 7)
+    assert calls == [(i, 2) for i in range(4)]
+    assert reg.kernel("floor", 2)([1], [2]) == [7] and len(calls) == 5
+    # the registry it was copied from keeps the builtin
+    assert default_registry().kernel("floor", 2)([7], [2]) == [3]
+
+
+def test_the_syntaxp_registry_evaluates_its_default_heads_as_the_reference():
+    default = default_registry()
+    assert _SYNTAXP_ARITY == {"if": 3, "not": 1, "equal": 2, "atom": 1, "consp": 1, "car": 1, "lexorder": 2,
+                              "quotep": 1}
+    for name, arity in _SYNTAXP_ARITY.items():
+        if name in ("if", "quotep"):
+            continue
+        assert SYNTAXP_REGISTRY.kernel(name, arity) is default.kernel(name, arity)
+        ref = _SCALARS[name][1]
+        for row in _rows(name):
+            assert _outcome(SYNTAXP_REGISTRY.fn(name, arity), row) == _outcome(ref, row), (name, row)
+    quoted = Cons("quote", Cons(1, "nil"))
+    values, errors = eval_terms(parse_term("(quotep x)"), [{"x": quoted}, {"x": Cons(1, 2)}, {"x": 3}],
+                                SYNTAXP_REGISTRY)
+    assert errors == {} and values == {0: "t", 1: "nil", 2: "nil"}
+
+
+def test_an_application_of_a_registered_function_at_another_arity_names_both():
+    with pytest.raises(EvalDomainError, match="^not expects 1 argument, got 2$"):
+        eval_term(parse_term("(not a b)"), {"a": 1, "b": 2}, default_registry())
+    with pytest.raises(EvalDomainError, match="^binary-\\+ expects 2 arguments, got 1$"):
+        eval_term(parse_term("(binary-+ a)"), {"a": 1}, default_registry())
 
 
 def test_structural_heads(ev):

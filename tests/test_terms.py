@@ -259,7 +259,9 @@ def test_let_star_nests():
 
 def test_let_names_must_be_plain_symbols():
     # nil and t are constants: as let names they would be ignored
-    for text in ("(let ((nil a)) nil)", "(let* ((t a)) (f t))", "(f (let ((x a) (t b)) x))"):
+    # and a binding of two items whose first is no symbol is no name either
+    for text in ("(let ((nil a)) nil)", "(let* ((t a)) (f t))", "(f (let ((x a) (t b)) x))",
+                 "(let ((5 x)) x)", "(let (((a) x)) x)", "(let* ((5 x)) x)"):
         with pytest.raises(ParseError, match="names must be plain symbols"):
             parse_term(text)
         with pytest.raises(ParseError, match="names must be plain symbols"):
