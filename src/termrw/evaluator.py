@@ -240,7 +240,10 @@ def _build_default_registry():
         (a % b if isinstance(b, int) and b else a) if isinstance(a, int) else 0 for a, b in zip(xs, ys)])
     builtin("loghead", 2, lambda ss, xs: list(map(_loghead, ss, xs)))
     builtin("logapp", 3, lambda ss, xs, ys: [_loghead(s, i) + (ifix(j) << _bits(s)) for s, i, j in zip(ss, xs, ys)])
-    builtin("lexorder", 2, lambda xs, ys: [T if lexorder_cmp(a, b) <= 0 else NIL for a, b in zip(xs, ys)])
+    # two integers are ranked alike and compared as numbers, bools too
+    builtin("lexorder", 2, lambda xs, ys: [
+        T if (a <= b if isinstance(a, int) and isinstance(b, int) else lexorder_cmp(a, b) <= 0) else NIL
+        for a, b in zip(xs, ys)])
     # demo arithmetic: halving, flooring-half, negated parity
     builtin("d2", 1, _d2)
     builtin("f2", 1, lambda xs: [x // 2 if isinstance(x, int) else 0 for x in xs])

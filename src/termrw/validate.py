@@ -20,16 +20,22 @@ output makes the whole check skipped (skipped = n), and the report names
 it (unknown).  A report is starved when fewer than n draws were accepted
 or skipped.
 
-Draws come in chunks.  A chunk's environments are drawn in one loop
-(sample_envs) from the stream that single draws would take.  Each term is
-evaluated once per node per chunk (evaluator.eval_terms), not once per
-node per environment: a node applies its function's column kernel to its
-argument columns over the chunk in one call.  The facts, before and after
-share one memo, so a node they share (after is often mostly before) is
-evaluated once per chunk where it meets the same live environments.  Each
-compared draw's verdict is decided as the columns of before and after
-join.  The chunk's outcomes are then tallied in draw order, so every
-report is the one single draws would give.
+Draws come in chunks.  A chunk's draws are taken in one loop (_draw) from
+the stream that single draws would take, each value from one table of 73
+(SUPPORT), and a draw is keyed by its values' positions there, so the
+chunk is kept as its distinct environments, first seen first, and the
+position of each draw's among them.  Registered functions are ground
+evaluators, so a term's value, its errors and its wrapper failures are a
+function of the environment: the facts, before and after are evaluated
+over the distinct environments only, and their outcomes are expanded back
+to the draws.  Each term is evaluated once per node per chunk
+(evaluator.eval_terms), not once per node per environment: a node applies
+its function's column kernel to its argument columns in one call.  The
+facts, before and after share one memo, so a node they share (after is
+often mostly before) is evaluated once per chunk where it meets the same
+live environments.  Each compared environment's verdict is decided as the
+columns of before and after join.  The chunk's outcomes are then tallied
+in draw order, so every report is the one single draws would give.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from collections import Counter
 from .evaluator import EvalDomainError, EvalError, UnknownFunctionError, eval_term, eval_terms, shared_nodes
 from .rules import Syntaxp
 from .terms import (
-    NIL,
     App,
     Cons,
     Quote,
@@ -112,42 +117,77 @@ def valid_sc_failure(t, env, reg):
 # ---------------------------------------------------------------------------
 # environment sampling
 
-_SYMBOL_POOL = ("nil", "t", "foo", "bar", "k1", "key2")
+# The finite support every sampled value comes from, as in SmallCheck's
+# bounded enumeration: at SUPPORT[0:17] the small integers v = -8..8, at
+# [17:34] 2^64 + v and at [34:51] -(2^64 + v) for the same v, at [51:57]
+# six symbols, and at [57:73] the pairs of four cars and four cdrs, car
+# major.  Each pair is one Cons, whose hash is kept once computed.
+SUPPORT = (
+    *range(-8, 9),
+    *((1 << 64) + v for v in range(-8, 9)),
+    *(-((1 << 64) + v) for v in range(-8, 9)),
+    "nil", "t", "foo", "bar", "k1", "key2",
+    *(Cons(a, d) for a in (0, 1, "a", "nil") for d in (2, "t", "b", "nil")),
+)
+
+
+def _draw(rng, names, size):
+    """size draws of one value per name in sorted order, each from a mixed
+    distribution over SUPPORT: half small integers, a quarter near ±2^64, a
+    quarter structured (symbols and shallow pairs).  Returns (envs, index):
+    the distinct environments drawn, in first-seen order, and for each draw
+    the position of its environment in envs.  A draw is keyed by its code,
+    its values' positions in SUPPORT read as digits in radix 73, so equal
+    codes are the very same value objects, and a repeated draw's dict is
+    dropped.  randint(-8, 8) and choice are drawn as CPython's Random
+    draws them, getrandbits of the range's bit length until below the
+    range, so size draws at once take the stream, and leave rng in the
+    state, of size draws of one."""
+    random_, bits = rng.random, rng.getrandbits
+    support = SUPPORT
+    names = sorted(names)
+    envs, index, codes = [], [], {}
+    for _ in range(size):
+        env = {}
+        code = 0
+        for name in names:
+            roll = random_()
+            if roll < 0.75:
+                # a small integer, or one near 2^64 or -2^64 by a further draw
+                offset = 0 if roll < 0.50 else 34 if random_() < 0.5 else 17
+                r = bits(5)
+                while r >= 17:
+                    r = bits(5)
+            elif roll < 0.875:
+                offset = 51
+                r = bits(3)
+                while r >= 6:
+                    r = bits(3)
+            else:
+                car = bits(3)
+                while car >= 4:
+                    car = bits(3)
+                r = bits(3)
+                while r >= 4:
+                    r = bits(3)
+                offset = 57 + 4 * car
+            r += offset
+            env[name] = support[r]
+            code = code * 73 + r
+        position = codes.get(code)
+        if position is None:
+            position = codes[code] = len(envs)
+            envs.append(env)
+        index.append(position)
+    return envs, index
 
 
 def sample_envs(rng, names, size):
-    """size environments over names, with one value per name in sorted
-    order from a mixed distribution: half small integers, a quarter near
-    ±2^64, a quarter structured (symbols and shallow pairs).  randint(-8, 8)
-    and choice are drawn as CPython's Random draws them, getrandbits of the
-    range's bit length until below the range, so drawing size environments
-    at once gives the stream, and leaves rng in the state, of size draws of
-    one."""
-    random_, bits = rng.random, rng.getrandbits
-
-    def below(n, k):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
-    names = sorted(names)
-    envs = []
-    for _ in range(size):
-        env = {}
-        for name in names:
-            roll = random_()
-            if roll < 0.50:
-                env[name] = below(17, 5) - 8
-            elif roll < 0.75:
-                sign = -1 if random_() < 0.5 else 1
-                env[name] = sign * ((1 << 64) + below(17, 5) - 8)
-            elif roll < 0.875:
-                env[name] = _SYMBOL_POOL[below(6, 3)]
-            else:
-                env[name] = Cons((0, 1, "a", "nil")[below(4, 3)], (2, "t", "b", "nil")[below(4, 3)])
-        envs.append(env)
-    return envs
+    """size environments over names, drawn as _draw draws them: the
+    stream, and the rng's final state, of size draws of one.  Each is a
+    dict of its own."""
+    envs, index = _draw(rng, names, size)
+    return [envs[i].copy() for i in index]
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +211,21 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
 
     Draws come in chunks of exactly the draws still needed, so a chunk
     never draws past the point where taking one draw at a time would stop.
-    A chunk is evaluated one term at a time over all its environments
-    (eval_terms): the facts, each only where the earlier ones hold, then
-    before, then after where before is defined, and a draw where both are
-    defined is judged as their values are paired.  The terms are walked
-    once beforehand for their variables and for the nodes they reach more
-    than once (shared_nodes), and the chunk's calls share a memo of those,
-    so each distinct node is evaluated once per chunk, across facts, before
-    and after, for each list of environments live at it.  The outcomes are
-    then tallied in draw order, so the report is the one a loop over single
-    environments would give.
+    A chunk is kept as its distinct environments and one index per draw
+    (_draw), and only the distinct ones are evaluated: a registered
+    function is a ground evaluator, so equal environments, which hold the
+    very same values, meet the same outcome.  They are evaluated one term
+    at a time (eval_terms): the facts, each only where the earlier ones
+    hold, then before, then after where before is defined, and an
+    environment where both are defined is judged as their values are
+    paired.  The terms are walked once beforehand for their variables and
+    for the nodes they reach more than once (shared_nodes), and the
+    chunk's calls share a memo of those, so each distinct node is
+    evaluated once per chunk, across facts, before and after, for each
+    list of environments live at it.  The outcomes are then tallied draw
+    by draw, in draw order, so the report is the one a loop over single
+    environments would give; a failing draw's environment is looked up
+    only to be reported.
     """
     terms = (*facts, before, after)
     nodes = postorder(*terms)
@@ -196,10 +241,10 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         if size <= 0:
             break
         draws += size
-        envs = sample_envs(rng, names, size)
-        outcomes = [None] * size  # None: rejected by a fact
+        envs, index = _draw(rng, names, size)
+        outcomes = [None] * len(envs)  # None: rejected by a fact
         memo = dict.fromkeys(shared)
-        live = list(range(size))
+        live = list(range(len(envs)))
         for fact in facts:
             values = _evaluate(fact, envs, live, reg, memo, outcomes, None)
             live = [i for i, v in values.items() if truthy(v)]
@@ -211,10 +256,11 @@ def _sample(facts, before, after, mode, n, reg, seed, label="", check_wrappers=F
         for i, v in befores.items():
             if i in afters:
                 w = afters[i]
-                same = v == w if equal else (v == NIL) == (w == NIL)
+                same = v == w if equal else truthy(v) == truthy(w)
                 failure = failures.get(i) if failures else None
                 outcomes[i] = _ACCEPT if same and failure is None else ("" if same else changed, failure)
-        for i, outcome in enumerate(outcomes):
+        for i in index:
+            outcome = outcomes[i]
             if outcome is _ACCEPT:
                 report.accepted += 1
             elif outcome is None:

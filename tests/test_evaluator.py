@@ -408,6 +408,15 @@ def test_lexorder_compares_a_cons_with_each_of_its_partners():
         assert lexorder_cmp(a, b) == -1 and lexorder_cmp(b, a) == 1
 
 
+def test_the_lexorder_kernel_ranks_bools_and_integers_as_before(reg):
+    # the kernel compares two integers at once; a bool is one to the old walk too
+    values = [True, False, -1, 0, 1, 2, 2**70, "nil", "t", "foo", Cons(True, 2), Cons(1, 2)]
+    pairs = list(itertools.product(values, repeat=2))
+    xs, ys = (list(c) for c in zip(*pairs))
+    want = ["t" if _ref_lexorder_le(a, b) else "nil" for a, b in pairs]
+    assert reg.kernel("lexorder", 2)(xs, ys) == want
+
+
 def test_lexorder_of_a_value_it_cannot_rank_is_a_domain_error(reg):
     # a lookup table is no symbol, integer or pair
     with pytest.raises(EvalDomainError, match="^lexorder undefined for "):

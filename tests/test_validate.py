@@ -8,9 +8,10 @@ import pytest
 
 from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term, eval_terms
 from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var, free_vars, parse_term, truthy
+from termrw.terms import App, Cons, Quote, Var, format_value, free_vars, parse_term, truthy
 from termrw.validate import (
     REJECTION_CAP,
+    SUPPORT,
     ValidityReport,
     check_preservation,
     check_run,
@@ -230,11 +231,28 @@ def test_a_shared_node_runs_once_per_environment(reg):
     plus = reg.fn("binary-+", 2)
     counting = reg.copy().register("binary-+", 2, lambda a, b: calls.append(1) or plus(a, b))
     before, after = P("(let* ((s (binary-+ a b))) (list (cons s s) (cons s (rp 'integerp s))))").args
-    # every draw is accepted, so each check is one chunk of 50 draws
+    # every draw is accepted, so each check is one chunk of the 50 draws of
+    # seed 0, evaluated once per distinct environment among them
+    distinct = len({env_digest(env) for env in sample_envs(random.Random(0), {"a", "b"}, 50)})
     assert check_preservation(before, before, "equal", 50, counting).accepted == 50
-    assert len(calls) == 50
+    assert len(calls) == distinct
     assert check_run(before, after, [], 50, counting, mode="equal").accepted == 50
-    assert len(calls) == 100
+    assert len(calls) == 2 * distinct
+    # a ground term has one environment, however many draws take it
+    calls.clear()
+    ground = P("(binary-+ '1 '2)")
+    assert check_run(ground, Quote(3), [], 250, counting, mode="equal").accepted == 250
+    assert len(calls) == 1
+
+
+def test_the_support_holds_73_distinct_values_and_draws_share_them():
+    assert len(SUPPORT) == 73 and len(set(map(env_digest, ({"v": v} for v in SUPPORT)))) == 73
+    envs = sample_envs(random.Random(0), {"a"}, 5000)
+    # every value drawn is a support value itself, so a repeated pair is one Cons
+    assert all(any(env["a"] is v for v in SUPPORT) for env in envs)
+    assert {env_digest(env) for env in envs} == {f"a={format_value(v)}" for v in SUPPORT}
+    # each environment is a dict of its own
+    assert len({id(env) for env in envs}) == 5000
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +409,11 @@ SAMPLING_CASES = {
     "unknown function everywhere": ("(iassoc a b)", "a", [], "iff", 20),
     "truthiness flips on some draws only": ("(consp a)", "(integerp a)", [], "iff", 60),
     "values compared as pairs": ("(cons a b)", "(cons b a)", [], "equal", 60),
+    # no variable or one: most of a chunk's draws repeat an environment
+    "ground sound rewrite": ("(binary-+ '1 '2)", "'3", [], "equal", 250),
+    "ground term with an unregistered function": ("(iassoc '1 '2)", "'nil", [], "iff", 250),
+    "one variable with d2 skips": ("(binary-+ (d2 a) (d2 a))", "a", [], "equal", 250),
+    "one variable with a wrapper failure": ("(binary-+ a '0)", "(rp 'evenp (binary-+ a '0))", [], "equal", 250),
 }
 
 
@@ -447,6 +470,18 @@ def test_sampling_cases_show_their_traits(reg):
     late = run("unknown function after earlier failures")
     assert late.skipped == 200 and late.failures and not late.ok
     assert run("unknown function everywhere").skipped == 20
+    ground = run("ground sound rewrite")
+    assert ground.ok and ground.accepted == 250
+    ground = run("ground term with an unregistered function")
+    assert ground.skipped == 250 and ground.unknown == "iassoc"
+    halves = run("one variable with d2 skips")
+    # odd integers skip; non-integers halve to 0 and fail, each value many times over
+    assert 0 < halves.skipped < 250 and not halves.ok
+    assert len(halves.failures) > len(set(halves.failures))
+    wrapped = run("one variable with a wrapper failure")
+    # a failing draw is not counted, so draws go on until 250 pass
+    assert wrapped.accepted == 250 and not wrapped.starved
+    assert len(wrapped.failures) > len(set(wrapped.failures))
     unregistered = run("wrapper property unregistered")
     # a failing draw is not counted, so every draw up to the cap fails
     assert unregistered.starved and unregistered.accepted == 0
