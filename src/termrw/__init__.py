@@ -18,6 +18,7 @@ from .evaluator import (
 )
 from .falist import fa_acons, fa_free, fa_get
 from .meta import MetaRegistry, MetaRule
+from .reader import ParseError, parse_term, read_value, read_values, term_from_value, term_to_value
 from .rewriter import Context, RewriteConfig, Rewriter, RewriteStats, unify
 from .rules import (
     Rule,
@@ -36,22 +37,16 @@ from .terms import (
     NIL_TERM,
     OPEN,
     STOP,
-    ParseError,
     Quote,
     T_TERM,
     Var,
     falist_shadow,
     format_term,
     format_value,
-    parse_term,
-    read_value,
-    read_values,
     rp_termp,
     strip_rp,
     strip_rp_deep,
     substitute,
-    term_from_value,
-    term_to_value,
 )
 from .validate import (
     ValidityReport,

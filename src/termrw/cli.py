@@ -12,9 +12,10 @@ import time
 
 from .demo import TREE_RULES, TREE_RULES_BACKCHAIN, chain_term, lookup_keys, lookups_term, tree_conjecture
 from .evaluator import default_registry
+from .reader import ParseError, parse_term
 from .rewriter import RewriteConfig, Rewriter
 from .rules import RuleFileError, build_ruleset, parse_rule_file, rule_violations
-from .terms import ParseError, format_term, node_count, parse_term
+from .terms import format_term, node_count
 from .validate import check_run, sample_rule_soundness
 
 BENCH_STEP_LIMIT = 1 << 28

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 
-from .terms import NIL_TERM, App, Quote, Var, parse_term
+from .reader import parse_term
+from .terms import NIL_TERM, App, Quote, Var
 
 # ---------------------------------------------------------------------------
 # rule set: logand to 4vec-bitand with an integerp side condition

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .evaluator import EvalError, default_registry, eval_term, shared_nodes, to_boolean
+from .reader import ParseError, list_items, read_values, term_from_value, term_to_value
 from .terms import (
     NIL,
     STOP,
@@ -31,7 +32,6 @@ from .terms import (
     SPECIAL_HEADS,
     App,
     Cons,
-    ParseError,
     Quote,
     Shared,
     Var,
@@ -40,15 +40,11 @@ from .terms import (
     free_vars,
     is_name,
     is_rp,
-    list_items,
     mk_rp,
     postorder,
-    read_values,
     shared_apps,
     rp_termp,
     strip_rp_deep,
-    term_from_value,
-    term_to_value,
     terms_equal_mod_rp,
     truthy,
 )

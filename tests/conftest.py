@@ -5,8 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from termrw.evaluator import default_registry
+from termrw.reader import parse_term
 from termrw.rules import build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var, parse_term, postorder
+from termrw.terms import App, Cons, Quote, Var, postorder
 
 
 @pytest.fixture(autouse=True)

@@ -26,6 +26,7 @@ from termrw.demo import (
 )
 from termrw.evaluator import EvalDomainError, default_registry, eval_term
 from termrw.meta import fold_plus
+from termrw.reader import parse_term, term_to_value
 from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
 from termrw.rules import build_ruleset, parse_rule_file
 from termrw.terms import (
@@ -41,11 +42,9 @@ from termrw.terms import (
     free_vars,
     mk_rp,
     node_count,
-    parse_term,
     rp_termp,
     strip_rp_deep,
     substitute,
-    term_to_value,
 )
 from termrw.validate import check_run, random_term, sample_envs, valid_sc_failure
 

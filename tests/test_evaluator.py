@@ -31,8 +31,9 @@ from termrw.evaluator import (
     shared_nodes,
     to_boolean,
 )
+from termrw.reader import parse_term, term_to_value
 from termrw.rules import _SYNTAXP_ARITY, SYNTAXP_REGISTRY
-from termrw.terms import App, Cons, FalistShadow, Quote, Var, mk_rp, parse_term, term_to_value, truthy
+from termrw.terms import App, Cons, FalistShadow, Quote, Var, mk_rp, truthy
 
 
 @pytest.fixture

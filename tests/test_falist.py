@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from termrw.evaluator import default_registry, eval_term
 from termrw.falist import fa_acons, fa_free, fa_get
+from termrw.reader import parse_term
 from termrw.rewriter import RewriteConfig, Rewriter, RewriteStats
 from termrw.rules import build_ruleset
 from termrw.terms import (
@@ -22,7 +23,6 @@ from termrw.terms import (
     falist_shadow,
     format_term,
     logical_entries,
-    parse_term,
 )
 
 

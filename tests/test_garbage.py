@@ -21,9 +21,9 @@ from termrw.demo import (
 )
 from termrw.evaluator import default_registry
 from termrw.meta import MetaRegistry, demo_metas
+from termrw.reader import parse_term
 from termrw.rewriter import RewriteConfig, Rewriter
 from termrw.rules import build_ruleset, parse_rule_file
-from termrw.terms import parse_term
 from termrw.validate import check_run, sample_rule_soundness
 
 LET_CHAIN = """

@@ -3,9 +3,10 @@
 import pytest
 
 from termrw.meta import MetaRegistrationError, MetaRegistry, MetaRule, demo_metas, fold_plus, fold_plus_hide
+from termrw.reader import parse_term
 from termrw.rewriter import RewriteConfig, RewriteStats, Rewriter
 from termrw.rules import build_ruleset
-from termrw.terms import STOP, App, Quote, Var, format_term, parse_term
+from termrw.terms import STOP, App, Quote, Var, format_term
 
 P = parse_term
 

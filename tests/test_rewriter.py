@@ -30,6 +30,7 @@ from termrw.demo import (
     tree_conjecture,
 )
 from termrw.meta import MetaRegistry, MetaRule, demo_metas, fold_plus
+from termrw.reader import ParseError, parse_term
 from termrw.rewriter import BACKCHAIN_DEPTH, Context, RewriteConfig, Rewriter, RewriteStats, conjuncts_of, instantiate, negate, unify
 from termrw.rules import (
     Rule,
@@ -46,7 +47,6 @@ from termrw.terms import (
     App,
     Cons,
     FalistShadow,
-    ParseError,
     Quote,
     Shared,
     Var,
@@ -55,7 +55,6 @@ from termrw.terms import (
     has_wrapper,
     is_rp,
     mk_rp,
-    parse_term,
     postorder,
     strip_rp,
     substitute,
@@ -778,9 +777,9 @@ def _work(rw):
     return (s.rewrite_calls, s.rule_attempts, s.rule_applications, s.hyp_relief_failures, s.step_limit_hit)
 
 
-def _tree_rewriter(side_conditions, **cfg):
+def _tree_rewriter(side_conditions, cls=Rewriter, **cfg):
     rs = ruleset(TREE_RULES if side_conditions else TREE_RULES_BACKCHAIN)
-    return Rewriter(rs, cfg=RewriteConfig(side_conditions_enabled=side_conditions, **cfg))
+    return cls(rs, cfg=RewriteConfig(side_conditions_enabled=side_conditions, **cfg))
 
 
 @pytest.mark.parametrize("depth,side_conditions", sorted(TREE_WORK))
@@ -800,11 +799,24 @@ def test_round_to_even_work_is_pinned():
         assert _work(rw) == ROUND_TO_EVEN_WORK[path.name[: -len(".lsp")]]
 
 
+class _OpenGuards(Rewriter):
+    """The loop with every rule's dont-rw guard OPEN: each rule's result is
+    rewritten whole."""
+
+    opened = 0
+
+    def _rule_result(self, rule, core, bindings, path):
+        self.opened += 1
+        return super()._rule_result(rule, core, bindings, path)[0], OPEN
+
+
 # The closed forms of the cost model (ROADMAP item 2), at every size: the
-# depth-d tree conjecture with side conditions on and off, and an N-entry
-# falist built and then read by N lookups on one Rewriter, with fast alists
-# on and off.  With side conditions, rule attempts are linear in the tree's
-# nodes; with fast alists, a lookup is one probe.
+# depth-d tree conjecture with side conditions on and off, with the rules'
+# dont-rw guards and with every guard OPEN, and an N-entry falist built and
+# then read by N lookups on one Rewriter, with fast alists on and off.  With
+# side conditions, rule attempts are linear in the tree's nodes; the guards
+# save (4d - 4) * 2**d + 4 rewrite calls in either mode, and no rule attempt
+# or node; with fast alists, a lookup is one probe.
 CLOSED_FORMS = {
     ("tree", True): (
         range(1, 11),
@@ -823,6 +835,23 @@ CLOSED_FORMS = {
             rule_applications=(2 * d - 1) * 2**d + 2,
         ),
     ),
+    ("tree-open-guards", True): (
+        range(1, 11),
+        lambda d: dict(
+            rewrite_calls=(4 * d + 11) * 2**d - 1,
+            rule_attempts=2 ** (d + 1),
+            rule_applications=2 ** (d + 1),
+            nodes_created=11 * 2 ** (d - 1) - 2,
+        ),
+    ),
+    ("tree-open-guards", False): (
+        range(1, 11),
+        lambda d: dict(
+            rewrite_calls=(10 * d + 1) * 2**d + 7,
+            rule_attempts=(3 * d - 1) * 2**d + 2,
+            rule_applications=(2 * d - 1) * 2**d + 2,
+        ),
+    ),
     ("falist", True): ((*range(1, 21), 100, 1000), lambda n: dict(rewrite_calls=6 * n + 2, fa_probes=n)),
     ("falist", False): ((*range(1, 21), 100), lambda n: dict(rewrite_calls=3 * n * n + 6 * n + 2, fa_probes=0)),
 }
@@ -832,16 +861,19 @@ CLOSED_FORMS = {
 def test_the_cost_model_has_its_closed_forms_at_every_size(family, on):
     sizes, form = CLOSED_FORMS[family, on]
     for n in sizes:
-        if family == "tree":
-            rw = _tree_rewriter(on)
-            assert rw.proved(tree_conjecture(n))[0]
-        else:
+        if family == "falist":
             rw = Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=on))
             fal = rw.rewrite(chain_term(n), iff=False)
             rw.rewrite(lookups_term(fal, lookup_keys(n)), iff=False)
+        else:
+            rw = _tree_rewriter(on, _OpenGuards if family == "tree-open-guards" else Rewriter)
+            assert rw.proved(tree_conjecture(n))[0]
         stats = rw.stats.as_dict()
         assert {k: stats[k] for k in form(n)} == form(n), n
         assert not stats["step_limit_hit"]
+        if family == "tree-open-guards":
+            # the override ran: every rule that applied had its guard opened
+            assert rw.opened == stats["rule_applications"] > 0, n
 
 
 # Every counter of one rewrite down each kind of path through the loop:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from termrw.demo import SHIPPED_RULESETS
 from termrw.evaluator import EvalError, default_registry, lexorder_le
+from termrw.reader import list_items, parse_term, read_value, term_from_value, term_to_value
 from termrw.rules import (
     SYNTAXP_REGISTRY,
     Rule,
@@ -38,15 +39,10 @@ from termrw.terms import (
     Quote,
     Var,
     format_term,
-    list_items,
     mk_rp,
     node_count,
-    parse_term,
     postorder,
-    read_value,
     strip_rp_deep,
-    term_from_value,
-    term_to_value,
     truthy,
 )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from termrw.reader import ParseError, parse_term
 from termrw.rules import (
     Rule,
     RuleFileError,
@@ -12,7 +13,7 @@ from termrw.rules import (
     parse_rule_file,
     validate_rule,
 )
-from termrw.terms import App, ParseError, Quote, Var, format_term, parse_term, rp_termp
+from termrw.terms import App, Quote, Var, format_term, rp_termp
 
 
 def ruleset(text):

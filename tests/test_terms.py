@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
-from termrw import terms
+from termrw import reader
 from termrw.demo import chain_term
 from termrw.evaluator import default_registry, eval_terms, shared_nodes
+from termrw.reader import ParseError, parse_term, read_value, read_values, term_from_value, term_to_value
 from termrw.rules import Syntaxp, syntaxp_eval
 from termrw.terms import (
     NIL,
@@ -26,7 +27,6 @@ from termrw.terms import (
     App,
     Cons,
     FalistShadow,
-    ParseError,
     Quote,
     Var,
     check_falist_term,
@@ -38,16 +38,11 @@ from termrw.terms import (
     is_rp,
     mk_rp,
     node_count,
-    parse_term,
     postorder,
-    read_value,
-    read_values,
     rp_termp,
     strip_rp,
     strip_rp_deep,
     substitute,
-    term_from_value,
-    term_to_value,
     terms_equal_mod_rp,
     truthy,
 )
@@ -139,7 +134,7 @@ def test_reader_faults_are_placed_at_their_tokens(reader, text, message, line, c
 
 
 # The reader's token grammar as one regex, with a form feed among the
-# whitespace: the reference that terms._tokens keeps to once each quote
+# whitespace: the reference that reader._tokens keeps to once each quote
 # glued to an atom is split off.
 _REFERENCE_TOKEN = re.compile(r"[ \t\r\n\f]*(?:;[^\n]*[ \t\r\n\f]*)*(\.(?=[ \t\r\n\f()';]|\Z)|[()']|[^ \t\r\n\f()';]+|\Z)")
 
@@ -153,7 +148,7 @@ _TEXT_PARTS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_TEXT_PARTS, max_size=40).map("".join))
 def test_tokens_are_the_reference_grammar_s_tokens(text):
-    tokens = terms._tokens(text)
+    tokens = reader._tokens(text)
     unglued = []
     for tok in tokens:
         unglued += ["'", tok[1:]] if len(tok) > 1 and tok[0] == "'" else [tok]
@@ -162,7 +157,7 @@ def test_tokens_are_the_reference_grammar_s_tokens(text):
     assert unglued == reference[: reference.index("") + 1]
     # the scan that places a fault finds each token where it starts
     for i, tok in enumerate(tokens):
-        assert text.startswith(tok, terms._token_start(text, i))
+        assert text.startswith(tok, reader._token_start(text, i))
 
 
 def test_read_value_deep_nest_needs_no_recursion():
@@ -268,6 +263,25 @@ def test_let_names_must_be_plain_symbols():
             term_from_value(read_value(text))
 
 
+def test_let_and_lambda_bind_each_name_once():
+    # ACL2 refuses a let or a lambda that binds one name twice; read, the
+    # last binding would silently win
+    for text, message, at in (
+        ("(let ((x '1) (x '2)) x)", "let binds x twice", 1),
+        ("(f (let ((y a) (x b) (x c)) x))", "let binds x twice", 4),
+        ("((lambda (x x) x) '1 '2)", "lambda parameters must be distinct", 1),
+        ("(f ((lambda (x y x) y) a b c))", "lambda parameters must be distinct", 4),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert str(e.value) == f"{message} (line 1, column {at})", text
+        with pytest.raises(ParseError) as e:
+            term_from_value(read_value(text))
+        assert str(e.value) == message, text
+    # a let* binds one name per layer, so it may rebind
+    assert parse_term("(let* ((x '1) (x '2)) x)") == Quote(2)
+
+
 def test_falist_literal_builds_shadow():
     # the shadow is rebuilt from the logical part; the quoted text is not read
     chain = "(cons (cons 'k1 v1) (hons-acons 'k2 '3 '((k3 . 4))))"
@@ -321,13 +335,15 @@ def test_term_shape_errors_report_their_forms_position():
 def test_plain_applications_read_without_values(monkeypatch):
     # a plain application's term is built as its ')' is read: no Cons, no
     # read_value, no term_from_value
-    import termrw.terms as terms
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the one-pass reader fell back to values")
 
     for name in ("Cons", "read_value", "term_from_value", "trampoline"):
-        monkeypatch.setattr(terms, name, forbidden)
+        monkeypatch.setattr(reader, name, forbidden)
+    # the patch reaches the globals the reader looks up: reading a value,
+    # through the unpatched read_value, now builds a forbidden Cons
+    with pytest.raises(AssertionError, match="fell back to values"):
+        read_value("(a)")
     t = parse_term("(f (+ a 1 -2) (- b) (and p (or q r) (implies p q)) 'k nil t)")
     monkeypatch.undo()
     assert format_term(t) == (
@@ -396,7 +412,7 @@ def _term_forms(kids):
         st.builds(lambda gap, xs: _form(gap, ["-", *xs]), _gaps, st.lists(kids, min_size=1, max_size=2)),
         st.builds(lambda gap, h, xs: _form(gap, [h, *xs]), _gaps, st.sampled_from(("and", "or")), args),
         st.builds(lambda gap, xs: _form(gap, ["implies", *xs]), _gaps, st.lists(kids, min_size=2, max_size=2)),
-        st.builds(_let, _gaps, st.sampled_from(("let", "let*")), st.lists(_syms, max_size=2), st.lists(kids, min_size=2, max_size=2), kids),
+        st.builds(_let, _gaps, st.sampled_from(("let", "let*")), st.lists(_syms, max_size=2, unique=True), st.lists(kids, min_size=2, max_size=2), kids),
         st.builds(_lambda_app, _gaps, st.lists(_syms, max_size=2, unique=True), kids, st.lists(kids, min_size=2, max_size=2)),
         # a falist's shadow text is any quotation: it is rebuilt from the chain
         st.builds(lambda gap, s, c: _form(gap, ["falist", "'" + s, c]), _gaps, _data, _chains(kids)),
@@ -421,6 +437,8 @@ _faulty_forms = st.one_of(
     st.builds(lambda x: f"((lambda (a) {x}))", _valid_texts),
     st.builds(lambda p, x: f"((lambda {p} {x}) b)", st.sampled_from(("(nil)", "(1)", "a", "(a . b)")), _valid_texts),
     st.builds(lambda x: f"((lambda (a)) {x})", _valid_texts),
+    st.builds(lambda x: f"(let ((a {x}) (a b)) a)", _valid_texts),
+    st.builds(lambda x: f"((lambda (a a) a) {x} b)", _valid_texts),
     st.builds(lambda s, x: f"(falist {s} {x})", st.sampled_from(("a", "(f a)")), _chains(_valid_texts)),
     st.builds(lambda s, x: f"(falist '{s} {x})", _data,
               st.sampled_from(("a", "(f a)", "'(k)", "'((k . a) . b)", "(cons (cons 'k a) b)", "(hons-acons k a 'nil)"))),

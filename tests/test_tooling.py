@@ -1,7 +1,9 @@
 """perfbench's tracer wraps the package's functions by name, and its
 engines build rule sets and rewriters through the package's API, so a
 change inside the package must not leave perfbench wrapping nothing or
-failing to set up; and the CLI's imports stay its own."""
+failing to set up; the CLI's imports stay its own; and no module grows past
+the size where its compile, which perfbench's peak RSS follows, costs a
+step more memory."""
 
 import ast
 import importlib.util
@@ -9,8 +11,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import termrw
+from termrw import reader, terms
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -25,6 +29,22 @@ def _load_perfbench(name):
 def test_tracer_wraps_names_that_exist():
     for layer, (owner, attr, _outermost) in _load_perfbench("tracer").WRAPPED.items():
         assert callable(getattr(owner, attr, None)), f"{layer}: {owner.__name__}.{attr}"
+
+
+def test_perfbench_times_the_reader_itself():
+    # the tracer wraps terms.parse_term, which must be the reader's own
+    assert terms.parse_term is reader.parse_term
+
+
+def test_every_module_stays_under_the_compile_memory_step():
+    # CPython 3.11's compile peak grows by about 0.47 MB once a module
+    # passes 8,192 tokens, counted as below; perfbench compiles every module
+    # on each run, so its peak RSS would show the step
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    for path in sorted((ROOT / "src" / "termrw").glob("*.py")):
+        with path.open("rb") as f:
+            count = sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
+        assert count < 8192, f"{path.name} has {count} tokens, not under the 8,192-token compile-memory step (CHANGES.md line 896)"
 
 
 def test_every_exported_name_resolves():

@@ -7,8 +7,9 @@ import time
 import pytest
 
 from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term, eval_terms
+from termrw.reader import parse_term
 from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var, format_value, free_vars, parse_term, truthy
+from termrw.terms import App, Cons, Quote, Var, format_value, free_vars, truthy
 from termrw.validate import (
     REJECTION_CAP,
     SUPPORT,
