@@ -124,13 +124,14 @@ def cmd_prove(args):
         step_limit=args.step_limit,
         side_conditions_enabled=not args.no_side_conditions,
         fast_alist_enabled=not args.no_fast_alist,
-        trace=args.trace,
     )
     try:
         rw = Rewriter(ruleset, cfg=cfg)
     except RuleFileError as exc:
         print("\n".join(f"{args.rules}: {line}" for line in str(exc).splitlines()), file=sys.stderr)
         return 1
+    if args.trace:
+        rw.trace = []
     t0 = time.perf_counter()
     proved, out = rw.proved(conjecture)
     stats = {**rw.stats.as_dict(), "rewrite_s": time.perf_counter() - t0}

@@ -1,4 +1,4 @@
-"""The rewriter's fast-alist steps.
+"""The loop's fast-alist step (5b): step, at an application of HEADS.
 
 A term ``(falist 'shadow logical)`` evaluates as its logical payload, an
 alist chain term, while the quoted shadow caches the same bindings in a
@@ -7,8 +7,8 @@ defines that shape (FalistShadow, logical_entries, falist_shadow and
 check_falist_term), and this module the steps on it.
 hons-acons extends both sides, hons-get answers from the shadow in one
 probe, fast-alist-free drops back to the payload.  With fast alists off
-the rewriter answers hons-get by linear_get instead, a scan of the logical
-chain that charges one node visit per entry.
+step answers hons-get by linear_get instead, a scan of the logical chain
+that charges one node visit per entry.
 Each line of versions shares one append-only binding log, and a shadow is
 a prefix of it: extending the newest version appends in O(1), extending an
 older one forks a fresh log, and every version sees only its own prefix,
@@ -17,7 +17,35 @@ so older falist terms stay valid and fast.
 
 from __future__ import annotations
 
-from .terms import NIL_TERM, App, FalistShadow, Quote, falist_shadow, is_falist, logical_entries
+from .terms import NIL_TERM, App, Cons, FalistShadow, Quote, falist_shadow, is_falist, logical_entries
+
+# the heads step answers
+HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
+
+
+def step(core, stats, fast):
+    """Step (5b) at core, an application of one of HEADS: its answer, not
+    to be rewritten again, or None.  With fast alists off (fast false) only
+    hons-get is answered, by scanning the logical chain.  A hit on a quoted
+    value answers the constant pair.  The steps are called through this
+    module's globals, so a wrapper set on them sees each call."""
+    if core.head == "hons-get" and len(core.args) == 2:
+        out = (fa_get if fast else linear_get)(core.args[0], core.args[1], stats)
+        if out is not None:
+            stats.nodes_created += 1
+            if isinstance(out, App) and isinstance(out.args[1], Quote):
+                out = Quote(Cons(out.args[0].value, out.args[1].value))
+        return out
+    if not fast:
+        return None
+    if core.head == "hons-acons" and len(core.args) == 3:
+        out = fa_acons(core.args[0], core.args[1], core.args[2])
+        if out is not None:
+            stats.nodes_created += 4
+        return out
+    if core.head == "fast-alist-free" and len(core.args) == 1:
+        return fa_free(core.args[0])
+    return None
 
 
 def fa_acons(key, val, tail):

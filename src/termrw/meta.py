@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .terms import STOP, App, Quote, node_count, rp_termp, strip_rp
+from .terms import OPEN, STOP, App, Quote, node_count, rp_termp, strip_rp
 
 # heads the loop handles before its meta step (6), so a meta on them would
 # never fire: every 3-argument if goes to the if step.  The fast-alist heads
@@ -54,7 +54,8 @@ class MetaRegistry:
     def apply(self, t, stats):
         """First meta that changes t wins.  Matching is wrapper-transparent:
         triggers fire on the stripped head, receiving the stripped term.
-        Returns (new term, dont-rw or None) or None."""
+        Returns (new term, its dont-rw guard), the guard OPEN when the meta
+        returned a bare term, or None."""
         core = strip_rp(t)
         if not isinstance(core, App):
             return None
@@ -62,10 +63,7 @@ class MetaRegistry:
             out = meta.fn(core)
             if out is None:
                 continue
-            if isinstance(out, tuple):
-                new_t, dont_rw = out
-            else:
-                new_t, dont_rw = out, None
+            new_t, dont_rw = out if isinstance(out, tuple) else (out, OPEN)
             if new_t is core or new_t == core:
                 continue
             if rp_termp(new_t):

@@ -3,12 +3,12 @@
 Each call runs the step sequence: stop on dont-rw, try context reduction in
 iff positions, strengthen from context facts, rewrite arguments (expanding
 the context through if), try the executable counterpart, fast-alist
-interception (a scan of the chain with fast alists off), meta rules, then
-rewrite rules.  A dont-rw guard is STOP, OPEN, or a tuple of the head's
-guard and one guard per argument (see terms).  A rule hit recurses under
-the guard its rule built with the template's builder, which stops at
-variable slots, so freshly substituted bindings are not rewritten again; a
-meta hit recurses under the guard the meta returns.
+interception (step (5b), which falist owns), meta rules (step (6), which
+meta owns), then rewrite rules.  A dont-rw guard is STOP, OPEN, or a tuple
+of the head's guard and one guard per argument (see terms).  A rule hit
+recurses under the guard its rule built with the template's builder, which
+stops at variable slots, so freshly substituted bindings are not rewritten
+again; a meta hit recurses under the guard MetaRegistry.apply gives it.
 
 Steps are plain calls wherever no sub-rewrite waits, and step (4) runs
 inside the call.  An argument the loop would return unchanged (stopped by
@@ -55,7 +55,6 @@ from .terms import (
     STOP,
     T_TERM,
     App,
-    Cons,
     Quote,
     Shared,
     Var,
@@ -141,13 +140,12 @@ BACKCHAIN_DEPTH = 1000
 
 
 class RewriteConfig:
-    """A Rewriter's settings, given by keyword; the class holds the
-    defaults.  The backchain bound is the constant BACKCHAIN_DEPTH."""
+    """A Rewriter's settings for how to rewrite, given by keyword; the class
+    holds the defaults.  The backchain bound is the constant BACKCHAIN_DEPTH."""
 
     step_limit = 1 << 20
     side_conditions_enabled = True
     fast_alist_enabled = True
-    trace = False
 
     def __init__(
         self,
@@ -155,12 +153,10 @@ class RewriteConfig:
         step_limit=step_limit,
         side_conditions_enabled=side_conditions_enabled,
         fast_alist_enabled=fast_alist_enabled,
-        trace=trace,
     ):
         self.step_limit = step_limit
         self.side_conditions_enabled = side_conditions_enabled
         self.fast_alist_enabled = fast_alist_enabled
-        self.trace = trace
 
 
 class RewriteStats:
@@ -192,8 +188,6 @@ def unify(pattern, t):
 instantiate = substitute
 
 
-_FA_HEADS = frozenset({"hons-acons", "hons-get", "fast-alist-free"})
-
 # how many levels of applications below an argument _settled looks through:
 # a node whose arguments do not settle pays up to one failed check per level
 SETTLED_HEIGHT = 3
@@ -202,7 +196,9 @@ SETTLED_HEIGHT = 3
 class Rewriter:
     """One rewriting engine instance: rule set, executable registry, metas,
     configuration, and accumulated statistics.  A rule set with faults
-    check-rules reports raises RuleFileError, with check-rules' lines."""
+    check-rules reports raises RuleFileError, with check-rules' lines.
+    trace is None; a caller that sets it to a list gets (path, rule name,
+    redex nodes, result nodes) appended for each rule application."""
 
     def __init__(self, ruleset=None, registry=None, metas=None, cfg=None):
         self.ruleset = ruleset if ruleset is not None else build_ruleset([])
@@ -213,7 +209,7 @@ class Rewriter:
         self.metas = metas if metas is not None else MetaRegistry()
         self.cfg = cfg if cfg is not None else RewriteConfig()
         self.stats = RewriteStats()
-        self.trace = []
+        self.trace = None
         self._backchain = 0
 
     # -- public entry -------------------------------------------------------
@@ -445,7 +441,7 @@ class Rewriter:
 
         # (5b) fast-alist interception, or a linear lookup with it off
         if fa:
-            out = self._apply_falist(core)
+            out = _falist.step(core, stats, self.cfg.fast_alist_enabled)
             if out is not None:
                 return out
 
@@ -453,8 +449,7 @@ class Rewriter:
         if meta:
             m = self.metas.apply(core, stats)
             if m is not None:
-                new_t, new_dw = m
-                return self._rw_hop(new_t, new_dw if new_dw is not None else OPEN, ctx, iff, path)
+                return self._rw_hop(*m, ctx, iff, path)
 
         # (7) rewrite rules
         if rules:
@@ -468,7 +463,7 @@ class Rewriter:
         with a fast-alist step, a meta or a rule joins the stepped heads."""
         rs = self.ruleset
         exe = self.registry.has(head) and head not in rs.exec_disabled
-        fa = head in _FA_HEADS
+        fa = head in _falist.HEADS
         meta = head in self.metas.by_trigger
         rules = rs.buckets.get(head)
         if fa or meta or rules:
@@ -549,31 +544,6 @@ class Rewriter:
             return core
         self.stats.nodes_created += 1
         return App("if", (test, then, els))
-
-    def _apply_falist(self, core):
-        """Step (5b): the answer of a fast-alist head, not to be rewritten
-        again, or None.  With fast alists off only hons-get is answered, by
-        scanning the logical chain.  A hit on a quoted value answers the
-        constant pair."""
-        stats = self.stats
-        if core.head == "hons-get" and len(core.args) == 2:
-            get = _falist.fa_get if self.cfg.fast_alist_enabled else _falist.linear_get
-            out = get(core.args[0], core.args[1], stats)
-            if out is not None:
-                stats.nodes_created += 1
-                if isinstance(out, App) and isinstance(out.args[1], Quote):
-                    out = Quote(Cons(out.args[0].value, out.args[1].value))
-            return out
-        if not self.cfg.fast_alist_enabled:
-            return None
-        if core.head == "hons-acons" and len(core.args) == 3:
-            out = _falist.fa_acons(core.args[0], core.args[1], core.args[2])
-            if out is not None:
-                stats.nodes_created += 4
-            return out
-        if core.head == "fast-alist-free" and len(core.args) == 1:
-            return _falist.fa_free(core.args[0])
-        return None
 
     def _apply_rules(self, candidates, start, core, ctx, iff, outer_props, path):
         """Step (7) from candidates[start]: the rewritten result of the first
@@ -672,6 +642,6 @@ class Rewriter:
         build, size, dw = rule.build_sc_rhs if self._sc else rule.build_rhs
         result = build(bindings)
         stats.nodes_created += size
-        if self.cfg.trace:
+        if self.trace is not None:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
         return result, dw

@@ -35,9 +35,7 @@ from .terms import (
     Quote,
     Shared,
     Var,
-    contains_head,
     format_value,
-    free_vars,
     is_name,
     is_rp,
     mk_rp,
@@ -458,23 +456,27 @@ def syntaxp_eval(hyp, bindings):
 def validate_rule(rule):
     """The ingestion criteria; returns a list of violation messages."""
     problems = []
-    lhs, rhs = rule.lhs, rule.rhs
+    lhs = rule.lhs
     if not isinstance(lhs, App):
         problems.append("lhs must be a function application")
         return problems
     if lhs.head in SPECIAL_HEADS:
         problems.append(f"lhs head {lhs.head} is reserved")
-    if contains_head(lhs, "if"):
+    parts = [(lhs, "lhs"), (rule.rhs, "rhs")] + [(h, "hyp") for h in rule.hyps if not isinstance(h, Syntaxp)]
+    walks = []  # each part's heads and variable names, off one walk; rp_termp walks again for paths
+    for t, _ in parts:
+        nodes = postorder(t)
+        walks.append(({u.head for u in nodes if u.__class__ is App}, {u.name for u in nodes if u.__class__ is Var}))
+    if "if" in walks[0][0]:
         problems.append("lhs cannot contain if")
-    ordinary_hyps = [h for h in rule.hyps if not isinstance(h, Syntaxp)]
-    for t, what in [(lhs, "lhs"), (rhs, "rhs")] + [(h, "hyp") for h in ordinary_hyps]:
-        if contains_head(t, "rp") or contains_head(t, "falist"):
+    for (t, what), (heads, _) in zip(parts, walks):
+        if "rp" in heads or "falist" in heads:
             problems.append(f"{what} cannot contain rp or falist")
         for _path, msg in rp_termp(t):
             problems.append(f"{what}: {msg}")
     syntaxp_hyps = [h for h in rule.hyps if isinstance(h, Syntaxp)]
     problems += [f"syntaxp predicate outside the supported set: {u!r}" for h in syntaxp_hyps for u in h.unsupported]
-    loose = set().union(*map(free_vars, [rhs, *ordinary_hyps]), *[h.names for h in syntaxp_hyps]) - free_vars(lhs)
+    loose = set().union(*[names for _, names in walks[1:]], *[h.names for h in syntaxp_hyps]) - walks[0][1]
     if loose:
         problems.append(f"free variables not bound by lhs: {', '.join(sorted(loose))}")
     return problems
@@ -534,8 +536,9 @@ def build_ruleset(decls):
     rule.  A rule named as an engine rule or an earlier rule, a second
     defthmd of one name, or a name of no earlier declaration is refused.
 
-    Within a head bucket, later declarations are tried first; conjuncts of
-    one declaration keep their source order relative to each other.
+    Within a head bucket, later declarations are tried first, each ranked
+    where the first rule of its group stands; conjuncts of one declaration
+    keep their source order relative to each other.
     """
     ordered = list(base_rules())
     engine = {r.name for r in ordered}
@@ -576,20 +579,11 @@ def build_ruleset(decls):
             case _:
                 raise RuleFileError(f"unknown declaration object {d!r}")
 
-    # group consecutive conjunct-splits of one declaration so reversal keeps
-    # their internal order
-    groups = []
-    for rule in ordered:
-        if groups and rule.group == groups[-1][0].group:
-            groups[-1].append(rule)
-        else:
-            groups.append([rule])
-
-    rules = {r.name: r for r in ordered}
+    rank = {g: i for i, g in enumerate(dict.fromkeys(r.group for r in ordered))}
     buckets = {}
-    for group in reversed(groups):
-        for rule in group:
-            if isinstance(rule.lhs, App):
-                buckets.setdefault(rule.lhs.head, []).append(rule)
+    for rule in sorted(ordered, key=lambda r: -rank[r.group]):
+        if isinstance(rule.lhs, App):
+            buckets.setdefault(rule.lhs.head, []).append(rule)
+    rules = {r.name: r for r in ordered}
     lemmas = {name: lemma for name, (lemma, _) in defthmds.items() if lemma is not None}
     return RuleSet(rules, {h: tuple(b) for h, b in buckets.items()}, lemmas, frozenset(exec_disabled))

@@ -6,7 +6,7 @@ from termrw.meta import MetaRegistrationError, MetaRegistry, MetaRule, demo_meta
 from termrw.reader import parse_term
 from termrw.rewriter import RewriteConfig, RewriteStats, Rewriter
 from termrw.rules import build_ruleset
-from termrw.terms import STOP, App, Quote, Var, format_term
+from termrw.terms import OPEN, STOP, App, Quote, Var, format_term
 
 P = parse_term
 
@@ -42,6 +42,16 @@ def test_apply_first_changing_meta_wins():
     out = reg.apply(P("(f a)"), stats)
     assert out is not None and out[0] == Quote("older")
     assert stats.meta_applications == 1
+
+
+def test_apply_always_gives_a_guard():
+    # a meta's bare term is rewritten whole; a pair keeps its own guard
+    reg = MetaRegistry([MetaRule("bare", "f", lambda t: Quote("bare")), MetaRule("pair", "g", lambda t: (Var("y"), STOP))])
+    stats = RewriteStats()
+    out, guard = reg.apply(P("(f a)"), stats)
+    assert out == Quote("bare") and guard is OPEN
+    out, guard = reg.apply(P("(g a)"), stats)
+    assert out == Var("y") and guard is STOP
 
 
 def test_apply_unchanged_output_skipped():

@@ -730,9 +730,9 @@ def test_backchain_depth_bounds_recursion():
     assert rw.stats.hyp_relief_failures > 0
 
 
-def test_rewrite_config_has_four_settings():
+def test_rewrite_config_has_three_settings():
     cfg = RewriteConfig()
-    assert sorted(vars(cfg)) == ["fast_alist_enabled", "side_conditions_enabled", "step_limit", "trace"]
+    assert sorted(vars(cfg)) == ["fast_alist_enabled", "side_conditions_enabled", "step_limit"]
     # the backchain bound is the module's constant, not a setting
     with pytest.raises(TypeError):
         RewriteConfig(backchain_depth=1)
@@ -810,13 +810,60 @@ class _OpenGuards(Rewriter):
         return super()._rule_result(rule, core, bindings, path)[0], OPEN
 
 
+class _Unmemoized(Rewriter):
+    """The loop with no memo: the instance of a node its rule template
+    shares is rewritten at each of its occurrences."""
+
+    rewritten = 0
+
+    def _memoized(self, t, dw, ctx, iff, path):
+        self.rewritten += 1
+        return self._rw(t, tuple(dw), ctx, iff, path)
+
+
+class _OpenMetaGuards(MetaRegistry):
+    """The meta step with every meta's dont-rw guard OPEN: each meta's
+    result is rewritten whole."""
+
+    opened = 0
+
+    def apply(self, t, stats):
+        m = super().apply(t, stats)
+        if m is None:
+            return None
+        self.opened += 1
+        return m[0], OPEN
+
+
+def _let_chain_rewriter(n, memo):
+    """(logapp 'n '0 x) to a let* doubling chain of n bindings: its rhs
+    shares each binding but the last, so each is built under a Shared guard."""
+    binds = " ".join(f"(a{i} (binary-+ {v} {v}))" for i, v in enumerate(["x"] + [f"a{i}" for i in range(n - 1)]))
+    rs = ruleset(f"(defthm logapp-doubling (equal (logapp '{n} '0 x) (let* ({binds}) a{n - 1})))")
+    return (Rewriter if memo else _Unmemoized)(rs)
+
+
+def _plus_spine(k):
+    """(binary-+ '1 (binary-+ x0 (binary-+ '1 ... (binary-+ '1 x<k-1>)))),
+    which fold_plus folds at each of its k - 1 inner '1 addends."""
+    t = App("binary-+", (Quote(1), Var(f"x{k - 1}")))
+    for i in reversed(range(k - 1)):
+        t = App("binary-+", (Quote(1), App("binary-+", (Var(f"x{i}"), t))))
+    return t
+
+
 # The closed forms of the cost model (ROADMAP item 2), at every size: the
 # depth-d tree conjecture with side conditions on and off, with the rules'
 # dont-rw guards and with every guard OPEN, and an N-entry falist built and
 # then read by N lookups on one Rewriter, with fast alists on and off.  With
 # side conditions, rule attempts are linear in the tree's nodes; the guards
 # save (4d - 4) * 2**d + 4 rewrite calls in either mode, and no rule attempt
-# or node; with fast alists, a lookup is one probe.
+# or node; with fast alists, a lookup is one probe.  The two other guard
+# kinds, with the guard kept and bypassed: the rule of an n-binding let*
+# chain on (logapp 'n '0 y), whose Shared guards let the memo rewrite each
+# shared node once, so its calls are linear, not exponential, in n; and
+# fold_plus on the k-addend spine, whose STOP keeps each fold's calls
+# linear in k, where an OPEN fold is rewritten whole, quadratic in k.
 CLOSED_FORMS = {
     ("tree", True): (
         range(1, 11),
@@ -854,6 +901,16 @@ CLOSED_FORMS = {
     ),
     ("falist", True): ((*range(1, 21), 100, 1000), lambda n: dict(rewrite_calls=6 * n + 2, fa_probes=n)),
     ("falist", False): ((*range(1, 21), 100), lambda n: dict(rewrite_calls=3 * n * n + 6 * n + 2, fa_probes=0)),
+    ("let-chain", True): (
+        range(1, 13),
+        lambda n: dict(rewrite_calls=2 * n + 5, rule_attempts=1, rule_applications=1, nodes_created=n),
+    ),
+    ("let-chain", False): (
+        range(1, 13),
+        lambda n: dict(rewrite_calls=2 ** (n + 1) + 3, rule_attempts=1, rule_applications=1, nodes_created=n),
+    ),
+    ("fold-plus", True): (range(1, 11), lambda k: dict(rewrite_calls=5 * k - 2, meta_applications=k - 1)),
+    ("fold-plus", False): (range(1, 11), lambda k: dict(rewrite_calls=k * k + 6 * k - 4, meta_applications=k - 1)),
 }
 
 
@@ -865,6 +922,12 @@ def test_the_cost_model_has_its_closed_forms_at_every_size(family, on):
             rw = Rewriter(build_ruleset([]), cfg=RewriteConfig(fast_alist_enabled=on))
             fal = rw.rewrite(chain_term(n), iff=False)
             rw.rewrite(lookups_term(fal, lookup_keys(n)), iff=False)
+        elif family == "let-chain":
+            rw = _let_chain_rewriter(n, on)
+            rw.rewrite(P(f"(logapp '{n} '0 y)"), iff=False)
+        elif family == "fold-plus":
+            rw = Rewriter(build_ruleset([]), metas=(MetaRegistry if on else _OpenMetaGuards)([MetaRule("fold-plus", "binary-+", fold_plus)]))
+            rw.rewrite(_plus_spine(n), iff=False)
         else:
             rw = _tree_rewriter(on, _OpenGuards if family == "tree-open-guards" else Rewriter)
             assert rw.proved(tree_conjecture(n))[0]
@@ -874,6 +937,13 @@ def test_the_cost_model_has_its_closed_forms_at_every_size(family, on):
         if family == "tree-open-guards":
             # the override ran: every rule that applied had its guard opened
             assert rw.opened == stats["rule_applications"] > 0, n
+        elif (family, on) == ("let-chain", False):
+            # the override ran at each of the 2**n - 2 occurrences of a
+            # shared node, where the memo rewrites n - 1 and hits n - 1
+            assert rw.rewritten == 2**n - 2, n
+        elif (family, on) == ("fold-plus", False):
+            # the override ran: every fold had its guard opened
+            assert rw.metas.opened == stats["meta_applications"], n
 
 
 # Every counter of one rewrite down each kind of path through the loop:
@@ -1109,7 +1179,8 @@ def test_every_step_limit_on_random_terms_counts_and_flags_the_stop():
         t = substitute(frame, {v: random_term(rng, 3) for v in "xyz"})
         for metas in ((), demo_metas()):
             for iff in (True, False):
-                rw = Rewriter(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(trace=True))
+                rw = Rewriter(rs, metas=MetaRegistry(metas))
+                rw.trace = []
                 full_out = rw.rewrite(t, iff=iff)
                 full = rw.stats.rewrite_calls
                 fired.update(name for _, name, _, _ in rw.trace)
@@ -1908,13 +1979,21 @@ def test_a_step_limit_on_a_falist_argument_stops_where_it_did(text):
 # trace
 
 
+def test_a_rewriter_keeps_no_trace_unless_its_caller_sets_a_list():
+    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))")
+    assert format_term(rw.rewrite(P("(h (f a))"), iff=False)) == "(h (g a))"
+    assert rw.trace is None
+
+
 def test_trace_records_applications():
-    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))", trace=True)
+    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))")
+    rw.trace = []
     rw.rewrite(P("(h (f a))"), iff=False)
     assert any(name == "r" for _path, name, _b, _a in rw.trace)
 
 
 def test_trace_records_the_argument_path_of_each_application():
-    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))", trace=True)
+    rw = rewriter("(def-rp-rule r (equal (f x) (g x)))")
+    rw.trace = []
     rw.rewrite(P("(h (k a (m (f b))) (if c (f d) (n (f e))))"), iff=False)
     assert [path for path, name, _b, _a in rw.trace if name == "r"] == [(1, 2, 1), (2, 2), (2, 3, 1)]

@@ -231,6 +231,14 @@ def test_later_declarations_first_conjuncts_in_order():
     assert [r.name for r in rs.buckets["f"]] == ["late", "pair", "pair_2", "early"]
 
 
+def test_a_group_ranks_where_its_first_rule_stands():
+    # rules built through the API may name one group apart: its rules are
+    # tried together, in order, where its first rule ranks
+    x = Var("x")
+    a, b, c = (Rule(n, (), App("f", (App(n, (x,)),)), x, "equal", group=g) for n, g in (("a", "g"), ("b", "h"), ("c", "g")))
+    assert [r.name for r in build_ruleset([a, b, c]).buckets["f"]] == ["b", "a", "c"]
+
+
 def test_base_rules_are_last_candidates():
     rs = ruleset("(def-rp-rule mine (equal (equal (f x) (f x)) 't))")
     names = [r.name for r in rs.buckets["equal"]]

@@ -282,6 +282,26 @@ def test_let_and_lambda_bind_each_name_once():
     assert parse_term("(let* ((x '1) (x '2)) x)") == Quote(2)
 
 
+def test_lambda_parameters_must_be_plain_symbols():
+    text = "((lambda (1) x) '2)"
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value) == "lambda parameters must be plain symbols (line 1, column 1)"
+    with pytest.raises(ParseError) as e:
+        term_from_value(read_value(text))
+    assert str(e.value) == "lambda parameters must be plain symbols"
+
+
+def test_a_value_no_term_reads_as_is_refused():
+    # a lookup table is a quoted constant's value only, and a float no value
+    with pytest.raises(ParseError) as e:
+        term_from_value(FalistShadow([("k", Quote(1))]))
+    assert str(e.value) == "lookup-table constant cannot appear as a term"
+    with pytest.raises(ParseError) as e:
+        term_from_value(1.5)
+    assert str(e.value) == "cannot read term from 1.5"
+
+
 def test_falist_literal_builds_shadow():
     # the shadow is rebuilt from the logical part; the quoted text is not read
     chain = "(cons (cons 'k1 v1) (hons-acons 'k2 '3 '((k3 . 4))))"
@@ -993,6 +1013,13 @@ def test_rp_termp_places_a_node_where_eval_terms_does():
     eval_terms(t, [{"x": 5}], default_registry(), wrappers)
     assert [w[0] for w in wrappers.values()] == [(2, 2)]
     assert rp_termp(t) == [((2, 2), "rp first argument must be a quoted non-nil symbol")]
+
+
+def test_a_non_term_argument_is_reported_by_rp_termp_and_raised_by_eval_terms():
+    t = App("f", (5,))
+    assert rp_termp(t) == [((1,), "not a term: 5")]
+    with pytest.raises(TypeError):
+        eval_terms(t, [{}], default_registry())
 
 
 def test_rp_termp_checks_falist_coherence():

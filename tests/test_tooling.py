@@ -14,7 +14,9 @@ import sys
 import tokenize
 
 import termrw
-from termrw import reader, terms
+from termrw import falist, reader, terms
+from termrw.demo import chain_term
+from termrw.rewriter import Rewriter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,6 +36,24 @@ def test_tracer_wraps_names_that_exist():
 def test_perfbench_times_the_reader_itself():
     # the tracer wraps terms.parse_term, which must be the reader's own
     assert terms.parse_term is reader.parse_term
+
+
+def test_perfbench_sees_each_call_of_the_fast_alist_step(monkeypatch):
+    # the tracer wraps falist.fa_acons, fa_get and fa_free, so the loop's
+    # step (5b) must reach them through falist's module globals
+    calls = dict.fromkeys(("fa_acons", "fa_get", "fa_free"), 0)
+    for name in calls:
+
+        def counted(*args, _fn=getattr(falist, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(falist, name, counted)
+    rw = Rewriter()
+    fal = rw.rewrite(chain_term(3), iff=False)
+    assert rw.rewrite(terms.App("hons-get", (terms.Quote("k2"), fal)), iff=False) == reader.parse_term("(cons 'k2 v2)")
+    assert rw.rewrite(terms.App("fast-alist-free", (fal,)), iff=False) == fal.args[1]
+    assert calls == {"fa_acons": 3, "fa_get": 1, "fa_free": 1}
 
 
 def test_every_module_stays_under_the_compile_memory_step():
