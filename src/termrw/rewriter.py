@@ -21,14 +21,20 @@ step but an executable counterpart that cannot run, over variables,
 quotations and, SETTLED_HEIGHT levels down at most, such applications
 (see _settled).  Past the step limit the count differs only in how far
 past it is, which nothing reads.  A matched rule's hypotheses are
-relieved in a plain loop while each holds at the binding: a syntaxp test,
-or (p x) whose binding for x carries an rp 'p wrapper, with no instance
-built or rewritten.  So a generator is taken only by a node with an
-argument to rewrite, an if, a hypothesis whose instance must be rewritten,
-and a meta result or a rule result to rewrite; a quoted or stopped rule
-result is counted and returned.  Each rewrite plans steps 5-7 for a head on
-its first use (see _plan), from the rules, metas, executable counterparts
-and settings as they stand then; a head with none of them skips the steps.
+relieved in a plain loop while each holds at the binding, by the shape its
+rule compiled for it: a syntaxp test, or (p x) whose binding for x carries
+an rp 'p wrapper, with no instance built or rewritten.  A rule result the
+loop would return unchanged is counted, not made, and takes no generator:
+a quoted or stopped one, and a guard-settled one, which its rule compiled
+as rp wrappers of distinct properties around an application of variables
+and constants, all stopped by its guard, in a value position with no
+context fact to strengthen it, when that application's head has no step
+that could change it (see _guard_settled).  So a generator is taken only
+by a node with an argument to rewrite, an if, a hypothesis whose instance
+must be rewritten, and a meta result or a rule result to rewrite.  Each
+rewrite plans steps 5-7 for a head on its first use (see _plan), from the
+rules, metas, executable counterparts and settings as they stand then; a
+head with none of them skips the steps.
 
 A rule is matched and instantiated by flat Python functions that it
 compiles and keeps (Rule.compile) the first time the loop tries it, never
@@ -503,6 +509,35 @@ class Rewriter:
         # an executable counterpart runs on quoted arguments
         return 0 if plan and quoted else size
 
+    def _guard_settled(self, result, wrappers):
+        """The calls _rw makes on a rule's result of the shape its rule
+        records (see rules.settled_shape): `wrappers` rp wrappers of
+        distinct properties around an application whose every argument the
+        guard stops, under that plain tuple guard, outside an iff position
+        with no fact to strengthen it from.  It returns the result
+        unchanged, in one call for the wrappers and the application and one
+        per argument, when the application's head is not stepped and does
+        not have an executable counterpart that runs on its arguments, as
+        in _settled.  0 otherwise."""
+        core = result
+        while wrappers:
+            core = core.args[1]
+            wrappers -= 1
+        head = core.head
+        plan = self._plans.get(head)
+        if plan is None:
+            plan = self._plan(head)
+        if head in self._stepped:
+            return 0
+        args = core.args
+        if plan:
+            for a in args:
+                if a.__class__ is not Quote:
+                    break
+            else:
+                return 0
+        return 1 + len(args)
+
     # -- step helpers --------------------------------------------------------
 
     def _reduce_by_context(self, t, ctx):
@@ -548,7 +583,8 @@ class Rewriter:
     def _apply_rules(self, candidates, start, core, ctx, iff, outer_props, path):
         """Step (7) from candidates[start]: the rewritten result of the first
         rule that applies, or core.  A generator takes over only at a
-        hypothesis whose instance must be rewritten."""
+        hypothesis whose instance must be rewritten, or at a result to
+        rewrite (see _finish_rule)."""
         stats = self.stats
         for i in range(start, len(candidates)):
             rule = candidates[i]
@@ -572,43 +608,43 @@ class Rewriter:
                     continue
                 if j < len(rule.hyps):
                     return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path)
-            result, dw = self._rule_result(rule, core, bindings, path)
-            if dw is STOP or result.__class__ is Quote:
-                stats.rewrite_calls += 1  # finished: counted as the call that would return it
-                return result
-            return self._rw_hop(result, dw, ctx, iff, path)
+            return self._finish_rule(rule, core, bindings, ctx, iff, path, self._rw_hop)
         return core
 
     def _relieve_at_binding(self, rule, start, bindings, by_wrapper):
         """Relieve rule's hypotheses from the start-th on with no instance
-        built: a syntaxp test, or (p x) when by_wrapper and x's binding
-        carries an rp 'p, counted as the call that would reduce it.  The
-        index of the first one to rewrite, len(rule.hyps) when none is
-        left, or None when one fails."""
-        hyps = rule.hyps
+        built, by the shapes rule.hyp_relief holds: a syntaxp test, or (p x)
+        when by_wrapper and x's binding carries an rp 'p, counted as the
+        call that would reduce it.  The index of the first one to rewrite,
+        len(rule.hyps) when none is left, or None when one fails."""
+        shapes = rule.hyp_relief
         stats = self.stats
-        for j in range(start, len(hyps)):
-            hyp = hyps[j]
-            if hyp.__class__ is Syntaxp:
+        for j in range(start, len(shapes)):
+            shape = shapes[j]
+            if shape is None:
+                return j
+            if shape.__class__ is Syntaxp:
                 try:
-                    if not syntaxp_eval(hyp, bindings):
+                    if not syntaxp_eval(shape, bindings):
                         return None
                 except EvalError:
                     return None
-            elif (
-                by_wrapper
-                and hyp.__class__ is App
-                and len(hyp.args) == 1
-                and hyp.head != "not"
-                and hyp.args[0].__class__ is Var
-                and has_wrapper(bindings[hyp.args[0].name], hyp.head)
-            ):
-                stats.rewrite_calls += 1
-                if stats.rewrite_calls > self._limit:
-                    return None
+                continue
+            if not by_wrapper:
+                return j
+            p, x = shape
+            b = bindings[x]
+            # has_wrapper, inlined
+            while b.__class__ is App and b.head == "rp" and len(b.args) == 2 and b.args[0].__class__ is Quote:
+                if b.args[0].value == p:
+                    break
+                b = b.args[1]
             else:
                 return j
-        return len(hyps)
+            stats.rewrite_calls += 1
+            if stats.rewrite_calls > self._limit:
+                return None
+        return len(shapes)
 
     def _relieve_hyps(self, candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path):
         """_apply_rules once candidates[i] matched, from its j-th hypothesis,
@@ -631,9 +667,36 @@ class Rewriter:
         finally:
             self._backchain -= 1
         if j is not None:
-            return self._rw(*self._rule_result(rule, core, bindings, path), ctx, iff, path)
+            return self._finish_rule(rule, core, bindings, ctx, iff, path, self._rw)
         stats.hyp_relief_failures += 1
         return self._apply_rules(candidates, i + 1, core, ctx, iff, outer_props, path)
+
+    def _finish_rule(self, rule, core, bindings, ctx, iff, path, enter):
+        """The rewritten result of rule, which applies at core with
+        bindings.  A result _rw would return unchanged is counted as the
+        calls it would make and returned: a quotation or one the guard
+        stops, as one call; one the guard settles (see _guard_settled), in
+        a value position with no fact to strengthen it from and the count
+        below the step limit, as those calls.  Any other result is
+        rewritten by enter: _rw_hop from a plain call, _rw from a
+        generator."""
+        stats = self.stats
+        result, dw = self._rule_result(rule, core, bindings, path)
+        if dw is STOP or result.__class__ is Quote:
+            stats.rewrite_calls += 1
+            return result
+        wrappers = rule.sc_rhs_wrappers if self._sc else rule.rhs_wrappers
+        if (
+            wrappers is not None
+            and not iff
+            and dw.__class__ is tuple
+            and not (ctx.props and self._sc)
+            and stats.rewrite_calls < self._limit
+            and (calls := self._guard_settled(result, wrappers))
+        ):
+            stats.rewrite_calls += calls
+            return result
+        return enter(result, dw, ctx, iff, path)
 
     def _rule_result(self, rule, core, bindings, path):
         """The instantiated rhs of a rule that applies, and its dont-rw."""

@@ -80,11 +80,23 @@ class Rule:
     match is the rule's compiled matcher (see compile_match); build_rhs,
     build_sc_rhs and each of build_hyps (None for a syntaxp hyp) are the
     triples (builder, nodes an instantiation builds, its dont-rw guard) that
-    compile_template gives for rhs, sc_wrapped_rhs and each hyp.  All are
-    None until compile makes them, which the rewriter does the first time
-    it tries the rule; a copy, by replace or pickle, compiles its own."""
+    compile_template gives for rhs, sc_wrapped_rhs and each hyp.
+    rhs_wrappers and sc_rhs_wrappers are what settled_shape gives for rhs
+    and sc_wrapped_rhs, and hyp_relief holds what relief_shape gives for
+    each hyp.  All are None until compile makes them, which the rewriter
+    does the first time it tries the rule; a copy, by replace or pickle,
+    compiles its own."""
 
-    __slots__ = (*_RULE_FIELDS, "match", "build_rhs", "build_sc_rhs", "build_hyps")
+    __slots__ = (
+        *_RULE_FIELDS,
+        "match",
+        "build_rhs",
+        "build_sc_rhs",
+        "build_hyps",
+        "rhs_wrappers",
+        "sc_rhs_wrappers",
+        "hyp_relief",
+    )
 
     def __init__(self, name, hyps, lhs, rhs, equiv, sc_wrapped_rhs=None, enabled=True, internal=False, group=None):
         self.name = name
@@ -97,6 +109,7 @@ class Rule:
         self.internal = internal  # engine-shipped, exempt from user-rule checks
         self.group = name if group is None else group  # source declaration; conjunct-splits share one
         self.match = self.build_rhs = self.build_sc_rhs = self.build_hyps = None
+        self.rhs_wrappers = self.sc_rhs_wrappers = self.hyp_relief = None
 
     def replace(self, **changes):
         """A fresh rule with this one's fields but changes."""
@@ -110,13 +123,18 @@ class Rule:
         return f"Rule({', '.join(f'{f}={getattr(self, f)!r}' for f in _RULE_FIELDS)})"
 
     def compile(self):
-        """Make the rule's matcher and builders, keep them on the rule, and
-        return the matcher.  A syntaxp hyp has no builder.  The matcher is
-        kept last, so a rule that has one has its builders too."""
+        """Make the rule's matcher, builders and shapes, keep them on the
+        rule, and return the matcher.  A syntaxp hyp has no builder.  The
+        matcher is kept last, so a rule that has one has the rest too."""
         self.build_rhs = compile_template(self.rhs)
+        self.rhs_wrappers = settled_shape(self.rhs)
         sc_rhs = self.sc_wrapped_rhs
-        self.build_sc_rhs = self.build_rhs if sc_rhs is self.rhs else compile_template(sc_rhs)
+        if sc_rhs is self.rhs:
+            self.build_sc_rhs, self.sc_rhs_wrappers = self.build_rhs, self.rhs_wrappers
+        else:
+            self.build_sc_rhs, self.sc_rhs_wrappers = compile_template(sc_rhs), settled_shape(sc_rhs)
         self.build_hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
+        self.hyp_relief = tuple(relief_shape(h) for h in self.hyps)
         self.match = compile_match(self.lhs)
         return self.match
 
@@ -270,6 +288,37 @@ def compile_template(template):
     expr, guard = done[id(template)]
     lines.append(f"return {expr}")
     return _define("def f(b):\n    " + "\n    ".join(lines) + "\n", consts), size, guard
+
+
+def settled_shape(template):
+    """The number of rp wrappers, each with a property of its own, around
+    an application whose every argument is a variable or a constant, when
+    template is such a chain (possibly of no wrappers); else None.  Its
+    guard stops every argument slot (see compile_template), so the
+    rewriter may count an instance of this shape as the calls it stands
+    for instead of rewriting it."""
+    props = []
+    while is_rp(template):
+        props.append(template.args[0].value)
+        template = template.args[1]
+    if template.__class__ is not App or len(set(props)) != len(props):
+        return None
+    for a in template.args:
+        if a.__class__ is not Var and a.__class__ is not Quote:
+            return None
+    return len(props)
+
+
+def relief_shape(hyp):
+    """How hyp may be relieved at the binding, with no instance built: the
+    Syntaxp hyp itself, tested on the bindings; the pair (p, x) for (p x),
+    p not `not`, which an rp 'p wrapper on x's binding relieves; None for
+    any other hyp, whose instance must be rewritten."""
+    if hyp.__class__ is Syntaxp:
+        return hyp
+    if hyp.__class__ is App and len(hyp.args) == 1 and hyp.head != "not" and hyp.args[0].__class__ is Var:
+        return hyp.head, hyp.args[0].name
+    return None
 
 
 # ---------------------------------------------------------------------------

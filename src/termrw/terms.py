@@ -372,7 +372,9 @@ def _equal(a, b):
 
 def terms_equal_mod_rp(a, b):
     """strip_rp_deep(a) == strip_rp_deep(b), in one walk that looks through
-    rp wrappers and builds neither stripped form."""
+    rp wrappers and builds neither stripped form.  A variable or quoted
+    argument is compared where it is met with a partner of its class; any
+    other pair of arguments is pushed, so a wrapped partner is peeled."""
     paired = {}  # id of an App entered -> its partner
     stack = [(a, b)]
     while stack:
@@ -392,7 +394,15 @@ def terms_equal_mod_rp(a, b):
                 return False
             if paired.get(id(x)) is not y:
                 paired[id(x)] = y
-                stack.extend(zip(x.args, y.args))
+                for p, q in zip(x.args, y.args):
+                    c = p.__class__
+                    if c is not q.__class__ or c is App:
+                        stack.append((p, q))
+                    elif c is Var:
+                        if p.name != q.name:
+                            return False
+                    elif p is not q and (c is not Quote or p._hash != q._hash or p.value != q.value):
+                        return False
         elif cls is Var:
             if x.name != y.name:
                 return False

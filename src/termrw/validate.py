@@ -142,7 +142,10 @@ def _draw(rng, names, size):
     dropped.  randint(-8, 8) and choice are drawn as CPython's Random
     draws them, getrandbits of the range's bit length until below the
     range, so size draws at once take the stream, and leave rng in the
-    state, of size draws of one."""
+    state, of size draws of one.  With no names, every draw is the empty
+    environment and takes nothing from the stream."""
+    if not names:
+        return ([{}], [0] * size) if size > 0 else ([], [])
     random_, bits = rng.random, rng.getrandbits
     support = SUPPORT
     names = sorted(names)

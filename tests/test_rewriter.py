@@ -1311,7 +1311,8 @@ def test_a_settled_argument_counts_as_the_calls_it_stands_for(monkeypatch):
                         rewrites += 1
     assert sum(s > 1 for s in sizes) > 1000 and max(sizes) >= 5 and rewrites > 4000
 
-    # a depth-6 tree proof makes half the _rw calls, and counts the same
+    # a depth-6 tree proof makes fewer _rw calls, and counts the same; the
+    # loop with no argument settled still counts guard-settled rule results
     made = 0
     rw_step = Rewriter._rw
 
@@ -1322,11 +1323,114 @@ def test_a_settled_argument_counts_as_the_calls_it_stands_for(monkeypatch):
 
     monkeypatch.setattr(Rewriter, "_rw", counted)
     tree_rules = ruleset((DEMOS / "rules" / "tree.lsp").read_text())
-    for cls, calls in ((Rewriter, 198), (_Unsettled, 382)):
+    for cls, calls in ((Rewriter, 135), (_Unsettled, 319)):
         made = 0
         rw = cls(tree_rules)
         assert rw.proved(tree_conjecture(6))[0]
         assert (made, _work(rw)) == (calls, TREE_WORK[6, True])
+
+
+class _Reentered(Rewriter):
+    """The loop with no rule result settled by its guard: each result of a
+    guard-settled shape re-enters the loop by a call."""
+
+    declined = 0
+
+    def _guard_settled(self, result, wrappers):
+        self.declined += 1
+        return 0
+
+
+# Rule results of each kind the guard-settled count must refuse, beside
+# ones it takes: an rhs head with a rule of its own (h), an executable
+# counterpart on quoted bindings (binary-+), one wrapper twice and two
+# distinct wrappers (w2, w3 with side conditions), the hide head, a head a
+# meta triggers (m), a relieved hypothesis, a result of no arguments, and
+# a settled result whose binding is an application.  The terms put results
+# in iff positions, and the context fact (p (g u)) strengthens one.
+GUARD_SETTLE_RULES = """\
+(def-rp-rule a-to-g (equal (a x) (g x)))
+(def-rp-rule b-to-h (equal (b x) (h x)))
+(def-rp-rule h-to-g (equal (h x) (g x)))
+(def-rp-rule c-to-plus (equal (c x y) (binary-+ x y)))
+(def-rp-rule d-to-m (equal (d x) (m x)))
+(def-rp-rule j-to-hide (equal (j x) (hide x)))
+(def-rp-rule z-to-g (equal (z x) (g)))
+(def-rp-rule e-when-q2 (implies (q2 x) (equal (e x) (g x '1))))
+(def-rp-rule q2-of-f (q2 (f x)))
+(def-rp-rule w2 (equal (w2 x) (g x)))
+(def-rp-rule w3 (equal (w3 x) (g x)))
+(defthmd p-of-g (p (g x)))
+(defthmd q-of-g (q (g x)))
+(rp-attach-sc w2 p-of-g)
+(rp-attach-sc w2 p-of-g)
+(rp-attach-sc w3 p-of-g)
+(rp-attach-sc w3 q-of-g)
+"""
+GUARD_SETTLE_TERMS = (
+    "(k (a u) (b u) (c '1 '2) (c u '2) (d u) (j u) (z u) (a (f u)))",
+    "(k (w2 u) (w3 u) (w3 (rp 'p (f u))) (e (f u)) (e u))",
+    "(if (a u) (w3 u) (not (b u)))",
+    "(if (c '1 '2) (d u) (e (f u)))",
+)
+
+
+def test_a_guard_settled_rule_result_counts_as_the_calls_it_stands_for(monkeypatch):
+    # the loop against itself with every rule result rewritten by a call,
+    # at every step limit: the same output and counters
+    settled = Rewriter._guard_settled
+    counts = []
+
+    def recorded(self, result, wrappers):
+        counts.append(settled(self, result, wrappers))
+        return counts[-1]
+
+    monkeypatch.setattr(Rewriter, "_guard_settled", recorded)
+    declined = 0
+
+    def agree(make, run):
+        nonlocal declined
+        out = run(make(Rewriter, 1 << 20))
+        full = out[1]["rewrite_calls"]
+        for limit in range(1, full + 2):
+            reentered = make(_Reentered, limit)
+            assert run(make(Rewriter, limit)) == run(reentered), limit
+            declined += reentered.declined
+        return out
+
+    for depth in range(1, 5):
+        for sc in (True, False):
+            # tree.lsp with side conditions, tree-backchain.lsp without
+            out = agree(
+                lambda cls, limit: _tree_rewriter(sc, cls, step_limit=limit),
+                lambda rw: (rw.rewrite(tree_conjecture(depth)), rw.stats.as_dict()),
+            )
+            assert out[0] == Quote("t")
+
+    rs = ruleset(GUARD_SETTLE_RULES)
+    for rule in rs.rules.values():
+        rule.compile()
+    # one wrapper twice is no settled shape, though its rhs without side conditions is
+    assert [rs.rules[n].sc_rhs_wrappers for n in ("a-to-g", "w2", "w3", "e-when-q2")] == [0, None, 2, 0]
+    assert rs.rules["w2"].rhs_wrappers == 0
+    metas = [MetaRule("m-to-g", "m", lambda u: App("g", u.args))]
+    outputs = set()
+    for text in GUARD_SETTLE_TERMS:
+        for sc in (True, False):
+            for ctx in (Context(), Context([P("(p (g u))")])):
+                for iff in (True, False):
+                    out = agree(
+                        lambda cls, limit: cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit)),
+                        lambda rw: (rw.rewrite(P(text), ctx=ctx, iff=iff), rw.stats.as_dict()),
+                    )
+                    outputs.add(format_term(out[0]))
+    # each refused kind reached the loop and came out rewritten: a context
+    # fact wraps what step (3) strengthens, and one wrapper twice is one
+    assert "(k (g u) (g u) '3 (binary-+ u '2) (g u) u (g) (g (f u)))" in outputs
+    assert "(k (rp 'p (g u)) (rp 'p (g u)) '3 (binary-+ u '2) (rp 'p (g u)) u (g) (g (f u)))" in outputs
+    assert "(k (rp 'p (g u)) (rp 'q (rp 'p (g u))) (rp 'q (rp 'p (g (rp 'p (f u))))) (g (f u) '1) (e u))" in outputs
+    assert "(if (rp 'p (g u)) (rp 'q (rp 'p (g u))) (not (rp 'p (g u))))" in outputs
+    assert declined > 0 and 0 in counts and 3 in counts and max(counts) >= 3
 
 
 def test_deep_settled_chains_rewrite_on_the_main_thread():
@@ -1369,6 +1473,27 @@ def test_wrapper_relief_at_the_binding_is_off_under_a_matched_not_wrapper():
         rw = rewriter(rs)
         assert rw.rewrite(t, ctx=ctx, iff=False) == t
         assert rw.stats.hyp_relief_failures == 1
+
+
+def test_each_hypothesis_records_how_it_is_relieved_at_the_binding(monkeypatch):
+    # a syntaxp test, (p x) by a wrapper on x's binding, or a rewrite
+    rw = rewriter("(def-rp-rule r (implies (and (syntaxp (atom x)) (integerp x) (not x) (p (f x))) (equal (g x) (h x))))")
+    rule = rw.ruleset.rules["r"]
+    rule.compile()
+    assert rule.hyp_relief == (rule.hyps[0], ("integerp", "x"), None, None)
+    rw.rewrite(P("(k y)"))  # sets the step limit the relief counts against
+    for binding, by_wrapper, first_to_rewrite in [
+        ("(rp 'q (rp 'integerp y))", True, 2),
+        ("(rp 'q (rp 'integerp y))", False, 1),
+        ("(rp 'q y)", True, 1),
+        ("(rp 'integerp (k y))", True, None),  # not an atom: the syntaxp test fails
+    ]:
+        assert rw._relieve_at_binding(rule, 0, {"x": P(binding)}, by_wrapper) == first_to_rewrite, binding
+    # the wrapper chain is walked past another property, with no instance built
+    monkeypatch.setattr(Rewriter, "_relieve_hyps", lambda self, *args: pytest.fail("a hypothesis was rewritten"))
+    rw = rewriter("(def-rp-rule r (implies (integerp x) (equal (g x) (h x))))")
+    assert format_term(rw.rewrite(P("(g (rp 'q (rp 'integerp y)))"), iff=False)) == "(h (rp 'q (rp 'integerp y)))"
+    assert (rw.stats.rule_applications, rw.stats.nodes_created) == (1, 1)
 
 
 def test_variable_result_in_an_iff_position_is_still_reduced_by_the_context():

@@ -793,6 +793,14 @@ def test_terms_equal_mod_rp_sees_through_nested_wrappers_and_lambdas():
     assert terms_equal_mod_rp(parse_term("((lambda (x) (rp 'integerp x)) (rp 'bitp y))"), Var("y"))
 
 
+def test_terms_equal_mod_rp_compares_leaf_arguments_where_it_meets_them():
+    # a leaf argument meets a partner of its class, or a wrapped one to peel
+    a, wrapped = parse_term("(f 'k x)"), parse_term("(f (rp 'integerp 'k) (rp 'p x))")
+    assert terms_equal_mod_rp(a, wrapped) and terms_equal_mod_rp(wrapped, a)
+    assert not terms_equal_mod_rp(a, parse_term("(f 'j x)"))
+    assert not terms_equal_mod_rp(parse_term("(f x)"), parse_term("(f 'x)"))
+
+
 def _wrapped_chain(n, innermost):
     """chain_term(n) over innermost in place of 'nil, every third node wrapped."""
     out = innermost

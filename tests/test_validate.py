@@ -14,6 +14,7 @@ from termrw.validate import (
     REJECTION_CAP,
     SUPPORT,
     ValidityReport,
+    _draw,
     check_preservation,
     check_run,
     env_digest,
@@ -134,6 +135,21 @@ def test_sample_env_stream_is_pinned():
                 sample_envs(single, names, 1)
             assert rng.getstate() == single.getstate()
     assert chunked.hexdigest() == DRAW_STREAM_SHA256
+
+
+# what the per-draw loop gave a ground conjecture: one empty environment,
+# drawn size times, with nothing taken from the stream
+GROUND_DRAWS = {0: ([], []), 1: ([{}], [0]), 250: ([{}], [0] * 250)}
+
+
+@pytest.mark.parametrize("size", sorted(GROUND_DRAWS))
+def test_a_ground_conjecture_draws_the_empty_environment_and_no_value(size):
+    rng = random.Random(401)
+    state = rng.getstate()
+    envs, index = _draw(rng, (), size)
+    assert (envs, index) == GROUND_DRAWS[size]
+    assert rng.getstate() == state
+    assert sample_envs(rng, set(), size) == [{}] * size and rng.getstate() == state
 
 
 def test_env_digest_is_stable():
