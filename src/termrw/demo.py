@@ -100,10 +100,6 @@ def three_round_to_evens():
     return parse_term(THREE_ROUND_TO_EVENS)
 
 
-def four_round_to_evens():
-    return parse_term(FOUR_ROUND_TO_EVENS)
-
-
 def _tree(head, depth):
     """Full binary tree of `head` nodes over (iassoc 'k<i> env) leaves,
     numbered from 0 left to right, built level by level."""

@@ -111,10 +111,6 @@ def lexorder_cmp(a, b):
         a, b = stack.pop()
 
 
-def lexorder_le(a, b):
-    return lexorder_cmp(a, b) <= 0
-
-
 # ---------------------------------------------------------------------------
 # registry
 

@@ -22,16 +22,21 @@ quotations and, SETTLED_HEIGHT levels down at most, such applications
 (see _settled).  Past the step limit the count differs only in how far
 past it is, which nothing reads.  A matched rule's hypotheses are
 relieved in a plain loop while each holds at the binding, by the shape its
-rule compiled for it: a syntaxp test, or (p x) whose binding for x carries
-an rp 'p wrapper, with no instance built or rewritten.  A rule result the
-loop would return unchanged is counted, not made, and takes no generator:
-a quoted or stopped one, and a guard-settled one, which its rule compiled
-as rp wrappers of distinct properties around an application of variables
-and constants, all stopped by its guard, in a value position with no
-context fact to strengthen it, when that application's head has no step
-that could change it (see _guard_settled).  So a generator is taken only
-by a node with an argument to rewrite, an if, a hypothesis whose instance
-must be rewritten, and a meta result or a rule result to rewrite.  Each
+rule compiled for it, with no instance built or rewritten: a syntaxp test,
+(p x) whose binding for x carries an rp 'p wrapper, or (p x) whose binding
+is an application, not an rp, of a head and arity on which, under no
+context fact, a hypothesis-free rule of p rewrites the instance at once to
+a non-nil quotation, as every rule of p tried before it fails by that head
+and arity alone (see _relief_rule); that relief is counted and traced as
+the rewrite of the instance would be.  A rule result the loop would
+return unchanged is counted, not made, and takes no generator: a quoted or
+stopped one, and a guard-settled one, which its rule compiled as rp
+wrappers of distinct properties around an application of variables and
+constants, all stopped by its guard, in a value position with no context
+fact to strengthen it, when that application's head has no step that
+could change it (see _guard_settled).  So a generator is taken only by a
+node with an argument to rewrite, an if, a hypothesis whose instance must
+be rewritten, and a meta result or a rule result to rewrite.  Each
 rewrite plans steps 5-7 for a head on its first use (see _plan), from the
 rules, metas, executable counterparts and settings as they stand then; a
 head with none of them skips the steps.
@@ -232,7 +237,8 @@ class Rewriter:
         # each rewrite gets the whole step limit, at least 0; stats go on accumulating
         self._limit = self.stats.rewrite_calls + max(self.cfg.step_limit, 0)
         self._memo = {}  # see _memoized; kept until the next rewrite
-        self._plans = {}  # see _plan; per rewrite, as are the set and flag below
+        self._plans = {}  # see _plan; per rewrite, as are the dict, set and flag below
+        self._reliefs = {}  # see _relief_rule
         self._stepped = set(OWN_HEADS)  # see _settled
         self._sc = self.cfg.side_conditions_enabled
         try:
@@ -602,20 +608,26 @@ class Rewriter:
                 for _, p in extracted:
                     if p == "not":
                         by_wrapper = False
-                j = self._relieve_at_binding(rule, 0, bindings, by_wrapper) if self._backchain < BACKCHAIN_DEPTH else None
+                # whether _relieve_hyps' hyp_ctx would hold no fact
+                bare = not ctx.facts and not (self._sc and (extracted or outer_props))
+                j = self._relieve_at_binding(rule, 0, bindings, by_wrapper, bare, path) if self._backchain < BACKCHAIN_DEPTH else None
                 if j is None:
                     stats.hyp_relief_failures += 1
                     continue
                 if j < len(rule.hyps):
-                    return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path)
+                    return self._relieve_hyps(candidates, i, j, core, bindings, extracted, by_wrapper, bare, ctx, iff, outer_props, path)
             return self._finish_rule(rule, core, bindings, ctx, iff, path, self._rw_hop)
         return core
 
-    def _relieve_at_binding(self, rule, start, bindings, by_wrapper):
+    def _relieve_at_binding(self, rule, start, bindings, by_wrapper, bare, path):
         """Relieve rule's hypotheses from the start-th on with no instance
         built, by the shapes rule.hyp_relief holds: a syntaxp test, or (p x)
         when by_wrapper and x's binding carries an rp 'p, counted as the
-        call that would reduce it.  The index of the first one to rewrite,
+        call that would reduce it, or else (p x) when bare (its instance
+        would be rewritten under no fact), the count is below the step
+        limit and x's binding is an application, not an rp, on which a
+        rule of p ends the rewrite at once (see _relief_rule): counted and
+        traced as that rewrite.  The index of the first one to rewrite,
         len(rule.hyps) when none is left, or None when one fails."""
         shapes = rule.hyp_relief
         stats = self.stats
@@ -630,23 +642,67 @@ class Rewriter:
                 except EvalError:
                     return None
                 continue
-            if not by_wrapper:
-                return j
             p, x = shape
-            b = bindings[x]
+            b = w = bindings[x]
             # has_wrapper, inlined
-            while b.__class__ is App and b.head == "rp" and len(b.args) == 2 and b.args[0].__class__ is Quote:
-                if b.args[0].value == p:
+            while by_wrapper and w.__class__ is App and w.head == "rp" and len(w.args) == 2 and w.args[0].__class__ is Quote:
+                if w.args[0].value == p:
                     break
-                b = b.args[1]
+                w = w.args[1]
             else:
-                return j
+                if not bare or b.__class__ is not App or b.head == "rp" or stats.rewrite_calls >= self._limit:
+                    return j
+                key = (p, b.head, len(b.args))
+                found = self._reliefs.get(key)
+                if found is None:
+                    found = self._relief_rule(key)
+                if not found:
+                    return j
+                # the instance, its stopped argument and the quoted result,
+                # which reads no binding
+                stats.rewrite_calls += 3
+                stats.rule_attempts += found[1]
+                stats.nodes_created += rule.build_hyps[j][1]
+                self._rule_result(found[0], App(p, (b,)), {}, path)
+                continue
             stats.rewrite_calls += 1
             if stats.rewrite_calls > self._limit:
                 return None
         return len(shapes)
 
-    def _relieve_hyps(self, candidates, i, j, core, bindings, extracted, by_wrapper, ctx, iff, outer_props, path):
+    def _relief_rule(self, key):
+        """For key (p, h, n): (rule, the enabled rules tried up to it) when
+        the rewrite of (p b) under no fact, for any b that applies h, not
+        rp, to n arguments, ends at once in rule with a non-nil quotation;
+        () otherwise.  So it does when p has no fast-alist step and no
+        meta, every enabled rule before rule in p's bucket fails by b's
+        head and arity alone, and rule matches by them alone (see
+        rules.arg_shape), has no hypotheses and has such a quotation for
+        its result.  Kept for this rewrite, as the plans are."""
+        p, head, n = key
+        plan = self._plans.get(p)
+        if plan is None:
+            plan = self._plan(p)
+        found = ()
+        if plan and plan[3] and not plan[1] and not plan[2]:
+            tried = 0
+            for rule in plan[3]:
+                if not rule.enabled:
+                    continue
+                tried += 1
+                if rule.match is None:
+                    rule.compile()
+                shape = rule.arg_shape
+                if shape is None or shape[0] is not None and (shape[0] != head or shape[1] != n):
+                    continue
+                result = rule.sc_wrapped_rhs if self._sc else rule.rhs
+                if shape[2] and not rule.hyps and result.__class__ is Quote and truthy(result.value):
+                    found = rule, tried
+                break
+        self._reliefs[key] = found
+        return found
+
+    def _relieve_hyps(self, candidates, i, j, core, bindings, extracted, by_wrapper, bare, ctx, iff, outer_props, path):
         """_apply_rules once candidates[i] matched, from its j-th hypothesis,
         the first to rewrite: the context gets the wrappers around and
         inside the matched term as facts when side conditions are on."""
@@ -663,7 +719,7 @@ class Rewriter:
                 if out.__class__ is GeneratorType:
                     out = yield out
                 relieved = isinstance(out, Quote) and truthy(out.value)
-                j = self._relieve_at_binding(rule, j + 1, bindings, by_wrapper) if relieved else None
+                j = self._relieve_at_binding(rule, j + 1, bindings, by_wrapper, bare, path) if relieved else None
         finally:
             self._backchain -= 1
         if j is not None:

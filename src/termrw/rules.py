@@ -82,10 +82,10 @@ class Rule:
     triples (builder, nodes an instantiation builds, its dont-rw guard) that
     compile_template gives for rhs, sc_wrapped_rhs and each hyp.
     rhs_wrappers and sc_rhs_wrappers are what settled_shape gives for rhs
-    and sc_wrapped_rhs, and hyp_relief holds what relief_shape gives for
-    each hyp.  All are None until compile makes them, which the rewriter
-    does the first time it tries the rule; a copy, by replace or pickle,
-    compiles its own."""
+    and sc_wrapped_rhs, hyp_relief holds what relief_shape gives for each
+    hyp, and arg_shape is what arg_shape gives for lhs.  All are None until
+    compile makes them, which the rewriter does the first time it tries
+    the rule; a copy, by replace or pickle, compiles its own."""
 
     __slots__ = (
         *_RULE_FIELDS,
@@ -96,6 +96,7 @@ class Rule:
         "rhs_wrappers",
         "sc_rhs_wrappers",
         "hyp_relief",
+        "arg_shape",
     )
 
     def __init__(self, name, hyps, lhs, rhs, equiv, sc_wrapped_rhs=None, enabled=True, internal=False, group=None):
@@ -109,7 +110,7 @@ class Rule:
         self.internal = internal  # engine-shipped, exempt from user-rule checks
         self.group = name if group is None else group  # source declaration; conjunct-splits share one
         self.match = self.build_rhs = self.build_sc_rhs = self.build_hyps = None
-        self.rhs_wrappers = self.sc_rhs_wrappers = self.hyp_relief = None
+        self.rhs_wrappers = self.sc_rhs_wrappers = self.hyp_relief = self.arg_shape = None
 
     def replace(self, **changes):
         """A fresh rule with this one's fields but changes."""
@@ -135,6 +136,7 @@ class Rule:
             self.build_sc_rhs, self.sc_rhs_wrappers = compile_template(sc_rhs), settled_shape(sc_rhs)
         self.build_hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
         self.hyp_relief = tuple(relief_shape(h) for h in self.hyps)
+        self.arg_shape = arg_shape(self.lhs)
         self.match = compile_match(self.lhs)
         return self.match
 
@@ -319,6 +321,22 @@ def relief_shape(hyp):
     if hyp.__class__ is App and len(hyp.args) == 1 and hyp.head != "not" and hyp.args[0].__class__ is Var:
         return hyp.head, hyp.args[0].name
     return None
+
+
+def arg_shape(lhs):
+    """How lhs matches (p b), b an application not headed by rp, told from
+    b's head and arity alone: None when it never does (lhs is not unary,
+    or its argument is a quotation); else (h, n, exact), where a variable
+    argument matches any b (h None, exact), and an application of h to n
+    arguments matches only a b of that head and arity: every such b when
+    they are distinct variables (exact), else as b's arguments decide."""
+    if len(lhs.args) != 1 or lhs.args[0].__class__ is Quote:
+        return None
+    a = lhs.args[0]
+    if a.__class__ is Var:
+        return None, None, True
+    names = {u.name for u in a.args if u.__class__ is Var}
+    return a.head, len(a.args), len(names) == len(a.args)
 
 
 # ---------------------------------------------------------------------------

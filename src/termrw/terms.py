@@ -643,11 +643,6 @@ def strip_rp_deep(t):
             return s
 
 
-def free_vars(t):
-    """The variable names of a term."""
-    return {u.name for u in postorder(t) if u.__class__ is Var}
-
-
 def node_count(t):
     """The size of t, a term or a value, as a tree, from each distinct
     node's size computed once."""
@@ -668,10 +663,6 @@ def _bounded_repr(x, write):
         return write(x)
     first = x.head if x.__class__ is App else x.car
     return f"<({first if first.__class__ is str else '...'} ...): {len(postorder(x))} distinct nodes, {size} as a tree>"
-
-
-def contains_head(t, head):
-    return any(u.__class__ is App and u.head == head for u in postorder(t))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def rand_term(rng, depth=4):
     return App(head, tuple(rand_term(rng, depth - 1) for _ in range(nargs)))
 
 
+def free_vars(t):
+    """The variable names of a term, off one walk of its distinct nodes."""
+    return {u.name for u in postorder(t) if u.__class__ is Var}
+
+
+def contains_head(t, head):
+    return any(u.__class__ is App and u.head == head for u in postorder(t))
+
+
 def rand_rng(seed):
     return random.Random(seed)
 

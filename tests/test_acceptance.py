@@ -12,13 +12,14 @@ import time
 
 import pytest
 
+from conftest import contains_head, free_vars
 from termrw.cli import BENCH_STEP_LIMIT, main
 from termrw.demo import (
     SHIPPED_RULESETS,
     TREE_RULES,
     TREE_RULES_BACKCHAIN,
+    FOUR_ROUND_TO_EVENS,
     chain_term,
-    four_round_to_evens,
     lookup_keys,
     lookups_term,
     three_round_to_evens,
@@ -36,10 +37,8 @@ from termrw.terms import (
     Quote,
     Var,
     check_falist_term,
-    contains_head,
     falist_shadow,
     format_term,
-    free_vars,
     mk_rp,
     node_count,
     rp_termp,
@@ -91,7 +90,7 @@ def test_criterion_2_round_to_even_needs_side_conditions():
     with Budget(5.0) as b:
         rs = build_ruleset(parse_rule_file(SHIPPED_RULESETS["arith"]))
         proved3, _ = Rewriter(rs).proved(three_round_to_evens())
-        proved4, _ = Rewriter(rs).proved(four_round_to_evens())
+        proved4, _ = Rewriter(rs).proved(parse_term(FOUR_ROUND_TO_EVENS))
         assert proved3 and proved4
         off = RewriteConfig(side_conditions_enabled=False)
         proved3_off, _ = Rewriter(rs, cfg=off).proved(three_round_to_evens())

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termrw.demo import SHIPPED_RULESETS
-from termrw.evaluator import EvalError, default_registry, lexorder_le
+from termrw.evaluator import EvalError, default_registry, lexorder_cmp
 from termrw.reader import list_items, parse_term, read_value, term_from_value, term_to_value
 from termrw.rules import (
     SYNTAXP_REGISTRY,
@@ -181,7 +181,7 @@ def reference_syntaxp_eval(pred, bindings):
             v = ev(args[0])
             return "t" if isinstance(v, Cons) and v.car == "quote" else NIL
         if head == "lexorder":
-            return "t" if lexorder_le(ev(args[0]), ev(args[1])) else NIL
+            return "t" if lexorder_cmp(ev(args[0]), ev(args[1])) <= 0 else NIL
         assert head == "car", head
         v = ev(args[0])
         return v.car if isinstance(v, Cons) else NIL

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doubling, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
+from conftest import contains_head, doubling, free_vars, rand_rng, rand_term, rand_value, tree_copy, value_dag_pairs
 from termrw import reader
 from termrw.demo import chain_term
 from termrw.evaluator import default_registry, eval_terms, shared_nodes
@@ -30,10 +30,8 @@ from termrw.terms import (
     Quote,
     Var,
     check_falist_term,
-    contains_head,
     format_term,
     format_value,
-    free_vars,
     has_wrapper,
     is_rp,
     mk_rp,

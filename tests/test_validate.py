@@ -6,10 +6,11 @@ import time
 
 import pytest
 
+from conftest import free_vars
 from termrw.evaluator import EvalDomainError, UnknownFunctionError, eval_term, eval_terms
 from termrw.reader import parse_term
 from termrw.rules import Syntaxp, build_ruleset, parse_rule_file
-from termrw.terms import App, Cons, Quote, Var, format_value, free_vars, truthy
+from termrw.terms import App, Cons, Quote, Var, format_value, truthy
 from termrw.validate import (
     REJECTION_CAP,
     SUPPORT,
