@@ -16,39 +16,41 @@ dont-rw, quoted, or a variable or a falist term outside an iff position) is
 counted as the rewrite call it stands for and not made, by a plain add, as
 every call is, even past the step limit.  So is a settled argument, as the
 calls of its tree, counted where the loop reaches it: an application in a
-value position, with no context fact to strengthen it, whose heads have no
-step but an executable counterpart that cannot run, over variables,
-quotations and, SETTLED_HEIGHT levels down at most, such applications
-(see _settled).  Past the step limit the count differs only in how far
-past it is, which nothing reads.  A matched rule's hypotheses are
-relieved in a plain loop while each holds at the binding, by the shape its
-rule compiled for it, with no instance built or rewritten: a syntaxp test,
-(p x) whose binding for x carries an rp 'p wrapper, or (p x) whose binding
-is an application, not an rp, of a head and arity on which, under no
-context fact, a hypothesis-free rule of p rewrites the instance at once to
-a non-nil quotation, as every rule of p tried before it fails by that head
-and arity alone (see _relief_rule); that relief is counted and traced as
-the rewrite of the instance would be.  A rule result the loop would
-return unchanged is counted, not made, and takes no generator: a quoted or
-stopped one, and a guard-settled one, which its rule compiled as rp
-wrappers of distinct properties around an application of variables and
-constants, all stopped by its guard, in a value position with no context
-fact to strengthen it, when that application's head has no step that
-could change it (see _guard_settled).  So a generator is taken only by a
-node with an argument to rewrite, an if, a hypothesis whose instance must
-be rewritten, and a meta result or a rule result to rewrite.  Each
-rewrite plans steps 5-7 for a head on its first use (see _plan), from the
-rules, metas, executable counterparts and settings as they stand then; a
-head with none of them skips the steps.
+value position, with no context fact to strengthen it, whose heads settle
+by their plans, over variables, quotations and, SETTLED_HEIGHT levels down
+at most, such applications (see _settled).  Past the step limit the count
+differs only in how far past it is, which nothing reads.  A hypothesis
+holds when its instance rewrites to a true quotation, under rp wrappers or
+none.  A matched rule's hypotheses are relieved in a plain loop while each
+holds at the binding, by the shape its rule compiled for it, with no
+instance built or rewritten: a syntaxp test, (p x) whose binding for x
+carries an rp 'p wrapper, or (p x) whose binding is an application, not an
+rp, of a head and arity on which, under no context fact, a hypothesis-free
+rule of p that proves (see rules.result_record) rewrites the instance at
+once, as every rule of p tried before it fails by that head and arity
+alone (see _relief_rule); that relief is counted and traced as the rewrite
+of the instance would be.  A rule result the loop would return unchanged
+is counted, not made, and takes no generator: a quoted or stopped one, and
+a guard-settled one, which its rule compiled as rp wrappers of distinct
+properties around an application of variables and constants, all stopped
+by its guard, in a value position with no context fact to strengthen it,
+when that application's head settles by its plan (see _guard_settled).  So
+a generator is taken only by a node with an argument to rewrite, an if, a
+hypothesis whose instance must be rewritten, and a meta result or a rule
+result to rewrite.  Each rewrite plans a head on its first use (see
+_plan), from the rules, metas, executable counterparts and settings as
+they stand then: one lookup gives the loop both what steps 5-7 do there,
+skipped for a head with none of them, and whether its nodes may settle.
 
 A rule is matched and instantiated by flat Python functions that it
 compiles and keeps (Rule.compile) the first time the loop tries it, never
-as a rule set or a Rewriter is built: a matcher for its lhs, and a builder
-for its rhs, its sc-wrapped rhs and each ordinary hypothesis, each kept
-with the node count and guard of its instances.  Input terms hold no
-binder, as the reader expands let, let* and lambda forms, so a builder
-gives what substitute gives, sharing what its template shares, and the
-loop rewrites each shared node of an instance once per context.
+as a rule set or a Rewriter is built: a matcher for its lhs, a record per
+side-condition mode with the builder of its rhs or sc-wrapped rhs, and a
+builder for each ordinary hypothesis, each builder kept with the node
+count and guard of its instances.  Input terms hold no binder, as the
+reader expands let, let* and lambda forms, so a builder gives what
+substitute gives, sharing what its template shares, and the loop
+rewrites each shared node of an instance once per context.
 """
 
 from __future__ import annotations
@@ -237,10 +239,9 @@ class Rewriter:
         # each rewrite gets the whole step limit, at least 0; stats go on accumulating
         self._limit = self.stats.rewrite_calls + max(self.cfg.step_limit, 0)
         self._memo = {}  # see _memoized; kept until the next rewrite
-        self._plans = {}  # see _plan; per rewrite, as are the dict, set and flag below
+        self._plans = {}  # see _plan; per rewrite, as are the dict and flag below
         self._reliefs = {}  # see _relief_rule
-        self._stepped = set(OWN_HEADS)  # see _settled
-        self._sc = self.cfg.side_conditions_enabled
+        self._sc = bool(self.cfg.side_conditions_enabled)  # indexes Rule.results
         try:
             return trampoline(self._rw(t, dont_rw, ctx, iff, ()))
         finally:  # refused calls are counted too, so a hit leaves the count past the limit
@@ -307,12 +308,12 @@ class Rewriter:
         # under wrappers must keep its value, not just its truth value
         iff = iff and not props
         if head == "falist":
-            steps = core
+            out = core
         elif head == "if" and len(core.args) == 3:
-            steps = self._rewrite_if(core, dw, ctx, iff, path)
+            out = self._rewrite_if(core, dw, ctx, iff, path)
         elif head == "rp" and len(core.args) == 2:
             # no wrapper (see is_rp), so the identity on its payload
-            steps = self._rw_hop(core.args[1], arg_dont_rws(dw, 2)[1], ctx, iff, (path, 2))
+            out = self._rw_hop(core.args[1], arg_dont_rws(dw, 2)[1], ctx, iff, (path, 2))
         else:
             # (4) an argument that _rw would return unchanged (stopped by
             # dont-rw, quoted, or a variable or falist term outside an iff
@@ -324,9 +325,7 @@ class Rewriter:
             n = len(args)
             dws = (STOP,) * n if head == "hide" else (OPEN,) * n if dw is OPEN else arg_dont_rws(dw, n)
             arg_iff = iff and head == "not" and n == 1
-            plan = self._plans.get(head)
-            if plan is None:
-                plan = self._plan(head)
+            steps = (self._plans.get(head) or self._plan(head))[0]
             todo = []
             for i, a in enumerate(args):
                 c = a.__class__
@@ -335,13 +334,7 @@ class Rewriter:
                 if not arg_iff:
                     if c is Var or a.head == "falist":
                         continue
-                    # a head not planned yet is not stepped
-                    if (
-                        a.head not in self._stepped
-                        and dws[i] is OPEN
-                        and not (ctx.props and self._sc)
-                        and (s := self._settled(a, SETTLED_HEIGHT))
-                    ):
+                    if dws[i] is OPEN and not (ctx.props and self._sc) and (s := self._settled(a, SETTLED_HEIGHT)):
                         if not todo:
                             stats.rewrite_calls += s - 1
                         elif s > 1:
@@ -349,20 +342,20 @@ class Rewriter:
                         continue
                 todo.append(i)
             if todo:
-                steps = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, plan, props, path)
+                out = self._args_then_5_to_7(core, dws, todo, ctx, iff, arg_iff, steps, props, path)
             else:
                 stats.rewrite_calls += n
-                steps = self._steps_5_to_7(core, plan, ctx, iff, props, path) if plan else core
+                out = self._steps_5_to_7(core, steps, ctx, iff, props, path) if steps else core
         if not props:
-            return steps
+            return out
         # t is the rewrapped term itself when the core comes back unchanged,
         # unless step (3) added a property or t names one twice
         keep = t if len(props) == peeled and (peeled == 1 or len(set(props)) == peeled) else None
-        if steps.__class__ is GeneratorType:
-            return self._rewrapped(props, steps, keep)
-        if steps is core and keep is t:
+        if out.__class__ is GeneratorType:
+            return self._rewrapped(props, out, keep)
+        if out is core and keep is t:
             return t
-        return self._rewrap(props, steps, keep)
+        return self._rewrap(props, out, keep)
 
     def _rw_hop(self, t, dw, ctx, iff, path):
         # the trampoline, not the caller's stack, makes this call, as a tail
@@ -400,7 +393,7 @@ class Rewriter:
                 self.stats.nodes_created += 2
         return core
 
-    def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, plan, outer_props, path):
+    def _args_then_5_to_7(self, core, dws, todo, ctx, iff, arg_iff, steps, outer_props, path):
         """Step (4) for a node with arguments to rewrite, at the indices
         todo, then steps 5-7.  The other arguments are counted in turn, and
         an entry -k in todo counts the k calls below a settled argument."""
@@ -429,11 +422,11 @@ class Rewriter:
                 r = self._reduce_by_context(core, ctx)
                 if r is not None:
                     return r
-        return self._steps_5_to_7(core, plan, ctx, iff, outer_props, path) if plan else core
+        return self._steps_5_to_7(core, steps, ctx, iff, outer_props, path) if steps else core
 
-    def _steps_5_to_7(self, core, plan, ctx, iff, outer_props, path):
-        """Steps 5-7 at core, whose head's plan is not ()."""
-        exe, fa, meta, rules = plan
+    def _steps_5_to_7(self, core, steps, ctx, iff, outer_props, path):
+        """Steps 5-7 at core, whose head's plan has steps."""
+        exe, fa, meta, rules = steps
         stats = self.stats
 
         # (5) executable counterpart on quoted arguments, unless the rule
@@ -469,34 +462,32 @@ class Rewriter:
         return core
 
     def _plan(self, head):
-        """Steps 5-7 at head for this rewrite: whether an executable
-        counterpart may run, whether head is a fast-alist head, whether it
-        has metas, and its rules; () when it has none of these.  A head
-        with a fast-alist step, a meta or a rule joins the stepped heads."""
+        """head's plan for this rewrite, (steps, settles).  steps says what
+        steps 5-7 do at head: whether an executable counterpart may run,
+        whether head is a fast-alist head, whether it has metas, and its
+        rules; () when it has none of these.  settles says whether a node
+        of head may settle (see _settled): never for one of terms.OWN_HEADS,
+        whose _rw is more than step (4) or counts each argument as one call,
+        or a head with a fast-alist step, a meta or a rule; otherwise unless
+        its executable counterpart runs on all-quoted arguments."""
         rs = self.ruleset
         exe = self.registry.has(head) and head not in rs.exec_disabled
         fa = head in _falist.HEADS
         meta = head in self.metas.by_trigger
         rules = rs.buckets.get(head)
-        if fa or meta or rules:
-            self._stepped.add(head)
-        plan = self._plans[head] = (exe, fa, meta, rules) if exe or fa or meta or rules else ()
+        steps = (exe, fa, meta, rules) if exe or fa or meta or rules else ()
+        plan = self._plans[head] = steps, not (fa or meta or rules or head in OWN_HEADS)
         return plan
 
     def _settled(self, t, height):
         """The calls _rw makes on the application t, under OPEN outside an
         iff position with no facts to strengthen from, when each returns
-        its term unchanged: t's tree size.  So it is when no head in t is
-        a stepped head (one of terms.OWN_HEADS, whose _rw is more than step
-        (4) or counts each argument as one call, or one with a fast-alist
-        step, a meta or a rule), one with an executable counterpart has an
-        argument not quoted, and each argument is a variable, a quotation
-        or, height levels down at most, such an application.  0 otherwise."""
-        head = t.head
-        plan = self._plans.get(head)
-        if plan is None:
-            plan = self._plan(head)
-        if head in self._stepped:
+        its term unchanged: t's tree size.  So it is when each head in t
+        settles by its plan (see _plan), and each argument is a variable, a
+        quotation or, height levels down at most, such an application.
+        0 otherwise."""
+        steps, settles = self._plans.get(t.head) or self._plan(t.head)
+        if not settles:
             return 0
         size = 1
         quoted = True
@@ -512,8 +503,8 @@ class Rewriter:
                 size += s
             else:
                 return 0
-        # an executable counterpart runs on quoted arguments
-        return 0 if plan and quoted else size
+        # steps are an executable counterpart's alone, which runs on quoted arguments
+        return 0 if steps and quoted else size
 
     def _guard_settled(self, result, wrappers):
         """The calls _rw makes on a rule's result of the shape its rule
@@ -522,21 +513,17 @@ class Rewriter:
         guard stops, under that plain tuple guard, outside an iff position
         with no fact to strengthen it from.  It returns the result
         unchanged, in one call for the wrappers and the application and one
-        per argument, when the application's head is not stepped and does
-        not have an executable counterpart that runs on its arguments, as
+        per argument, when the application's head settles by its plan, as
         in _settled.  0 otherwise."""
         core = result
         while wrappers:
             core = core.args[1]
             wrappers -= 1
-        head = core.head
-        plan = self._plans.get(head)
-        if plan is None:
-            plan = self._plan(head)
-        if head in self._stepped:
+        steps, settles = self._plans.get(core.head) or self._plan(core.head)
+        if not settles:
             return 0
         args = core.args
-        if plan:
+        if steps:
             for a in args:
                 if a.__class__ is not Quote:
                     break
@@ -673,20 +660,19 @@ class Rewriter:
     def _relief_rule(self, key):
         """For key (p, h, n): (rule, the enabled rules tried up to it) when
         the rewrite of (p b) under no fact, for any b that applies h, not
-        rp, to n arguments, ends at once in rule with a non-nil quotation;
-        () otherwise.  So it does when p has no fast-alist step and no
-        meta, every enabled rule before rule in p's bucket fails by b's
-        head and arity alone, and rule matches by them alone (see
-        rules.arg_shape), has no hypotheses and has such a quotation for
-        its result.  Kept for this rewrite, as the plans are."""
+        rp, to n arguments, ends at once in rule with a non-nil quotation,
+        wrapped or not; () otherwise.  So it does when p has no fast-alist
+        step and no meta, every enabled rule before rule in p's bucket
+        fails by b's head and arity alone, and rule matches by them alone
+        (see rules.arg_shape), has no hypotheses and proves in this
+        side-condition mode (see rules.result_record).  Kept for this
+        rewrite, as the plans are."""
         p, head, n = key
-        plan = self._plans.get(p)
-        if plan is None:
-            plan = self._plan(p)
+        steps = (self._plans.get(p) or self._plan(p))[0]
         found = ()
-        if plan and plan[3] and not plan[1] and not plan[2]:
+        if steps and steps[3] and not steps[1] and not steps[2]:
             tried = 0
-            for rule in plan[3]:
+            for rule in steps[3]:
                 if not rule.enabled:
                     continue
                 tried += 1
@@ -695,8 +681,7 @@ class Rewriter:
                 shape = rule.arg_shape
                 if shape is None or shape[0] is not None and (shape[0] != head or shape[1] != n):
                     continue
-                result = rule.sc_wrapped_rhs if self._sc else rule.rhs
-                if shape[2] and not rule.hyps and result.__class__ is Quote and truthy(result.value):
+                if shape[2] and not rule.hyps and rule.results[self._sc][4]:
                     found = rule, tried
                 break
         self._reliefs[key] = found
@@ -718,7 +703,9 @@ class Rewriter:
                 out = self._rw(build(bindings), dw, hyp_ctx, True, path)
                 if out.__class__ is GeneratorType:
                     out = yield out
-                relieved = isinstance(out, Quote) and truthy(out.value)
+                if out.__class__ is not Quote:  # a wrapper does not change its payload's value
+                    out = strip_rp(out)
+                relieved = out.__class__ is Quote and truthy(out.value)
                 j = self._relieve_at_binding(rule, j + 1, bindings, by_wrapper, bare, path) if relieved else None
         finally:
             self._backchain -= 1
@@ -737,11 +724,10 @@ class Rewriter:
         rewritten by enter: _rw_hop from a plain call, _rw from a
         generator."""
         stats = self.stats
-        result, dw = self._rule_result(rule, core, bindings, path)
+        result, dw, wrappers = self._rule_result(rule, core, bindings, path)
         if dw is STOP or result.__class__ is Quote:
             stats.rewrite_calls += 1
             return result
-        wrappers = rule.sc_rhs_wrappers if self._sc else rule.rhs_wrappers
         if (
             wrappers is not None
             and not iff
@@ -755,12 +741,14 @@ class Rewriter:
         return enter(result, dw, ctx, iff, path)
 
     def _rule_result(self, rule, core, bindings, path):
-        """The instantiated rhs of a rule that applies, and its dont-rw."""
+        """The instantiated result of a rule that applies, its dont-rw and
+        its settled shape, from the rule's record for this side-condition
+        mode (see Rule.results)."""
         stats = self.stats
         stats.rule_applications += 1
-        build, size, dw = rule.build_sc_rhs if self._sc else rule.build_rhs
+        build, size, dw, wrappers, _ = rule.results[self._sc]
         result = build(bindings)
         stats.nodes_created += size
         if self.trace is not None:
             self.trace.append((flat_path(path), rule.name, node_count(core), node_count(result)))
-        return result, dw
+        return result, dw, wrappers

@@ -42,6 +42,7 @@ from .terms import (
     postorder,
     shared_apps,
     rp_termp,
+    strip_rp,
     strip_rp_deep,
     terms_equal_mod_rp,
     truthy,
@@ -77,27 +78,17 @@ _RULE_FIELDS = ("name", "hyps", "lhs", "rhs", "equiv", "sc_wrapped_rhs", "enable
 class Rule:
     """A rewrite rule.
 
-    match is the rule's compiled matcher (see compile_match); build_rhs,
-    build_sc_rhs and each of build_hyps (None for a syntaxp hyp) are the
-    triples (builder, nodes an instantiation builds, its dont-rw guard) that
-    compile_template gives for rhs, sc_wrapped_rhs and each hyp.
-    rhs_wrappers and sc_rhs_wrappers are what settled_shape gives for rhs
-    and sc_wrapped_rhs, hyp_relief holds what relief_shape gives for each
-    hyp, and arg_shape is what arg_shape gives for lhs.  All are None until
-    compile makes them, which the rewriter does the first time it tries
-    the rule; a copy, by replace or pickle, compiles its own."""
+    match is the rule's compiled matcher (see compile_match).  results
+    holds one record per side-condition mode, indexed by whether side
+    conditions are on: for rhs, then sc_wrapped_rhs, what result_record
+    gives.  Each of build_hyps (None for a syntaxp hyp) is the triple
+    compile_template gives for that hyp, hyp_relief holds what
+    relief_shape gives for each hyp, and arg_shape is what arg_shape gives
+    for lhs.  All are None until compile makes them, which the rewriter
+    does the first time it tries the rule; a copy, by replace or pickle,
+    compiles its own."""
 
-    __slots__ = (
-        *_RULE_FIELDS,
-        "match",
-        "build_rhs",
-        "build_sc_rhs",
-        "build_hyps",
-        "rhs_wrappers",
-        "sc_rhs_wrappers",
-        "hyp_relief",
-        "arg_shape",
-    )
+    __slots__ = (*_RULE_FIELDS, "match", "results", "build_hyps", "hyp_relief", "arg_shape")
 
     def __init__(self, name, hyps, lhs, rhs, equiv, sc_wrapped_rhs=None, enabled=True, internal=False, group=None):
         self.name = name
@@ -109,8 +100,7 @@ class Rule:
         self.enabled = enabled
         self.internal = internal  # engine-shipped, exempt from user-rule checks
         self.group = name if group is None else group  # source declaration; conjunct-splits share one
-        self.match = self.build_rhs = self.build_sc_rhs = self.build_hyps = None
-        self.rhs_wrappers = self.sc_rhs_wrappers = self.hyp_relief = self.arg_shape = None
+        self.match = self.results = self.build_hyps = self.hyp_relief = self.arg_shape = None
 
     def replace(self, **changes):
         """A fresh rule with this one's fields but changes."""
@@ -127,13 +117,8 @@ class Rule:
         """Make the rule's matcher, builders and shapes, keep them on the
         rule, and return the matcher.  A syntaxp hyp has no builder.  The
         matcher is kept last, so a rule that has one has the rest too."""
-        self.build_rhs = compile_template(self.rhs)
-        self.rhs_wrappers = settled_shape(self.rhs)
-        sc_rhs = self.sc_wrapped_rhs
-        if sc_rhs is self.rhs:
-            self.build_sc_rhs, self.sc_rhs_wrappers = self.build_rhs, self.rhs_wrappers
-        else:
-            self.build_sc_rhs, self.sc_rhs_wrappers = compile_template(sc_rhs), settled_shape(sc_rhs)
+        plain = result_record(self.rhs)
+        self.results = plain, (plain if self.sc_wrapped_rhs is self.rhs else result_record(self.sc_wrapped_rhs))
         self.build_hyps = tuple(None if isinstance(h, Syntaxp) else compile_template(h) for h in self.hyps)
         self.hyp_relief = tuple(relief_shape(h) for h in self.hyps)
         self.arg_shape = arg_shape(self.lhs)
@@ -309,6 +294,15 @@ def settled_shape(template):
         if a.__class__ is not Var and a.__class__ is not Quote:
             return None
     return len(props)
+
+
+def result_record(template):
+    """(build, size, guard, settled, proves) for a rule's result template:
+    what compile_template gives, what settled_shape gives, and whether the
+    template is a non-nil quotation, under rp wrappers or none, which the
+    rewriter may take as relieving a hypothesis it is the result of."""
+    body = strip_rp(template)
+    return (*compile_template(template), settled_shape(template), body.__class__ is Quote and truthy(body.value))
 
 
 def relief_shape(hyp):

@@ -244,9 +244,9 @@ class ReferenceRewriter:
 
     def relieve(self, rule, core, bindings, extracted, facts, props):
         """Whether each hypothesis holds: a syntaxp test on the bindings, or
-        its instance rewritten to a true quotation under the facts, with
-        the wrappers the match looked through and those around the redex
-        as facts when side conditions are on."""
+        its instance rewritten to a true quotation, wrapped or not, under
+        the facts, with the wrappers the match looked through and those
+        around the redex as facts when side conditions are on."""
         if self.depth >= BACKCHAIN_DEPTH:
             return False
         known = extracted + [(core, p) for p in props] if self.sc else []
@@ -261,7 +261,7 @@ class ReferenceRewriter:
                     except EvalError:
                         return False
                     continue
-                out = self.rw_instance(h, bindings, hyp_facts, True)
+                out = strip_rp(self.rw_instance(h, bindings, hyp_facts, True))
                 if not (out.__class__ is Quote and truthy(out.value)):
                     return False
             return True

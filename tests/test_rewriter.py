@@ -313,7 +313,7 @@ def test_deep_formulas_compile_match_and_instantiate_flat(monkeypatch):
     statements = len(ast.parse(matcher).body[0].body)
     assert statements == len(matcher.splitlines()) - 1 == 5001 * 2 + 4999 + 2
     assert bindings == {"x": x, "y": Quote(1)} and extracted == [(t.args[0], "p")]
-    assert rule.build_rhs[0](bindings) == substitute(rule.rhs, bindings)
+    assert rule.results[False][0](bindings) == substitute(rule.rhs, bindings)
     assert compile_template(rhs)[0](bindings) == substitute(rhs, bindings)
 
 
@@ -330,7 +330,7 @@ def test_a_doubling_let_chain_rule_reads_and_compiles_its_distinct_nodes():
     rule.compile()
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"reading, building and compiling took {elapsed:.3f} s"
-    build, size, guard = rule.build_rhs
+    build, size, guard, _, _ = rule.results[False]
     instance = build({"x": Var("y")})
     # outside the assert, whose report would print the terms as trees
     shared = instance.args[0] is instance.args[1] and guard[1] is guard[2]
@@ -366,9 +366,9 @@ def test_the_guards_of_a_let_chain_rule_print_in_one_line_each():
     # each Shared guard of the 40-binding rule holds the next one twice, so
     # printing one as a tuple would walk 2^40 paths
     rules = ruleset((DEMOS / "rules" / "let-chain.lsp").read_text()).rules.values()
-    builders = [b for rule in rules if rule.compile() for b in (rule.build_rhs, rule.build_sc_rhs, *rule.build_hyps) if b]
+    builders = [b for rule in rules if rule.compile() for b in (*rule.results, *rule.build_hyps) if b]
     start = time.perf_counter()
-    texts = [repr(guard) for _, _, guard in builders]
+    texts = [repr(b[2]) for b in builders]
     elapsed = time.perf_counter() - start
     assert "(True, Shared(<3 guards>), Shared(<3 guards>))" in texts
     assert elapsed < 0.5
@@ -762,7 +762,8 @@ class _OpenGuards(Rewriter):
 
     def _rule_result(self, rule, core, bindings, path):
         self.opened += 1
-        return super()._rule_result(rule, core, bindings, path)[0], OPEN
+        result, _, wrappers = super()._rule_result(rule, core, bindings, path)
+        return result, OPEN, wrappers
 
 
 class _Unmemoized(Rewriter):
@@ -1158,10 +1159,32 @@ def test_every_step_limit_on_random_terms_counts_and_flags_the_stop():
     assert {"meta", "integerp-of-+", "+-comm"} <= fired and rewrites > 1000
 
 
+def _agrees_at_every_limit(override, make, run):
+    """The loop against itself with one shortcut off: run gives the same on
+    make(Rewriter, limit) as on make(override, limit), where override is a
+    Rewriter that counts in `declined` each shortcut it refuses, with no
+    step limit and at every limit up to one past a full rewrite's calls.
+    Returns the full run, the shortcuts refused under those limits, and
+    the number of limits."""
+    full = make(Rewriter, 1 << 20)
+    out = run(full)
+    assert out == run(make(override, 1 << 20))
+    declined = 0
+    limits = range(1, full.stats.rewrite_calls + 2)
+    for limit in limits:
+        off = make(override, limit)
+        assert run(make(Rewriter, limit)) == run(off), limit
+        declined += off.declined
+    return out, declined, len(limits)
+
+
 class _Unsettled(Rewriter):
     """The loop with no argument settled: each is rewritten by a call."""
 
+    declined = 0
+
     def _settled(self, t, height):
+        self.declined += 1
         return 0
 
 
@@ -1206,6 +1229,8 @@ SETTLE_TEXTS = (
     "(not (f (g x (f y))))",
     "(g (f (g (f (g x)))) (f (g (f (g (iassoc 'k1 (h x)))))))",
     "(g (f) (g) (f (f)))",
+    # own heads at another arity, which step (4) treats as any head
+    "(g (if x y) (rp (f x)) (hide x y))",
 )
 
 
@@ -1258,22 +1283,19 @@ def test_a_settled_argument_counts_as_the_calls_it_stands_for(monkeypatch):
     for _ in range(16):
         t = _settle_term(rng, 4, fal)
         cases.append((t, _settle_guard(rng, t, 2)))
-    rewrites = 0
+    rewrites = declined = 0
     for t, dw in cases:
         for sc in (True, False):
             for ctx in contexts:
                 for iff in (True, False):
-
-                    def run(cls, limit):
-                        rw = cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit))
-                        return rw.rewrite(t, dw, ctx, iff), rw.stats.as_dict()
-
-                    full = run(Rewriter, 1 << 20)
-                    assert full == run(_Unsettled, 1 << 20), (t, sc, ctx, iff)
-                    for limit in range(1, full[1]["rewrite_calls"] + 2):
-                        assert run(Rewriter, limit) == run(_Unsettled, limit), (t, sc, ctx, iff, limit)
-                        rewrites += 1
-    assert sum(s > 1 for s in sizes) > 1000 and max(sizes) >= 5 and rewrites > 4000
+                    _, off, limits = _agrees_at_every_limit(
+                        _Unsettled,
+                        lambda cls, limit: cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit)),
+                        lambda rw: (rw.rewrite(t, dw, ctx, iff), rw.stats.as_dict()),
+                    )
+                    declined += off
+                    rewrites += limits
+    assert sum(s > 1 for s in sizes) > 1000 and max(sizes) >= 5 and rewrites > 4000 and declined > 0
 
     # a depth-6 tree proof makes fewer _rw calls, and counts the same; the
     # loop with no argument settled still counts guard-settled rule results
@@ -1352,42 +1374,35 @@ def test_a_guard_settled_rule_result_counts_as_the_calls_it_stands_for(monkeypat
 
     monkeypatch.setattr(Rewriter, "_guard_settled", recorded)
     declined = 0
-
-    def agree(make, run):
-        nonlocal declined
-        out = run(make(Rewriter, 1 << 20))
-        full = out[1]["rewrite_calls"]
-        for limit in range(1, full + 2):
-            reentered = make(_Reentered, limit)
-            assert run(make(Rewriter, limit)) == run(reentered), limit
-            declined += reentered.declined
-        return out
-
     for depth in range(1, 5):
         for sc in (True, False):
             # tree.lsp with side conditions, tree-backchain.lsp without
-            out = agree(
+            out, off, _ = _agrees_at_every_limit(
+                _Reentered,
                 lambda cls, limit: _tree_rewriter(sc, cls, step_limit=limit),
                 lambda rw: (rw.rewrite(tree_conjecture(depth)), rw.stats.as_dict()),
             )
+            declined += off
             assert out[0] == Quote("t")
 
     rs = ruleset(GUARD_SETTLE_RULES)
     for rule in rs.rules.values():
         rule.compile()
     # one wrapper twice is no settled shape, though its rhs without side conditions is
-    assert [rs.rules[n].sc_rhs_wrappers for n in ("a-to-g", "w2", "w3", "e-when-q2")] == [0, None, 2, 0]
-    assert rs.rules["w2"].rhs_wrappers == 0
+    assert [rs.rules[n].results[True][3] for n in ("a-to-g", "w2", "w3", "e-when-q2")] == [0, None, 2, 0]
+    assert rs.rules["w2"].results[False][3] == 0
     metas = [MetaRule("m-to-g", "m", lambda u: App("g", u.args))]
     outputs = set()
     for text in GUARD_SETTLE_TERMS:
         for sc in (True, False):
             for ctx in (Context(), Context([P("(p (g u))")])):
                 for iff in (True, False):
-                    out = agree(
+                    out, off, _ = _agrees_at_every_limit(
+                        _Reentered,
                         lambda cls, limit: cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit)),
                         lambda rw: (rw.rewrite(P(text), ctx=ctx, iff=iff), rw.stats.as_dict()),
                     )
+                    declined += off
                     outputs.add(format_term(out[0]))
     # each refused kind reached the loop and came out rewritten: a context
     # fact wraps what step (3) strengthens, and one wrapper twice is one
@@ -1449,9 +1464,10 @@ HYP_FREE_TERMS = {
     "(f (j u v))": (1, 1),
     # the rule that applies has a hypothesis, whose binding is a variable
     "(f (k u))": (2, 2),
-    # the rule that applies gives 'nil, or, with side conditions, (rp 'r 't)
+    # the rule that applies gives 'nil; with side conditions p-of-s gives
+    # (rp 'r 't), which relieves as its payload does
     "(f (m u))": (1, 1),
-    "(f (s u))": (1, 0),
+    "(f (s u))": (0, 0),
     # a context fact from an if test
     "(if (r u) (f (h u v)) u)": (1, 1),
     # a wrapped binding, which a wrapper 'p relieves with side conditions on
@@ -1481,16 +1497,6 @@ def test_a_hypothesis_a_rule_proves_at_the_binding_counts_as_that_rewrite(monkey
     monkeypatch.setattr(Rewriter, "_relieve_hyps", counted)
     declined = 0
 
-    def agree(make, run):
-        nonlocal declined
-        full = make(Rewriter, 1 << 20)
-        out = run(full)
-        for limit in range(1, full.stats.rewrite_calls + 2):
-            off = make(_NoRuleRelief, limit)
-            assert run(make(Rewriter, limit)) == run(off), limit
-            declined += off.declined
-        return out
-
     def traced(t, **kw):
         def run(rw):
             rw.trace = []
@@ -1502,10 +1508,12 @@ def test_a_hypothesis_a_rule_proves_at_the_binding_counts_as_that_rewrite(monkey
         for text in (TREE_RULES, TREE_RULES_BACKCHAIN):
             rs = ruleset(text)
             for sc in (True, False):
-                out = agree(
+                out, off, _ = _agrees_at_every_limit(
+                    _NoRuleRelief,
                     lambda cls, limit: cls(rs, cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit)),
                     traced(tree_conjecture(depth)),
                 )
+                declined += off
                 # without side conditions tree.lsp proves the depth-1 tree alone
                 assert (out[0] == Quote("t")) == (sc or text == TREE_RULES_BACKCHAIN or depth == 1)
     rs = ruleset(HYP_FREE_RULES)
@@ -1514,7 +1522,7 @@ def test_a_hypothesis_a_rule_proves_at_the_binding_counts_as_that_rewrite(monkey
         for sc in (True, False):
             for metas in ((), (p_meta,)):
                 make = lambda cls, limit: cls(rs, metas=MetaRegistry(metas), cfg=RewriteConfig(side_conditions_enabled=sc, step_limit=limit))
-                agree(make, traced(P(text), iff=False))
+                declined += _agrees_at_every_limit(_NoRuleRelief, make, traced(P(text), iff=False))[1]
                 seen = []
                 for cls in (Rewriter, _NoRuleRelief):
                     rewritten = 0

@@ -1,9 +1,9 @@
 """perfbench's tracer wraps the package's functions by name, and its
 engines build rule sets and rewriters through the package's API, so a
 change inside the package must not leave perfbench wrapping nothing or
-failing to set up; the CLI's imports stay its own; and no module grows past
+failing to set up; the CLI's imports stay its own; no module grows past
 the size where its compile, which perfbench's peak RSS follows, costs a
-step more memory."""
+step more memory; and no name the package defines goes unused."""
 
 import ast
 import importlib.util
@@ -88,3 +88,42 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     added = set(ast.literal_eval(out.stdout))
     assert "termrw.cli" in added and not added & {"dataclasses", "inspect", "csv", "json"}
+
+
+# top-level names that no code in src/, demos/ or perfbench/ reads, each
+# kept for a reason of its own
+UNREFERENCED = {
+    ("validate", "sample_envs"): "the decoder of the draw stream test_validate pins",
+    ("validate", "valid_sc_failure"): "the one-environment wrapper oracle the module documents, which test_validate checks",
+    ("demo", "SHIPPED_RULESETS"): "the texts test_cli pins demos/rules to",
+    ("demo", "SHIPPED_CONJECTURES"): "the texts test_cli pins demos/conjectures to",
+}
+
+
+def test_every_top_level_name_of_the_package_is_referenced():
+    # a reference is a name read, an attribute, an imported name or a string
+    # that spells the name (perfbench's tracer wraps by name), anywhere in
+    # src/, demos/ or perfbench/, the name's own module included
+    defined = set()
+    for path in sorted((ROOT / "src" / "termrw").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            defined.update((path.stem, name) for name in names if not name.startswith("__"))
+    referenced = set()
+    for path in [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unreferenced = {(module, name) for module, name in defined if name not in referenced}
+    assert unreferenced == set(UNREFERENCED)
